@@ -140,7 +140,9 @@ def assemble(
         d_v = grid.d1_sparse(1, accuracy=2)
         lam = sp_sparse.diags(gamma * grid.cell_weight)
         cross = (d_u.T @ lam @ d_v).tocsr()
-        stiffness = stiffness + cross + cross.T
+        # cross + cross.T is exactly symmetric (IEEE addition commutes);
+        # adding it to S in one piece keeps the sum exactly symmetric too.
+        stiffness = stiffness + (cross + cross.T)
 
     lumped_diag = fields.area_element
     if lumped_mass:

@@ -12,7 +12,9 @@ Two implementations:
   * SymbolicChart: components are sympy expressions; derivatives through
     third order are generated symbolically and compiled once per distinct
     expression set, so curvature computations see machine-exact inputs.
-    All catalog shapes use this path.
+    All catalog shapes use this path.  Images of these charts under
+    conformal dilations are charts too (see `conformal`); they push the
+    bundle through the dilation numerically.
   * NumericChart: a plain callable sampled on the grid; derivatives come
     from 4th-order stencils (one-sided in theta on sphere grids).  Third
     derivatives are not offered, so intrinsic curvature falls back to
@@ -64,12 +66,16 @@ def _diff_by_key(expr, key: str):
 
 
 @lru_cache(maxsize=256)
-def _compile_bundle(expr_reprs: tuple[str, ...], max_order: int):
-    """One vectorized function evaluating every component derivative."""
+def _compile_bundle(expr_reprs: tuple[str, ...]):
+    """One vectorized function evaluating every derivative through order 3.
+
+    Keyed by the expressions alone: a chart is differentiated and compiled
+    once, whichever order is asked for first.
+    """
     exprs = [sp.sympify(s) for s in expr_reprs]
     flat = [
         _diff_by_key(e, key)
-        for key in derivative_keys(max_order)
+        for key in derivative_keys(SymbolicChart.max_order)
         for e in exprs
     ]
     return sp.lambdify((PARAM_U, PARAM_V), flat, modules="numpy", cse=True)
@@ -93,20 +99,16 @@ class SymbolicChart:
     def evaluate(self, grid: Grid, max_order: int) -> dict[str, np.ndarray]:
         if max_order > self.max_order:
             raise DomainError(f"chart supports derivatives up to order {self.max_order}")
-        fn = _compile_bundle(self._key, max_order)
+        fn = _compile_bundle(self._key)
         uu, vv = grid.mesh()
         raw = fn(uu, vv)
         n = grid.node_count
-        keys = derivative_keys(max_order)
         out: dict[str, np.ndarray] = {}
-        idx = 0
-        for key in keys:
-            cols = []
-            for _ in range(4):
-                col = np.broadcast_to(np.asarray(raw[idx], dtype=float), (n,))
-                cols.append(col)
-                idx += 1
-            out[key] = np.column_stack(cols)
+        for k, key in enumerate(derivative_keys(max_order)):
+            out[key] = np.column_stack([
+                np.broadcast_to(np.asarray(raw[4 * k + c], dtype=float), (n,))
+                for c in range(4)
+            ])
         return out
 
 

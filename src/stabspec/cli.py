@@ -230,8 +230,24 @@ _RUNNERS = {
 }
 
 
+def parse_args(argv=None) -> argparse.Namespace:
+    """Parse the command line; key=value overrides may follow any option.
+
+    argparse stops filling the positional `params` at the first option, so
+    overrides after `--config FILE` come back as leftovers; they join the
+    other overrides.  Any other leftover token is an error (exit 2).
+    """
+    parser = build_parser()
+    args, extra = parser.parse_known_args(argv)
+    stray = [tok for tok in extra if tok.startswith("-") or "=" not in tok]
+    if stray:
+        parser.error(f"unrecognized arguments: {' '.join(stray)}")
+    args.params = list(args.params) + extra
+    return args
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = parse_args(argv)
     try:
         return _RUNNERS[args.command](args)
     except (HypothesisError, ConfigError) as err:

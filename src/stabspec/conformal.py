@@ -1,32 +1,42 @@
 """Conformal dilations of the 3-sphere and the balancing construction.
 
-A dilation with parameter `a` (|a| < 1) is built by stereographic
-conjugation: project from the antipode of p = a/|a| onto the equatorial
-hyperplane orthogonal to p, scale by (1 - |a|)/(1 + |a|), and project
-back.  a = 0 is the identity, and negating `a` inverts the map, because
-switching the projection pole inverts the Euclidean scale.
+A dilation with parameter `a` (|a| < 1) is stereographic conjugation:
+project from the antipode of p = a/|a| onto the equatorial hyperplane
+orthogonal to p, scale by s = (1 - |a|)/(1 + |a|), and project back.
+With c = <x, p> the three steps collapse to
 
-The balancing routine moves `a` by a damped fixed-point iteration until
-the weighted center of mass of the transformed surface vanishes.  With
-the resulting map, the four ambient coordinates of the transformed
-immersion are (numerically) orthogonal to the chosen weight function, so
-their aggregate Rayleigh quotient upper-bounds the second eigenvalue of
-the original pencil — the certified bound returned here.
+    phi(x) = (2 s x + (1 - s^2 + (1 - s)^2 c) p) / (1 + s^2 + (1 - s^2) c),
 
-Image surfaces are built by composing the dilation with the chart
-symbolically, so all image geometry flows through the one audited
-geometry pipeline.
+whose denominator stays >= 2 min(1, s^2) on the whole sphere, so the
+projection pole needs no special case.  a = 0 is the identity, and
+negating `a` inverts the map, because switching the projection pole
+inverts the Euclidean scale.
+
+The balancing routine moves `a` by damped Newton steps until the
+weighted center of mass of the transformed surface vanishes.  With the
+resulting map, the four ambient coordinates of the transformed immersion
+are (numerically) orthogonal to the chosen weight function, so their
+aggregate Rayleigh quotient upper-bounds the second eigenvalue of the
+original pencil — the certified bound returned here.  The bound needs
+the transformed node positions only.
+
+Image surfaces carry a chart that pushes the base surface's order-3
+derivative bundle through phi with truncated bivariate Taylor jets
+(Griewank & Walther, Evaluating Derivatives, ch. 13): phi is affine in x
+up to one reciprocal, so a jet product and a jet reciprocal are all it
+takes.  All image geometry then flows through the one audited geometry
+pipeline, and an image surface can itself be dilated again.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import sympy as sp
 
 from .assembly import OperatorPencil
-from .charts import SymbolicChart
+from .charts import derivative_keys
 from .eigen import Spectrum
 from .errors import DomainError, NonConvergenceError, UnsupportedAmbientError
 from .surfaces import (
@@ -51,8 +61,10 @@ __all__ = [
 
 BOUNDARY_MARGIN = 1e-9
 BALANCE_CAP = 1.0 - 1e-6
-BALANCE_DAMPING = 0.5
-BALANCE_MAX_ITER = 500
+BALANCE_MAX_ITER = 50
+# Central-difference step of the balancing Jacobian, relative to 1 - |a|.
+JACOBIAN_STEP = 1e-5
+JET_ORDER = 3
 
 
 @dataclass(frozen=True)
@@ -82,6 +94,11 @@ class MobiusParam:
     def inverse(self) -> "MobiusParam":
         return MobiusParam(-self.a)
 
+    def axis_and_scale(self) -> tuple[np.ndarray, float]:
+        """(p, s): fixed pole p = a/|a| and Euclidean scale (1 - |a|)/(1 + |a|)."""
+        mag = self.magnitude
+        return self.a / mag, (1.0 - mag) / (1.0 + mag)
+
 
 def _as_rows(x) -> tuple[np.ndarray, bool]:
     arr = np.asarray(x, dtype=float)
@@ -98,41 +115,80 @@ def mobius_apply(param: MobiusParam, x) -> np.ndarray:
     norms = np.linalg.norm(rows, axis=1)
     if float(np.max(np.abs(norms - 1.0))) > 1e-8:
         raise DomainError("dilation input points must lie on the unit sphere")
-    mag = param.magnitude
-    if mag < 1e-15:
+    if param.magnitude < 1e-15:
         out = rows.copy()
         return out[0] if single else out
 
-    p = param.a / mag
-    scale = (1.0 - mag) / (1.0 + mag)
-
-    # Stereographic projection from -p onto the hyperplane orthogonal to p.
-    dot = rows @ p
-    denom = 1.0 + dot
-    safe = denom > 1e-13
-    y = np.zeros_like(rows)
-    y[safe] = (rows[safe] - dot[safe, None] * p[None, :]) / denom[safe, None]
-
-    y *= scale
-    y2 = np.einsum("ij,ij->i", y, y)
-    out = (2.0 * y + (1.0 - y2)[:, None] * p[None, :]) / (1.0 + y2)[:, None]
-    # The projection pole is a fixed point of the conjugated scaling.
-    out[~safe] = -p
+    p, s = param.axis_and_scale()
+    c = rows @ p
+    num = 2.0 * s * rows + ((1.0 - s * s) + (1.0 - s) ** 2 * c)[:, None] * p
+    out = num / ((1.0 + s * s) + (1.0 - s * s) * c)[:, None]
     out /= np.linalg.norm(out, axis=1)[:, None]
     return out[0] if single else out
 
 
-def _composed_chart(chart: SymbolicChart, param: MobiusParam) -> SymbolicChart:
-    mag = param.magnitude
-    p = [sp.Float(float(c), 17) for c in param.a / mag]
-    s = sp.Float((1.0 - mag) / (1.0 + mag), 17)
-    e = chart.exprs
-    dot = sum(ei * pi for ei, pi in zip(e, p))
-    y = [(ei - dot * pi) / (1 + dot) for ei, pi in zip(e, p)]
-    y = [s * yi for yi in y]
-    y2 = sum(yi * yi for yi in y)
-    out = tuple((2 * yi + (1 - y2) * pi) / (1 + y2) for yi, pi in zip(y, p))
-    return SymbolicChart(out)
+# ----------------------------------------------------------------------
+# Truncated Taylor jets in (u, v).  A jet is an array whose first axis
+# holds the coefficients of the monomials u^i v^j, i + j <= JET_ORDER, in
+# the order of the bundle keys; further axes are nodes (and components).
+
+_JET_KEYS = derivative_keys(JET_ORDER)
+_MONOMIALS = [(key.count("u"), key.count("v")) for key in _JET_KEYS]
+_FACTORIALS = np.array([math.factorial(i) * math.factorial(j) for i, j in _MONOMIALS],
+                       dtype=float)
+# _PRODUCT[m]: index pairs (k, l) whose monomials multiply to monomial m.
+_PRODUCT = [
+    [(k, _MONOMIALS.index((i - a, j - b)))
+     for k, (a, b) in enumerate(_MONOMIALS) if a <= i and b <= j]
+    for i, j in _MONOMIALS
+]
+
+
+def _jet_mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Truncated product of two jets (broadcasting over trailing axes)."""
+    return np.stack([sum(x[k] * y[l] for k, l in pairs) for pairs in _PRODUCT])
+
+
+def _jet_reciprocal(x: np.ndarray) -> np.ndarray:
+    """Truncated jet of 1/x, solved degree by degree from x * (1/x) = 1."""
+    r = np.empty_like(x)
+    r[0] = 1.0 / x[0]
+    for m in range(1, len(_MONOMIALS)):
+        # every l here has lower degree than m, so r[l] is already known
+        r[m] = -r[0] * sum(x[k] * r[l] for k, l in _PRODUCT[m] if k != 0)
+    return r
+
+
+def _dilate_jets(param: MobiusParam, jets: np.ndarray) -> np.ndarray:
+    """phi applied to position jets of shape (coefficients, nodes, 4)."""
+    p, s = param.axis_and_scale()
+    c = jets @ p
+    num = 2.0 * s * jets + ((1.0 - s) ** 2 * c)[..., None] * p
+    num[0] += (1.0 - s * s) * p
+    den = (1.0 - s * s) * c
+    den[0] += 1.0 + s * s
+    return _jet_mul(num, _jet_reciprocal(den)[..., None])
+
+
+class _DilatedChart:
+    """Chart of a dilated surface, derived from the base surface's bundle."""
+
+    max_order = JET_ORDER
+
+    def __init__(self, base: ImmersedSurface, param: MobiusParam):
+        self.base = base
+        self.param = param
+
+    def evaluate(self, grid, max_order: int) -> dict[str, np.ndarray]:
+        if max_order > self.max_order:
+            raise DomainError(f"chart supports derivatives up to order {self.max_order}")
+        if grid is not self.base.grid:
+            raise DomainError("a dilated chart is evaluated on its base surface's grid")
+        b = self.base.bundle(JET_ORDER)
+        scale = _FACTORIALS[:, None, None]
+        jets = np.stack([b[key] for key in _JET_KEYS]) / scale
+        out = _dilate_jets(self.param, jets) * scale
+        return {key: out[i] for i, key in enumerate(derivative_keys(max_order))}
 
 
 def mobius_image_surface(s: ImmersedSurface, param: MobiusParam) -> ImmersedSurface:
@@ -141,15 +197,20 @@ def mobius_image_surface(s: ImmersedSurface, param: MobiusParam) -> ImmersedSurf
         raise UnsupportedAmbientError("conformal dilations act on the 3-sphere")
     if param.magnitude < 1e-15:
         return s
-    if not isinstance(s.chart, SymbolicChart):
-        raise DomainError("conformal image surfaces need an analytic chart")
+    if s.chart.max_order < JET_ORDER:
+        raise DomainError("conformal image surfaces need a chart with third derivatives")
     return ImmersedSurface(
         s.ambient,
-        _composed_chart(s.chart, param),
+        _DilatedChart(s, param),
         s.grid,
         topology_hint=s.topology_hint,
         name=f"{s.name} | dilation(|a|={param.magnitude:.4g})",
     )
+
+
+def _capped(a: np.ndarray) -> np.ndarray:
+    nrm = float(np.linalg.norm(a))
+    return a * (BALANCE_CAP / nrm) if nrm > BALANCE_CAP else a
 
 
 def hersch_balance(
@@ -161,10 +222,11 @@ def hersch_balance(
 ) -> MobiusParam:
     """Dilation parameter nulling the f1-weighted center of mass.
 
-    Damped fixed-point iteration: the weighted mean c of the transformed
-    node positions is the balancing residual, and the step a <- a - 0.5 c
-    has exactly the balanced configurations as fixed points.  The
-    residual is measured relative to the total weight, matching
+    Damped Newton iteration on the center map a -> c(a), the weighted
+    mean of the transformed node positions.  The Jacobian comes from
+    central differences; each step is halved until |c| decreases, and
+    |a| stays within BALANCE_CAP.  The residual |c| is measured relative
+    to the total weight, matching
     ||integral of f1 * (transformed position)|| <= tol * integral of f1.
     """
     if not s.is_sphere3:
@@ -184,23 +246,43 @@ def hersch_balance(
     weights = weights / total
 
     coords = s.bundle(2)["0"]
-    a = np.zeros(4) if start is None else np.asarray(start, dtype=float).reshape(4)
-    residual = np.inf
-    for _ in range(BALANCE_MAX_ITER):
-        center = weights @ mobius_apply(MobiusParam(a), coords)
-        residual = float(np.linalg.norm(center))
-        if residual <= tol:
-            return MobiusParam(a)
-        a = a - BALANCE_DAMPING * center
-        nrm = float(np.linalg.norm(a))
-        if nrm > BALANCE_CAP:
-            a *= BALANCE_CAP / nrm
-    raise NonConvergenceError(
-        f"balancing iteration did not reach residual {tol:.3e} in "
-        f"{BALANCE_MAX_ITER} steps (final residual {residual:.3e}); the "
-        "weighted measure may be concentrating near a point",
-        residuals=[residual],
-    )
+
+    def center(a):
+        return weights @ mobius_apply(MobiusParam(a), coords)
+
+    a = _capped(np.zeros(4) if start is None else np.asarray(start, dtype=float).reshape(4))
+    c = center(a)
+    residuals = [float(np.linalg.norm(c))]
+    while residuals[-1] > tol:
+        if len(residuals) > BALANCE_MAX_ITER:
+            raise NonConvergenceError(
+                f"balancing did not reach residual {tol:.3e} in {BALANCE_MAX_ITER} "
+                f"Newton steps (final residual {residuals[-1]:.3e}); the weighted "
+                "measure may be concentrating near a point",
+                residuals=residuals,
+            )
+        h = JACOBIAN_STEP * (1.0 - float(np.linalg.norm(a)))
+        jac = np.column_stack([
+            (center(a + h * e) - center(a - h * e)) / (2.0 * h) for e in np.eye(4)
+        ])
+        step = np.linalg.lstsq(jac, -c, rcond=None)[0]
+        t = 1.0
+        while True:
+            trial = _capped(a + t * step)
+            c_trial = center(trial)
+            if np.linalg.norm(c_trial) < (1.0 - 1e-4 * t) * residuals[-1]:
+                break
+            t *= 0.5
+            if t < 1e-12:
+                raise NonConvergenceError(
+                    f"balancing stalled at residual {residuals[-1]:.3e} (target "
+                    f"{tol:.3e}); the weighted measure may be concentrating near "
+                    "a point",
+                    residuals=residuals,
+                )
+        a, c = trial, c_trial
+        residuals.append(float(np.linalg.norm(c)))
+    return MobiusParam(a)
 
 
 def _aggregate_quotient(pencil: OperatorPencil, psi: np.ndarray) -> float:
@@ -263,8 +345,7 @@ def balanced_bound_report(
         except NonConvergenceError as err:
             failures.append(err)
             continue
-        image = mobius_image_surface(s, m)
-        psi = image.bundle(2)["0"]
+        psi = mobius_apply(m, s.bundle(2)["0"])
         center = (np.maximum(f1, 0.0) * f.area_element) @ psi
         residual = float(np.linalg.norm(center) / np.sum(np.maximum(f1, 0.0) * f.area_element))
         bound = _aggregate_quotient(pencil, psi)

@@ -88,7 +88,7 @@ class ImmersedSurface:
         self.grid = grid
         self.topology_hint = topology_hint or grid.topology
         self.name = name
-        self._bundles: dict[int, dict[str, np.ndarray]] = {}
+        self._bundle: dict[str, np.ndarray] | None = None
 
     @property
     def node_count(self) -> int:
@@ -99,14 +99,14 @@ class ImmersedSurface:
         return isinstance(self.ambient, Sphere3)
 
     def bundle(self, max_order: int) -> dict[str, np.ndarray]:
-        """Chart derivative arrays through max_order, cached."""
-        order = min(max_order, self.chart.max_order)
-        for got in self._bundles:
-            if got >= order:
-                return self._bundles[got]
-        b = self.chart.evaluate(self.grid, order)
-        self._bundles[order] = b
-        return b
+        """Chart derivative arrays through at least min(max_order, chart order).
+
+        The chart is evaluated once, through the highest order it offers,
+        and every later request is served from that cached bundle.
+        """
+        if self._bundle is None:
+            self._bundle = self.chart.evaluate(self.grid, self.chart.max_order)
+        return self._bundle
 
 
 @dataclass
@@ -230,7 +230,7 @@ def _metric_derivs_numeric(grid: Grid, E, F, G):
 
 def _geometry_sphere3(s: ImmersedSurface, want_gauss: bool) -> GeometryFields:
     has_third = s.chart.max_order >= 3
-    b = s.bundle(3 if (want_gauss and has_third) else 2)
+    b = s.bundle(3)
     X, Xu, Xv = b["0"], b["u"], b["v"]
     Xuu, Xuv, Xvv = b["uu"], b["uv"], b["vv"]
 
@@ -301,7 +301,7 @@ def _geometry_sphere3(s: ImmersedSurface, want_gauss: bool) -> GeometryFields:
 def _geometry_warped(s: ImmersedSurface, want_gauss: bool) -> GeometryFields:
     w = s.ambient.warping
     has_third = s.chart.max_order >= 3
-    b = s.bundle(3 if (want_gauss and has_third) else 2)
+    b = s.bundle(3)
 
     def split(key):
         return b[key][:, 0], b[key][:, 1:4]

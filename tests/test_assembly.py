@@ -155,6 +155,15 @@ def test_sheared_chart_activates_mixed_coupling_and_converges():
     assert errs[1] < errs[0] / 3
 
 
+def test_non_zonal_graph_keeps_exact_symmetry_through_the_poles():
+    # the one-sided theta stencil makes the cross term couple phi-neighbours
+    # in the pole rows; summing it as S + (C + C^T) keeps A == A^T exactly
+    spec = ss.graph_over_slice("cosh", 0.275005, "Y3,1", 0.048658, (128, 128))
+    _, _, p = _pencil(spec)
+    a = p.stiffness_minus_potential
+    assert (a != a.T).nnz == 0
+
+
 def test_consistent_mass_option():
     s, f, lumped = _pencil(ss.clifford_torus((16, 16)))
     consistent = ss.assemble(s, f, lumped_mass=False)

@@ -5,7 +5,11 @@ Oracles used here:
   velocity-addition law for collinear parameters), checked to rounding;
 - finite differences for conformality of the differential;
 - construct-and-invert for the balancing solver: displace a balanced mass
-  distribution by a known dilation and demand recovery of its inverse.
+  distribution by a known dilation and demand recovery of its inverse;
+- the closed-form balancing dilation of an off-center geodesic sphere;
+- for the jet-composed image charts: the inverse dilation returns the base
+  bundle, order 0 reproduces `mobius_apply`, and the jet algebra matches
+  the Taylor series of 1/(1 + w).
 """
 
 from __future__ import annotations
@@ -16,6 +20,8 @@ import numpy as np
 import pytest
 
 import stabspec as ss
+from stabspec import conformal
+from stabspec.charts import derivative_keys
 from stabspec.errors import (
     DomainError,
     NonConvergenceError,
@@ -124,6 +130,56 @@ def test_image_surface_geometry_is_still_spherical():
     assert ss.area(si, fi) < 2 * math.pi**2  # dilations shrink the total area
 
 
+def test_jet_reciprocal_matches_the_geometric_series():
+    # x = 1 + w with w = u + 2v: 1/x = 1 - w + w^2 - w^3 + O(4)
+    w = np.zeros(10)
+    w[[1, 2]] = 1.0, 2.0
+    x = w.copy()
+    x[0] = 1.0
+    series = np.zeros(10)
+    series[0] = 1.0
+    term = np.zeros(10)
+    term[0] = 1.0
+    for sign in (-1.0, 1.0, -1.0):
+        term = conformal._jet_mul(term, w)
+        series += sign * term
+    np.testing.assert_allclose(conformal._jet_reciprocal(x), series, atol=1e-15)
+    # and the coefficients of w^2: u^2 + 4uv + 4v^2
+    np.testing.assert_array_equal(conformal._jet_mul(w, w)[3:6], [1.0, 4.0, 4.0])
+
+
+@pytest.mark.parametrize("spec", [
+    ss.clifford_torus((16, 16)),
+    ss.perturbed_torus(0.7, 0.05, 3, (16, 16)),
+    ss.geodesic_sphere(1.0, (16, 16)),
+], ids=lambda s: s.label)
+def test_jet_image_round_trip_and_order_zero(spec):
+    s = ss.build(spec)
+    a = _param(0.3, -0.1, 0.2, 0.25)
+    image = ss.mobius_image_surface(s, a)
+    np.testing.assert_allclose(image.bundle(0)["0"],
+                               ss.mobius_apply(a, s.bundle(0)["0"]),
+                               rtol=0, atol=1e-14)
+    # an image of an image: the inverse dilation returns the base bundle
+    back = ss.mobius_image_surface(image, a.inverse()).bundle(3)
+    base = s.bundle(3)
+    for key in derivative_keys(3):
+        # relative to the largest derivative of the same order
+        scale = max(np.max(np.abs(base[k])) for k in base if len(k) == len(key))
+        assert np.max(np.abs(back[key] - base[key])) <= 1e-12 * scale, key
+
+
+def test_image_chart_rejects_charts_without_third_derivatives():
+    def clifford(u, v):
+        return np.stack([np.cos(u), np.sin(u), np.cos(v), np.sin(v)],
+                        axis=-1) / math.sqrt(2)
+
+    s = ss.build(ss.clifford_torus((8, 8)))
+    numeric = ss.ImmersedSurface(s.ambient, ss.NumericChart(clifford), s.grid)
+    with pytest.raises(DomainError):
+        ss.mobius_image_surface(numeric, _param(0.2, 0, 0, 0))
+
+
 # ----------------------------------------------------------------- balancing
 
 
@@ -155,6 +211,18 @@ def test_balance_residual_definition(solve):
     y = ss.mobius_apply(a, sol.surface.bundle(0)["0"])
     resid = np.linalg.norm(w @ y) / w.sum()
     assert resid <= 1e-9
+
+
+@pytest.mark.parametrize("rho", [0.3, 2.8])
+def test_balance_small_and_near_antipodal_spheres(solve, rho):
+    # the area measure of a geodesic sphere balances under the axial
+    # dilation with |a| = |1 - tan(rho/2)| / (1 + tan(rho/2))
+    sol = solve(ss.geodesic_sphere(rho, (48, 48)), k=2)
+    f1 = sol.spectrum.eigenvectors[:, 0]
+    a = ss.hersch_balance(sol.surface, sol.fields, np.abs(f1))
+    t = math.tan(rho / 2)
+    assert a.magnitude == pytest.approx(abs(1 - t) / (1 + t), abs=1e-6)
+    np.testing.assert_allclose(np.abs(a.a[:3]), 0.0, atol=1e-9)
 
 
 def test_balance_rejects_bad_weights(solve):
@@ -266,6 +334,16 @@ def test_balanced_bound_is_tight_for_the_off_center_sphere(solve):
     assert rep.param.magnitude > 0.1  # it genuinely moved
     gap = rep.bound - sol.spectrum.eigenvalues[1]
     assert -1e-8 <= gap <= 1e-2
+
+
+def test_balanced_bound_is_the_quotient_of_dilated_coordinates(solve):
+    sol = solve(ss.geodesic_sphere(1.0, (24, 24)), k=2)
+    rep = ss.balanced_bound_report(sol.surface, sol.fields, sol.pencil,
+                                   sol.spectrum)
+    psi = ss.mobius_apply(rep.param, sol.surface.bundle(0)["0"])
+    A, M = sol.pencil.stiffness_minus_potential, sol.pencil.mass
+    quotient = np.sum(psi * (A @ psi)) / np.sum(psi * (M @ psi))
+    assert rep.bound == pytest.approx(quotient, rel=1e-14)
 
 
 def test_balancing_rejects_warped_ambient():

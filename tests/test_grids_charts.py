@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 import sympy as sp
 
+from stabspec import charts
 from stabspec.charts import (
     PARAM_U,
     PARAM_V,
@@ -96,6 +97,20 @@ def test_symbolic_chart_derivatives_are_exact():
     np.testing.assert_allclose(b["uuu"][:, 0], np.sin(u) / math.sqrt(2),
                                atol=1e-14)
     assert set(b) >= {"0", "u", "v", "uu", "uv", "vv", "uuu"}
+
+
+def test_symbolic_chart_compiles_once_for_every_order():
+    exprs = (sp.cos(PARAM_U) / 3, sp.sin(PARAM_U) / 3,
+             sp.cos(PARAM_V) * sp.sqrt(8) / 3, sp.sin(PARAM_V) * sp.sqrt(8) / 3)
+    chart = SymbolicChart(exprs)
+    g = torus_grid(8, 8)
+    before = charts._compile_bundle.cache_info().misses
+    low = chart.evaluate(g, 1)
+    high = chart.evaluate(g, 3)
+    assert charts._compile_bundle.cache_info().misses == before + 1
+    assert set(low) == {"0", "u", "v"}
+    for key in low:
+        np.testing.assert_array_equal(low[key], high[key])
 
 
 def test_numeric_chart_caps_derivative_order():

@@ -335,6 +335,27 @@ def test_cli_rejects_bad_overrides(tmp_path):
                      "--out", str(tmp_path / "r")]) == 2
 
 
+def test_cli_overrides_may_follow_the_config_option(tmp_path):
+    cfg = tmp_path / "torus.cfg"
+    cfg.write_text("shape=flat-torus\nr=0.6\nresolutions=12,24\n")
+    out = tmp_path / "r"
+    code = cli_main(["check", "t11", "--config", str(cfg), "r=0.7071067811865476",
+                     "--out", str(out)])
+    assert code == 0
+    data = json.loads(next(out.glob("*.json")).read_text())
+    assert data["equality"] is True  # the override reached the shape
+
+
+def test_cli_rejects_stray_tokens_after_the_config_option(tmp_path):
+    cfg = tmp_path / "torus.cfg"
+    cfg.write_text("shape=flat-torus\nr=0.6\nresolutions=12,24\n")
+    for stray in ("r0.7", "--radius=0.7"):
+        with pytest.raises(SystemExit) as err:
+            cli_main(["check", "t11", "--config", str(cfg), stray,
+                      "--out", str(tmp_path / "r")])
+        assert err.value.code == 2
+
+
 def test_cli_converge_emits_order_column(tmp_path):
     out = tmp_path / "conv"
     code = cli_main(["converge", "shape=flat-torus", "r=0.6",
