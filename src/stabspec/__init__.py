@@ -47,8 +47,6 @@ from .surfaces import (
     compute_geometry,
     euler_characteristic,
     gauss_equation_residual,
-    load_surface,
-    save_surface,
     total_curvature,
 )
 from .catalog import (
@@ -63,7 +61,7 @@ from .catalog import (
     registered_perturbations,
     slice_shape,
 )
-from .assembly import OperatorPencil, assemble, export_pencil, load_pencil, rayleigh
+from .assembly import OperatorPencil, assemble, rayleigh
 from .eigen import (
     Spectrum,
     cluster_indices,
@@ -83,9 +81,7 @@ from .conformal import (
     willmore_type_inequality_check,
 )
 from .harness import (
-    ConvergenceStudy,
-    ResolutionResult,
-    TheoremReport,
+    Report,
     balance_bound_scenario,
     check_esi,
     check_theorem,

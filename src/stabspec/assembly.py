@@ -32,7 +32,7 @@ import scipy.sparse as sp_sparse
 from .errors import AssemblyError, DomainError
 from .surfaces import GeometryFields, ImmersedSurface, compute_geometry
 
-__all__ = ["OperatorPencil", "assemble", "rayleigh", "export_pencil", "load_pencil"]
+__all__ = ["OperatorPencil", "assemble", "rayleigh"]
 
 
 @dataclass(frozen=True)
@@ -182,43 +182,3 @@ def rayleigh(pencil: OperatorPencil, u: np.ndarray) -> float:
     if denom <= 0.0:
         raise DomainError("rayleigh quotient needs a nonzero vector")
     return float(u @ (pencil.stiffness_minus_potential @ u)) / denom
-
-
-def export_pencil(pencil: OperatorPencil, path) -> None:
-    """Write both matrices as symmetric coordinate-list text."""
-    with open(path, "w") as fh:
-        fh.write(f"# nodes={pencil.node_count}\n")
-        for tag, mat in (("A", pencil.stiffness_minus_potential), ("M", pencil.mass)):
-            coo = sp_sparse.triu(mat.tocoo())
-            fh.write(f"# matrix={tag} symmetric upper-triangle entries={coo.nnz}\n")
-            for i, j, v in zip(coo.row, coo.col, coo.data):
-                fh.write(f"{tag} {i} {j} {v:.17g}\n")
-
-
-def load_pencil(path) -> dict[str, sp_sparse.csr_matrix]:
-    """Read matrices written by export_pencil; returns {'A': ..., 'M': ...}."""
-    n = None
-    entries: dict[str, list] = {}
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                for tok in line[1:].split():
-                    if tok.startswith("nodes="):
-                        n = int(tok.partition("=")[2])
-                continue
-            tag, i, j, v = line.split()
-            entries.setdefault(tag, []).append((int(i), int(j), float(v)))
-    if n is None or not entries:
-        raise DomainError("malformed pencil file")
-    out = {}
-    for tag, triples in entries.items():
-        rows = [t[0] for t in triples]
-        cols = [t[1] for t in triples]
-        vals = [t[2] for t in triples]
-        upper = sp_sparse.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
-        strict = sp_sparse.triu(upper, k=1)
-        out[tag] = upper + strict.T
-    return out

@@ -61,7 +61,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
 
     p = sub.add_parser("check", help="run one theorem check")
-    p.add_argument("theorem", choices=["t11", "t12", "t13", "esi"])
+    p.add_argument("theorem", choices=list(harness._CHECKS))
     _add_common(p)
 
     p = sub.add_parser("sweep", help="run a parameter sweep")
@@ -89,136 +89,74 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _emit(out_dir: str, json_reports: list[dict], csv_rows: list[dict]):
+def _print(rep: harness.Report) -> None:
+    """Verdict, scenario and the body's scalars; then one line per CSV row."""
+    status = {True: "[PASS] ", False: "[FAIL] ", None: ""}[rep.verdict]
+    head = " ".join(f"{k}={_fmt(v)}" for k, v in rep.body.items() if isinstance(v, float))
+    tag = " (equality)" if rep.body.get("equality") else ""
+    print(f"{status}{rep.scenario}: {head}{tag}")
+    for row in rep.rows:
+        cells = " ".join(f"{col}={_fmt(row[col])}" for col in harness.CSV_COLUMNS[2:]
+                         if isinstance(row[col], float))
+        print(f"  {row['resolution']}: {cells}")
+
+
+def _emit(out_dir: str, reports: list[harness.Report]) -> None:
     os.makedirs(out_dir, exist_ok=True)
-    for rep in json_reports:
-        path = os.path.join(out_dir, f"{rep['scenario']}.json")
-        harness.write_json_report(rep, path)
+    for rep in reports:
+        path = os.path.join(out_dir, f"{rep.scenario}.json")
+        harness.write_json_report(rep.body, path)
         print(f"wrote {path}")
-    if csv_rows:
+    rows = [row for rep in reports for row in rep.rows]
+    if rows:
         path = os.path.join(out_dir, "summary.csv")
-        harness.write_csv_summary(csv_rows, path)
+        harness.write_csv_summary(rows, path)
         print(f"wrote {path}")
 
 
-def _print_theorem(rep: harness.TheoremReport):
-    status = "PASS" if rep.passed else "FAIL"
-    tag = " (equality)" if rep.equality else ""
-    print(
-        f"[{status}] {rep.scenario}: lambda2={_fmt(rep.lambda2_extrapolated)} "
-        f"bound={_fmt(rep.bound)} margin={_fmt(rep.margin)} "
-        f"tol={_fmt(rep.tol_report)}{tag}"
-    )
+def _seed(cfg) -> int:
+    return cfgmod.get_int(cfg, "seed", 0)
 
 
-def _run_slice_spectrum(args) -> int:
-    cfg = _load_cfg(args)
+def _run_slice_spectrum(args, cfg) -> list[harness.Report]:
     w = cfgmod.warping_from_config(cfg)
     t0 = cfgmod.get_float(cfg, "t0", 0.0)
-    count = cfgmod.get_int(cfg, "count", 8)
-    rep = harness.slice_spectrum_report(w, t0, count)
-    print(f"{rep['scenario']}: warping={rep['warping']} t0={_fmt(rep['t0'])}")
-    for band in rep["bands"]:
-        print(
-            f"  band {band['band']}: eigenvalue={_fmt(band['eigenvalue'])} "
-            f"multiplicity={band['multiplicity']}"
-        )
-    print(f"  second eigenvalue (slice bound): {_fmt(rep['slice_lambda2'])}")
-    ev = rep["eigenvalues"]
-    csv_rows = [
-        {
-            "scenario": rep["scenario"],
-            "resolution": "exact",
-            "lambda1": ev[0],
-            "lambda2": ev[1] if len(ev) > 1 else "",
-            "bound": rep["slice_lambda2"],
-            "margin": (rep["slice_lambda2"] - ev[1]) if len(ev) > 1 else "",
-            "order": "",
-        }
-    ]
-    _emit(args.out, [rep], csv_rows)
-    return EXIT_OK
+    return [harness.slice_spectrum_report(w, t0, cfgmod.get_int(cfg, "count", 8))]
 
 
-def _run_check(args) -> int:
-    cfg = _load_cfg(args)
+def _run_check(args, cfg) -> list[harness.Report]:
     resolutions = cfgmod.resolutions_from_config(cfg, [24, 48, 96])
     spec = cfgmod.shape_from_config(cfg, (resolutions[0], resolutions[0]))
-    seed = cfgmod.get_int(cfg, "seed", 0)
-    rep = harness.check_theorem(args.theorem, spec, resolutions, seed=seed)
-    _print_theorem(rep)
-    _emit(args.out, [rep.to_dict()], rep.csv_rows())
-    return EXIT_OK if rep.passed else EXIT_VIOLATION
+    return [harness.check_theorem(args.theorem, spec, resolutions, seed=_seed(cfg))]
 
 
-def _run_sweep(args) -> int:
-    cfg = _load_cfg(args)
-    seed = cfgmod.get_int(cfg, "seed", 0)
+def _run_sweep(args, cfg) -> list[harness.Report]:
+    seed = _seed(cfg)
     resolutions = cfgmod.resolutions_from_config(cfg, [48, 96])
     if args.family == "flat-torus":
         rs = cfgmod.get_float_list(
             cfg, "rs", [0.45, 0.5, 0.55, 0.6, 0.65, 0.7071067811865476, 0.75]
         )
-        reports = harness.sweep_flat_torus(rs, resolutions, seed=seed)
-    else:
-        w = cfgmod.warping_from_config(cfg)
-        t0 = cfgmod.get_float(cfg, "t0", 0.0)
-        pert = cfgmod.get_str(cfg, "perturbation", "Y2,0")
-        amplitudes = cfgmod.get_float_list(cfg, "amplitudes", [0.0, 0.02, 0.05, 0.1])
-        reports = harness.sweep_graph_amplitude(
-            w, t0, pert, amplitudes, resolutions, seed=seed
-        )
-    csv_rows: list[dict] = []
-    for rep in reports:
-        _print_theorem(rep)
-        csv_rows.extend(rep.csv_rows())
-    _emit(args.out, [r.to_dict() for r in reports], csv_rows)
-    return EXIT_OK if all(r.passed for r in reports) else EXIT_VIOLATION
+        return harness.sweep_flat_torus(rs, resolutions, seed=seed)
+    w = cfgmod.warping_from_config(cfg)
+    t0 = cfgmod.get_float(cfg, "t0", 0.0)
+    pert = cfgmod.get_str(cfg, "perturbation", "Y2,0")
+    amplitudes = cfgmod.get_float_list(cfg, "amplitudes", [0.0, 0.02, 0.05, 0.1])
+    return harness.sweep_graph_amplitude(w, t0, pert, amplitudes, resolutions, seed=seed)
 
 
-def _run_converge(args) -> int:
-    cfg = _load_cfg(args)
+def _run_converge(args, cfg) -> list[harness.Report]:
     resolutions = cfgmod.resolutions_from_config(cfg, [32, 64, 128])
     spec = cfgmod.shape_from_config(cfg, (resolutions[0], resolutions[0]))
-    seed = cfgmod.get_int(cfg, "seed", 0)
-    study = harness.convergence_study(spec, resolutions, seed=seed)
-    print(f"{study.scenario}: extrapolated lambda2={_fmt(study.lambda2_extrapolated)}")
-    for row in study.rows:
-        order = "n/a" if row["order"] is None else _fmt(row["order"])
-        print(
-            f"  {row['resolution']}: lambda2={_fmt(row['lambda2'])} order={order}"
-        )
-    if study.oracle is not None:
-        print(f"  closed-form value: {_fmt(study.oracle)}")
-    _emit(args.out, [study.to_dict()], study.csv_rows())
-    return EXIT_OK
+    return [harness.convergence_study(spec, resolutions, seed=_seed(cfg))]
 
 
-def _run_balance_bound(args) -> int:
-    cfg = _load_cfg(args)
+def _run_balance_bound(args, cfg) -> list[harness.Report]:
     resolution = cfgmod.get_int(cfg, "resolution", 96)
     spec = cfgmod.shape_from_config(cfg, (resolution, resolution))
-    seed = cfgmod.get_int(cfg, "seed", 0)
+    seed = _seed(cfg)
     tol = cfgmod.get_float(cfg, "tol", 1e-9)
-    rep = harness.balance_bound_scenario(spec, resolution, seed=seed, tol=tol)
-    print(
-        f"{rep['scenario']}: lambda2={_fmt(rep['lambda2'])} "
-        f"bound={_fmt(rep['bound'])} gap={_fmt(rep['gap'])} "
-        f"residual={_fmt(rep['balance_residual'])}"
-    )
-    csv_rows = [
-        {
-            "scenario": rep["scenario"],
-            "resolution": rep["resolution"],
-            "lambda1": rep["lambda1"],
-            "lambda2": rep["lambda2"],
-            "bound": rep["bound"],
-            "margin": rep["gap"],
-            "order": "",
-        }
-    ]
-    _emit(args.out, [rep], csv_rows)
-    return EXIT_OK
+    return [harness.balance_bound_scenario(spec, resolution, seed=seed, tol=tol)]
 
 
 _RUNNERS = {
@@ -228,6 +166,14 @@ _RUNNERS = {
     "converge": _run_converge,
     "balance-bound": _run_balance_bound,
 }
+
+
+def _run(args) -> int:
+    reports = _RUNNERS[args.command](args, _load_cfg(args))
+    for rep in reports:
+        _print(rep)
+    _emit(args.out, reports)
+    return EXIT_VIOLATION if any(rep.verdict is False for rep in reports) else EXIT_OK
 
 
 def parse_args(argv=None) -> argparse.Namespace:
@@ -249,7 +195,7 @@ def parse_args(argv=None) -> argparse.Namespace:
 def main(argv=None) -> int:
     args = parse_args(argv)
     try:
-        return _RUNNERS[args.command](args)
+        return _run(args)
     except (HypothesisError, ConfigError) as err:
         print(f"hypothesis error: {err}", file=sys.stderr)
         return EXIT_HYPOTHESIS

@@ -16,8 +16,9 @@ compares it against the relevant bound:
 The genus hypothesis is verified from the computed total curvature,
 never assumed.  The report tolerance is max(5 * Richardson error
 estimate, 1e-6) so that no violation is claimed inside discretization
-noise.  Reports serialize to JSON (one file per scenario) plus a CSV
-summary; every float is written with 12 significant digits.
+noise.  Every scenario returns one `Report`: a JSON body (one file per
+scenario), its rows of the shared CSV summary, and a verdict.  Every
+float is written with 12 significant digits.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import json
 import math
 import re
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -39,9 +40,7 @@ from .errors import DomainError, HypothesisError
 from .surfaces import compute_geometry, euler_characteristic
 
 __all__ = [
-    "TheoremReport",
-    "ResolutionResult",
-    "ConvergenceStudy",
+    "Report",
     "check_theorem_11",
     "check_theorem_12",
     "check_theorem_13",
@@ -124,78 +123,18 @@ def report_tolerance(error_estimate: float) -> float:
 
 
 @dataclass(frozen=True)
-class ResolutionResult:
-    """Solve data for one grid resolution."""
+class Report:
+    """One scenario's outcome: its JSON body, its summary.csv rows, a verdict.
 
-    resolution: tuple[int, int]
-    spacing: float
-    lambda1: float
-    lambda2: float
-    bound: float
-    lambda2_multiplicity: int
+    The verdict is True/False for a theorem check (a sweep member is one)
+    and None where nothing is checked: refinement studies, balanced
+    bounds and slice spectra.
+    """
 
-
-@dataclass
-class TheoremReport:
-    theorem_id: str
     scenario: str
-    shape: str
-    results: list[ResolutionResult]
-    bound: float
-    lambda2_extrapolated: float
-    margin: float
-    tol_report: float
-    passed: bool
-    equality: bool
-    order: float | None
-    seed: int
-    extra: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "theorem_id": self.theorem_id,
-            "scenario": self.scenario,
-            "shape": self.shape,
-            "results": [
-                {
-                    "resolution": list(r.resolution),
-                    "spacing": r.spacing,
-                    "lambda1": r.lambda1,
-                    "lambda2": r.lambda2,
-                    "bound": r.bound,
-                    "lambda2_multiplicity": r.lambda2_multiplicity,
-                }
-                for r in self.results
-            ],
-            "bound": self.bound,
-            "lambda2_extrapolated": self.lambda2_extrapolated,
-            "margin": self.margin,
-            "tol_report": self.tol_report,
-            "passed": self.passed,
-            "equality": self.equality,
-            "order": self.order,
-            "seed": self.seed,
-            **({"extra": self.extra} if self.extra else {}),
-        }
-
-    def csv_rows(self) -> list[dict]:
-        rows = []
-        spacings = [r.spacing for r in self.results]
-        lams = [r.lambda2 for r in self.results]
-        for i, r in enumerate(self.results):
-            order = observed_order(lams[: i + 1], spacings[: i + 1]) if i >= 2 else None
-            rows.append(
-                {
-                    "scenario": self.scenario,
-                    "resolution": f"{r.resolution[0]}x{r.resolution[1]}",
-                    "lambda1": r.lambda1,
-                    "lambda2": r.lambda2,
-                    "bound": r.bound,
-                    "margin": r.bound - r.lambda2,
-                    "order": order,
-                }
-            )
-        return rows
+    body: dict
+    rows: list[dict]
+    verdict: bool | None = None
 
 
 def scenario_slug(*parts) -> str:
@@ -205,96 +144,135 @@ def scenario_slug(*parts) -> str:
     return re.sub(r"-{2,}", "-", text).strip("-")
 
 
-def _solve_at_resolution(spec: catalog.ShapeSpec, res, seed: int,
-                         k: int = DEFAULT_EIGEN_COUNT,
-                         solver_tol: float = 1e-9):
-    res = _square(res)
-    import dataclasses
-
-    spec_r = dataclasses.replace(spec, resolution=res)
-    surface = catalog.build(spec_r)
-    fields = compute_geometry(surface, want_gauss=True)
-    pencil = assemble(surface, fields)
-    spectrum = smallest_eigenpairs(pencil, k, tol=solver_tol, seed=seed)
-    return surface, fields, pencil, spectrum
+def _csv_row(scenario, resolution, lambda1, lambda2, bound, order=None) -> dict:
+    margin = None if bound is None or lambda2 is None else bound - lambda2
+    return {"scenario": scenario, "resolution": resolution, "lambda1": lambda1,
+            "lambda2": lambda2, "bound": bound, "margin": margin, "order": order}
 
 
-def _per_resolution_results(spec, resolutions, seed, bound_fn):
-    results = []
-    last = None
-    for res in resolutions:
-        surface, fields, pencil, spectrum = _solve_at_resolution(spec, res, seed)
+def _ladder(spec: catalog.ShapeSpec, resolutions, seed: int, measure,
+            hypothesis=None):
+    """Build -> geometry -> assemble -> solve at each resolution in turn.
+
+    `hypothesis(surface, fields)` runs on the first resolution before it
+    is assembled, so a shape that fails it is built once and never
+    solved.  Returns (what the hypothesis returned,
+    [measure(surface, fields, pencil, spectrum) per resolution]).
+    """
+    found, measured = None, []
+    for i, res in enumerate(resolutions):
+        surface = catalog.build(replace(spec, resolution=_square(res)))
+        fields = compute_geometry(surface, want_gauss=True)
+        if i == 0 and hypothesis is not None:
+            found = hypothesis(surface, fields)
+        pencil = assemble(surface, fields)
+        spectrum = smallest_eigenpairs(pencil, DEFAULT_EIGEN_COUNT, tol=1e-9, seed=seed)
+        measured.append(measure(surface, fields, pencil, spectrum))
+    return found, measured
+
+
+def _steps(spec, resolutions, seed, bound_fn, hypothesis=None):
+    """(hypothesis result, the JSON `results` entry of each resolution)."""
+
+    def measure(surface, fields, pencil, spectrum):
         lam = spectrum.eigenvalues
-        bound = float(bound_fn(surface, fields))
-        results.append(
-            ResolutionResult(
-                resolution=(surface.grid.nu, surface.grid.nv),
-                spacing=max(surface.grid.du, surface.grid.dv),
-                lambda1=float(lam[0]),
-                lambda2=float(lam[1]),
-                bound=bound,
-                lambda2_multiplicity=eigenvalue_multiplicity(lam, 1),
-            )
-        )
-        last = (surface, fields, pencil, spectrum)
-    return results, last
+        return {
+            "resolution": [surface.grid.nu, surface.grid.nv],
+            "spacing": max(surface.grid.du, surface.grid.dv),
+            "lambda1": float(lam[0]),
+            "lambda2": float(lam[1]),
+            "bound": bound_fn(surface, fields),
+            "lambda2_multiplicity": eigenvalue_multiplicity(lam, 1),
+        }
+
+    return _ladder(spec, resolutions, seed, measure, hypothesis)
 
 
-def _finish_report(theorem_id, spec, results, seed, extra=None) -> TheoremReport:
-    spacings = [r.spacing for r in results]
-    lams = [r.lambda2 for r in results]
-    lam_hat, err_est = richardson_extrapolate(lams, spacings)
+def _trend(steps):
+    """(observed order after each step, Richardson value, its error estimate)."""
+    spacings = [s["spacing"] for s in steps]
+    lams = [s["lambda2"] for s in steps]
+    orders = [observed_order(lams[: i + 1], spacings[: i + 1]) for i in range(len(steps))]
+    return (orders, *richardson_extrapolate(lams, spacings))
+
+
+def _res_text(step: dict) -> str:
+    return "{}x{}".format(*step["resolution"])
+
+
+def _step_rows(scenario: str, steps, orders) -> list[dict]:
+    return [_csv_row(scenario, _res_text(s), s["lambda1"], s["lambda2"], s["bound"], o)
+            for s, o in zip(steps, orders)]
+
+
+def _theorem_report(theorem_id, spec, resolutions, seed, hypothesis, bound_fn) -> Report:
+    extra, steps = _steps(spec, resolutions, seed, bound_fn, hypothesis)
+    orders, lam_hat, err_est = _trend(steps)
     tol = report_tolerance(err_est)
-    bound = results[-1].bound
+    bound = steps[-1]["bound"]
     margin = bound - lam_hat
-    return TheoremReport(
-        theorem_id=theorem_id,
-        scenario=scenario_slug(theorem_id, spec.label),
-        shape=spec.label,
-        results=results,
-        bound=bound,
-        lambda2_extrapolated=lam_hat,
-        margin=margin,
-        tol_report=tol,
-        passed=bool(margin >= -tol),
-        equality=bool(abs(margin) <= tol),
-        order=observed_order(lams, spacings),
-        seed=seed,
-        extra=extra or {},
-    )
+    scenario = scenario_slug(theorem_id, spec.label)
+    body = {
+        "theorem_id": theorem_id,
+        "scenario": scenario,
+        "shape": spec.label,
+        "results": steps,
+        "bound": bound,
+        "lambda2_extrapolated": lam_hat,
+        "margin": margin,
+        "tol_report": tol,
+        "passed": bool(margin >= -tol),
+        "equality": bool(abs(margin) <= tol),
+        "order": orders[-1],
+        "seed": seed,
+        **({"extra": extra} if extra else {}),
+    }
+    return Report(scenario, body, _step_rows(scenario, steps, orders), body["passed"])
 
 
-def check_theorem_11(spec: catalog.ShapeSpec, resolutions, seed: int = 0) -> TheoremReport:
-    """Second eigenvalue <= -2 for genus >= 1 surfaces in the 3-sphere."""
-    probe = catalog.build(spec)
-    if not probe.is_sphere3:
+def _sweep_member(rep: Report, scenario: str, **extra) -> Report:
+    """A check report relabelled as a sweep member, with extra entries."""
+    body = {**rep.body, "scenario": scenario,
+            "extra": {**rep.body.get("extra", {}), **extra}}
+    rows = [{**row, "scenario": scenario} for row in rep.rows]
+    return Report(scenario, body, rows, rep.verdict)
+
+
+def _torus_hypothesis(surface, fields) -> dict:
+    if not surface.is_sphere3:
         raise HypothesisError("this check applies to surfaces in the 3-sphere")
-    chi = euler_characteristic(probe, compute_geometry(probe, want_gauss=True))
+    chi = euler_characteristic(surface, fields)
     if chi > 0:
         raise HypothesisError(
             f"surface has Euler characteristic {chi}; the bound needs genus >= 1 "
             "(nonpositive Euler characteristic)"
         )
-    results, _ = _per_resolution_results(
-        spec, resolutions, seed, lambda s, f: -2.0
-    )
-    return _finish_report("T11", spec, results, seed,
-                          extra={"euler_characteristic": chi})
+    return {"euler_characteristic": chi}
 
 
-def _require_warped(spec: catalog.ShapeSpec):
-    probe = catalog.build(spec)
-    if probe.is_sphere3:
+def check_theorem_11(spec: catalog.ShapeSpec, resolutions, seed: int = 0) -> Report:
+    """Second eigenvalue <= -2 for genus >= 1 surfaces in the 3-sphere."""
+    return _theorem_report("T11", spec, resolutions, seed, _torus_hypothesis,
+                           lambda s, f: -2.0)
+
+
+def _require_warped(surface, fields=None) -> dict:
+    if surface.is_sphere3:
         raise HypothesisError("this check applies to hypersurfaces of a warped ambient")
-    return probe
+    return {}
 
 
-def _condition_over_surface(surface) -> tuple[float, float]:
+def _convexity_hypothesis(surface, fields) -> dict:
+    _require_warped(surface)
     w = surface.ambient.warping
     t = surface.bundle(2)["0"][:, 0]
-    lo, hi = float(np.min(t)), float(np.max(t))
-    val, arg = wp.condition_strictness(w, (lo, hi))
-    return val, arg
+    cond_min, cond_arg = wp.condition_strictness(w, (float(np.min(t)), float(np.max(t))))
+    if cond_min <= 0.0:
+        raise HypothesisError(
+            f"strict convexity condition fails at t = {cond_arg:.6g} "
+            f"(value {cond_min:.6g}); the bound requires it positive"
+        )
+    return {"condition_min": cond_min, "condition_argmin": cond_arg}
 
 
 def _slice_mean_bound(surface, fields) -> float:
@@ -304,26 +282,15 @@ def _slice_mean_bound(surface, fields) -> float:
     return float(np.sum(values * fields.area_element) / np.sum(fields.area_element))
 
 
-def check_theorem_13(spec: catalog.ShapeSpec, resolutions, seed: int = 0) -> TheoremReport:
+def check_theorem_13(spec: catalog.ShapeSpec, resolutions, seed: int = 0) -> Report:
     """lambda2 <= area-weighted mean of the slice lambda2 over the surface."""
-    probe = _require_warped(spec)
-    cond_min, cond_arg = _condition_over_surface(probe)
-    if cond_min <= 0.0:
-        raise HypothesisError(
-            f"strict convexity condition fails at t = {cond_arg:.6g} "
-            f"(value {cond_min:.6g}); the bound requires it positive"
-        )
-    results, _ = _per_resolution_results(spec, resolutions, seed, _slice_mean_bound)
-    return _finish_report(
-        "T13", spec, results, seed,
-        extra={"condition_min": cond_min, "condition_argmin": cond_arg},
-    )
+    return _theorem_report("T13", spec, resolutions, seed, _convexity_hypothesis,
+                           _slice_mean_bound)
 
 
-def check_theorem_12(spec: catalog.ShapeSpec, resolutions, seed: int = 0) -> TheoremReport:
-    """Product-ambient specialization: bound equals the sphere dimension n."""
-    probe = _require_warped(spec)
-    w = probe.ambient.warping
+def _product_hypothesis(surface, fields) -> dict:
+    _require_warped(surface)
+    w = surface.ambient.warping
     samples = np.linspace(w.interval[0], w.interval[1], 17)
     if (float(np.max(np.abs(w.h(samples) - 1.0))) > 1e-12
             or float(np.max(np.abs(w.dh(samples)))) > 1e-12):
@@ -331,11 +298,13 @@ def check_theorem_12(spec: catalog.ShapeSpec, resolutions, seed: int = 0) -> The
             "this specialization requires the product ambient (warping h = 1); "
             f"got warping {w.name!r}"
         )
-    results, _ = _per_resolution_results(
-        spec, resolutions, seed, lambda s, f: float(w.dim_n)
-    )
-    report = _finish_report("T12", spec, results, seed)
-    return report
+    return {}
+
+
+def check_theorem_12(spec: catalog.ShapeSpec, resolutions, seed: int = 0) -> Report:
+    """Product-ambient specialization: bound equals the sphere dimension n."""
+    return _theorem_report("T12", spec, resolutions, seed, _product_hypothesis,
+                           lambda s, f: float(s.ambient.warping.dim_n))
 
 
 def _esi_bound(surface, fields) -> float:
@@ -352,11 +321,9 @@ def _esi_bound(surface, fields) -> float:
     return float(np.sum(integrand * fields.area_element) / np.sum(fields.area_element))
 
 
-def check_esi(spec: catalog.ShapeSpec, resolutions, seed: int = 0) -> TheoremReport:
+def check_esi(spec: catalog.ShapeSpec, resolutions, seed: int = 0) -> Report:
     """Conformal-volume style bound via ambient curvature quadrature."""
-    _require_warped(spec)
-    results, _ = _per_resolution_results(spec, resolutions, seed, _esi_bound)
-    return _finish_report("ESI", spec, results, seed)
+    return _theorem_report("ESI", spec, resolutions, seed, _require_warped, _esi_bound)
 
 
 _CHECKS = {
@@ -368,105 +335,55 @@ _CHECKS = {
 
 
 def check_theorem(theorem: str, spec: catalog.ShapeSpec, resolutions,
-                  seed: int = 0) -> TheoremReport:
+                  seed: int = 0) -> Report:
     key = theorem.lower()
     if key not in _CHECKS:
         raise DomainError(f"unknown check {theorem!r}; pick one of {sorted(_CHECKS)}")
     return _CHECKS[key](spec, resolutions, seed=seed)
 
 
-@dataclass
-class ConvergenceStudy:
-    scenario: str
-    shape: str
-    rows: list[dict]
-    lambda2_extrapolated: float
-    error_estimate: float
-    oracle: float | None
-    seed: int
-
-    def to_dict(self) -> dict:
-        return {
-            "scenario": self.scenario,
-            "shape": self.shape,
-            "rows": self.rows,
-            "lambda2_extrapolated": self.lambda2_extrapolated,
-            "error_estimate": self.error_estimate,
-            "oracle": self.oracle,
-            "seed": self.seed,
-        }
-
-    def csv_rows(self) -> list[dict]:
-        return [
-            {
-                "scenario": self.scenario,
-                "resolution": r["resolution"],
-                "lambda1": r["lambda1"],
-                "lambda2": r["lambda2"],
-                "bound": self.oracle if self.oracle is not None else "",
-                "margin": (self.oracle - r["lambda2"]) if self.oracle is not None else "",
-                "order": r["order"],
-            }
-            for r in self.rows
-        ]
-
-
-def convergence_study(spec: catalog.ShapeSpec, resolutions, seed: int = 0) -> ConvergenceStudy:
+def convergence_study(spec: catalog.ShapeSpec, resolutions, seed: int = 0) -> Report:
     """Second-eigenvalue refinement table with observed convergence orders."""
     if len(resolutions) < 2:
         raise DomainError("a convergence study needs at least two resolutions")
-    spacings: list[float] = []
-    lams1: list[float] = []
-    lams2: list[float] = []
-    sizes: list[tuple[int, int]] = []
-    for res in resolutions:
-        surface, fields, pencil, spectrum = _solve_at_resolution(spec, res, seed)
-        sizes.append((surface.grid.nu, surface.grid.nv))
-        spacings.append(max(surface.grid.du, surface.grid.dv))
-        lams1.append(float(spectrum.eigenvalues[0]))
-        lams2.append(float(spectrum.eigenvalues[1]))
-    lam_hat, err_est = richardson_extrapolate(lams2, spacings)
     try:
-        oracle = catalog.exact_jacobi_spectrum(spec, 2)[1]
+        oracle = float(catalog.exact_jacobi_spectrum(spec, 2)[1])
     except DomainError:
         oracle = None
-    rows = []
-    for i in range(len(sizes)):
-        rows.append(
-            {
-                "resolution": f"{sizes[i][0]}x{sizes[i][1]}",
-                "spacing": spacings[i],
-                "lambda1": lams1[i],
-                "lambda2": lams2[i],
-                "order": observed_order(lams2[: i + 1], spacings[: i + 1]) if i >= 2 else None,
-            }
-        )
-    return ConvergenceStudy(
-        scenario=scenario_slug("converge", spec.label),
-        shape=spec.label,
-        rows=rows,
-        lambda2_extrapolated=lam_hat,
-        error_estimate=err_est,
-        oracle=None if oracle is None else float(oracle),
-        seed=seed,
-    )
+    _, steps = _steps(spec, resolutions, seed, lambda s, f: oracle)
+    orders, lam_hat, err_est = _trend(steps)
+    scenario = scenario_slug("converge", spec.label)
+    body = {
+        "scenario": scenario,
+        "shape": spec.label,
+        "rows": [
+            {"resolution": _res_text(s), "spacing": s["spacing"], "lambda1": s["lambda1"],
+             "lambda2": s["lambda2"], "order": o}
+            for s, o in zip(steps, orders)
+        ],
+        "lambda2_extrapolated": lam_hat,
+        "error_estimate": err_est,
+        "oracle": oracle,
+        "seed": seed,
+    }
+    return Report(scenario, body, _step_rows(scenario, steps, orders))
 
 
-def sweep_flat_torus(rs, resolutions, seed: int = 0) -> list[TheoremReport]:
+def sweep_flat_torus(rs, resolutions, seed: int = 0) -> list[Report]:
     """t11 check across the flat-torus family; tightest at r = 1/sqrt(2)."""
     reports = []
     for r in rs:
         spec = catalog.flat_torus(float(r))
-        rep = check_theorem_11(spec, resolutions, seed=seed)
-        rep.scenario = scenario_slug("sweep-flat-torus", f"r={float(r):.6g}")
-        rep.extra["r"] = float(r)
-        rep.extra["oracle_lambda2"] = catalog.exact_jacobi_spectrum(spec, 2)[1]
-        reports.append(rep)
+        reports.append(_sweep_member(
+            check_theorem_11(spec, resolutions, seed=seed),
+            scenario_slug("sweep-flat-torus", f"r={float(r):.6g}"),
+            r=float(r), oracle_lambda2=catalog.exact_jacobi_spectrum(spec, 2)[1],
+        ))
     return reports
 
 
 def sweep_graph_amplitude(warping, t0, perturbation, amplitudes, resolutions,
-                          seed: int = 0) -> list[TheoremReport]:
+                          seed: int = 0) -> list[Report]:
     """t13 check across graph amplitudes; margin grows with amplitude."""
     reports = []
     for amp in amplitudes:
@@ -476,25 +393,30 @@ def sweep_graph_amplitude(warping, t0, perturbation, amplitudes, resolutions,
             if amp == 0.0
             else catalog.graph_over_slice(warping, t0, perturbation, amp)
         )
-        rep = check_theorem_13(spec, resolutions, seed=seed)
-        rep.scenario = scenario_slug("sweep-graph-amplitude", f"amp={amp:.6g}")
-        rep.extra["amplitude"] = amp
-        reports.append(rep)
+        reports.append(_sweep_member(
+            check_theorem_13(spec, resolutions, seed=seed),
+            scenario_slug("sweep-graph-amplitude", f"amp={amp:.6g}"),
+            amplitude=amp,
+        ))
     return reports
 
 
 def balance_bound_scenario(spec: catalog.ShapeSpec, resolution, seed: int = 0,
-                           tol: float = 1e-9, starts=None) -> dict:
+                           tol: float = 1e-9, starts=None) -> Report:
     """Balanced-coordinate upper bound vs the computed second eigenvalue."""
-    surface, fields, pencil, spectrum = _solve_at_resolution(spec, resolution, seed)
-    rep = balanced_bound_report(surface, fields, pencil, spectrum,
-                                tol=tol, starts=starts)
-    lam2 = float(spectrum.eigenvalues[1])
-    return {
-        "scenario": scenario_slug("balance-bound", spec.label),
+
+    def measure(surface, fields, pencil, spectrum):
+        return surface.grid, spectrum, balanced_bound_report(
+            surface, fields, pencil, spectrum, tol=tol, starts=starts)
+
+    _, [(grid, spectrum, rep)] = _ladder(spec, [resolution], seed, measure)
+    lam1, lam2 = float(spectrum.eigenvalues[0]), float(spectrum.eigenvalues[1])
+    scenario = scenario_slug("balance-bound", spec.label)
+    body = {
+        "scenario": scenario,
         "shape": spec.label,
-        "resolution": f"{surface.grid.nu}x{surface.grid.nv}",
-        "lambda1": float(spectrum.eigenvalues[0]),
+        "resolution": f"{grid.nu}x{grid.nv}",
+        "lambda1": lam1,
         "lambda2": lam2,
         "bound": rep.bound,
         "gap": rep.bound - lam2,
@@ -512,12 +434,14 @@ def balance_bound_scenario(spec: catalog.ShapeSpec, resolution, seed: int = 0,
         ],
         "seed": seed,
     }
+    return Report(scenario, body,
+                  [_csv_row(scenario, body["resolution"], lam1, lam2, rep.bound)])
 
 
-def slice_spectrum_report(warping, t0: float, count: int = 8) -> dict:
+def slice_spectrum_report(warping, t0: float, count: int = 8) -> Report:
     """Closed-form slice spectrum with band multiplicities."""
     w = warping if isinstance(warping, wp.WarpingFunction) else wp.builtin_warping(str(warping))
-    values = wp.slice_spectrum(w, t0, count)
+    values = [float(v) for v in wp.slice_spectrum(w, t0, count)]
     bands = []
     k = 0
     emitted = 0
@@ -532,17 +456,21 @@ def slice_spectrum_report(warping, t0: float, count: int = 8) -> dict:
         )
         emitted += mult
         k += 1
-    return {
-        "scenario": scenario_slug("slice-spectrum", w.name, f"t0={t0:.6g}"),
+    scenario = scenario_slug("slice-spectrum", w.name, f"t0={t0:.6g}")
+    bound = wp.slice_lambda2(w, t0)
+    body = {
+        "scenario": scenario,
         "warping": w.name,
         "t0": float(t0),
         "sphere_dim": w.dim_n,
         "count": count,
-        "eigenvalues": [float(v) for v in values],
+        "eigenvalues": values,
         "bands": bands,
-        "slice_lambda2": wp.slice_lambda2(w, t0),
+        "slice_lambda2": bound,
         "condition_value": wp.convexity_condition(w, t0),
     }
+    lam2 = values[1] if len(values) > 1 else None
+    return Report(scenario, body, [_csv_row(scenario, "exact", values[0], lam2, bound)])
 
 
 # ----------------------------------------------------------------------

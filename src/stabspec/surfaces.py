@@ -45,9 +45,6 @@ __all__ = [
     "area",
     "total_curvature",
     "euler_characteristic",
-    "save_surface",
-    "load_surface",
-    "LoadedSurface",
 ]
 
 UNIT_NORM_TOL = 1e-12
@@ -475,86 +472,3 @@ def euler_characteristic(s: ImmersedSurface, f: GeometryFields) -> int:
             f"total curvature / 2pi = {x:.6f} is not close to an integer; refine the mesh"
         )
     return int(chi)
-
-
-# ----------------------------------------------------------------------
-# Columnar text serialization
-
-
-@dataclass(frozen=True)
-class LoadedSurface:
-    """Validated node data read back from the columnar text format."""
-
-    ambient: str
-    topology: str
-    nu: int
-    nv: int
-    params: np.ndarray  # (N, 2)
-    coords: np.ndarray  # (N, 4)
-
-
-def save_surface(s: ImmersedSurface, path) -> None:
-    """Write node index, parameters and ambient coordinates as text."""
-    uu, vv = s.grid.mesh()
-    coords = s.bundle(2)["0"]
-    amb = "sphere3" if s.is_sphere3 else "warped"
-    with open(path, "w") as fh:
-        fh.write(f"# ambient={amb}\n")
-        fh.write(f"# topology={s.grid.topology}\n")
-        fh.write(f"# nu={s.grid.nu} nv={s.grid.nv}\n")
-        if not s.is_sphere3:
-            fh.write(f"# warping={s.ambient.warping.name}\n")
-        fh.write("# columns: index u v c1 c2 c3 c4\n")
-        for i in range(s.node_count):
-            row = " ".join(f"{x:.17g}" for x in (uu[i], vv[i], *coords[i]))
-            fh.write(f"{i} {row}\n")
-
-
-def load_surface(path) -> LoadedSurface:
-    """Read the columnar format back, validating the stored invariants."""
-    meta: dict[str, str] = {}
-    rows = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                for tok in line[1:].split():
-                    if "=" in tok:
-                        k, _, v = tok.partition("=")
-                        meta[k] = v
-                continue
-            parts = line.split()
-            if len(parts) != 7:
-                raise DomainError(f"malformed surface row: {line!r}")
-            rows.append([float(x) for x in parts])
-    if not rows:
-        raise DomainError("surface file contains no node rows")
-    arr = np.asarray(rows, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise DomainError("surface file contains non-finite values")
-    idx = arr[:, 0].astype(int)
-    if not np.array_equal(idx, np.arange(len(rows))):
-        raise DomainError("surface rows must be indexed 0..N-1 in order")
-    ambient = meta.get("ambient", "")
-    nu = int(meta.get("nu", 0))
-    nv = int(meta.get("nv", 0))
-    if nu * nv != len(rows):
-        raise DomainError("declared grid size does not match the row count")
-    params = arr[:, 1:3]
-    coords = arr[:, 3:7]
-    if ambient == "sphere3":
-        norms = np.linalg.norm(coords, axis=1)
-        if float(np.max(np.abs(norms - 1.0))) > 1e-10:
-            raise DomainError("stored 3-sphere coordinates are off the sphere")
-    elif ambient == "warped":
-        norms = np.linalg.norm(coords[:, 1:4], axis=1)
-        if float(np.max(np.abs(norms - 1.0))) > 1e-10:
-            raise DomainError("stored sphere factor coordinates are not unit")
-    else:
-        raise DomainError(f"unknown ambient tag {ambient!r} in surface file")
-    return LoadedSurface(
-        ambient=ambient, topology=meta.get("topology", ""), nu=nu, nv=nv,
-        params=params, coords=coords,
-    )

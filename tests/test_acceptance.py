@@ -65,17 +65,17 @@ def test_criterion_2_flat_torus_radius_sweep():
     worst_err = 0.0
     checks = [elapsed < 180.0]
     for r, rep in zip(radii, reports):
-        oracle = rep.extra["oracle_lambda2"]
-        err = abs(rep.results[-1].lambda2 - oracle)
+        oracle = rep.body["extra"]["oracle_lambda2"]
+        err = abs(rep.body["results"][-1]["lambda2"] - oracle)
         worst_err = max(worst_err, err)
         checks.append(err <= 1e-3)
-        checks.append(rep.lambda2_extrapolated <= -2.0 + 1e-6)
+        checks.append(rep.body["lambda2_extrapolated"] <= -2.0 + 1e-6)
         if r == SQ2INV:
-            checks.append(abs(rep.lambda2_extrapolated + 2.0) <= 1e-6)
-            checks.append(rep.equality)
+            checks.append(abs(rep.body["lambda2_extrapolated"] + 2.0) <= 1e-6)
+            checks.append(rep.body["equality"])
         else:
-            checks.append(rep.lambda2_extrapolated < -2.0 - 1e-6)
-            checks.append(not rep.equality)
+            checks.append(rep.body["lambda2_extrapolated"] < -2.0 - 1e-6)
+            checks.append(not rep.body["equality"])
     detail = (f"max|lambda2-oracle|={_fmt(worst_err)} "
               f"equality-only-at-r=1/sqrt2 time={elapsed:.1f}s")
     record_acceptance(2, all(checks), detail)
@@ -123,14 +123,15 @@ def test_criterion_5_amplitude_margins():
     reports = ss.sweep_graph_amplitude(
         "cosh", 0.3, "Y2,0", [0.0, 0.02, 0.05, 0.1], res)
     zero, rest = reports[0], reports[1:]
-    margins = [rep.margin for rep in rest]
+    margins = [rep.body["margin"] for rep in rest]
     checks = [
-        abs(zero.margin) <= zero.tol_report,
+        abs(zero.body["margin"]) <= zero.body["tol_report"],
         all(m > 0 for m in margins),
         margins[0] < margins[1] < margins[2],
-        all(rep.passed for rep in reports),
+        all(rep.verdict for rep in reports),
     ]
-    detail = (f"margin(0)={_fmt(zero.margin)} tol={_fmt(zero.tol_report)} "
+    detail = (f"margin(0)={_fmt(zero.body['margin'])} "
+              f"tol={_fmt(zero.body['tol_report'])} "
               f"margins={[_fmt(m) for m in margins]}")
     record_acceptance(5, all(checks), detail)
     assert all(checks), detail

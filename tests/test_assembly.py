@@ -183,25 +183,3 @@ def test_rayleigh_quotient_of_constants_is_mean_potential():
     _, _, p = _pencil(ss.clifford_torus((12, 12)))
     assert ss.rayleigh(p, np.ones(p.node_count)) == pytest.approx(-4.0,
                                                                   rel=1e-13)
-
-
-def test_pencil_export_round_trip(tmp_path):
-    _, _, p = _pencil(ss.graph_over_slice("cosh", 0.3, "Y2,0", 0.05, (10, 10)))
-    path = tmp_path / "pencil.txt"
-    ss.export_pencil(p, path)
-    loaded = ss.load_pencil(path)
-    a_diff = (loaded["A"] - p.stiffness_minus_potential).tocoo()
-    m_diff = (loaded["M"] - p.mass).tocoo()
-    assert a_diff.nnz == 0 or np.max(np.abs(a_diff.data)) == 0.0
-    assert m_diff.nnz == 0 or np.max(np.abs(m_diff.data)) == 0.0
-
-
-def test_pencil_loader_rejects_malformed_files(tmp_path):
-    bad = tmp_path / "pencil.txt"
-    bad.write_text("A 0 0 1.0\n")  # no node-count header
-    with pytest.raises(DomainError):
-        ss.load_pencil(bad)
-    empty = tmp_path / "empty.txt"
-    empty.write_text("# nodes=4\n")
-    with pytest.raises(DomainError):
-        ss.load_pencil(empty)

@@ -71,23 +71,24 @@ def test_report_tolerance_floor():
 
 def test_torus_check_passes_with_equality_on_the_square_torus(solve):
     rep = ss.check_theorem_11(ss.clifford_torus(), resolutions=FAST)
-    assert rep.passed and rep.equality
-    assert rep.bound == -2.0
-    assert rep.lambda2_extrapolated == pytest.approx(-2.0, abs=rep.tol_report)
-    assert rep.results[-1].lambda2_multiplicity == 4
+    assert rep.verdict and rep.body["equality"]
+    assert rep.body["bound"] == -2.0
+    assert rep.body["lambda2_extrapolated"] == pytest.approx(
+        -2.0, abs=rep.body["tol_report"])
+    assert rep.body["results"][-1]["lambda2_multiplicity"] == 4
 
 
 def test_torus_check_strict_inequality_off_the_square_shape():
     rep = ss.check_theorem_11(ss.flat_torus(0.6), resolutions=FAST)
-    assert rep.passed and not rep.equality
-    assert rep.margin == pytest.approx(1 / 0.36 - 2.0, abs=5e-3)
+    assert rep.verdict and not rep.body["equality"]
+    assert rep.body["margin"] == pytest.approx(1 / 0.36 - 2.0, abs=5e-3)
 
 
 def test_torus_check_accepts_perturbed_tori():
     rep = ss.check_theorem_11(ss.perturbed_torus(1 / math.sqrt(2), 0.05, 3),
                               resolutions=FAST)
-    assert rep.passed
-    assert rep.lambda2_extrapolated < -2.0
+    assert rep.verdict
+    assert rep.body["lambda2_extrapolated"] < -2.0
 
 
 def test_torus_check_rejects_spheres():
@@ -98,15 +99,15 @@ def test_torus_check_rejects_spheres():
 def test_product_check_requires_constant_profile():
     rep = ss.check_theorem_12(ss.slice_shape("product", 0.4),
                               resolutions=FAST)
-    assert rep.passed and rep.bound == 2.0
+    assert rep.verdict and rep.body["bound"] == 2.0
     with pytest.raises(HypothesisError):
         ss.check_theorem_12(ss.slice_shape("cosh", 0.0), resolutions=FAST)
 
 
 def test_convex_check_needs_a_strictly_convex_profile():
     rep = ss.check_theorem_13(ss.slice_shape("cosh", 0.3), resolutions=FAST)
-    assert rep.passed and rep.equality
-    assert rep.bound == pytest.approx(4.0 / math.cosh(0.3) ** 2, rel=1e-9)
+    assert rep.verdict and rep.body["equality"]
+    assert rep.body["bound"] == pytest.approx(4.0 / math.cosh(0.3) ** 2, rel=1e-9)
     for name in ("sphere", "hyperbolic", "euclidean"):
         t0 = 1.0
         with pytest.raises(HypothesisError):
@@ -119,17 +120,17 @@ def test_convex_check_margin_grows_with_amplitude():
             ss.graph_over_slice("cosh", 0.3, "Y2,0", amp), resolutions=FAST)
         for amp in (0.02, 0.1)
     ]
-    assert all(r.passed for r in reps)
-    assert 0 < reps[0].margin < reps[1].margin
+    assert all(r.verdict for r in reps)
+    assert 0 < reps[0].body["margin"] < reps[1].body["margin"]
 
 
 def test_curvature_integral_check_on_graphs():
     rep = ss.check_esi(ss.graph_over_slice("cosh", 0.3, "Y2,0", 0.05),
                        resolutions=FAST)
-    assert rep.passed
-    assert rep.margin > 0
-    assert rep.bound == pytest.approx(rep.lambda2_extrapolated + rep.margin,
-                                      rel=1e-12)
+    assert rep.verdict
+    assert rep.body["margin"] > 0
+    assert rep.body["bound"] == pytest.approx(
+        rep.body["lambda2_extrapolated"] + rep.body["margin"], rel=1e-12)
 
 
 def test_curvature_integral_check_rejects_sphere_ambient():
@@ -139,7 +140,7 @@ def test_curvature_integral_check_rejects_sphere_ambient():
 
 def test_check_dispatch_and_unknown_id():
     rep = ss.check_theorem("t12", ss.slice_shape("product", 0.0), FAST)
-    assert rep.theorem_id == "T12"
+    assert rep.body["theorem_id"] == "T12"
     with pytest.raises((ConfigError, KeyError, ValueError)):
         ss.check_theorem("t99", ss.slice_shape("product", 0.0), FAST)
 
@@ -147,8 +148,8 @@ def test_check_dispatch_and_unknown_id():
 def test_slice_equality_is_attained_on_the_slice_itself():
     rep = ss.check_theorem_13(ss.slice_shape("cosh", 0.0),
                               resolutions=[(16, 16), (32, 32)])
-    assert rep.equality
-    assert rep.margin <= rep.tol_report
+    assert rep.body["equality"]
+    assert rep.body["margin"] <= rep.body["tol_report"]
 
 
 # ------------------------------------------------------- convergence studies
@@ -157,18 +158,19 @@ def test_slice_equality_is_attained_on_the_slice_itself():
 def test_convergence_study_against_the_closed_form():
     st = ss.convergence_study(ss.flat_torus(0.6),
                               resolutions=[(12, 12), (24, 24), (48, 48)])
-    assert st.oracle == pytest.approx(-1 / 0.36, rel=1e-12)
-    assert st.lambda2_extrapolated == pytest.approx(st.oracle, abs=2e-4)
-    orders = [row.get("order") for row in st.rows if row.get("order")]
-    assert st.rows[-1]["order"] == pytest.approx(2.0, abs=0.2)
-    assert len(st.rows) == 3
+    assert st.body["oracle"] == pytest.approx(-1 / 0.36, rel=1e-12)
+    assert st.body["lambda2_extrapolated"] == pytest.approx(st.body["oracle"],
+                                                            abs=2e-4)
+    orders = [row.get("order") for row in st.body["rows"] if row.get("order")]
+    assert st.body["rows"][-1]["order"] == pytest.approx(2.0, abs=0.2)
+    assert len(st.body["rows"]) == 3
 
 
 def test_convergence_study_without_an_oracle():
     st = ss.convergence_study(ss.perturbed_torus(0.7, 0.05, 3),
                               resolutions=FAST)
-    assert st.oracle is None
-    assert st.lambda2_extrapolated < -2.0
+    assert st.body["oracle"] is None
+    assert st.body["lambda2_extrapolated"] < -2.0
 
 
 def test_convergence_study_needs_two_resolutions():
@@ -181,23 +183,23 @@ def test_convergence_study_needs_two_resolutions():
 
 def test_flat_torus_sweep_marks_equality_only_at_the_square_torus():
     reps = ss.sweep_flat_torus([0.6, 1 / math.sqrt(2)], FAST)
-    assert [r.equality for r in reps] == [False, True]
-    assert all(r.passed for r in reps)
-    assert reps[0].extra["oracle_lambda2"] == pytest.approx(-1 / 0.36,
-                                                            rel=1e-12)
+    assert [r.body["equality"] for r in reps] == [False, True]
+    assert all(r.verdict for r in reps)
+    assert reps[0].body["extra"]["oracle_lambda2"] == pytest.approx(
+        -1 / 0.36, rel=1e-12)
 
 
 def test_amplitude_sweep_uses_the_slice_at_zero():
     reps = ss.sweep_graph_amplitude("cosh", 0.3, "Y2,0", [0.0, 0.05], FAST)
-    assert reps[0].equality
-    assert not reps[1].equality
-    margins = [r.margin for r in reps]
+    assert reps[0].body["equality"]
+    assert not reps[1].body["equality"]
+    margins = [r.body["margin"] for r in reps]
     assert margins[0] < margins[1]
 
 
 def test_balance_bound_scenario_summary():
     out = ss.balance_bound_scenario(ss.clifford_torus((24, 24)),
-                                    resolution=(24, 24))
+                                    resolution=(24, 24)).body
     for key in ("lambda1", "lambda2", "bound", "gap", "balance_residual",
                 "param_norm", "attempts"):
         assert key in out
@@ -207,11 +209,60 @@ def test_balance_bound_scenario_summary():
 
 
 def test_slice_spectrum_report_contents():
-    rep = ss.slice_spectrum_report("cosh", 0.0, count=6)
+    rep = ss.slice_spectrum_report("cosh", 0.0, count=6).body
     assert rep["slice_lambda2"] == pytest.approx(4.0, rel=1e-12)
     np.testing.assert_allclose(rep["eigenvalues"], [2, 4, 4, 4, 8, 8],
                                atol=1e-12)
     assert rep["condition_value"] > 0
+
+
+# ------------------------------------------------------ one build per solve
+
+
+@pytest.fixture
+def build_log(monkeypatch):
+    """Resolutions passed to catalog.build, in call order."""
+    log = []
+    real = ss.catalog.build
+
+    def logged(spec):
+        log.append(spec.resolution)
+        return real(spec)
+
+    monkeypatch.setattr(ss.catalog, "build", logged)
+    return log
+
+
+@pytest.mark.parametrize("run, members", [
+    (lambda: ss.check_theorem_11(ss.flat_torus(0.6), FAST), 1),
+    (lambda: ss.check_theorem_13(
+        ss.graph_over_slice("cosh", 0.3, "Y2,0", 0.05), FAST), 1),
+    (lambda: ss.check_esi(ss.graph_over_slice("cosh", 0.3, "Y2,0", 0.05), FAST), 1),
+    (lambda: ss.sweep_flat_torus([0.6, 0.65], FAST), 2),
+    (lambda: ss.sweep_graph_amplitude("cosh", 0.3, "Y2,0", [0.0, 0.05], FAST), 2),
+], ids=["t11", "t13", "esi", "sweep-flat-torus", "sweep-graph-amplitude"])
+def test_each_resolution_is_built_once(build_log, run, members):
+    # the hypothesis is tested on the first resolution's surface, not on a
+    # separate probe at the spec's default resolution
+    run()
+    assert build_log == FAST * members
+
+
+def test_failed_hypothesis_stops_before_any_solve(tmp_path, monkeypatch,
+                                                  build_log):
+    solves = []
+    real = harness.smallest_eigenpairs
+
+    def logged(*args, **kwargs):
+        solves.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "smallest_eigenpairs", logged)
+    code = cli_main(["check", "t13", "shape=slice", "warping=sphere", "t0=1.0",
+                     "resolutions=12,24", "--out", str(tmp_path / "r")])
+    assert code == 2
+    assert solves == []
+    assert build_log == [(12, 12)]
 
 
 # ----------------------------------------------------------------- reporting
@@ -221,7 +272,7 @@ def test_report_json_file_rounds_to_twelve_digits(tmp_path):
     rep = ss.check_theorem_12(ss.slice_shape("product", 0.0),
                               resolutions=FAST)
     path = tmp_path / "report.json"
-    ss.write_json_report(rep.to_dict(), path)
+    ss.write_json_report(rep.body, path)
     data = json.loads(path.read_text())
     assert data["theorem_id"] == "T12"
     for row in data["results"]:
@@ -233,7 +284,7 @@ def test_report_json_file_rounds_to_twelve_digits(tmp_path):
 def test_csv_summary_format(tmp_path):
     reps = ss.sweep_flat_torus([0.6], FAST)
     path = tmp_path / "summary.csv"
-    ss.write_csv_summary([r for rep in reps for r in rep.csv_rows()], path)
+    ss.write_csv_summary([r for rep in reps for r in rep.rows], path)
     with open(path) as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["scenario", "resolution", "lambda1", "lambda2",
@@ -410,9 +461,66 @@ def test_cli_maps_failed_checks_to_exit_four(tmp_path, monkeypatch):
     def pessimist(*args, **kwargs):
         rep = real(*args, **kwargs)
         import dataclasses
-        return dataclasses.replace(rep, passed=False)
+        return dataclasses.replace(rep, verdict=False)
 
     monkeypatch.setattr(harness, "check_theorem", pessimist)
     code = cli_main(["check", "t11", "shape=clifford-torus", "resolutions=12,24",
                      "--out", str(tmp_path / "r")])
     assert code == 4
+
+
+def _json_rows(rep: dict) -> list[dict]:
+    """summary.csv rows as they follow from one JSON report."""
+    def row(resolution, lam1, lam2, bound, order=None):
+        margin = None if bound is None else bound - lam2
+        return {"resolution": resolution, "lambda1": lam1, "lambda2": lam2,
+                "bound": bound, "margin": margin, "order": order}
+
+    if "results" in rep:  # theorem check or sweep member
+        orders = [None] * len(rep["results"])
+        orders[-1] = rep["order"]
+        return [row("{}x{}".format(*r["resolution"]), r["lambda1"], r["lambda2"],
+                    r["bound"], o) for r, o in zip(rep["results"], orders)]
+    if "rows" in rep:  # refinement study
+        return [row(r["resolution"], r["lambda1"], r["lambda2"], rep["oracle"],
+                    r["order"]) for r in rep["rows"]]
+    if "gap" in rep:  # balanced bound
+        return [row(rep["resolution"], rep["lambda1"], rep["lambda2"], rep["bound"])]
+    ev = rep["eigenvalues"]  # slice spectrum
+    return [row("exact", ev[0], ev[1], rep["slice_lambda2"])]
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "t11", "shape=flat-torus", "r=0.6", "resolutions=8,12,18"],
+    ["sweep", "graph-amplitude", "warping=cosh", "t0=0.3",
+     "amplitudes=0,0.05", "resolutions=12,24"],
+    ["converge", "shape=flat-torus", "r=0.6", "resolutions=8,12,18"],
+    ["balance-bound", "shape=clifford-torus", "resolution=24"],
+    ["slice-spectrum", "warping=cosh", "t0=0.3", "count=6"],
+], ids=lambda argv: argv[0])
+def test_summary_rows_match_the_json_reports(tmp_path, argv):
+    out = tmp_path / "r"
+    assert cli_main(argv + ["--out", str(out)]) == 0
+    reports = {}
+    for path in sorted(out.glob("*.json")):
+        rep = json.loads(path.read_text())
+        reports[rep["scenario"]] = rep
+    with open(out / "summary.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert sorted({r["scenario"] for r in rows}) == sorted(reports)
+    for scenario, rep in reports.items():
+        got = [r for r in rows if r["scenario"] == scenario]
+        want = _json_rows(rep)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g["resolution"] == w["resolution"]
+            for col in ("lambda1", "lambda2", "bound", "order"):
+                assert (float(g[col]) if g[col] else None) == w[col], col
+            # the CSV margin comes from unrounded values, the JSON one from
+            # two values rounded to 12 digits
+            scale = max(1.0, abs(w["bound"] or 0.0), abs(w["lambda2"]))
+            if w["margin"] is None:
+                assert g["margin"] == ""
+            else:
+                assert float(g["margin"]) == pytest.approx(w["margin"],
+                                                           rel=0, abs=1e-11 * scale)

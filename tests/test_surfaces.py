@@ -257,53 +257,6 @@ def test_euler_characteristic_guards_against_bad_totals():
         ss.euler_characteristic(s, skewed)
 
 
-# ------------------------------------------------------------- serialization
-
-
-@pytest.mark.parametrize("spec", [
-    ss.clifford_torus((9, 11)),
-    ss.geodesic_sphere(1.0, (8, 10)),
-    ss.slice_shape("cosh", 0.3, (8, 10)),
-])
-def test_surface_round_trips_through_text(tmp_path, spec):
-    s = ss.build(spec)
-    path = tmp_path / "surface.txt"
-    ss.save_surface(s, path)
-    loaded = ss.load_surface(path)
-    assert loaded.nu == s.grid.nu and loaded.nv == s.grid.nv
-    np.testing.assert_allclose(loaded.coords, s.bundle(0)["0"], rtol=0,
-                               atol=0)
-
-
-def test_surface_loader_validates_contents(tmp_path):
-    s = ss.build(ss.clifford_torus((8, 8)))
-    path = tmp_path / "surface.txt"
-    ss.save_surface(s, path)
-    text = path.read_text().splitlines()
-
-    truncated = tmp_path / "truncated.txt"
-    truncated.write_text("\n".join(text[:-5]) + "\n")
-    with pytest.raises(DomainError):
-        ss.load_surface(truncated)
-
-    corrupt = tmp_path / "corrupt.txt"
-    bad = list(text)
-    for i, line in enumerate(bad):
-        if not line.startswith("#"):
-            parts = line.split()
-            parts[3] = "0.9"  # first coordinate: node leaves the sphere
-            bad[i] = " ".join(parts)
-            break
-    corrupt.write_text("\n".join(bad) + "\n")
-    with pytest.raises(DomainError):
-        ss.load_surface(corrupt)
-
-    empty = tmp_path / "empty.txt"
-    empty.write_text("# ambient=sphere3\n")
-    with pytest.raises(DomainError):
-        ss.load_surface(empty)
-
-
 # ------------------------------------------------------------ ambient guard
 
 
