@@ -37,7 +37,7 @@ from .warping import (
     trigonometric_warping,
 )
 from .grids import Grid, sphere_grid, torus_grid
-from .charts import NumericChart, SymbolicChart, real_sph_harm
+from .charts import SymbolicChart, real_sph_harm
 from .surfaces import (
     GeometryFields,
     ImmersedSurface,

@@ -7,18 +7,12 @@ warped ambients).  The geometry engine consumes nodal arrays of the chart
 and its parameter derivatives, packed as a dict keyed by multi-index
 strings "0", "u", "v", "uu", "uv", "vv", "uuu", ...
 
-Two implementations:
-
-  * SymbolicChart: components are sympy expressions; derivatives through
-    third order are generated symbolically and compiled once per distinct
-    expression set, so curvature computations see machine-exact inputs.
-    All catalog shapes use this path.  Images of these charts under
-    conformal dilations are charts too (see `conformal`); they push the
-    bundle through the dilation numerically.
-  * NumericChart: a plain callable sampled on the grid; derivatives come
-    from 4th-order stencils (one-sided in theta on sphere grids).  Third
-    derivatives are not offered, so intrinsic curvature falls back to
-    differentiating the metric field.
+Every chart offers derivatives through order 3 (MAX_ORDER).  A
+SymbolicChart's components are sympy expressions; its derivatives are
+generated symbolically and compiled once per distinct expression set, so
+curvature computations see machine-exact inputs.  All catalog shapes use
+it.  Images of these charts under conformal dilations are charts too (see
+`conformal`); they push the bundle through the dilation numerically.
 """
 
 from __future__ import annotations
@@ -36,13 +30,14 @@ __all__ = [
     "PARAM_U",
     "PARAM_V",
     "derivative_keys",
+    "MAX_ORDER",
     "SymbolicChart",
-    "NumericChart",
     "real_sph_harm",
     "unit_sphere_chart_exprs",
 ]
 
 PARAM_U, PARAM_V = sp.symbols("u v", real=True)
+MAX_ORDER = 3
 
 _ORDER_KEYS = {
     0: ("0",),
@@ -53,6 +48,8 @@ _ORDER_KEYS = {
 
 
 def derivative_keys(max_order: int) -> tuple[str, ...]:
+    if not 0 <= max_order <= MAX_ORDER:
+        raise DomainError(f"charts offer derivatives of order 0 to {MAX_ORDER}")
     keys: list[str] = []
     for m in range(max_order + 1):
         keys.extend(_ORDER_KEYS[m])
@@ -75,7 +72,7 @@ def _compile_bundle(expr_reprs: tuple[str, ...]):
     exprs = [sp.sympify(s) for s in expr_reprs]
     flat = [
         _diff_by_key(e, key)
-        for key in derivative_keys(SymbolicChart.max_order)
+        for key in derivative_keys(MAX_ORDER)
         for e in exprs
     ]
     return sp.lambdify((PARAM_U, PARAM_V), flat, modules="numpy", cse=True)
@@ -83,8 +80,6 @@ def _compile_bundle(expr_reprs: tuple[str, ...]):
 
 class SymbolicChart:
     """Chart whose four components are sympy expressions in (u, v)."""
-
-    max_order = 3
 
     def __init__(self, exprs):
         exprs = [sp.sympify(e) for e in exprs]
@@ -97,8 +92,6 @@ class SymbolicChart:
         self._key = tuple(sp.srepr(e) for e in self.exprs)
 
     def evaluate(self, grid: Grid, max_order: int) -> dict[str, np.ndarray]:
-        if max_order > self.max_order:
-            raise DomainError(f"chart supports derivatives up to order {self.max_order}")
         fn = _compile_bundle(self._key)
         uu, vv = grid.mesh()
         raw = fn(uu, vv)
@@ -109,53 +102,6 @@ class SymbolicChart:
                 np.broadcast_to(np.asarray(raw[4 * k + c], dtype=float), (n,))
                 for c in range(4)
             ])
-        return out
-
-
-class NumericChart:
-    """Chart given as a plain callable (u, v) -> 4 components.
-
-    The callable may be vectorized over numpy arrays or scalar-only; both
-    are handled.  Derivatives are grid-based 4th-order stencils.
-    """
-
-    max_order = 2
-
-    def __init__(self, func):
-        self.func = func
-
-    def _values(self, grid: Grid) -> np.ndarray:
-        uu, vv = grid.mesh()
-        try:
-            vals = np.asarray(self.func(uu, vv), dtype=float)
-            if vals.shape == (4, grid.node_count):
-                vals = vals.T
-            vals = vals.reshape(grid.node_count, 4)
-        except Exception:
-            vals = np.array(
-                [np.asarray(self.func(float(a), float(b)), dtype=float).ravel()
-                 for a, b in zip(uu, vv)]
-            )
-            if vals.shape != (grid.node_count, 4):
-                raise DomainError("chart callable must produce four components")
-        return vals
-
-    def evaluate(self, grid: Grid, max_order: int) -> dict[str, np.ndarray]:
-        if max_order > self.max_order:
-            raise DomainError(
-                "numeric charts provide derivatives up to order 2; "
-                "intrinsic curvature uses the metric-differencing fallback"
-            )
-        vals = self._values(grid)
-        out = {"0": vals}
-        for key in derivative_keys(max_order)[1:]:
-            du_order = key.count("u")
-            dv_order = key.count("v")
-            cols = [
-                grid.diff_field(vals[:, c], du_order, dv_order, accuracy=4)
-                for c in range(4)
-            ]
-            out[key] = np.column_stack(cols)
         return out
 
 

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .assembly import OperatorPencil
-from .charts import derivative_keys
+from .charts import MAX_ORDER, derivative_keys
 from .eigen import Spectrum
 from .errors import DomainError, NonConvergenceError, UnsupportedAmbientError
 from .surfaces import (
@@ -64,7 +64,7 @@ BALANCE_CAP = 1.0 - 1e-6
 BALANCE_MAX_ITER = 50
 # Central-difference step of the balancing Jacobian, relative to 1 - |a|.
 JACOBIAN_STEP = 1e-5
-JET_ORDER = 3
+JET_ORDER = MAX_ORDER
 
 
 @dataclass(frozen=True)
@@ -173,15 +173,11 @@ def _dilate_jets(param: MobiusParam, jets: np.ndarray) -> np.ndarray:
 class _DilatedChart:
     """Chart of a dilated surface, derived from the base surface's bundle."""
 
-    max_order = JET_ORDER
-
     def __init__(self, base: ImmersedSurface, param: MobiusParam):
         self.base = base
         self.param = param
 
     def evaluate(self, grid, max_order: int) -> dict[str, np.ndarray]:
-        if max_order > self.max_order:
-            raise DomainError(f"chart supports derivatives up to order {self.max_order}")
         if grid is not self.base.grid:
             raise DomainError("a dilated chart is evaluated on its base surface's grid")
         b = self.base.bundle(JET_ORDER)
@@ -197,8 +193,6 @@ def mobius_image_surface(s: ImmersedSurface, param: MobiusParam) -> ImmersedSurf
         raise UnsupportedAmbientError("conformal dilations act on the 3-sphere")
     if param.magnitude < 1e-15:
         return s
-    if s.chart.max_order < JET_ORDER:
-        raise DomainError("conformal image surfaces need a chart with third derivatives")
     return ImmersedSurface(
         s.ambient,
         _DilatedChart(s, param),

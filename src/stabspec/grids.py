@@ -1,4 +1,4 @@
-"""Structured parameter grids and finite-difference helpers.
+"""Structured parameter grids and finite-difference operators.
 
 Two grid topologies cover every surface in the catalog:
 
@@ -9,9 +9,9 @@ Two grid topologies cover every surface in the catalog:
     so the induced metric stays non-degenerate, and the vanishing area
     element at the poles closes the flux balance naturally.
 
-Derivatives of smooth nodal fields are taken with 4th-order stencils,
-centered where the axis wraps and one-sided (Fornberg weights) near the
-theta boundary of sphere grids.
+The sparse first-derivative operators used by assembly come from
+stencils centered where the axis wraps and one-sided (Fornberg weights)
+near the theta boundary of sphere grids.
 """
 
 from __future__ import annotations
@@ -118,18 +118,6 @@ class Grid:
 
     def flat(self, i, j):
         return np.asarray(i) * self.nv + np.asarray(j)
-
-    def diff_field(self, field: np.ndarray, du_order: int, dv_order: int,
-                   accuracy: int = 4) -> np.ndarray:
-        """Mixed partial of a smooth nodal field, 4th-order by default."""
-        f = np.asarray(field, dtype=float).reshape(self.nu, self.nv)
-        if du_order:
-            D = _line_diff_matrix(self.nu, self.du, du_order, self.periodic_u, accuracy)
-            f = D @ f
-        if dv_order:
-            D = _line_diff_matrix(self.nv, self.dv, dv_order, self.periodic_v, accuracy)
-            f = f @ D.T
-        return f.ravel()
 
     def d1_sparse(self, axis: int, accuracy: int = 2) -> sp.csr_matrix:
         """Sparse first-derivative operator on flattened fields."""

@@ -302,9 +302,9 @@ def _product_hypothesis(surface, fields) -> dict:
 
 
 def check_theorem_12(spec: catalog.ShapeSpec, resolutions, seed: int = 0) -> Report:
-    """Product-ambient specialization: bound equals the sphere dimension n."""
+    """t13 on the product ambient, where every slice value is n = 2."""
     return _theorem_report("T12", spec, resolutions, seed, _product_hypothesis,
-                           lambda s, f: float(s.ambient.warping.dim_n))
+                           _slice_mean_bound)
 
 
 def _esi_bound(surface, fields) -> float:

@@ -8,11 +8,21 @@ fundamental form, mean curvature, squared norm of the shape operator,
 intrinsic Gauss curvature, and the ambient Ricci curvature in the normal
 direction.
 
+One body serves both ambients.  Chart values are points of R^4 (the
+position on the 3-sphere, or (t, w) with w on the unit 2-sphere), and
+both ambient metrics are diagonal there, W = diag(1, H, H, H) with H = 1
+on the 3-sphere and H = h(t)^2 on the warped product.  An ambient
+supplies only H and its parameter derivatives, the radial direction the
+normal must also be orthogonal to (the position X, or (0, w)), the
+Christoffel contraction Gamma(X_a, X_b) (zero on the 3-sphere) and
+Ric(nu, nu); metric, normal, second fundamental form and curvatures are
+computed the same way for both.
+
 Sign conventions.  The second fundamental form is
 sigma(X, Y) = <D_X nu, Y>, so a slice {t} x S^2 with normal +d/dt has
 principal curvatures h'/h.  On the 3-sphere the normal is oriented so
 that (position, chart_u, chart_v, normal) is a positively oriented frame
-of R^4.
+of R^4; on warped ambients it has a non-negative d/dt component.
 
 Gauss curvature is computed intrinsically (Brioschi formula) from the
 metric and its parameter derivatives, never from the shape operator, so
@@ -22,7 +32,10 @@ consistency check between two independent curvature computations.
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -33,7 +46,8 @@ from .errors import (
     MeshTooCoarseError,
     UnsupportedAmbientError,
 )
-from .grids import Grid, sphere_grid, torus_grid
+from .charts import MAX_ORDER
+from .grids import Grid
 
 __all__ = [
     "Sphere3",
@@ -52,10 +66,39 @@ DEGENERACY_REL_TOL = 1e-10
 
 
 @dataclass(frozen=True)
+class AmbientTerms:
+    """What the geometry body needs to know of the ambient at the nodes.
+
+    sphere_weight: the ambient metric in chart coordinates is
+                  W = diag(1, H, H, H); H under key "0" (scalar or (N,))
+                  and its nonzero parameter derivatives through order 2
+                  under their bundle keys ("u", "uv", ...)
+    radial:       (N, 4) direction the normal is also orthogonal to
+    christoffel:  (X_a, X_b) -> Gamma(X_a, X_b), or None where it vanishes
+    ricci:        unit normal (N, 4) -> Ric(nu, nu), (N,)
+    """
+
+    sphere_weight: dict[str, np.ndarray | float]
+    radial: np.ndarray
+    christoffel: Callable | None
+    ricci: Callable
+
+
+def _require_unit(x: np.ndarray, message: str) -> None:
+    if float(np.max(np.abs(np.linalg.norm(x, axis=1) - 1.0))) > UNIT_NORM_TOL:
+        raise DomainError(message)
+
+
+@dataclass(frozen=True)
 class Sphere3:
     """Round unit 3-sphere ambient; Ric(v, v) = 2 on unit directions."""
 
     kind: str = "sphere3"
+
+    def terms(self, b: dict[str, np.ndarray]) -> AmbientTerms:
+        x = b["0"]
+        _require_unit(x, "chart values must lie on the unit 3-sphere")
+        return AmbientTerms({"0": 1.0}, x, None, lambda nu: np.full(len(nu), 2.0))
 
 
 @dataclass(frozen=True)
@@ -71,6 +114,32 @@ class WarpedProduct:
                 "two-dimensional meshes require a warped ambient over S^2 "
                 f"(got sphere factor dimension {self.warping.dim_n})"
             )
+
+    def terms(self, b: dict[str, np.ndarray]) -> AmbientTerms:
+        w = self.warping
+        t, om = b["0"][:, 0], b["0"][:, 1:]
+        _require_unit(om, "sphere part of a warped chart must have unit norm")
+        w.require_inside(t)
+        h, dh, d2h = (np.asarray(fn(t), dtype=float) for fn in (w.h, w.dh, w.d2h))
+
+        # H = h(t)^2, its first two t-derivatives chained through t(u, v)
+        w1, w2 = 2.0 * h * dh, 2.0 * (dh * dh + h * d2h)
+        f = {key: b[key][:, 0] for key in ("u", "v", "uu", "uv", "vv")}
+        weight = {"0": h * h, "u": w1 * f["u"], "v": w1 * f["v"]}
+        weight.update({key: w2 * f[key[0]] * f[key[1]] + w1 * f[key]
+                       for key in ("uu", "uv", "vv")})
+
+        def christoffel(xa, xb):
+            # Gamma^t = -h h' <w_a, w_b>,  Gamma^w = (h'/h) (t_a w_b + t_b w_a)
+            gt = -h * dh * np.einsum("ij,ij->i", xa[:, 1:], xb[:, 1:])
+            gw = (dh / h)[:, None] * (xa[:, :1] * xb[:, 1:] + xb[:, :1] * xa[:, 1:])
+            return np.column_stack([gt, gw])
+
+        def ricci(nu):
+            return np.asarray(wp.ricci_direction(w, t, np.clip(nu[:, 0], -1.0, 1.0)))
+
+        return AmbientTerms(weight, np.column_stack([np.zeros_like(t), om]),
+                            christoffel, ricci)
 
 
 class ImmersedSurface:
@@ -95,14 +164,14 @@ class ImmersedSurface:
     def is_sphere3(self) -> bool:
         return isinstance(self.ambient, Sphere3)
 
-    def bundle(self, max_order: int) -> dict[str, np.ndarray]:
-        """Chart derivative arrays through at least min(max_order, chart order).
+    def bundle(self, max_order: int = MAX_ORDER) -> dict[str, np.ndarray]:
+        """Chart derivative arrays through order 3, so through any max_order.
 
-        The chart is evaluated once, through the highest order it offers,
-        and every later request is served from that cached bundle.
+        The chart is evaluated once, and every later request is served
+        from that cached bundle.
         """
         if self._bundle is None:
-            self._bundle = self.chart.evaluate(self.grid, self.chart.max_order)
+            self._bundle = self.chart.evaluate(self.grid, MAX_ORDER)
         return self._bundle
 
 
@@ -118,8 +187,8 @@ class GeometryFields:
     shape:        (N, 2, 2) second fundamental form sigma_ab
     mean_curv:    (N,) average of principal curvatures
     sigma_sq:     (N,) squared norm of the second fundamental form
-    gauss_curv:   (N,) intrinsic Gauss curvature, or None when the chart
-                  cannot support it (no third derivatives on a sphere grid)
+    gauss_curv:   (N,) intrinsic Gauss curvature, or None when it was not
+                  asked for (want_gauss=False)
     ricci_normal: (N,) ambient Ric(normal, normal)
     cos_normal_t: (N,) <normal, d/dt> on warped ambients, else None
     """
@@ -134,10 +203,6 @@ class GeometryFields:
     gauss_curv: np.ndarray | None
     ricci_normal: np.ndarray
     cos_normal_t: np.ndarray | None
-
-
-def _cross3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.cross(a, b)
 
 
 def _cross4(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -216,70 +281,86 @@ def _brioschi(E, F, G, E_u, E_v, G_u, G_v, F_u, F_v, E_vv, G_uu, F_uv):
     return (det3(m_a) - det3(m_b)) / det**2
 
 
-def _metric_derivs_numeric(grid: Grid, E, F, G):
-    d = grid.diff_field
-    return dict(
-        E_u=d(E, 1, 0), E_v=d(E, 0, 1), G_u=d(G, 1, 0), G_v=d(G, 0, 1),
-        F_u=d(F, 1, 0), F_v=d(F, 0, 1),
-        E_vv=d(E, 0, 2), G_uu=d(G, 2, 0), F_uv=d(F, 1, 1),
-    )
+def _bundle_key(letters: str) -> str:
+    """Bundle key of a parameter derivative given as letters in any order."""
+    return "".join(sorted(letters)) or "0"
 
 
-def _geometry_sphere3(s: ImmersedSurface, want_gauss: bool) -> GeometryFields:
-    has_third = s.chart.max_order >= 3
-    b = s.bundle(3)
-    X, Xu, Xv = b["0"], b["u"], b["v"]
-    Xuu, Xuv, Xvv = b["uu"], b["uv"], b["vv"]
+# Brioschi's metric derivatives: name -> (metric entry, derivative), where
+# E, F, G are the entries uu, uv, vv of the first fundamental form.
+_METRIC_DERIVATIVES = {
+    "E_u": ("uu", "u"), "E_v": ("uu", "v"), "E_vv": ("uu", "vv"),
+    "F_u": ("uv", "u"), "F_v": ("uv", "v"), "F_uv": ("uv", "uv"),
+    "G_u": ("vv", "u"), "G_v": ("vv", "v"), "G_uu": ("vv", "uu"),
+}
 
-    norms = np.linalg.norm(X, axis=1)
-    if float(np.max(np.abs(norms - 1.0))) > UNIT_NORM_TOL:
-        raise DomainError("chart values must lie on the unit 3-sphere")
 
-    E = np.einsum("ij,ij->i", Xu, Xu)
-    F = np.einsum("ij,ij->i", Xu, Xv)
-    G = np.einsum("ij,ij->i", Xv, Xv)
+def _metric_derivative(wdot, entry: str, by: str) -> np.ndarray:
+    """Parameter derivative `by` of g_ab = <X_a, X_b>_W, entry = "ab".
+
+    Leibniz rule over the three factors W, X_a, X_b: each way of handing
+    the letters of `by` to the factors gives the term
+    wdot(W key, X_a key, X_b key), whose last two keys are symmetric and
+    passed in sorted order.
+    """
+    total = 0.0
+    for owners in itertools.product(range(3), repeat=len(by)):
+        parts = ["", entry[0], entry[1]]
+        for letter, owner in zip(by, owners):
+            parts[owner] += letter
+        wkey, *xykeys = map(_bundle_key, parts)
+        total = total + wdot(wkey, *sorted(xykeys))
+    return total
+
+
+def compute_geometry(s: ImmersedSurface, want_gauss: bool = True) -> GeometryFields:
+    """All nodal geometric fields of the surface."""
+    b = s.bundle()
+    amb = s.ambient.terms(b)
+    H = np.reshape(amb.sphere_weight["0"], (-1, 1))
+    W = np.hstack([np.ones_like(H), H, H, H])  # (N, 4), or (1, 4) where H is constant
+
+    @functools.cache
+    def wdot(wkey, xkey, ykey):
+        """sum_i (d_wkey W)_i (X_xkey)_i (X_ykey)_i, 0 where d_wkey W vanishes."""
+        x, y = b[xkey], b[ykey]
+        if wkey == "0":
+            return np.einsum("ij,ij->i", W * x, y)
+        dw = amb.sphere_weight.get(wkey)
+        return 0.0 if dw is None else dw * np.einsum("ij,ij->i", x[:, 1:], y[:, 1:])
+
+    E, F, G = wdot("0", "u", "u"), wdot("0", "u", "v"), wdot("0", "v", "v")
     det = E * G - F * F
     _check_not_degenerate(det)
     g = _sym2x2(E, F, G)
     ginv = _invert_metric(g, det)
 
-    nu = _cross4(X, Xu, Xv)
-    nu /= np.linalg.norm(nu, axis=1)[:, None]
+    # W nu is Euclidean-orthogonal to radial, X_u and X_v; unit in the W-norm.
+    nu = _cross4(amb.radial, b["u"], b["v"]) / W
+    nu /= np.linalg.norm(nu * np.sqrt(W), axis=1)[:, None]
+    warped = not s.is_sphere3
+    if warped:
+        nu[nu[:, 0] < 0.0] *= -1.0
 
-    s_uu = -np.einsum("ij,ij->i", nu, Xuu)
-    s_uv = -np.einsum("ij,ij->i", nu, Xuv)
-    s_vv = -np.einsum("ij,ij->i", nu, Xvv)
-    shape = _sym2x2(s_uu, s_uv, s_vv)
+    w_nu = W * nu
 
+    def second(key):  # sigma_ab = -<nu, X_ab + Gamma(X_a, X_b)>_W
+        xab = b[key]
+        if amb.christoffel is not None:
+            xab = xab + amb.christoffel(b[key[0]], b[key[1]])
+        return -np.einsum("ij,ij->i", w_nu, xab)
+
+    shape = _sym2x2(second("uu"), second("uv"), second("vv"))
     shape_op = np.einsum("nab,nbc->nac", ginv, shape)
     mean_curv = 0.5 * np.einsum("naa->n", shape_op)
     sigma_sq = np.einsum("nab,nba->n", shape_op, shape_op)
 
     gauss = None
     if want_gauss:
-        if has_third:
-            Xuuu, Xuuv, Xuvv, Xvvv = b["uuu"], b["uuv"], b["uvv"], b["vvv"]
-            dd = dict(
-                E_u=2 * np.einsum("ij,ij->i", Xu, Xuu),
-                E_v=2 * np.einsum("ij,ij->i", Xu, Xuv),
-                G_u=2 * np.einsum("ij,ij->i", Xv, Xuv),
-                G_v=2 * np.einsum("ij,ij->i", Xv, Xvv),
-                F_u=np.einsum("ij,ij->i", Xuu, Xv) + np.einsum("ij,ij->i", Xu, Xuv),
-                F_v=np.einsum("ij,ij->i", Xuv, Xv) + np.einsum("ij,ij->i", Xu, Xvv),
-                E_vv=2 * (np.einsum("ij,ij->i", Xuv, Xuv) + np.einsum("ij,ij->i", Xu, Xuvv)),
-                G_uu=2 * (np.einsum("ij,ij->i", Xuv, Xuv) + np.einsum("ij,ij->i", Xv, Xuuv)),
-                F_uv=(
-                    np.einsum("ij,ij->i", Xuuv, Xv)
-                    + np.einsum("ij,ij->i", Xuu, Xvv)
-                    + np.einsum("ij,ij->i", Xuv, Xuv)
-                    + np.einsum("ij,ij->i", Xu, Xuvv)
-                ),
-            )
-            gauss = _brioschi(E, F, G, **dd)
-        elif s.grid.topology == "torus":
-            gauss = _brioschi(E, F, G, **_metric_derivs_numeric(s.grid, E, F, G))
-        # Sphere grids without third derivatives: differencing the metric
-        # through the polar rows is unreliable, so gauss_curv stays None.
+        gauss = _brioschi(E, F, G, **{
+            name: _metric_derivative(wdot, entry, by)
+            for name, (entry, by) in _METRIC_DERIVATIVES.items()
+        })
 
     return GeometryFields(
         metric=g,
@@ -290,153 +371,9 @@ def _geometry_sphere3(s: ImmersedSurface, want_gauss: bool) -> GeometryFields:
         mean_curv=mean_curv,
         sigma_sq=sigma_sq,
         gauss_curv=gauss,
-        ricci_normal=np.full(s.node_count, 2.0),
-        cos_normal_t=None,
+        ricci_normal=amb.ricci(nu),
+        cos_normal_t=nu[:, 0] if warped else None,
     )
-
-
-def _geometry_warped(s: ImmersedSurface, want_gauss: bool) -> GeometryFields:
-    w = s.ambient.warping
-    has_third = s.chart.max_order >= 3
-    b = s.bundle(3)
-
-    def split(key):
-        return b[key][:, 0], b[key][:, 1:4]
-
-    t, om = split("0")
-    fu, om_u = split("u")
-    fv, om_v = split("v")
-    fuu, om_uu = split("uu")
-    fuv, om_uv = split("uv")
-    fvv, om_vv = split("vv")
-
-    norms = np.linalg.norm(om, axis=1)
-    if float(np.max(np.abs(norms - 1.0))) > UNIT_NORM_TOL:
-        raise DomainError("sphere part of a warped chart must have unit norm")
-    w.require_inside(t)
-
-    h = np.asarray(w.h(t), dtype=float)
-    dh = np.asarray(w.dh(t), dtype=float)
-
-    dot = lambda a, b_: np.einsum("ij,ij->i", a, b_)
-    suu, suv, svv = dot(om_u, om_u), dot(om_u, om_v), dot(om_v, om_v)
-    h2 = h * h
-    E = fu * fu + h2 * suu
-    F = fu * fv + h2 * suv
-    G = fv * fv + h2 * svv
-    det = E * G - F * F
-    _check_not_degenerate(det)
-    g = _sym2x2(E, F, G)
-    ginv = _invert_metric(g, det)
-
-    # Orthonormal frame (e1, e2) of the sphere factor at each node.
-    lu = np.linalg.norm(om_u, axis=1)
-    lv = np.linalg.norm(om_v, axis=1)
-    scale = np.sqrt(np.maximum(np.mean(suu + svv), 1e-30))
-    first, second = (om_u, om_v) if float(np.min(lu)) >= float(np.min(lv)) else (om_v, om_u)
-    n1 = np.linalg.norm(first, axis=1)
-    if float(np.min(n1)) <= 1e-14 * scale:
-        raise DegenerateChartError(int(np.argmin(n1)), float(np.min(n1)), 1e-14 * scale)
-    e1 = first / n1[:, None]
-    res = second - dot(second, e1)[:, None] * e1
-    n2 = np.linalg.norm(res, axis=1)
-    if float(np.min(n2)) <= 1e-14 * scale:
-        # Chart tangents are parallel on the sphere factor; fall back to a
-        # completion of e1 inside the tangent plane om-perp.
-        res = _cross3(om, e1)
-        n2 = np.linalg.norm(res, axis=1)
-    e2 = res / n2[:, None]
-
-    # Tangents in the orthonormal ambient frame (d/dt, e1/h, e2/h).
-    Tu = np.column_stack([fu, h * dot(om_u, e1), h * dot(om_u, e2)])
-    Tv = np.column_stack([fv, h * dot(om_v, e1), h * dot(om_v, e2)])
-    nu_frame = _cross3(Tu, Tv)
-    nu_frame /= np.linalg.norm(nu_frame, axis=1)[:, None]
-    flip = nu_frame[:, 0] < 0.0
-    nu_frame[flip] *= -1.0
-
-    nu_t = nu_frame[:, 0]
-    nu_om = (nu_frame[:, 1, None] * e1 + nu_frame[:, 2, None] * e2) / h[:, None]
-
-    # sigma_ab = -[nu_t (f_ab - h h' <om_a, om_b>) + h^2 <om_ab, nu_om>
-    #             + h h' (f_a <om_b, nu_om> + f_b <om_a, nu_om>)]
-    hdh = h * dh
-    pu = dot(om_u, nu_om)
-    pv = dot(om_v, nu_om)
-    s_uu = -(nu_t * (fuu - hdh * suu) + h2 * dot(om_uu, nu_om) + hdh * (fu * pu + fu * pu))
-    s_uv = -(nu_t * (fuv - hdh * suv) + h2 * dot(om_uv, nu_om) + hdh * (fu * pv + fv * pu))
-    s_vv = -(nu_t * (fvv - hdh * svv) + h2 * dot(om_vv, nu_om) + hdh * (fv * pv + fv * pv))
-    shape = _sym2x2(s_uu, s_uv, s_vv)
-
-    shape_op = np.einsum("nab,nbc->nac", ginv, shape)
-    mean_curv = 0.5 * np.einsum("naa->n", shape_op)
-    sigma_sq = np.einsum("nab,nba->n", shape_op, shape_op)
-
-    ricci_normal = np.asarray(wp.ricci_direction(w, t, np.clip(nu_t, -1.0, 1.0)))
-
-    gauss = None
-    if want_gauss:
-        if has_third:
-            fuuu, om_uuu = split("uuu")
-            fuuv, om_uuv = split("uuv")
-            fuvv, om_uvv = split("uvv")
-            fvvv, om_vvv = split("vvv")
-            d2h = np.asarray(w.d2h(t), dtype=float)
-            # W = h(f)^2 and its parameter derivatives.
-            Wc = 2.0 * (dh * dh + h * d2h)
-            W_u = 2.0 * h * dh * fu
-            W_v = 2.0 * h * dh * fv
-            W_uu = Wc * fu * fu + 2.0 * h * dh * fuu
-            W_uv = Wc * fu * fv + 2.0 * h * dh * fuv
-            W_vv = Wc * fv * fv + 2.0 * h * dh * fvv
-            suu_u = 2 * dot(om_uu, om_u)
-            suu_v = 2 * dot(om_uv, om_u)
-            svv_u = 2 * dot(om_uv, om_v)
-            svv_v = 2 * dot(om_vv, om_v)
-            suv_u = dot(om_uu, om_v) + dot(om_u, om_uv)
-            suv_v = dot(om_uv, om_v) + dot(om_u, om_vv)
-            suu_vv = 2 * (dot(om_uvv, om_u) + dot(om_uv, om_uv))
-            svv_uu = 2 * (dot(om_uuv, om_v) + dot(om_uv, om_uv))
-            suv_uv = dot(om_uuv, om_v) + dot(om_uu, om_vv) + dot(om_uv, om_uv) + dot(om_u, om_uvv)
-            dd = dict(
-                E_u=2 * fu * fuu + W_u * suu + h2 * suu_u,
-                E_v=2 * fu * fuv + W_v * suu + h2 * suu_v,
-                G_u=2 * fv * fuv + W_u * svv + h2 * svv_u,
-                G_v=2 * fv * fvv + W_v * svv + h2 * svv_v,
-                F_u=fuu * fv + fu * fuv + W_u * suv + h2 * suv_u,
-                F_v=fuv * fv + fu * fvv + W_v * suv + h2 * suv_v,
-                E_vv=2 * fuv * fuv + 2 * fu * fuvv + W_vv * suu + 2 * W_v * suu_v + h2 * suu_vv,
-                G_uu=2 * fuv * fuv + 2 * fv * fuuv + W_uu * svv + 2 * W_u * svv_u + h2 * svv_uu,
-                F_uv=(
-                    fuuv * fv + fuu * fvv + fuv * fuv + fu * fuvv
-                    + W_uv * suv + W_u * suv_v + W_v * suv_u + h2 * suv_uv
-                ),
-            )
-            gauss = _brioschi(E, F, G, **dd)
-        elif s.grid.topology == "torus":
-            gauss = _brioschi(E, F, G, **_metric_derivs_numeric(s.grid, E, F, G))
-        # Sphere grids without third derivatives: differencing the metric
-        # through the polar rows is unreliable, so gauss_curv stays None.
-
-    return GeometryFields(
-        metric=g,
-        metric_inv=ginv,
-        area_element=np.sqrt(det) * s.grid.cell_weight,
-        normal=np.column_stack([nu_t, nu_om]),
-        shape=shape,
-        mean_curv=mean_curv,
-        sigma_sq=sigma_sq,
-        gauss_curv=gauss,
-        ricci_normal=ricci_normal,
-        cos_normal_t=nu_t,
-    )
-
-
-def compute_geometry(s: ImmersedSurface, want_gauss: bool = True) -> GeometryFields:
-    """All nodal geometric fields of the surface."""
-    if s.is_sphere3:
-        return _geometry_sphere3(s, want_gauss)
-    return _geometry_warped(s, want_gauss)
 
 
 def gauss_equation_residual(s: ImmersedSurface, f: GeometryFields) -> float:

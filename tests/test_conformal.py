@@ -169,17 +169,6 @@ def test_jet_image_round_trip_and_order_zero(spec):
         assert np.max(np.abs(back[key] - base[key])) <= 1e-12 * scale, key
 
 
-def test_image_chart_rejects_charts_without_third_derivatives():
-    def clifford(u, v):
-        return np.stack([np.cos(u), np.sin(u), np.cos(v), np.sin(v)],
-                        axis=-1) / math.sqrt(2)
-
-    s = ss.build(ss.clifford_torus((8, 8)))
-    numeric = ss.ImmersedSurface(s.ambient, ss.NumericChart(clifford), s.grid)
-    with pytest.raises(DomainError):
-        ss.mobius_image_surface(numeric, _param(0.2, 0, 0, 0))
-
-
 # ----------------------------------------------------------------- balancing
 
 

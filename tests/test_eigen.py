@@ -76,6 +76,20 @@ def test_auto_method_switches_on_problem_size():
     assert ss.smallest_eigenpairs(ss.assemble(big, fb), 3).method == "sparse"
 
 
+def test_window_that_cuts_a_cluster_is_widened():
+    # the flat torus' four-fold eigenvalue 0 sits at places 6-9, so a window
+    # of six pairs cuts it; at this radius the cut pairs stay unconverged
+    s = ss.build(ss.flat_torus(0.775594, (64, 64)))
+    p = ss.assemble(s, ss.compute_geometry(s, want_gauss=False))
+    sp_ = ss.smallest_eigenpairs(p, 6, tol=1e-9)
+    assert sp_.method == "sparse" and sp_.k == 6
+    assert float(np.max(sp_.residuals)) <= 1e-9
+    gram = sp_.eigenvectors.T @ (p.mass @ sp_.eigenvectors)
+    np.testing.assert_allclose(gram, np.eye(6), atol=1e-10)
+    wide = ss.smallest_eigenpairs(p, 12, tol=1e-9)
+    np.testing.assert_allclose(sp_.eigenvalues, wide.eigenvalues[:6], atol=1e-10)
+
+
 def test_determinism_across_runs_and_seeds():
     s = ss.build(ss.flat_torus(0.55, (20, 20)))
     f = ss.compute_geometry(s, want_gauss=False)

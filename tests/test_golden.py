@@ -1,0 +1,69 @@
+"""Golden reports: the CLI's JSON output against recorded reports.
+
+`tests/golden/<name>.json` maps each JSON report file that
+`stabspec <COMMANDS[name]> --out DIR` writes to its contents, as recorded
+before the 3-sphere and warped-product geometry pipelines were merged into
+one.  All commands run at 24x24 or coarser, so every solve takes the dense
+path.  Non-float entries must match exactly; floats must match within
+1e-10 * max(1, |value|), far below the 12 significant digits the reports
+round to, yet above the round-off that a change of summation order leaves.
+"""
+
+from __future__ import annotations
+
+import json
+import pathlib
+
+import pytest
+
+from stabspec.cli import main as cli_main
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+REL_TOL = 1e-10
+
+COMMANDS = {
+    "check_t11": ["check", "t11", "shape=flat-torus", "r=0.6", "resolutions=8,12,18"],
+    "converge": ["converge", "shape=geodesic-sphere", "rho=1.0", "resolutions=8,12,18"],
+    "sweep_graph_amplitude": ["sweep", "graph-amplitude", "warping=cosh", "t0=0.3",
+                              "perturbation=Y3,1", "amplitudes=0,0.05",
+                              "resolutions=8,12,18"],
+    "balance_bound": ["balance-bound", "shape=geodesic-sphere", "rho=1.0",
+                      "resolution=24"],
+    "slice_spectrum": ["slice-spectrum", "warping=cosh", "t0=0.3", "count=6"],
+}
+
+
+def _mismatches(got, want, path="") -> list[str]:
+    if isinstance(want, float) and isinstance(got, float):
+        if abs(got - want) <= REL_TOL * max(1.0, abs(want)):
+            return []
+        return [f"{path}: {got!r} != {want!r}"]
+    if type(got) is not type(want):
+        return [f"{path}: {got!r} != {want!r}"]
+    if isinstance(want, dict):
+        if sorted(got) != sorted(want):
+            return [f"{path}: keys {sorted(got)} != {sorted(want)}"]
+        return [m for k in want for m in _mismatches(got[k], want[k], f"{path}.{k}")]
+    if isinstance(want, list):
+        if len(got) != len(want):
+            return [f"{path}: length {len(got)} != {len(want)}"]
+        return [m for i, (g, w) in enumerate(zip(got, want))
+                for m in _mismatches(g, w, f"{path}[{i}]")]
+    return [] if got == want else [f"{path}: {got!r} != {want!r}"]
+
+
+def test_mismatches_tell_floats_from_exact_entries():
+    assert _mismatches({"a": [1.0, 2, "x"]}, {"a": [1.0 + 1e-12, 2, "x"]}) == []
+    assert _mismatches({"a": 1e6 + 1e-5}, {"a": 1e6}) == []
+    assert _mismatches({"a": 1.0 + 1e-9}, {"a": 1.0})
+    assert _mismatches({"a": 2.0}, {"a": 2})
+    assert _mismatches({"a": True}, {"a": 1})
+    assert _mismatches({"a": [1.0]}, {"a": [1.0, 2.0]})
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_reports_match_the_golden_files(tmp_path, name):
+    assert cli_main(COMMANDS[name] + ["--out", str(tmp_path)]) == 0
+    got = {p.name: json.loads(p.read_text()) for p in sorted(tmp_path.glob("*.json"))}
+    want = json.loads((GOLDEN / f"{name}.json").read_text())
+    assert _mismatches(got, want) == []

@@ -15,7 +15,7 @@ import pytest
 import sympy as sp
 
 import stabspec as ss
-from stabspec.charts import PARAM_U, PARAM_V, NumericChart, SymbolicChart
+from stabspec.charts import PARAM_U, PARAM_V, SymbolicChart
 from stabspec.errors import (
     DegenerateChartError,
     DomainError,
@@ -143,6 +143,34 @@ def test_graph_over_slice_perturbs_continuously():
     assert np.max(np.abs(f1.area_element / f0.area_element - 1.0)) < 0.05
 
 
+# ------------------------------------------------------------ both ambients
+
+
+@pytest.mark.parametrize("pert, amp", [("Y3,1", 0.05), ("Y2,-2", 0.08)])
+def test_graph_over_sine_slice_is_the_same_surface_in_the_3_sphere(pert, amp):
+    # (0, pi) x_sin S^2 is the 3-sphere minus two points, via
+    # (t, w) -> (sin t w, cos t); both ambients must give one geometry
+    warped = ss.build(ss.graph_over_slice("sphere", 1.2, pert, amp, (32, 32)))
+    t, *om = warped.chart.exprs
+    sphere = ss.ImmersedSurface(
+        Sphere3(), SymbolicChart([sp.sin(t) * c for c in om] + [sp.cos(t)]),
+        warped.grid)
+    fw, fs = ss.compute_geometry(warped), ss.compute_geometry(sphere)
+
+    def close(a, b, rel):
+        assert np.max(np.abs(a - b)) <= rel * np.max(np.abs(a))
+
+    close(fs.area_element, fw.area_element, 1e-13)
+    close(fs.sigma_sq, fw.sigma_sq, 1e-13)
+    close(fs.ricci_normal, fw.ricci_normal, 1e-13)
+    # the two normals point opposite ways, so H flips sign
+    close(np.abs(fs.mean_curv), np.abs(fw.mean_curv), 1e-13)
+    close(fs.gauss_curv, fw.gauss_curv, 1e-11)
+    lam_w = ss.smallest_eigenpairs(ss.assemble(warped, fw), 6).eigenvalues
+    lam_s = ss.smallest_eigenpairs(ss.assemble(sphere, fs), 6).eigenvalues
+    np.testing.assert_allclose(lam_s, lam_w, rtol=0, atol=1e-11)
+
+
 # ----------------------------------------------------------- perturbed tori
 
 
@@ -186,42 +214,7 @@ def test_shape_operator_symmetry_and_trace(rng):
     np.testing.assert_allclose(sq, f.sigma_sq, atol=1e-12)
 
 
-# ------------------------------------------------- intrinsic curvature routes
-
-
-def test_numeric_chart_falls_back_to_difference_quotients():
-    def chart(u, v):
-        c = 1 / math.sqrt(2)
-        return np.stack([c * np.cos(u), c * np.sin(u),
-                         c * np.cos(v), c * np.sin(v)], axis=-1)
-
-    residuals = []
-    for n in (24, 48):
-        s = ss.ImmersedSurface(Sphere3(), NumericChart(chart),
-                               torus_grid(n, n), name="numeric-clifford")
-        f = ss.compute_geometry(s)
-        np.testing.assert_allclose(f.sigma_sq, 2.0, atol=5e-3)
-        np.testing.assert_allclose(f.gauss_curv, 0.0, atol=5e-3)
-        residuals.append(ss.gauss_equation_residual(s, f))
-    assert residuals[1] < residuals[0] / 3  # difference-quotient route converges
-    assert residuals[1] < 5e-3
-
-
-def test_numeric_chart_on_sphere_grid_has_no_curvature_field():
-    grid = sphere_grid(16, 16)
-
-    def chart(theta, phi):
-        st, ct = np.sin(theta), np.cos(theta)
-        return np.stack([st * np.cos(phi), st * np.sin(phi),
-                         ct * np.ones_like(phi), np.zeros_like(phi)],
-                        axis=-1)
-
-    s = ss.ImmersedSurface(Sphere3(), NumericChart(chart), grid,
-                           name="numeric-sphere")
-    f = ss.compute_geometry(s)
-    assert f.gauss_curv is None
-    with pytest.raises(DomainError):
-        ss.euler_characteristic(s, f)
+# ------------------------------------------------------------- chart guards
 
 
 def test_degenerate_chart_is_rejected():
