@@ -34,10 +34,9 @@ from .warping import (
     slice_lambda2,
     slice_spectrum,
     space_form_defect,
-    trigonometric_warping,
 )
 from .grids import Grid, sphere_grid, torus_grid
-from .charts import SymbolicChart, real_sph_harm
+from .charts import JetChart, real_sph_harm
 from .surfaces import (
     GeometryFields,
     ImmersedSurface,
@@ -66,7 +65,6 @@ from .eigen import (
     Spectrum,
     cluster_indices,
     eigenvalue_multiplicity,
-    lambda2,
     smallest_eigenpairs,
 )
 from .conformal import (

@@ -43,7 +43,6 @@ class OperatorPencil:
     mass: sp_sparse.csr_matrix
     node_count: int
     potential: np.ndarray
-    lumped: bool = True
 
     @property
     def mass_diagonal(self) -> np.ndarray:
@@ -73,37 +72,12 @@ def _face_stiffness(grid, coeff, axis: str) -> sp_sparse.coo_matrix:
     return sp_sparse.coo_matrix((vals, (rows, cols)), shape=(nu * nv, nu * nv))
 
 
-def _consistent_mass(grid, weight: np.ndarray) -> sp_sparse.csr_matrix:
-    """Bilinear-element mass with per-cell averaged weight."""
-    nu, nv = grid.nu, grid.nv
-    idx = np.arange(nu * nv).reshape(nu, nv)
-    iu = np.arange(nu) if grid.periodic_u else np.arange(nu - 1)
-    jv = np.arange(nv) if grid.periodic_v else np.arange(nv - 1)
-    ii, jj = np.meshgrid(iu, jv, indexing="ij")
-    c00 = idx[ii, jj].ravel()
-    c10 = idx[(ii + 1) % nu, jj].ravel()
-    c01 = idx[ii, (jj + 1) % nv].ravel()
-    c11 = idx[(ii + 1) % nu, (jj + 1) % nv].ravel()
-    corners = np.stack([c00, c10, c01, c11], axis=1)
-    w_cell = 0.25 * weight[corners].sum(axis=1) * grid.cell_weight
-    pattern = np.array(
-        [[4, 2, 2, 1], [2, 4, 1, 2], [2, 1, 4, 2], [1, 2, 2, 4]], dtype=float
-    ) / 36.0
-    ncell = corners.shape[0]
-    rows = np.repeat(corners, 4, axis=1).ravel()
-    cols = np.tile(corners, (1, 4)).ravel()
-    vals = np.tile(pattern.ravel(), ncell) * np.repeat(w_cell, 16)
-    m = sp_sparse.coo_matrix((vals, (rows, cols)), shape=(nu * nv, nu * nv))
-    return m.tocsr()
-
-
 def assemble(
     surface: ImmersedSurface,
     fields: GeometryFields | None = None,
     potential_mode: str = "jacobi",
     shift: float = 0.0,
     custom_potential=None,
-    lumped_mass: bool = True,
 ) -> OperatorPencil:
     """Build the symmetric pencil (A, M) for the requested potential.
 
@@ -144,21 +118,12 @@ def assemble(
         # adding it to S in one piece keeps the sum exactly symmetric too.
         stiffness = stiffness + (cross + cross.T)
 
-    lumped_diag = fields.area_element
-    if lumped_mass:
-        bad = np.where(~(lumped_diag > 0.0))[0]
-        if bad.size:
-            raise AssemblyError(f"mass is not positive at node {int(bad[0])}")
-        mass = sp_sparse.diags(lumped_diag).tocsr()
-        a = stiffness - sp_sparse.diags(q * lumped_diag)
-    else:
-        mass = _consistent_mass(grid, sqrtg)
-        bad = np.where(~(np.asarray(mass.diagonal()) > 0.0))[0]
-        if bad.size:
-            raise AssemblyError(f"mass is not positive at node {int(bad[0])}")
-        potential_part = _consistent_mass(grid, sqrtg * q)
-        a = stiffness - potential_part
-    a = a.tocsr()
+    weights = fields.area_element
+    bad = np.where(~(weights > 0.0))[0]
+    if bad.size:
+        raise AssemblyError(f"mass is not positive at node {int(bad[0])}")
+    mass = sp_sparse.diags(weights).tocsr()
+    a = (stiffness - sp_sparse.diags(q * weights)).tocsr()
     a.sum_duplicates()
 
     asym = abs(a - a.T)
@@ -169,7 +134,6 @@ def assemble(
         mass=mass,
         node_count=n,
         potential=q,
-        lumped=lumped_mass,
     )
 
 

@@ -1,7 +1,8 @@
 """Catalog of closed-form test surfaces with known stability spectra.
 
 Every builder returns a ShapeSpec; `build` turns a spec into an
-ImmersedSurface over an analytic (symbolic) chart, and
+ImmersedSurface over a closed-form chart, written as a function of the
+coordinate jets (see `charts`), and
 `exact_jacobi_spectrum` returns closed-form eigenvalues of the stability
 operator -Laplacian - |sigma|^2 - Ric(normal, normal) for the kinds that
 have them:
@@ -20,13 +21,12 @@ they are exercised against inequalities only.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 
-import sympy as sp
-
 from . import warping as wp
-from .charts import PARAM_U, PARAM_V, SymbolicChart, real_sph_harm, unit_sphere_chart_exprs
+from .charts import JetChart, _jet_cos, _jet_mul, _jet_sin, _jet_sqrt, _plus, real_sph_harm
 from .errors import DomainError
 from .grids import sphere_grid, torus_grid
 from .surfaces import ImmersedSurface, Sphere3, WarpedProduct
@@ -68,8 +68,6 @@ class ShapeSpec:
         for k, v in sorted(self.params.items()):
             if isinstance(v, wp.WarpingFunction):
                 v = v.name
-            elif callable(v):
-                v = getattr(v, "__name__", "callable")
             shown.append(f"{k}={v}")
         return f"{self.kind}({', '.join(shown)})"
 
@@ -85,7 +83,7 @@ def flat_torus(r: float, resolution=(64, 64)) -> ShapeSpec:
 
 
 def geodesic_sphere(rho: float, resolution=(64, 64)) -> ShapeSpec:
-    if not 0.0 < rho < sp.pi.evalf():
+    if not 0.0 < rho < math.pi:
         raise DomainError(f"geodesic radius must satisfy 0 < rho < pi, got {rho}")
     return ShapeSpec("geodesic-sphere", tuple(resolution), {"rho": float(rho)})
 
@@ -132,10 +130,10 @@ def _resolve_warping(warping) -> wp.WarpingFunction:
 _PERT_KEY = re.compile(r"^Y(\d+),(-?\d+)$")
 
 
-def _perturbation_expr(perturbation, theta, phi):
-    """Resolve a perturbation spec to a sympy expression in (theta, phi)."""
+def _perturbation_indices(perturbation) -> tuple[int, int] | None:
+    """Resolve a perturbation spec to spherical-harmonic indices (l, m)."""
     if perturbation is None:
-        return sp.Integer(0)
+        return None
     if isinstance(perturbation, str):
         m = _PERT_KEY.match(perturbation.strip())
         if not m:
@@ -151,13 +149,7 @@ def _perturbation_expr(perturbation, theta, phi):
                 f"spherical-harmonic perturbation needs 0 <= l <= "
                 f"{MAX_PERTURBATION_DEGREE} and |m| <= l, got ({l}, {m})"
             )
-        return real_sph_harm(l, m, theta, phi)
-    if callable(perturbation):
-        expr = sp.sympify(perturbation(theta, phi))
-        extra = expr.free_symbols - {theta, phi}
-        if extra:
-            raise DomainError(f"perturbation expression has stray symbols {extra}")
-        return expr
+        return l, m
     raise DomainError(f"cannot interpret perturbation {perturbation!r}")
 
 
@@ -169,48 +161,62 @@ def registered_perturbations() -> list[str]:
     return keys
 
 
+def _unit_sphere(theta, phi):
+    """Jets of the latitude-longitude embedding of the unit 2-sphere."""
+    sin_theta = _jet_sin(theta)
+    return (_jet_mul(sin_theta, _jet_cos(phi)), _jet_mul(sin_theta, _jet_sin(phi)),
+            _jet_cos(theta))
+
+
+def _torus(radius):
+    """(rho cos u, rho sin u, s cos v, s sin v), rho = radius(v), s = sqrt(1 - rho^2)."""
+    def fn(u, v):
+        rho = radius(v)
+        s = _jet_sqrt(_jet_mul(_plus(-rho, 1.0), _plus(rho, 1.0)))
+        return (_jet_mul(rho, _jet_cos(u)), _jet_mul(rho, _jet_sin(u)),
+                _jet_mul(s, _jet_cos(v)), _jet_mul(s, _jet_sin(v)))
+    return JetChart(fn)
+
+
 def build(spec: ShapeSpec) -> ImmersedSurface:
     """Construct the immersed surface for a catalog spec."""
-    u, v = PARAM_U, PARAM_V
     nu, nv = spec.resolution
     kind = spec.kind
     p = spec.params
 
     if kind in ("clifford-torus", "flat-torus"):
-        r = sp.Float(p["r"], 30) if kind == "flat-torus" else 1 / sp.sqrt(2)
-        s = sp.sqrt(1 - r**2)
-        exprs = (r * sp.cos(u), r * sp.sin(u), s * sp.cos(v), s * sp.sin(v))
-        return ImmersedSurface(
-            Sphere3(), SymbolicChart(exprs), torus_grid(nu, nv), name=spec.label
-        )
+        r = p["r"] if kind == "flat-torus" else math.sqrt(0.5)
+        chart = _torus(lambda v: _plus(0.0 * v, r))
+        return ImmersedSurface(Sphere3(), chart, torus_grid(nu, nv), name=spec.label)
 
     if kind == "perturbed-torus":
-        rho = sp.Float(p["r"], 30) + sp.Float(p["eps"], 30) * sp.cos(p["wave"] * v)
-        s = sp.sqrt(1 - rho**2)
-        exprs = (rho * sp.cos(u), rho * sp.sin(u), s * sp.cos(v), s * sp.sin(v))
-        return ImmersedSurface(
-            Sphere3(), SymbolicChart(exprs), torus_grid(nu, nv), name=spec.label
-        )
+        chart = _torus(lambda v: _plus(p["eps"] * _jet_cos(p["wave"] * v), p["r"]))
+        return ImmersedSurface(Sphere3(), chart, torus_grid(nu, nv), name=spec.label)
 
     if kind == "geodesic-sphere":
-        rho = sp.Float(p["rho"], 30)
-        om = unit_sphere_chart_exprs(u, v)
-        exprs = tuple(sp.sin(rho) * c for c in om) + (sp.cos(rho),)
+        rho = p["rho"]
+
+        def sphere(u, v):
+            return tuple(math.sin(rho) * c for c in _unit_sphere(u, v)) + (
+                _plus(0.0 * u, math.cos(rho)),)
+
         return ImmersedSurface(
-            Sphere3(), SymbolicChart(exprs), sphere_grid(nu, nv), name=spec.label
+            Sphere3(), JetChart(sphere), sphere_grid(nu, nv), name=spec.label
         )
 
     if kind in ("slice", "graph-over-slice"):
         w = p["warping"]
-        om = unit_sphere_chart_exprs(u, v)
-        t_expr = sp.Float(p["t0"], 30)
-        if kind == "graph-over-slice":
-            pert = _perturbation_expr(p.get("perturbation"), u, v)
-            t_expr = t_expr + sp.Float(p["amplitude"], 30) * pert
-        exprs = (t_expr,) + om
+        harmonic = (_perturbation_indices(p.get("perturbation"))
+                    if kind == "graph-over-slice" else None)
+
+        def graph(u, v):
+            t = 0.0 * u
+            if harmonic is not None:
+                t = p["amplitude"] * real_sph_harm(*harmonic, u, v)
+            return (_plus(t, p["t0"]),) + _unit_sphere(u, v)
+
         surface = ImmersedSurface(
-            WarpedProduct(w), SymbolicChart(exprs), sphere_grid(nu, nv),
-            name=spec.label,
+            WarpedProduct(w), JetChart(graph), sphere_grid(nu, nv), name=spec.label,
         )
         # Graphs must stay strictly inside the warping interval.
         w.require_inside(surface.bundle(2)["0"][:, 0])
@@ -244,12 +250,12 @@ def exact_jacobi_spectrum(spec: ShapeSpec, count: int) -> list[float]:
         raise DomainError("count must be positive")
     kind = spec.kind
     if kind in ("clifford-torus", "flat-torus"):
-        r = spec.params["r"] if kind == "flat-torus" else float(1 / sp.sqrt(2))
+        r = spec.params["r"] if kind == "flat-torus" else math.sqrt(0.5)
         return _flat_torus_eigenvalues(float(r), count)
     if kind == "geodesic-sphere":
         rho = spec.params["rho"]
-        sin2 = float(sp.sin(rho) ** 2)
-        cot2 = float(sp.cos(rho) ** 2) / sin2
+        sin2 = math.sin(rho) ** 2
+        cot2 = math.cos(rho) ** 2 / sin2
         vals: list[float] = []
         l = 0
         while len(vals) < count:

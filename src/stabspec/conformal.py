@@ -21,22 +21,28 @@ original pencil — the certified bound returned here.  The bound needs
 the transformed node positions only.
 
 Image surfaces carry a chart that pushes the base surface's order-3
-derivative bundle through phi with truncated bivariate Taylor jets
-(Griewank & Walther, Evaluating Derivatives, ch. 13): phi is affine in x
-up to one reciprocal, so a jet product and a jet reciprocal are all it
-takes.  All image geometry then flows through the one audited geometry
+derivative bundle through phi with the truncated bivariate Taylor jets of
+`charts`, the arithmetic every catalog chart is built with: phi is affine
+in x up to one reciprocal, so a jet product and a jet reciprocal are all
+it takes.  All image geometry then flows through the one audited geometry
 pipeline, and an image surface can itself be dilated again.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .assembly import OperatorPencil
-from .charts import MAX_ORDER, derivative_keys
+from .charts import (
+    _FACTORIALS,
+    _JET_KEYS,
+    MAX_ORDER,
+    _jet_mul,
+    _jet_reciprocal,
+    derivative_keys,
+)
 from .eigen import Spectrum
 from .errors import DomainError, NonConvergenceError, UnsupportedAmbientError
 from .surfaces import (
@@ -64,7 +70,6 @@ BALANCE_CAP = 1.0 - 1e-6
 BALANCE_MAX_ITER = 50
 # Central-difference step of the balancing Jacobian, relative to 1 - |a|.
 JACOBIAN_STEP = 1e-5
-JET_ORDER = MAX_ORDER
 
 
 @dataclass(frozen=True)
@@ -127,38 +132,6 @@ def mobius_apply(param: MobiusParam, x) -> np.ndarray:
     return out[0] if single else out
 
 
-# ----------------------------------------------------------------------
-# Truncated Taylor jets in (u, v).  A jet is an array whose first axis
-# holds the coefficients of the monomials u^i v^j, i + j <= JET_ORDER, in
-# the order of the bundle keys; further axes are nodes (and components).
-
-_JET_KEYS = derivative_keys(JET_ORDER)
-_MONOMIALS = [(key.count("u"), key.count("v")) for key in _JET_KEYS]
-_FACTORIALS = np.array([math.factorial(i) * math.factorial(j) for i, j in _MONOMIALS],
-                       dtype=float)
-# _PRODUCT[m]: index pairs (k, l) whose monomials multiply to monomial m.
-_PRODUCT = [
-    [(k, _MONOMIALS.index((i - a, j - b)))
-     for k, (a, b) in enumerate(_MONOMIALS) if a <= i and b <= j]
-    for i, j in _MONOMIALS
-]
-
-
-def _jet_mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Truncated product of two jets (broadcasting over trailing axes)."""
-    return np.stack([sum(x[k] * y[l] for k, l in pairs) for pairs in _PRODUCT])
-
-
-def _jet_reciprocal(x: np.ndarray) -> np.ndarray:
-    """Truncated jet of 1/x, solved degree by degree from x * (1/x) = 1."""
-    r = np.empty_like(x)
-    r[0] = 1.0 / x[0]
-    for m in range(1, len(_MONOMIALS)):
-        # every l here has lower degree than m, so r[l] is already known
-        r[m] = -r[0] * sum(x[k] * r[l] for k, l in _PRODUCT[m] if k != 0)
-    return r
-
-
 def _dilate_jets(param: MobiusParam, jets: np.ndarray) -> np.ndarray:
     """phi applied to position jets of shape (coefficients, nodes, 4)."""
     p, s = param.axis_and_scale()
@@ -180,7 +153,7 @@ class _DilatedChart:
     def evaluate(self, grid, max_order: int) -> dict[str, np.ndarray]:
         if grid is not self.base.grid:
             raise DomainError("a dilated chart is evaluated on its base surface's grid")
-        b = self.base.bundle(JET_ORDER)
+        b = self.base.bundle(MAX_ORDER)
         scale = _FACTORIALS[:, None, None]
         jets = np.stack([b[key] for key in _JET_KEYS]) / scale
         out = _dilate_jets(self.param, jets) * scale

@@ -31,7 +31,6 @@ from .errors import DomainError, NonConvergenceError
 __all__ = [
     "Spectrum",
     "smallest_eigenpairs",
-    "lambda2",
     "cluster_indices",
     "eigenvalue_multiplicity",
 ]
@@ -84,17 +83,17 @@ def _rayleigh_ritz(a, m, vecs) -> tuple[np.ndarray, np.ndarray]:
     return vals, basis @ rot
 
 
-def _solve_dense(a, m, k, lumped) -> np.ndarray:
-    """Eigenvectors of the k smallest eigenvalues, by a dense solve."""
-    a_d = a.toarray()
-    if lumped:
-        d = np.asarray(m.diagonal())
-        s = 1.0 / np.sqrt(d)
-        sym = s[:, None] * a_d * s[None, :]
-        sym = 0.5 * (sym + sym.T)
-        _, y = sla.eigh(sym, subset_by_index=[0, k - 1])
-        return s[:, None] * y
-    return sla.eigh(a_d, m.toarray(), subset_by_index=[0, k - 1])[1]
+def _solve_dense(a, m, k) -> np.ndarray:
+    """Eigenvectors of the k smallest eigenvalues, by a dense solve.
+
+    The mass is diagonal, so the pencil reduces to the symmetric matrix
+    M^(-1/2) A M^(-1/2).
+    """
+    s = 1.0 / np.sqrt(np.asarray(m.diagonal()))
+    sym = s[:, None] * a.toarray() * s[None, :]
+    sym = 0.5 * (sym + sym.T)
+    _, y = sla.eigh(sym, subset_by_index=[0, k - 1])
+    return s[:, None] * y
 
 
 def _ritz_pairs(a, m, k, vecs):
@@ -153,7 +152,7 @@ def smallest_eigenpairs(
         raise DomainError("sparse path needs k < node_count - 1")
 
     if method == "dense":
-        vals, vecs, res = _ritz_pairs(a, m, k, _solve_dense(a, m, k, pencil.lumped))
+        vals, vecs, res = _ritz_pairs(a, m, k, _solve_dense(a, m, k))
     else:
         sigma = -float(np.max(pencil.potential)) - 1.0
         v0 = np.random.default_rng(seed).standard_normal(n)
@@ -170,13 +169,6 @@ def smallest_eigenpairs(
     return Spectrum(
         eigenvalues=vals, eigenvectors=vecs, residuals=res, method=method, seed=seed
     )
-
-
-def lambda2(pencil: OperatorPencil, tol: float = 1e-9, seed: int = 0,
-            method: str = "auto") -> float:
-    """Second eigenvalue counted with multiplicity (index 2 of the list)."""
-    return float(smallest_eigenpairs(pencil, 2, tol=tol, seed=seed,
-                                     method=method).eigenvalues[1])
 
 
 def cluster_indices(eigenvalues: np.ndarray,

@@ -34,7 +34,6 @@ __all__ = [
     "SliceData",
     "builtin_warping",
     "polynomial_warping",
-    "trigonometric_warping",
     "BUILTIN_WARPINGS",
     "convexity_condition",
     "ambient_ricci",
@@ -312,33 +311,4 @@ def polynomial_warping(coeffs, interval, dim_n: int = 2) -> WarpingFunction:
     return WarpingFunction(
         h=p, dh=p.deriv(1), d2h=p.deriv(2), interval=tuple(interval), dim_n=dim_n,
         name=f"poly[{','.join(f'{x:g}' for x in c)}]",
-    )
-
-
-def trigonometric_warping(a0, cos_coeffs=(), sin_coeffs=(), interval=(-math.pi, math.pi),
-                          dim_n: int = 2) -> WarpingFunction:
-    """Profile h(t) = a0 + sum_k a_k cos(k t) + sum_k b_k sin(k t), k >= 1."""
-    ac = np.asarray(cos_coeffs, dtype=float)
-    bs = np.asarray(sin_coeffs, dtype=float)
-    ks_a = np.arange(1, ac.size + 1, dtype=float)
-    ks_b = np.arange(1, bs.size + 1, dtype=float)
-
-    def h(t):
-        t = np.asarray(t, dtype=float)[..., None]
-        out = a0 + (ac * np.cos(ks_a * t)).sum(-1) + (bs * np.sin(ks_b * t)).sum(-1)
-        return out if out.ndim else float(out)
-
-    def dh(t):
-        t = np.asarray(t, dtype=float)[..., None]
-        out = (-ac * ks_a * np.sin(ks_a * t)).sum(-1) + (bs * ks_b * np.cos(ks_b * t)).sum(-1)
-        return out if out.ndim else float(out)
-
-    def d2h(t):
-        t = np.asarray(t, dtype=float)[..., None]
-        out = (-ac * ks_a**2 * np.cos(ks_a * t)).sum(-1) + (-bs * ks_b**2 * np.sin(ks_b * t)).sum(-1)
-        return out if out.ndim else float(out)
-
-    return WarpingFunction(
-        h=h, dh=dh, d2h=d2h, interval=tuple(interval), dim_n=dim_n,
-        name=f"trig[a0={a0:g}]",
     )

@@ -94,13 +94,12 @@ def solve():
     """Memoized build -> geometry -> assembly -> eigensolve pipeline."""
     cache: dict = {}
 
-    def _solve(spec, k=6, want_gauss=False, lumped=True, method="auto", seed=0):
-        key = (spec.label, tuple(spec.resolution), k, want_gauss, lumped,
-               method, seed)
+    def _solve(spec, k=6, want_gauss=False, method="auto", seed=0):
+        key = (spec.label, tuple(spec.resolution), k, want_gauss, method, seed)
         if key not in cache:
             surface = ss.build(spec)
             fields = ss.compute_geometry(surface, want_gauss=want_gauss)
-            pencil = ss.assemble(surface, fields, lumped_mass=lumped)
+            pencil = ss.assemble(surface, fields)
             spectrum = ss.smallest_eigenpairs(
                 pencil, k, method=method, seed=seed)
             cache[key] = Solved(spec, surface, fields, pencil, spectrum)

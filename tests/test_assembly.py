@@ -14,10 +14,9 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp_sparse
-import sympy as sp
 
 import stabspec as ss
-from stabspec.charts import PARAM_U, PARAM_V, SymbolicChart
+from stabspec.charts import JetChart, _jet_cos, _jet_sin
 from stabspec.errors import AssemblyError, DomainError
 from stabspec.grids import torus_grid
 from stabspec.surfaces import Sphere3
@@ -127,7 +126,6 @@ def test_permuting_nodes_preserves_the_spectrum(rng):
         mass=(P @ p.mass @ P.T).tocsr(),
         node_count=p.node_count,
         potential=np.asarray(p.potential)[perm],
-        lumped=True,
     )
     e1 = ss.smallest_eigenpairs(shuffled, 4).eigenvalues
     np.testing.assert_allclose(e1, e0, atol=1e-10)
@@ -136,12 +134,12 @@ def test_permuting_nodes_preserves_the_spectrum(rng):
 def test_sheared_chart_activates_mixed_coupling_and_converges():
     # same Clifford torus, parametrized with a shear so the inverse metric
     # picks up off-diagonal terms; the spectrum must stay (-4, -2 x4)
-    c = sp.sqrt(2) / 2
-    exprs = (c * sp.cos(PARAM_U), c * sp.sin(PARAM_U),
-             c * sp.cos(PARAM_V + PARAM_U), c * sp.sin(PARAM_V + PARAM_U))
+    c = math.sqrt(2) / 2
+    chart = JetChart(lambda u, v: (c * _jet_cos(u), c * _jet_sin(u),
+                                   c * _jet_cos(v + u), c * _jet_sin(v + u)))
     errs = []
     for n in (16, 32):
-        s = ss.ImmersedSurface(Sphere3(), SymbolicChart(exprs),
+        s = ss.ImmersedSurface(Sphere3(), chart,
                                torus_grid(n, n), name=f"sheared-{n}")
         f = ss.compute_geometry(s, want_gauss=False)
         assert np.max(np.abs(f.metric[:, 0, 1] - 0.5)) < 1e-13
@@ -162,21 +160,6 @@ def test_non_zonal_graph_keeps_exact_symmetry_through_the_poles():
     _, _, p = _pencil(spec)
     a = p.stiffness_minus_potential
     assert (a != a.T).nnz == 0
-
-
-def test_consistent_mass_option():
-    s, f, lumped = _pencil(ss.clifford_torus((16, 16)))
-    consistent = ss.assemble(s, f, lumped_mass=False)
-    assert not consistent.lumped
-    M = consistent.mass.toarray()
-    np.testing.assert_allclose(M, M.T, atol=1e-15)
-    assert np.min(np.linalg.eigvalsh(M)) > 0
-    # same row sums as the lumped diagonal (partition of unity)
-    np.testing.assert_allclose(np.asarray(M.sum(axis=1)).ravel(),
-                               lumped.mass_diagonal, atol=1e-15)
-    ev = ss.smallest_eigenpairs(consistent, 5).eigenvalues
-    assert ev[0] == pytest.approx(-4.0, abs=1e-2)
-    np.testing.assert_allclose(ev[1:5], -2.0, atol=5e-2)
 
 
 def test_rayleigh_quotient_of_constants_is_mean_potential():

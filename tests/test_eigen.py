@@ -114,12 +114,6 @@ def test_minmax_characterization_of_lambda2(solve, rng):
         assert ss.rayleigh(p, u) >= lam2 - 1e-8
 
 
-def test_lambda2_helper_matches_full_solve(solve):
-    sol = solve(ss.flat_torus(0.6, (16, 16)), k=2)
-    assert ss.lambda2(sol.pencil) == pytest.approx(
-        sol.spectrum.eigenvalues[1], abs=1e-11)
-
-
 def test_diagonal_pencil_is_solved_exactly():
     n = 40
     diag = np.arange(n, dtype=float)
@@ -128,7 +122,6 @@ def test_diagonal_pencil_is_solved_exactly():
         mass=sp_sparse.identity(n, format="csr"),
         node_count=n,
         potential=np.zeros(n),
-        lumped=True,
     )
     got = ss.smallest_eigenpairs(p, 4).eigenvalues
     np.testing.assert_allclose(got, [0, 1, 2, 3], atol=1e-12)

@@ -5,6 +5,10 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -443,6 +447,25 @@ def test_cli_sweep_flat_torus(tmp_path):
     with open(out / "summary.csv") as fh:
         rows = list(csv.reader(fh))
     assert len(rows) == 1 + 4  # header + 2 radii x 2 resolutions
+
+
+def test_cli_runs_without_sympy(tmp_path):
+    # sympy is a test-only dependency: a fresh interpreter running a check
+    # must never import it
+    script = (
+        "import sys\n"
+        "import stabspec.cli as cli\n"
+        "code = cli.main(['check', 't11', 'shape=clifford-torus', "
+        f"'resolutions=16', '--out', {str(tmp_path)!r}])\n"
+        "assert code == 0, code\n"
+        "assert 'sympy' not in sys.modules, 'sympy was imported'\n"
+    )
+    src = str(pathlib.Path(ss.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    run = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
 
 
 def test_cli_maps_nonconvergence_to_exit_three(tmp_path, monkeypatch):

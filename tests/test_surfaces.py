@@ -12,10 +12,9 @@ import math
 
 import numpy as np
 import pytest
-import sympy as sp
 
 import stabspec as ss
-from stabspec.charts import PARAM_U, PARAM_V, SymbolicChart
+from stabspec.charts import JetChart, _jet_cos, _jet_mul, _jet_sin
 from stabspec.errors import (
     DegenerateChartError,
     DomainError,
@@ -151,10 +150,12 @@ def test_graph_over_sine_slice_is_the_same_surface_in_the_3_sphere(pert, amp):
     # (0, pi) x_sin S^2 is the 3-sphere minus two points, via
     # (t, w) -> (sin t w, cos t); both ambients must give one geometry
     warped = ss.build(ss.graph_over_slice("sphere", 1.2, pert, amp, (32, 32)))
-    t, *om = warped.chart.exprs
-    sphere = ss.ImmersedSurface(
-        Sphere3(), SymbolicChart([sp.sin(t) * c for c in om] + [sp.cos(t)]),
-        warped.grid)
+
+    def embedded(u, v):
+        t, *om = warped.chart.fn(u, v)
+        return [_jet_mul(_jet_sin(t), c) for c in om] + [_jet_cos(t)]
+
+    sphere = ss.ImmersedSurface(Sphere3(), JetChart(embedded), warped.grid)
     fw, fs = ss.compute_geometry(warped), ss.compute_geometry(sphere)
 
     def close(a, b, rel):
@@ -218,21 +219,19 @@ def test_shape_operator_symmetry_and_trace(rng):
 
 
 def test_degenerate_chart_is_rejected():
-    w = PARAM_U + PARAM_V
-    exprs = (sp.cos(w) / sp.sqrt(2), sp.sin(w) / sp.sqrt(2),
-             sp.cos(w) / sp.sqrt(2), sp.sin(w) / sp.sqrt(2))
-    s = ss.ImmersedSurface(Sphere3(), SymbolicChart(exprs), torus_grid(8, 8),
-                           name="degenerate")
+    c = 1 / math.sqrt(2)
+    chart = JetChart(lambda u, v: (c * _jet_cos(u + v), c * _jet_sin(u + v),
+                                   c * _jet_cos(u + v), c * _jet_sin(u + v)))
+    s = ss.ImmersedSurface(Sphere3(), chart, torus_grid(8, 8), name="degenerate")
     with pytest.raises(DegenerateChartError) as err:
         ss.compute_geometry(s)
     assert err.value.det < 1e-10
 
 
 def test_off_sphere_chart_is_rejected():
-    exprs = (sp.cos(PARAM_U), sp.sin(PARAM_U),
-             sp.cos(PARAM_V), sp.sin(PARAM_V))  # norm sqrt(2), not 1
-    s = ss.ImmersedSurface(Sphere3(), SymbolicChart(exprs), torus_grid(8, 8),
-                           name="off-sphere")
+    # norm sqrt(2), not 1
+    chart = JetChart(lambda u, v: (_jet_cos(u), _jet_sin(u), _jet_cos(v), _jet_sin(v)))
+    s = ss.ImmersedSurface(Sphere3(), chart, torus_grid(8, 8), name="off-sphere")
     with pytest.raises(DomainError):
         ss.compute_geometry(s)
 

@@ -223,10 +223,6 @@ def test_polynomial_and_trigonometric_builders():
     assert poly.h(0.5) == pytest.approx(1.125)
     assert poly.dh(0.5) == pytest.approx(0.5)
     assert poly.d2h(0.5) == pytest.approx(1.0)
-    trig = W.trigonometric_warping(2.0, cos_coeffs=(0.3,),
-                                   interval=(-1.0, 1.0))
-    assert trig.h(0.0) == pytest.approx(2.3)
-    assert trig.d2h(0.0) == pytest.approx(-0.3)
 
 
 def test_positivity_screen_rejects_vanishing_profiles():
