@@ -70,7 +70,6 @@ from .eigen import (
 from .conformal import (
     MobiusParam,
     balanced_bound_report,
-    balanced_rayleigh_bound,
     conformal_willmore_invariant,
     dirichlet_energy_check,
     hersch_balance,
@@ -81,11 +80,7 @@ from .conformal import (
 from .harness import (
     Report,
     balance_bound_scenario,
-    check_esi,
     check_theorem,
-    check_theorem_11,
-    check_theorem_12,
-    check_theorem_13,
     convergence_study,
     observed_order,
     report_tolerance,

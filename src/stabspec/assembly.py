@@ -30,7 +30,7 @@ import numpy as np
 import scipy.sparse as sp_sparse
 
 from .errors import AssemblyError, DomainError
-from .surfaces import GeometryFields, ImmersedSurface, compute_geometry
+from .surfaces import GeometryFields, ImmersedSurface
 
 __all__ = ["OperatorPencil", "assemble", "rayleigh"]
 
@@ -72,35 +72,11 @@ def _face_stiffness(grid, coeff, axis: str) -> sp_sparse.coo_matrix:
     return sp_sparse.coo_matrix((vals, (rows, cols)), shape=(nu * nv, nu * nv))
 
 
-def assemble(
-    surface: ImmersedSurface,
-    fields: GeometryFields | None = None,
-    potential_mode: str = "jacobi",
-    shift: float = 0.0,
-    custom_potential=None,
-) -> OperatorPencil:
-    """Build the symmetric pencil (A, M) for the requested potential.
-
-    potential_mode: "jacobi" uses q = |sigma|^2 + Ric(normal); "shifted"
-    uses the jacobi q plus `shift`; "custom" uses `custom_potential`
-    verbatim (per-node values; zero gives the pure Laplace-Beltrami pencil).
-    """
-    if fields is None:
-        fields = compute_geometry(surface, want_gauss=False)
+def assemble(surface: ImmersedSurface, fields: GeometryFields) -> OperatorPencil:
+    """Build the symmetric pencil (A, M) with q = |sigma|^2 + Ric(normal)."""
     grid = surface.grid
-    n = surface.node_count
-
-    if potential_mode == "jacobi":
-        q = fields.sigma_sq + fields.ricci_normal
-    elif potential_mode == "shifted":
-        q = fields.sigma_sq + fields.ricci_normal + float(shift)
-    elif potential_mode == "custom":
-        if custom_potential is None:
-            raise DomainError("custom potential mode requires per-node values")
-        q = np.broadcast_to(np.asarray(custom_potential, dtype=float), (n,)).copy()
-    else:
-        raise DomainError(f"unknown potential mode {potential_mode!r}")
-    if q.shape != (n,) or not np.all(np.isfinite(q)):
+    q = fields.sigma_sq + fields.ricci_normal
+    if not np.all(np.isfinite(q)):
         raise AssemblyError("potential must be a finite per-node vector")
 
     sqrtg = fields.area_element / grid.cell_weight
@@ -110,8 +86,8 @@ def assemble(
 
     stiffness = (_face_stiffness(grid, alpha, "u") + _face_stiffness(grid, beta, "v")).tocsr()
     if float(np.max(np.abs(gamma))) > 1e-14 * float(np.mean(alpha + beta)):
-        d_u = grid.d1_sparse(0, accuracy=2)
-        d_v = grid.d1_sparse(1, accuracy=2)
+        d_u = grid.d1_sparse(0)
+        d_v = grid.d1_sparse(1)
         lam = sp_sparse.diags(gamma * grid.cell_weight)
         cross = (d_u.T @ lam @ d_v).tocsr()
         # cross + cross.T is exactly symmetric (IEEE addition commutes);
@@ -132,7 +108,7 @@ def assemble(
     return OperatorPencil(
         stiffness_minus_potential=a,
         mass=mass,
-        node_count=n,
+        node_count=surface.node_count,
         potential=q,
     )
 

@@ -187,11 +187,11 @@ def build(spec: ShapeSpec) -> ImmersedSurface:
     if kind in ("clifford-torus", "flat-torus"):
         r = p["r"] if kind == "flat-torus" else math.sqrt(0.5)
         chart = _torus(lambda v: _plus(0.0 * v, r))
-        return ImmersedSurface(Sphere3(), chart, torus_grid(nu, nv), name=spec.label)
+        return ImmersedSurface(Sphere3(), chart, torus_grid(nu, nv))
 
     if kind == "perturbed-torus":
         chart = _torus(lambda v: _plus(p["eps"] * _jet_cos(p["wave"] * v), p["r"]))
-        return ImmersedSurface(Sphere3(), chart, torus_grid(nu, nv), name=spec.label)
+        return ImmersedSurface(Sphere3(), chart, torus_grid(nu, nv))
 
     if kind == "geodesic-sphere":
         rho = p["rho"]
@@ -200,9 +200,7 @@ def build(spec: ShapeSpec) -> ImmersedSurface:
             return tuple(math.sin(rho) * c for c in _unit_sphere(u, v)) + (
                 _plus(0.0 * u, math.cos(rho)),)
 
-        return ImmersedSurface(
-            Sphere3(), JetChart(sphere), sphere_grid(nu, nv), name=spec.label
-        )
+        return ImmersedSurface(Sphere3(), JetChart(sphere), sphere_grid(nu, nv))
 
     if kind in ("slice", "graph-over-slice"):
         w = p["warping"]
@@ -215,11 +213,9 @@ def build(spec: ShapeSpec) -> ImmersedSurface:
                 t = p["amplitude"] * real_sph_harm(*harmonic, u, v)
             return (_plus(t, p["t0"]),) + _unit_sphere(u, v)
 
-        surface = ImmersedSurface(
-            WarpedProduct(w), JetChart(graph), sphere_grid(nu, nv), name=spec.label,
-        )
+        surface = ImmersedSurface(WarpedProduct(w), JetChart(graph), sphere_grid(nu, nv))
         # Graphs must stay strictly inside the warping interval.
-        w.require_inside(surface.bundle(2)["0"][:, 0])
+        w.require_inside(surface.bundle()["0"][:, 0])
         return surface
 
     raise DomainError(f"unknown shape kind {kind!r}")

@@ -7,15 +7,14 @@ warped ambients).  The geometry engine consumes nodal arrays of the chart
 and its parameter derivatives, packed as a dict keyed by multi-index
 strings "0", "u", "v", "uu", "uv", "vv", "uuu", ...
 
-Every chart offers derivatives through order 3 (MAX_ORDER), computed with
-truncated bivariate Taylor jets (Griewank & Walther, Evaluating
-Derivatives, ch. 13).  A jet is an array whose first axis holds the
-coefficients of the monomials u^i v^j, i + j <= MAX_ORDER, in the order of
-the bundle keys; further axes are nodes (and components).  Sums and
-scalar multiples of jets are plain array arithmetic, except that a
-constant only shifts the coefficient of 1 (`_plus`).  Products and
-reciprocals are truncated series, and sin, cos, sqrt and polynomials
-enter through the univariate composition
+Every chart returns derivatives through order 3, computed with truncated
+bivariate Taylor jets (Griewank & Walther, Evaluating Derivatives,
+ch. 13).  A jet is an array whose first axis holds the coefficients of the
+monomials u^i v^j, i + j <= 3, in the order of BUNDLE_KEYS; further axes
+are nodes (and components).  Sums and scalar multiples of jets are plain
+array arithmetic, except that a constant only shifts the coefficient of 1
+(`_plus`).  Products and reciprocals are truncated series, and sin, cos,
+sqrt and polynomials enter through the univariate composition
 f(x0 + d) = sum_k f^(k)(x0)/k! d^k, d the jet's non-constant part.
 A JetChart's function maps the coordinate jets of (u, v) to four component
 jets, so derivatives are exact up to rounding with no symbolic step.
@@ -33,33 +32,15 @@ from .errors import DomainError
 from .grids import Grid
 
 __all__ = [
-    "derivative_keys",
-    "MAX_ORDER",
+    "BUNDLE_KEYS",
     "JetChart",
     "real_sph_harm",
 ]
 
-MAX_ORDER = 3
-
-_ORDER_KEYS = {
-    0: ("0",),
-    1: ("u", "v"),
-    2: ("uu", "uv", "vv"),
-    3: ("uuu", "uuv", "uvv", "vvv"),
-}
-
-
-def derivative_keys(max_order: int) -> tuple[str, ...]:
-    if not 0 <= max_order <= MAX_ORDER:
-        raise DomainError(f"charts offer derivatives of order 0 to {MAX_ORDER}")
-    keys: list[str] = []
-    for m in range(max_order + 1):
-        keys.extend(_ORDER_KEYS[m])
-    return tuple(keys)
-
-
-_JET_KEYS = derivative_keys(MAX_ORDER)
-_MONOMIALS = [(key.count("u"), key.count("v")) for key in _JET_KEYS]
+# The keys of a chart's derivative bundle: every parameter derivative
+# through order 3, by order.
+BUNDLE_KEYS = ("0", "u", "v", "uu", "uv", "vv", "uuu", "uuv", "uvv", "vvv")
+_MONOMIALS = [(key.count("u"), key.count("v")) for key in BUNDLE_KEYS]
 # A jet coefficient times _FACTORIALS is the bundle's partial derivative.
 _FACTORIALS = np.array([math.factorial(i) * math.factorial(j) for i, j in _MONOMIALS],
                        dtype=float)
@@ -137,20 +118,19 @@ class JetChart:
     def __init__(self, fn):
         self.fn = fn
 
-    def evaluate(self, grid: Grid, max_order: int) -> dict[str, np.ndarray]:
-        keys = derivative_keys(max_order)
-        u = np.zeros((len(_JET_KEYS), grid.nu, 1))
-        v = np.zeros((len(_JET_KEYS), 1, grid.nv))
+    def evaluate(self, grid: Grid) -> dict[str, np.ndarray]:
+        u = np.zeros((len(BUNDLE_KEYS), grid.nu, 1))
+        v = np.zeros((len(BUNDLE_KEYS), 1, grid.nv))
         u[0, :, 0], v[0, 0, :] = grid.u, grid.v
         u[1] = v[2] = 1.0
         comps = self.fn(u, v)
         if len(comps) != 4:
             raise DomainError("a chart has exactly four components")
-        jets = np.empty((len(_JET_KEYS), grid.nu, grid.nv, 4))
+        jets = np.empty((len(BUNDLE_KEYS), grid.nu, grid.nv, 4))
         for c, comp in enumerate(comps):
             jets[..., c] = comp * _FACTORIALS[:, None, None]
-        jets = jets.reshape(len(_JET_KEYS), grid.node_count, 4)
-        return {key: jets[i] for i, key in enumerate(keys)}
+        jets = jets.reshape(len(BUNDLE_KEYS), grid.node_count, 4)
+        return dict(zip(BUNDLE_KEYS, jets))
 
 
 def real_sph_harm(l: int, m: int, theta: np.ndarray, phi: np.ndarray) -> np.ndarray:

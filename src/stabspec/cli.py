@@ -24,19 +24,9 @@ import sys
 
 from . import config as cfgmod
 from . import harness
-from .errors import (
-    AssemblyError,
-    ConfigError,
-    DegenerateChartError,
-    DomainError,
-    HypothesisError,
-    MeshTooCoarseError,
-    NonConvergenceError,
-)
+from .errors import StabspecError
 
 EXIT_OK = 0
-EXIT_HYPOTHESIS = 2
-EXIT_NONCONVERGENCE = 3
 EXIT_VIOLATION = 4
 
 
@@ -115,13 +105,13 @@ def _emit(out_dir: str, reports: list[harness.Report]) -> None:
 
 
 def _seed(cfg) -> int:
-    return cfgmod.get_int(cfg, "seed", 0)
+    return cfgmod.get(cfg, "seed", int, 0)
 
 
 def _run_slice_spectrum(args, cfg) -> list[harness.Report]:
     w = cfgmod.warping_from_config(cfg)
-    t0 = cfgmod.get_float(cfg, "t0", 0.0)
-    return [harness.slice_spectrum_report(w, t0, cfgmod.get_int(cfg, "count", 8))]
+    t0 = cfgmod.get(cfg, "t0", float, 0.0)
+    return [harness.slice_spectrum_report(w, t0, cfgmod.get(cfg, "count", int, 8))]
 
 
 def _run_check(args, cfg) -> list[harness.Report]:
@@ -134,14 +124,13 @@ def _run_sweep(args, cfg) -> list[harness.Report]:
     seed = _seed(cfg)
     resolutions = cfgmod.resolutions_from_config(cfg, [48, 96])
     if args.family == "flat-torus":
-        rs = cfgmod.get_float_list(
-            cfg, "rs", [0.45, 0.5, 0.55, 0.6, 0.65, 0.7071067811865476, 0.75]
-        )
+        rs = cfgmod.get(cfg, "rs", cfgmod.floats,
+                        [0.45, 0.5, 0.55, 0.6, 0.65, 0.7071067811865476, 0.75])
         return harness.sweep_flat_torus(rs, resolutions, seed=seed)
     w = cfgmod.warping_from_config(cfg)
-    t0 = cfgmod.get_float(cfg, "t0", 0.0)
-    pert = cfgmod.get_str(cfg, "perturbation", "Y2,0")
-    amplitudes = cfgmod.get_float_list(cfg, "amplitudes", [0.0, 0.02, 0.05, 0.1])
+    t0 = cfgmod.get(cfg, "t0", float, 0.0)
+    pert = cfgmod.get(cfg, "perturbation", str, "Y2,0")
+    amplitudes = cfgmod.get(cfg, "amplitudes", cfgmod.floats, [0.0, 0.02, 0.05, 0.1])
     return harness.sweep_graph_amplitude(w, t0, pert, amplitudes, resolutions, seed=seed)
 
 
@@ -152,10 +141,10 @@ def _run_converge(args, cfg) -> list[harness.Report]:
 
 
 def _run_balance_bound(args, cfg) -> list[harness.Report]:
-    resolution = cfgmod.get_int(cfg, "resolution", 96)
+    resolution = cfgmod.get(cfg, "resolution", int, 96)
     spec = cfgmod.shape_from_config(cfg, (resolution, resolution))
     seed = _seed(cfg)
-    tol = cfgmod.get_float(cfg, "tol", 1e-9)
+    tol = cfgmod.get(cfg, "tol", float, 1e-9)
     return [harness.balance_bound_scenario(spec, resolution, seed=seed, tol=tol)]
 
 
@@ -196,16 +185,10 @@ def main(argv=None) -> int:
     args = parse_args(argv)
     try:
         return _run(args)
-    except (HypothesisError, ConfigError) as err:
-        print(f"hypothesis error: {err}", file=sys.stderr)
-        return EXIT_HYPOTHESIS
-    except DomainError as err:
-        print(f"invalid input: {err}", file=sys.stderr)
-        return EXIT_HYPOTHESIS
-    except (NonConvergenceError, MeshTooCoarseError, AssemblyError,
-            DegenerateChartError) as err:
-        print(f"numerical failure: {err}", file=sys.stderr)
-        return EXIT_NONCONVERGENCE
+    except StabspecError as err:
+        kind = "numerical failure" if err.exit_code == 3 else "invalid input"
+        print(f"{kind}: {err}", file=sys.stderr)
+        return err.exit_code
 
 
 if __name__ == "__main__":

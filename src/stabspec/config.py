@@ -1,11 +1,12 @@
 """Plain-text key=value scenario configuration.
 
-Files hold one `key=value` pair per line; `#` starts a comment and blank
+Files hold one `key=value` pair per line; `#` begins a comment and blank
 lines are skipped.  Values never contain whitespace (lists are
 comma-separated), so the same `key=value` tokens can be passed on the
 command line to override file entries.
 
-Recognized keys (not all commands use all of them):
+Recognized keys (not all commands use all of them; any other key, in a
+file or an override, raises ConfigError):
 
   shape          clifford-torus | flat-torus | geodesic-sphere | slice |
                  graph-over-slice | perturbed-torus
@@ -29,33 +30,46 @@ from . import catalog, warping as wp
 from .errors import ConfigError
 
 __all__ = [
+    "KEYS",
     "parse_kv_text",
     "load_config_file",
     "merge_overrides",
-    "get_str",
-    "get_float",
-    "get_int",
-    "get_float_list",
-    "get_int_list",
+    "get",
+    "floats",
+    "ints",
     "warping_from_config",
     "shape_from_config",
     "resolutions_from_config",
 ]
+
+# The recognized keys, as listed above and in the README key table.
+KEYS = (
+    "shape", "r", "rho", "t0", "amplitude", "eps", "wave", "perturbation",
+    "warping", "warping_poly", "warping_interval", "resolutions", "resolution",
+    "rs", "amplitudes", "count", "tol", "seed",
+)
+
+
+def _pair(text: str, where: str) -> tuple[str, str]:
+    """Split one `key=value` entry; `where` names it in error messages."""
+    if "=" not in text:
+        raise ConfigError(f"{where}: expected key=value, got {text!r}")
+    key, _, value = text.partition("=")
+    key, value = key.strip(), value.strip()
+    if not key or not value:
+        raise ConfigError(f"{where}: empty key or value in {text!r}")
+    if key not in KEYS:
+        raise ConfigError(f"{where}: unknown key {key!r}; recognized keys: {', '.join(KEYS)}")
+    return key, value
 
 
 def parse_kv_text(text: str) -> dict[str, str]:
     out: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"line {lineno}: expected key=value, got {raw.strip()!r}")
-        key, _, value = line.partition("=")
-        key, value = key.strip(), value.strip()
-        if not key or not value:
-            raise ConfigError(f"line {lineno}: empty key or value in {raw.strip()!r}")
-        out[key] = value
+        if line:
+            key, value = _pair(line, f"line {lineno}")
+            out[key] = value
     return out
 
 
@@ -67,88 +81,60 @@ def load_config_file(path) -> dict[str, str]:
 def merge_overrides(cfg: dict[str, str], pairs) -> dict[str, str]:
     merged = dict(cfg)
     for token in pairs:
-        if "=" not in token:
-            raise ConfigError(f"override {token!r} is not key=value")
-        key, _, value = token.partition("=")
-        if not key or not value:
-            raise ConfigError(f"override {token!r} has an empty key or value")
-        merged[key.strip()] = value.strip()
+        key, value = _pair(token, "override")
+        merged[key] = value
     return merged
 
 
-def get_str(cfg, key, default=None) -> str:
-    value = cfg.get(key, default)
-    if value is None:
-        raise ConfigError(f"missing required key {key!r}")
-    return str(value)
+def floats(text: str) -> list[float]:
+    """A comma list of numbers."""
+    return [float(tok) for tok in text.split(",") if tok != ""]
 
 
-def get_float(cfg, key, default=None) -> float:
+def ints(text: str) -> list[int]:
+    """A comma list of integers."""
+    return [int(tok) for tok in text.split(",") if tok != ""]
+
+
+# What `get` says a value of each parse function must be.
+_MUST_BE = {
+    float: "a number, got {!r}",
+    int: "an integer, got {!r}",
+    floats: "a comma list of numbers",
+    ints: "a comma list of integers",
+}
+
+
+def get(cfg, key: str, parse, default=None):
+    """`parse(cfg[key])`, or `default` when the key is absent.
+
+    A key with no default is required.  A value `parse` rejects raises
+    ConfigError.
+    """
     value = cfg.get(key)
     if value is None:
         if default is None:
             raise ConfigError(f"missing required key {key!r}")
-        return float(default)
+        return default
     try:
-        return float(value)
+        return parse(value)
     except ValueError as err:
-        raise ConfigError(f"key {key!r} must be a number, got {value!r}") from err
-
-
-def get_int(cfg, key, default=None) -> int:
-    value = cfg.get(key)
-    if value is None:
-        if default is None:
-            raise ConfigError(f"missing required key {key!r}")
-        return int(default)
-    try:
-        return int(value)
-    except ValueError as err:
-        raise ConfigError(f"key {key!r} must be an integer, got {value!r}") from err
-
-
-def _split_list(cfg, key, default):
-    value = cfg.get(key)
-    if value is None:
-        if default is None:
-            raise ConfigError(f"missing required key {key!r}")
-        return list(default)
-    return [tok for tok in str(value).split(",") if tok != ""]
-
-
-def get_float_list(cfg, key, default=None) -> list[float]:
-    toks = _split_list(cfg, key, default)
-    try:
-        return [float(t) for t in toks]
-    except ValueError as err:
-        raise ConfigError(f"key {key!r} must be a comma list of numbers") from err
-
-
-def get_int_list(cfg, key, default=None) -> list[int]:
-    toks = _split_list(cfg, key, default)
-    try:
-        return [int(t) for t in toks]
-    except ValueError as err:
-        raise ConfigError(f"key {key!r} must be a comma list of integers") from err
+        raise ConfigError(f"key {key!r} must be {_MUST_BE[parse].format(value)}") from err
 
 
 def warping_from_config(cfg) -> wp.WarpingFunction:
-    if "warping_poly" in cfg:
-        coeffs = get_float_list(cfg, "warping_poly")
-        interval = get_float_list(cfg, "warping_interval")
+    interval = None
+    if "warping_poly" in cfg or "warping_interval" in cfg:
+        interval = get(cfg, "warping_interval", floats)  # required with warping_poly
         if len(interval) != 2:
             raise ConfigError("warping_interval must be a comma pair, e.g. -1,1")
+    if "warping_poly" in cfg:
+        coeffs = get(cfg, "warping_poly", floats)
         try:
-            return wp.polynomial_warping(coeffs, (interval[0], interval[1]))
+            return wp.polynomial_warping(coeffs, interval)
         except Exception as err:
             raise ConfigError(f"bad polynomial warping: {err}") from err
-    name = get_str(cfg, "warping", "product")
-    interval = None
-    if "warping_interval" in cfg:
-        vals = get_float_list(cfg, "warping_interval")
-        if len(vals) != 2:
-            raise ConfigError("warping_interval must be a comma pair, e.g. -1,1")
-        interval = (vals[0], vals[1])
+    name = get(cfg, "warping", str, "product")
     try:
         return wp.builtin_warping(name, interval=interval)
     except Exception as err:
@@ -156,31 +142,31 @@ def warping_from_config(cfg) -> wp.WarpingFunction:
 
 
 def shape_from_config(cfg, resolution=(64, 64)) -> catalog.ShapeSpec:
-    kind = get_str(cfg, "shape")
+    kind = get(cfg, "shape", str)
     try:
         if kind == "clifford-torus":
             return catalog.clifford_torus(resolution)
         if kind == "flat-torus":
-            return catalog.flat_torus(get_float(cfg, "r"), resolution)
+            return catalog.flat_torus(get(cfg, "r", float), resolution)
         if kind == "geodesic-sphere":
-            return catalog.geodesic_sphere(get_float(cfg, "rho"), resolution)
+            return catalog.geodesic_sphere(get(cfg, "rho", float), resolution)
         if kind == "slice":
             return catalog.slice_shape(
-                warping_from_config(cfg), get_float(cfg, "t0", 0.0), resolution
+                warping_from_config(cfg), get(cfg, "t0", float, 0.0), resolution
             )
         if kind == "graph-over-slice":
             return catalog.graph_over_slice(
                 warping_from_config(cfg),
-                get_float(cfg, "t0", 0.0),
-                get_str(cfg, "perturbation", "Y2,0"),
-                get_float(cfg, "amplitude"),
+                get(cfg, "t0", float, 0.0),
+                get(cfg, "perturbation", str, "Y2,0"),
+                get(cfg, "amplitude", float),
                 resolution,
             )
         if kind == "perturbed-torus":
             return catalog.perturbed_torus(
-                get_float(cfg, "r"),
-                get_float(cfg, "eps"),
-                get_int(cfg, "wave", 3),
+                get(cfg, "r", float),
+                get(cfg, "eps", float),
+                get(cfg, "wave", int, 3),
                 resolution,
             )
     except ConfigError:
@@ -194,7 +180,7 @@ def shape_from_config(cfg, resolution=(64, 64)) -> catalog.ShapeSpec:
 
 
 def resolutions_from_config(cfg, default) -> list[int]:
-    res = get_int_list(cfg, "resolutions", default)
+    res = get(cfg, "resolutions", ints, default)
     if not res:
         raise ConfigError("resolutions list is empty")
     if any(n < 8 for n in res):

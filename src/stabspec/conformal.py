@@ -30,19 +30,12 @@ pipeline, and an image surface can itself be dilated again.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .assembly import OperatorPencil
-from .charts import (
-    _FACTORIALS,
-    _JET_KEYS,
-    MAX_ORDER,
-    _jet_mul,
-    _jet_reciprocal,
-    derivative_keys,
-)
+from .charts import BUNDLE_KEYS, _FACTORIALS, _jet_mul, _jet_reciprocal
 from .eigen import Spectrum
 from .errors import DomainError, NonConvergenceError, UnsupportedAmbientError
 from .surfaces import (
@@ -57,7 +50,6 @@ __all__ = [
     "mobius_apply",
     "mobius_image_surface",
     "hersch_balance",
-    "balanced_rayleigh_bound",
     "balanced_bound_report",
     "BalancedBoundReport",
     "conformal_willmore_invariant",
@@ -150,14 +142,14 @@ class _DilatedChart:
         self.base = base
         self.param = param
 
-    def evaluate(self, grid, max_order: int) -> dict[str, np.ndarray]:
+    def evaluate(self, grid) -> dict[str, np.ndarray]:
         if grid is not self.base.grid:
             raise DomainError("a dilated chart is evaluated on its base surface's grid")
-        b = self.base.bundle(MAX_ORDER)
+        b = self.base.bundle()
         scale = _FACTORIALS[:, None, None]
-        jets = np.stack([b[key] for key in _JET_KEYS]) / scale
+        jets = np.stack([b[key] for key in BUNDLE_KEYS]) / scale
         out = _dilate_jets(self.param, jets) * scale
-        return {key: out[i] for i, key in enumerate(derivative_keys(max_order))}
+        return dict(zip(BUNDLE_KEYS, out))
 
 
 def mobius_image_surface(s: ImmersedSurface, param: MobiusParam) -> ImmersedSurface:
@@ -166,13 +158,7 @@ def mobius_image_surface(s: ImmersedSurface, param: MobiusParam) -> ImmersedSurf
         raise UnsupportedAmbientError("conformal dilations act on the 3-sphere")
     if param.magnitude < 1e-15:
         return s
-    return ImmersedSurface(
-        s.ambient,
-        _DilatedChart(s, param),
-        s.grid,
-        topology_hint=s.topology_hint,
-        name=f"{s.name} | dilation(|a|={param.magnitude:.4g})",
-    )
+    return ImmersedSurface(s.ambient, _DilatedChart(s, param), s.grid)
 
 
 def _capped(a: np.ndarray) -> np.ndarray:
@@ -185,15 +171,14 @@ def hersch_balance(
     f: GeometryFields,
     f1: np.ndarray,
     tol: float = 1e-9,
-    start: np.ndarray | None = None,
 ) -> MobiusParam:
     """Dilation parameter nulling the f1-weighted center of mass.
 
     Damped Newton iteration on the center map a -> c(a), the weighted
-    mean of the transformed node positions.  The Jacobian comes from
-    central differences; each step is halved until |c| decreases, and
-    |a| stays within BALANCE_CAP.  The residual |c| is measured relative
-    to the total weight, matching
+    mean of the transformed node positions, from a = 0 (the identity).
+    The Jacobian comes from central differences; each step is halved
+    until |c| decreases, and |a| stays within BALANCE_CAP.  The residual
+    |c| is measured relative to the total weight, matching
     ||integral of f1 * (transformed position)|| <= tol * integral of f1.
     """
     if not s.is_sphere3:
@@ -212,12 +197,12 @@ def hersch_balance(
         raise DomainError("weight function has zero total mass")
     weights = weights / total
 
-    coords = s.bundle(2)["0"]
+    coords = s.bundle()["0"]
 
     def center(a):
         return weights @ mobius_apply(MobiusParam(a), coords)
 
-    a = _capped(np.zeros(4) if start is None else np.asarray(start, dtype=float).reshape(4))
+    a = np.zeros(4)
     c = center(a)
     residuals = [float(np.linalg.norm(c))]
     while residuals[-1] > tol:
@@ -267,23 +252,11 @@ def _oriented_weight(spectrum: Spectrum) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BalancedBoundReport:
-    """All balancing attempts plus the best certified bound."""
+    """The certified bound, the balancing dilation and its residual."""
 
     bound: float
     param: MobiusParam
     balance_residual: float
-    attempts: list = field(default_factory=list)
-
-
-def balanced_rayleigh_bound(
-    s: ImmersedSurface,
-    f: GeometryFields,
-    pencil: OperatorPencil,
-    spectrum: Spectrum,
-    tol: float = 1e-9,
-) -> float:
-    """Upper bound for the second pencil eigenvalue from balanced coordinates."""
-    return balanced_bound_report(s, f, pencil, spectrum, tol=tol).bound
 
 
 def balanced_bound_report(
@@ -292,43 +265,17 @@ def balanced_bound_report(
     pencil: OperatorPencil,
     spectrum: Spectrum,
     tol: float = 1e-9,
-    starts: list | None = None,
 ) -> BalancedBoundReport:
-    """Balance (possibly from several starts) and evaluate the bound.
-
-    Convergence may land on different balanced points from different
-    starts; every attempt is recorded and the smallest (tightest) bound
-    is reported.  No uniqueness is assumed.
-    """
+    """Balance from the identity and evaluate the bound."""
     if not s.is_sphere3:
         raise UnsupportedAmbientError("the balanced bound applies in the 3-sphere")
     f1 = _oriented_weight(spectrum)
-    start_list = [None] if starts is None else list(starts)
-    attempts = []
-    failures: list[Exception] = []
-    for start in start_list:
-        try:
-            m = hersch_balance(s, f, f1, tol=tol, start=start)
-        except NonConvergenceError as err:
-            failures.append(err)
-            continue
-        psi = mobius_apply(m, s.bundle(2)["0"])
-        center = (np.maximum(f1, 0.0) * f.area_element) @ psi
-        residual = float(np.linalg.norm(center) / np.sum(np.maximum(f1, 0.0) * f.area_element))
-        bound = _aggregate_quotient(pencil, psi)
-        attempts.append(
-            {"start": None if start is None else list(map(float, start)),
-             "param": m, "residual": residual, "bound": bound}
-        )
-    if not attempts:
-        raise failures[0]
-    best = min(attempts, key=lambda rec: rec["bound"])
+    m = hersch_balance(s, f, f1, tol=tol)
+    psi = mobius_apply(m, s.bundle()["0"])
+    weights = np.maximum(f1, 0.0) * f.area_element
+    residual = float(np.linalg.norm(weights @ psi) / np.sum(weights))
     return BalancedBoundReport(
-        bound=float(best["bound"]),
-        param=best["param"],
-        balance_residual=float(best["residual"]),
-        attempts=attempts,
-    )
+        bound=_aggregate_quotient(pencil, psi), param=m, balance_residual=residual)
 
 
 def conformal_willmore_invariant(s: ImmersedSurface, param: MobiusParam) -> float:
@@ -354,7 +301,7 @@ def dirichlet_energy_check(s: ImmersedSurface, param: MobiusParam) -> tuple[floa
         raise UnsupportedAmbientError("the energy identity applies in the 3-sphere")
     base = compute_geometry(s, want_gauss=False)
     image = mobius_image_surface(s, param)
-    b = image.bundle(2)
+    b = image.bundle()
     psi_u, psi_v = b["u"], b["v"]
     ginv = base.metric_inv
     integrand = (

@@ -1,8 +1,9 @@
 """Exception types shared across the toolkit.
 
-The CLI maps these onto process exit codes: hypothesis violations of a
-bound's preconditions exit 2, solver non-convergence exits 3, and a
-verified inequality failing beyond tolerance exits 4.
+Each class carries the process exit code the CLI returns for it: invalid
+input, configuration or hypotheses exit 2, numerical failures exit 3.  A
+verified inequality failing beyond tolerance is a verdict, not an error,
+and exits 4.
 """
 
 from __future__ import annotations
@@ -10,6 +11,8 @@ from __future__ import annotations
 
 class StabspecError(Exception):
     """Base class for all toolkit errors."""
+
+    exit_code = 2
 
 
 class DomainError(StabspecError, ValueError):
@@ -25,6 +28,8 @@ class HypothesisError(StabspecError):
 
 class DegenerateChartError(StabspecError):
     """The induced metric is numerically singular at some node."""
+
+    exit_code = 3
 
     def __init__(self, node: int, det: float, threshold: float):
         self.node = int(node)
@@ -43,9 +48,13 @@ class UnsupportedAmbientError(StabspecError):
 class AssemblyError(StabspecError):
     """Operator assembly failed (non-positive mass, inconsistent fields...)."""
 
+    exit_code = 3
+
 
 class NonConvergenceError(StabspecError):
     """An iteration exhausted its budget; carries the best residuals seen."""
+
+    exit_code = 3
 
     def __init__(self, message: str, residuals=None):
         self.residuals = residuals
@@ -54,6 +63,8 @@ class NonConvergenceError(StabspecError):
 
 class MeshTooCoarseError(StabspecError):
     """A discrete quantity that must be integral is too far from an integer."""
+
+    exit_code = 3
 
 
 class ConfigError(StabspecError, ValueError):

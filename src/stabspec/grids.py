@@ -62,26 +62,19 @@ def fornberg_weights(x: np.ndarray, x0: float, m: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _line_diff_matrix(n: int, spacing: float, order: int, periodic: bool,
-                      accuracy: int) -> np.ndarray:
-    """Dense (n x n) differentiation matrix along one axis."""
-    npts = accuracy + order  # stencil width giving the requested accuracy
-    if npts % 2 == 0:
-        npts += 1
-    if npts > n:
-        raise DomainError(f"axis with {n} points is too short for the stencil")
-    half = npts // 2
+def _line_diff_matrix(n: int, spacing: float, periodic: bool) -> np.ndarray:
+    """Dense (n x n) second-order first-derivative matrix along one axis."""
     D = np.zeros((n, n))
     if periodic:
-        offs = np.arange(-half, half + 1)
-        w = fornberg_weights(offs * spacing, 0.0, order)
+        offs = np.arange(-1, 2)
+        w = fornberg_weights(offs * spacing, 0.0, 1)
         for i in range(n):
             D[i, (i + offs) % n] = w
     else:
         for i in range(n):
-            lo = min(max(i - half, 0), n - npts)
-            idx = np.arange(lo, lo + npts)
-            D[i, idx] = fornberg_weights((idx - i) * spacing, 0.0, order)
+            lo = min(max(i - 1, 0), n - 3)
+            idx = np.arange(lo, lo + 3)
+            D[i, idx] = fornberg_weights((idx - i) * spacing, 0.0, 1)
     return D
 
 
@@ -119,12 +112,12 @@ class Grid:
     def flat(self, i, j):
         return np.asarray(i) * self.nv + np.asarray(j)
 
-    def d1_sparse(self, axis: int, accuracy: int = 2) -> sp.csr_matrix:
+    def d1_sparse(self, axis: int) -> sp.csr_matrix:
         """Sparse first-derivative operator on flattened fields."""
         if axis == 0:
-            D = _line_diff_matrix(self.nu, self.du, 1, self.periodic_u, accuracy)
+            D = _line_diff_matrix(self.nu, self.du, self.periodic_u)
             return sp.csr_matrix(sp.kron(sp.csr_matrix(D), sp.identity(self.nv, format="csr")))
-        D = _line_diff_matrix(self.nv, self.dv, 1, self.periodic_v, accuracy)
+        D = _line_diff_matrix(self.nv, self.dv, self.periodic_v)
         return sp.csr_matrix(sp.kron(sp.identity(self.nu, format="csr"), sp.csr_matrix(D)))
 
 

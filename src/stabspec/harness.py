@@ -41,10 +41,6 @@ from .surfaces import compute_geometry, euler_characteristic
 
 __all__ = [
     "Report",
-    "check_theorem_11",
-    "check_theorem_12",
-    "check_theorem_13",
-    "check_esi",
     "check_theorem",
     "convergence_study",
     "sweep_flat_torus",
@@ -57,10 +53,8 @@ __all__ = [
     "write_json_report",
     "write_csv_summary",
     "scenario_slug",
-    "SURFACE_DIM",
 ]
 
-SURFACE_DIM = 2
 MIN_REPORT_TOL = 1e-6
 DEFAULT_EIGEN_COUNT = 6
 
@@ -205,7 +199,101 @@ def _step_rows(scenario: str, steps, orders) -> list[dict]:
             for s, o in zip(steps, orders)]
 
 
-def _theorem_report(theorem_id, spec, resolutions, seed, hypothesis, bound_fn) -> Report:
+def _sweep_member(rep: Report, scenario: str, **extra) -> Report:
+    """A check report relabelled as a sweep member, with extra entries."""
+    body = {**rep.body, "scenario": scenario,
+            "extra": {**rep.body.get("extra", {}), **extra}}
+    rows = [{**row, "scenario": scenario} for row in rep.rows]
+    return Report(scenario, body, rows, rep.verdict)
+
+
+def _require_sphere3(surface, fields=None) -> dict:
+    if not surface.is_sphere3:
+        raise HypothesisError("the bound applies to surfaces in the 3-sphere")
+    return {}
+
+
+def _torus_hypothesis(surface, fields) -> dict:
+    _require_sphere3(surface)
+    chi = euler_characteristic(surface, fields)
+    if chi > 0:
+        raise HypothesisError(
+            f"surface has Euler characteristic {chi}; the bound needs genus >= 1 "
+            "(nonpositive Euler characteristic)"
+        )
+    return {"euler_characteristic": chi}
+
+
+def _require_warped(surface, fields=None) -> dict:
+    if surface.is_sphere3:
+        raise HypothesisError("this check applies to hypersurfaces of a warped ambient")
+    return {}
+
+
+def _convexity_hypothesis(surface, fields) -> dict:
+    _require_warped(surface)
+    w = surface.ambient.warping
+    t = surface.bundle()["0"][:, 0]
+    cond_min, cond_arg = wp.condition_strictness(w, (float(np.min(t)), float(np.max(t))))
+    if cond_min <= 0.0:
+        raise HypothesisError(
+            f"strict convexity condition fails at t = {cond_arg:.6g} "
+            f"(value {cond_min:.6g}); the bound requires it positive"
+        )
+    return {"condition_min": cond_min, "condition_argmin": cond_arg}
+
+
+def _slice_mean_bound(surface, fields) -> float:
+    w = surface.ambient.warping
+    t = surface.bundle()["0"][:, 0]
+    values = wp.slice_lambda2(w, t)
+    return float(np.sum(values * fields.area_element) / np.sum(fields.area_element))
+
+
+def _product_hypothesis(surface, fields) -> dict:
+    _require_warped(surface)
+    w = surface.ambient.warping
+    samples = np.linspace(w.interval[0], w.interval[1], 17)
+    if (float(np.max(np.abs(w.h(samples) - 1.0))) > 1e-12
+            or float(np.max(np.abs(w.dh(samples)))) > 1e-12):
+        raise HypothesisError(
+            "this specialization requires the product ambient (warping h = 1); "
+            f"got warping {w.name!r}"
+        )
+    return {}
+
+
+def _esi_bound(surface, fields) -> float:
+    w = surface.ambient.warping
+    t = surface.bundle()["0"][:, 0]
+    n = wp.SPHERE_DIM
+    scalar = wp.ambient_ricci(w, t).scalar
+    integrand = (
+        n * fields.mean_curv**2
+        + (scalar - 2.0 * fields.ricci_normal) / (n - 1)
+        - fields.sigma_sq
+        - fields.ricci_normal
+    )
+    return float(np.sum(integrand * fields.area_element) / np.sum(fields.area_element))
+
+
+# check name -> (theorem id, hypothesis, bound); see the module docstring.
+# t12 is t13 on the product ambient, where every slice value is n = 2.
+_CHECKS = {
+    "t11": ("T11", _torus_hypothesis, lambda s, f: -2.0),
+    "t12": ("T12", _product_hypothesis, _slice_mean_bound),
+    "t13": ("T13", _convexity_hypothesis, _slice_mean_bound),
+    "esi": ("ESI", _require_warped, _esi_bound),
+}
+
+
+def check_theorem(theorem: str, spec: catalog.ShapeSpec, resolutions,
+                  seed: int = 0) -> Report:
+    """One eigenvalue-bound check (t11, t12, t13 or esi) over a resolution ladder."""
+    key = theorem.lower()
+    if key not in _CHECKS:
+        raise DomainError(f"unknown check {theorem!r}; pick one of {sorted(_CHECKS)}")
+    theorem_id, hypothesis, bound_fn = _CHECKS[key]
     extra, steps = _steps(spec, resolutions, seed, bound_fn, hypothesis)
     orders, lam_hat, err_est = _trend(steps)
     tol = report_tolerance(err_est)
@@ -228,118 +316,6 @@ def _theorem_report(theorem_id, spec, resolutions, seed, hypothesis, bound_fn) -
         **({"extra": extra} if extra else {}),
     }
     return Report(scenario, body, _step_rows(scenario, steps, orders), body["passed"])
-
-
-def _sweep_member(rep: Report, scenario: str, **extra) -> Report:
-    """A check report relabelled as a sweep member, with extra entries."""
-    body = {**rep.body, "scenario": scenario,
-            "extra": {**rep.body.get("extra", {}), **extra}}
-    rows = [{**row, "scenario": scenario} for row in rep.rows]
-    return Report(scenario, body, rows, rep.verdict)
-
-
-def _torus_hypothesis(surface, fields) -> dict:
-    if not surface.is_sphere3:
-        raise HypothesisError("this check applies to surfaces in the 3-sphere")
-    chi = euler_characteristic(surface, fields)
-    if chi > 0:
-        raise HypothesisError(
-            f"surface has Euler characteristic {chi}; the bound needs genus >= 1 "
-            "(nonpositive Euler characteristic)"
-        )
-    return {"euler_characteristic": chi}
-
-
-def check_theorem_11(spec: catalog.ShapeSpec, resolutions, seed: int = 0) -> Report:
-    """Second eigenvalue <= -2 for genus >= 1 surfaces in the 3-sphere."""
-    return _theorem_report("T11", spec, resolutions, seed, _torus_hypothesis,
-                           lambda s, f: -2.0)
-
-
-def _require_warped(surface, fields=None) -> dict:
-    if surface.is_sphere3:
-        raise HypothesisError("this check applies to hypersurfaces of a warped ambient")
-    return {}
-
-
-def _convexity_hypothesis(surface, fields) -> dict:
-    _require_warped(surface)
-    w = surface.ambient.warping
-    t = surface.bundle(2)["0"][:, 0]
-    cond_min, cond_arg = wp.condition_strictness(w, (float(np.min(t)), float(np.max(t))))
-    if cond_min <= 0.0:
-        raise HypothesisError(
-            f"strict convexity condition fails at t = {cond_arg:.6g} "
-            f"(value {cond_min:.6g}); the bound requires it positive"
-        )
-    return {"condition_min": cond_min, "condition_argmin": cond_arg}
-
-
-def _slice_mean_bound(surface, fields) -> float:
-    w = surface.ambient.warping
-    t = surface.bundle(2)["0"][:, 0]
-    values = wp.slice_lambda2(w, t)
-    return float(np.sum(values * fields.area_element) / np.sum(fields.area_element))
-
-
-def check_theorem_13(spec: catalog.ShapeSpec, resolutions, seed: int = 0) -> Report:
-    """lambda2 <= area-weighted mean of the slice lambda2 over the surface."""
-    return _theorem_report("T13", spec, resolutions, seed, _convexity_hypothesis,
-                           _slice_mean_bound)
-
-
-def _product_hypothesis(surface, fields) -> dict:
-    _require_warped(surface)
-    w = surface.ambient.warping
-    samples = np.linspace(w.interval[0], w.interval[1], 17)
-    if (float(np.max(np.abs(w.h(samples) - 1.0))) > 1e-12
-            or float(np.max(np.abs(w.dh(samples)))) > 1e-12):
-        raise HypothesisError(
-            "this specialization requires the product ambient (warping h = 1); "
-            f"got warping {w.name!r}"
-        )
-    return {}
-
-
-def check_theorem_12(spec: catalog.ShapeSpec, resolutions, seed: int = 0) -> Report:
-    """t13 on the product ambient, where every slice value is n = 2."""
-    return _theorem_report("T12", spec, resolutions, seed, _product_hypothesis,
-                           _slice_mean_bound)
-
-
-def _esi_bound(surface, fields) -> float:
-    w = surface.ambient.warping
-    t = surface.bundle(2)["0"][:, 0]
-    n = SURFACE_DIM
-    scalar = wp.ambient_ricci(w, t).scalar
-    integrand = (
-        n * fields.mean_curv**2
-        + (scalar - 2.0 * fields.ricci_normal) / (n - 1)
-        - fields.sigma_sq
-        - fields.ricci_normal
-    )
-    return float(np.sum(integrand * fields.area_element) / np.sum(fields.area_element))
-
-
-def check_esi(spec: catalog.ShapeSpec, resolutions, seed: int = 0) -> Report:
-    """Conformal-volume style bound via ambient curvature quadrature."""
-    return _theorem_report("ESI", spec, resolutions, seed, _require_warped, _esi_bound)
-
-
-_CHECKS = {
-    "t11": check_theorem_11,
-    "t12": check_theorem_12,
-    "t13": check_theorem_13,
-    "esi": check_esi,
-}
-
-
-def check_theorem(theorem: str, spec: catalog.ShapeSpec, resolutions,
-                  seed: int = 0) -> Report:
-    key = theorem.lower()
-    if key not in _CHECKS:
-        raise DomainError(f"unknown check {theorem!r}; pick one of {sorted(_CHECKS)}")
-    return _CHECKS[key](spec, resolutions, seed=seed)
 
 
 def convergence_study(spec: catalog.ShapeSpec, resolutions, seed: int = 0) -> Report:
@@ -375,7 +351,7 @@ def sweep_flat_torus(rs, resolutions, seed: int = 0) -> list[Report]:
     for r in rs:
         spec = catalog.flat_torus(float(r))
         reports.append(_sweep_member(
-            check_theorem_11(spec, resolutions, seed=seed),
+            check_theorem("t11", spec, resolutions, seed=seed),
             scenario_slug("sweep-flat-torus", f"r={float(r):.6g}"),
             r=float(r), oracle_lambda2=catalog.exact_jacobi_spectrum(spec, 2)[1],
         ))
@@ -394,7 +370,7 @@ def sweep_graph_amplitude(warping, t0, perturbation, amplitudes, resolutions,
             else catalog.graph_over_slice(warping, t0, perturbation, amp)
         )
         reports.append(_sweep_member(
-            check_theorem_13(spec, resolutions, seed=seed),
+            check_theorem("t13", spec, resolutions, seed=seed),
             scenario_slug("sweep-graph-amplitude", f"amp={amp:.6g}"),
             amplitude=amp,
         ))
@@ -402,14 +378,15 @@ def sweep_graph_amplitude(warping, t0, perturbation, amplitudes, resolutions,
 
 
 def balance_bound_scenario(spec: catalog.ShapeSpec, resolution, seed: int = 0,
-                           tol: float = 1e-9, starts=None) -> Report:
+                           tol: float = 1e-9) -> Report:
     """Balanced-coordinate upper bound vs the computed second eigenvalue."""
 
     def measure(surface, fields, pencil, spectrum):
         return surface.grid, spectrum, balanced_bound_report(
-            surface, fields, pencil, spectrum, tol=tol, starts=starts)
+            surface, fields, pencil, spectrum, tol=tol)
 
-    _, [(grid, spectrum, rep)] = _ladder(spec, [resolution], seed, measure)
+    _, [(grid, spectrum, rep)] = _ladder(spec, [resolution], seed, measure,
+                                         _require_sphere3)
     lam1, lam2 = float(spectrum.eigenvalues[0]), float(spectrum.eigenvalues[1])
     scenario = scenario_slug("balance-bound", spec.label)
     body = {
@@ -423,15 +400,10 @@ def balance_bound_scenario(spec: catalog.ShapeSpec, resolution, seed: int = 0,
         "balance_residual": rep.balance_residual,
         "param_norm": rep.param.magnitude,
         "param": [float(x) for x in rep.param.a],
-        "attempts": [
-            {
-                "start": a["start"],
-                "bound": a["bound"],
-                "residual": a["residual"],
-                "param_norm": a["param"].magnitude,
-            }
-            for a in rep.attempts
-        ],
+        # balancing runs once, from the identity
+        "attempts": [{"start": None, "bound": rep.bound,
+                      "residual": rep.balance_residual,
+                      "param_norm": rep.param.magnitude}],
         "seed": seed,
     }
     return Report(scenario, body,
@@ -446,7 +418,7 @@ def slice_spectrum_report(warping, t0: float, count: int = 8) -> Report:
     k = 0
     emitted = 0
     while emitted < count:
-        mult = wp.harmonic_multiplicity(k, w.dim_n)
+        mult = wp.harmonic_multiplicity(k, wp.SPHERE_DIM)
         bands.append(
             {
                 "band": k,
@@ -462,7 +434,7 @@ def slice_spectrum_report(warping, t0: float, count: int = 8) -> Report:
         "scenario": scenario,
         "warping": w.name,
         "t0": float(t0),
-        "sphere_dim": w.dim_n,
+        "sphere_dim": wp.SPHERE_DIM,
         "count": count,
         "eigenvalues": values,
         "bands": bands,

@@ -46,7 +46,6 @@ from .errors import (
     MeshTooCoarseError,
     UnsupportedAmbientError,
 )
-from .charts import MAX_ORDER
 from .grids import Grid
 
 __all__ = [
@@ -93,8 +92,6 @@ def _require_unit(x: np.ndarray, message: str) -> None:
 class Sphere3:
     """Round unit 3-sphere ambient; Ric(v, v) = 2 on unit directions."""
 
-    kind: str = "sphere3"
-
     def terms(self, b: dict[str, np.ndarray]) -> AmbientTerms:
         x = b["0"]
         _require_unit(x, "chart values must lie on the unit 3-sphere")
@@ -103,17 +100,9 @@ class Sphere3:
 
 @dataclass(frozen=True)
 class WarpedProduct:
-    """Warped-product ambient I x S^n; surfaces here use n = 2."""
+    """Warped-product ambient I x S^2."""
 
     warping: wp.WarpingFunction
-    kind: str = "warped"
-
-    def __post_init__(self):
-        if self.warping.dim_n != 2:
-            raise DomainError(
-                "two-dimensional meshes require a warped ambient over S^2 "
-                f"(got sphere factor dimension {self.warping.dim_n})"
-            )
 
     def terms(self, b: dict[str, np.ndarray]) -> AmbientTerms:
         w = self.warping
@@ -145,15 +134,12 @@ class WarpedProduct:
 class ImmersedSurface:
     """A chart over a structured grid into a supported ambient."""
 
-    def __init__(self, ambient, chart, grid: Grid, topology_hint: str | None = None,
-                 name: str = "surface"):
+    def __init__(self, ambient, chart, grid: Grid):
         if not isinstance(ambient, (Sphere3, WarpedProduct)):
             raise UnsupportedAmbientError(f"unsupported ambient {ambient!r}")
         self.ambient = ambient
         self.chart = chart
         self.grid = grid
-        self.topology_hint = topology_hint or grid.topology
-        self.name = name
         self._bundle: dict[str, np.ndarray] | None = None
 
     @property
@@ -164,14 +150,14 @@ class ImmersedSurface:
     def is_sphere3(self) -> bool:
         return isinstance(self.ambient, Sphere3)
 
-    def bundle(self, max_order: int = MAX_ORDER) -> dict[str, np.ndarray]:
-        """Chart derivative arrays through order 3, so through any max_order.
+    def bundle(self) -> dict[str, np.ndarray]:
+        """Chart derivative arrays through order 3, keyed by `charts.BUNDLE_KEYS`.
 
         The chart is evaluated once, and every later request is served
         from that cached bundle.
         """
         if self._bundle is None:
-            self._bundle = self.chart.evaluate(self.grid, MAX_ORDER)
+            self._bundle = self.chart.evaluate(self.grid)
         return self._bundle
 
 

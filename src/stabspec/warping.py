@@ -1,8 +1,8 @@
 """Closed-form geometry of rotationally symmetric ambient spaces.
 
 The ambient spaces handled here are products of a compact interval with a
-round unit n-sphere, carrying the metric  dt^2 + h(t)^2 ds^2  for a smooth
-positive profile h.  Every quantity below is an exact algebraic function of
+round unit n-sphere, n = SPHERE_DIM = 2, carrying the metric
+dt^2 + h(t)^2 ds^2  for a smooth positive profile h.  Every quantity below is an exact algebraic function of
 the triple (h, h', h''); nothing is differentiated numerically.
 
 Conventions:
@@ -21,7 +21,7 @@ n times it equals the second eigenvalue of the slice stability operator.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -29,6 +29,7 @@ import numpy as np
 from .errors import DomainError
 
 __all__ = [
+    "SPHERE_DIM",
     "WarpingFunction",
     "AmbientCurvature",
     "SliceData",
@@ -47,28 +48,28 @@ __all__ = [
     "space_form_defect",
 ]
 
+# Dimension n of the sphere factor, and so of the hypersurfaces (slices and
+# graphs over them) studied in the ambient.
+SPHERE_DIM = 2
+
 
 @dataclass(frozen=True)
 class WarpingFunction:
     """Profile h > 0 on a compact interval, with its first two derivatives.
 
-    h, dh, d2h must accept floats or numpy arrays.  dim_n is the dimension
-    of the sphere factor (so the ambient has dimension dim_n + 1).
+    h, dh, d2h must accept floats or numpy arrays.
     """
 
     h: Callable
     dh: Callable
     d2h: Callable
     interval: tuple[float, float]
-    dim_n: int = 2
     name: str = "custom"
 
     def __post_init__(self):
         lo, hi = self.interval
         if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
             raise DomainError(f"interval must be a finite non-empty range, got {self.interval}")
-        if int(self.dim_n) < 2:
-            raise DomainError(f"sphere factor dimension must be >= 2, got {self.dim_n}")
         # Cheap positivity screen at a few sample points; full checks happen
         # wherever h is actually evaluated.
         ts = np.linspace(lo, hi, 7)
@@ -152,7 +153,7 @@ def ambient_ricci(w: WarpingFunction, t) -> AmbientCurvature:
     Accepts scalar or array t (fields are then arrays of the same shape).
     """
     h, dh, d2h = _hs(w, t)
-    n = w.dim_n
+    n = SPHERE_DIM
     a = d2h / h
     b = (1.0 - dh**2) / h**2
     return AmbientCurvature(
@@ -174,7 +175,7 @@ def ricci_direction(w: WarpingFunction, t, cos_angle):
         raise DomainError("cos_angle must lie in [-1, 1]")
     c = np.clip(c, -1.0, 1.0)
     h, dh, d2h = _hs(w, t)
-    n = w.dim_n
+    n = SPHERE_DIM
     a = d2h / h
     b = (1.0 - dh**2) / h**2
     ricci_tt = -n * a
@@ -185,7 +186,7 @@ def ricci_direction(w: WarpingFunction, t, cos_angle):
 def slice_data(w: WarpingFunction, t: float) -> SliceData:
     """Extrinsic invariants of the slice {t} x S^n with normal +d/dt."""
     h, dh, d2h = _hs(w, t)
-    n = w.dim_n
+    n = SPHERE_DIM
     k = dh / h
     return SliceData(
         sigma_sq=float(n * k**2),
@@ -201,7 +202,7 @@ def slice_lambda2(w: WarpingFunction, t):
     slice_eigenvalue_band); the two code paths are kept separate so they
     can check each other.
     """
-    n = w.dim_n
+    n = SPHERE_DIM
     return n * convexity_condition(w, t)
 
 
@@ -215,7 +216,7 @@ def slice_eigenvalue_band(w: WarpingFunction, t, k: int):
     if k < 0:
         raise DomainError("harmonic degree k must be >= 0")
     h, dh, d2h = _hs(w, t)
-    n = w.dim_n
+    n = SPHERE_DIM
     return _scalarize(k * (k + n - 1) / h**2 - n * (dh / h) ** 2 + n * d2h / h)
 
 
@@ -236,12 +237,12 @@ def slice_spectrum(w: WarpingFunction, t: float, count: int) -> np.ndarray:
     k = 0
     while len(out) < count:
         lam = float(slice_eigenvalue_band(w, t, k))
-        out.extend([lam] * harmonic_multiplicity(k, w.dim_n))
+        out.extend([lam] * harmonic_multiplicity(k, SPHERE_DIM))
         k += 1
     return np.array(sorted(out)[:count])
 
 
-def condition_strictness(w: WarpingFunction, t_range=None, samples: int = 512):
+def condition_strictness(w: WarpingFunction, t_range=None):
     """Scan the convexity condition over a t-range.
 
     Returns (min_value, argmin_t).  Strict positivity of min_value is the
@@ -249,7 +250,7 @@ def condition_strictness(w: WarpingFunction, t_range=None, samples: int = 512):
     """
     lo, hi = t_range if t_range is not None else w.interval
     w.require_inside([lo, hi])
-    ts = np.linspace(lo, hi, max(int(samples), 2))
+    ts = np.linspace(lo, hi, 512)
     vals = np.asarray(convexity_condition(w, ts), dtype=float)
     i = int(np.argmin(vals))
     return float(vals[i]), float(ts[i])
@@ -284,7 +285,7 @@ _BUILTIN_DEFS = {
 BUILTIN_WARPINGS = tuple(_BUILTIN_DEFS)
 
 
-def builtin_warping(name: str, interval=None, dim_n: int = 2) -> WarpingFunction:
+def builtin_warping(name: str, interval=None) -> WarpingFunction:
     """Look up a named profile: product, sphere, hyperbolic, euclidean, cosh."""
     try:
         h, dh, d2h, default_interval = _BUILTIN_DEFS[name]
@@ -297,18 +298,17 @@ def builtin_warping(name: str, interval=None, dim_n: int = 2) -> WarpingFunction
         dh=dh,
         d2h=d2h,
         interval=tuple(interval) if interval is not None else default_interval,
-        dim_n=dim_n,
         name=name,
     )
 
 
-def polynomial_warping(coeffs, interval, dim_n: int = 2) -> WarpingFunction:
+def polynomial_warping(coeffs, interval) -> WarpingFunction:
     """Profile h(t) = sum_k coeffs[k] t^k (coefficients low order first)."""
     c = np.asarray(coeffs, dtype=float)
     if c.ndim != 1 or c.size == 0:
         raise DomainError("polynomial coefficients must be a non-empty 1-d sequence")
     p = np.polynomial.Polynomial(c)
     return WarpingFunction(
-        h=p, dh=p.deriv(1), d2h=p.deriv(2), interval=tuple(interval), dim_n=dim_n,
+        h=p, dh=p.deriv(1), d2h=p.deriv(2), interval=tuple(interval),
         name=f"poly[{','.join(f'{x:g}' for x in c)}]",
     )

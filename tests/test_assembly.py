@@ -17,7 +17,7 @@ import scipy.sparse as sp_sparse
 
 import stabspec as ss
 from stabspec.charts import JetChart, _jet_cos, _jet_sin
-from stabspec.errors import AssemblyError, DomainError
+from stabspec.errors import AssemblyError
 from stabspec.grids import torus_grid
 from stabspec.surfaces import Sphere3
 
@@ -31,10 +31,10 @@ SHAPES = [
 ]
 
 
-def _pencil(spec, **kw):
+def _pencil(spec):
     s = ss.build(spec)
     f = ss.compute_geometry(s, want_gauss=False)
-    return s, f, ss.assemble(s, f, **kw)
+    return s, f, ss.assemble(s, f)
 
 
 @pytest.mark.parametrize("spec", SHAPES, ids=lambda s: s.label)
@@ -57,13 +57,14 @@ def test_constant_vector_reproduces_potential(spec):
 
 
 def test_zero_potential_gives_nonnegative_laplacian(rng):
-    _, _, p = _pencil(ss.flat_torus(0.6, (12, 12)), potential_mode="custom",
-                      custom_potential=np.zeros(12 * 12))
+    # the Laplacian is the Jacobi operator with its potential added back
+    _, _, p = _pencil(ss.flat_torus(0.6, (12, 12)))
+    lap = p.stiffness_minus_potential + sp_sparse.diags(p.potential * p.mass_diagonal)
     ones = np.ones(p.node_count)
-    assert np.max(np.abs(p.stiffness_minus_potential @ ones)) < 1e-13
+    assert np.max(np.abs(lap @ ones)) < 1e-13
     for _ in range(10):
         u = rng.standard_normal(p.node_count)
-        assert u @ (p.stiffness_minus_potential @ u) > -1e-10
+        assert u @ (lap @ u) > -1e-10
 
 
 def test_mass_matrix_is_total_area():
@@ -72,34 +73,17 @@ def test_mass_matrix_is_total_area():
     assert np.min(p.mass_diagonal) > 0
 
 
-def test_shifted_potential_is_a_mass_shift():
-    c = 3.7
-    _, _, p0 = _pencil(ss.flat_torus(0.6, (12, 12)))
-    _, _, pc = _pencil(ss.flat_torus(0.6, (12, 12)), potential_mode="shifted",
-                       shift=c)
-    delta = (pc.stiffness_minus_potential
-             - (p0.stiffness_minus_potential - c * p0.mass)).tocoo()
-    scale = np.max(np.abs(p0.stiffness_minus_potential.data))
-    assert delta.nnz == 0 or np.max(np.abs(delta.data)) <= 1e-12 * scale
-
-
 def test_shifted_spectrum_identity():
     c = 2.5
     _, _, p0 = _pencil(ss.clifford_torus((16, 16)))
-    _, _, pc = _pencil(ss.clifford_torus((16, 16)), potential_mode="shifted",
-                       shift=c)
+    # the Jacobi pencil with its potential raised by c: (A - c M, M)
+    pc = dataclasses.replace(
+        p0, stiffness_minus_potential=(p0.stiffness_minus_potential - c * p0.mass).tocsr(),
+        potential=p0.potential + c)
     e0 = ss.smallest_eigenpairs(p0, 5).eigenvalues
     ec = ss.smallest_eigenpairs(pc, 5).eigenvalues
     # raising the potential by c lowers every eigenvalue by c
     np.testing.assert_allclose(ec, e0 - c, atol=1e-12 * (1 + abs(c)) * 5)
-
-
-def test_custom_potential_requires_vector():
-    with pytest.raises((AssemblyError, DomainError)):
-        _pencil(ss.clifford_torus((8, 8)), potential_mode="custom",
-                custom_potential=None)
-    with pytest.raises((AssemblyError, DomainError)):
-        _pencil(ss.clifford_torus((8, 8)), potential_mode="nonsense")
 
 
 def test_degenerate_mass_is_rejected():
@@ -139,8 +123,7 @@ def test_sheared_chart_activates_mixed_coupling_and_converges():
                                    c * _jet_cos(v + u), c * _jet_sin(v + u)))
     errs = []
     for n in (16, 32):
-        s = ss.ImmersedSurface(Sphere3(), chart,
-                               torus_grid(n, n), name=f"sheared-{n}")
+        s = ss.ImmersedSurface(Sphere3(), chart, torus_grid(n, n))
         f = ss.compute_geometry(s, want_gauss=False)
         assert np.max(np.abs(f.metric[:, 0, 1] - 0.5)) < 1e-13
         p = ss.assemble(s, f)

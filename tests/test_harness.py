@@ -21,6 +21,7 @@ from stabspec.errors import (
     ConfigError,
     HypothesisError,
     NonConvergenceError,
+    StabspecError,
 )
 
 FAST = [(12, 12), (24, 24)]
@@ -74,7 +75,7 @@ def test_report_tolerance_floor():
 
 
 def test_torus_check_passes_with_equality_on_the_square_torus(solve):
-    rep = ss.check_theorem_11(ss.clifford_torus(), resolutions=FAST)
+    rep = ss.check_theorem("t11", ss.clifford_torus(), resolutions=FAST)
     assert rep.verdict and rep.body["equality"]
     assert rep.body["bound"] == -2.0
     assert rep.body["lambda2_extrapolated"] == pytest.approx(
@@ -83,45 +84,45 @@ def test_torus_check_passes_with_equality_on_the_square_torus(solve):
 
 
 def test_torus_check_strict_inequality_off_the_square_shape():
-    rep = ss.check_theorem_11(ss.flat_torus(0.6), resolutions=FAST)
+    rep = ss.check_theorem("t11", ss.flat_torus(0.6), resolutions=FAST)
     assert rep.verdict and not rep.body["equality"]
     assert rep.body["margin"] == pytest.approx(1 / 0.36 - 2.0, abs=5e-3)
 
 
 def test_torus_check_accepts_perturbed_tori():
-    rep = ss.check_theorem_11(ss.perturbed_torus(1 / math.sqrt(2), 0.05, 3),
-                              resolutions=FAST)
+    rep = ss.check_theorem("t11", ss.perturbed_torus(1 / math.sqrt(2), 0.05, 3),
+                           resolutions=FAST)
     assert rep.verdict
     assert rep.body["lambda2_extrapolated"] < -2.0
 
 
 def test_torus_check_rejects_spheres():
     with pytest.raises(HypothesisError):
-        ss.check_theorem_11(ss.geodesic_sphere(1.0), resolutions=FAST)
+        ss.check_theorem("t11", ss.geodesic_sphere(1.0), resolutions=FAST)
 
 
 def test_product_check_requires_constant_profile():
-    rep = ss.check_theorem_12(ss.slice_shape("product", 0.4),
-                              resolutions=FAST)
+    rep = ss.check_theorem("t12", ss.slice_shape("product", 0.4),
+                           resolutions=FAST)
     assert rep.verdict and rep.body["bound"] == 2.0
     with pytest.raises(HypothesisError):
-        ss.check_theorem_12(ss.slice_shape("cosh", 0.0), resolutions=FAST)
+        ss.check_theorem("t12", ss.slice_shape("cosh", 0.0), resolutions=FAST)
 
 
 def test_convex_check_needs_a_strictly_convex_profile():
-    rep = ss.check_theorem_13(ss.slice_shape("cosh", 0.3), resolutions=FAST)
+    rep = ss.check_theorem("t13", ss.slice_shape("cosh", 0.3), resolutions=FAST)
     assert rep.verdict and rep.body["equality"]
     assert rep.body["bound"] == pytest.approx(4.0 / math.cosh(0.3) ** 2, rel=1e-9)
     for name in ("sphere", "hyperbolic", "euclidean"):
         t0 = 1.0
         with pytest.raises(HypothesisError):
-            ss.check_theorem_13(ss.slice_shape(name, t0), resolutions=FAST)
+            ss.check_theorem("t13", ss.slice_shape(name, t0), resolutions=FAST)
 
 
 def test_convex_check_margin_grows_with_amplitude():
     reps = [
-        ss.check_theorem_13(
-            ss.graph_over_slice("cosh", 0.3, "Y2,0", amp), resolutions=FAST)
+        ss.check_theorem(
+            "t13", ss.graph_over_slice("cosh", 0.3, "Y2,0", amp), resolutions=FAST)
         for amp in (0.02, 0.1)
     ]
     assert all(r.verdict for r in reps)
@@ -129,8 +130,8 @@ def test_convex_check_margin_grows_with_amplitude():
 
 
 def test_curvature_integral_check_on_graphs():
-    rep = ss.check_esi(ss.graph_over_slice("cosh", 0.3, "Y2,0", 0.05),
-                       resolutions=FAST)
+    rep = ss.check_theorem("esi", ss.graph_over_slice("cosh", 0.3, "Y2,0", 0.05),
+                           resolutions=FAST)
     assert rep.verdict
     assert rep.body["margin"] > 0
     assert rep.body["bound"] == pytest.approx(
@@ -139,7 +140,7 @@ def test_curvature_integral_check_on_graphs():
 
 def test_curvature_integral_check_rejects_sphere_ambient():
     with pytest.raises(HypothesisError):
-        ss.check_esi(ss.clifford_torus(), resolutions=FAST)
+        ss.check_theorem("esi", ss.clifford_torus(), resolutions=FAST)
 
 
 def test_check_dispatch_and_unknown_id():
@@ -150,8 +151,8 @@ def test_check_dispatch_and_unknown_id():
 
 
 def test_slice_equality_is_attained_on_the_slice_itself():
-    rep = ss.check_theorem_13(ss.slice_shape("cosh", 0.0),
-                              resolutions=[(16, 16), (32, 32)])
+    rep = ss.check_theorem("t13", ss.slice_shape("cosh", 0.0),
+                           resolutions=[(16, 16), (32, 32)])
     assert rep.body["equality"]
     assert rep.body["margin"] <= rep.body["tol_report"]
 
@@ -238,10 +239,11 @@ def build_log(monkeypatch):
 
 
 @pytest.mark.parametrize("run, members", [
-    (lambda: ss.check_theorem_11(ss.flat_torus(0.6), FAST), 1),
-    (lambda: ss.check_theorem_13(
-        ss.graph_over_slice("cosh", 0.3, "Y2,0", 0.05), FAST), 1),
-    (lambda: ss.check_esi(ss.graph_over_slice("cosh", 0.3, "Y2,0", 0.05), FAST), 1),
+    (lambda: ss.check_theorem("t11", ss.flat_torus(0.6), FAST), 1),
+    (lambda: ss.check_theorem(
+        "t13", ss.graph_over_slice("cosh", 0.3, "Y2,0", 0.05), FAST), 1),
+    (lambda: ss.check_theorem(
+        "esi", ss.graph_over_slice("cosh", 0.3, "Y2,0", 0.05), FAST), 1),
     (lambda: ss.sweep_flat_torus([0.6, 0.65], FAST), 2),
     (lambda: ss.sweep_graph_amplitude("cosh", 0.3, "Y2,0", [0.0, 0.05], FAST), 2),
 ], ids=["t11", "t13", "esi", "sweep-flat-torus", "sweep-graph-amplitude"])
@@ -273,8 +275,8 @@ def test_failed_hypothesis_stops_before_any_solve(tmp_path, monkeypatch,
 
 
 def test_report_json_file_rounds_to_twelve_digits(tmp_path):
-    rep = ss.check_theorem_12(ss.slice_shape("product", 0.0),
-                              resolutions=FAST)
+    rep = ss.check_theorem("t12", ss.slice_shape("product", 0.0),
+                           resolutions=FAST)
     path = tmp_path / "report.json"
     ss.write_json_report(rep.body, path)
     data = json.loads(path.read_text())
@@ -313,18 +315,20 @@ def test_parse_kv_text_rules():
         cfgmod.parse_kv_text("just words\n")
     with pytest.raises(ConfigError):
         cfgmod.parse_kv_text("key=\n")
+    with pytest.raises(ConfigError):  # misspelled key
+        cfgmod.parse_kv_text("shape=flat-torus\nradius=0.6\n")
 
 
 def test_typed_getters():
     cfg = {"x": "1.5", "n": "4", "xs": "1,2,3"}
-    assert cfgmod.get_float(cfg, "x") == 1.5
-    assert cfgmod.get_int(cfg, "n") == 4
-    assert cfgmod.get_float_list(cfg, "xs") == [1.0, 2.0, 3.0]
-    assert cfgmod.get_float(cfg, "missing", 2.5) == 2.5
+    assert cfgmod.get(cfg, "x", float) == 1.5
+    assert cfgmod.get(cfg, "n", int) == 4
+    assert cfgmod.get(cfg, "xs", cfgmod.floats) == [1.0, 2.0, 3.0]
+    assert cfgmod.get(cfg, "missing", float, 2.5) == 2.5
     with pytest.raises(ConfigError):
-        cfgmod.get_float({"x": "abc"}, "x")
+        cfgmod.get({"x": "abc"}, "x", float)
     with pytest.raises(ConfigError):
-        cfgmod.get_float({}, "x")
+        cfgmod.get({}, "x", float)
 
 
 def test_shape_from_config_kinds():
@@ -388,6 +392,11 @@ def test_cli_rejects_bad_overrides(tmp_path):
                      "--out", str(tmp_path / "r")]) == 2
     assert cli_main(["check", "t11", "shape=dodecahedron",
                      "--out", str(tmp_path / "r")]) == 2
+    # a misspelled key would otherwise leave the default Y2,0 in place
+    assert cli_main(["check", "t13", "shape=graph-over-slice", "warping=cosh", "t0=0.3",
+                     "amplitude=0.05", "perturbaton=Y3,1", "resolutions=16",
+                     "--out", str(tmp_path / "r")]) == 2
+    assert not (tmp_path / "r").exists()
 
 
 def test_cli_overrides_may_follow_the_config_option(tmp_path):
@@ -476,6 +485,30 @@ def test_cli_maps_nonconvergence_to_exit_three(tmp_path, monkeypatch):
     code = cli_main(["check", "t11", "shape=clifford-torus", "resolutions=12,24",
                      "--out", str(tmp_path / "r")])
     assert code == 3
+
+
+def test_cli_rejects_warped_balance_bound_before_any_solve(tmp_path, monkeypatch,
+                                                           build_log):
+    solves = []
+    monkeypatch.setattr(harness, "smallest_eigenpairs",
+                        lambda *args, **kwargs: solves.append(args))
+    code = cli_main(["balance-bound", "shape=slice", "warping=cosh", "t0=0.0",
+                     "resolution=16", "--out", str(tmp_path / "r")])
+    assert code == 2
+    assert solves == []
+    assert build_log == [(16, 16)]
+
+
+def test_every_error_class_has_an_exit_code():
+    def family(cls):
+        return [cls] + [c for sub in cls.__subclasses__() for c in family(sub)]
+
+    codes = {cls.__name__: cls.exit_code for cls in family(StabspecError)}
+    assert len(codes) == 9
+    assert set(codes.values()) == {2, 3}
+    assert {name for name, code in codes.items() if code == 3} == {
+        "DegenerateChartError", "AssemblyError", "NonConvergenceError",
+        "MeshTooCoarseError"}
 
 
 def test_cli_maps_failed_checks_to_exit_four(tmp_path, monkeypatch):

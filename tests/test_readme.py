@@ -1,0 +1,55 @@
+"""README drift: its Quick start runs and its command lines parse.
+
+The Python block under "Quick start" runs as written, so a public name it
+uses cannot disappear unnoticed.  Every `stabspec ...` line of the
+README's `sh` blocks is parsed by the CLI's own parser and its key=value
+tokens (and those of a `--config` file) must be recognized keys; the
+commands are parsed, not run.  The sample configurations load too.
+"""
+
+from __future__ import annotations
+
+import pathlib
+import re
+import shlex
+
+import pytest
+
+import stabspec.config as cfgmod
+from stabspec.cli import parse_args
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+README = (ROOT / "README.md").read_text()
+
+
+def _blocks(lang: str) -> list[str]:
+    return re.findall(rf"```{lang}\n(.*?)```", README, re.S)
+
+
+COMMANDS = [line for block in _blocks("sh") for line in block.splitlines()
+            if line.startswith("stabspec ")]
+
+
+def test_quick_start_runs_as_written():
+    quick_start = README.split("## Quick start (Python)", 1)[1]
+    code = re.search(r"```python\n(.*?)```", quick_start, re.S).group(1)
+    namespace: dict = {}
+    exec(compile(code, "README.md", "exec"), namespace)
+    assert namespace["bound"] >= namespace["spectrum"].eigenvalues[1] - 1e-8
+
+
+def test_readme_has_command_lines():
+    assert len(COMMANDS) >= 7
+
+
+@pytest.mark.parametrize("line", COMMANDS)
+def test_readme_command_lines_parse(line):
+    args = parse_args(shlex.split(line)[1:])
+    cfg = cfgmod.load_config_file(ROOT / args.config) if args.config else {}
+    cfgmod.merge_overrides(cfg, args.params)
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "configs").glob("*.cfg")),
+                         ids=lambda p: p.name)
+def test_sample_configs_load(path):
+    assert cfgmod.load_config_file(path)

@@ -22,7 +22,7 @@ from stabspec.errors import (
     UnsupportedAmbientError,
 )
 from stabspec.grids import sphere_grid, torus_grid
-from stabspec.surfaces import Sphere3, WarpedProduct
+from stabspec.surfaces import Sphere3
 
 
 def _build(spec, want_gauss=True):
@@ -129,7 +129,7 @@ def test_product_slice_is_totally_geodesic():
 def test_graph_over_slice_reduces_to_slice_at_zero_amplitude():
     sl = ss.build(ss.slice_shape("cosh", 0.3, (12, 12)))
     gr = ss.build(ss.graph_over_slice("cosh", 0.3, "Y2,0", 0.0, (12, 12)))
-    np.testing.assert_allclose(gr.bundle(0)["0"], sl.bundle(0)["0"],
+    np.testing.assert_allclose(gr.bundle()["0"], sl.bundle()["0"],
                                atol=1e-15)
 
 
@@ -190,7 +190,7 @@ def test_normal_is_unit_tangent_orthogonal_and_oriented(rng):
     for spec in (ss.clifford_torus((12, 12)), ss.flat_torus(0.55, (12, 12)),
                  ss.geodesic_sphere(1.1, (12, 12))):
         s, f = _build(spec, want_gauss=False)
-        b = s.bundle(1)
+        b = s.bundle()
         x, xu, xv = b["0"], b["u"], b["v"]
         nu = f.normal
         np.testing.assert_allclose(np.einsum("ij,ij->i", nu, nu), 1.0,
@@ -222,7 +222,7 @@ def test_degenerate_chart_is_rejected():
     c = 1 / math.sqrt(2)
     chart = JetChart(lambda u, v: (c * _jet_cos(u + v), c * _jet_sin(u + v),
                                    c * _jet_cos(u + v), c * _jet_sin(u + v)))
-    s = ss.ImmersedSurface(Sphere3(), chart, torus_grid(8, 8), name="degenerate")
+    s = ss.ImmersedSurface(Sphere3(), chart, torus_grid(8, 8))
     with pytest.raises(DegenerateChartError) as err:
         ss.compute_geometry(s)
     assert err.value.det < 1e-10
@@ -231,7 +231,7 @@ def test_degenerate_chart_is_rejected():
 def test_off_sphere_chart_is_rejected():
     # norm sqrt(2), not 1
     chart = JetChart(lambda u, v: (_jet_cos(u), _jet_sin(u), _jet_cos(v), _jet_sin(v)))
-    s = ss.ImmersedSurface(Sphere3(), chart, torus_grid(8, 8), name="off-sphere")
+    s = ss.ImmersedSurface(Sphere3(), chart, torus_grid(8, 8))
     with pytest.raises(DomainError):
         ss.compute_geometry(s)
 
@@ -247,11 +247,3 @@ def test_euler_characteristic_guards_against_bad_totals():
     skewed = dataclasses.replace(f, gauss_curv=1.2 * f.gauss_curv)
     with pytest.raises(MeshTooCoarseError):
         ss.euler_characteristic(s, skewed)
-
-
-# ------------------------------------------------------------ ambient guard
-
-
-def test_warped_product_requires_two_dimensional_fibers():
-    with pytest.raises(DomainError):
-        WarpedProduct(ss.builtin_warping("cosh", dim_n=3))

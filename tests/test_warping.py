@@ -240,8 +240,3 @@ def test_require_inside_raises_outside_interval():
 def test_unknown_builtin_name_raises():
     with pytest.raises(DomainError):
         W.builtin_warping("paraboloid")
-
-
-def test_dimension_guard():
-    with pytest.raises(DomainError):
-        W.builtin_warping("cosh", dim_n=1)
