@@ -30,6 +30,7 @@ import numpy as np
 import scipy.sparse as sp_sparse
 
 from .errors import AssemblyError, DomainError
+from .grids import Grid
 from .surfaces import GeometryFields, ImmersedSurface
 
 __all__ = ["OperatorPencil", "assemble", "rayleigh"]
@@ -37,12 +38,17 @@ __all__ = ["OperatorPencil", "assemble", "rayleigh"]
 
 @dataclass(frozen=True)
 class OperatorPencil:
-    """Symmetric generalized eigenproblem pair for the stability operator."""
+    """Symmetric generalized eigenproblem pair for the stability operator.
+
+    `grid` is the parameter grid the pencil was assembled on (node i * nv + j
+    at (u[i], v[j])); a pencil built by hand has none.
+    """
 
     stiffness_minus_potential: sp_sparse.csr_matrix
     mass: sp_sparse.csr_matrix
     node_count: int
     potential: np.ndarray
+    grid: Grid | None = None
 
     @property
     def mass_diagonal(self) -> np.ndarray:
@@ -110,6 +116,7 @@ def assemble(surface: ImmersedSurface, fields: GeometryFields) -> OperatorPencil
         mass=mass,
         node_count=surface.node_count,
         potential=q,
+        grid=grid,
     )
 
 

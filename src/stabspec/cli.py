@@ -8,8 +8,9 @@ Subcommands:
   balance-bound    balanced-coordinate upper bound vs computed lambda2
 
 Configuration comes from an optional key=value file (--config) with
-command-line key=value overrides.  Each scenario writes a JSON report
-into the output directory plus a shared summary.csv.
+command-line key=value overrides; an override the subcommand does not
+read is a configuration error.  Each scenario writes a JSON report into
+the output directory plus a shared summary.csv.
 
 Exit codes: 0 all checks pass; 2 a theorem hypothesis (or the
 configuration) is invalid; 3 a numerical routine failed to converge;
@@ -24,7 +25,7 @@ import sys
 
 from . import config as cfgmod
 from . import harness
-from .errors import StabspecError
+from .errors import ConfigError, StabspecError
 
 EXIT_OK = 0
 EXIT_VIOLATION = 4
@@ -66,7 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_cfg(args) -> dict[str, str]:
+def _load_cfg(args) -> cfgmod.Config:
     cfg: dict[str, str] = {}
     if args.config:
         cfg = cfgmod.load_config_file(args.config)
@@ -108,44 +109,52 @@ def _seed(cfg) -> int:
     return cfgmod.get(cfg, "seed", int, 0)
 
 
-def _run_slice_spectrum(args, cfg) -> list[harness.Report]:
+# Each runner reads every configuration key it needs and returns the work
+# still to do, so an unread override is refused before anything is solved.
+
+
+def _run_slice_spectrum(args, cfg):
     w = cfgmod.warping_from_config(cfg)
     t0 = cfgmod.get(cfg, "t0", float, 0.0)
-    return [harness.slice_spectrum_report(w, t0, cfgmod.get(cfg, "count", int, 8))]
+    count = cfgmod.get(cfg, "count", int, 8)
+    return lambda: [harness.slice_spectrum_report(w, t0, count)]
 
 
-def _run_check(args, cfg) -> list[harness.Report]:
+def _run_check(args, cfg):
     resolutions = cfgmod.resolutions_from_config(cfg, [24, 48, 96])
     spec = cfgmod.shape_from_config(cfg, (resolutions[0], resolutions[0]))
-    return [harness.check_theorem(args.theorem, spec, resolutions, seed=_seed(cfg))]
+    seed = _seed(cfg)
+    return lambda: [harness.check_theorem(args.theorem, spec, resolutions, seed=seed)]
 
 
-def _run_sweep(args, cfg) -> list[harness.Report]:
+def _run_sweep(args, cfg):
     seed = _seed(cfg)
     resolutions = cfgmod.resolutions_from_config(cfg, [48, 96])
     if args.family == "flat-torus":
         rs = cfgmod.get(cfg, "rs", cfgmod.floats,
                         [0.45, 0.5, 0.55, 0.6, 0.65, 0.7071067811865476, 0.75])
-        return harness.sweep_flat_torus(rs, resolutions, seed=seed)
+        return lambda: harness.sweep_flat_torus(rs, resolutions, seed=seed)
     w = cfgmod.warping_from_config(cfg)
     t0 = cfgmod.get(cfg, "t0", float, 0.0)
     pert = cfgmod.get(cfg, "perturbation", str, "Y2,0")
     amplitudes = cfgmod.get(cfg, "amplitudes", cfgmod.floats, [0.0, 0.02, 0.05, 0.1])
-    return harness.sweep_graph_amplitude(w, t0, pert, amplitudes, resolutions, seed=seed)
+    return lambda: harness.sweep_graph_amplitude(w, t0, pert, amplitudes, resolutions,
+                                                 seed=seed)
 
 
-def _run_converge(args, cfg) -> list[harness.Report]:
+def _run_converge(args, cfg):
     resolutions = cfgmod.resolutions_from_config(cfg, [32, 64, 128])
     spec = cfgmod.shape_from_config(cfg, (resolutions[0], resolutions[0]))
-    return [harness.convergence_study(spec, resolutions, seed=_seed(cfg))]
+    seed = _seed(cfg)
+    return lambda: [harness.convergence_study(spec, resolutions, seed=seed)]
 
 
-def _run_balance_bound(args, cfg) -> list[harness.Report]:
+def _run_balance_bound(args, cfg):
     resolution = cfgmod.get(cfg, "resolution", int, 96)
     spec = cfgmod.shape_from_config(cfg, (resolution, resolution))
     seed = _seed(cfg)
     tol = cfgmod.get(cfg, "tol", float, 1e-9)
-    return [harness.balance_bound_scenario(spec, resolution, seed=seed, tol=tol)]
+    return lambda: [harness.balance_bound_scenario(spec, resolution, seed=seed, tol=tol)]
 
 
 _RUNNERS = {
@@ -158,7 +167,12 @@ _RUNNERS = {
 
 
 def _run(args) -> int:
-    reports = _RUNNERS[args.command](args, _load_cfg(args))
+    cfg = _load_cfg(args)
+    work = _RUNNERS[args.command](args, cfg)
+    unread = sorted(cfg.overrides - cfg.read)
+    if unread:
+        raise ConfigError(f"{args.command} does not read the key(s) {', '.join(unread)}")
+    reports = work()
     for rep in reports:
         _print(rep)
     _emit(args.out, reports)

@@ -5,8 +5,10 @@ lines are skipped.  Values never contain whitespace (lists are
 comma-separated), so the same `key=value` tokens can be passed on the
 command line to override file entries.
 
-Recognized keys (not all commands use all of them; any other key, in a
-file or an override, raises ConfigError):
+Recognized keys (any other key, in a file or an override, raises
+ConfigError; a command-line override that the chosen command does not
+read raises ConfigError too, while a file may hold keys for several
+commands):
 
   shape          clifford-torus | flat-torus | geodesic-sphere | slice |
                  graph-over-slice | perturbed-torus
@@ -31,6 +33,7 @@ from .errors import ConfigError
 
 __all__ = [
     "KEYS",
+    "Config",
     "parse_kv_text",
     "load_config_file",
     "merge_overrides",
@@ -63,6 +66,24 @@ def _pair(text: str, where: str) -> tuple[str, str]:
     return key, value
 
 
+class Config(dict):
+    """Merged configuration, key -> value text.
+
+    It remembers which keys came from command-line overrides and which
+    keys were looked up, so a command can refuse an override it never
+    reads.
+    """
+
+    def __init__(self, entries=()):
+        super().__init__(entries)
+        self.overrides: set[str] = set()
+        self.read: set[str] = set()
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+
 def parse_kv_text(text: str) -> dict[str, str]:
     out: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -78,11 +99,12 @@ def load_config_file(path) -> dict[str, str]:
         return parse_kv_text(fh.read())
 
 
-def merge_overrides(cfg: dict[str, str], pairs) -> dict[str, str]:
-    merged = dict(cfg)
+def merge_overrides(cfg: dict[str, str], pairs) -> Config:
+    merged = Config(cfg)
     for token in pairs:
         key, value = _pair(token, "override")
         merged[key] = value
+        merged.overrides.add(key)
     return merged
 
 

@@ -1,16 +1,37 @@
 """Smallest eigenpairs of the symmetric pencil (A, M).
 
-The sparse path uses shift-invert Lanczos with the shift placed strictly
-below the bottom of the spectrum (lambda_1 >= -max q because the
-stiffness part is positive semidefinite), which makes A - shift*M
-positive definite and the smallest eigenvalues the dominant ones of the
-transformed problem.  A Rayleigh-Ritz pass through the returned subspace
-tightens clustered eigenvalues.  A window of k pairs that cuts an
-eigenvalue cluster can leave the pairs at its edge short of the residual
-tolerance; the solve is then repeated with a doubled window, up to
-min(n - 2, 4k), and the first k Ritz pairs are kept.  A dense path
-(explicit symmetric reduction) covers small problems and serves as an
-independent cross-check of the sparse solver.
+`smallest_eigenpairs` has three paths and picks one from the pencil's data:
+
+* reduced: taken whenever the pencil is invariant along a periodic grid
+  axis, at any size (v is tried first, then u).  Invariance means that A
+  couples a node only to the nodes at its own axis index and to its two
+  axis neighbours at its own index of the other axis, with entries (and
+  the diagonal of M) equal to their twins at axis index 0 to 1e-13 of
+  their largest, and axis couplings w <= 0.  A discrete Fourier transform
+  along the axis then splits the pencil into one block per mode m,
+  B_m = T + 2 cos(2 pi m / n) diag(w), with T the coupling at a fixed axis
+  index.  Each block is solved densely.  Because w <= 0, the blocks grow
+  with m for 0 <= m <= n/2 (Weyl), so modes are visited in order and the
+  loop stops at the first mode whose lowest eigenvalue lies above the
+  window: every eigenvalue below the window's top is found, and the
+  window takes in the whole cluster at its edge.  The vectors
+  y cos(m theta) and y sin(m theta) of the window go through the same
+  Rayleigh-Ritz pass and residual check on the full pencil as the other
+  paths, and the k lowest pairs are kept.
+* dense: pencils with no invariant axis and at most DENSE_NODE_LIMIT
+  nodes, by an explicit symmetric reduction; it is also the independent
+  cross-check of the other two.
+* sparse: larger pencils with no invariant axis, by shift-invert Lanczos
+  with the shift placed strictly below the bottom of the spectrum
+  (lambda_1 >= -max q because the stiffness part is positive
+  semidefinite), which makes A - shift*M positive definite and the
+  smallest eigenvalues the dominant ones of the transformed problem.
+  A - shift*M is factored once (minimum-degree ordering on A + A^T) and
+  the factor serves every Lanczos run.  A Rayleigh-Ritz pass through the
+  returned subspace tightens clustered eigenvalues.  A window of k pairs
+  that cuts an eigenvalue cluster can leave the pairs at its edge short
+  of the residual tolerance; the solve is then repeated with a doubled
+  window, up to min(n - 2, 4k), and the first k Ritz pairs are kept.
 
 Results are deterministic: the Lanczos starting vector is drawn from a
 seeded generator recorded in the output.
@@ -18,6 +39,7 @@ seeded generator recorded in the output.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +59,7 @@ __all__ = [
 
 DENSE_NODE_LIMIT = 2000
 CLUSTER_REL_TOL = 1e-6
+INVARIANCE_TOL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -107,15 +130,101 @@ def _ritz_pairs(a, m, k, vecs):
     return vals, vecs, _residuals(a, m, vals, vecs)
 
 
-def _solve_sparse(a, m, k, sigma, v0) -> np.ndarray:
+def _invariant_axis(pencil: OperatorPencil):
+    """(axis, T, w, d) for the first periodic grid axis, v then u, along which
+    the pencil is invariant, or None.
+
+    T is the coupling among the nodes at axis index 0, w[b] the coupling of
+    node b there to its axis neighbour and d its mass, all indexed by the
+    other axis.
+    """
+    grid = pencil.grid
+    if grid is None:
+        return None
+    a = pencil.stiffness_minus_potential
+    d = pencil.mass_diagonal.reshape(grid.nu, grid.nv)
+    coo = a.tocoo()
+    nz = coo.data != 0.0
+    rows = np.divmod(coo.row[nz], grid.nv)
+    cols = np.divmod(coo.col[nz], grid.nv)
+    for axis, periodic in ((1, grid.periodic_v), (0, grid.periodic_u)):
+        if not periodic:
+            continue
+        n = d.shape[axis]
+        hop = (cols[axis] - rows[axis]) % n
+        along = (rows[1 - axis] == cols[1 - axis]) & ((hop == 1) | (hop == n - 1))
+        if not np.all(along | (hop == 0)):
+            continue
+        d0 = d[:, :1] if axis == 1 else d[:1, :]
+        if np.max(np.abs(d - d0)) > INVARIANCE_TOL * np.max(d):
+            continue
+        step = 1 if axis == 1 else grid.nv
+        base = np.arange(grid.nu) * grid.nv if axis == 1 else np.arange(grid.nv)
+        t = a[base][:, base].toarray()
+        w = np.asarray(a[base, base + step]).ravel()
+        ring = sp_sparse.diags([1.0] * 4, [1, -1, n - 1, 1 - n], shape=(n, n))
+        pairs = [(sp_sparse.csr_matrix(t), sp_sparse.identity(n)),
+                 (sp_sparse.diags(w), ring)]
+        ref = sum(sp_sparse.kron(*(pair if axis == 1 else pair[::-1])) for pair in pairs)
+        if np.all(w <= 0.0) and abs(a - ref).max() <= INVARIANCE_TOL * abs(a).max():
+            return axis, t, w, d0.ravel()
+    return None
+
+
+def _window(values, k) -> tuple[int, float]:
+    """(size, limit) of the window of the k smallest values widened to the
+    end of its edge cluster; limit is where a further value would join it."""
+    vals = np.sort(values)
+    if vals.size < k:
+        return vals.size, np.inf
+    edge = next(g for g in cluster_indices(vals) if k - 1 in g)
+    top = vals[edge[-1]]
+    return edge[-1] + 1, top + CLUSTER_REL_TOL * (1.0 + abs(top))
+
+
+def _solve_reduced(grid, invariant, k) -> np.ndarray:
+    """Eigenvectors of the k smallest eigenvalues and of the rest of the
+    cluster at the k-th, ascending; one dense block per Fourier mode along
+    the invariant axis."""
+    axis, t, w, d = invariant
+    n, nb = (grid.nu, grid.nv)[axis], d.size
+    s = 1.0 / np.sqrt(d)
+    sym = s[:, None] * t * s[None, :]
+    sym = 0.5 * (sym + sym.T)
+    found = []  # (value, mode, cos 0 | sin 1, block eigenvector)
+    limit = np.inf
+    for mode in range(n // 2 + 1):
+        block = sym + np.diag(2.0 * math.cos(2.0 * math.pi * mode / n) * w * s * s)
+        phases = (0,) if 2 * mode % n == 0 else (0, 1)
+        count = min(nb, k)
+        while True:
+            vals, ys = sla.eigh(block, subset_by_index=[0, count - 1])
+            _, limit = _window([f[0] for f in found] + list(vals) * len(phases), k)
+            if count == nb or vals[-1] > limit:
+                break
+            count = min(nb, 2 * count)
+        if vals[0] > limit:
+            break
+        found += [(v, mode, ph, s * ys[:, i]) for i, v in enumerate(vals) for ph in phases]
+    size, _ = _window([f[0] for f in found], k)
+    theta = 2.0 * math.pi * np.arange(n) / n
+    vecs = []
+    for _, mode, ph, y in sorted(found, key=lambda f: f[0])[:size]:
+        wave = np.cos(mode * theta) if ph == 0 else np.sin(mode * theta)
+        vecs.append(np.outer(y, wave) if axis == 1 else np.outer(wave, y))
+    return np.stack([v.ravel() for v in vecs], axis=1)
+
+
+def _solve_sparse(a, m, k, sigma, opinv, v0) -> np.ndarray:
     """Eigenvectors of the k smallest eigenvalues, ascending, by shift-invert
-    Lanczos; ncv widens until ARPACK converges."""
+    Lanczos with `opinv` applying (A - sigma M)^-1; ncv widens until ARPACK
+    converges."""
     n = v0.size
     ncv = min(n - 1, max(2 * k + 1, 20))
     while True:
         try:
             vals, vecs = spla.eigsh(
-                a, k=k, M=m, sigma=sigma, which="LM", v0=v0,
+                a, k=k, M=m, sigma=sigma, which="LM", v0=v0, OPinv=opinv,
                 ncv=ncv, maxiter=max(1000, 10 * n), tol=0,
             )
             break
@@ -136,7 +245,12 @@ def smallest_eigenpairs(
     seed: int = 0,
     method: str = "auto",
 ) -> Spectrum:
-    """The k smallest eigenpairs of (A, M) with residuals bounded by tol."""
+    """The k smallest eigenpairs of (A, M) with residuals bounded by tol.
+
+    method is "auto" (the path the module docstring describes), "reduced",
+    "dense" or "sparse"; "reduced" on a pencil with no invariant axis is a
+    DomainError.
+    """
     if k < 1:
         raise DomainError("need at least one eigenpair")
     n = pencil.node_count
@@ -144,23 +258,34 @@ def smallest_eigenpairs(
         raise DomainError(f"cannot extract {k} eigenpairs from {n} nodes")
     a = pencil.stiffness_minus_potential
     m = pencil.mass
-    if method not in ("auto", "dense", "sparse"):
+    if method not in ("auto", "reduced", "dense", "sparse"):
         raise DomainError(f"unknown eigensolver method {method!r}")
+    invariant = _invariant_axis(pencil) if method in ("auto", "reduced") else None
+    if method == "reduced" and invariant is None:
+        raise DomainError("the pencil is invariant along no periodic grid axis")
     if method == "auto":
-        method = "dense" if (n <= DENSE_NODE_LIMIT or k >= n - 1) else "sparse"
+        if invariant is not None:
+            method = "reduced"
+        else:
+            method = "dense" if (n <= DENSE_NODE_LIMIT or k >= n - 1) else "sparse"
     if method == "sparse" and k >= n - 1:
         raise DomainError("sparse path needs k < node_count - 1")
 
-    if method == "dense":
+    if method == "reduced":
+        vals, vecs, res = _ritz_pairs(a, m, k, _solve_reduced(pencil.grid, invariant, k))
+    elif method == "dense":
         vals, vecs, res = _ritz_pairs(a, m, k, _solve_dense(a, m, k))
     else:
         sigma = -float(np.max(pencil.potential)) - 1.0
+        lu = spla.splu((a - sigma * m).tocsc(), permc_spec="MMD_AT_PLUS_A")
+        opinv = spla.LinearOperator(a.shape, matvec=lu.solve, dtype=float)
         v0 = np.random.default_rng(seed).standard_normal(n)
         window, widest = k, min(n - 2, 4 * k)
-        vals, vecs, res = _ritz_pairs(a, m, k, _solve_sparse(a, m, window, sigma, v0))
+        vals, vecs, res = _ritz_pairs(a, m, k, _solve_sparse(a, m, window, sigma, opinv, v0))
         while float(np.max(res)) > tol and window < widest:
             window = min(widest, 2 * window)
-            vals, vecs, res = _ritz_pairs(a, m, k, _solve_sparse(a, m, window, sigma, v0))
+            vals, vecs, res = _ritz_pairs(
+                a, m, k, _solve_sparse(a, m, window, sigma, opinv, v0))
     if float(np.max(res)) > tol:
         raise NonConvergenceError(
             f"eigen-residual {np.max(res):.3e} exceeds tolerance {tol:.3e}",

@@ -3,14 +3,21 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.sparse as sp_sparse
 
 import stabspec as ss
-from stabspec.eigen import cluster_indices, eigenvalue_multiplicity
-from stabspec.errors import NonConvergenceError
+from stabspec.eigen import (
+    _invariant_axis,
+    _ritz_pairs,
+    _solve_reduced,
+    cluster_indices,
+    eigenvalue_multiplicity,
+)
+from stabspec.errors import DomainError, NonConvergenceError
 
 CATALOG = [
     ss.clifford_torus((16, 16)),
@@ -67,13 +74,19 @@ def test_dense_and_sparse_paths_agree():
                                atol=1e-8)
 
 
+def _pencil(spec):
+    s = ss.build(spec)
+    return ss.assemble(s, ss.compute_geometry(s, want_gauss=False))
+
+
 def test_auto_method_switches_on_problem_size():
-    small = ss.build(ss.clifford_torus((12, 12)))
-    fs = ss.compute_geometry(small, want_gauss=False)
-    assert ss.smallest_eigenpairs(ss.assemble(small, fs), 3).method == "dense"
-    big = ss.build(ss.clifford_torus((48, 48)))
-    fb = ss.compute_geometry(big, want_gauss=False)
-    assert ss.smallest_eigenpairs(ss.assemble(big, fb), 3).method == "sparse"
+    # a pencil with no invariant axis picks its path by size
+    graph = lambda n: ss.graph_over_slice("cosh", 0.3, "Y2,1", 0.05, (n, n))
+    assert ss.smallest_eigenpairs(_pencil(graph(12)), 3).method == "dense"
+    assert ss.smallest_eigenpairs(_pencil(graph(48)), 3).method == "sparse"
+    for n in (12, 48):
+        clifford = _pencil(ss.clifford_torus((n, n)))
+        assert ss.smallest_eigenpairs(clifford, 3).method == "reduced"
 
 
 def test_window_that_cuts_a_cluster_is_widened():
@@ -81,13 +94,94 @@ def test_window_that_cuts_a_cluster_is_widened():
     # of six pairs cuts it; at this radius the cut pairs stay unconverged
     s = ss.build(ss.flat_torus(0.775594, (64, 64)))
     p = ss.assemble(s, ss.compute_geometry(s, want_gauss=False))
-    sp_ = ss.smallest_eigenpairs(p, 6, tol=1e-9)
+    sp_ = ss.smallest_eigenpairs(p, 6, tol=1e-9, method="sparse")
     assert sp_.method == "sparse" and sp_.k == 6
     assert float(np.max(sp_.residuals)) <= 1e-9
     gram = sp_.eigenvectors.T @ (p.mass @ sp_.eigenvectors)
     np.testing.assert_allclose(gram, np.eye(6), atol=1e-10)
-    wide = ss.smallest_eigenpairs(p, 12, tol=1e-9)
+    wide = ss.smallest_eigenpairs(p, 12, tol=1e-9, method="sparse")
     np.testing.assert_allclose(sp_.eigenvalues, wide.eigenvalues[:6], atol=1e-10)
+
+
+INVARIANT = [
+    ss.flat_torus(0.6, (24, 32)),
+    ss.geodesic_sphere(1.0, (32, 24)),
+    ss.slice_shape("cosh", 0.3, (24, 24)),
+    ss.graph_over_slice("cosh", 0.3, "Y3,0", 0.05, (32, 32)),
+]
+
+
+@pytest.mark.parametrize("spec", INVARIANT, ids=lambda s: s.label)
+def test_reduced_dense_and_sparse_paths_agree(spec):
+    p = _pencil(spec)
+    A, M = p.stiffness_minus_potential, p.mass
+    got = {m: ss.smallest_eigenpairs(p, 6, method=m) for m in ("auto", "dense", "sparse")}
+    assert got["auto"].method == "reduced"
+    for sp_ in got.values():
+        np.testing.assert_allclose(sp_.eigenvalues, got["dense"].eigenvalues, atol=1e-10)
+        V = sp_.eigenvectors
+        np.testing.assert_allclose(V.T @ (M @ V), np.eye(6), atol=1e-10)
+        for i, lam in enumerate(sp_.eigenvalues):
+            r = A @ V[:, i] - lam * (M @ V[:, i])
+            assert np.linalg.norm(r) / np.linalg.norm(M @ V[:, i]) <= 1e-9
+        assert (eigenvalue_multiplicity(sp_.eigenvalues, 1)
+                == eigenvalue_multiplicity(got["dense"].eigenvalues, 1))
+
+
+def test_perturbed_torus_is_reduced_along_u():
+    # r + eps cos(wave v) varies along v, so only u is an invariant axis
+    p = _pencil(ss.perturbed_torus(0.7, 0.05, 3, (24, 24)))
+    assert _invariant_axis(p)[0] == 0
+    sp_ = ss.smallest_eigenpairs(p, 6)
+    assert sp_.method == "reduced"
+    dense = ss.smallest_eigenpairs(p, 6, method="dense")
+    np.testing.assert_allclose(sp_.eigenvalues, dense.eigenvalues, atol=1e-10)
+
+
+def test_nearly_invariant_graph_is_not_reduced():
+    p = _pencil(ss.graph_over_slice("cosh", 0.3, "Y2,1", 1e-9, (24, 24)))
+    assert _invariant_axis(p) is None
+    assert ss.smallest_eigenpairs(p, 4).method == "dense"
+    with pytest.raises(DomainError):
+        ss.smallest_eigenpairs(p, 4, method="reduced")
+
+
+def test_each_invariance_condition_is_checked():
+    p = _pencil(ss.clifford_torus((16, 16)))
+    A, M = p.stiffness_minus_potential, p.mass
+    assert _invariant_axis(p)[0] == 1
+    # one node's mass off by 1e-11: A is untouched, M is not invariant
+    mass = M.diagonal().copy()
+    mass[0] *= 1.0 + 1e-11
+    assert _invariant_axis(replace(p, mass=sp_sparse.diags(mass).tocsr())) is None
+    # a diagonal coupling far below the value tolerance still breaks the pattern
+    stray = sp_sparse.coo_matrix(([1e-20, 1e-20], ([0, 17], [17, 0])), shape=A.shape)
+    assert _invariant_axis(replace(p, stiffness_minus_potential=(A + stray).tocsr())) is None
+    # an invariant pencil whose axis coupling is positive
+    assert _invariant_axis(replace(p, stiffness_minus_potential=(-A).tocsr())) is None
+
+
+@pytest.mark.parametrize("r", [0.775594, math.sqrt(1.0 - 0.775594**2)])
+def test_reduced_window_visits_modes_past_the_first(r):
+    # both radii give the same spectrum; at the second, lambda_10 and
+    # lambda_11 come from Fourier mode 2 along v
+    p = _pencil(ss.flat_torus(r, (64, 64)))
+    reduced = ss.smallest_eigenpairs(p, 12, method="reduced")
+    sparse = ss.smallest_eigenpairs(p, 12, method="sparse")
+    np.testing.assert_allclose(reduced.eigenvalues, sparse.eigenvalues, atol=1e-10)
+
+
+def test_reduced_window_holds_the_whole_cluster_it_cuts():
+    # places 6-9 hold the four-fold eigenvalue 0; a window of six cuts it
+    p = _pencil(ss.flat_torus(0.775594, (64, 64)))
+    block = _solve_reduced(p.grid, _invariant_axis(p), 6)
+    assert block.shape[1] == 9
+    vals, _, res = _ritz_pairs(p.stiffness_minus_potential, p.mass, 9, block)
+    assert float(np.max(res)) <= 1e-9
+    assert [len(g) for g in cluster_indices(vals)] == [1, 2, 2, 4]
+    sp_ = ss.smallest_eigenpairs(p, 6, tol=1e-9)
+    assert sp_.method == "reduced" and sp_.k == 6
+    np.testing.assert_allclose(sp_.eigenvalues, vals[:6], atol=1e-10)
 
 
 def test_determinism_across_runs_and_seeds():

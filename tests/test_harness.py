@@ -399,6 +399,25 @@ def test_cli_rejects_bad_overrides(tmp_path):
     assert not (tmp_path / "r").exists()
 
 
+def test_cli_refuses_an_override_the_subcommand_does_not_read(tmp_path, build_log):
+    # `resolution` belongs to balance-bound; check reads `resolutions`
+    assert cli_main(["check", "t11", "shape=flat-torus", "r=0.6", "resolution=16",
+                     "--out", str(tmp_path / "r")]) == 2
+    assert cli_main(["check", "t11", "shape=clifford-torus", "r=0.6", "resolutions=12",
+                     "--out", str(tmp_path / "r")]) == 2
+    assert cli_main(["slice-spectrum", "warping=cosh", "t0=0.3", "seed=1",
+                     "--out", str(tmp_path / "r")]) == 2
+    assert build_log == []
+    assert not (tmp_path / "r").exists()
+
+
+def test_cli_config_file_may_hold_keys_of_other_subcommands(tmp_path):
+    cfg = tmp_path / "shared.cfg"
+    cfg.write_text("shape=flat-torus\nr=0.6\namplitudes=0,0.05\nresolution=16\n")
+    assert cli_main(["check", "t11", "--config", str(cfg), "resolutions=12",
+                     "--out", str(tmp_path / "r")]) == 0
+
+
 def test_cli_overrides_may_follow_the_config_option(tmp_path):
     cfg = tmp_path / "torus.cfg"
     cfg.write_text("shape=flat-torus\nr=0.6\nresolutions=12,24\n")
