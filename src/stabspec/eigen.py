@@ -2,26 +2,25 @@
 
 `smallest_eigenpairs` has three paths and picks one from the pencil's data:
 
-* reduced: taken whenever the pencil is invariant along a periodic grid
-  axis, at any size (v is tried first, then u).  Invariance means that A
-  couples a node only to the nodes at its own axis index and to its two
-  axis neighbours at its own index of the other axis, with entries (and
-  the diagonal of M) equal to their twins at axis index 0 to 1e-13 of
-  their largest, and axis couplings w <= 0.  A discrete Fourier transform
-  along the axis then splits the pencil into one block per mode m,
-  B_m = T + 2 cos(2 pi m / n) diag(w), with T the coupling at a fixed axis
-  index.  Each block is solved densely.  Because w <= 0, the blocks grow
-  with m for 0 <= m <= n/2 (Weyl), so modes are visited in order and the
-  loop stops at the first mode whose lowest eigenvalue lies above the
+* reduced: taken whenever the pencil is invariant along v, the periodic
+  axis of both grid kinds, at any size.  Invariance means that A equals,
+  to 1e-13 of its largest entry, the block-circulant pencil built from its
+  own rows at v index 0: the coupling T among those nodes, repeated at
+  every v index, plus the coupling w of each node to its two v neighbours;
+  the diagonal of M must be constant along v to the same tolerance, and
+  w <= 0.  A discrete Fourier transform along v then splits the pencil
+  into one block per mode m, B_m = T + 2 cos(2 pi m / n) diag(w).  Each
+  block is solved densely.  Because w <= 0, the blocks grow with m for
+  0 <= m <= n/2 (Weyl), so modes are visited in order and the loop stops at the first mode whose lowest eigenvalue lies above the
   window: every eigenvalue below the window's top is found, and the
   window takes in the whole cluster at its edge.  The vectors
   y cos(m theta) and y sin(m theta) of the window go through the same
   Rayleigh-Ritz pass and residual check on the full pencil as the other
   paths, and the k lowest pairs are kept.
-* dense: pencils with no invariant axis and at most DENSE_NODE_LIMIT
+* dense: pencils not invariant along v with at most DENSE_NODE_LIMIT
   nodes, by an explicit symmetric reduction; it is also the independent
   cross-check of the other two.
-* sparse: larger pencils with no invariant axis, by shift-invert Lanczos
+* sparse: larger pencils not invariant along v, by shift-invert Lanczos
   with the shift placed strictly below the bottom of the spectrum
   (lambda_1 >= -max q because the stiffness part is positive
   semidefinite), which makes A - shift*M positive definite and the
@@ -130,45 +129,32 @@ def _ritz_pairs(a, m, k, vecs):
     return vals, vecs, _residuals(a, m, vals, vecs)
 
 
-def _invariant_axis(pencil: OperatorPencil):
-    """(axis, T, w, d) for the first periodic grid axis, v then u, along which
-    the pencil is invariant, or None.
+def _invariant_along_v(pencil: OperatorPencil):
+    """(T, w, d) if the pencil is invariant along v, the periodic axis of
+    both grid kinds, or None.
 
-    T is the coupling among the nodes at axis index 0, w[b] the coupling of
-    node b there to its axis neighbour and d its mass, all indexed by the
-    other axis.
+    T is the coupling among the nodes at v index 0, w[i] the coupling of
+    node (i, 0) to its v neighbour and d[i] its mass.
     """
     grid = pencil.grid
-    if grid is None:
+    if grid is None or not grid.periodic_v:
         return None
     a = pencil.stiffness_minus_potential
     d = pencil.mass_diagonal.reshape(grid.nu, grid.nv)
-    coo = a.tocoo()
-    nz = coo.data != 0.0
-    rows = np.divmod(coo.row[nz], grid.nv)
-    cols = np.divmod(coo.col[nz], grid.nv)
-    for axis, periodic in ((1, grid.periodic_v), (0, grid.periodic_u)):
-        if not periodic:
-            continue
-        n = d.shape[axis]
-        hop = (cols[axis] - rows[axis]) % n
-        along = (rows[1 - axis] == cols[1 - axis]) & ((hop == 1) | (hop == n - 1))
-        if not np.all(along | (hop == 0)):
-            continue
-        d0 = d[:, :1] if axis == 1 else d[:1, :]
-        if np.max(np.abs(d - d0)) > INVARIANCE_TOL * np.max(d):
-            continue
-        step = 1 if axis == 1 else grid.nv
-        base = np.arange(grid.nu) * grid.nv if axis == 1 else np.arange(grid.nv)
-        t = a[base][:, base].toarray()
-        w = np.asarray(a[base, base + step]).ravel()
-        ring = sp_sparse.diags([1.0] * 4, [1, -1, n - 1, 1 - n], shape=(n, n))
-        pairs = [(sp_sparse.csr_matrix(t), sp_sparse.identity(n)),
-                 (sp_sparse.diags(w), ring)]
-        ref = sum(sp_sparse.kron(*(pair if axis == 1 else pair[::-1])) for pair in pairs)
-        if np.all(w <= 0.0) and abs(a - ref).max() <= INVARIANCE_TOL * abs(a).max():
-            return axis, t, w, d0.ravel()
-    return None
+    if np.max(np.abs(d - d[:, :1])) > INVARIANCE_TOL * np.max(d):
+        return None
+    n = grid.nv
+    base = np.arange(grid.nu) * n
+    t = a[base][:, base].toarray()
+    w = np.asarray(a[base, base + 1]).ravel()
+    if np.any(w > 0.0):
+        return None
+    ring = sp_sparse.diags([1.0] * 4, [1, -1, n - 1, 1 - n], shape=(n, n))
+    ref = (sp_sparse.kron(sp_sparse.csr_matrix(t), sp_sparse.identity(n))
+           + sp_sparse.kron(sp_sparse.diags(w), ring))
+    if abs(a - ref).max() > INVARIANCE_TOL * abs(a).max():
+        return None
+    return t, w, d[:, 0]
 
 
 def _window(values, k) -> tuple[int, float]:
@@ -185,9 +171,9 @@ def _window(values, k) -> tuple[int, float]:
 def _solve_reduced(grid, invariant, k) -> np.ndarray:
     """Eigenvectors of the k smallest eigenvalues and of the rest of the
     cluster at the k-th, ascending; one dense block per Fourier mode along
-    the invariant axis."""
-    axis, t, w, d = invariant
-    n, nb = (grid.nu, grid.nv)[axis], d.size
+    v."""
+    t, w, d = invariant
+    n, nb = grid.nv, d.size
     s = 1.0 / np.sqrt(d)
     sym = s[:, None] * t * s[None, :]
     sym = 0.5 * (sym + sym.T)
@@ -211,8 +197,8 @@ def _solve_reduced(grid, invariant, k) -> np.ndarray:
     vecs = []
     for _, mode, ph, y in sorted(found, key=lambda f: f[0])[:size]:
         wave = np.cos(mode * theta) if ph == 0 else np.sin(mode * theta)
-        vecs.append(np.outer(y, wave) if axis == 1 else np.outer(wave, y))
-    return np.stack([v.ravel() for v in vecs], axis=1)
+        vecs.append(np.outer(y, wave).ravel())
+    return np.stack(vecs, axis=1)
 
 
 def _solve_sparse(a, m, k, sigma, opinv, v0) -> np.ndarray:
@@ -247,9 +233,8 @@ def smallest_eigenpairs(
 ) -> Spectrum:
     """The k smallest eigenpairs of (A, M) with residuals bounded by tol.
 
-    method is "auto" (the path the module docstring describes), "reduced",
-    "dense" or "sparse"; "reduced" on a pencil with no invariant axis is a
-    DomainError.
+    method is "auto" (the path the module docstring describes), "dense" or
+    "sparse".
     """
     if k < 1:
         raise DomainError("need at least one eigenpair")
@@ -258,11 +243,9 @@ def smallest_eigenpairs(
         raise DomainError(f"cannot extract {k} eigenpairs from {n} nodes")
     a = pencil.stiffness_minus_potential
     m = pencil.mass
-    if method not in ("auto", "reduced", "dense", "sparse"):
+    if method not in ("auto", "dense", "sparse"):
         raise DomainError(f"unknown eigensolver method {method!r}")
-    invariant = _invariant_axis(pencil) if method in ("auto", "reduced") else None
-    if method == "reduced" and invariant is None:
-        raise DomainError("the pencil is invariant along no periodic grid axis")
+    invariant = _invariant_along_v(pencil) if method == "auto" else None
     if method == "auto":
         if invariant is not None:
             method = "reduced"

@@ -11,13 +11,13 @@ import scipy.sparse as sp_sparse
 
 import stabspec as ss
 from stabspec.eigen import (
-    _invariant_axis,
+    _invariant_along_v,
     _ritz_pairs,
     _solve_reduced,
     cluster_indices,
     eigenvalue_multiplicity,
 )
-from stabspec.errors import DomainError, NonConvergenceError
+from stabspec.errors import NonConvergenceError
 
 CATALOG = [
     ss.clifford_torus((16, 16)),
@@ -128,37 +128,31 @@ def test_reduced_dense_and_sparse_paths_agree(spec):
                 == eigenvalue_multiplicity(got["dense"].eigenvalues, 1))
 
 
-def test_perturbed_torus_is_reduced_along_u():
-    # r + eps cos(wave v) varies along v, so only u is an invariant axis
-    p = _pencil(ss.perturbed_torus(0.7, 0.05, 3, (24, 24)))
-    assert _invariant_axis(p)[0] == 0
-    sp_ = ss.smallest_eigenpairs(p, 6)
-    assert sp_.method == "reduced"
-    dense = ss.smallest_eigenpairs(p, 6, method="dense")
-    np.testing.assert_allclose(sp_.eigenvalues, dense.eigenvalues, atol=1e-10)
-
-
-def test_nearly_invariant_graph_is_not_reduced():
-    p = _pencil(ss.graph_over_slice("cosh", 0.3, "Y2,1", 1e-9, (24, 24)))
-    assert _invariant_axis(p) is None
+@pytest.mark.parametrize("spec", [
+    # r + eps cos(wave v) varies along v; the torus is invariant along u only
+    ss.perturbed_torus(0.7, 0.05, 3, (24, 24)),
+    ss.graph_over_slice("cosh", 0.3, "Y2,1", 1e-9, (24, 24)),
+], ids=lambda s: s.label)
+def test_pencil_varying_along_v_is_not_reduced(spec):
+    p = _pencil(spec)
+    assert _invariant_along_v(p) is None
     assert ss.smallest_eigenpairs(p, 4).method == "dense"
-    with pytest.raises(DomainError):
-        ss.smallest_eigenpairs(p, 4, method="reduced")
 
 
 def test_each_invariance_condition_is_checked():
     p = _pencil(ss.clifford_torus((16, 16)))
     A, M = p.stiffness_minus_potential, p.mass
-    assert _invariant_axis(p)[0] == 1
+    assert _invariant_along_v(p) is not None
     # one node's mass off by 1e-11: A is untouched, M is not invariant
     mass = M.diagonal().copy()
     mass[0] *= 1.0 + 1e-11
-    assert _invariant_axis(replace(p, mass=sp_sparse.diags(mass).tocsr())) is None
-    # a diagonal coupling far below the value tolerance still breaks the pattern
-    stray = sp_sparse.coo_matrix(([1e-20, 1e-20], ([0, 17], [17, 0])), shape=A.shape)
-    assert _invariant_axis(replace(p, stiffness_minus_potential=(A + stray).tocsr())) is None
+    assert _invariant_along_v(replace(p, mass=sp_sparse.diags(mass).tocsr())) is None
+    # one coupling off the stencil, at 1e-11 of the largest entry
+    size = 1e-11 * abs(A).max()
+    stray = sp_sparse.coo_matrix(([size, size], ([0, 17], [17, 0])), shape=A.shape)
+    assert _invariant_along_v(replace(p, stiffness_minus_potential=(A + stray).tocsr())) is None
     # an invariant pencil whose axis coupling is positive
-    assert _invariant_axis(replace(p, stiffness_minus_potential=(-A).tocsr())) is None
+    assert _invariant_along_v(replace(p, stiffness_minus_potential=(-A).tocsr())) is None
 
 
 @pytest.mark.parametrize("r", [0.775594, math.sqrt(1.0 - 0.775594**2)])
@@ -166,7 +160,8 @@ def test_reduced_window_visits_modes_past_the_first(r):
     # both radii give the same spectrum; at the second, lambda_10 and
     # lambda_11 come from Fourier mode 2 along v
     p = _pencil(ss.flat_torus(r, (64, 64)))
-    reduced = ss.smallest_eigenpairs(p, 12, method="reduced")
+    reduced = ss.smallest_eigenpairs(p, 12)
+    assert reduced.method == "reduced"
     sparse = ss.smallest_eigenpairs(p, 12, method="sparse")
     np.testing.assert_allclose(reduced.eigenvalues, sparse.eigenvalues, atol=1e-10)
 
@@ -174,7 +169,7 @@ def test_reduced_window_visits_modes_past_the_first(r):
 def test_reduced_window_holds_the_whole_cluster_it_cuts():
     # places 6-9 hold the four-fold eigenvalue 0; a window of six cuts it
     p = _pencil(ss.flat_torus(0.775594, (64, 64)))
-    block = _solve_reduced(p.grid, _invariant_axis(p), 6)
+    block = _solve_reduced(p.grid, _invariant_along_v(p), 6)
     assert block.shape[1] == 9
     vals, _, res = _ritz_pairs(p.stiffness_minus_potential, p.mass, 9, block)
     assert float(np.max(res)) <= 1e-9
