@@ -17,10 +17,7 @@
   y cos(m theta) and y sin(m theta) of the window go through the same
   Rayleigh-Ritz pass and residual check on the full pencil as the other
   paths, and the k lowest pairs are kept.
-* dense: pencils not invariant along v with at most DENSE_NODE_LIMIT
-  nodes, by an explicit symmetric reduction; it is also the independent
-  cross-check of the other two.
-* sparse: larger pencils not invariant along v, by shift-invert Lanczos
+* sparse: every other pencil, at every size, by shift-invert Lanczos
   with the shift placed strictly below the bottom of the spectrum
   (lambda_1 >= -max q because the stiffness part is positive
   semidefinite), which makes A - shift*M positive definite and the
@@ -31,6 +28,9 @@
   that cuts an eigenvalue cluster can leave the pairs at its edge short
   of the residual tolerance; the solve is then repeated with a doubled
   window, up to min(n - 2, 4k), and the first k Ritz pairs are kept.
+* dense: an explicit symmetric reduction, taken only for k >= n - 1,
+  which ARPACK cannot handle; as method="dense" it is also the
+  independent cross-check of the other two.
 
 Results are deterministic: the Lanczos starting vector is drawn from a
 seeded generator recorded in the output.
@@ -56,7 +56,6 @@ __all__ = [
     "eigenvalue_multiplicity",
 ]
 
-DENSE_NODE_LIMIT = 2000
 CLUSTER_REL_TOL = 1e-6
 INVARIANCE_TOL = 1e-13
 
@@ -246,11 +245,10 @@ def smallest_eigenpairs(
     if method not in ("auto", "dense", "sparse"):
         raise DomainError(f"unknown eigensolver method {method!r}")
     invariant = _invariant_along_v(pencil) if method == "auto" else None
-    if method == "auto":
-        if invariant is not None:
-            method = "reduced"
-        else:
-            method = "dense" if (n <= DENSE_NODE_LIMIT or k >= n - 1) else "sparse"
+    if invariant is not None:
+        method = "reduced"
+    elif method == "auto":
+        method = "dense" if k >= n - 1 else "sparse"
     if method == "sparse" and k >= n - 1:
         raise DomainError("sparse path needs k < node_count - 1")
 

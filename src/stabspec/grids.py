@@ -9,73 +9,22 @@ Two grid topologies cover every surface in the catalog:
     so the induced metric stays non-degenerate, and the vanishing area
     element at the poles closes the flux balance naturally.
 
-The sparse first-derivative operators used by assembly come from
-stencils centered where the axis wraps and one-sided (Fornberg weights)
-near the theta boundary of sphere grids.
+The sparse first-derivative operators used by assembly are second order:
+central differences (-1, 0, 1) / 2h, and the one-sided rows
+(-3/2, 2, -1/2) / h and their mirror at the two theta ends of sphere grids.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
 
 from .errors import DomainError
 
-__all__ = ["Grid", "torus_grid", "sphere_grid", "fornberg_weights"]
-
-
-def fornberg_weights(x: np.ndarray, x0: float, m: int) -> np.ndarray:
-    """Weights of the order-m derivative at x0 from samples at points x.
-
-    Classic recursive construction; exact for polynomials of degree
-    len(x) - 1, so len(x) - m is the formal order of accuracy.
-    """
-    x = np.asarray(x, dtype=float)
-    n = x.size
-    if m >= n:
-        raise DomainError("need more stencil points than the derivative order")
-    c = np.zeros((n, m + 1))
-    c[0, 0] = 1.0
-    c1 = 1.0
-    c4 = x[0] - x0
-    for i in range(1, n):
-        mn = min(i, m)
-        c2 = 1.0
-        c5 = c4
-        c4 = x[i] - x0
-        for j in range(i):
-            c3 = x[i] - x[j]
-            c2 *= c3
-            if j == i - 1:
-                for k in range(mn, 0, -1):
-                    c[i, k] = c1 * (k * c[i - 1, k - 1] - c5 * c[i - 1, k]) / c2
-                c[i, 0] = -c1 * c5 * c[i - 1, 0] / c2
-            for k in range(mn, 0, -1):
-                c[j, k] = (c4 * c[j, k] - k * c[j, k - 1]) / c3
-            c[j, 0] = c4 * c[j, 0] / c3
-        c1 = c2
-    return c[:, m]
-
-
-@lru_cache(maxsize=64)
-def _line_diff_matrix(n: int, spacing: float, periodic: bool) -> np.ndarray:
-    """Dense (n x n) second-order first-derivative matrix along one axis."""
-    D = np.zeros((n, n))
-    if periodic:
-        offs = np.arange(-1, 2)
-        w = fornberg_weights(offs * spacing, 0.0, 1)
-        for i in range(n):
-            D[i, (i + offs) % n] = w
-    else:
-        for i in range(n):
-            lo = min(max(i - 1, 0), n - 3)
-            idx = np.arange(lo, lo + 3)
-            D[i, idx] = fornberg_weights((idx - i) * spacing, 0.0, 1)
-    return D
+__all__ = ["Grid", "torus_grid", "sphere_grid"]
 
 
 @dataclass(frozen=True)
@@ -85,7 +34,6 @@ class Grid:
     Node (i, j) has flat index i * nv + j, coordinates (u[i], v[j]).
     """
 
-    topology: str  # "torus" | "sphere"
     nu: int
     nv: int
     du: float
@@ -113,12 +61,19 @@ class Grid:
         return np.asarray(i) * self.nv + np.asarray(j)
 
     def d1_sparse(self, axis: int) -> sp.csr_matrix:
-        """Sparse first-derivative operator on flattened fields."""
+        """Sparse second-order first-derivative operator on flattened fields."""
+        n, h, periodic = ((self.nu, self.du, self.periodic_u) if axis == 0
+                          else (self.nv, self.dv, self.periodic_v))
+        c = 0.5 / h
+        D = sp.diags([-c, c], [-1, 1], shape=(n, n)).tolil()
+        if periodic:
+            D[0, n - 1], D[n - 1, 0] = -c, c
+        else:
+            D[0, :3] = np.array([-1.5, 2.0, -0.5]) / h
+            D[n - 1, n - 3:] = np.array([0.5, -2.0, 1.5]) / h
         if axis == 0:
-            D = _line_diff_matrix(self.nu, self.du, self.periodic_u)
-            return sp.csr_matrix(sp.kron(sp.csr_matrix(D), sp.identity(self.nv, format="csr")))
-        D = _line_diff_matrix(self.nv, self.dv, self.periodic_v)
-        return sp.csr_matrix(sp.kron(sp.identity(self.nu, format="csr"), sp.csr_matrix(D)))
+            return sp.kron(D, sp.identity(self.nv), format="csr")
+        return sp.kron(sp.identity(self.nu), D, format="csr")
 
 
 def torus_grid(nu: int, nv: int) -> Grid:
@@ -127,7 +82,7 @@ def torus_grid(nu: int, nv: int) -> Grid:
     du = 2.0 * math.pi / nu
     dv = 2.0 * math.pi / nv
     return Grid(
-        topology="torus", nu=nu, nv=nv, du=du, dv=dv,
+        nu=nu, nv=nv, du=du, dv=dv,
         u=np.arange(nu) * du, v=np.arange(nv) * dv,
         periodic_u=True, periodic_v=True,
     )
@@ -139,7 +94,7 @@ def sphere_grid(ntheta: int, nphi: int) -> Grid:
     dth = math.pi / ntheta
     dph = 2.0 * math.pi / nphi
     return Grid(
-        topology="sphere", nu=ntheta, nv=nphi, du=dth, dv=dph,
+        nu=ntheta, nv=nphi, du=dth, dv=dph,
         u=(np.arange(ntheta) + 0.5) * dth, v=np.arange(nphi) * dph,
         periodic_u=False, periodic_v=True,
     )

@@ -176,7 +176,6 @@ class GeometryFields:
     gauss_curv:   (N,) intrinsic Gauss curvature, or None when it was not
                   asked for (want_gauss=False)
     ricci_normal: (N,) ambient Ric(normal, normal)
-    cos_normal_t: (N,) <normal, d/dt> on warped ambients, else None
     """
 
     metric: np.ndarray
@@ -188,7 +187,6 @@ class GeometryFields:
     sigma_sq: np.ndarray
     gauss_curv: np.ndarray | None
     ricci_normal: np.ndarray
-    cos_normal_t: np.ndarray | None
 
 
 def _cross4(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -324,8 +322,7 @@ def compute_geometry(s: ImmersedSurface, want_gauss: bool = True) -> GeometryFie
     # W nu is Euclidean-orthogonal to radial, X_u and X_v; unit in the W-norm.
     nu = _cross4(amb.radial, b["u"], b["v"]) / W
     nu /= np.linalg.norm(nu * np.sqrt(W), axis=1)[:, None]
-    warped = not s.is_sphere3
-    if warped:
+    if not s.is_sphere3:
         nu[nu[:, 0] < 0.0] *= -1.0
 
     w_nu = W * nu
@@ -358,7 +355,6 @@ def compute_geometry(s: ImmersedSurface, want_gauss: bool = True) -> GeometryFie
         sigma_sq=sigma_sq,
         gauss_curv=gauss,
         ricci_normal=amb.ricci(nu),
-        cos_normal_t=nu[:, 0] if warped else None,
     )
 
 

@@ -174,13 +174,8 @@ def ricci_direction(w: WarpingFunction, t, cos_angle):
     if np.any(np.abs(c) > 1.0 + 1e-12):
         raise DomainError("cos_angle must lie in [-1, 1]")
     c = np.clip(c, -1.0, 1.0)
-    h, dh, d2h = _hs(w, t)
-    n = SPHERE_DIM
-    a = d2h / h
-    b = (1.0 - dh**2) / h**2
-    ricci_tt = -n * a
-    ricci_tan = -(a - (n - 1) * b)
-    return _scalarize(c**2 * ricci_tt + (1.0 - c**2) * ricci_tan)
+    amb = ambient_ricci(w, t)
+    return _scalarize(c**2 * amb.ricci_tt + (1.0 - c**2) * amb.ricci_tangential)
 
 
 def slice_data(w: WarpingFunction, t: float) -> SliceData:

@@ -63,10 +63,18 @@ def test_ground_state_is_single_signed(solve, spec):
     assert np.min(f1) > 0  # sign normalization puts the positive lobe up
 
 
-def test_dense_and_sparse_paths_agree():
-    s = ss.build(ss.clifford_torus((24, 24)))
-    f = ss.compute_geometry(s, want_gauss=False)
-    p = ss.assemble(s, f)
+def _pencil(spec):
+    s = ss.build(spec)
+    return ss.assemble(s, ss.compute_geometry(s, want_gauss=False))
+
+
+@pytest.mark.parametrize("spec", [
+    ss.clifford_torus((24, 24)),
+    *(ss.graph_over_slice(w, 0.3, y, 0.05, (n, n))
+      for w, y in (("cosh", "Y2,1"), ("product", "Y3,-2")) for n in (16, 32)),
+], ids=lambda s: f"{s.label}-{s.resolution[0]}")
+def test_dense_and_sparse_paths_agree(spec):
+    p = _pencil(spec)
     dense = ss.smallest_eigenpairs(p, 6, method="dense")
     sparse = ss.smallest_eigenpairs(p, 6, method="sparse")
     assert dense.method == "dense" and sparse.method == "sparse"
@@ -74,19 +82,27 @@ def test_dense_and_sparse_paths_agree():
                                atol=1e-8)
 
 
-def _pencil(spec):
-    s = ss.build(spec)
-    return ss.assemble(s, ss.compute_geometry(s, want_gauss=False))
+def _diagonal_pencil(n):
+    """diag(0, 1, ..., n - 1) against the identity mass, with no grid."""
+    return ss.OperatorPencil(
+        stiffness_minus_potential=sp_sparse.diags(np.arange(n, dtype=float)).tocsr(),
+        mass=sp_sparse.identity(n, format="csr"),
+        node_count=n,
+        potential=np.zeros(n),
+    )
 
 
 def test_auto_method_switches_on_problem_size():
-    # a pencil with no invariant axis picks its path by size
+    # a pencil with no invariant axis takes the sparse path at every size,
+    # one invariant along v the reduced path; only k >= n - 1 goes dense
     graph = lambda n: ss.graph_over_slice("cosh", 0.3, "Y2,1", 0.05, (n, n))
-    assert ss.smallest_eigenpairs(_pencil(graph(12)), 3).method == "dense"
-    assert ss.smallest_eigenpairs(_pencil(graph(48)), 3).method == "sparse"
     for n in (12, 48):
+        assert ss.smallest_eigenpairs(_pencil(graph(n)), 3).method == "sparse"
         clifford = _pencil(ss.clifford_torus((n, n)))
         assert ss.smallest_eigenpairs(clifford, 3).method == "reduced"
+    dense = ss.smallest_eigenpairs(_diagonal_pencil(40), 39)
+    assert dense.method == "dense"
+    np.testing.assert_allclose(dense.eigenvalues, np.arange(39), atol=1e-12)
 
 
 def test_window_that_cuts_a_cluster_is_widened():
@@ -136,7 +152,7 @@ def test_reduced_dense_and_sparse_paths_agree(spec):
 def test_pencil_varying_along_v_is_not_reduced(spec):
     p = _pencil(spec)
     assert _invariant_along_v(p) is None
-    assert ss.smallest_eigenpairs(p, 4).method == "dense"
+    assert ss.smallest_eigenpairs(p, 4).method == "sparse"
 
 
 def test_each_invariance_condition_is_checked():
@@ -204,15 +220,7 @@ def test_minmax_characterization_of_lambda2(solve, rng):
 
 
 def test_diagonal_pencil_is_solved_exactly():
-    n = 40
-    diag = np.arange(n, dtype=float)
-    p = ss.OperatorPencil(
-        stiffness_minus_potential=sp_sparse.diags(diag).tocsr(),
-        mass=sp_sparse.identity(n, format="csr"),
-        node_count=n,
-        potential=np.zeros(n),
-    )
-    got = ss.smallest_eigenpairs(p, 4).eigenvalues
+    got = ss.smallest_eigenpairs(_diagonal_pencil(40), 4).eigenvalues
     np.testing.assert_allclose(got, [0, 1, 2, 3], atol=1e-12)
 
 

@@ -3,8 +3,9 @@
 `tests/golden/<name>.json` maps each JSON report file that
 `stabspec <COMMANDS[name]> --out DIR` writes to its contents, as recorded
 before the 3-sphere and warped-product geometry pipelines were merged into
-one.  All commands run at 24x24 or coarser, so every solve takes the dense
-path.  Non-float entries must match exactly; floats must match within
+one.  All commands run at 24x24 or coarser.  The non-zonal Y3,1 graphs of
+the amplitude sweep take the sparse eigen path, every other solve the
+reduced one.  Non-float entries must match exactly; floats must match within
 1e-10 * max(1, |value|), far below the 12 significant digits the reports
 round to, yet above the round-off that a change of summation order leaves.
 """

@@ -24,19 +24,7 @@ from stabspec.charts import (
     real_sph_harm,
 )
 from stabspec.errors import DomainError
-from stabspec.grids import fornberg_weights, sphere_grid, torus_grid
-
-
-def test_fornberg_reproduces_central_stencils():
-    w1 = fornberg_weights(np.array([-1.0, 0.0, 1.0]), 0.0, 1)
-    np.testing.assert_allclose(w1, [-0.5, 0.0, 0.5], atol=1e-14)
-    w2 = fornberg_weights(np.array([-1.0, 0.0, 1.0]), 0.0, 2)
-    np.testing.assert_allclose(w2, [1.0, -2.0, 1.0], atol=1e-14)
-    w4 = fornberg_weights(np.arange(-2.0, 3.0), 0.0, 1)
-    np.testing.assert_allclose(w4, [1 / 12, -2 / 3, 0, 2 / 3, -1 / 12],
-                               atol=1e-13)
-    with pytest.raises(DomainError):
-        fornberg_weights(np.array([0.0, 1.0]), 0.0, 2)
+from stabspec.grids import sphere_grid, torus_grid
 
 
 def test_torus_grid_layout():
@@ -80,6 +68,11 @@ def test_d1_sparse_matches_diff_field():
         got = g.d1_sparse(axis) @ field
         exact = -k * np.sin(u + 2 * v)
         np.testing.assert_allclose(got, exact * np.sin(k * h) / (k * h), atol=1e-12)
+    # along theta of a sphere grid the one-sided end rows, like the central
+    # ones, differentiate a quadratic exactly
+    g = sphere_grid(12, 8)
+    theta, _ = g.mesh()
+    np.testing.assert_allclose(g.d1_sparse(0) @ theta**2, 2 * theta, atol=1e-12)
 
 
 def test_symbolic_chart_derivatives_are_exact():

@@ -108,7 +108,7 @@ def test_cosh_slice_extrinsic_data_matches_warping_closed_forms():
     np.testing.assert_allclose(f.mean_curv, ratio, atol=1e-13)
     np.testing.assert_allclose(f.sigma_sq, 2 * ratio**2, atol=1e-13)
     np.testing.assert_allclose(f.ricci_normal, -2.0, atol=1e-12)
-    np.testing.assert_allclose(f.cos_normal_t, 1.0, atol=1e-13)
+    np.testing.assert_allclose(f.normal[:, 0], 1.0, atol=1e-13)
     np.testing.assert_allclose(f.gauss_curv, 1 / h**2, rtol=1e-11)
     d = ss.slice_data(ss.builtin_warping("cosh"), t0)
     np.testing.assert_allclose(f.mean_curv, d.mean_curv, atol=1e-13)
@@ -138,7 +138,7 @@ def test_graph_over_slice_perturbs_continuously():
     _, f1 = _build(ss.graph_over_slice("cosh", 0.3, "Y2,0", 0.01, (12, 12)),
                    want_gauss=False)
     assert np.max(np.abs(f1.mean_curv - f0.mean_curv)) < 0.05
-    assert np.max(np.abs(f1.cos_normal_t - 1.0)) < 0.01
+    assert np.max(np.abs(f1.normal[:, 0] - 1.0)) < 0.01
     assert np.max(np.abs(f1.area_element / f0.area_element - 1.0)) < 0.05
 
 
