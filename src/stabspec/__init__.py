@@ -33,7 +33,6 @@ from .warping import (
     slice_eigenvalue_band,
     slice_lambda2,
     slice_spectrum,
-    space_form_defect,
 )
 from .grids import Grid, sphere_grid, torus_grid
 from .charts import JetChart, real_sph_harm

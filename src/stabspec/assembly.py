@@ -46,9 +46,12 @@ class OperatorPencil:
 
     stiffness_minus_potential: sp_sparse.csr_matrix
     mass: sp_sparse.csr_matrix
-    node_count: int
     potential: np.ndarray
     grid: Grid | None = None
+
+    @property
+    def node_count(self) -> int:
+        return self.mass.shape[0]
 
     @property
     def mass_diagonal(self) -> np.ndarray:
@@ -111,13 +114,7 @@ def assemble(surface: ImmersedSurface, fields: GeometryFields) -> OperatorPencil
     asym = abs(a - a.T)
     if asym.nnz and asym.max() > 0.0:
         raise AssemblyError("assembled operator lost exact symmetry")
-    return OperatorPencil(
-        stiffness_minus_potential=a,
-        mass=mass,
-        node_count=surface.node_count,
-        potential=q,
-        grid=grid,
-    )
+    return OperatorPencil(stiffness_minus_potential=a, mass=mass, potential=q, grid=grid)
 
 
 def rayleigh(pencil: OperatorPencil, u: np.ndarray) -> float:

@@ -153,8 +153,7 @@ def _run_balance_bound(args, cfg):
     resolution = cfgmod.get(cfg, "resolution", int, 96)
     spec = cfgmod.shape_from_config(cfg, (resolution, resolution))
     seed = _seed(cfg)
-    tol = cfgmod.get(cfg, "tol", float, 1e-9)
-    return lambda: [harness.balance_bound_scenario(spec, resolution, seed=seed, tol=tol)]
+    return lambda: [harness.balance_bound_scenario(spec, resolution, seed=seed)]
 
 
 _RUNNERS = {

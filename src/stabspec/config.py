@@ -22,7 +22,6 @@ commands):
   rs             comma list of flat-torus radii (sweep)
   amplitudes     comma list of graph amplitudes (sweep)
   count          number of eigenvalues (slice-spectrum)
-  tol            balancing tolerance (balance-bound)
   seed           eigensolver seed
 """
 
@@ -49,7 +48,7 @@ __all__ = [
 KEYS = (
     "shape", "r", "rho", "t0", "amplitude", "eps", "wave", "perturbation",
     "warping", "warping_poly", "warping_interval", "resolutions", "resolution",
-    "rs", "amplitudes", "count", "tol", "seed",
+    "rs", "amplitudes", "count", "seed",
 )
 
 

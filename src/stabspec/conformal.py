@@ -60,6 +60,9 @@ __all__ = [
 BOUNDARY_MARGIN = 1e-9
 BALANCE_CAP = 1.0 - 1e-6
 BALANCE_MAX_ITER = 50
+# Balancing stops once the weighted center of mass is this small, relative
+# to the total weight.
+BALANCE_TOL = 1e-9
 # Central-difference step of the balancing Jacobian, relative to 1 - |a|.
 JACOBIAN_STEP = 1e-5
 
@@ -80,16 +83,9 @@ class MobiusParam:
                 f"dilation parameter norm {np.linalg.norm(arr):.12g} too close to 1"
             )
 
-    @classmethod
-    def zero(cls) -> "MobiusParam":
-        return cls(np.zeros(4))
-
     @property
     def magnitude(self) -> float:
         return float(np.linalg.norm(self.a))
-
-    def inverse(self) -> "MobiusParam":
-        return MobiusParam(-self.a)
 
     def axis_and_scale(self) -> tuple[np.ndarray, float]:
         """(p, s): fixed pole p = a/|a| and Euclidean scale (1 - |a|)/(1 + |a|)."""
@@ -97,31 +93,24 @@ class MobiusParam:
         return self.a / mag, (1.0 - mag) / (1.0 + mag)
 
 
-def _as_rows(x) -> tuple[np.ndarray, bool]:
-    arr = np.asarray(x, dtype=float)
-    single = arr.ndim == 1
-    rows = arr.reshape(1, 4) if single else arr
-    if rows.ndim != 2 or rows.shape[1] != 4:
-        raise DomainError("points must be 4-vectors")
-    return rows, single
-
-
 def mobius_apply(param: MobiusParam, x) -> np.ndarray:
-    """Apply the conformal dilation to unit 4-vectors (rows)."""
-    rows, single = _as_rows(x)
+    """Apply the conformal dilation to the rows of an (N, 4) array of unit
+    vectors."""
+    rows = np.asarray(x, dtype=float)
+    if rows.ndim != 2 or rows.shape[1] != 4:
+        raise DomainError("points must be an (N, 4) array")
     norms = np.linalg.norm(rows, axis=1)
     if float(np.max(np.abs(norms - 1.0))) > 1e-8:
         raise DomainError("dilation input points must lie on the unit sphere")
     if param.magnitude < 1e-15:
-        out = rows.copy()
-        return out[0] if single else out
+        return rows.copy()
 
     p, s = param.axis_and_scale()
     c = rows @ p
     num = 2.0 * s * rows + ((1.0 - s * s) + (1.0 - s) ** 2 * c)[:, None] * p
     out = num / ((1.0 + s * s) + (1.0 - s * s) * c)[:, None]
     out /= np.linalg.norm(out, axis=1)[:, None]
-    return out[0] if single else out
+    return out
 
 
 def _dilate_jets(param: MobiusParam, jets: np.ndarray) -> np.ndarray:
@@ -170,7 +159,6 @@ def hersch_balance(
     s: ImmersedSurface,
     f: GeometryFields,
     f1: np.ndarray,
-    tol: float = 1e-9,
 ) -> MobiusParam:
     """Dilation parameter nulling the f1-weighted center of mass.
 
@@ -178,8 +166,9 @@ def hersch_balance(
     mean of the transformed node positions, from a = 0 (the identity).
     The Jacobian comes from central differences; each step is halved
     until |c| decreases, and |a| stays within BALANCE_CAP.  The residual
-    |c| is measured relative to the total weight, matching
-    ||integral of f1 * (transformed position)|| <= tol * integral of f1.
+    |c| is measured relative to the total weight: the iteration stops at
+    ||integral of f1 * (transformed position)|| <= BALANCE_TOL * integral
+    of f1.
     """
     if not s.is_sphere3:
         raise UnsupportedAmbientError("balancing acts on surfaces in the 3-sphere")
@@ -205,12 +194,13 @@ def hersch_balance(
     a = np.zeros(4)
     c = center(a)
     residuals = [float(np.linalg.norm(c))]
-    while residuals[-1] > tol:
+    while residuals[-1] > BALANCE_TOL:
         if len(residuals) > BALANCE_MAX_ITER:
             raise NonConvergenceError(
-                f"balancing did not reach residual {tol:.3e} in {BALANCE_MAX_ITER} "
-                f"Newton steps (final residual {residuals[-1]:.3e}); the weighted "
-                "measure may be concentrating near a point",
+                f"balancing did not reach residual {BALANCE_TOL:.3e} in "
+                f"{BALANCE_MAX_ITER} Newton steps (final residual "
+                f"{residuals[-1]:.3e}); the weighted measure may be concentrating "
+                "near a point",
                 residuals=residuals,
             )
         h = JACOBIAN_STEP * (1.0 - float(np.linalg.norm(a)))
@@ -228,8 +218,8 @@ def hersch_balance(
             if t < 1e-12:
                 raise NonConvergenceError(
                     f"balancing stalled at residual {residuals[-1]:.3e} (target "
-                    f"{tol:.3e}); the weighted measure may be concentrating near "
-                    "a point",
+                    f"{BALANCE_TOL:.3e}); the weighted measure may be "
+                    "concentrating near a point",
                     residuals=residuals,
                 )
         a, c = trial, c_trial
@@ -264,13 +254,12 @@ def balanced_bound_report(
     f: GeometryFields,
     pencil: OperatorPencil,
     spectrum: Spectrum,
-    tol: float = 1e-9,
 ) -> BalancedBoundReport:
     """Balance from the identity and evaluate the bound."""
     if not s.is_sphere3:
         raise UnsupportedAmbientError("the balanced bound applies in the 3-sphere")
     f1 = _oriented_weight(spectrum)
-    m = hersch_balance(s, f, f1, tol=tol)
+    m = hersch_balance(s, f, f1)
     psi = mobius_apply(m, s.bundle()["0"])
     weights = np.maximum(f1, 0.0) * f.area_element
     residual = float(np.linalg.norm(weights @ psi) / np.sum(weights))

@@ -33,7 +33,7 @@
   independent cross-check of the other two.
 
 Results are deterministic: the Lanczos starting vector is drawn from a
-seeded generator recorded in the output.
+generator seeded by the caller, and reports record that seed.
 """
 
 from __future__ import annotations
@@ -68,28 +68,17 @@ class Spectrum:
     eigenvectors: np.ndarray  # (n, k), columns M-orthonormal
     residuals: np.ndarray  # (k,) ||A u - lambda M u|| / ||M u||
     method: str
-    seed: int
-
-    @property
-    def k(self) -> int:
-        return self.eigenvalues.size
 
 
 def _residuals(a, m, vals, vecs) -> np.ndarray:
-    res = np.empty(vals.size)
-    for i in range(vals.size):
-        u = vecs[:, i]
-        mu = m @ u
-        res[i] = np.linalg.norm(a @ u - vals[i] * mu) / np.linalg.norm(mu)
-    return res
+    mu = m @ vecs
+    return np.linalg.norm(a @ vecs - mu * vals, axis=0) / np.linalg.norm(mu, axis=0)
 
 
 def _normalize_signs(vecs: np.ndarray) -> np.ndarray:
-    for i in range(vecs.shape[1]):
-        j = int(np.argmax(np.abs(vecs[:, i])))
-        if vecs[j, i] < 0:
-            vecs[:, i] = -vecs[:, i]
-    return vecs
+    """Flip each column so that its entry of largest magnitude is positive."""
+    peak = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(vecs.shape[1])]
+    return np.where(peak < 0, -vecs, vecs)
 
 
 def _rayleigh_ritz(a, m, vecs) -> tuple[np.ndarray, np.ndarray]:
@@ -124,7 +113,7 @@ def _ritz_pairs(a, m, k, vecs):
     except np.linalg.LinAlgError as err:
         raise NonConvergenceError(f"eigenvector block lost rank: {err}") from err
     vals = vals[:k]
-    vecs = _normalize_signs(np.ascontiguousarray(vecs[:, :k]))
+    vecs = _normalize_signs(vecs[:, :k])
     return vals, vecs, _residuals(a, m, vals, vecs)
 
 
@@ -272,35 +261,33 @@ def smallest_eigenpairs(
             f"eigen-residual {np.max(res):.3e} exceeds tolerance {tol:.3e}",
             residuals=res,
         )
-    return Spectrum(
-        eigenvalues=vals, eigenvectors=vecs, residuals=res, method=method, seed=seed
-    )
+    return Spectrum(eigenvalues=vals, eigenvectors=vecs, residuals=res, method=method)
 
 
-def cluster_indices(eigenvalues: np.ndarray,
-                    rel_tol: float = CLUSTER_REL_TOL) -> list[list[int]]:
+def cluster_indices(eigenvalues: np.ndarray) -> list[list[int]]:
     """Group ascending eigenvalues into clusters of near-equal values.
 
-    Neighbors closer than rel_tol * (1 + |value|) join the same cluster.
+    Neighbors closer than CLUSTER_REL_TOL * (1 + |value|) join the same
+    cluster.
     """
     vals = np.asarray(eigenvalues, dtype=float)
     groups: list[list[int]] = []
     for i in range(vals.size):
-        if groups and vals[i] - vals[groups[-1][-1]] <= rel_tol * (1.0 + abs(vals[i])):
+        close = CLUSTER_REL_TOL * (1.0 + abs(vals[i]))
+        if groups and vals[i] - vals[groups[-1][-1]] <= close:
             groups[-1].append(i)
         else:
             groups.append([i])
     return groups
 
 
-def eigenvalue_multiplicity(eigenvalues: np.ndarray, index: int,
-                            rel_tol: float = CLUSTER_REL_TOL) -> int:
+def eigenvalue_multiplicity(eigenvalues: np.ndarray, index: int) -> int:
     """Size of the cluster containing the given eigenvalue index.
 
     The count is a lower bound when the cluster may extend past the
     computed window.
     """
-    for group in cluster_indices(eigenvalues, rel_tol):
+    for group in cluster_indices(eigenvalues):
         if index in group:
             return len(group)
     raise DomainError(f"eigenvalue index {index} outside the computed window")

@@ -377,13 +377,11 @@ def sweep_graph_amplitude(warping, t0, perturbation, amplitudes, resolutions,
     return reports
 
 
-def balance_bound_scenario(spec: catalog.ShapeSpec, resolution, seed: int = 0,
-                           tol: float = 1e-9) -> Report:
+def balance_bound_scenario(spec: catalog.ShapeSpec, resolution, seed: int = 0) -> Report:
     """Balanced-coordinate upper bound vs the computed second eigenvalue."""
 
     def measure(surface, fields, pencil, spectrum):
-        return surface.grid, spectrum, balanced_bound_report(
-            surface, fields, pencil, spectrum, tol=tol)
+        return surface.grid, spectrum, balanced_bound_report(surface, fields, pencil, spectrum)
 
     _, [(grid, spectrum, rep)] = _ladder(spec, [resolution], seed, measure,
                                          _require_sphere3)
@@ -418,7 +416,7 @@ def slice_spectrum_report(warping, t0: float, count: int = 8) -> Report:
     k = 0
     emitted = 0
     while emitted < count:
-        mult = wp.harmonic_multiplicity(k, wp.SPHERE_DIM)
+        mult = wp.harmonic_multiplicity(k)
         bands.append(
             {
                 "band": k,
@@ -458,10 +456,6 @@ def _round12(obj):
         return obj
     if isinstance(obj, (float, np.floating)):
         return float(f"{float(obj):.12g}")
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.ndarray):
-        return _round12(obj.tolist())
     return obj
 
 

@@ -45,7 +45,6 @@ __all__ = [
     "slice_spectrum",
     "harmonic_multiplicity",
     "condition_strictness",
-    "space_form_defect",
 ]
 
 # Dimension n of the sphere factor, and so of the hypersurfaces (slices and
@@ -77,14 +76,10 @@ class WarpingFunction:
         if not np.all(hs > 0.0):
             raise DomainError(f"profile '{self.name}' is not positive on {self.interval}")
 
-    def contains(self, t) -> bool:
+    def require_inside(self, t) -> None:
         t = np.asarray(t, dtype=float)
         lo, hi = self.interval
-        return bool(np.all((t >= lo) & (t <= hi)))
-
-    def require_inside(self, t) -> None:
-        if not self.contains(t):
-            lo, hi = self.interval
+        if not np.all((t >= lo) & (t <= hi)):
             raise DomainError(
                 f"t outside the domain [{lo}, {hi}] of warping '{self.name}'"
             )
@@ -135,12 +130,6 @@ def convexity_condition(w: WarpingFunction, t):
     """
     h, dh, d2h = _hs(w, t)
     return _scalarize(d2h / h + (1.0 - dh**2) / h**2)
-
-
-def space_form_defect(w: WarpingFunction, t):
-    """h h'' - h'^2 + 1; identically zero exactly for space-form profiles."""
-    h, dh, d2h = _hs(w, t)
-    return _scalarize(h * d2h - dh**2 + 1.0)
 
 
 def ambient_ricci(w: WarpingFunction, t) -> AmbientCurvature:
@@ -215,13 +204,11 @@ def slice_eigenvalue_band(w: WarpingFunction, t, k: int):
     return _scalarize(k * (k + n - 1) / h**2 - n * (dh / h) ** 2 + n * d2h / h)
 
 
-def harmonic_multiplicity(k: int, n: int) -> int:
-    """Dimension of degree-k spherical harmonics on S^n."""
-    if k < 0 or n < 1:
-        raise DomainError("need k >= 0 and n >= 1")
-    if k == 0:
-        return 1
-    return math.comb(k + n, n) - math.comb(k + n - 2, n)
+def harmonic_multiplicity(k: int) -> int:
+    """Dimension 2k + 1 of degree-k spherical harmonics on S^2."""
+    if k < 0:
+        raise DomainError("need k >= 0")
+    return 2 * k + 1
 
 
 def slice_spectrum(w: WarpingFunction, t: float, count: int) -> np.ndarray:
@@ -232,7 +219,7 @@ def slice_spectrum(w: WarpingFunction, t: float, count: int) -> np.ndarray:
     k = 0
     while len(out) < count:
         lam = float(slice_eigenvalue_band(w, t, k))
-        out.extend([lam] * harmonic_multiplicity(k, SPHERE_DIM))
+        out.extend([lam] * harmonic_multiplicity(k))
         k += 1
     return np.array(sorted(out)[:count])
 

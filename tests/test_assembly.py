@@ -108,7 +108,6 @@ def test_permuting_nodes_preserves_the_spectrum(rng):
         stiffness_minus_potential=(
             P @ p.stiffness_minus_potential @ P.T).tocsr(),
         mass=(P @ p.mass @ P.T).tocsr(),
-        node_count=p.node_count,
         potential=np.asarray(p.potential)[perm],
     )
     e1 = ss.smallest_eigenpairs(shuffled, 4).eigenvalues

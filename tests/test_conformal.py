@@ -55,9 +55,8 @@ def test_dilation_preserves_the_sphere(rng):
 def test_inverse_parameter_undoes_the_map(rng):
     a = _param(0.45, 0.2, -0.3, 0.1)
     x = _sphere_cloud(rng)
-    back = ss.mobius_apply(a.inverse(), ss.mobius_apply(a, x))
+    back = ss.mobius_apply(ss.MobiusParam(-a.a), ss.mobius_apply(a, x))
     np.testing.assert_allclose(back, x, atol=1e-13)
-    np.testing.assert_array_equal(a.inverse().a, -a.a)
 
 
 def test_collinear_composition_follows_velocity_addition(rng):
@@ -112,7 +111,7 @@ def test_parameter_validation():
         ss.MobiusParam(np.array([np.nan, 0, 0, 0]))
     with pytest.raises(DomainError):
         ss.mobius_apply(_param(0.2, 0, 0, 0), 1.5 * np.eye(4))
-    assert ss.MobiusParam.zero().magnitude == 0.0
+    assert ss.MobiusParam(np.zeros(4)).magnitude == 0.0
 
 
 def test_image_surface_requires_sphere_ambient():
@@ -161,7 +160,7 @@ def test_jet_image_round_trip_and_order_zero(spec):
                                ss.mobius_apply(a, s.bundle()["0"]),
                                rtol=0, atol=1e-14)
     # an image of an image: the inverse dilation returns the base bundle
-    back = ss.mobius_image_surface(image, a.inverse()).bundle()
+    back = ss.mobius_image_surface(image, ss.MobiusParam(-a.a)).bundle()
     base = s.bundle()
     for key in BUNDLE_KEYS:
         # relative to the largest derivative of the same order

@@ -396,6 +396,9 @@ def test_cli_rejects_bad_overrides(tmp_path):
     assert cli_main(["check", "t13", "shape=graph-over-slice", "warping=cosh", "t0=0.3",
                      "amplitude=0.05", "perturbaton=Y3,1", "resolutions=16",
                      "--out", str(tmp_path / "r")]) == 2
+    # the balancing tolerance is a constant, not a key
+    assert cli_main(["balance-bound", "shape=clifford-torus", "resolution=16", "tol=1e-9",
+                     "--out", str(tmp_path / "r")]) == 2
     assert not (tmp_path / "r").exists()
 
 

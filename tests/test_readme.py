@@ -4,7 +4,8 @@ The Python block under "Quick start" runs as written, so a public name it
 uses cannot disappear unnoticed.  Every `stabspec ...` line of the
 README's `sh` blocks is parsed by the CLI's own parser and its key=value
 tokens (and those of a `--config` file) must be recognized keys; the
-commands are parsed, not run.  The sample configurations load too.
+commands are parsed, not run.  The configuration-key table lists exactly
+the recognized keys, and the sample configurations load.
 """
 
 from __future__ import annotations
@@ -47,6 +48,14 @@ def test_readme_command_lines_parse(line):
     args = parse_args(shlex.split(line)[1:])
     cfg = cfgmod.load_config_file(ROOT / args.config) if args.config else {}
     cfgmod.merge_overrides(cfg, args.params)
+
+
+def test_key_table_lists_the_recognized_keys():
+    table = README.split("| key | meaning |", 1)[1].split("\n\n", 1)[0]
+    first_cells = [row.split("|")[1] for row in table.strip().splitlines()[1:]]
+    named = [key for cell in first_cells for key in re.findall(r"`([^`]+)`", cell)]
+    assert len(named) == len(set(named))
+    assert set(named) == set(cfgmod.KEYS)
 
 
 @pytest.mark.parametrize("path", sorted((ROOT / "configs").glob("*.cfg")),
