@@ -63,15 +63,12 @@ def _face_stiffness(grid, coeff, axis: str) -> sp_sparse.coo_matrix:
     nu, nv = grid.nu, grid.nv
     idx = np.arange(nu * nv).reshape(nu, nv)
     if axis == "u":
-        periodic, n, ratio = grid.periodic_u, nu, grid.dv / grid.du
+        periodic, ratio = grid.periodic_u, grid.dv / grid.du
         left = idx if periodic else idx[:-1, :]
         right = np.roll(idx, -1, axis=0) if periodic else idx[1:, :]
-    else:
-        periodic, n, ratio = grid.periodic_v, nv, grid.du / grid.dv
-        left = idx if periodic else idx[:, :-1]
-        right = np.roll(idx, -1, axis=1) if periodic else idx[:, 1:]
-    if n < 2:
-        raise AssemblyError(f"grid too small along {axis}")
+    else:  # v is periodic on every grid
+        ratio = grid.du / grid.dv
+        left, right = idx, np.roll(idx, -1, axis=1)
     li = left.ravel()
     ri = right.ravel()
     c = 0.5 * (coeff[li] + coeff[ri]) * ratio

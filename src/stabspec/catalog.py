@@ -94,7 +94,7 @@ def slice_shape(warping, t0: float, resolution=(64, 64)) -> ShapeSpec:
     return ShapeSpec("slice", tuple(resolution), {"warping": w, "t0": float(t0)})
 
 
-def graph_over_slice(warping, t0: float, perturbation, amplitude: float,
+def graph_over_slice(warping, t0: float, perturbation: str, amplitude: float,
                      resolution=(64, 64)) -> ShapeSpec:
     w = _resolve_warping(warping)
     w.require_inside(t0)
@@ -130,27 +130,21 @@ def _resolve_warping(warping) -> wp.WarpingFunction:
 _PERT_KEY = re.compile(r"^Y(\d+),(-?\d+)$")
 
 
-def _perturbation_indices(perturbation) -> tuple[int, int] | None:
-    """Resolve a perturbation spec to spherical-harmonic indices (l, m)."""
-    if perturbation is None:
-        return None
-    if isinstance(perturbation, str):
-        m = _PERT_KEY.match(perturbation.strip())
-        if not m:
-            raise DomainError(
-                f"unknown perturbation {perturbation!r}; use 'Yl,m' with l <= "
-                f"{MAX_PERTURBATION_DEGREE}"
-            )
-        perturbation = (int(m.group(1)), int(m.group(2)))
-    if isinstance(perturbation, tuple) and len(perturbation) == 2:
-        l, m = int(perturbation[0]), int(perturbation[1])
-        if not (0 <= l <= MAX_PERTURBATION_DEGREE and -l <= m <= l):
-            raise DomainError(
-                f"spherical-harmonic perturbation needs 0 <= l <= "
-                f"{MAX_PERTURBATION_DEGREE} and |m| <= l, got ({l}, {m})"
-            )
-        return l, m
-    raise DomainError(f"cannot interpret perturbation {perturbation!r}")
+def _perturbation_indices(perturbation: str) -> tuple[int, int]:
+    """Spherical-harmonic indices (l, m) of a perturbation named 'Yl,m'."""
+    match = _PERT_KEY.match(perturbation.strip())
+    if not match:
+        raise DomainError(
+            f"unknown perturbation {perturbation!r}; use 'Yl,m' with l <= "
+            f"{MAX_PERTURBATION_DEGREE}"
+        )
+    l, m = int(match.group(1)), int(match.group(2))
+    if not (0 <= l <= MAX_PERTURBATION_DEGREE and -l <= m <= l):
+        raise DomainError(
+            f"spherical-harmonic perturbation needs 0 <= l <= "
+            f"{MAX_PERTURBATION_DEGREE} and |m| <= l, got ({l}, {m})"
+        )
+    return l, m
 
 
 def registered_perturbations() -> list[str]:
@@ -204,7 +198,7 @@ def build(spec: ShapeSpec) -> ImmersedSurface:
 
     if kind in ("slice", "graph-over-slice"):
         w = p["warping"]
-        harmonic = (_perturbation_indices(p.get("perturbation"))
+        harmonic = (_perturbation_indices(p["perturbation"])
                     if kind == "graph-over-slice" else None)
 
         def graph(u, v):
@@ -252,13 +246,7 @@ def exact_jacobi_spectrum(spec: ShapeSpec, count: int) -> list[float]:
         rho = spec.params["rho"]
         sin2 = math.sin(rho) ** 2
         cot2 = math.cos(rho) ** 2 / sin2
-        vals: list[float] = []
-        l = 0
-        while len(vals) < count:
-            lam = l * (l + 1) / sin2 - 2.0 * cot2 - 2.0
-            vals.extend([lam] * (2 * l + 1))
-            l += 1
-        return vals[:count]
+        return [l * (l + 1) / sin2 - 2.0 * cot2 - 2.0 for l in wp.harmonic_degrees(count)]
     if kind == "slice":
         return list(wp.slice_spectrum(spec.params["warping"], spec.params["t0"], count))
     raise DomainError(f"no closed-form spectrum for shape kind {kind!r}")

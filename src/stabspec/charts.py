@@ -18,8 +18,9 @@ sqrt and polynomials enter through the univariate composition
 f(x0 + d) = sum_k f^(k)(x0)/k! d^k, d the jet's non-constant part.
 A JetChart's function maps the coordinate jets of (u, v) to four component
 jets, so derivatives are exact up to rounding with no symbolic step.
-Images of charts under conformal dilations push the bundle through the
-dilation with the same arithmetic (see `conformal`).
+JetChart is the only chart class: the chart of a conformal image composes
+its base chart's function with the dilation in the same jet arithmetic
+(see `conformal`).
 """
 
 from __future__ import annotations

@@ -75,9 +75,7 @@ def _load_cfg(args) -> cfgmod.Config:
 
 
 def _fmt(x) -> str:
-    if isinstance(x, float):
-        return f"{x:.12g}"
-    return str(x)
+    return harness.fmt12(x) if isinstance(x, float) else str(x)
 
 
 def _print(rep: harness.Report) -> None:

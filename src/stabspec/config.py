@@ -17,7 +17,8 @@ commands):
   warping_poly   comma-separated polynomial coefficients (low to high),
                  overrides `warping`
   warping_interval  comma pair, e.g. -1,1 (required with warping_poly)
-  resolutions    comma list of square grid sizes, e.g. 32,64,128
+  resolutions    comma list of square grid sizes, at least two, strictly
+                 increasing, each >= 8, e.g. 32,64,128
   resolution     single square grid size (balance-bound)
   rs             comma list of flat-torus radii (sweep)
   amplitudes     comma list of graph amplitudes (sweep)
@@ -107,22 +108,28 @@ def merge_overrides(cfg: dict[str, str], pairs) -> Config:
     return merged
 
 
+def _nonempty(values: list) -> list:
+    if not values:
+        raise ValueError("empty list")
+    return values
+
+
 def floats(text: str) -> list[float]:
-    """A comma list of numbers."""
-    return [float(tok) for tok in text.split(",") if tok != ""]
+    """A non-empty comma list of numbers."""
+    return _nonempty([float(tok) for tok in text.split(",") if tok != ""])
 
 
 def ints(text: str) -> list[int]:
-    """A comma list of integers."""
-    return [int(tok) for tok in text.split(",") if tok != ""]
+    """A non-empty comma list of integers."""
+    return _nonempty([int(tok) for tok in text.split(",") if tok != ""])
 
 
 # What `get` says a value of each parse function must be.
 _MUST_BE = {
     float: "a number, got {!r}",
     int: "an integer, got {!r}",
-    floats: "a comma list of numbers",
-    ints: "a comma list of integers",
+    floats: "a non-empty comma list of numbers",
+    ints: "a non-empty comma list of integers",
 }
 
 
@@ -202,10 +209,8 @@ def shape_from_config(cfg, resolution=(64, 64)) -> catalog.ShapeSpec:
 
 def resolutions_from_config(cfg, default) -> list[int]:
     res = get(cfg, "resolutions", ints, default)
-    if not res:
-        raise ConfigError("resolutions list is empty")
     if any(n < 8 for n in res):
         raise ConfigError("resolutions must be at least 8")
-    if sorted(res) != res:
-        raise ConfigError("resolutions must be in increasing order")
+    if any(a >= b for a, b in zip(res, res[1:])):
+        raise ConfigError("resolutions must be strictly increasing")
     return res

@@ -20,12 +20,12 @@ aggregate Rayleigh quotient upper-bounds the second eigenvalue of the
 original pencil — the certified bound returned here.  The bound needs
 the transformed node positions only.
 
-Image surfaces carry a chart that pushes the base surface's order-3
-derivative bundle through phi with the truncated bivariate Taylor jets of
-`charts`, the arithmetic every catalog chart is built with: phi is affine
-in x up to one reciprocal, so a jet product and a jet reciprocal are all
-it takes.  All image geometry then flows through the one audited geometry
-pipeline, and an image surface can itself be dilated again.
+An image surface carries a `charts.JetChart` whose function composes the
+base chart's coordinate jets with phi, in the truncated bivariate Taylor
+jets every catalog chart is built with: phi is affine in x up to one
+reciprocal, so a jet product and a jet reciprocal are all it takes.  All
+image geometry then flows through the one geometry pipeline, and an image
+surface can itself be dilated again.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assembly import OperatorPencil
-from .charts import BUNDLE_KEYS, _FACTORIALS, _jet_mul, _jet_reciprocal
+from .charts import JetChart, _jet_mul, _jet_reciprocal
 from .eigen import Spectrum
 from .errors import DomainError, NonConvergenceError, UnsupportedAmbientError
 from .surfaces import (
@@ -114,7 +114,7 @@ def mobius_apply(param: MobiusParam, x) -> np.ndarray:
 
 
 def _dilate_jets(param: MobiusParam, jets: np.ndarray) -> np.ndarray:
-    """phi applied to position jets of shape (coefficients, nodes, 4)."""
+    """phi applied to position jets of shape (coefficients, ..., 4)."""
     p, s = param.axis_and_scale()
     c = jets @ p
     num = 2.0 * s * jets + ((1.0 - s) ** 2 * c)[..., None] * p
@@ -124,30 +124,18 @@ def _dilate_jets(param: MobiusParam, jets: np.ndarray) -> np.ndarray:
     return _jet_mul(num, _jet_reciprocal(den)[..., None])
 
 
-class _DilatedChart:
-    """Chart of a dilated surface, derived from the base surface's bundle."""
-
-    def __init__(self, base: ImmersedSurface, param: MobiusParam):
-        self.base = base
-        self.param = param
-
-    def evaluate(self, grid) -> dict[str, np.ndarray]:
-        if grid is not self.base.grid:
-            raise DomainError("a dilated chart is evaluated on its base surface's grid")
-        b = self.base.bundle()
-        scale = _FACTORIALS[:, None, None]
-        jets = np.stack([b[key] for key in BUNDLE_KEYS]) / scale
-        out = _dilate_jets(self.param, jets) * scale
-        return dict(zip(BUNDLE_KEYS, out))
-
-
 def mobius_image_surface(s: ImmersedSurface, param: MobiusParam) -> ImmersedSurface:
     """The surface re-charted through the conformal dilation."""
     if not s.is_sphere3:
         raise UnsupportedAmbientError("conformal dilations act on the 3-sphere")
     if param.magnitude < 1e-15:
         return s
-    return ImmersedSurface(s.ambient, _DilatedChart(s, param), s.grid)
+
+    def image(u, v):
+        jets = np.stack(np.broadcast_arrays(*s.chart.fn(u, v)), axis=-1)
+        return np.moveaxis(_dilate_jets(param, jets), -1, 0)
+
+    return ImmersedSurface(s.ambient, JetChart(image), s.grid)
 
 
 def _capped(a: np.ndarray) -> np.ndarray:
@@ -256,8 +244,6 @@ def balanced_bound_report(
     spectrum: Spectrum,
 ) -> BalancedBoundReport:
     """Balance from the identity and evaluate the bound."""
-    if not s.is_sphere3:
-        raise UnsupportedAmbientError("the balanced bound applies in the 3-sphere")
     f1 = _oriented_weight(spectrum)
     m = hersch_balance(s, f, f1)
     psi = mobius_apply(m, s.bundle()["0"])
@@ -286,10 +272,8 @@ def dirichlet_energy_check(s: ImmersedSurface, param: MobiusParam) -> tuple[floa
     value is twice the area of the image surface.  For a conformal map
     of a two-dimensional immersion the two agree.
     """
-    if not s.is_sphere3:
-        raise UnsupportedAmbientError("the energy identity applies in the 3-sphere")
-    base = compute_geometry(s, want_gauss=False)
     image = mobius_image_surface(s, param)
+    base = compute_geometry(s, want_gauss=False)
     b = image.bundle()
     psi_u, psi_v = b["u"], b["v"]
     ginv = base.metric_inv
@@ -305,8 +289,6 @@ def dirichlet_energy_check(s: ImmersedSurface, param: MobiusParam) -> tuple[floa
 
 def willmore_type_inequality_check(s: ImmersedSurface, param: MobiusParam) -> tuple[float, float]:
     """(integral of H^2 + 1 over the image, image area); first >= second."""
-    if not s.is_sphere3:
-        raise UnsupportedAmbientError("the area comparison applies in the 3-sphere")
     image = mobius_image_surface(s, param)
     g = compute_geometry(image, want_gauss=False)
     lhs = float(np.sum((g.mean_curv**2 + 1.0) * g.area_element))

@@ -125,7 +125,7 @@ def _invariant_along_v(pencil: OperatorPencil):
     node (i, 0) to its v neighbour and d[i] its mass.
     """
     grid = pencil.grid
-    if grid is None or not grid.periodic_v:
+    if grid is None:
         return None
     a = pencil.stiffness_minus_potential
     d = pencil.mass_diagonal.reshape(grid.nu, grid.nv)

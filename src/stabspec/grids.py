@@ -31,7 +31,8 @@ __all__ = ["Grid", "torus_grid", "sphere_grid"]
 class Grid:
     """Structured nu x nv parameter grid, flattened row-major (u fastest last).
 
-    Node (i, j) has flat index i * nv + j, coordinates (u[i], v[j]).
+    Node (i, j) has flat index i * nv + j, coordinates (u[i], v[j]).  Both
+    grid kinds are periodic along v; `periodic_u` tells them apart.
     """
 
     nu: int
@@ -41,7 +42,6 @@ class Grid:
     u: np.ndarray
     v: np.ndarray
     periodic_u: bool
-    periodic_v: bool
 
     @property
     def node_count(self) -> int:
@@ -63,7 +63,7 @@ class Grid:
     def d1_sparse(self, axis: int) -> sp.csr_matrix:
         """Sparse second-order first-derivative operator on flattened fields."""
         n, h, periodic = ((self.nu, self.du, self.periodic_u) if axis == 0
-                          else (self.nv, self.dv, self.periodic_v))
+                          else (self.nv, self.dv, True))
         c = 0.5 / h
         D = sp.diags([-c, c], [-1, 1], shape=(n, n)).tolil()
         if periodic:
@@ -84,7 +84,7 @@ def torus_grid(nu: int, nv: int) -> Grid:
     return Grid(
         nu=nu, nv=nv, du=du, dv=dv,
         u=np.arange(nu) * du, v=np.arange(nv) * dv,
-        periodic_u=True, periodic_v=True,
+        periodic_u=True,
     )
 
 
@@ -96,5 +96,5 @@ def sphere_grid(ntheta: int, nphi: int) -> Grid:
     return Grid(
         nu=ntheta, nv=nphi, du=dth, dv=dph,
         u=(np.arange(ntheta) + 0.5) * dth, v=np.arange(nphi) * dph,
-        periodic_u=False, periodic_v=True,
+        periodic_u=False,
     )

@@ -71,12 +71,12 @@ def _square(res) -> tuple[int, int]:
 def richardson_extrapolate(values, spacings) -> tuple[float, float]:
     """(extrapolated value, error estimate) assuming second-order bias.
 
-    Uses the finest two entries; with a single entry the estimate is 0
-    and the value passes through.
+    Uses the finest two entries; fewer than two entries give no error
+    estimate and raise DomainError.
     """
     values = [float(v) for v in values]
-    if len(values) == 1:
-        return values[0], 0.0
+    if len(values) < 2:
+        raise DomainError("Richardson extrapolation needs at least two values")
     h_coarse, h_fine = float(spacings[-2]), float(spacings[-1])
     ratio = h_coarse / h_fine
     if ratio <= 1.0:
@@ -166,7 +166,13 @@ def _ladder(spec: catalog.ShapeSpec, resolutions, seed: int, measure,
 
 
 def _steps(spec, resolutions, seed, bound_fn, hypothesis=None):
-    """(hypothesis result, the JSON `results` entry of each resolution)."""
+    """(hypothesis result, the JSON `results` entry of each resolution).
+
+    A verdict needs a discretization-error estimate, so fewer than two
+    resolutions raise DomainError before any of them is built.
+    """
+    if len(resolutions) < 2:
+        raise DomainError("a check or study needs at least two resolutions")
 
     def measure(surface, fields, pencil, spectrum):
         lam = spectrum.eigenvalues
@@ -320,8 +326,6 @@ def check_theorem(theorem: str, spec: catalog.ShapeSpec, resolutions,
 
 def convergence_study(spec: catalog.ShapeSpec, resolutions, seed: int = 0) -> Report:
     """Second-eigenvalue refinement table with observed convergence orders."""
-    if len(resolutions) < 2:
-        raise DomainError("a convergence study needs at least two resolutions")
     try:
         oracle = float(catalog.exact_jacobi_spectrum(spec, 2)[1])
     except DomainError:
@@ -410,22 +414,11 @@ def balance_bound_scenario(spec: catalog.ShapeSpec, resolution, seed: int = 0) -
 
 def slice_spectrum_report(warping, t0: float, count: int = 8) -> Report:
     """Closed-form slice spectrum with band multiplicities."""
-    w = warping if isinstance(warping, wp.WarpingFunction) else wp.builtin_warping(str(warping))
-    values = [float(v) for v in wp.slice_spectrum(w, t0, count)]
-    bands = []
-    k = 0
-    emitted = 0
-    while emitted < count:
-        mult = wp.harmonic_multiplicity(k)
-        bands.append(
-            {
-                "band": k,
-                "eigenvalue": wp.slice_eigenvalue_band(w, t0, k),
-                "multiplicity": mult,
-            }
-        )
-        emitted += mult
-        k += 1
+    w = catalog._resolve_warping(warping)
+    degrees = wp.harmonic_degrees(count)
+    bands = [{"band": k, "eigenvalue": wp.slice_eigenvalue_band(w, t0, k),
+              "multiplicity": wp.harmonic_multiplicity(k)} for k in range(degrees[-1] + 1)]
+    values = [bands[k]["eigenvalue"] for k in degrees]
     scenario = scenario_slug("slice-spectrum", w.name, f"t0={t0:.6g}")
     bound = wp.slice_lambda2(w, t0)
     body = {
@@ -447,6 +440,11 @@ def slice_spectrum_report(warping, t0: float, count: int = 8) -> Report:
 # Report output (12 significant digits everywhere)
 
 
+def fmt12(x) -> str:
+    """A float with the 12 significant digits every report carries."""
+    return f"{float(x):.12g}"
+
+
 def _round12(obj):
     if isinstance(obj, dict):
         return {k: _round12(v) for k, v in obj.items()}
@@ -455,7 +453,7 @@ def _round12(obj):
     if isinstance(obj, (bool, int, str)) or obj is None:
         return obj
     if isinstance(obj, (float, np.floating)):
-        return float(f"{float(obj):.12g}")
+        return float(fmt12(obj))
     return obj
 
 
@@ -477,7 +475,7 @@ def write_csv_summary(rows: list[dict], path) -> None:
             for col in CSV_COLUMNS:
                 val = row.get(col, "")
                 if isinstance(val, (float, np.floating)):
-                    out[col] = f"{float(val):.12g}"
+                    out[col] = fmt12(val)
                 elif val is None:
                     out[col] = ""
                 else:

@@ -125,7 +125,7 @@ class WarpedProduct:
             return np.column_stack([gt, gw])
 
         def ricci(nu):
-            return np.asarray(wp.ricci_direction(w, t, np.clip(nu[:, 0], -1.0, 1.0)))
+            return np.asarray(wp.ricci_direction(w, t, nu[:, 0]))
 
         return AmbientTerms(weight, np.column_stack([np.zeros_like(t), om]),
                             christoffel, ricci)

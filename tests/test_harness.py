@@ -361,6 +361,10 @@ def test_resolution_list_parsing():
         cfgmod.resolutions_from_config({"resolutions": "24,12"}, [48])
     with pytest.raises(ConfigError):
         cfgmod.resolutions_from_config({"resolutions": "4,8"}, [48])
+    with pytest.raises(ConfigError):
+        cfgmod.resolutions_from_config({"resolutions": "12,12"}, [48])
+    with pytest.raises(ConfigError):
+        cfgmod.resolutions_from_config({"resolutions": ","}, [48])
 
 
 # ------------------------------------------------------------------ CLI shell
@@ -399,6 +403,12 @@ def test_cli_rejects_bad_overrides(tmp_path):
     # the balancing tolerance is a constant, not a key
     assert cli_main(["balance-bound", "shape=clifford-torus", "resolution=16", "tol=1e-9",
                      "--out", str(tmp_path / "r")]) == 2
+    # one rung gives no error estimate, so no verdict
+    assert cli_main(["check", "t13", "shape=slice", "warping=cosh", "t0=0.3",
+                     "resolutions=24", "--out", str(tmp_path / "r")]) == 2
+    # an empty sweep would pass vacuously
+    assert cli_main(["sweep", "flat-torus", "rs=,", "resolutions=8,12",
+                     "--out", str(tmp_path / "r")]) == 2
     assert not (tmp_path / "r").exists()
 
 
@@ -417,7 +427,7 @@ def test_cli_refuses_an_override_the_subcommand_does_not_read(tmp_path, build_lo
 def test_cli_config_file_may_hold_keys_of_other_subcommands(tmp_path):
     cfg = tmp_path / "shared.cfg"
     cfg.write_text("shape=flat-torus\nr=0.6\namplitudes=0,0.05\nresolution=16\n")
-    assert cli_main(["check", "t11", "--config", str(cfg), "resolutions=12",
+    assert cli_main(["check", "t11", "--config", str(cfg), "resolutions=12,24",
                      "--out", str(tmp_path / "r")]) == 0
 
 
@@ -487,7 +497,7 @@ def test_cli_runs_without_sympy(tmp_path):
         "import sys\n"
         "import stabspec.cli as cli\n"
         "code = cli.main(['check', 't11', 'shape=clifford-torus', "
-        f"'resolutions=16', '--out', {str(tmp_path)!r}])\n"
+        f"'resolutions=8,16', '--out', {str(tmp_path)!r}])\n"
         "assert code == 0, code\n"
         "assert 'sympy' not in sys.modules, 'sympy was imported'\n"
     )

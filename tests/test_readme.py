@@ -2,9 +2,10 @@
 
 The Python block under "Quick start" runs as written, so a public name it
 uses cannot disappear unnoticed.  Every `stabspec ...` line of the
-README's `sh` blocks is parsed by the CLI's own parser and its key=value
-tokens (and those of a `--config` file) must be recognized keys; the
-commands are parsed, not run.  The configuration-key table lists exactly
+README's `sh` blocks is parsed by the CLI's own parser, its key=value
+tokens (and those of a `--config` file) must be recognized keys, and its
+subcommand must read every key given on the line; the commands are
+parsed and configured, not run.  The configuration-key table lists exactly
 the recognized keys, and the sample configurations load.
 """
 
@@ -17,7 +18,7 @@ import shlex
 import pytest
 
 import stabspec.config as cfgmod
-from stabspec.cli import parse_args
+from stabspec.cli import _RUNNERS, parse_args
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 README = (ROOT / "README.md").read_text()
@@ -47,7 +48,9 @@ def test_readme_has_command_lines():
 def test_readme_command_lines_parse(line):
     args = parse_args(shlex.split(line)[1:])
     cfg = cfgmod.load_config_file(ROOT / args.config) if args.config else {}
-    cfgmod.merge_overrides(cfg, args.params)
+    cfg = cfgmod.merge_overrides(cfg, args.params)
+    _RUNNERS[args.command](args, cfg)  # reads the configuration, solves nothing
+    assert cfg.overrides <= cfg.read
 
 
 def test_key_table_lists_the_recognized_keys():
