@@ -98,6 +98,7 @@ def graph_over_slice(warping, t0: float, perturbation: str, amplitude: float,
                      resolution=(64, 64)) -> ShapeSpec:
     w = _resolve_warping(warping)
     w.require_inside(t0)
+    _perturbation_indices(perturbation)
     return ShapeSpec(
         "graph-over-slice",
         tuple(resolution),

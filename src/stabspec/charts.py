@@ -55,8 +55,9 @@ _PRODUCT = [
 
 def _jet_mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Truncated product of two jets (broadcasting over trailing axes)."""
-    out = np.zeros(np.broadcast_shapes(x.shape, y.shape))
-    for m, pairs in enumerate(_PRODUCT):
+    out = np.empty(np.broadcast_shapes(x.shape, y.shape))
+    for m, ((k0, l0), *pairs) in enumerate(_PRODUCT):
+        np.multiply(x[k0], y[l0], out=out[m, ...])
         for k, l in pairs:
             out[m] += x[k] * y[l]
     return out
@@ -120,6 +121,12 @@ class JetChart:
         self.fn = fn
 
     def evaluate(self, grid: Grid) -> dict[str, np.ndarray]:
+        """The derivative bundle: (N, 4) arrays keyed by `BUNDLE_KEYS`.
+
+        The derivatives are stored component-major, one (10, 4, N) block,
+        and each entry is the transpose view of its (4, N) slab, so a
+        component `b[key][:, c]` is a contiguous row.
+        """
         u = np.zeros((len(BUNDLE_KEYS), grid.nu, 1))
         v = np.zeros((len(BUNDLE_KEYS), 1, grid.nv))
         u[0, :, 0], v[0, 0, :] = grid.u, grid.v
@@ -127,11 +134,11 @@ class JetChart:
         comps = self.fn(u, v)
         if len(comps) != 4:
             raise DomainError("a chart has exactly four components")
-        jets = np.empty((len(BUNDLE_KEYS), grid.nu, grid.nv, 4))
+        jets = np.empty((len(BUNDLE_KEYS), 4, grid.nu, grid.nv))
         for c, comp in enumerate(comps):
-            jets[..., c] = comp * _FACTORIALS[:, None, None]
-        jets = jets.reshape(len(BUNDLE_KEYS), grid.node_count, 4)
-        return dict(zip(BUNDLE_KEYS, jets))
+            np.multiply(comp, _FACTORIALS[:, None, None], out=jets[:, c])
+        jets = jets.reshape(len(BUNDLE_KEYS), 4, grid.node_count)
+        return {key: jet.T for key, jet in zip(BUNDLE_KEYS, jets)}
 
 
 def real_sph_harm(l: int, m: int, theta: np.ndarray, phi: np.ndarray) -> np.ndarray:

@@ -8,15 +8,19 @@
   own rows at v index 0: the coupling T among those nodes, repeated at
   every v index, plus the coupling w of each node to its two v neighbours;
   the diagonal of M must be constant along v to the same tolerance, and
-  w <= 0.  A discrete Fourier transform along v then splits the pencil
+  w <= 0.  The check reads A's stored entries directly, by their (u, v)
+  offset.  A discrete Fourier transform along v then splits the pencil
   into one block per mode m, B_m = T + 2 cos(2 pi m / n) diag(w).  Each
   block is solved densely.  Because w <= 0, the blocks grow with m for
-  0 <= m <= n/2 (Weyl), so modes are visited in order and the loop stops at the first mode whose lowest eigenvalue lies above the
-  window: every eigenvalue below the window's top is found, and the
-  window takes in the whole cluster at its edge.  The vectors
-  y cos(m theta) and y sin(m theta) of the window go through the same
-  Rayleigh-Ritz pass and residual check on the full pencil as the other
-  paths, and the k lowest pairs are kept.
+  0 <= m <= n/2 (Weyl), so modes are visited in order and the loop stops
+  at the first mode whose lowest eigenvalue lies above the window: every
+  eigenvalue below the window's top is found, and the window takes in
+  the whole cluster at its edge.  The vectors y cos(m theta) and
+  y sin(m theta) of the window are exact block eigenvectors, and the
+  discrete waves are orthogonal, so they need no Rayleigh-Ritz pass: they
+  are normalized in closed form, their eigenvalues are their Rayleigh
+  quotients on the full pencil, and the k lowest pairs go through the
+  same residual check as the other paths.
 * sparse: every other pencil, at every size, by shift-invert Lanczos
   with the shift placed strictly below the bottom of the spectrum
   (lambda_1 >= -max q because the stiffness part is positive
@@ -43,7 +47,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
-import scipy.sparse as sp_sparse
 import scipy.sparse.linalg as spla
 
 from .assembly import OperatorPencil
@@ -70,9 +73,10 @@ class Spectrum:
     method: str
 
 
-def _residuals(a, m, vals, vecs) -> np.ndarray:
-    mu = m @ vecs
-    return np.linalg.norm(a @ vecs - mu * vals, axis=0) / np.linalg.norm(mu, axis=0)
+def _residuals(av, mv, vals) -> np.ndarray:
+    """||A u - lambda M u|| / ||M u|| per column, from A U and M U."""
+    r = av - mv * vals
+    return np.sqrt(np.einsum("ij,ij->j", r, r) / np.einsum("ij,ij->j", mv, mv))
 
 
 def _normalize_signs(vecs: np.ndarray) -> np.ndarray:
@@ -114,7 +118,7 @@ def _ritz_pairs(a, m, k, vecs):
         raise NonConvergenceError(f"eigenvector block lost rank: {err}") from err
     vals = vals[:k]
     vecs = _normalize_signs(vecs[:, :k])
-    return vals, vecs, _residuals(a, m, vals, vecs)
+    return vals, vecs, _residuals(a @ vecs, m @ vecs, vals)
 
 
 def _invariant_along_v(pencil: OperatorPencil):
@@ -122,25 +126,45 @@ def _invariant_along_v(pencil: OperatorPencil):
     both grid kinds, or None.
 
     T is the coupling among the nodes at v index 0, w[i] the coupling of
-    node (i, 0) to its v neighbour and d[i] its mass.
+    node (i, 0) to its v neighbour and d[i] its mass.  A's stored entries
+    are read by slot: coupling along u at v offset 0 (entry T[i, i']),
+    to a v neighbour at u offset 0 (w[i]), or anything else (0).  Every
+    entry must match its slot's value in the row at v index 0, and every
+    slot value above the tolerance must be stored in every row.
     """
     grid = pencil.grid
     if grid is None:
         return None
-    a = pencil.stiffness_minus_potential
-    d = pencil.mass_diagonal.reshape(grid.nu, grid.nv)
+    nu, n = grid.nu, grid.nv
+    d = pencil.mass_diagonal.reshape(nu, n)
     if np.max(np.abs(d - d[:, :1])) > INVARIANCE_TOL * np.max(d):
         return None
-    n = grid.nv
-    base = np.arange(grid.nu) * n
-    t = a[base][:, base].toarray()
-    w = np.asarray(a[base, base + 1]).ravel()
+    a = pencil.stiffness_minus_potential
+    if not a.has_canonical_format:
+        a = a.copy()
+        a.sum_duplicates()
+    # row i of the table holds the slot values of row (i, 0): T[i, :], w[i], 0
+    table = np.zeros((nu, nu + 2))
+    head = a[::n].tocoo()
+    ci, cj = np.divmod(head.col, n)
+    along_u, right = cj == 0, (cj == 1) & (ci == head.row)
+    table[head.row[along_u], ci[along_u]] = head.data[along_u]
+    table[head.row[right], nu] = head.data[right]
+    t, w = table[:, :nu], table[:, nu]
     if np.any(w > 0.0):
         return None
-    ring = sp_sparse.diags([1.0] * 4, [1, -1, n - 1, 1 - n], shape=(n, n))
-    ref = (sp_sparse.kron(sp_sparse.csr_matrix(t), sp_sparse.identity(n))
-           + sp_sparse.kron(sp_sparse.diags(w), ring))
-    if abs(a - ref).max() > INVARIANCE_TOL * abs(a).max():
+    rows = np.repeat(np.arange(a.shape[0], dtype=a.indices.dtype), np.diff(a.indptr))
+    ri, ci = rows // n, a.indices // n
+    dv = a.indices - rows - (ci - ri) * n  # v offset, in (-n, n)
+    ring = (ci == ri) & ((np.abs(dv) == 1) | (np.abs(dv) == n - 1))
+    slot = ri * (nu + 2) + np.where(dv == 0, ci, nu + 1 - ring)
+    diff = a.data - table.ravel()[slot]
+    tol = INVARIANCE_TOL * max(a.data.max(), -a.data.min())
+    if max(diff.max(), -diff.min()) > tol:
+        return None
+    # positions are distinct, so the count shows whether a slot is missing
+    big = np.abs(table) > tol
+    if np.count_nonzero(big.ravel()[slot]) < n * (big.sum() + big[:, nu].sum()):
         return None
     return t, w, d[:, 0]
 
@@ -159,7 +183,8 @@ def _window(values, k) -> tuple[int, float]:
 def _solve_reduced(grid, invariant, k) -> np.ndarray:
     """Eigenvectors of the k smallest eigenvalues and of the rest of the
     cluster at the k-th, ascending; one dense block per Fourier mode along
-    v."""
+    v, M-orthonormal: y cos(m theta) and y sin(m theta) are exact block
+    eigenvectors, and each wave is scaled to unit norm."""
     t, w, d = invariant
     n, nb = grid.nv, d.size
     s = 1.0 / np.sqrt(d)
@@ -181,12 +206,14 @@ def _solve_reduced(grid, invariant, k) -> np.ndarray:
             break
         found += [(v, mode, ph, s * ys[:, i]) for i, v in enumerate(vals) for ph in phases]
     size, _ = _window([f[0] for f in found], k)
+    window = sorted(found, key=lambda f: f[0])[:size]
     theta = 2.0 * math.pi * np.arange(n) / n
-    vecs = []
-    for _, mode, ph, y in sorted(found, key=lambda f: f[0])[:size]:
-        wave = np.cos(mode * theta) if ph == 0 else np.sin(mode * theta)
-        vecs.append(np.outer(y, wave).ravel())
-    return np.stack(vecs, axis=1)
+    # y is D-orthonormal; sum cos^2 = n at m = 0 and m = n/2, else n/2
+    waves = np.array([(np.sin if ph else np.cos)(mode * theta)
+                      / math.sqrt(n if 2 * mode % n == 0 else n / 2)
+                      for _, mode, ph, _ in window])
+    ys = np.array([y for *_, y in window])
+    return (ys[:, :, None] * waves[:, None, :]).reshape(size, nb * n).T
 
 
 def _solve_sparse(a, m, k, sigma, opinv, v0) -> np.ndarray:
@@ -242,7 +269,12 @@ def smallest_eigenpairs(
         raise DomainError("sparse path needs k < node_count - 1")
 
     if method == "reduced":
-        vals, vecs, res = _ritz_pairs(a, m, k, _solve_reduced(pencil.grid, invariant, k))
+        vecs = _normalize_signs(_solve_reduced(pencil.grid, invariant, k)[:, :k])
+        av, mv = a @ vecs, m @ vecs
+        vals = np.einsum("ij,ij->j", vecs, av) / np.einsum("ij,ij->j", vecs, mv)
+        res = _residuals(av, mv, vals)
+        order = np.argsort(vals, kind="stable")
+        vals, vecs, res = vals[order], vecs[:, order], res[order]
     elif method == "dense":
         vals, vecs, res = _ritz_pairs(a, m, k, _solve_dense(a, m, k))
     else:

@@ -365,14 +365,12 @@ def sweep_flat_torus(rs, resolutions, seed: int = 0) -> list[Report]:
 def sweep_graph_amplitude(warping, t0, perturbation, amplitudes, resolutions,
                           seed: int = 0) -> list[Report]:
     """t13 check across graph amplitudes; margin grows with amplitude."""
+    # every member's spec is made, and so checked, before the first solve
+    graphs = [catalog.graph_over_slice(warping, t0, perturbation, amp) for amp in amplitudes]
     reports = []
-    for amp in amplitudes:
-        amp = float(amp)
-        spec = (
-            catalog.slice_shape(warping, t0)
-            if amp == 0.0
-            else catalog.graph_over_slice(warping, t0, perturbation, amp)
-        )
+    for graph in graphs:
+        amp = graph.params["amplitude"]
+        spec = catalog.slice_shape(warping, t0) if amp == 0.0 else graph
         reports.append(_sweep_member(
             check_theorem("t13", spec, resolutions, seed=seed),
             scenario_slug("sweep-graph-amplitude", f"amp={amp:.6g}"),

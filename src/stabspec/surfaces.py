@@ -68,13 +68,16 @@ DEGENERACY_REL_TOL = 1e-10
 class AmbientTerms:
     """What the geometry body needs to know of the ambient at the nodes.
 
+    Vectors are stored component-major: (4, N), one row per component.
+
     sphere_weight: the ambient metric in chart coordinates is
                   W = diag(1, H, H, H); H under key "0" (scalar or (N,))
                   and its nonzero parameter derivatives through order 2
                   under their bundle keys ("u", "uv", ...)
-    radial:       (N, 4) direction the normal is also orthogonal to
-    christoffel:  (X_a, X_b) -> Gamma(X_a, X_b), or None where it vanishes
-    ricci:        unit normal (N, 4) -> Ric(nu, nu), (N,)
+    radial:       (4, N) direction the normal is also orthogonal to
+    christoffel:  (X_a, X_b) -> Gamma(X_a, X_b), all (4, N), or None where
+                  it vanishes
+    ricci:        unit normal (4, N) -> Ric(nu, nu), (N,)
     """
 
     sphere_weight: dict[str, np.ndarray | float]
@@ -84,18 +87,23 @@ class AmbientTerms:
 
 
 def _require_unit(x: np.ndarray, message: str) -> None:
-    if float(np.max(np.abs(np.linalg.norm(x, axis=1) - 1.0))) > UNIT_NORM_TOL:
+    if float(np.max(np.abs(np.linalg.norm(x, axis=0) - 1.0))) > UNIT_NORM_TOL:
         raise DomainError(message)
+
+
+def _sphere_dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Euclidean dot of the sphere parts (components 1-3) of (4, N) rows."""
+    return np.einsum("ij,ij->j", x[1:], y[1:])
 
 
 @dataclass(frozen=True)
 class Sphere3:
     """Round unit 3-sphere ambient; Ric(v, v) = 2 on unit directions."""
 
-    def terms(self, b: dict[str, np.ndarray]) -> AmbientTerms:
-        x = b["0"]
-        _require_unit(x, "chart values must lie on the unit 3-sphere")
-        return AmbientTerms({"0": 1.0}, x, None, lambda nu: np.full(len(nu), 2.0))
+    def terms(self, x: dict[str, np.ndarray]) -> AmbientTerms:
+        """Terms at the chart rows x[key] = bundle[key].T, each (4, N)."""
+        _require_unit(x["0"], "chart values must lie on the unit 3-sphere")
+        return AmbientTerms({"0": 1.0}, x["0"], None, lambda nu: np.full(nu.shape[1], 2.0))
 
 
 @dataclass(frozen=True)
@@ -104,30 +112,33 @@ class WarpedProduct:
 
     warping: wp.WarpingFunction
 
-    def terms(self, b: dict[str, np.ndarray]) -> AmbientTerms:
+    def terms(self, x: dict[str, np.ndarray]) -> AmbientTerms:
+        """Terms at the chart rows x[key] = bundle[key].T, each (4, N)."""
         w = self.warping
-        t, om = b["0"][:, 0], b["0"][:, 1:]
-        _require_unit(om, "sphere part of a warped chart must have unit norm")
+        t = x["0"][0]
+        _require_unit(x["0"][1:], "sphere part of a warped chart must have unit norm")
         w.require_inside(t)
         h, dh, d2h = (np.asarray(fn(t), dtype=float) for fn in (w.h, w.dh, w.d2h))
 
         # H = h(t)^2, its first two t-derivatives chained through t(u, v)
         w1, w2 = 2.0 * h * dh, 2.0 * (dh * dh + h * d2h)
-        f = {key: b[key][:, 0] for key in ("u", "v", "uu", "uv", "vv")}
+        f = {key: x[key][0] for key in ("u", "v", "uu", "uv", "vv")}
         weight = {"0": h * h, "u": w1 * f["u"], "v": w1 * f["v"]}
         weight.update({key: w2 * f[key[0]] * f[key[1]] + w1 * f[key]
                        for key in ("uu", "uv", "vv")})
+        minus_hdh, dlog = -h * dh, dh / h
 
         def christoffel(xa, xb):
             # Gamma^t = -h h' <w_a, w_b>,  Gamma^w = (h'/h) (t_a w_b + t_b w_a)
-            gt = -h * dh * np.einsum("ij,ij->i", xa[:, 1:], xb[:, 1:])
-            gw = (dh / h)[:, None] * (xa[:, :1] * xb[:, 1:] + xb[:, :1] * xa[:, 1:])
-            return np.column_stack([gt, gw])
+            out = np.empty_like(xa)
+            out[0] = minus_hdh * _sphere_dot(xa, xb)
+            out[1:] = dlog * (xa[0] * xb[1:] + xb[0] * xa[1:])
+            return out
 
         def ricci(nu):
-            return np.asarray(wp.ricci_direction(w, t, nu[:, 0]))
+            return np.asarray(wp.ricci_direction(w, t, nu[0]))
 
-        return AmbientTerms(weight, np.column_stack([np.zeros_like(t), om]),
+        return AmbientTerms(weight, np.vstack([np.zeros_like(t), x["0"][1:]]),
                             christoffel, ricci)
 
 
@@ -190,24 +201,17 @@ class GeometryFields:
 
 
 def _cross4(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Vector d with <d, w> = det[a; b; c; w] for all w in R^4.
+    """Vector d with <d, w> = det[a; b; c; w] for all w in R^4, on (4, N) rows.
 
     det[a, b, c, d] = |d|^2 >= 0, which fixes the orientation convention.
+    The four cofactors share the six 2x2 minors of (b, c).
     """
-
-    def minor(cols):
-        i, j, k = cols
-        return (
-            a[:, i] * (b[:, j] * c[:, k] - b[:, k] * c[:, j])
-            - a[:, j] * (b[:, i] * c[:, k] - b[:, k] * c[:, i])
-            + a[:, k] * (b[:, i] * c[:, j] - b[:, j] * c[:, i])
-        )
-
+    m = {(j, k): b[j] * c[k] - b[k] * c[j] for j, k in itertools.combinations(range(4), 2)}
     d = np.empty_like(a)
-    d[:, 0] = -minor((1, 2, 3))
-    d[:, 1] = minor((0, 2, 3))
-    d[:, 2] = -minor((0, 1, 3))
-    d[:, 3] = minor((0, 1, 2))
+    d[0] = a[2] * m[1, 3] - a[1] * m[2, 3] - a[3] * m[1, 2]
+    d[1] = a[0] * m[2, 3] - a[2] * m[0, 3] + a[3] * m[0, 2]
+    d[2] = a[1] * m[0, 3] - a[0] * m[1, 3] - a[3] * m[0, 1]
+    d[3] = a[0] * m[1, 2] - a[1] * m[0, 2] + a[2] * m[0, 1]
     return d
 
 
@@ -218,15 +222,6 @@ def _sym2x2(a11, a12, a22) -> np.ndarray:
     out[:, 1, 0] = a12
     out[:, 1, 1] = a22
     return out
-
-
-def _invert_metric(g: np.ndarray, det: np.ndarray) -> np.ndarray:
-    inv = np.empty_like(g)
-    inv[:, 0, 0] = g[:, 1, 1] / det
-    inv[:, 1, 1] = g[:, 0, 0] / det
-    inv[:, 0, 1] = -g[:, 0, 1] / det
-    inv[:, 1, 0] = -g[:, 1, 0] / det
-    return inv
 
 
 def _check_not_degenerate(det: np.ndarray):
@@ -240,26 +235,18 @@ def _check_not_degenerate(det: np.ndarray):
 def _brioschi(E, F, G, E_u, E_v, G_u, G_v, F_u, F_v, E_vv, G_uu, F_uv):
     """Intrinsic Gauss curvature from the metric and its derivatives."""
     det = E * G - F * F
-    m_a = np.array(
-        [
-            [-0.5 * E_vv + F_uv - 0.5 * G_uu, 0.5 * E_u, F_u - 0.5 * E_v],
-            [F_v - 0.5 * G_u, E, F],
-            [0.5 * G_v, F, G],
-        ]
-    )
-    m_b = np.array(
-        [
-            [np.zeros_like(E), 0.5 * E_v, 0.5 * G_u],
-            [0.5 * E_v, E, F],
-            [0.5 * G_u, F, G],
-        ]
-    )
+    m_a = ((-0.5 * E_vv + F_uv - 0.5 * G_uu, 0.5 * E_u, F_u - 0.5 * E_v),
+           (F_v - 0.5 * G_u, E, F),
+           (0.5 * G_v, F, G))
+    m_b = ((0.0, 0.5 * E_v, 0.5 * G_u),
+           (0.5 * E_v, E, F),
+           (0.5 * G_u, F, G))
 
     def det3(m):
         return (
-            m[0, 0] * (m[1, 1] * m[2, 2] - m[1, 2] * m[2, 1])
-            - m[0, 1] * (m[1, 0] * m[2, 2] - m[1, 2] * m[2, 0])
-            + m[0, 2] * (m[1, 0] * m[2, 1] - m[1, 1] * m[2, 0])
+            m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
+            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
+            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
         )
 
     return (det3(m_a) - det3(m_b)) / det**2
@@ -298,45 +285,48 @@ def _metric_derivative(wdot, entry: str, by: str) -> np.ndarray:
 
 
 def compute_geometry(s: ImmersedSurface, want_gauss: bool = True) -> GeometryFields:
-    """All nodal geometric fields of the surface."""
-    b = s.bundle()
-    amb = s.ambient.terms(b)
-    H = np.reshape(amb.sphere_weight["0"], (-1, 1))
-    W = np.hstack([np.ones_like(H), H, H, H])  # (N, 4), or (1, 4) where H is constant
+    """All nodal geometric fields of the surface.
+
+    The body works on the component rows x[key] = bundle[key].T, (4, N)
+    views of the chart's component-major storage.
+    """
+    x = {key: arr.T for key, arr in s.bundle().items()}
+    amb = s.ambient.terms(x)
+    H = amb.sphere_weight["0"]
+
+    def wdot0(p, q):  # <p, q>_W = p0 q0 + H (p1 q1 + p2 q2 + p3 q3)
+        return p[0] * q[0] + H * _sphere_dot(p, q)
 
     @functools.cache
     def wdot(wkey, xkey, ykey):
         """sum_i (d_wkey W)_i (X_xkey)_i (X_ykey)_i, 0 where d_wkey W vanishes."""
-        x, y = b[xkey], b[ykey]
         if wkey == "0":
-            return np.einsum("ij,ij->i", W * x, y)
+            return wdot0(x[xkey], x[ykey])
         dw = amb.sphere_weight.get(wkey)
-        return 0.0 if dw is None else dw * np.einsum("ij,ij->i", x[:, 1:], y[:, 1:])
+        return 0.0 if dw is None else dw * _sphere_dot(x[xkey], x[ykey])
 
     E, F, G = wdot("0", "u", "u"), wdot("0", "u", "v"), wdot("0", "v", "v")
     det = E * G - F * F
     _check_not_degenerate(det)
-    g = _sym2x2(E, F, G)
-    ginv = _invert_metric(g, det)
+    inv_uu, inv_uv, inv_vv = G / det, -F / det, E / det
 
     # W nu is Euclidean-orthogonal to radial, X_u and X_v; unit in the W-norm.
-    nu = _cross4(amb.radial, b["u"], b["v"]) / W
-    nu /= np.linalg.norm(nu * np.sqrt(W), axis=1)[:, None]
+    nu = _cross4(amb.radial, x["u"], x["v"])
+    nu[1:] /= H
+    nu /= np.sqrt(wdot0(nu, nu))
     if not s.is_sphere3:
-        nu[nu[:, 0] < 0.0] *= -1.0
-
-    w_nu = W * nu
+        nu *= np.where(nu[0] < 0.0, -1.0, 1.0)
 
     def second(key):  # sigma_ab = -<nu, X_ab + Gamma(X_a, X_b)>_W
-        xab = b[key]
+        xab = x[key]
         if amb.christoffel is not None:
-            xab = xab + amb.christoffel(b[key[0]], b[key[1]])
-        return -np.einsum("ij,ij->i", w_nu, xab)
+            xab = xab + amb.christoffel(x[key[0]], x[key[1]])
+        return -wdot0(nu, xab)
 
-    shape = _sym2x2(second("uu"), second("uv"), second("vv"))
-    shape_op = np.einsum("nab,nbc->nac", ginv, shape)
-    mean_curv = 0.5 * np.einsum("naa->n", shape_op)
-    sigma_sq = np.einsum("nab,nba->n", shape_op, shape_op)
+    s_uu, s_uv, s_vv = second("uu"), second("uv"), second("vv")
+    # shape operator g^-1 sigma, entry by entry
+    a11, a12 = inv_uu * s_uu + inv_uv * s_uv, inv_uu * s_uv + inv_uv * s_vv
+    a21, a22 = inv_uv * s_uu + inv_vv * s_uv, inv_uv * s_uv + inv_vv * s_vv
 
     gauss = None
     if want_gauss:
@@ -346,13 +336,13 @@ def compute_geometry(s: ImmersedSurface, want_gauss: bool = True) -> GeometryFie
         })
 
     return GeometryFields(
-        metric=g,
-        metric_inv=ginv,
+        metric=_sym2x2(E, F, G),
+        metric_inv=_sym2x2(inv_uu, inv_uv, inv_vv),
         area_element=np.sqrt(det) * s.grid.cell_weight,
-        normal=nu,
-        shape=shape,
-        mean_curv=mean_curv,
-        sigma_sq=sigma_sq,
+        normal=nu.T,
+        shape=_sym2x2(s_uu, s_uv, s_vv),
+        mean_curv=0.5 * (a11 + a22),
+        sigma_sq=a11 * a11 + 2.0 * a12 * a21 + a22 * a22,
         gauss_curv=gauss,
         ricci_normal=amb.ricci(nu),
     )

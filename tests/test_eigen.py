@@ -10,7 +10,9 @@ import pytest
 import scipy.sparse as sp_sparse
 
 import stabspec as ss
+from stabspec.charts import JetChart, _jet_cos, _jet_sin
 from stabspec.eigen import (
+    INVARIANCE_TOL,
     _invariant_along_v,
     _ritz_pairs,
     _solve_reduced,
@@ -18,6 +20,8 @@ from stabspec.eigen import (
     eigenvalue_multiplicity,
 )
 from stabspec.errors import NonConvergenceError
+from stabspec.grids import torus_grid
+from stabspec.surfaces import Sphere3
 
 CATALOG = [
     ss.clifford_torus((16, 16)),
@@ -168,6 +172,114 @@ def test_each_invariance_condition_is_checked():
     assert _invariant_along_v(replace(p, stiffness_minus_potential=(A + stray).tocsr())) is None
     # an invariant pencil whose axis coupling is positive
     assert _invariant_along_v(replace(p, stiffness_minus_potential=(-A).tocsr())) is None
+
+
+SYMMETRIC = {
+    "clifford-torus": ss.clifford_torus,
+    "flat-torus": lambda res: ss.flat_torus(0.6, res),
+    "geodesic-sphere": lambda res: ss.geodesic_sphere(1.0, res),
+    "cosh-slice": lambda res: ss.slice_shape("cosh", 0.3, res),
+    "product-slice": lambda res: ss.slice_shape("product", 0.2, res),
+    "sphere-slice": lambda res: ss.slice_shape("sphere", 1.0, res),
+    "zonal-graph": lambda res: ss.graph_over_slice("cosh", 0.3, "Y3,0", 0.05, res),
+}
+
+
+@pytest.mark.parametrize("n", [32, 64])
+@pytest.mark.parametrize("name", sorted(SYMMETRIC))
+def test_rotation_invariant_shapes_take_the_reduced_path(name, n):
+    # a silent fall-back to the sparse path keeps every result right and
+    # only costs time, so it is asserted here
+    p = _pencil(SYMMETRIC[name]((n, n)))
+    assert ss.smallest_eigenpairs(p, 6).method == "reduced"
+
+
+def _kron_invariance(pencil):
+    """The invariance check as the block-circulant pencil rebuilt with a
+    sparse kron: (T, w, d) or None."""
+    grid = pencil.grid
+    a = pencil.stiffness_minus_potential
+    d = pencil.mass_diagonal.reshape(grid.nu, grid.nv)
+    if np.max(np.abs(d - d[:, :1])) > INVARIANCE_TOL * np.max(d):
+        return None
+    n = grid.nv
+    base = np.arange(grid.nu) * n
+    t = a[base][:, base].toarray()
+    w = np.asarray(a[base, base + 1]).ravel()
+    if np.any(w > 0.0):
+        return None
+    ring = sp_sparse.diags([1.0] * 4, [1, -1, n - 1, 1 - n], shape=(n, n))
+    ref = (sp_sparse.kron(sp_sparse.csr_matrix(t), sp_sparse.identity(n))
+           + sp_sparse.kron(sp_sparse.diags(w), ring))
+    if abs(a - ref).max() > INVARIANCE_TOL * abs(a).max():
+        return None
+    return t, w, d[:, 0]
+
+
+def _oracle_pencils():
+    c = math.sqrt(2) / 2
+    sheared = JetChart(lambda u, v: (c * _jet_cos(u), c * _jet_sin(u),
+                                     c * _jet_cos(v + u), c * _jet_sin(v + u)))
+    s = ss.ImmersedSurface(Sphere3(), sheared, torus_grid(16, 16))
+    specs = [ss.clifford_torus((16, 16)), ss.flat_torus(0.6, (24, 32)),
+             ss.geodesic_sphere(1.0, (32, 24)), ss.slice_shape("cosh", 0.3, (24, 24)),
+             ss.perturbed_torus(0.7, 0.05, 3, (24, 24)),
+             ss.graph_over_slice("cosh", 0.3, "Y2,1", 1e-9, (24, 24))]
+    pencils = {spec.label: _pencil(spec) for spec in specs}
+    pencils["sheared"] = ss.assemble(s, ss.compute_geometry(s, want_gauss=False))
+    p = pencils[ss.clifford_torus().label]
+    A, M = p.stiffness_minus_potential, p.mass
+    mass = M.diagonal().copy()
+    mass[0] *= 1.0 + 1e-11
+    pencils["mass"] = replace(p, mass=sp_sparse.diags(mass).tocsr())
+    for name, size in (("stray", 1e-11), ("faint-stray", 1e-15)):
+        size *= abs(A).max()
+        stray = sp_sparse.coo_matrix(([size, size], ([0, 17], [17, 0])), shape=A.shape)
+        pencils[name] = replace(p, stiffness_minus_potential=(A + stray).tocsr())
+    pencils["sign"] = replace(p, stiffness_minus_potential=(-A).tocsr())
+    # the u coupling of nodes (0, 5) and (1, 5) is not stored at all
+    hole = A.tolil()
+    hole[5, 21] = hole[21, 5] = 0.0
+    pencils["hole"] = replace(p, stiffness_minus_potential=hole.tocsr())
+    return pencils
+
+
+ORACLE = _oracle_pencils()
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE))
+def test_invariance_read_agrees_with_the_kron_rebuild(name):
+    p = ORACLE[name]
+    got, want = _invariant_along_v(p), _kron_invariance(p)
+    assert (got is None) == (want is None)
+    if want is not None:
+        for x, y in zip(got, want):
+            np.testing.assert_allclose(x, y, rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("spec", [ss.flat_torus(0.6, (24, 24)),
+                                  ss.geodesic_sphere(1.0, (24, 24))],
+                         ids=lambda s: s.label)
+def test_reduced_vectors_need_no_rayleigh_ritz_pass(spec):
+    p = _pencil(spec)
+    A, M = p.stiffness_minus_potential, p.mass
+    block = _solve_reduced(p.grid, _invariant_along_v(p), 6)
+    np.testing.assert_allclose(block.T @ (M @ block), np.eye(block.shape[1]),
+                               rtol=0, atol=1e-12)
+    sp_ = ss.smallest_eigenpairs(p, 6)
+    assert sp_.method == "reduced"
+    V = sp_.eigenvectors
+    np.testing.assert_allclose(V.T @ (M @ V), np.eye(6), rtol=0, atol=1e-12)
+    assert float(np.max(sp_.residuals)) <= 1e-9
+    for i, lam in enumerate(sp_.eigenvalues):
+        r = A @ V[:, i] - lam * (M @ V[:, i])
+        assert np.linalg.norm(r) / np.linalg.norm(M @ V[:, i]) <= 1e-9
+    dense = ss.smallest_eigenpairs(p, 6, method="dense")
+    np.testing.assert_allclose(sp_.eigenvalues, dense.eigenvalues, rtol=0, atol=1e-10)
+    if spec.kind == "flat-torus":
+        # the window mixes mode 0 (constant along v) with modes 0 < m < n/2
+        spread = np.ptp(V.reshape(24, 24, 6), axis=1).max(axis=0)
+        assert np.any(spread < 1e-12) and np.any(spread > 1e-3)
 
 
 @pytest.mark.parametrize("r", [0.775594, math.sqrt(1.0 - 0.775594**2)])

@@ -409,6 +409,10 @@ def test_cli_rejects_bad_overrides(tmp_path):
     # an empty sweep would pass vacuously
     assert cli_main(["sweep", "flat-torus", "rs=,", "resolutions=8,12",
                      "--out", str(tmp_path / "r")]) == 2
+    # the amplitude-0 member is a slice, yet the perturbation is still checked
+    assert cli_main(["sweep", "graph-amplitude", "warping=cosh", "t0=0.3",
+                     "perturbation=bogus", "amplitudes=0", "resolutions=8,12",
+                     "--out", str(tmp_path / "r")]) == 2
     assert not (tmp_path / "r").exists()
 
 
