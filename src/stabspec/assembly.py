@@ -20,6 +20,13 @@ entrywise to round-off.
 On non-periodic (sphere) grids the missing boundary faces implement the
 natural zero-flux closure; polar caps carry no face but keep their mass,
 which is the correct cell-centered treatment of the coordinate poles.
+
+Invariance along v, the periodic axis of both grid kinds.  `assemble`
+marks the pencil invariant along v when no cross term was added and a, b,
+q sqrt(g) du dv and sqrt(g) du dv are each constant along v to
+INVARIANCE_TOL of their largest magnitude.  A is then block-circulant:
+the coupling among the nodes at v index 0 repeats at every v index, and
+each node couples to its two v neighbours by w = -b du/dv < 0.
 """
 
 from __future__ import annotations
@@ -35,19 +42,25 @@ from .surfaces import GeometryFields, ImmersedSurface
 
 __all__ = ["OperatorPencil", "assemble", "rayleigh"]
 
+INVARIANCE_TOL = 1e-13
+
 
 @dataclass(frozen=True)
 class OperatorPencil:
     """Symmetric generalized eigenproblem pair for the stability operator.
 
     `grid` is the parameter grid the pencil was assembled on (node i * nv + j
-    at (u[i], v[j])); a pencil built by hand has none.
+    at (u[i], v[j])); a pencil built by hand has none.  `invariant_along_v`
+    is derived by `assemble` (see the module docstring), and a pencil built
+    by hand is not marked; `dataclasses.replace` keeps the mark, so A and M
+    may be replaced only by matrices just as invariant along v.
     """
 
     stiffness_minus_potential: sp_sparse.csr_matrix
     mass: sp_sparse.csr_matrix
     potential: np.ndarray
     grid: Grid | None = None
+    invariant_along_v: bool = False
 
     @property
     def node_count(self) -> int:
@@ -78,6 +91,13 @@ def _face_stiffness(grid, coeff, axis: str) -> sp_sparse.coo_matrix:
     return sp_sparse.coo_matrix((vals, (rows, cols)), shape=(nu * nv, nu * nv))
 
 
+def _constant_along_v(grid, coeff) -> bool:
+    """Whether a per-node coefficient is constant along v, to INVARIANCE_TOL
+    of its largest magnitude."""
+    c = coeff.reshape(grid.nu, grid.nv)
+    return float(np.max(np.abs(c - c[:, :1]))) <= INVARIANCE_TOL * float(np.max(np.abs(c)))
+
+
 def assemble(surface: ImmersedSurface, fields: GeometryFields) -> OperatorPencil:
     """Build the symmetric pencil (A, M) with q = |sigma|^2 + Ric(normal)."""
     grid = surface.grid
@@ -91,7 +111,8 @@ def assemble(surface: ImmersedSurface, fields: GeometryFields) -> OperatorPencil
     gamma = sqrtg * fields.metric_inv[:, 0, 1]
 
     stiffness = (_face_stiffness(grid, alpha, "u") + _face_stiffness(grid, beta, "v")).tocsr()
-    if float(np.max(np.abs(gamma))) > 1e-14 * float(np.mean(alpha + beta)):
+    crossed = float(np.max(np.abs(gamma))) > 1e-14 * float(np.mean(alpha + beta))
+    if crossed:
         d_u = grid.d1_sparse(0)
         d_v = grid.d1_sparse(1)
         lam = sp_sparse.diags(gamma * grid.cell_weight)
@@ -105,13 +126,17 @@ def assemble(surface: ImmersedSurface, fields: GeometryFields) -> OperatorPencil
     if bad.size:
         raise AssemblyError(f"mass is not positive at node {int(bad[0])}")
     mass = sp_sparse.diags(weights).tocsr()
-    a = (stiffness - sp_sparse.diags(q * weights)).tocsr()
+    potential = q * weights
+    a = (stiffness - sp_sparse.diags(potential)).tocsr()
     a.sum_duplicates()
 
     asym = abs(a - a.T)
     if asym.nnz and asym.max() > 0.0:
         raise AssemblyError("assembled operator lost exact symmetry")
-    return OperatorPencil(stiffness_minus_potential=a, mass=mass, potential=q, grid=grid)
+    invariant = not crossed and all(
+        _constant_along_v(grid, c) for c in (alpha, beta, potential, weights))
+    return OperatorPencil(stiffness_minus_potential=a, mass=mass, potential=q, grid=grid,
+                          invariant_along_v=invariant)
 
 
 def rayleigh(pencil: OperatorPencil, u: np.ndarray) -> float:

@@ -104,7 +104,10 @@ def _emit(out_dir: str, reports: list[harness.Report]) -> None:
 
 
 def _seed(cfg) -> int:
-    return cfgmod.get(cfg, "seed", int, 0)
+    seed = cfgmod.get(cfg, "seed", int, 0)
+    if seed < 0:
+        raise ConfigError(f"seed must be a nonnegative integer, got {seed}")
+    return seed
 
 
 # Each runner reads every configuration key it needs and returns the work

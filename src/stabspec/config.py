@@ -23,7 +23,7 @@ commands):
   rs             comma list of flat-torus radii (sweep)
   amplitudes     comma list of graph amplitudes (sweep)
   count          number of eigenvalues (slice-spectrum)
-  seed           eigensolver seed
+  seed           eigensolver seed, a nonnegative integer
 """
 
 from __future__ import annotations

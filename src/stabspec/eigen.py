@@ -2,25 +2,20 @@
 
 `smallest_eigenpairs` has three paths and picks one from the pencil's data:
 
-* reduced: taken whenever the pencil is invariant along v, the periodic
-  axis of both grid kinds, at any size.  Invariance means that A equals,
-  to 1e-13 of its largest entry, the block-circulant pencil built from its
-  own rows at v index 0: the coupling T among those nodes, repeated at
-  every v index, plus the coupling w of each node to its two v neighbours;
-  the diagonal of M must be constant along v to the same tolerance, and
-  w <= 0.  The check reads A's stored entries directly, by their (u, v)
-  offset.  A discrete Fourier transform along v then splits the pencil
-  into one block per mode m, B_m = T + 2 cos(2 pi m / n) diag(w).  Each
-  block is solved densely.  Because w <= 0, the blocks grow with m for
-  0 <= m <= n/2 (Weyl), so modes are visited in order and the loop stops
-  at the first mode whose lowest eigenvalue lies above the window: every
-  eigenvalue below the window's top is found, and the window takes in
-  the whole cluster at its edge.  The vectors y cos(m theta) and
-  y sin(m theta) of the window are exact block eigenvectors, and the
-  discrete waves are orthogonal, so they need no Rayleigh-Ritz pass: they
-  are normalized in closed form, their eigenvalues are their Rayleigh
-  quotients on the full pencil, and the k lowest pairs go through the
-  same residual check as the other paths.
+* reduced: taken whenever `assemble` marked the pencil invariant along v,
+  the periodic axis of both grid kinds, at any size.  A is then
+  block-circulant: the coupling T among the nodes at v index 0, repeated
+  at every v index, plus the coupling w <= 0 of each node to its two v
+  neighbours; T, w and the mass d are sliced from the rows at v index 0.
+  A discrete Fourier transform along v splits the pencil into one block
+  per mode m, B_m = T + 2 cos(2 pi m / n) diag(w).  Each block is solved
+  densely.  Because w <= 0, the blocks grow with m for 0 <= m <= n/2
+  (Weyl), so modes are visited in order and the loop stops at the first
+  mode whose lowest eigenvalue lies above the window: every eigenvalue
+  below the window's top is found, and the window takes in the whole
+  cluster at its edge.  The vectors y cos(m theta) and y sin(m theta) of
+  the window are exact block eigenvectors, and the discrete waves are
+  orthogonal, so they are normalized in closed form.
 * sparse: every other pencil, at every size, by shift-invert Lanczos
   with the shift placed strictly below the bottom of the spectrum
   (lambda_1 >= -max q because the stiffness part is positive
@@ -35,6 +30,10 @@
 * dense: an explicit symmetric reduction, taken only for k >= n - 1,
   which ARPACK cannot handle; as method="dense" it is also the
   independent cross-check of the other two.
+
+The reduced and dense paths return exact M-orthonormal eigenvectors, so
+they need no Rayleigh-Ritz pass: their eigenvalues are the Rayleigh
+quotients on the full pencil.  Every path ends in the same residual check.
 
 Results are deterministic: the Lanczos starting vector is drawn from a
 generator seeded by the caller, and reports record that seed.
@@ -60,7 +59,6 @@ __all__ = [
 ]
 
 CLUSTER_REL_TOL = 1e-6
-INVARIANCE_TOL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -85,24 +83,9 @@ def _normalize_signs(vecs: np.ndarray) -> np.ndarray:
     return np.where(peak < 0, -vecs, vecs)
 
 
-def _rayleigh_ritz(a, m, vecs) -> tuple[np.ndarray, np.ndarray]:
-    """M-orthonormalize the block and diagonalize the projected pencil."""
-    gram = vecs.T @ (m @ vecs)
-    gram = 0.5 * (gram + gram.T)
-    chol = sla.cholesky(gram, lower=True)
-    basis = sla.solve_triangular(chol, vecs.T, lower=True).T
-    proj = basis.T @ (a @ basis)
-    proj = 0.5 * (proj + proj.T)
-    vals, rot = sla.eigh(proj)
-    return vals, basis @ rot
-
-
 def _solve_dense(a, m, k) -> np.ndarray:
-    """Eigenvectors of the k smallest eigenvalues, by a dense solve.
-
-    The mass is diagonal, so the pencil reduces to the symmetric matrix
-    M^(-1/2) A M^(-1/2).
-    """
+    """M-orthonormal eigenvectors s y of the k smallest eigenvalues, with y
+    the orthonormal eigenvectors of M^(-1/2) A M^(-1/2) (M is diagonal)."""
     s = 1.0 / np.sqrt(np.asarray(m.diagonal()))
     sym = s[:, None] * a.toarray() * s[None, :]
     sym = 0.5 * (sym + sym.T)
@@ -111,62 +94,37 @@ def _solve_dense(a, m, k) -> np.ndarray:
 
 
 def _ritz_pairs(a, m, k, vecs):
-    """The k lowest Rayleigh-Ritz pairs of a block, with their residuals."""
+    """The k lowest Rayleigh-Ritz pairs of a block, with their residuals: the
+    block is M-orthonormalized and the projected pencil diagonalized."""
     try:
-        vals, vecs = _rayleigh_ritz(a, m, vecs)
+        gram = vecs.T @ (m @ vecs)
+        chol = sla.cholesky(0.5 * (gram + gram.T), lower=True)
+        basis = sla.solve_triangular(chol, vecs.T, lower=True).T
+        proj = basis.T @ (a @ basis)
+        vals, rot = sla.eigh(0.5 * (proj + proj.T))
     except np.linalg.LinAlgError as err:
         raise NonConvergenceError(f"eigenvector block lost rank: {err}") from err
-    vals = vals[:k]
-    vecs = _normalize_signs(vecs[:, :k])
+    vals, vecs = vals[:k], _normalize_signs((basis @ rot)[:, :k])
     return vals, vecs, _residuals(a @ vecs, m @ vecs, vals)
 
 
-def _invariant_along_v(pencil: OperatorPencil):
-    """(T, w, d) if the pencil is invariant along v, the periodic axis of
-    both grid kinds, or None.
+def _exact_pairs(a, m, vecs):
+    """Ascending pairs from exact eigenvectors: Rayleigh quotients and residuals."""
+    vecs = _normalize_signs(vecs)
+    av, mv = a @ vecs, m @ vecs
+    vals = np.einsum("ij,ij->j", vecs, av) / np.einsum("ij,ij->j", vecs, mv)
+    res = _residuals(av, mv, vals)
+    order = np.argsort(vals, kind="stable")
+    return vals[order], vecs[:, order], res[order]
 
-    T is the coupling among the nodes at v index 0, w[i] the coupling of
-    node (i, 0) to its v neighbour and d[i] its mass.  A's stored entries
-    are read by slot: coupling along u at v offset 0 (entry T[i, i']),
-    to a v neighbour at u offset 0 (w[i]), or anything else (0).  Every
-    entry must match its slot's value in the row at v index 0, and every
-    slot value above the tolerance must be stored in every row.
-    """
-    grid = pencil.grid
-    if grid is None:
-        return None
-    nu, n = grid.nu, grid.nv
-    d = pencil.mass_diagonal.reshape(nu, n)
-    if np.max(np.abs(d - d[:, :1])) > INVARIANCE_TOL * np.max(d):
-        return None
-    a = pencil.stiffness_minus_potential
-    if not a.has_canonical_format:
-        a = a.copy()
-        a.sum_duplicates()
-    # row i of the table holds the slot values of row (i, 0): T[i, :], w[i], 0
-    table = np.zeros((nu, nu + 2))
-    head = a[::n].tocoo()
-    ci, cj = np.divmod(head.col, n)
-    along_u, right = cj == 0, (cj == 1) & (ci == head.row)
-    table[head.row[along_u], ci[along_u]] = head.data[along_u]
-    table[head.row[right], nu] = head.data[right]
-    t, w = table[:, :nu], table[:, nu]
-    if np.any(w > 0.0):
-        return None
-    rows = np.repeat(np.arange(a.shape[0], dtype=a.indices.dtype), np.diff(a.indptr))
-    ri, ci = rows // n, a.indices // n
-    dv = a.indices - rows - (ci - ri) * n  # v offset, in (-n, n)
-    ring = (ci == ri) & ((np.abs(dv) == 1) | (np.abs(dv) == n - 1))
-    slot = ri * (nu + 2) + np.where(dv == 0, ci, nu + 1 - ring)
-    diff = a.data - table.ravel()[slot]
-    tol = INVARIANCE_TOL * max(a.data.max(), -a.data.min())
-    if max(diff.max(), -diff.min()) > tol:
-        return None
-    # positions are distinct, so the count shows whether a slot is missing
-    big = np.abs(table) > tol
-    if np.count_nonzero(big.ravel()[slot]) < n * (big.sum() + big[:, nu].sum()):
-        return None
-    return t, w, d[:, 0]
+
+def _circulant_parts(pencil: OperatorPencil):
+    """(T, w, d) of a pencil invariant along v, from the rows at v index 0:
+    T the coupling among those nodes, w[i] the coupling of node (i, 0) to
+    its v neighbour and d[i] its mass."""
+    n = pencil.grid.nv
+    head = pencil.stiffness_minus_potential[::n]
+    return head[:, ::n].toarray(), head[:, 1::n].diagonal(), pencil.mass_diagonal[::n]
 
 
 def _window(values, k) -> tuple[int, float]:
@@ -180,13 +138,13 @@ def _window(values, k) -> tuple[int, float]:
     return edge[-1] + 1, top + CLUSTER_REL_TOL * (1.0 + abs(top))
 
 
-def _solve_reduced(grid, invariant, k) -> np.ndarray:
+def _solve_reduced(pencil: OperatorPencil, k) -> np.ndarray:
     """Eigenvectors of the k smallest eigenvalues and of the rest of the
     cluster at the k-th, ascending; one dense block per Fourier mode along
     v, M-orthonormal: y cos(m theta) and y sin(m theta) are exact block
     eigenvectors, and each wave is scaled to unit norm."""
-    t, w, d = invariant
-    n, nb = grid.nv, d.size
+    t, w, d = _circulant_parts(pencil)
+    n, nb = pencil.grid.nv, d.size
     s = 1.0 / np.sqrt(d)
     sym = s[:, None] * t * s[None, :]
     sym = 0.5 * (sym + sym.T)
@@ -195,7 +153,9 @@ def _solve_reduced(grid, invariant, k) -> np.ndarray:
     for mode in range(n // 2 + 1):
         block = sym + np.diag(2.0 * math.cos(2.0 * math.pi * mode / n) * w * s * s)
         phases = (0,) if 2 * mode % n == 0 else (0, 1)
-        count = min(nb, k)
+        # k + 1: a first solve of k values always doubles, since the k-th
+        # lies inside its own window
+        count = min(nb, k + 1)
         while True:
             vals, ys = sla.eigh(block, subset_by_index=[0, count - 1])
             _, limit = _window([f[0] for f in found] + list(vals) * len(phases), k)
@@ -232,9 +192,7 @@ def _solve_sparse(a, m, k, sigma, opinv, v0) -> np.ndarray:
         except spla.ArpackNoConvergence as err:
             if ncv >= min(n - 1, 8 * max(2 * k + 1, 20)):
                 raise NonConvergenceError(
-                    f"eigensolver failed to converge (ncv up to {ncv}): {err}",
-                    residuals=None,
-                ) from err
+                    f"eigensolver failed to converge (ncv up to {ncv}): {err}") from err
             ncv = min(n - 1, 2 * ncv)
     return vecs[:, np.argsort(vals)]
 
@@ -260,23 +218,16 @@ def smallest_eigenpairs(
     m = pencil.mass
     if method not in ("auto", "dense", "sparse"):
         raise DomainError(f"unknown eigensolver method {method!r}")
-    invariant = _invariant_along_v(pencil) if method == "auto" else None
-    if invariant is not None:
-        method = "reduced"
-    elif method == "auto":
-        method = "dense" if k >= n - 1 else "sparse"
+    if method == "auto":
+        method = ("reduced" if pencil.invariant_along_v
+                  else "dense" if k >= n - 1 else "sparse")
     if method == "sparse" and k >= n - 1:
         raise DomainError("sparse path needs k < node_count - 1")
 
     if method == "reduced":
-        vecs = _normalize_signs(_solve_reduced(pencil.grid, invariant, k)[:, :k])
-        av, mv = a @ vecs, m @ vecs
-        vals = np.einsum("ij,ij->j", vecs, av) / np.einsum("ij,ij->j", vecs, mv)
-        res = _residuals(av, mv, vals)
-        order = np.argsort(vals, kind="stable")
-        vals, vecs, res = vals[order], vecs[:, order], res[order]
+        vals, vecs, res = _exact_pairs(a, m, _solve_reduced(pencil, k)[:, :k])
     elif method == "dense":
-        vals, vecs, res = _ritz_pairs(a, m, k, _solve_dense(a, m, k))
+        vals, vecs, res = _exact_pairs(a, m, _solve_dense(a, m, k))
     else:
         sigma = -float(np.max(pencil.potential)) - 1.0
         lu = spla.splu((a - sigma * m).tocsc(), permc_spec="MMD_AT_PLUS_A")

@@ -144,6 +144,31 @@ def test_non_zonal_graph_keeps_exact_symmetry_through_the_poles():
     assert (a != a.T).nnz == 0
 
 
+def test_each_invariance_condition_is_checked():
+    # one node of one geometry field moved by 1e-11 of its scale breaks the
+    # invariance along v; moved by 1e-15 it stays within INVARIANCE_TOL, and
+    # an off-diagonal metric term that small adds no cross coupling
+    s = ss.build(ss.clifford_torus((16, 16)))
+    f = ss.compute_geometry(s, want_gauss=False)
+    p = ss.assemble(s, f)
+    assert p.invariant_along_v
+    assert not ss.OperatorPencil(p.stiffness_minus_potential, p.mass, p.potential,
+                                 p.grid).invariant_along_v  # built by hand
+    node = 37
+    for field, entry in (("area_element", ()), ("metric_inv", (0, 0)),
+                         ("metric_inv", (1, 1)), ("metric_inv", (0, 1)), ("sigma_sq", ())):
+        for size, invariant in ((1e-11, False), (1e-15, True)):
+            value = getattr(f, field).copy()
+            if entry == (0, 1):
+                value[node, 0, 1] = value[node, 1, 0] = size * value[node, 0, 0]
+            else:
+                value[(node, *entry)] *= 1.0 + size
+            moved = ss.assemble(s, dataclasses.replace(f, **{field: value}))
+            assert moved.invariant_along_v == invariant, (field, entry, size)
+            method = ss.smallest_eigenpairs(moved, 4).method
+            assert method == ("reduced" if invariant else "sparse")
+
+
 def test_rayleigh_quotient_of_constants_is_mean_potential():
     _, _, p = _pencil(ss.clifford_torus((12, 12)))
     assert ss.rayleigh(p, np.ones(p.node_count)) == pytest.approx(-4.0,

@@ -10,10 +10,11 @@ import pytest
 import scipy.sparse as sp_sparse
 
 import stabspec as ss
+import stabspec.eigen as eigen
+from stabspec.assembly import INVARIANCE_TOL
 from stabspec.charts import JetChart, _jet_cos, _jet_sin
 from stabspec.eigen import (
-    INVARIANCE_TOL,
-    _invariant_along_v,
+    _circulant_parts,
     _ritz_pairs,
     _solve_reduced,
     cluster_indices,
@@ -154,24 +155,8 @@ def test_reduced_dense_and_sparse_paths_agree(spec):
 ], ids=lambda s: s.label)
 def test_pencil_varying_along_v_is_not_reduced(spec):
     p = _pencil(spec)
-    assert _invariant_along_v(p) is None
+    assert not p.invariant_along_v
     assert ss.smallest_eigenpairs(p, 4).method == "sparse"
-
-
-def test_each_invariance_condition_is_checked():
-    p = _pencil(ss.clifford_torus((16, 16)))
-    A, M = p.stiffness_minus_potential, p.mass
-    assert _invariant_along_v(p) is not None
-    # one node's mass off by 1e-11: A is untouched, M is not invariant
-    mass = M.diagonal().copy()
-    mass[0] *= 1.0 + 1e-11
-    assert _invariant_along_v(replace(p, mass=sp_sparse.diags(mass).tocsr())) is None
-    # one coupling off the stencil, at 1e-11 of the largest entry
-    size = 1e-11 * abs(A).max()
-    stray = sp_sparse.coo_matrix(([size, size], ([0, 17], [17, 0])), shape=A.shape)
-    assert _invariant_along_v(replace(p, stiffness_minus_potential=(A + stray).tocsr())) is None
-    # an invariant pencil whose axis coupling is positive
-    assert _invariant_along_v(replace(p, stiffness_minus_potential=(-A).tocsr())) is None
 
 
 SYMMETRIC = {
@@ -216,31 +201,36 @@ def _kron_invariance(pencil):
     return t, w, d[:, 0]
 
 
+def _one_node_off(field, size):
+    """The 16x16 Clifford torus pencil with one node of one geometry field
+    moved by `size` relative to its scale."""
+    s = ss.build(ss.clifford_torus((16, 16)))
+    f = ss.compute_geometry(s, want_gauss=False)
+    value = getattr(f, field).copy()
+    if field == "metric_inv":  # an off-diagonal term adds the cross coupling
+        value[0, 0, 1] = value[0, 1, 0] = size * value[0, 0, 0]
+    else:
+        value[0] *= 1.0 + size
+    return ss.assemble(s, replace(f, **{field: value}))
+
+
 def _oracle_pencils():
     c = math.sqrt(2) / 2
     sheared = JetChart(lambda u, v: (c * _jet_cos(u), c * _jet_sin(u),
                                      c * _jet_cos(v + u), c * _jet_sin(v + u)))
     s = ss.ImmersedSurface(Sphere3(), sheared, torus_grid(16, 16))
-    specs = [ss.clifford_torus((16, 16)), ss.flat_torus(0.6, (24, 32)),
-             ss.geodesic_sphere(1.0, (32, 24)), ss.slice_shape("cosh", 0.3, (24, 24)),
+    specs = [ss.clifford_torus((16, 16)), *INVARIANT,
              ss.perturbed_torus(0.7, 0.05, 3, (24, 24)),
              ss.graph_over_slice("cosh", 0.3, "Y2,1", 1e-9, (24, 24))]
     pencils = {spec.label: _pencil(spec) for spec in specs}
+    pencils.update({f"{name}-32": _pencil(make((32, 32)))
+                    for name, make in SYMMETRIC.items()})
     pencils["sheared"] = ss.assemble(s, ss.compute_geometry(s, want_gauss=False))
-    p = pencils[ss.clifford_torus().label]
-    A, M = p.stiffness_minus_potential, p.mass
-    mass = M.diagonal().copy()
-    mass[0] *= 1.0 + 1e-11
-    pencils["mass"] = replace(p, mass=sp_sparse.diags(mass).tocsr())
-    for name, size in (("stray", 1e-11), ("faint-stray", 1e-15)):
-        size *= abs(A).max()
-        stray = sp_sparse.coo_matrix(([size, size], ([0, 17], [17, 0])), shape=A.shape)
-        pencils[name] = replace(p, stiffness_minus_potential=(A + stray).tocsr())
-    pencils["sign"] = replace(p, stiffness_minus_potential=(-A).tocsr())
-    # the u coupling of nodes (0, 5) and (1, 5) is not stored at all
-    hole = A.tolil()
-    hole[5, 21] = hole[21, 5] = 0.0
-    pencils["hole"] = replace(p, stiffness_minus_potential=hole.tocsr())
+    # one node's mass, and with it its coefficients, off by 1e-11
+    pencils["mass"] = _one_node_off("area_element", 1e-11)
+    # a cross term couples nodes off the stencil, unless it is negligible
+    pencils["stray"] = _one_node_off("metric_inv", 1e-11)
+    pencils["faint-stray"] = _one_node_off("metric_inv", 1e-15)
     return pencils
 
 
@@ -249,11 +239,13 @@ ORACLE = _oracle_pencils()
 
 @pytest.mark.parametrize("name", sorted(ORACLE))
 def test_invariance_read_agrees_with_the_kron_rebuild(name):
+    # assemble's decision against the rebuilt pencil, and the parts the
+    # reduced path slices from A against the ones the rebuild matched
     p = ORACLE[name]
-    got, want = _invariant_along_v(p), _kron_invariance(p)
-    assert (got is None) == (want is None)
+    want = _kron_invariance(p)
+    assert p.invariant_along_v == (want is not None)
     if want is not None:
-        for x, y in zip(got, want):
+        for x, y in zip(_circulant_parts(p), want):
             np.testing.assert_allclose(x, y, rtol=0, atol=1e-13)
 
 
@@ -263,7 +255,7 @@ def test_invariance_read_agrees_with_the_kron_rebuild(name):
 def test_reduced_vectors_need_no_rayleigh_ritz_pass(spec):
     p = _pencil(spec)
     A, M = p.stiffness_minus_potential, p.mass
-    block = _solve_reduced(p.grid, _invariant_along_v(p), 6)
+    block = _solve_reduced(p, 6)
     np.testing.assert_allclose(block.T @ (M @ block), np.eye(block.shape[1]),
                                rtol=0, atol=1e-12)
     sp_ = ss.smallest_eigenpairs(p, 6)
@@ -296,7 +288,7 @@ def test_reduced_window_visits_modes_past_the_first(r):
 def test_reduced_window_holds_the_whole_cluster_it_cuts():
     # places 6-9 hold the four-fold eigenvalue 0; a window of six cuts it
     p = _pencil(ss.flat_torus(0.775594, (64, 64)))
-    block = _solve_reduced(p.grid, _invariant_along_v(p), 6)
+    block = _solve_reduced(p, 6)
     assert block.shape[1] == 9
     vals, _, res = _ritz_pairs(p.stiffness_minus_potential, p.mass, 9, block)
     assert float(np.max(res)) <= 1e-9
@@ -304,6 +296,22 @@ def test_reduced_window_holds_the_whole_cluster_it_cuts():
     sp_ = ss.smallest_eigenpairs(p, 6, tol=1e-9)
     assert sp_.method == "reduced" and sp_.eigenvalues.size == 6
     np.testing.assert_allclose(sp_.eigenvalues, vals[:6], atol=1e-10)
+
+
+def test_reduced_path_solves_each_block_once(monkeypatch):
+    # a first solve of k values always doubles, because the k-th value lies
+    # inside its own window; k + 1 settle mode 0 of a slice in one solve
+    counts = []
+    real = eigen.sla.eigh
+
+    def logged(block, subset_by_index):
+        counts.append(subset_by_index[1] + 1)
+        return real(block, subset_by_index=subset_by_index)
+
+    monkeypatch.setattr(eigen.sla, "eigh", logged)
+    sp_ = ss.smallest_eigenpairs(_pencil(ss.slice_shape("cosh", 0.3, (32, 32))), 6)
+    assert sp_.method == "reduced"
+    assert counts == [7] * len(counts)
 
 
 def test_determinism_across_runs_and_seeds():

@@ -1,17 +1,21 @@
-"""Golden reports: the CLI's JSON output against recorded reports.
+"""Golden reports: the CLI's JSON and CSV output against recorded reports.
 
 `tests/golden/<name>.json` maps each JSON report file that
 `stabspec <COMMANDS[name]> --out DIR` writes to its contents, as recorded
 before the 3-sphere and warped-product geometry pipelines were merged into
-one.  All commands run at 24x24 or coarser.  The non-zonal Y3,1 graphs of
+one; `tests/golden/<name>.csv` is the summary.csv it writes, recorded
+before assembly took over the invariance decision from the eigensolver.
+All commands run at 24x24 or coarser.  The non-zonal Y3,1 graphs of
 the amplitude sweep take the sparse eigen path, every other solve the
 reduced one.  Non-float entries must match exactly; floats must match within
 1e-10 * max(1, |value|), far below the 12 significant digits the reports
 round to, yet above the round-off that a change of summation order leaves.
+A CSV cell is a float when it parses as one.
 """
 
 from __future__ import annotations
 
+import csv
 import json
 import pathlib
 
@@ -53,13 +57,31 @@ def _mismatches(got, want, path="") -> list[str]:
     return [] if got == want else [f"{path}: {got!r} != {want!r}"]
 
 
-def test_mismatches_tell_floats_from_exact_entries():
+def _csv_cells(path) -> list[list]:
+    """summary.csv as rows of cells, each a float where it parses as one."""
+    def cell(text):
+        try:
+            return float(text)
+        except ValueError:
+            return text
+
+    with open(path, newline="") as fh:
+        return [[cell(text) for text in row] for row in csv.reader(fh)]
+
+
+def test_mismatches_tell_floats_from_exact_entries(tmp_path):
     assert _mismatches({"a": [1.0, 2, "x"]}, {"a": [1.0 + 1e-12, 2, "x"]}) == []
     assert _mismatches({"a": 1e6 + 1e-5}, {"a": 1e6}) == []
     assert _mismatches({"a": 1.0 + 1e-9}, {"a": 1.0})
     assert _mismatches({"a": 2.0}, {"a": 2})
     assert _mismatches({"a": True}, {"a": 1})
     assert _mismatches({"a": [1.0]}, {"a": [1.0, 2.0]})
+    path = tmp_path / "summary.csv"
+    path.write_text("scenario,resolution,order\nt11-r-0.6,8x8,\nt11-r-0.6,12x12,1.95\n")
+    assert _csv_cells(path) == [["scenario", "resolution", "order"],
+                                ["t11-r-0.6", "8x8", ""], ["t11-r-0.6", "12x12", 1.95]]
+    assert _mismatches(_csv_cells(path)[2], ["t11-r-0.6", "12x12", 1.95 + 1e-12]) == []
+    assert _mismatches(_csv_cells(path)[1], ["t11-r-0.6", "8x8", 0.0])
 
 
 @pytest.mark.parametrize("name", sorted(COMMANDS))
@@ -68,3 +90,5 @@ def test_reports_match_the_golden_files(tmp_path, name):
     got = {p.name: json.loads(p.read_text()) for p in sorted(tmp_path.glob("*.json"))}
     want = json.loads((GOLDEN / f"{name}.json").read_text())
     assert _mismatches(got, want) == []
+    assert _mismatches(_csv_cells(tmp_path / "summary.csv"),
+                       _csv_cells(GOLDEN / f"{name}.csv")) == []

@@ -391,7 +391,7 @@ def test_cli_reports_hypothesis_violation_as_exit_two(tmp_path):
     assert code == 2
 
 
-def test_cli_rejects_bad_overrides(tmp_path):
+def test_cli_rejects_bad_overrides(tmp_path, build_log):
     assert cli_main(["check", "t11", "shape=clifford-torus", "resolutions",
                      "--out", str(tmp_path / "r")]) == 2
     assert cli_main(["check", "t11", "shape=dodecahedron",
@@ -413,6 +413,16 @@ def test_cli_rejects_bad_overrides(tmp_path):
     assert cli_main(["sweep", "graph-amplitude", "warping=cosh", "t0=0.3",
                      "perturbation=bogus", "amplitudes=0", "resolutions=8,12",
                      "--out", str(tmp_path / "r")]) == 2
+    # every radius is checked before the first member is solved
+    assert cli_main(["sweep", "flat-torus", "rs=0.6,1.5", "resolutions=8,12",
+                     "--out", str(tmp_path / "r")]) == 2
+    # a negative seed, whether or not the eigen path draws from it
+    for shape in (["t11", "shape=flat-torus", "r=0.6"],
+                  ["t13", "shape=graph-over-slice", "warping=cosh", "t0=0.3",
+                   "perturbation=Y2,1", "amplitude=0.05"]):
+        assert cli_main(["check", *shape, "resolutions=8,12", "seed=-1",
+                         "--out", str(tmp_path / "r")]) == 2
+    assert build_log == []
     assert not (tmp_path / "r").exists()
 
 
