@@ -140,11 +140,13 @@ def assemble(surface: ImmersedSurface, fields: GeometryFields) -> OperatorPencil
 
 
 def rayleigh(pencil: OperatorPencil, u: np.ndarray) -> float:
-    """Quadratic-form quotient (u^T A u) / (u^T M u)."""
-    u = np.asarray(u, dtype=float).ravel()
-    if u.shape != (pencil.node_count,):
+    """Quadratic-form quotient (u^T A u) / (u^T M u); for an (n, k) block u,
+    the aggregate quotient trace(u^T A u) / trace(u^T M u)."""
+    u = np.asarray(u, dtype=float)
+    if u.ndim > 2 or u.shape[:1] != (pencil.node_count,):
         raise DomainError("vector length does not match the pencil")
-    denom = float(u @ (pencil.mass @ u))
+    u = u.reshape(u.shape[0], -1)
+    denom = float(np.einsum("ik,ik->", u, pencil.mass @ u))
     if denom <= 0.0:
         raise DomainError("rayleigh quotient needs a nonzero vector")
-    return float(u @ (pencil.stiffness_minus_potential @ u)) / denom
+    return float(np.einsum("ik,ik->", u, pencil.stiffness_minus_potential @ u)) / denom

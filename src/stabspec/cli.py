@@ -91,7 +91,6 @@ def _print(rep: harness.Report) -> None:
 
 
 def _emit(out_dir: str, reports: list[harness.Report]) -> None:
-    os.makedirs(out_dir, exist_ok=True)
     for rep in reports:
         path = os.path.join(out_dir, f"{rep.scenario}.json")
         harness.write_json_report(rep.body, path)
@@ -172,7 +171,14 @@ def _run(args) -> int:
     unread = sorted(cfg.overrides - cfg.read)
     if unread:
         raise ConfigError(f"{args.command} does not read the key(s) {', '.join(unread)}")
-    reports = work()
+    fresh = not os.path.isdir(args.out)
+    os.makedirs(args.out, exist_ok=True)  # an unusable --out fails here, before any solve
+    try:
+        reports = work()
+    except StabspecError:
+        if fresh:  # a refused or failed run leaves no report directory behind
+            os.rmdir(args.out)
+        raise
     for rep in reports:
         _print(rep)
     _emit(args.out, reports)
@@ -203,6 +209,9 @@ def main(argv=None) -> int:
         kind = "numerical failure" if err.exit_code == 3 else "invalid input"
         print(f"{kind}: {err}", file=sys.stderr)
         return err.exit_code
+    except OSError as err:  # an unusable --config or --out path
+        print(f"invalid input: {err}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import OperatorPencil
+from .assembly import OperatorPencil, rayleigh
 from .charts import JetChart, _jet_mul, _jet_reciprocal
 from .eigen import Spectrum
 from .errors import DomainError, NonConvergenceError, UnsupportedAmbientError
@@ -215,12 +215,6 @@ def hersch_balance(
     return MobiusParam(a)
 
 
-def _aggregate_quotient(pencil: OperatorPencil, psi: np.ndarray) -> float:
-    num = float(np.einsum("ik,ik->", psi, pencil.stiffness_minus_potential @ psi))
-    den = float(np.einsum("ik,ik->", psi, pencil.mass @ psi))
-    return num / den
-
-
 def _oriented_weight(spectrum: Spectrum) -> np.ndarray:
     f1 = spectrum.eigenvectors[:, 0].copy()
     if float(np.sum(f1)) < 0.0:
@@ -250,7 +244,7 @@ def balanced_bound_report(
     weights = np.maximum(f1, 0.0) * f.area_element
     residual = float(np.linalg.norm(weights @ psi) / np.sum(weights))
     return BalancedBoundReport(
-        bound=_aggregate_quotient(pencil, psi), param=m, balance_residual=residual)
+        bound=rayleigh(pencil, psi), param=m, balance_residual=residual)
 
 
 def conformal_willmore_invariant(s: ImmersedSurface, param: MobiusParam) -> float:

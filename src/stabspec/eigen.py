@@ -22,18 +22,22 @@
   semidefinite), which makes A - shift*M positive definite and the
   smallest eigenvalues the dominant ones of the transformed problem.
   A - shift*M is factored once (minimum-degree ordering on A + A^T) and
-  the factor serves every Lanczos run.  A Rayleigh-Ritz pass through the
-  returned subspace tightens clustered eigenvalues.  A window of k pairs
-  that cuts an eigenvalue cluster can leave the pairs at its edge short
-  of the residual tolerance; the solve is then repeated with a doubled
-  window, up to min(n - 2, 4k), and the first k Ritz pairs are kept.
+  the factor serves every Lanczos run.  A window of k pairs that cuts an
+  eigenvalue cluster can leave the pairs at its edge short of the
+  residual tolerance; the solve is then repeated with a doubled window,
+  up to min(n - 2, 4k), and the first k vectors are kept.  The residual,
+  not the reduced path's cluster rule, triggers the doubling: that rule
+  would run Lanczos twice wherever lambda_k = lambda_(k+1), although the
+  first run's pairs already meet the tolerance.
 * dense: an explicit symmetric reduction, taken only for k >= n - 1,
   which ARPACK cannot handle; as method="dense" it is also the
   independent cross-check of the other two.
 
-The reduced and dense paths return exact M-orthonormal eigenvectors, so
-they need no Rayleigh-Ritz pass: their eigenvalues are the Rayleigh
-quotients on the full pencil.  Every path ends in the same residual check.
+One tail serves the three paths.  Each yields M-orthonormal vectors (exact
+eigenvectors, or Lanczos vectors converged to round-off), and
+`_exact_pairs` alone makes them pairs: each eigenvalue is the Rayleigh
+quotient theta of its vector, the value a residual enclosure of
+|lambda - theta| (Weinstein) bounds, so no path needs a Rayleigh-Ritz pass.
 
 Results are deterministic: the Lanczos starting vector is drawn from a
 generator seeded by the caller, and reports record that seed.
@@ -71,49 +75,30 @@ class Spectrum:
     method: str
 
 
-def _residuals(av, mv, vals) -> np.ndarray:
-    """||A u - lambda M u|| / ||M u|| per column, from A U and M U."""
-    r = av - mv * vals
-    return np.sqrt(np.einsum("ij,ij->j", r, r) / np.einsum("ij,ij->j", mv, mv))
+def _scaled(t, d):
+    """(D^(-1/2) T D^(-1/2), symmetrized, and D^(-1/2)) for the diagonal mass d."""
+    s = 1.0 / np.sqrt(d)
+    sym = s[:, None] * t * s[None, :]
+    return 0.5 * (sym + sym.T), s
 
 
-def _normalize_signs(vecs: np.ndarray) -> np.ndarray:
-    """Flip each column so that its entry of largest magnitude is positive."""
-    peak = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(vecs.shape[1])]
-    return np.where(peak < 0, -vecs, vecs)
-
-
-def _solve_dense(a, m, k) -> np.ndarray:
+def _solve_dense(pencil: OperatorPencil, k) -> np.ndarray:
     """M-orthonormal eigenvectors s y of the k smallest eigenvalues, with y
     the orthonormal eigenvectors of M^(-1/2) A M^(-1/2) (M is diagonal)."""
-    s = 1.0 / np.sqrt(np.asarray(m.diagonal()))
-    sym = s[:, None] * a.toarray() * s[None, :]
-    sym = 0.5 * (sym + sym.T)
+    sym, s = _scaled(pencil.stiffness_minus_potential.toarray(), pencil.mass_diagonal)
     _, y = sla.eigh(sym, subset_by_index=[0, k - 1])
     return s[:, None] * y
 
 
-def _ritz_pairs(a, m, k, vecs):
-    """The k lowest Rayleigh-Ritz pairs of a block, with their residuals: the
-    block is M-orthonormalized and the projected pencil diagonalized."""
-    try:
-        gram = vecs.T @ (m @ vecs)
-        chol = sla.cholesky(0.5 * (gram + gram.T), lower=True)
-        basis = sla.solve_triangular(chol, vecs.T, lower=True).T
-        proj = basis.T @ (a @ basis)
-        vals, rot = sla.eigh(0.5 * (proj + proj.T))
-    except np.linalg.LinAlgError as err:
-        raise NonConvergenceError(f"eigenvector block lost rank: {err}") from err
-    vals, vecs = vals[:k], _normalize_signs((basis @ rot)[:, :k])
-    return vals, vecs, _residuals(a @ vecs, m @ vecs, vals)
-
-
 def _exact_pairs(a, m, vecs):
-    """Ascending pairs from exact eigenvectors: Rayleigh quotients and residuals."""
-    vecs = _normalize_signs(vecs)
+    """Ascending pairs from M-orthonormal vectors, each flipped to peak positive:
+    Rayleigh quotients lambda and residuals ||A u - lambda M u|| / ||M u||."""
+    peak = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(vecs.shape[1])]
+    vecs = np.where(peak < 0, -vecs, vecs)
     av, mv = a @ vecs, m @ vecs
     vals = np.einsum("ij,ij->j", vecs, av) / np.einsum("ij,ij->j", vecs, mv)
-    res = _residuals(av, mv, vals)
+    av -= mv * vals  # now the residuals A u - lambda M u
+    res = np.sqrt(np.einsum("ij,ij->j", av, av) / np.einsum("ij,ij->j", mv, mv))
     order = np.argsort(vals, kind="stable")
     return vals[order], vecs[:, order], res[order]
 
@@ -145,9 +130,7 @@ def _solve_reduced(pencil: OperatorPencil, k) -> np.ndarray:
     eigenvectors, and each wave is scaled to unit norm."""
     t, w, d = _circulant_parts(pencil)
     n, nb = pencil.grid.nv, d.size
-    s = 1.0 / np.sqrt(d)
-    sym = s[:, None] * t * s[None, :]
-    sym = 0.5 * (sym + sym.T)
+    sym, s = _scaled(t, d)
     found = []  # (value, mode, cos 0 | sin 1, block eigenvector)
     limit = np.inf
     for mode in range(n // 2 + 1):
@@ -224,21 +207,22 @@ def smallest_eigenpairs(
     if method == "sparse" and k >= n - 1:
         raise DomainError("sparse path needs k < node_count - 1")
 
-    if method == "reduced":
-        vals, vecs, res = _exact_pairs(a, m, _solve_reduced(pencil, k)[:, :k])
-    elif method == "dense":
-        vals, vecs, res = _exact_pairs(a, m, _solve_dense(a, m, k))
-    else:
+    if method == "sparse":
         sigma = -float(np.max(pencil.potential)) - 1.0
         lu = spla.splu((a - sigma * m).tocsc(), permc_spec="MMD_AT_PLUS_A")
         opinv = spla.LinearOperator(a.shape, matvec=lu.solve, dtype=float)
         v0 = np.random.default_rng(seed).standard_normal(n)
         window, widest = k, min(n - 2, 4 * k)
-        vals, vecs, res = _ritz_pairs(a, m, k, _solve_sparse(a, m, window, sigma, opinv, v0))
-        while float(np.max(res)) > tol and window < widest:
+        while True:
+            vecs = _solve_sparse(a, m, window, sigma, opinv, v0)[:, :k]
+            vals, vecs, res = _exact_pairs(a, m, vecs)
+            if float(np.max(res)) <= tol or window == widest:
+                break
             window = min(widest, 2 * window)
-            vals, vecs, res = _ritz_pairs(
-                a, m, k, _solve_sparse(a, m, window, sigma, opinv, v0))
+    else:
+        vecs = (_solve_reduced(pencil, k)[:, :k] if method == "reduced"
+                else _solve_dense(pencil, k))
+        vals, vecs, res = _exact_pairs(a, m, vecs)
     if float(np.max(res)) > tol:
         raise NonConvergenceError(
             f"eigen-residual {np.max(res):.3e} exceeds tolerance {tol:.3e}",

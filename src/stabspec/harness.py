@@ -36,7 +36,7 @@ from . import catalog, warping as wp
 from .assembly import assemble
 from .conformal import balanced_bound_report
 from .eigen import eigenvalue_multiplicity, smallest_eigenpairs
-from .errors import DomainError, HypothesisError
+from .errors import ConfigError, DomainError, HypothesisError
 from .surfaces import compute_geometry, euler_characteristic
 
 __all__ = [
@@ -349,32 +349,37 @@ def convergence_study(spec: catalog.ShapeSpec, resolutions, seed: int = 0) -> Re
     return Report(scenario, body, _step_rows(scenario, steps, orders))
 
 
+def _member_names(family: str, key: str, values) -> list[str]:
+    """Scenario name of each sweep member; members that share a name would
+    share a report file, so a repeated name raises ConfigError."""
+    names = [scenario_slug(family, f"{key}={v:.6g}") for v in values]
+    if len(set(names)) < len(names):
+        raise ConfigError(f"two sweep members share a scenario name: {', '.join(names)}")
+    return names
+
+
 def sweep_flat_torus(rs, resolutions, seed: int = 0) -> list[Report]:
     """t11 check across the flat-torus family; tightest at r = 1/sqrt(2)."""
-    # every member's spec is made, and so checked, before the first solve
+    # every member's spec and name are made, and so checked, before the first solve
     specs = [catalog.flat_torus(float(r)) for r in rs]
-    return [_sweep_member(check_theorem("t11", spec, resolutions, seed=seed),
-                          scenario_slug("sweep-flat-torus", f"r={spec.params['r']:.6g}"),
+    names = _member_names("sweep-flat-torus", "r", [spec.params["r"] for spec in specs])
+    return [_sweep_member(check_theorem("t11", spec, resolutions, seed=seed), name,
                           r=spec.params["r"],
                           oracle_lambda2=catalog.exact_jacobi_spectrum(spec, 2)[1])
-            for spec in specs]
+            for spec, name in zip(specs, names)]
 
 
 def sweep_graph_amplitude(warping, t0, perturbation, amplitudes, resolutions,
                           seed: int = 0) -> list[Report]:
     """t13 check across graph amplitudes; margin grows with amplitude."""
-    # every member's spec is made, and so checked, before the first solve
+    # every member's spec and name are made, and so checked, before the first solve
     graphs = [catalog.graph_over_slice(warping, t0, perturbation, amp) for amp in amplitudes]
-    reports = []
-    for graph in graphs:
-        amp = graph.params["amplitude"]
-        spec = catalog.slice_shape(warping, t0) if amp == 0.0 else graph
-        reports.append(_sweep_member(
-            check_theorem("t13", spec, resolutions, seed=seed),
-            scenario_slug("sweep-graph-amplitude", f"amp={amp:.6g}"),
-            amplitude=amp,
-        ))
-    return reports
+    amps = [graph.params["amplitude"] for graph in graphs]
+    names = _member_names("sweep-graph-amplitude", "amp", amps)
+    specs = [catalog.slice_shape(warping, t0) if amp == 0.0 else graph
+             for graph, amp in zip(graphs, amps)]
+    return [_sweep_member(check_theorem("t13", spec, resolutions, seed=seed), name, amplitude=amp)
+            for spec, name, amp in zip(specs, names, amps)]
 
 
 def balance_bound_scenario(spec: catalog.ShapeSpec, resolution, seed: int = 0) -> Report:
@@ -446,8 +451,6 @@ def _round12(obj):
         return {k: _round12(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_round12(v) for v in obj]
-    if isinstance(obj, (bool, int, str)) or obj is None:
-        return obj
     if isinstance(obj, (float, np.floating)):
         return float(fmt12(obj))
     return obj
@@ -463,17 +466,9 @@ CSV_COLUMNS = ["scenario", "resolution", "lambda1", "lambda2", "bound", "margin"
 
 
 def write_csv_summary(rows: list[dict], path) -> None:
+    """One line per row; csv writes None as an empty cell."""
     with open(path, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)
         writer.writeheader()
-        for row in rows:
-            out = {}
-            for col in CSV_COLUMNS:
-                val = row.get(col, "")
-                if isinstance(val, (float, np.floating)):
-                    out[col] = fmt12(val)
-                elif val is None:
-                    out[col] = ""
-                else:
-                    out[col] = val
-            writer.writerow(out)
+        writer.writerows({col: fmt12(v) if isinstance(v, (float, np.floating)) else v
+                          for col, v in row.items()} for row in rows)

@@ -173,3 +173,15 @@ def test_rayleigh_quotient_of_constants_is_mean_potential():
     _, _, p = _pencil(ss.clifford_torus((12, 12)))
     assert ss.rayleigh(p, np.ones(p.node_count)) == pytest.approx(-4.0,
                                                                   rel=1e-13)
+
+
+def test_rayleigh_of_a_block_is_the_aggregate_quotient(rng):
+    _, _, p = _pencil(ss.flat_torus(0.6, (12, 12)))
+    A, M = p.stiffness_minus_potential.toarray(), p.mass.toarray()
+    u = rng.standard_normal((p.node_count, 4))
+    want = np.trace(u.T @ A @ u) / np.trace(u.T @ M @ u)
+    assert ss.rayleigh(p, u) == pytest.approx(want, rel=1e-12)
+    assert ss.rayleigh(p, u[:, :1]) == pytest.approx(ss.rayleigh(p, u[:, 0]), rel=1e-14)
+    for bad in (u[:-1], u[None], np.zeros((p.node_count, 2))):
+        with pytest.raises(ss.DomainError):
+            ss.rayleigh(p, bad)

@@ -320,6 +320,8 @@ def test_balanced_bound_is_the_quotient_of_dilated_coordinates(solve):
     A, M = sol.pencil.stiffness_minus_potential, sol.pencil.mass
     quotient = np.sum(psi * (A @ psi)) / np.sum(psi * (M @ psi))
     assert rep.bound == pytest.approx(quotient, rel=1e-14)
+    # the bound is the pencil's one block quotient, not a copy of it
+    assert rep.bound == ss.rayleigh(sol.pencil, psi)
 
 
 def test_balancing_rejects_warped_ambient():

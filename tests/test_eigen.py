@@ -15,7 +15,7 @@ from stabspec.assembly import INVARIANCE_TOL
 from stabspec.charts import JetChart, _jet_cos, _jet_sin
 from stabspec.eigen import (
     _circulant_parts,
-    _ritz_pairs,
+    _exact_pairs,
     _solve_reduced,
     cluster_indices,
     eigenvalue_multiplicity,
@@ -121,6 +121,22 @@ def test_window_that_cuts_a_cluster_is_widened():
     np.testing.assert_allclose(gram, np.eye(6), atol=1e-10)
     wide = ss.smallest_eigenpairs(p, 12, tol=1e-9, method="sparse")
     np.testing.assert_allclose(sp_.eigenvalues, wide.eigenvalues[:6], atol=1e-10)
+
+
+def test_sparse_window_doubles_while_a_residual_exceeds_tol(monkeypatch):
+    windows = []
+    real = eigen._solve_sparse
+
+    def logged(a, m, k, *rest):
+        windows.append(k)
+        return real(a, m, k, *rest)
+
+    monkeypatch.setattr(eigen, "_solve_sparse", logged)
+    p = _pencil(ss.flat_torus(0.6, (16, 16)))
+    with pytest.raises(NonConvergenceError) as err:
+        ss.smallest_eigenpairs(p, 3, tol=1e-300, method="sparse")
+    assert windows == [3, 6, 12]  # up to 4k, each judged on its first k pairs
+    assert err.value.residuals.shape == (3,)
 
 
 INVARIANT = [
@@ -290,7 +306,7 @@ def test_reduced_window_holds_the_whole_cluster_it_cuts():
     p = _pencil(ss.flat_torus(0.775594, (64, 64)))
     block = _solve_reduced(p, 6)
     assert block.shape[1] == 9
-    vals, _, res = _ritz_pairs(p.stiffness_minus_potential, p.mass, 9, block)
+    vals, _, res = _exact_pairs(p.stiffness_minus_potential, p.mass, block)
     assert float(np.max(res)) <= 1e-9
     assert [len(g) for g in cluster_indices(vals)] == [1, 2, 2, 4]
     sp_ = ss.smallest_eigenpairs(p, 6, tol=1e-9)

@@ -21,6 +21,7 @@ import pathlib
 
 import pytest
 
+import stabspec.eigen as eigen
 from stabspec.cli import main as cli_main
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -85,8 +86,18 @@ def test_mismatches_tell_floats_from_exact_entries(tmp_path):
 
 
 @pytest.mark.parametrize("name", sorted(COMMANDS))
-def test_reports_match_the_golden_files(tmp_path, name):
+def test_reports_match_the_golden_files(tmp_path, monkeypatch, name):
+    lanczos_windows = []
+    real = eigen._solve_sparse
+
+    def logged(a, m, k, *rest):
+        lanczos_windows.append(k)
+        return real(a, m, k, *rest)
+
+    monkeypatch.setattr(eigen, "_solve_sparse", logged)
     assert cli_main(COMMANDS[name] + ["--out", str(tmp_path)]) == 0
+    # the amplitude sweep keeps the sparse eigen path under the guard
+    assert bool(lanczos_windows) == (name == "sweep_graph_amplitude")
     got = {p.name: json.loads(p.read_text()) for p in sorted(tmp_path.glob("*.json"))}
     want = json.loads((GOLDEN / f"{name}.json").read_text())
     assert _mismatches(got, want) == []

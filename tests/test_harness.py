@@ -545,6 +545,37 @@ def test_cli_rejects_warped_balance_bound_before_any_solve(tmp_path, monkeypatch
     assert build_log == [(16, 16)]
 
 
+@pytest.mark.parametrize("members", [
+    ["flat-torus", "rs=0.6,0.6000001"],
+    ["graph-amplitude", "warping=cosh", "t0=0.3", "amplitudes=0,0"],
+], ids=["radii", "amplitudes"])
+def test_cli_refuses_sweep_members_that_share_a_name(tmp_path, monkeypatch, build_log,
+                                                     members):
+    # both members would write one report file, and the first would be lost
+    solves = []
+    monkeypatch.setattr(harness, "smallest_eigenpairs",
+                        lambda *args, **kwargs: solves.append(args))
+    (tmp_path / "r").mkdir()
+    code = cli_main(["sweep", *members, "resolutions=8,16", "--out", str(tmp_path / "r")])
+    assert code == 2
+    assert solves == [] and build_log == []
+    assert (tmp_path / "r").is_dir()  # a directory that was there stays
+
+
+@pytest.mark.parametrize("out", ["file", "file/r"], ids=["a-file", "under-a-file"])
+def test_cli_refuses_an_unusable_out_before_any_solve(tmp_path, monkeypatch, build_log,
+                                                      capsys, out):
+    (tmp_path / "file").write_text("")
+    solves = []
+    monkeypatch.setattr(harness, "smallest_eigenpairs",
+                        lambda *args, **kwargs: solves.append(args))
+    code = cli_main(["check", "t11", "shape=flat-torus", "r=0.6", "resolutions=8,16",
+                     "--out", str(tmp_path / out)])
+    assert code == 2
+    assert solves == [] and build_log == []
+    assert capsys.readouterr().err.startswith("invalid input: ")
+
+
 def test_every_error_class_has_an_exit_code():
     def family(cls):
         return [cls] + [c for sub in cls.__subclasses__() for c in family(sub)]
