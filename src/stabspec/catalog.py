@@ -96,6 +96,8 @@ def slice_shape(warping, t0: float, resolution=(64, 64)) -> ShapeSpec:
 
 def graph_over_slice(warping, t0: float, perturbation: str, amplitude: float,
                      resolution=(64, 64)) -> ShapeSpec:
+    if not math.isfinite(amplitude):
+        raise DomainError(f"graph amplitude must be finite, got {amplitude}")
     w = _resolve_warping(warping)
     w.require_inside(t0)
     _perturbation_indices(perturbation)

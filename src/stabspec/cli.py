@@ -13,8 +13,8 @@ read is a configuration error.  Each scenario writes a JSON report into
 the output directory plus a shared summary.csv.
 
 Exit codes: 0 all checks pass; 2 a theorem hypothesis (or the
-configuration) is invalid; 3 a numerical routine failed to converge;
-4 an inequality is violated beyond the report tolerance.
+configuration) is invalid; 3 a numerical routine failed to converge or
+ran out of memory; 4 an inequality is violated beyond the report tolerance.
 """
 
 from __future__ import annotations
@@ -175,7 +175,7 @@ def _run(args) -> int:
     os.makedirs(args.out, exist_ok=True)  # an unusable --out fails here, before any solve
     try:
         reports = work()
-    except StabspecError:
+    except (StabspecError, MemoryError):
         if fresh:  # a refused or failed run leaves no report directory behind
             os.rmdir(args.out)
         raise
@@ -209,6 +209,9 @@ def main(argv=None) -> int:
         kind = "numerical failure" if err.exit_code == 3 else "invalid input"
         print(f"{kind}: {err}", file=sys.stderr)
         return err.exit_code
+    except MemoryError as err:  # e.g. a grid too fine for this machine
+        print(f"numerical failure: out of memory: {err}".rstrip(": "), file=sys.stderr)
+        return 3
     except OSError as err:  # an unusable --config or --out path
         print(f"invalid input: {err}", file=sys.stderr)
         return 2

@@ -10,8 +10,7 @@ ConfigError; a command-line override that the chosen command does not
 read raises ConfigError too, while a file may hold keys for several
 commands):
 
-  shape          clifford-torus | flat-torus | geodesic-sphere | slice |
-                 graph-over-slice | perturbed-torus
+  shape          a key of SHAPES, the table of catalog shapes below
   r, rho, t0, amplitude, eps, wave, perturbation (e.g. Y2,0)
   warping        product | sphere | hyperbolic | euclidean | cosh
   warping_poly   comma-separated polynomial coefficients (low to high),
@@ -29,10 +28,11 @@ commands):
 from __future__ import annotations
 
 from . import catalog, warping as wp
-from .errors import ConfigError
+from .errors import ConfigError, DomainError
 
 __all__ = [
     "KEYS",
+    "SHAPES",
     "Config",
     "parse_kv_text",
     "load_config_file",
@@ -169,42 +169,36 @@ def warping_from_config(cfg) -> wp.WarpingFunction:
         raise ConfigError(f"unknown warping {name!r}: {err}") from err
 
 
+def _read(key: str, parse=float, default=None):
+    """Reader of one key: cfg -> get(cfg, key, parse, default)."""
+    return lambda cfg: get(cfg, key, parse, default)
+
+
+# shape= value -> (catalog constructor, readers of its arguments before the
+# resolution, in order).
+SHAPES = {
+    "clifford-torus": (catalog.clifford_torus, ()),
+    "flat-torus": (catalog.flat_torus, (_read("r"),)),
+    "geodesic-sphere": (catalog.geodesic_sphere, (_read("rho"),)),
+    "slice": (catalog.slice_shape, (warping_from_config, _read("t0", float, 0.0))),
+    "graph-over-slice": (catalog.graph_over_slice, (
+        warping_from_config, _read("t0", float, 0.0), _read("perturbation", str, "Y2,0"),
+        _read("amplitude"))),
+    "perturbed-torus": (catalog.perturbed_torus, (
+        _read("r"), _read("eps"), _read("wave", int, 3))),
+}
+
+
 def shape_from_config(cfg, resolution=(64, 64)) -> catalog.ShapeSpec:
     kind = get(cfg, "shape", str)
+    if kind not in SHAPES:
+        raise ConfigError(f"unknown shape {kind!r}; expected one of {', '.join(SHAPES)}")
+    make, readers = SHAPES[kind]
+    args = [read(cfg) for read in readers]
     try:
-        if kind == "clifford-torus":
-            return catalog.clifford_torus(resolution)
-        if kind == "flat-torus":
-            return catalog.flat_torus(get(cfg, "r", float), resolution)
-        if kind == "geodesic-sphere":
-            return catalog.geodesic_sphere(get(cfg, "rho", float), resolution)
-        if kind == "slice":
-            return catalog.slice_shape(
-                warping_from_config(cfg), get(cfg, "t0", float, 0.0), resolution
-            )
-        if kind == "graph-over-slice":
-            return catalog.graph_over_slice(
-                warping_from_config(cfg),
-                get(cfg, "t0", float, 0.0),
-                get(cfg, "perturbation", str, "Y2,0"),
-                get(cfg, "amplitude", float),
-                resolution,
-            )
-        if kind == "perturbed-torus":
-            return catalog.perturbed_torus(
-                get(cfg, "r", float),
-                get(cfg, "eps", float),
-                get(cfg, "wave", int, 3),
-                resolution,
-            )
-    except ConfigError:
-        raise
-    except Exception as err:
+        return make(*args, resolution)
+    except DomainError as err:
         raise ConfigError(f"cannot build shape {kind!r}: {err}") from err
-    raise ConfigError(
-        f"unknown shape {kind!r}; expected clifford-torus, flat-torus, "
-        "geodesic-sphere, slice, graph-over-slice, or perturbed-torus"
-    )
 
 
 def resolutions_from_config(cfg, default) -> list[int]:

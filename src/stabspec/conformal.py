@@ -215,13 +215,6 @@ def hersch_balance(
     return MobiusParam(a)
 
 
-def _oriented_weight(spectrum: Spectrum) -> np.ndarray:
-    f1 = spectrum.eigenvectors[:, 0].copy()
-    if float(np.sum(f1)) < 0.0:
-        f1 = -f1
-    return f1
-
-
 @dataclass(frozen=True)
 class BalancedBoundReport:
     """The certified bound, the balancing dilation and its residual."""
@@ -237,8 +230,9 @@ def balanced_bound_report(
     pencil: OperatorPencil,
     spectrum: Spectrum,
 ) -> BalancedBoundReport:
-    """Balance from the identity and evaluate the bound."""
-    f1 = _oriented_weight(spectrum)
+    """Balance from the identity, weighted by the ground state as the
+    eigensolver orients it (peak positive), and evaluate the bound."""
+    f1 = spectrum.eigenvectors[:, 0]
     m = hersch_balance(s, f, f1)
     psi = mobius_apply(m, s.bundle()["0"])
     weights = np.maximum(f1, 0.0) * f.area_element

@@ -148,17 +148,17 @@ def _ladder(spec: catalog.ShapeSpec, resolutions, seed: int, measure,
             hypothesis=None):
     """Build -> geometry -> assemble -> solve at each resolution in turn.
 
-    `hypothesis(surface, fields)` runs on the first resolution before it
-    is assembled, so a shape that fails it is built once and never
-    solved.  Returns (what the hypothesis returned,
-    [measure(surface, fields, pencil, spectrum) per resolution]).
+    `hypothesis(surface)` runs on the first resolution, before its
+    geometry, so a shape that fails it is built once and never solved.
+    Returns (what the hypothesis returned, [measure(surface, fields,
+    pencil, spectrum) per resolution]); no measure reads the Gauss curvature.
     """
     found, measured = None, []
     for i, res in enumerate(resolutions):
         surface = catalog.build(replace(spec, resolution=_square(res)))
-        fields = compute_geometry(surface, want_gauss=True)
         if i == 0 and hypothesis is not None:
-            found = hypothesis(surface, fields)
+            found = hypothesis(surface)
+        fields = compute_geometry(surface, want_gauss=False)
         pencil = assemble(surface, fields)
         spectrum = smallest_eigenpairs(pencil, DEFAULT_EIGEN_COUNT, tol=1e-9, seed=seed)
         measured.append(measure(surface, fields, pencil, spectrum))
@@ -205,23 +205,16 @@ def _step_rows(scenario: str, steps, orders) -> list[dict]:
             for s, o in zip(steps, orders)]
 
 
-def _sweep_member(rep: Report, scenario: str, **extra) -> Report:
-    """A check report relabelled as a sweep member, with extra entries."""
-    body = {**rep.body, "scenario": scenario,
-            "extra": {**rep.body.get("extra", {}), **extra}}
-    rows = [{**row, "scenario": scenario} for row in rep.rows]
-    return Report(scenario, body, rows, rep.verdict)
-
-
-def _require_sphere3(surface, fields=None) -> dict:
+def _require_sphere3(surface) -> dict:
     if not surface.is_sphere3:
         raise HypothesisError("the bound applies to surfaces in the 3-sphere")
     return {}
 
 
-def _torus_hypothesis(surface, fields) -> dict:
+def _torus_hypothesis(surface) -> dict:
     _require_sphere3(surface)
-    chi = euler_characteristic(surface, fields)
+    # the one reader of the Gauss curvature (Gauss-Bonnet)
+    chi = euler_characteristic(surface, compute_geometry(surface))
     if chi > 0:
         raise HypothesisError(
             f"surface has Euler characteristic {chi}; the bound needs genus >= 1 "
@@ -230,13 +223,13 @@ def _torus_hypothesis(surface, fields) -> dict:
     return {"euler_characteristic": chi}
 
 
-def _require_warped(surface, fields=None) -> dict:
+def _require_warped(surface) -> dict:
     if surface.is_sphere3:
         raise HypothesisError("this check applies to hypersurfaces of a warped ambient")
     return {}
 
 
-def _convexity_hypothesis(surface, fields) -> dict:
+def _convexity_hypothesis(surface) -> dict:
     _require_warped(surface)
     w = surface.ambient.warping
     t = surface.bundle()["0"][:, 0]
@@ -256,7 +249,7 @@ def _slice_mean_bound(surface, fields) -> float:
     return float(np.sum(values * fields.area_element) / np.sum(fields.area_element))
 
 
-def _product_hypothesis(surface, fields) -> dict:
+def _product_hypothesis(surface) -> dict:
     _require_warped(surface)
     w = surface.ambient.warping
     samples = np.linspace(w.interval[0], w.interval[1], 17)
@@ -349,37 +342,39 @@ def convergence_study(spec: catalog.ShapeSpec, resolutions, seed: int = 0) -> Re
     return Report(scenario, body, _step_rows(scenario, steps, orders))
 
 
-def _member_names(family: str, key: str, values) -> list[str]:
-    """Scenario name of each sweep member; members that share a name would
-    share a report file, so a repeated name raises ConfigError."""
-    names = [scenario_slug(family, f"{key}={v:.6g}") for v in values]
+def _sweep(theorem, family, key, members, resolutions, seed) -> list[Report]:
+    """`theorem` checked on each (spec, value, extra) member, relabelled
+    `family-key=value` with `extra` joining its extra entries.  Members that
+    share a name would share a report file: ConfigError, before any solve."""
+    names = [scenario_slug(family, f"{key}={value:.6g}") for _, value, _ in members]
     if len(set(names)) < len(names):
         raise ConfigError(f"two sweep members share a scenario name: {', '.join(names)}")
-    return names
+    reports = []
+    for name, (spec, _, extra) in zip(names, members):
+        rep = check_theorem(theorem, spec, resolutions, seed=seed)
+        body = {**rep.body, "scenario": name, "extra": {**rep.body.get("extra", {}), **extra}}
+        rows = [{**row, "scenario": name} for row in rep.rows]
+        reports.append(Report(name, body, rows, rep.verdict))
+    return reports
 
 
 def sweep_flat_torus(rs, resolutions, seed: int = 0) -> list[Report]:
     """t11 check across the flat-torus family; tightest at r = 1/sqrt(2)."""
-    # every member's spec and name are made, and so checked, before the first solve
-    specs = [catalog.flat_torus(float(r)) for r in rs]
-    names = _member_names("sweep-flat-torus", "r", [spec.params["r"] for spec in specs])
-    return [_sweep_member(check_theorem("t11", spec, resolutions, seed=seed), name,
-                          r=spec.params["r"],
-                          oracle_lambda2=catalog.exact_jacobi_spectrum(spec, 2)[1])
-            for spec, name in zip(specs, names)]
+    radii = [float(r) for r in rs]
+    specs = [catalog.flat_torus(r) for r in radii]
+    return _sweep("t11", "sweep-flat-torus", "r", [
+        (spec, r, {"r": r, "oracle_lambda2": catalog.exact_jacobi_spectrum(spec, 2)[1]})
+        for spec, r in zip(specs, radii)], resolutions, seed)
 
 
 def sweep_graph_amplitude(warping, t0, perturbation, amplitudes, resolutions,
                           seed: int = 0) -> list[Report]:
     """t13 check across graph amplitudes; margin grows with amplitude."""
-    # every member's spec and name are made, and so checked, before the first solve
-    graphs = [catalog.graph_over_slice(warping, t0, perturbation, amp) for amp in amplitudes]
-    amps = [graph.params["amplitude"] for graph in graphs]
-    names = _member_names("sweep-graph-amplitude", "amp", amps)
-    specs = [catalog.slice_shape(warping, t0) if amp == 0.0 else graph
-             for graph, amp in zip(graphs, amps)]
-    return [_sweep_member(check_theorem("t13", spec, resolutions, seed=seed), name, amplitude=amp)
-            for spec, name, amp in zip(specs, names, amps)]
+    amps = [float(amp) for amp in amplitudes]
+    graphs = [catalog.graph_over_slice(warping, t0, perturbation, amp) for amp in amps]
+    return _sweep("t13", "sweep-graph-amplitude", "amp", [
+        (catalog.slice_shape(warping, t0) if amp == 0.0 else graph, amp, {"amplitude": amp})
+        for graph, amp in zip(graphs, amps)], resolutions, seed)
 
 
 def balance_bound_scenario(spec: catalog.ShapeSpec, resolution, seed: int = 0) -> Report:

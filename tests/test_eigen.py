@@ -109,12 +109,23 @@ def test_auto_method_switches_on_problem_size():
     np.testing.assert_allclose(dense.eigenvalues, np.arange(39), atol=1e-12)
 
 
-def test_window_that_cuts_a_cluster_is_widened():
+def test_sparse_window_that_cuts_a_cluster_converges_on_its_first_run(monkeypatch):
     # the flat torus' four-fold eigenvalue 0 sits at places 6-9, so a window
-    # of six pairs cuts it; at this radius the cut pairs stay unconverged
+    # of six pairs cuts it; its first Lanczos run (eigsh at tol=0) still meets
+    # the residual tolerance, so the window is not widened, and the pairs it
+    # keeps agree with those of a 12-pair window
+    windows = []
+    real = eigen._solve_sparse
+
+    def logged(a, m, k, *rest):
+        windows.append(k)
+        return real(a, m, k, *rest)
+
+    monkeypatch.setattr(eigen, "_solve_sparse", logged)
     s = ss.build(ss.flat_torus(0.775594, (64, 64)))
     p = ss.assemble(s, ss.compute_geometry(s, want_gauss=False))
     sp_ = ss.smallest_eigenpairs(p, 6, tol=1e-9, method="sparse")
+    assert windows == [6]
     assert sp_.method == "sparse" and sp_.eigenvalues.size == 6
     assert float(np.max(sp_.residuals)) <= 1e-9
     gram = sp_.eigenvectors.T @ (p.mass @ sp_.eigenvectors)

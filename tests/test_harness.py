@@ -9,6 +9,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ import pytest
 import stabspec as ss
 import stabspec.config as cfgmod
 import stabspec.harness as harness
+import stabspec.surfaces as surfaces
 from stabspec.cli import main as cli_main
 from stabspec.errors import (
     ConfigError,
@@ -339,7 +341,7 @@ def test_shape_from_config_kinds():
     spec2 = cfgmod.shape_from_config({"shape": "flat-torus", "r": "0.6"},
                                      resolution=(24, 24))
     assert spec2.resolution == (24, 24)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match=", ".join(cfgmod.SHAPES)):
         cfgmod.shape_from_config({"shape": "dodecahedron"})
 
 
@@ -574,6 +576,61 @@ def test_cli_refuses_an_unusable_out_before_any_solve(tmp_path, monkeypatch, bui
     assert code == 2
     assert solves == [] and build_log == []
     assert capsys.readouterr().err.startswith("invalid input: ")
+
+
+def test_cli_maps_an_allocation_failure_to_exit_three(tmp_path, monkeypatch, capsys):
+    # a stand-in for a grid too fine for the machine; a real oversized
+    # allocation could be granted and exhaust the memory it probes
+    def greedy(*args, **kwargs):
+        raise MemoryError("Unable to allocate 7.45 TiB for an array")
+
+    monkeypatch.setattr(harness, "smallest_eigenpairs", greedy)
+    code = cli_main(["check", "t11", "shape=clifford-torus", "resolutions=8,16",
+                     "--out", str(tmp_path / "r")])
+    assert code == 3
+    assert capsys.readouterr().err.splitlines() == [
+        "numerical failure: out of memory: Unable to allocate 7.45 TiB for an array"]
+    assert not (tmp_path / "r").exists()  # the fresh report directory is gone
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "t13", "shape=graph-over-slice", "amplitude=nan"],
+    ["check", "t13", "shape=graph-over-slice", "amplitude=inf"],
+    ["sweep", "graph-amplitude", "amplitudes=0,nan"],
+    ["sweep", "graph-amplitude", "amplitudes=-inf"],
+], ids=["check-nan", "check-inf", "sweep-nan", "sweep-neg-inf"])
+def test_cli_refuses_a_non_finite_amplitude_before_any_build(tmp_path, build_log, capsys,
+                                                             argv):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli_main([*argv, "warping=cosh", "t0=0.3", "resolutions=8,16",
+                         "--out", str(tmp_path / "r")])
+    assert code == 2
+    assert "amplitude must be finite" in capsys.readouterr().err
+    assert build_log == []
+    assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("argv, calls", [
+    (["check", "t11", "shape=clifford-torus", "resolutions=8,16"], 1),
+    (["check", "t13", "shape=graph-over-slice", "warping=cosh", "t0=0.3",
+      "amplitude=0.05", "resolutions=8,16"], 0),
+    (["converge", "shape=clifford-torus", "resolutions=8,16"], 0),
+    (["balance-bound", "shape=geodesic-sphere", "rho=1.0", "resolution=24"], 0),
+], ids=["check-t11", "check-t13", "converge", "balance-bound"])
+def test_only_the_genus_hypothesis_computes_the_gauss_curvature(tmp_path, monkeypatch,
+                                                                argv, calls):
+    # Gauss-Bonnet on the first rung is the one reader of the curvature
+    log = []
+    real = surfaces._brioschi
+
+    def logged(*args, **kwargs):
+        log.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(surfaces, "_brioschi", logged)
+    assert cli_main(argv + ["--out", str(tmp_path / "r")]) == 0
+    assert len(log) == calls
 
 
 def test_every_error_class_has_an_exit_code():

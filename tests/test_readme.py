@@ -6,7 +6,8 @@ README's `sh` blocks is parsed by the CLI's own parser, its key=value
 tokens (and those of a `--config` file) must be recognized keys, and its
 subcommand must read every key given on the line; the commands are
 parsed and configured, not run.  The configuration-key table lists exactly
-the recognized keys, and the sample configurations load.
+the recognized keys, its `shape` row exactly the shapes of the config
+table, and the sample configurations load.
 """
 
 from __future__ import annotations
@@ -59,6 +60,13 @@ def test_key_table_lists_the_recognized_keys():
     named = [key for cell in first_cells for key in re.findall(r"`([^`]+)`", cell)]
     assert len(named) == len(set(named))
     assert set(named) == set(cfgmod.KEYS)
+
+
+def test_shape_row_lists_the_shape_table():
+    row = re.search(r"^\| `shape` \|(.*)\|$", README, re.M).group(1)
+    named = re.findall(r"`([^`]+)`", row)
+    assert len(named) == len(set(named))
+    assert set(named) == set(cfgmod.SHAPES)
 
 
 @pytest.mark.parametrize("path", sorted((ROOT / "configs").glob("*.cfg")),
