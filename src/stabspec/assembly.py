@@ -11,6 +11,9 @@ with a = sqrt(g) g^uu, b = sqrt(g) g^vv, c = sqrt(g) g^uv, is discretized
 by finite-volume face conductances for the diagonal terms (two-point
 fluxes with arithmetically averaged coefficients) plus a symmetric
 collocation product D_u^T diag(c w) D_v + transpose for the cross term.
+The face conductances and the potential are written as one 5-point CSR
+matrix, whose rows the grid fixes; a cross term is added to it in one
+piece.
 Constants are annihilated exactly: face differences cancel and the
 first-derivative stencils have exactly representable weights summing to
 zero.  Potential and mass use the same nodal quadrature
@@ -71,24 +74,37 @@ class OperatorPencil:
         return np.asarray(self.mass.diagonal())
 
 
-def _face_stiffness(grid, coeff, axis: str) -> sp_sparse.coo_matrix:
-    """Two-point flux stiffness for one coordinate direction."""
+def _stiffness(grid, alpha, beta, potential) -> sp_sparse.csr_matrix:
+    """Face-conductance stiffness minus diag(potential) as one 5-point CSR
+    matrix with sorted indices and no stored zeros.  A u face conducts
+    cu = mean alpha * dv/du and a v face cv = mean beta * du/dv; each
+    couples its two nodes by -c, and a node's diagonal is
+    ((cu + cu') + (cv + cv')) - potential.  A sphere grid has no face past
+    its last latitude row: its cu is 0, and the zeros it writes are dropped.
+    """
     nu, nv = grid.nu, grid.nv
-    idx = np.arange(nu * nv).reshape(nu, nv)
-    if axis == "u":
-        periodic, ratio = grid.periodic_u, grid.dv / grid.du
-        left = idx if periodic else idx[:-1, :]
-        right = np.roll(idx, -1, axis=0) if periodic else idx[1:, :]
-    else:  # v is periodic on every grid
-        ratio = grid.du / grid.dv
-        left, right = idx, np.roll(idx, -1, axis=1)
-    li = left.ravel()
-    ri = right.ravel()
-    c = 0.5 * (coeff[li] + coeff[ri]) * ratio
-    rows = np.concatenate([li, ri, li, ri])
-    cols = np.concatenate([li, ri, ri, li])
-    vals = np.concatenate([c, c, -c, -c])
-    return sp_sparse.coo_matrix((vals, (rows, cols)), shape=(nu * nv, nu * nv))
+    a, b = alpha.reshape(nu, nv), beta.reshape(nu, nv)
+    cu = 0.5 * (a + np.roll(a, -1, axis=0)) * (grid.dv / grid.du)
+    cv = 0.5 * (b + np.roll(b, -1, axis=1)) * (grid.du / grid.dv)
+    if not grid.periodic_u:
+        cu[-1] = 0.0
+    cu_up, cv_left = np.roll(cu, 1, axis=0), np.roll(cv, 1, axis=1)
+    diag = ((cu + cu_up) + (cv + cv_left)) - potential.reshape(nu, nv)
+    idx = np.arange(nu * nv, dtype=np.int32).reshape(nu, nv)
+    # row (i, j) holds the nodes above, left, itself, right and below, in
+    # ascending order except where a neighbour wraps round the grid
+    cols = np.stack([np.roll(idx, 1, axis=0), np.roll(idx, 1, axis=1), idx,
+                     np.roll(idx, -1, axis=1), np.roll(idx, -1, axis=0)], axis=-1)
+    vals = np.stack([-cu_up, -cv_left, diag, -cv, -cu], axis=-1)
+    for slots in (cols, vals):  # a wrapped neighbour moves to the far end of its row
+        slots[:, 0, 1:4] = np.roll(slots[:, 0, 1:4], -1, axis=-1)
+        slots[:, -1, 1:4] = np.roll(slots[:, -1, 1:4], 1, axis=-1)
+        slots[0] = np.roll(slots[0], -1, axis=-1)
+        slots[-1] = np.roll(slots[-1], 1, axis=-1)
+    indptr = np.arange(0, 5 * nu * nv + 1, 5, dtype=np.int32)
+    s = sp_sparse.csr_matrix((vals.ravel(), cols.ravel(), indptr), shape=(nu * nv,) * 2)
+    s.eliminate_zeros()
+    return s
 
 
 def _constant_along_v(grid, coeff) -> bool:
@@ -110,25 +126,21 @@ def assemble(surface: ImmersedSurface, fields: GeometryFields) -> OperatorPencil
     beta = sqrtg * fields.metric_inv[:, 1, 1]
     gamma = sqrtg * fields.metric_inv[:, 0, 1]
 
-    stiffness = (_face_stiffness(grid, alpha, "u") + _face_stiffness(grid, beta, "v")).tocsr()
-    crossed = float(np.max(np.abs(gamma))) > 1e-14 * float(np.mean(alpha + beta))
-    if crossed:
-        d_u = grid.d1_sparse(0)
-        d_v = grid.d1_sparse(1)
-        lam = sp_sparse.diags(gamma * grid.cell_weight)
-        cross = (d_u.T @ lam @ d_v).tocsr()
-        # cross + cross.T is exactly symmetric (IEEE addition commutes);
-        # adding it to S in one piece keeps the sum exactly symmetric too.
-        stiffness = stiffness + (cross + cross.T)
-
     weights = fields.area_element
     bad = np.where(~(weights > 0.0))[0]
     if bad.size:
         raise AssemblyError(f"mass is not positive at node {int(bad[0])}")
     mass = sp_sparse.diags(weights).tocsr()
     potential = q * weights
-    a = (stiffness - sp_sparse.diags(potential)).tocsr()
-    a.sum_duplicates()
+    a = _stiffness(grid, alpha, beta, potential)
+    crossed = float(np.max(np.abs(gamma))) > 1e-14 * float(np.mean(alpha + beta))
+    if crossed:
+        cross = (grid.d1_sparse(0).T @ sp_sparse.diags(gamma * grid.cell_weight)
+                 @ grid.d1_sparse(1)).tocsr()
+        # cross + cross.T is exactly symmetric (IEEE addition commutes) and
+        # has no diagonal; adding it to A in one piece keeps A exactly
+        # symmetric and leaves the diagonal as written.
+        a = a + (cross + cross.T)
 
     asym = abs(a - a.T)
     if asym.nnz and asym.max() > 0.0:

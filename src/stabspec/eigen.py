@@ -8,10 +8,12 @@
   at every v index, plus the coupling w <= 0 of each node to its two v
   neighbours; T, w and the mass d are sliced from the rows at v index 0.
   A discrete Fourier transform along v splits the pencil into one block
-  per mode m, B_m = T + 2 cos(2 pi m / n) diag(w).  Each block is solved
-  densely.  Because w <= 0, the blocks grow with m for 0 <= m <= n/2
-  (Weyl), so modes are visited in order and the loop stops at the first
-  mode whose lowest eigenvalue lies above the window: every eigenvalue
+  per mode m, B_m = T + 2 cos(2 pi m / n) diag(w).  On sphere grids,
+  which do not wrap along u, T and every block are tridiagonal and solved
+  as such; on torus grids T wraps, and the blocks are solved densely.
+  Because w <= 0, the blocks grow with m for 0 <= m <= n/2 (Weyl), so
+  modes are visited in order and the loop stops at the first mode whose
+  lowest eigenvalue lies above the window: every eigenvalue
   below the window's top is found, and the window takes in the whole
   cluster at its edge.  The vectors y cos(m theta) and y sin(m theta) of
   the window are exact block eigenvectors, and the discrete waves are
@@ -90,17 +92,26 @@ def _solve_dense(pencil: OperatorPencil, k) -> np.ndarray:
     return s[:, None] * y
 
 
-def _exact_pairs(a, m, vecs):
-    """Ascending pairs from M-orthonormal vectors, each flipped to peak positive:
-    Rayleigh quotients lambda and residuals ||A u - lambda M u|| / ||M u||."""
-    peak = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(vecs.shape[1])]
-    vecs = np.where(peak < 0, -vecs, vecs)
-    av, mv = a @ vecs, m @ vecs
-    vals = np.einsum("ij,ij->j", vecs, av) / np.einsum("ij,ij->j", vecs, mv)
-    av -= mv * vals  # now the residuals A u - lambda M u
-    res = np.sqrt(np.einsum("ij,ij->j", av, av) / np.einsum("ij,ij->j", mv, mv))
+def _exact_pairs(a, d, vecs):
+    """Ascending pairs from M-orthonormal vectors (M = diag(d)), each flipped to
+    peak positive: Rayleigh quotients lambda and residuals ||A u - lambda M u|| / ||M u||.
+    Every pass runs along one contiguous vector, a row of vecs^T; neither
+    lambda nor the residual depends on the sign, so the flip comes last."""
+    u = np.ascontiguousarray(vecs.T)
+    au = np.abs(u)
+    peak = u[np.arange(u.shape[0]), np.argmax(au, axis=1)]
+    for row, x in zip(au, u):
+        row[:] = a @ x
+    mu = u * d
+    vals = np.einsum("ij,ij->i", u, au) / np.einsum("ij,ij->i", u, mu)
+    norms = np.einsum("ij,ij->i", mu, mu)
+    mu *= vals[:, None]
+    au -= mu  # now the residuals A u - lambda M u
+    res = np.sqrt(np.einsum("ij,ij->i", au, au) / norms)
     order = np.argsort(vals, kind="stable")
-    return vals[order], vecs[:, order], res[order]
+    u = u[order]
+    u *= np.where(peak[order] < 0, -1.0, 1.0)[:, None]
+    return vals[order], u.T, res[order]
 
 
 def _circulant_parts(pencil: OperatorPencil):
@@ -125,22 +136,28 @@ def _window(values, k) -> tuple[int, float]:
 
 def _solve_reduced(pencil: OperatorPencil, k) -> np.ndarray:
     """Eigenvectors of the k smallest eigenvalues and of the rest of the
-    cluster at the k-th, ascending; one dense block per Fourier mode along
-    v, M-orthonormal: y cos(m theta) and y sin(m theta) are exact block
+    cluster at the k-th, ascending; one block per Fourier mode along v,
+    tridiagonal where T is (no wrap along u) and dense otherwise.  They are
+    M-orthonormal: y cos(m theta) and y sin(m theta) are exact block
     eigenvectors, and each wave is scaled to unit norm."""
     t, w, d = _circulant_parts(pencil)
     n, nb = pencil.grid.nv, d.size
     sym, s = _scaled(t, d)
+    tridiagonal = not np.any(np.triu(t, 2))
     found = []  # (value, mode, cos 0 | sin 1, block eigenvector)
     limit = np.inf
     for mode in range(n // 2 + 1):
-        block = sym + np.diag(2.0 * math.cos(2.0 * math.pi * mode / n) * w * s * s)
+        shift = 2.0 * math.cos(2.0 * math.pi * mode / n) * w * s * s
         phases = (0,) if 2 * mode % n == 0 else (0, 1)
         # k + 1: a first solve of k values always doubles, since the k-th
         # lies inside its own window
         count = min(nb, k + 1)
         while True:
-            vals, ys = sla.eigh(block, subset_by_index=[0, count - 1])
+            if tridiagonal:
+                vals, ys = sla.eigh_tridiagonal(np.diagonal(sym) + shift, np.diagonal(sym, 1),
+                                                select="i", select_range=(0, count - 1))
+            else:
+                vals, ys = sla.eigh(sym + np.diag(shift), subset_by_index=[0, count - 1])
             _, limit = _window([f[0] for f in found] + list(vals) * len(phases), k)
             if count == nb or vals[-1] > limit:
                 break
@@ -215,14 +232,14 @@ def smallest_eigenpairs(
         window, widest = k, min(n - 2, 4 * k)
         while True:
             vecs = _solve_sparse(a, m, window, sigma, opinv, v0)[:, :k]
-            vals, vecs, res = _exact_pairs(a, m, vecs)
+            vals, vecs, res = _exact_pairs(a, pencil.mass_diagonal, vecs)
             if float(np.max(res)) <= tol or window == widest:
                 break
             window = min(widest, 2 * window)
     else:
         vecs = (_solve_reduced(pencil, k)[:, :k] if method == "reduced"
                 else _solve_dense(pencil, k))
-        vals, vecs, res = _exact_pairs(a, m, vecs)
+        vals, vecs, res = _exact_pairs(a, pencil.mass_diagonal, vecs)
     if float(np.max(res)) > tol:
         raise NonConvergenceError(
             f"eigen-residual {np.max(res):.3e} exceeds tolerance {tol:.3e}",

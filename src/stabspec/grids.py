@@ -65,12 +65,14 @@ class Grid:
         n, h, periodic = ((self.nu, self.du, self.periodic_u) if axis == 0
                           else (self.nv, self.dv, True))
         c = 0.5 / h
-        D = sp.diags([-c, c], [-1, 1], shape=(n, n)).tolil()
-        if periodic:
-            D[0, n - 1], D[n - 1, 0] = -c, c
-        else:
-            D[0, :3] = np.array([-1.5, 2.0, -0.5]) / h
-            D[n - 1, n - 3:] = np.array([0.5, -2.0, 1.5]) / h
+        i = np.arange(n) if periodic else np.arange(1, n - 1)
+        rows, cols = np.r_[i, i], np.r_[i - 1, i + 1] % n
+        vals = np.r_[np.full(i.size, -c), np.full(i.size, c)]
+        if not periodic:  # the one-sided end rows
+            rows = np.r_[rows, 0, 0, 0, n - 1, n - 1, n - 1]
+            cols = np.r_[cols, 0, 1, 2, n - 3, n - 2, n - 1]
+            vals = np.r_[vals, np.array([-1.5, 2.0, -0.5, 0.5, -2.0, 1.5]) / h]
+        D = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
         if axis == 0:
             return sp.kron(D, sp.identity(self.nv), format="csr")
         return sp.kron(sp.identity(self.nu), D, format="csr")

@@ -169,6 +169,72 @@ def test_each_invariance_condition_is_checked():
             assert method == ("reduced" if invariant else "sparse")
 
 
+def _coo_reference(s, f):
+    """A summed the long way: two-point face triplets per axis through COO,
+    the cross term D_u^T diag(gamma w) D_v plus its transpose, then the
+    potential subtracted as a sparse diagonal."""
+    grid = s.grid
+    sqrtg = f.area_element / grid.cell_weight
+    idx = np.arange(s.node_count).reshape(grid.nu, grid.nv)
+    faces = []
+    for coeff, ratio, axis, periodic in (
+            (sqrtg * f.metric_inv[:, 0, 0], grid.dv / grid.du, 0, grid.periodic_u),
+            (sqrtg * f.metric_inv[:, 1, 1], grid.du / grid.dv, 1, True)):
+        left, right = idx, np.roll(idx, -1, axis=axis)
+        if not periodic:
+            left, right = left[:-1], right[:-1]
+        li, ri = left.ravel(), right.ravel()
+        c = 0.5 * (coeff[li] + coeff[ri]) * ratio
+        faces.append(sp_sparse.coo_matrix(
+            (np.concatenate([c, c, -c, -c]),
+             (np.concatenate([li, ri, li, ri]), np.concatenate([li, ri, ri, li]))),
+            shape=(s.node_count,) * 2))
+    stiffness = faces[0] + faces[1]
+    gamma = sqrtg * f.metric_inv[:, 0, 1]
+    scale = np.mean(sqrtg * (f.metric_inv[:, 0, 0] + f.metric_inv[:, 1, 1]))
+    if np.max(np.abs(gamma)) > 1e-14 * scale:  # a cross term above round-off
+        cross = (grid.d1_sparse(0).T @ sp_sparse.diags(gamma * grid.cell_weight)
+                 @ grid.d1_sparse(1)).tocsr()
+        stiffness = stiffness + (cross + cross.T)
+    q = f.sigma_sq + f.ricci_normal
+    return (stiffness - sp_sparse.diags(q * f.area_element)).tocsr()
+
+
+def _sheared_torus(nu, nv):
+    c = math.sqrt(2) / 2
+    chart = JetChart(lambda u, v: (c * _jet_cos(u), c * _jet_sin(u),
+                                   c * _jet_cos(v + u), c * _jet_sin(v + u)))
+    return ss.ImmersedSurface(Sphere3(), chart, torus_grid(nu, nv))
+
+
+@pytest.mark.parametrize("surface, crossed", [
+    (ss.build(ss.clifford_torus((12, 8))), False),
+    (ss.build(ss.perturbed_torus(0.7, 0.05, 3, (8, 12))), False),
+    (ss.build(ss.geodesic_sphere(1.0, (9, 16))), False),
+    (ss.build(ss.graph_over_slice("cosh", 0.3, "Y2,1", 0.05, (9, 16))), True),
+    (_sheared_torus(12, 8), True),
+], ids=["torus-12x8", "varying-torus-8x12", "sphere-9x16", "crossed-Y21-9x16",
+        "crossed-torus-12x8"])
+def test_csr_writer_matches_the_coo_face_sum(surface, crossed):
+    # the 5-point CSR writer against the face triplets summed through COO,
+    # bit for bit: same rows, same sorted columns, same values, no zeros
+    f = ss.compute_geometry(surface, want_gauss=False)
+    got = ss.assemble(surface, f).stiffness_minus_potential
+    want = _coo_reference(surface, f)
+    for part in ("indptr", "indices", "data"):
+        np.testing.assert_array_equal(getattr(got, part), getattr(want, part))
+    assert got.has_sorted_indices and np.all(got.data != 0.0)
+    per_row = np.diff(got.indptr)
+    assert (np.max(per_row) > 5) == crossed
+    if not crossed:
+        # 5 points per row; on a sphere grid the first and last latitude
+        # rows have no face towards the pole
+        nv = surface.grid.nv
+        ends = 5 if surface.grid.periodic_u else 4
+        assert set(per_row[:nv]) == set(per_row[-nv:]) == {ends}
+        assert set(per_row[nv:-nv]) == {5}
+
+
 def test_rayleigh_quotient_of_constants_is_mean_potential():
     _, _, p = _pencil(ss.clifford_torus((12, 12)))
     assert ss.rayleigh(p, np.ones(p.node_count)) == pytest.approx(-4.0,

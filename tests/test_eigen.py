@@ -317,7 +317,7 @@ def test_reduced_window_holds_the_whole_cluster_it_cuts():
     p = _pencil(ss.flat_torus(0.775594, (64, 64)))
     block = _solve_reduced(p, 6)
     assert block.shape[1] == 9
-    vals, _, res = _exact_pairs(p.stiffness_minus_potential, p.mass, block)
+    vals, _, res = _exact_pairs(p.stiffness_minus_potential, p.mass_diagonal, block)
     assert float(np.max(res)) <= 1e-9
     assert [len(g) for g in cluster_indices(vals)] == [1, 2, 2, 4]
     sp_ = ss.smallest_eigenpairs(p, 6, tol=1e-9)
@@ -325,20 +325,92 @@ def test_reduced_window_holds_the_whole_cluster_it_cuts():
     np.testing.assert_allclose(sp_.eigenvalues, vals[:6], atol=1e-10)
 
 
+def test_exact_pairs_sort_flip_and_judge_each_vector():
+    # four vectors, not eigenvectors, given in descending quotient order and
+    # with mixed signs: each comes back once, peak positive, in ascending
+    # order, with its own quotient and residual against a non-uniform mass
+    n = 10
+    a = sp_sparse.diags([np.full(n - 1, 0.1), np.arange(n, dtype=float), np.full(n - 1, 0.1)],
+                        [-1, 0, 1], format="csr")
+    d = np.linspace(1.0, 2.0, n)
+    vecs = np.array([sign * (np.eye(n)[i] + 0.05) for sign, i
+                     in zip((1.0, -1.0, 1.0, 1.0), (3, 2, 1, 0))]).T
+    vals, out, res = _exact_pairs(a, d, vecs)
+    assert np.all(np.diff(vals) > 0)
+    for j in range(4):
+        x = out[:, j]
+        assert x[np.argmax(np.abs(x))] > 0
+        assert np.array_equal(np.abs(x), np.abs(vecs[:, 3 - j]))
+        assert vals[j] == pytest.approx(x @ (a @ x) / (x @ (d * x)), rel=1e-14)
+        r = a @ x - vals[j] * d * x
+        assert res[j] == pytest.approx(np.linalg.norm(r) / np.linalg.norm(d * x), rel=1e-12)
+        assert res[j] > 1e-3
+
+
+def _block_solves(monkeypatch, pencil, k):
+    """The reduced solve of k pairs, and {block solver: the count of values
+    each of its calls asked for}."""
+    counts = {"eigh": [], "eigh_tridiagonal": []}
+
+    def logger(name):
+        real = getattr(eigen.sla, name)
+
+        def logged(*args, **kwargs):
+            index = kwargs.get("subset_by_index", kwargs.get("select_range"))
+            counts[name].append(index[1] + 1)
+            return real(*args, **kwargs)
+        return logged
+
+    for name in counts:
+        monkeypatch.setattr(eigen.sla, name, logger(name))
+    sp_ = ss.smallest_eigenpairs(pencil, k)
+    assert sp_.method == "reduced"
+    return sp_, counts
+
+
 def test_reduced_path_solves_each_block_once(monkeypatch):
     # a first solve of k values always doubles, because the k-th value lies
-    # inside its own window; k + 1 settle mode 0 of a slice in one solve
-    counts = []
-    real = eigen.sla.eigh
+    # inside its own window; k + 1 settle each block of a slice in one
+    # solve, and on its sphere grid every block is tridiagonal
+    _, counts = _block_solves(monkeypatch, _pencil(ss.slice_shape("cosh", 0.3, (32, 32))), 6)
+    got = counts["eigh_tridiagonal"]
+    assert got and got == [7] * len(got)
+    assert counts["eigh"] == []
 
-    def logged(block, subset_by_index):
-        counts.append(subset_by_index[1] + 1)
-        return real(block, subset_by_index=subset_by_index)
 
-    monkeypatch.setattr(eigen.sla, "eigh", logged)
-    sp_ = ss.smallest_eigenpairs(_pencil(ss.slice_shape("cosh", 0.3, (32, 32))), 6)
-    assert sp_.method == "reduced"
-    assert counts == [7] * len(counts)
+def test_reduced_path_solves_dense_blocks_on_a_torus_grid(monkeypatch):
+    # T wraps along u, so the blocks are dense; the mode-0 block holds the
+    # cos/sin pairs along u, its 7th value pairs with its 8th, and that one
+    # window doubles
+    _, counts = _block_solves(monkeypatch, _pencil(ss.flat_torus(0.6, (32, 32))), 6)
+    assert counts == {"eigh": [7, 14, 7, 7], "eigh_tridiagonal": []}
+
+
+@pytest.mark.parametrize("spec", [ss.slice_shape("cosh", 0.3, (128, 128)),
+                                  ss.geodesic_sphere(1.0, (160, 128))],
+                         ids=lambda s: s.label)
+def test_tridiagonal_blocks_match_dense_blocks(monkeypatch, spec):
+    # on a sphere grid T has no wrap along u, so every Fourier block is
+    # tridiagonal; the reduced path against a dense eigh of the same blocks
+    p = _pencil(spec)
+    t, w, d = _circulant_parts(p)
+    assert not np.any(np.triu(t, 2)) and np.all(np.diagonal(t, 1) != 0.0)
+    n = p.grid.nv
+    s = 1.0 / np.sqrt(d)
+    dense = []
+    for mode in range(n // 2 + 1):
+        block = s[:, None] * (t + np.diag(2.0 * math.cos(2.0 * math.pi * mode / n) * w)) * s
+        vals = np.linalg.eigvalsh(0.5 * (block + block.T))[:8]
+        dense += list(vals) * (1 if 2 * mode % n == 0 else 2)
+    k = 8
+    sp_, counts = _block_solves(monkeypatch, p, k)
+    assert counts["eigh_tridiagonal"] and counts["eigh"] == []
+    np.testing.assert_allclose(sp_.eigenvalues, np.sort(dense)[:k], rtol=0, atol=1e-10)
+    A, M, V = p.stiffness_minus_potential, p.mass, sp_.eigenvectors
+    for i, lam in enumerate(sp_.eigenvalues):
+        r = A @ V[:, i] - lam * (M @ V[:, i])
+        assert np.linalg.norm(r) / np.linalg.norm(M @ V[:, i]) <= 1e-9
+    np.testing.assert_allclose(V.T @ (M @ V), np.eye(k), rtol=0, atol=1e-10)
 
 
 def test_determinism_across_runs_and_seeds():

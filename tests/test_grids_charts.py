@@ -13,6 +13,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
+import scipy.sparse as sp_sparse
 import sympy as sp
 
 import stabspec as ss
@@ -73,6 +74,32 @@ def test_d1_sparse_matches_diff_field():
     g = sphere_grid(12, 8)
     theta, _ = g.mesh()
     np.testing.assert_allclose(g.d1_sparse(0) @ theta**2, 2 * theta, atol=1e-12)
+
+
+def _d1_by_item_assignment(g, axis):
+    """The first-derivative operator as the central bands with the periodic
+    corners or the one-sided end rows assigned entry by entry."""
+    n, h, periodic = (g.nu, g.du, g.periodic_u) if axis == 0 else (g.nv, g.dv, True)
+    c = 0.5 / h
+    D = sp_sparse.diags([-c, c], [-1, 1], shape=(n, n)).tolil()
+    if periodic:
+        D[0, n - 1], D[n - 1, 0] = -c, c
+    else:
+        D[0, :3] = np.array([-1.5, 2.0, -0.5]) / h
+        D[n - 1, n - 3:] = np.array([0.5, -2.0, 1.5]) / h
+    if axis == 0:
+        return sp_sparse.kron(D, sp_sparse.identity(g.nv), format="csr")
+    return sp_sparse.kron(sp_sparse.identity(g.nu), D, format="csr")
+
+
+@pytest.mark.parametrize("make", [torus_grid, sphere_grid])
+@pytest.mark.parametrize("shape", [(8, 8), (12, 8), (9, 16), (33, 20), (64, 64)])
+def test_d1_sparse_is_the_item_assignment_build(make, shape):
+    g = make(*shape)
+    for axis in (0, 1):
+        got, want = g.d1_sparse(axis), _d1_by_item_assignment(g, axis)
+        for part in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(got, part), getattr(want, part))
 
 
 def test_symbolic_chart_derivatives_are_exact():
