@@ -44,7 +44,6 @@ from .surfaces import (
     area,
     compute_geometry,
     euler_characteristic,
-    gauss_equation_residual,
     total_curvature,
 )
 from .catalog import (

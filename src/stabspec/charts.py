@@ -5,12 +5,12 @@ components either way (coordinates in R^4 for surfaces of the unit
 3-sphere, or the tuple (t, w1, w2, w3) with w on the unit 2-sphere for
 warped ambients).  The geometry engine consumes nodal arrays of the chart
 and its parameter derivatives, packed as a dict keyed by multi-index
-strings "0", "u", "v", "uu", "uv", "vv", "uuu", ...
+strings "0", "u", "v", "uu", "uv", "vv".
 
-Every chart returns derivatives through order 3, computed with truncated
+Every chart returns derivatives through order 2, computed with truncated
 bivariate Taylor jets (Griewank & Walther, Evaluating Derivatives,
 ch. 13).  A jet is an array whose first axis holds the coefficients of the
-monomials u^i v^j, i + j <= 3, in the order of BUNDLE_KEYS; further axes
+monomials u^i v^j, i + j <= 2, in the order of BUNDLE_KEYS; further axes
 are nodes (and components).  Sums and scalar multiples of jets are plain
 array arithmetic, except that a constant only shifts the coefficient of 1
 (`_plus`).  Products and reciprocals are truncated series, and sin, cos,
@@ -39,8 +39,8 @@ __all__ = [
 ]
 
 # The keys of a chart's derivative bundle: every parameter derivative
-# through order 3, by order.
-BUNDLE_KEYS = ("0", "u", "v", "uu", "uv", "vv", "uuu", "uuv", "uvv", "vvv")
+# through order 2, by order.
+BUNDLE_KEYS = ("0", "u", "v", "uu", "uv", "vv")
 _MONOMIALS = [(key.count("u"), key.count("v")) for key in BUNDLE_KEYS]
 # A jet coefficient times _FACTORIALS is the bundle's partial derivative.
 _FACTORIALS = np.array([math.factorial(i) * math.factorial(j) for i, j in _MONOMIALS],
@@ -81,31 +81,30 @@ def _plus(x: np.ndarray, c) -> np.ndarray:
 
 
 def _compose(x: np.ndarray, derivs) -> np.ndarray:
-    """Jet of f(x) from f and its first three derivatives at x's constant term.
+    """Jet of f(x) from f and its first two derivatives at x's constant term.
 
-    f(x0 + d) = f0 + f1 d + f2 d^2 / 2 + f3 d^3 / 6, d the non-constant part.
+    f(x0 + d) = f0 + f1 d + f2 d^2 / 2, d the non-constant part.
     """
     d = x.copy()
     d[0] = 0.0
-    d2 = _jet_mul(d, d)
-    out = derivs[1] * d + derivs[2] / 2.0 * d2 + derivs[3] / 6.0 * _jet_mul(d2, d)
+    out = derivs[1] * d + derivs[2] / 2.0 * _jet_mul(d, d)
     out[0] = derivs[0]
     return out
 
 
 def _jet_sin(x: np.ndarray) -> np.ndarray:
     s, c = np.sin(x[0]), np.cos(x[0])
-    return _compose(x, (s, c, -s, -c))
+    return _compose(x, (s, c, -s))
 
 
 def _jet_cos(x: np.ndarray) -> np.ndarray:
     s, c = np.sin(x[0]), np.cos(x[0])
-    return _compose(x, (c, -s, -c, s))
+    return _compose(x, (c, -s, -c))
 
 
 def _jet_sqrt(x: np.ndarray) -> np.ndarray:
     r = np.sqrt(x[0])
-    return _compose(x, (r, 0.5 / r, -0.25 / (r * x[0]), 0.375 / (r * x[0] * x[0])))
+    return _compose(x, (r, 0.5 / r, -0.25 / (r * x[0])))
 
 
 class JetChart:
@@ -123,7 +122,7 @@ class JetChart:
     def evaluate(self, grid: Grid) -> dict[str, np.ndarray]:
         """The derivative bundle: (N, 4) arrays keyed by `BUNDLE_KEYS`.
 
-        The derivatives are stored component-major, one (10, 4, N) block,
+        The derivatives are stored component-major, one (6, 4, N) block,
         and each entry is the transpose view of its (4, N) slab, so a
         component `b[key][:, c]` is a contiguous row.
         """
@@ -160,7 +159,7 @@ def real_sph_harm(l: int, m: int, theta: np.ndarray, phi: np.ndarray) -> np.ndar
         norm *= math.sqrt(2.0)
     dp = np.polynomial.Legendre.basis(l).deriv(am)
     c = _jet_cos(theta)
-    y = (-1) ** am * norm * _compose(c, [dp.deriv(k)(c[0]) for k in range(4)])
+    y = (-1) ** am * norm * _compose(c, [dp.deriv(k)(c[0]) for k in range(3)])
     sin_theta = _jet_sin(theta)
     for _ in range(am):
         y = _jet_mul(y, sin_theta)

@@ -150,8 +150,10 @@ def _solve_reduced(pencil: OperatorPencil, k) -> np.ndarray:
         shift = 2.0 * math.cos(2.0 * math.pi * mode / n) * w * s * s
         phases = (0,) if 2 * mode % n == 0 else (0, 1)
         # k + 1: a first solve of k values always doubles, since the k-th
-        # lies inside its own window
-        count = min(nb, k + 1)
+        # lies inside its own window; k + 2 where T wraps along u, whose
+        # values come in cos/sin pairs along u on the tori, so that the
+        # (k + 1)-th would pair with the (k + 2)-th
+        count = min(nb, k + 1 if tridiagonal else k + 2)
         while True:
             if tridiagonal:
                 vals, ys = sla.eigh_tridiagonal(np.diagonal(sym) + shift, np.diagonal(sym, 1),

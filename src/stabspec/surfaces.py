@@ -5,18 +5,19 @@ round unit 3-sphere sitting in R^4, or a warped product (interval) x S^2
 with metric dt^2 + h(t)^2 ds^2.  From the chart's derivative bundle this
 module produces nodal fields: induced metric, unit normal, second
 fundamental form, mean curvature, squared norm of the shape operator,
-intrinsic Gauss curvature, and the ambient Ricci curvature in the normal
+Gauss curvature, and the ambient Ricci curvature in the normal
 direction.
 
 One body serves both ambients.  Chart values are points of R^4 (the
 position on the 3-sphere, or (t, w) with w on the unit 2-sphere), and
 both ambient metrics are diagonal there, W = diag(1, H, H, H) with H = 1
 on the 3-sphere and H = h(t)^2 on the warped product.  An ambient
-supplies only H and its parameter derivatives, the radial direction the
-normal must also be orthogonal to (the position X, or (0, w)), the
-Christoffel contraction Gamma(X_a, X_b) (zero on the 3-sphere) and
-Ric(nu, nu); metric, normal, second fundamental form and curvatures are
-computed the same way for both.
+supplies only H, the radial direction the normal must also be orthogonal
+to (the position X, or (0, w)), the Christoffel contraction
+Gamma(X_a, X_b) (zero on the 3-sphere), Ric(nu, nu) and its scalar
+curvature R; metric, normal, second fundamental form and curvatures are
+computed the same way for both, from the chart's derivatives through
+order 2.
 
 Sign conventions.  The second fundamental form is
 sigma(X, Y) = <D_X nu, Y>, so a slice {t} x S^2 with normal +d/dt has
@@ -24,15 +25,15 @@ principal curvatures h'/h.  On the 3-sphere the normal is oriented so
 that (position, chart_u, chart_v, normal) is a positively oriented frame
 of R^4; on warped ambients it has a non-negative d/dt component.
 
-Gauss curvature is computed intrinsically (Brioschi formula) from the
-metric and its parameter derivatives, never from the shape operator, so
-the Gauss-equation defect 2K - 2 - 4H^2 + |sigma|^2 is a genuine
-consistency check between two independent curvature computations.
+Gauss curvature comes from the Gauss equation of a surface in a
+3-dimensional ambient, K = R/2 - Ric(nu, nu) + k1 k2, with
+k1 k2 = 2 H^2 - |sigma|^2 / 2 (H the mean of the principal curvatures):
+on the 3-sphere, K = 1 + k1 k2.  No metric derivative is needed, so the
+charts stop at second derivatives.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 from typing import Callable
@@ -54,7 +55,6 @@ __all__ = [
     "ImmersedSurface",
     "GeometryFields",
     "compute_geometry",
-    "gauss_equation_residual",
     "area",
     "total_curvature",
     "euler_characteristic",
@@ -70,20 +70,21 @@ class AmbientTerms:
 
     Vectors are stored component-major: (4, N), one row per component.
 
-    sphere_weight: the ambient metric in chart coordinates is
-                  W = diag(1, H, H, H); H under key "0" (scalar or (N,))
-                  and its nonzero parameter derivatives through order 2
-                  under their bundle keys ("u", "uv", ...)
+    sphere_weight: H of the ambient metric W = diag(1, H, H, H) in chart
+                  coordinates, scalar or (N,)
     radial:       (4, N) direction the normal is also orthogonal to
     christoffel:  (X_a, X_b) -> Gamma(X_a, X_b), all (4, N), or None where
                   it vanishes
     ricci:        unit normal (4, N) -> Ric(nu, nu), (N,)
+    scalar:       () -> ambient scalar curvature R, scalar or (N,); only
+                  the Gauss curvature reads it
     """
 
-    sphere_weight: dict[str, np.ndarray | float]
+    sphere_weight: np.ndarray | float
     radial: np.ndarray
     christoffel: Callable | None
     ricci: Callable
+    scalar: Callable
 
 
 def _require_unit(x: np.ndarray, message: str) -> None:
@@ -98,12 +99,13 @@ def _sphere_dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Sphere3:
-    """Round unit 3-sphere ambient; Ric(v, v) = 2 on unit directions."""
+    """Round unit 3-sphere ambient; Ric(v, v) = 2 on unit directions, R = 6."""
 
     def terms(self, x: dict[str, np.ndarray]) -> AmbientTerms:
         """Terms at the chart rows x[key] = bundle[key].T, each (4, N)."""
         _require_unit(x["0"], "chart values must lie on the unit 3-sphere")
-        return AmbientTerms({"0": 1.0}, x["0"], None, lambda nu: np.full(nu.shape[1], 2.0))
+        return AmbientTerms(1.0, x["0"], None, lambda nu: np.full(nu.shape[1], 2.0),
+                            lambda: 6.0)
 
 
 @dataclass(frozen=True)
@@ -118,14 +120,7 @@ class WarpedProduct:
         t = x["0"][0]
         _require_unit(x["0"][1:], "sphere part of a warped chart must have unit norm")
         w.require_inside(t)
-        h, dh, d2h = (np.asarray(fn(t), dtype=float) for fn in (w.h, w.dh, w.d2h))
-
-        # H = h(t)^2, its first two t-derivatives chained through t(u, v)
-        w1, w2 = 2.0 * h * dh, 2.0 * (dh * dh + h * d2h)
-        f = {key: x[key][0] for key in ("u", "v", "uu", "uv", "vv")}
-        weight = {"0": h * h, "u": w1 * f["u"], "v": w1 * f["v"]}
-        weight.update({key: w2 * f[key[0]] * f[key[1]] + w1 * f[key]
-                       for key in ("uu", "uv", "vv")})
+        h, dh = (np.asarray(fn(t), dtype=float) for fn in (w.h, w.dh))
         minus_hdh, dlog = -h * dh, dh / h
 
         def christoffel(xa, xb):
@@ -138,8 +133,8 @@ class WarpedProduct:
         def ricci(nu):
             return np.asarray(wp.ricci_direction(w, t, nu[0]))
 
-        return AmbientTerms(weight, np.vstack([np.zeros_like(t), x["0"][1:]]),
-                            christoffel, ricci)
+        return AmbientTerms(h * h, np.vstack([np.zeros_like(t), x["0"][1:]]),
+                            christoffel, ricci, lambda: wp.ambient_ricci(w, t).scalar)
 
 
 class ImmersedSurface:
@@ -162,7 +157,7 @@ class ImmersedSurface:
         return isinstance(self.ambient, Sphere3)
 
     def bundle(self) -> dict[str, np.ndarray]:
-        """Chart derivative arrays through order 3, keyed by `charts.BUNDLE_KEYS`.
+        """Chart derivative arrays through order 2, keyed by `charts.BUNDLE_KEYS`.
 
         The chart is evaluated once, and every later request is served
         from that cached bundle.
@@ -184,8 +179,8 @@ class GeometryFields:
     shape:        (N, 2, 2) second fundamental form sigma_ab
     mean_curv:    (N,) average of principal curvatures
     sigma_sq:     (N,) squared norm of the second fundamental form
-    gauss_curv:   (N,) intrinsic Gauss curvature, or None when it was not
-                  asked for (want_gauss=False)
+    gauss_curv:   (N,) Gauss curvature from the Gauss equation, or None when
+                  it was not asked for (want_gauss=False)
     ricci_normal: (N,) ambient Ric(normal, normal)
     """
 
@@ -232,58 +227,6 @@ def _check_not_degenerate(det: np.ndarray):
         raise DegenerateChartError(i, float(det[i]), threshold)
 
 
-def _brioschi(E, F, G, E_u, E_v, G_u, G_v, F_u, F_v, E_vv, G_uu, F_uv):
-    """Intrinsic Gauss curvature from the metric and its derivatives."""
-    det = E * G - F * F
-    m_a = ((-0.5 * E_vv + F_uv - 0.5 * G_uu, 0.5 * E_u, F_u - 0.5 * E_v),
-           (F_v - 0.5 * G_u, E, F),
-           (0.5 * G_v, F, G))
-    m_b = ((0.0, 0.5 * E_v, 0.5 * G_u),
-           (0.5 * E_v, E, F),
-           (0.5 * G_u, F, G))
-
-    def det3(m):
-        return (
-            m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
-        )
-
-    return (det3(m_a) - det3(m_b)) / det**2
-
-
-def _bundle_key(letters: str) -> str:
-    """Bundle key of a parameter derivative given as letters in any order."""
-    return "".join(sorted(letters)) or "0"
-
-
-# Brioschi's metric derivatives: name -> (metric entry, derivative), where
-# E, F, G are the entries uu, uv, vv of the first fundamental form.
-_METRIC_DERIVATIVES = {
-    "E_u": ("uu", "u"), "E_v": ("uu", "v"), "E_vv": ("uu", "vv"),
-    "F_u": ("uv", "u"), "F_v": ("uv", "v"), "F_uv": ("uv", "uv"),
-    "G_u": ("vv", "u"), "G_v": ("vv", "v"), "G_uu": ("vv", "uu"),
-}
-
-
-def _metric_derivative(wdot, entry: str, by: str) -> np.ndarray:
-    """Parameter derivative `by` of g_ab = <X_a, X_b>_W, entry = "ab".
-
-    Leibniz rule over the three factors W, X_a, X_b: each way of handing
-    the letters of `by` to the factors gives the term
-    wdot(W key, X_a key, X_b key), whose last two keys are symmetric and
-    passed in sorted order.
-    """
-    total = 0.0
-    for owners in itertools.product(range(3), repeat=len(by)):
-        parts = ["", entry[0], entry[1]]
-        for letter, owner in zip(by, owners):
-            parts[owner] += letter
-        wkey, *xykeys = map(_bundle_key, parts)
-        total = total + wdot(wkey, *sorted(xykeys))
-    return total
-
-
 def compute_geometry(s: ImmersedSurface, want_gauss: bool = True) -> GeometryFields:
     """All nodal geometric fields of the surface.
 
@@ -292,20 +235,12 @@ def compute_geometry(s: ImmersedSurface, want_gauss: bool = True) -> GeometryFie
     """
     x = {key: arr.T for key, arr in s.bundle().items()}
     amb = s.ambient.terms(x)
-    H = amb.sphere_weight["0"]
+    H = amb.sphere_weight
 
-    def wdot0(p, q):  # <p, q>_W = p0 q0 + H (p1 q1 + p2 q2 + p3 q3)
+    def wdot(p, q):  # <p, q>_W = p0 q0 + H (p1 q1 + p2 q2 + p3 q3)
         return p[0] * q[0] + H * _sphere_dot(p, q)
 
-    @functools.cache
-    def wdot(wkey, xkey, ykey):
-        """sum_i (d_wkey W)_i (X_xkey)_i (X_ykey)_i, 0 where d_wkey W vanishes."""
-        if wkey == "0":
-            return wdot0(x[xkey], x[ykey])
-        dw = amb.sphere_weight.get(wkey)
-        return 0.0 if dw is None else dw * _sphere_dot(x[xkey], x[ykey])
-
-    E, F, G = wdot("0", "u", "u"), wdot("0", "u", "v"), wdot("0", "v", "v")
+    E, F, G = wdot(x["u"], x["u"]), wdot(x["u"], x["v"]), wdot(x["v"], x["v"])
     det = E * G - F * F
     _check_not_degenerate(det)
     inv_uu, inv_uv, inv_vv = G / det, -F / det, E / det
@@ -313,7 +248,7 @@ def compute_geometry(s: ImmersedSurface, want_gauss: bool = True) -> GeometryFie
     # W nu is Euclidean-orthogonal to radial, X_u and X_v; unit in the W-norm.
     nu = _cross4(amb.radial, x["u"], x["v"])
     nu[1:] /= H
-    nu /= np.sqrt(wdot0(nu, nu))
+    nu /= np.sqrt(wdot(nu, nu))
     if not s.is_sphere3:
         nu *= np.where(nu[0] < 0.0, -1.0, 1.0)
 
@@ -321,19 +256,19 @@ def compute_geometry(s: ImmersedSurface, want_gauss: bool = True) -> GeometryFie
         xab = x[key]
         if amb.christoffel is not None:
             xab = xab + amb.christoffel(x[key[0]], x[key[1]])
-        return -wdot0(nu, xab)
+        return -wdot(nu, xab)
 
     s_uu, s_uv, s_vv = second("uu"), second("uv"), second("vv")
     # shape operator g^-1 sigma, entry by entry
     a11, a12 = inv_uu * s_uu + inv_uv * s_uv, inv_uu * s_uv + inv_uv * s_vv
     a21, a22 = inv_uv * s_uu + inv_vv * s_uv, inv_uv * s_uv + inv_vv * s_vv
+    mean = 0.5 * (a11 + a22)
+    sigma_sq = a11 * a11 + 2.0 * a12 * a21 + a22 * a22
+    ricci = amb.ricci(nu)
 
     gauss = None
-    if want_gauss:
-        gauss = _brioschi(E, F, G, **{
-            name: _metric_derivative(wdot, entry, by)
-            for name, (entry, by) in _METRIC_DERIVATIVES.items()
-        })
+    if want_gauss:  # Gauss equation: K = R/2 - Ric(nu, nu) + k1 k2
+        gauss = 0.5 * amb.scalar() - ricci + (2.0 * mean * mean - 0.5 * sigma_sq)
 
     return GeometryFields(
         metric=_sym2x2(E, F, G),
@@ -341,25 +276,11 @@ def compute_geometry(s: ImmersedSurface, want_gauss: bool = True) -> GeometryFie
         area_element=np.sqrt(det) * s.grid.cell_weight,
         normal=nu.T,
         shape=_sym2x2(s_uu, s_uv, s_vv),
-        mean_curv=0.5 * (a11 + a22),
-        sigma_sq=a11 * a11 + 2.0 * a12 * a21 + a22 * a22,
+        mean_curv=mean,
+        sigma_sq=sigma_sq,
         gauss_curv=gauss,
-        ricci_normal=amb.ricci(nu),
+        ricci_normal=ricci,
     )
-
-
-def gauss_equation_residual(s: ImmersedSurface, f: GeometryFields) -> float:
-    """max over nodes of |2K - 2 - 4H^2 + |sigma|^2| on the 3-sphere.
-
-    Zero in exact arithmetic; measures the gap between the intrinsic and
-    the extrinsic curvature computations.
-    """
-    if not s.is_sphere3:
-        raise UnsupportedAmbientError("the Gauss-equation defect is a 3-sphere check")
-    if f.gauss_curv is None:
-        raise DomainError("surface has no intrinsic curvature field")
-    res = 2.0 * f.gauss_curv - 2.0 - 4.0 * f.mean_curv**2 + f.sigma_sq
-    return float(np.max(np.abs(res)))
 
 
 def area(s: ImmersedSurface, f: GeometryFields) -> float:
@@ -369,7 +290,7 @@ def area(s: ImmersedSurface, f: GeometryFields) -> float:
 def total_curvature(s: ImmersedSurface, f: GeometryFields) -> float:
     """Integral of the Gauss curvature (equals 2 pi Euler characteristic)."""
     if f.gauss_curv is None:
-        raise DomainError("surface has no intrinsic curvature field")
+        raise DomainError("surface has no Gauss curvature field")
     return float(np.sum(f.gauss_curv * f.area_element))
 
 

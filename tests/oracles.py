@@ -1,0 +1,136 @@
+"""Independent oracles shared by the tests.
+
+`sympy_chart` writes each catalog chart out again in sympy.  The chart
+tests differentiate it at 30 digits; `intrinsic_gauss_curvature` takes the
+induced metric's derivatives from it for Brioschi's formula, so the Gauss
+curvature the package takes from the Gauss equation is checked against a
+purely intrinsic computation.  sympy's `assoc_legendre` also fixes the
+Condon-Shortley sign of the spherical harmonics.
+"""
+
+from __future__ import annotations
+
+import itertools
+import math
+
+import numpy as np
+import sympy as sp
+
+ORACLE_DIGITS = 30
+U, V = sp.symbols("u v", real=True)
+
+# warping profiles h(t) by builtin name
+H_EXPRS = {
+    "product": lambda t: sp.Integer(1),
+    "sphere": sp.sin,
+    "hyperbolic": sp.sinh,
+    "euclidean": lambda t: t,
+    "cosh": sp.cosh,
+}
+
+
+def _sympy_harmonic(l, m, theta, phi):
+    # sympy's assoc_legendre carries the Condon-Shortley sign (-1)^m
+    am = abs(m)
+    norm = sp.sqrt(sp.Rational(2 * l + 1, 4) / sp.pi
+                   * sp.Rational(math.factorial(l - am), math.factorial(l + am)))
+    y = norm * sp.assoc_legendre(l, am, sp.cos(theta))
+    if m == 0:
+        return y
+    return sp.sqrt(2) * y * (sp.cos(am * phi) if m > 0 else sp.sin(am * phi))
+
+
+def sympy_chart(spec, u=U, v=V):
+    """The catalog chart of `spec` as sympy expressions, parameters at 30 digits."""
+    p = {k: sp.Float(x, ORACLE_DIGITS) for k, x in spec.params.items()
+         if isinstance(x, float)}
+    om = (sp.sin(u) * sp.cos(v), sp.sin(u) * sp.sin(v), sp.cos(u))
+    if spec.kind in ("clifford-torus", "flat-torus", "perturbed-torus"):
+        rho = 1 / sp.sqrt(2) if spec.kind == "clifford-torus" else p["r"]
+        if spec.kind == "perturbed-torus":
+            rho = rho + p["eps"] * sp.cos(spec.params["wave"] * v)
+        s = sp.sqrt(1 - rho**2)
+        return (rho * sp.cos(u), rho * sp.sin(u), s * sp.cos(v), s * sp.sin(v))
+    if spec.kind == "geodesic-sphere":
+        return tuple(sp.sin(p["rho"]) * c for c in om) + (sp.cos(p["rho"]),)
+    t = p["t0"]
+    if spec.kind == "graph-over-slice":
+        l, m = (int(x) for x in spec.params["perturbation"][1:].split(","))
+        t = t + p["amplitude"] * _sympy_harmonic(l, m, u, v)
+    return (t,) + om
+
+
+def brioschi(E, F, G, E_u, E_v, G_u, G_v, F_u, F_v, E_vv, G_uu, F_uv):
+    """Intrinsic Gauss curvature from the metric and its derivatives."""
+    det = E * G - F * F
+    m_a = ((-0.5 * E_vv + F_uv - 0.5 * G_uu, 0.5 * E_u, F_u - 0.5 * E_v),
+           (F_v - 0.5 * G_u, E, F),
+           (0.5 * G_v, F, G))
+    m_b = ((0.0, 0.5 * E_v, 0.5 * G_u),
+           (0.5 * E_v, E, F),
+           (0.5 * G_u, F, G))
+
+    def det3(m):
+        return (
+            m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
+            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
+            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
+        )
+
+    return (det3(m_a) - det3(m_b)) / det**2
+
+
+def intrinsic_gauss_curvature(chart, grid, warping=None) -> np.ndarray:
+    """Brioschi's K at the grid nodes, for a chart given as four sympy
+    expressions in U, V: in R^4 (the 3-sphere), or as (t, w) in
+    dt^2 + h(t)^2 |dw|^2 for the builtin `warping` of that name.
+
+    The chart's derivatives and those of the metric weight
+    W = diag(1, H, H, H), H = h(t)^2, are symbolic; the nine metric
+    derivatives follow from them numerically by the Leibniz rule, which is
+    far cheaper than differentiating the metric's expressions.
+    """
+    keys = ("", "u", "v", "uu", "uv", "vv", "uuv", "uvv")
+    h2 = sp.Integer(1) if warping is None else H_EXPRS[warping](chart[0]) ** 2
+    x, weight = {"": list(chart)}, {"": h2}
+    for key in keys[1:]:
+        by = U if key[-1] == "u" else V
+        x[key] = [sp.diff(c, by) for c in x[key[:-1]]]
+        if len(key) < 3:
+            weight[key] = sp.diff(weight[key[:-1]], by)
+    u, v = grid.mesh()
+
+    def nodal(exprs):  # (N, len(exprs)) values, constants broadcast
+        values = sp.lambdify((U, V), exprs, "numpy")(u, v)
+        return np.stack([np.broadcast_to(np.asarray(a, dtype=float), u.shape)
+                         for a in values], axis=1)
+
+    x = {key: nodal(c) for key, c in x.items()}
+    weight = {key: nodal([w])[:, 0] for key, w in weight.items()}
+
+    def dot(wkey, akey, bkey):  # sum_i (d_wkey W)_i (X_akey)_i (X_bkey)_i
+        a, b = x[akey], x[bkey]
+        sphere = weight[wkey] * np.einsum("ni,ni->n", a[:, 1:], b[:, 1:])
+        return sphere + a[:, 0] * b[:, 0] if wkey == "" else sphere
+
+    def metric(entry, by=""):  # d_by <X_a, X_b>_W, handing each letter to a factor
+        total = 0.0
+        for owners in itertools.product(range(3), repeat=len(by)):
+            parts = ["", entry[0], entry[1]]
+            for letter, owner in zip(by, owners):
+                parts[owner] += letter
+            total = total + dot(*("".join(sorted(p)) for p in parts))
+        return total
+
+    return brioschi(metric("uu"), metric("uv"), metric("vv"),
+                    metric("uu", "u"), metric("uu", "v"), metric("vv", "u"), metric("vv", "v"),
+                    metric("uv", "u"), metric("uv", "v"), metric("uu", "vv"),
+                    metric("vv", "uu"), metric("uv", "uv"))
+
+
+def gauss_equation_residual(chart, f, grid) -> float:
+    """max over nodes of |2K - 2 - 4H^2 + |sigma|^2| on the 3-sphere, with K
+    the intrinsic curvature of the sympy `chart` and H, sigma the package's
+    extrinsic fields f: zero in exact arithmetic."""
+    k = intrinsic_gauss_curvature(chart, grid)
+    return float(np.max(np.abs(2.0 * k - 2.0 - 4.0 * f.mean_curv**2 + f.sigma_sq)))

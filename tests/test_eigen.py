@@ -379,11 +379,11 @@ def test_reduced_path_solves_each_block_once(monkeypatch):
 
 
 def test_reduced_path_solves_dense_blocks_on_a_torus_grid(monkeypatch):
-    # T wraps along u, so the blocks are dense; the mode-0 block holds the
-    # cos/sin pairs along u, its 7th value pairs with its 8th, and that one
-    # window doubles
+    # T wraps along u, so the blocks are dense; their values come in cos/sin
+    # pairs along u, so a 7th value would pair with an 8th and double the
+    # mode-0 window: k + 2 = 8 settle each block in one solve
     _, counts = _block_solves(monkeypatch, _pencil(ss.flat_torus(0.6, (32, 32))), 6)
-    assert counts == {"eigh": [7, 14, 7, 7], "eigh_tridiagonal": []}
+    assert counts == {"eigh": [8, 8, 8], "eigh_tridiagonal": []}
 
 
 @pytest.mark.parametrize("spec", [ss.slice_shape("cosh", 0.3, (128, 128)),

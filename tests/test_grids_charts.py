@@ -1,9 +1,8 @@
 """Grid bookkeeping, difference stencils, and chart evaluation.
 
 Independent oracle for the Taylor-jet charts: each catalog chart written
-out again in sympy, differentiated symbolically and evaluated at 30
-digits.  sympy's `assoc_legendre` also fixes the Condon-Shortley sign of
-the spherical harmonics.
+out again in sympy (`oracles.sympy_chart`), differentiated symbolically and
+evaluated at 30 digits.
 """
 
 from __future__ import annotations
@@ -26,6 +25,8 @@ from stabspec.charts import (
 )
 from stabspec.errors import DomainError
 from stabspec.grids import sphere_grid, torus_grid
+
+from oracles import ORACLE_DIGITS, sympy_chart
 
 
 def test_torus_grid_layout():
@@ -111,13 +112,17 @@ def test_symbolic_chart_derivatives_are_exact():
     u, _ = g.mesh()
     np.testing.assert_allclose(b["u"][:, 0], -np.sin(u) / math.sqrt(2),
                                atol=1e-15)
-    np.testing.assert_allclose(b["uuu"][:, 0], np.sin(u) / math.sqrt(2),
-                               atol=1e-14)
-    assert set(b) >= {"0", "u", "v", "uu", "uv", "vv", "uuu"}
+    np.testing.assert_allclose(b["uu"][:, 0], -np.cos(u) / math.sqrt(2),
+                               atol=1e-15)
+    assert set(b) == {"0", "u", "v", "uu", "uv", "vv"}
+
+
+def test_bundle_keys_stop_at_second_order():
+    assert BUNDLE_KEYS == ("0", "u", "v", "uu", "uv", "vv")
 
 
 def _harmonic_values(l, m, th, ph):
-    theta, phi = np.zeros((2, 10, th.size))
+    theta, phi = np.zeros((2, len(BUNDLE_KEYS), th.size))
     theta[0], phi[0] = th, ph
     return real_sph_harm(l, m, theta, phi)[0]
 
@@ -139,39 +144,6 @@ def test_real_spherical_harmonics_are_orthonormal():
 
 # ---------------------------------------------- 30-digit symbolic oracle
 
-ORACLE_DIGITS = 30
-
-
-def _sympy_harmonic(l, m, theta, phi):
-    # sympy's assoc_legendre carries the Condon-Shortley sign (-1)^m
-    am = abs(m)
-    norm = sp.sqrt(sp.Rational(2 * l + 1, 4) / sp.pi
-                   * sp.Rational(math.factorial(l - am), math.factorial(l + am)))
-    y = norm * sp.assoc_legendre(l, am, sp.cos(theta))
-    if m == 0:
-        return y
-    return sp.sqrt(2) * y * (sp.cos(am * phi) if m > 0 else sp.sin(am * phi))
-
-
-def _sympy_chart(spec, u, v):
-    """The catalog chart of `spec` as sympy expressions, parameters at 30 digits."""
-    p = {k: sp.Float(x, ORACLE_DIGITS) for k, x in spec.params.items()
-         if isinstance(x, float)}
-    om = (sp.sin(u) * sp.cos(v), sp.sin(u) * sp.sin(v), sp.cos(u))
-    if spec.kind in ("clifford-torus", "flat-torus", "perturbed-torus"):
-        rho = 1 / sp.sqrt(2) if spec.kind == "clifford-torus" else p["r"]
-        if spec.kind == "perturbed-torus":
-            rho = rho + p["eps"] * sp.cos(spec.params["wave"] * v)
-        s = sp.sqrt(1 - rho**2)
-        return (rho * sp.cos(u), rho * sp.sin(u), s * sp.cos(v), s * sp.sin(v))
-    if spec.kind == "geodesic-sphere":
-        return tuple(sp.sin(p["rho"]) * c for c in om) + (sp.cos(p["rho"]),)
-    t = p["t0"]
-    if spec.kind == "graph-over-slice":
-        l, m = (int(x) for x in spec.params["perturbation"][1:].split(","))
-        t = t + p["amplitude"] * _sympy_harmonic(l, m, u, v)
-    return (t,) + om
-
 
 def _oracle_nodes(grid):
     # about 20 nodes, the first and last rows among them
@@ -182,7 +154,7 @@ def _oracle_nodes(grid):
 
 def _assert_matches_oracle(spec, components=slice(None)):
     u, v = sp.symbols("u v", real=True)
-    derivs = {"0": sp.Matrix(_sympy_chart(spec, u, v)[components])}
+    derivs = {"0": sp.Matrix(sympy_chart(spec, u, v)[components])}
     for key in BUNDLE_KEYS[1:]:
         derivs[key] = derivs[key[:-1] or "0"].diff(u if key[-1] == "u" else v)
     surface = ss.build(spec)
@@ -194,7 +166,7 @@ def _assert_matches_oracle(spec, components=slice(None)):
         fn = sp.lambdify((u, v), [derivs[key] for key in keys], "mpmath")
         exact = np.array([[[float(x) for x in d] for d in fn(uu[n], vv[n])]
                           for n in nodes])
-    for order in range(4):
+    for order in range(3):
         in_order = [i for i, key in enumerate(keys) if len(key.strip("0")) == order]
         scale = np.max(np.abs(exact[:, in_order]))
         for i in in_order:

@@ -16,6 +16,7 @@ import pytest
 
 import stabspec as ss
 import stabspec.config as cfgmod
+import stabspec.conformal as conformal
 import stabspec.harness as harness
 import stabspec.surfaces as surfaces
 from stabspec.cli import main as cli_main
@@ -620,17 +621,19 @@ def test_cli_refuses_a_non_finite_amplitude_before_any_build(tmp_path, build_log
 ], ids=["check-t11", "check-t13", "converge", "balance-bound"])
 def test_only_the_genus_hypothesis_computes_the_gauss_curvature(tmp_path, monkeypatch,
                                                                 argv, calls):
-    # Gauss-Bonnet on the first rung is the one reader of the curvature
+    # Gauss-Bonnet on the first rung is the one reader of the curvature:
+    # count the geometry calls, by either caller, that ask for it
     log = []
-    real = surfaces._brioschi
+    real = surfaces.compute_geometry
 
-    def logged(*args, **kwargs):
-        log.append(args)
-        return real(*args, **kwargs)
+    def logged(surface, want_gauss=True):
+        log.append(want_gauss)
+        return real(surface, want_gauss)
 
-    monkeypatch.setattr(surfaces, "_brioschi", logged)
+    for module in (harness, conformal):
+        monkeypatch.setattr(module, "compute_geometry", logged)
     assert cli_main(argv + ["--out", str(tmp_path / "r")]) == 0
-    assert len(log) == calls
+    assert log and sum(log) == calls
 
 
 def test_every_error_class_has_an_exit_code():

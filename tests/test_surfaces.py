@@ -3,6 +3,9 @@
 Closed-form references (area, curvatures, fundamental forms of the catalog
 shapes) are derived by hand from the charts and frozen here; the discrete
 pipeline has to reproduce them at machine precision for analytic charts.
+The Gauss curvature, which the package takes from the Gauss equation, is
+also checked against Brioschi's intrinsic formula on the sympy chart
+(`oracles`).
 """
 
 from __future__ import annotations
@@ -19,10 +22,11 @@ from stabspec.errors import (
     DegenerateChartError,
     DomainError,
     MeshTooCoarseError,
-    UnsupportedAmbientError,
 )
 from stabspec.grids import sphere_grid, torus_grid
 from stabspec.surfaces import Sphere3
+
+from oracles import gauss_equation_residual, intrinsic_gauss_curvature, sympy_chart
 
 
 def _build(spec, want_gauss=True):
@@ -34,7 +38,8 @@ def _build(spec, want_gauss=True):
 
 
 def test_clifford_torus_geometry_is_exact():
-    s, f = _build(ss.clifford_torus((24, 24)))
+    spec = ss.clifford_torus((24, 24))
+    s, f = _build(spec)
     half = np.full(s.node_count, 0.5)
     np.testing.assert_allclose(f.metric[:, 0, 0], half, atol=1e-15)
     np.testing.assert_allclose(f.metric[:, 1, 1], half, atol=1e-15)
@@ -46,7 +51,7 @@ def test_clifford_torus_geometry_is_exact():
     np.testing.assert_allclose(f.gauss_curv, 0.0, atol=1e-13)
     np.testing.assert_allclose(f.ricci_normal, 2.0, atol=1e-15)
     assert ss.area(s, f) == pytest.approx(2 * math.pi**2, rel=1e-14)
-    assert ss.gauss_equation_residual(s, f) < 1e-13
+    assert gauss_equation_residual(sympy_chart(spec), f, s.grid) < 1e-13
     assert ss.euler_characteristic(s, f) == 0
 
 
@@ -55,7 +60,8 @@ def test_clifford_torus_geometry_is_exact():
 
 @pytest.mark.parametrize("r", [0.45, 0.6, 1 / math.sqrt(2), 0.8])
 def test_flat_torus_curvatures_match_closed_forms(r):
-    s, f = _build(ss.flat_torus(r, (16, 16)))
+    spec = ss.flat_torus(r, (16, 16))
+    s, f = _build(spec)
     rho = math.sqrt(1 - r * r)
     np.testing.assert_allclose(
         f.mean_curv, (1 - 2 * r * r) / (2 * r * rho), atol=1e-13)
@@ -66,7 +72,7 @@ def test_flat_torus_curvatures_match_closed_forms(r):
     q = f.sigma_sq + f.ricci_normal
     np.testing.assert_allclose(q, 1.0 / (r * r * (1 - r * r)), rtol=1e-13)
     assert ss.area(s, f) == pytest.approx(4 * math.pi**2 * r * rho, rel=1e-13)
-    assert ss.gauss_equation_residual(s, f) < 1e-13
+    assert gauss_equation_residual(sympy_chart(spec), f, s.grid) < 1e-13
 
 
 # --------------------------------------------------------- geodesic spheres
@@ -74,14 +80,15 @@ def test_flat_torus_curvatures_match_closed_forms(r):
 
 @pytest.mark.parametrize("rho", [0.7, 1.0, math.pi / 2, 2.2])
 def test_geodesic_sphere_geometry(rho):
-    s, f = _build(ss.geodesic_sphere(rho, (24, 24)))
+    spec = ss.geodesic_sphere(rho, (24, 24))
+    s, f = _build(spec)
     cot = math.cos(rho) / math.sin(rho)
     np.testing.assert_allclose(f.mean_curv, -cot, atol=1e-12)
     np.testing.assert_allclose(f.sigma_sq, 2 * cot * cot, atol=1e-12)
     np.testing.assert_allclose(f.gauss_curv, 1 / math.sin(rho) ** 2,
                                rtol=1e-11)
     np.testing.assert_allclose(f.ricci_normal, 2.0, atol=1e-14)
-    assert ss.gauss_equation_residual(s, f) < 1e-11
+    assert gauss_equation_residual(sympy_chart(spec), f, s.grid) < 1e-11
     assert ss.euler_characteristic(s, f) == 2
     # trapezoid quadrature on the polar grid: area converges to 4 pi sin^2
     exact = 4 * math.pi * math.sin(rho) ** 2
@@ -176,11 +183,34 @@ def test_graph_over_sine_slice_is_the_same_surface_in_the_3_sphere(pert, amp):
 
 
 def test_perturbed_torus_keeps_torus_invariants():
-    s, f = _build(ss.perturbed_torus(1 / math.sqrt(2), 0.1, 3, (32, 32)))
+    spec = ss.perturbed_torus(1 / math.sqrt(2), 0.1, 3, (32, 32))
+    s, f = _build(spec)
     assert ss.euler_characteristic(s, f) == 0
-    assert ss.gauss_equation_residual(s, f) < 1e-12
+    assert gauss_equation_residual(sympy_chart(spec), f, s.grid) < 1e-12
     assert abs(ss.total_curvature(s, f)) < 1e-8
     assert np.min(f.sigma_sq - 2 * f.mean_curv**2) > -1e-12
+
+
+# ------------------------------------------------- intrinsic Gauss curvature
+
+
+@pytest.mark.parametrize("spec", [
+    ss.clifford_torus((12, 12)),
+    ss.flat_torus(0.6, (12, 12)),
+    ss.perturbed_torus(0.7, 0.05, 3, (24, 24)),
+    ss.geodesic_sphere(1.1, (12, 12)),
+    ss.slice_shape("cosh", 0.3, (12, 12)),
+    ss.graph_over_slice("cosh", 0.3, "Y2,1", 0.05, (24, 24)),
+    ss.graph_over_slice("sphere", 1.2, "Y2,-2", 0.08, (24, 24)),
+], ids=lambda s: s.label)
+def test_gauss_curvature_matches_the_intrinsic_oracle(spec):
+    # the Gauss equation against Brioschi's formula on the sympy chart, in
+    # both ambients
+    s, f = _build(spec)
+    warping = spec.params["warping"].name if "warping" in spec.params else None
+    k = intrinsic_gauss_curvature(sympy_chart(spec), s.grid, warping)
+    np.testing.assert_allclose(f.gauss_curv, k, rtol=0,
+                               atol=1e-11 * max(1.0, float(np.max(np.abs(k)))))
 
 
 # ---------------------------------------------------- orientation machinery
@@ -234,12 +264,6 @@ def test_off_sphere_chart_is_rejected():
     s = ss.ImmersedSurface(Sphere3(), chart, torus_grid(8, 8))
     with pytest.raises(DomainError):
         ss.compute_geometry(s)
-
-
-def test_gauss_equation_residual_requires_sphere_ambient():
-    s, f = _build(ss.slice_shape("cosh", 0.0, (8, 8)))
-    with pytest.raises(UnsupportedAmbientError):
-        ss.gauss_equation_residual(s, f)
 
 
 def test_euler_characteristic_guards_against_bad_totals():

@@ -20,22 +20,16 @@ from hypothesis import strategies as st
 import stabspec.warping as W
 from stabspec.errors import DomainError
 
-NAMED = sorted(W.BUILTIN_WARPINGS)
+from oracles import H_EXPRS
 
-_H_EXPRS = {
-    "product": lambda t: sp.Integer(1),
-    "sphere": sp.sin,
-    "hyperbolic": sp.sinh,
-    "euclidean": lambda t: t,
-    "cosh": sp.cosh,
-}
+NAMED = sorted(W.BUILTIN_WARPINGS)
 
 
 @functools.lru_cache(maxsize=None)
 def _oracle_curvature(name: str):
     """Ricci data of dt^2 + h^2 g_{S^2} via generic Christoffel machinery."""
     t, th, ph, c = sp.symbols("t theta phi c", real=True)
-    h = _H_EXPRS[name](t)
+    h = H_EXPRS[name](t)
     x = (t, th, ph)
     g = sp.diag(1, h**2, h**2 * sp.sin(th) ** 2)
     ginv = g.inv()
