@@ -20,7 +20,6 @@ from .errors import (
 )
 from .warping import (
     AmbientCurvature,
-    SliceData,
     WarpingFunction,
     ambient_ricci,
     builtin_warping,
@@ -29,7 +28,6 @@ from .warping import (
     harmonic_multiplicity,
     polynomial_warping,
     ricci_direction,
-    slice_data,
     slice_eigenvalue_band,
     slice_lambda2,
     slice_spectrum,
@@ -41,7 +39,6 @@ from .surfaces import (
     ImmersedSurface,
     Sphere3,
     WarpedProduct,
-    area,
     compute_geometry,
     euler_characteristic,
     total_curvature,
@@ -55,7 +52,6 @@ from .catalog import (
     geodesic_sphere,
     graph_over_slice,
     perturbed_torus,
-    registered_perturbations,
     slice_shape,
 )
 from .assembly import OperatorPencil, assemble, rayleigh
@@ -68,12 +64,8 @@ from .eigen import (
 from .conformal import (
     MobiusParam,
     balanced_bound_report,
-    conformal_willmore_invariant,
-    dirichlet_energy_check,
     hersch_balance,
     mobius_apply,
-    mobius_image_surface,
-    willmore_type_inequality_check,
 )
 from .harness import (
     Report,

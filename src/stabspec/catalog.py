@@ -39,7 +39,6 @@ __all__ = [
     "slice_shape",
     "graph_over_slice",
     "perturbed_torus",
-    "registered_perturbations",
     "build",
     "exact_jacobi_spectrum",
 ]
@@ -148,14 +147,6 @@ def _perturbation_indices(perturbation: str) -> tuple[int, int]:
             f"{MAX_PERTURBATION_DEGREE} and |m| <= l, got ({l}, {m})"
         )
     return l, m
-
-
-def registered_perturbations() -> list[str]:
-    keys = []
-    for l in range(MAX_PERTURBATION_DEGREE + 1):
-        for m in range(-l, l + 1):
-            keys.append(f"Y{l},{m}")
-    return keys
 
 
 def _unit_sphere(theta, phi):

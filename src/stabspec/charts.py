@@ -13,14 +13,12 @@ ch. 13).  A jet is an array whose first axis holds the coefficients of the
 monomials u^i v^j, i + j <= 2, in the order of BUNDLE_KEYS; further axes
 are nodes (and components).  Sums and scalar multiples of jets are plain
 array arithmetic, except that a constant only shifts the coefficient of 1
-(`_plus`).  Products and reciprocals are truncated series, and sin, cos,
-sqrt and polynomials enter through the univariate composition
+(`_plus`).  Products are truncated series, and sin, cos, sqrt and
+polynomials enter through the univariate composition
 f(x0 + d) = sum_k f^(k)(x0)/k! d^k, d the jet's non-constant part.
 A JetChart's function maps the coordinate jets of (u, v) to four component
 jets, so derivatives are exact up to rounding with no symbolic step.
-JetChart is the only chart class: the chart of a conformal image composes
-its base chart's function with the dilation in the same jet arithmetic
-(see `conformal`).
+JetChart is the only chart class.
 """
 
 from __future__ import annotations
@@ -61,16 +59,6 @@ def _jet_mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
         for k, l in pairs:
             out[m] += x[k] * y[l]
     return out
-
-
-def _jet_reciprocal(x: np.ndarray) -> np.ndarray:
-    """Truncated jet of 1/x, solved degree by degree from x * (1/x) = 1."""
-    r = np.empty_like(x)
-    r[0] = 1.0 / x[0]
-    for m in range(1, len(_MONOMIALS)):
-        # every l here has lower degree than m, so r[l] is already known
-        r[m] = -r[0] * sum(x[k] * r[l] for k, l in _PRODUCT[m] if k != 0)
-    return r
 
 
 def _plus(x: np.ndarray, c) -> np.ndarray:

@@ -18,14 +18,8 @@ resulting map, the four ambient coordinates of the transformed immersion
 are (numerically) orthogonal to the chosen weight function, so their
 aggregate Rayleigh quotient upper-bounds the second eigenvalue of the
 original pencil — the certified bound returned here.  The bound needs
-the transformed node positions only.
-
-An image surface carries a `charts.JetChart` whose function composes the
-base chart's coordinate jets with phi, in the truncated bivariate Taylor
-jets every catalog chart is built with: phi is affine in x up to one
-reciprocal, so a jet product and a jet reciprocal are all it takes.  All
-image geometry then flows through the one geometry pipeline, and an image
-surface can itself be dilated again.
+the transformed node positions only, so phi is written here on points
+alone.
 """
 
 from __future__ import annotations
@@ -35,26 +29,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assembly import OperatorPencil, rayleigh
-from .charts import JetChart, _jet_mul, _jet_reciprocal
 from .eigen import Spectrum
 from .errors import DomainError, NonConvergenceError, UnsupportedAmbientError
-from .surfaces import (
-    GeometryFields,
-    ImmersedSurface,
-    area,
-    compute_geometry,
-)
+from .surfaces import GeometryFields, ImmersedSurface
 
 __all__ = [
     "MobiusParam",
     "mobius_apply",
-    "mobius_image_surface",
     "hersch_balance",
     "balanced_bound_report",
     "BalancedBoundReport",
-    "conformal_willmore_invariant",
-    "dirichlet_energy_check",
-    "willmore_type_inequality_check",
 ]
 
 BOUNDARY_MARGIN = 1e-9
@@ -111,31 +95,6 @@ def mobius_apply(param: MobiusParam, x) -> np.ndarray:
     out = num / ((1.0 + s * s) + (1.0 - s * s) * c)[:, None]
     out /= np.linalg.norm(out, axis=1)[:, None]
     return out
-
-
-def _dilate_jets(param: MobiusParam, jets: np.ndarray) -> np.ndarray:
-    """phi applied to position jets of shape (coefficients, ..., 4)."""
-    p, s = param.axis_and_scale()
-    c = jets @ p
-    num = 2.0 * s * jets + ((1.0 - s) ** 2 * c)[..., None] * p
-    num[0] += (1.0 - s * s) * p
-    den = (1.0 - s * s) * c
-    den[0] += 1.0 + s * s
-    return _jet_mul(num, _jet_reciprocal(den)[..., None])
-
-
-def mobius_image_surface(s: ImmersedSurface, param: MobiusParam) -> ImmersedSurface:
-    """The surface re-charted through the conformal dilation."""
-    if not s.is_sphere3:
-        raise UnsupportedAmbientError("conformal dilations act on the 3-sphere")
-    if param.magnitude < 1e-15:
-        return s
-
-    def image(u, v):
-        jets = np.stack(np.broadcast_arrays(*s.chart.fn(u, v)), axis=-1)
-        return np.moveaxis(_dilate_jets(param, jets), -1, 0)
-
-    return ImmersedSurface(s.ambient, JetChart(image), s.grid)
 
 
 def _capped(a: np.ndarray) -> np.ndarray:
@@ -239,45 +198,3 @@ def balanced_bound_report(
     residual = float(np.linalg.norm(weights @ psi) / np.sum(weights))
     return BalancedBoundReport(
         bound=rayleigh(pencil, psi), param=m, balance_residual=residual)
-
-
-def conformal_willmore_invariant(s: ImmersedSurface, param: MobiusParam) -> float:
-    """Integral of |sigma|^2 - 2 H^2 over the transformed surface.
-
-    Invariant under the conformal group of the 3-sphere up to
-    discretization error.
-    """
-    image = mobius_image_surface(s, param)
-    g = compute_geometry(image, want_gauss=False)
-    return float(np.sum((g.sigma_sq - 2.0 * g.mean_curv**2) * g.area_element))
-
-
-def dirichlet_energy_check(s: ImmersedSurface, param: MobiusParam) -> tuple[float, float]:
-    """(coordinate Dirichlet energy, twice the image area) — independently.
-
-    The energy integrates the original metric's gradient of the
-    transformed coordinates over the original measure; the comparison
-    value is twice the area of the image surface.  For a conformal map
-    of a two-dimensional immersion the two agree.
-    """
-    image = mobius_image_surface(s, param)
-    base = compute_geometry(s, want_gauss=False)
-    b = image.bundle()
-    psi_u, psi_v = b["u"], b["v"]
-    ginv = base.metric_inv
-    integrand = (
-        ginv[:, 0, 0] * np.einsum("ij,ij->i", psi_u, psi_u)
-        + 2.0 * ginv[:, 0, 1] * np.einsum("ij,ij->i", psi_u, psi_v)
-        + ginv[:, 1, 1] * np.einsum("ij,ij->i", psi_v, psi_v)
-    )
-    energy = float(np.sum(integrand * base.area_element))
-    image_fields = compute_geometry(image, want_gauss=False)
-    return energy, 2.0 * area(image, image_fields)
-
-
-def willmore_type_inequality_check(s: ImmersedSurface, param: MobiusParam) -> tuple[float, float]:
-    """(integral of H^2 + 1 over the image, image area); first >= second."""
-    image = mobius_image_surface(s, param)
-    g = compute_geometry(image, want_gauss=False)
-    lhs = float(np.sum((g.mean_curv**2 + 1.0) * g.area_element))
-    return lhs, float(np.sum(g.area_element))

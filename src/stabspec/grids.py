@@ -52,14 +52,6 @@ class Grid:
         """Parameter-space quadrature weight per node."""
         return self.du * self.dv
 
-    def mesh(self):
-        """Flattened coordinate arrays (uu, vv), each of length node_count."""
-        uu, vv = np.meshgrid(self.u, self.v, indexing="ij")
-        return uu.ravel(), vv.ravel()
-
-    def flat(self, i, j):
-        return np.asarray(i) * self.nv + np.asarray(j)
-
     def d1_sparse(self, axis: int) -> sp.csr_matrix:
         """Sparse second-order first-derivative operator on flattened fields."""
         n, h, periodic = ((self.nu, self.du, self.periodic_u) if axis == 0

@@ -55,7 +55,6 @@ __all__ = [
     "ImmersedSurface",
     "GeometryFields",
     "compute_geometry",
-    "area",
     "total_curvature",
     "euler_characteristic",
 ]
@@ -76,15 +75,15 @@ class AmbientTerms:
     christoffel:  (X_a, X_b) -> Gamma(X_a, X_b), all (4, N), or None where
                   it vanishes
     ricci:        unit normal (4, N) -> Ric(nu, nu), (N,)
-    scalar:       () -> ambient scalar curvature R, scalar or (N,); only
-                  the Gauss curvature reads it
+    scalar:       ambient scalar curvature R, scalar or (N,); only the
+                  Gauss curvature reads it
     """
 
     sphere_weight: np.ndarray | float
     radial: np.ndarray
     christoffel: Callable | None
     ricci: Callable
-    scalar: Callable
+    scalar: np.ndarray | float
 
 
 def _require_unit(x: np.ndarray, message: str) -> None:
@@ -104,8 +103,7 @@ class Sphere3:
     def terms(self, x: dict[str, np.ndarray]) -> AmbientTerms:
         """Terms at the chart rows x[key] = bundle[key].T, each (4, N)."""
         _require_unit(x["0"], "chart values must lie on the unit 3-sphere")
-        return AmbientTerms(1.0, x["0"], None, lambda nu: np.full(nu.shape[1], 2.0),
-                            lambda: 6.0)
+        return AmbientTerms(1.0, x["0"], None, lambda nu: np.full(nu.shape[1], 2.0), 6.0)
 
 
 @dataclass(frozen=True)
@@ -115,12 +113,15 @@ class WarpedProduct:
     warping: wp.WarpingFunction
 
     def terms(self, x: dict[str, np.ndarray]) -> AmbientTerms:
-        """Terms at the chart rows x[key] = bundle[key].T, each (4, N)."""
-        w = self.warping
+        """Terms at the chart rows x[key] = bundle[key].T, each (4, N).
+
+        The profile is evaluated once, and (h, h', h'') feed the
+        Christoffel term, Ric(nu, nu) and R alike.
+        """
         t = x["0"][0]
         _require_unit(x["0"][1:], "sphere part of a warped chart must have unit norm")
-        w.require_inside(t)
-        h, dh = (np.asarray(fn(t), dtype=float) for fn in (w.h, w.dh))
+        h, dh, d2h = wp._hs(self.warping, t)
+        curv = wp._curvature(h, dh, d2h)
         minus_hdh, dlog = -h * dh, dh / h
 
         def christoffel(xa, xb):
@@ -131,10 +132,10 @@ class WarpedProduct:
             return out
 
         def ricci(nu):
-            return np.asarray(wp.ricci_direction(w, t, nu[0]))
+            return np.asarray(wp.ricci_direction(curv, nu[0]))
 
         return AmbientTerms(h * h, np.vstack([np.zeros_like(t), x["0"][1:]]),
-                            christoffel, ricci, lambda: wp.ambient_ricci(w, t).scalar)
+                            christoffel, ricci, curv.scalar)
 
 
 class ImmersedSurface:
@@ -268,7 +269,7 @@ def compute_geometry(s: ImmersedSurface, want_gauss: bool = True) -> GeometryFie
 
     gauss = None
     if want_gauss:  # Gauss equation: K = R/2 - Ric(nu, nu) + k1 k2
-        gauss = 0.5 * amb.scalar() - ricci + (2.0 * mean * mean - 0.5 * sigma_sq)
+        gauss = 0.5 * amb.scalar - ricci + (2.0 * mean * mean - 0.5 * sigma_sq)
 
     return GeometryFields(
         metric=_sym2x2(E, F, G),
@@ -281,10 +282,6 @@ def compute_geometry(s: ImmersedSurface, want_gauss: bool = True) -> GeometryFie
         gauss_curv=gauss,
         ricci_normal=ricci,
     )
-
-
-def area(s: ImmersedSurface, f: GeometryFields) -> float:
-    return float(np.sum(f.area_element))
 
 
 def total_curvature(s: ImmersedSurface, f: GeometryFields) -> float:

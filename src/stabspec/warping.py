@@ -32,14 +32,12 @@ __all__ = [
     "SPHERE_DIM",
     "WarpingFunction",
     "AmbientCurvature",
-    "SliceData",
     "builtin_warping",
     "polynomial_warping",
     "BUILTIN_WARPINGS",
     "convexity_condition",
     "ambient_ricci",
     "ricci_direction",
-    "slice_data",
     "slice_lambda2",
     "slice_eigenvalue_band",
     "slice_spectrum",
@@ -95,19 +93,6 @@ class AmbientCurvature:
     scalar: float
 
 
-@dataclass(frozen=True)
-class SliceData:
-    """Extrinsic data of the centered slice {t} x S^n, normal +d/dt.
-
-    All principal curvatures equal h'/h, so mean_curv is h'/h and
-    sigma_sq = n (h'/h)^2.  ricci_normal is Ric(d/dt, d/dt) = -n h''/h.
-    """
-
-    sigma_sq: float
-    mean_curv: float
-    ricci_normal: float
-
-
 def _hs(w: WarpingFunction, t):
     """Evaluate (h, h', h'') with domain and positivity checks."""
     w.require_inside(t)
@@ -142,7 +127,11 @@ def ambient_ricci(w: WarpingFunction, t) -> AmbientCurvature:
 
     Accepts scalar or array t (fields are then arrays of the same shape).
     """
-    h, dh, d2h = _hs(w, t)
+    return _curvature(*_hs(w, t))
+
+
+def _curvature(h, dh, d2h) -> AmbientCurvature:
+    """`ambient_ricci` from the profile values (h, h', h'') at t."""
     n = SPHERE_DIM
     a = d2h / h
     b = (1.0 - dh**2) / h**2
@@ -153,31 +142,19 @@ def ambient_ricci(w: WarpingFunction, t) -> AmbientCurvature:
     )
 
 
-def ricci_direction(w: WarpingFunction, t, cos_angle):
-    """Ric(v, v) for a unit direction v with <v, d/dt> = cos_angle.
+def ricci_direction(amb: AmbientCurvature, cos_angle):
+    """Ric(v, v) for a unit direction v with <v, d/dt> = cos_angle, from
+    the ambient's Ricci data `amb` at the point (see `ambient_ricci`).
 
     Interpolates the two distinguished values quadratically:
     c^2 Ric(dt,dt) + (1 - c^2) Ric(tangential).  Accepts arrays in both
-    t and cos_angle (broadcast together).
+    the fields of `amb` and cos_angle (broadcast together).
     """
     c = np.asarray(cos_angle, dtype=float)
     if np.any(np.abs(c) > 1.0 + 1e-12):
         raise DomainError("cos_angle must lie in [-1, 1]")
     c = np.clip(c, -1.0, 1.0)
-    amb = ambient_ricci(w, t)
     return _scalarize(c**2 * amb.ricci_tt + (1.0 - c**2) * amb.ricci_tangential)
-
-
-def slice_data(w: WarpingFunction, t: float) -> SliceData:
-    """Extrinsic invariants of the slice {t} x S^n with normal +d/dt."""
-    h, dh, d2h = _hs(w, t)
-    n = SPHERE_DIM
-    k = dh / h
-    return SliceData(
-        sigma_sq=float(n * k**2),
-        mean_curv=float(k),
-        ricci_normal=float(-n * d2h / h),
-    )
 
 
 def slice_lambda2(w: WarpingFunction, t):

@@ -1,4 +1,4 @@
-"""Independent oracles shared by the tests.
+"""Independent oracles and test-only helpers shared by the tests.
 
 `sympy_chart` writes each catalog chart out again in sympy.  The chart
 tests differentiate it at 30 digits; `intrinsic_gauss_curvature` takes the
@@ -6,15 +6,31 @@ induced metric's derivatives from it for Brioschi's formula, so the Gauss
 curvature the package takes from the Gauss equation is checked against a
 purely intrinsic computation.  sympy's `assoc_legendre` also fixes the
 Condon-Shortley sign of the spherical harmonics.
+
+The helpers at the end serve only the tests, so the package does not
+carry them: grid coordinates and indices, the total area, the list of
+accepted perturbations, the closed-form slice data, and the conformal
+image of a surface.  The image's chart composes the base chart's Taylor
+jets with the dilation written on jets (`_dilate_jets`), independently of
+`conformal.mobius_apply`, which writes it on points; the quantities the
+dilations leave invariant (the Willmore integral, Dirichlet energy equal
+to twice the image area) are computed from it.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import sympy as sp
+
+from stabspec.catalog import MAX_PERTURBATION_DEGREE
+from stabspec.charts import _MONOMIALS, _PRODUCT, JetChart, _jet_mul
+from stabspec.errors import UnsupportedAmbientError
+from stabspec.surfaces import ImmersedSurface, compute_geometry
+from stabspec.warping import SPHERE_DIM
 
 ORACLE_DIGITS = 30
 U, V = sp.symbols("u v", real=True)
@@ -98,7 +114,7 @@ def intrinsic_gauss_curvature(chart, grid, warping=None) -> np.ndarray:
         x[key] = [sp.diff(c, by) for c in x[key[:-1]]]
         if len(key) < 3:
             weight[key] = sp.diff(weight[key[:-1]], by)
-    u, v = grid.mesh()
+    u, v = mesh(grid)
 
     def nodal(exprs):  # (N, len(exprs)) values, constants broadcast
         values = sp.lambdify((U, V), exprs, "numpy")(u, v)
@@ -134,3 +150,130 @@ def gauss_equation_residual(chart, f, grid) -> float:
     extrinsic fields f: zero in exact arithmetic."""
     k = intrinsic_gauss_curvature(chart, grid)
     return float(np.max(np.abs(2.0 * k - 2.0 - 4.0 * f.mean_curv**2 + f.sigma_sq)))
+
+
+# ----------------------------------------------------------------------
+# Test-only helpers over the package's objects.  No CLI path needs them,
+# so they live here and not in `src/`.
+
+
+def mesh(grid):
+    """Flattened coordinate arrays (uu, vv) of the grid, each of length
+    node_count, in the grid's row-major node order."""
+    uu, vv = np.meshgrid(grid.u, grid.v, indexing="ij")
+    return uu.ravel(), vv.ravel()
+
+
+def flat(grid, i, j):
+    """Flat index of node (i, j)."""
+    return np.asarray(i) * grid.nv + np.asarray(j)
+
+
+def area(f) -> float:
+    """Total area: the sum of the nodal area elements."""
+    return float(np.sum(f.area_element))
+
+
+def registered_perturbations() -> list[str]:
+    """Every `Yl,m` the catalog accepts: 0 <= l <= 4 and |m| <= l."""
+    return [f"Y{l},{m}" for l in range(MAX_PERTURBATION_DEGREE + 1)
+            for m in range(-l, l + 1)]
+
+
+@dataclass(frozen=True)
+class SliceData:
+    """Extrinsic data of the centered slice {t} x S^n, normal +d/dt.
+
+    All principal curvatures equal h'/h, so mean_curv is h'/h and
+    sigma_sq = n (h'/h)^2.  ricci_normal is Ric(d/dt, d/dt) = -n h''/h.
+    """
+
+    sigma_sq: float
+    mean_curv: float
+    ricci_normal: float
+
+
+def slice_data(w, t: float) -> SliceData:
+    """Extrinsic invariants of the slice {t} x S^n with normal +d/dt."""
+    h, dh, d2h = (float(fn(t)) for fn in (w.h, w.dh, w.d2h))
+    n = SPHERE_DIM
+    k = dh / h
+    return SliceData(sigma_sq=n * k**2, mean_curv=k, ricci_normal=-n * d2h / h)
+
+
+def jet_reciprocal(x: np.ndarray) -> np.ndarray:
+    """Truncated jet of 1/x, solved degree by degree from x * (1/x) = 1."""
+    r = np.empty_like(x)
+    r[0] = 1.0 / x[0]
+    for m in range(1, len(_MONOMIALS)):
+        # every l here has lower degree than m, so r[l] is already known
+        r[m] = -r[0] * sum(x[k] * r[l] for k, l in _PRODUCT[m] if k != 0)
+    return r
+
+
+def _dilate_jets(param, jets: np.ndarray) -> np.ndarray:
+    """The dilation phi of `conformal` applied to position jets of shape
+    (coefficients, ..., 4): affine in x up to one reciprocal."""
+    p, s = param.axis_and_scale()
+    c = jets @ p
+    num = 2.0 * s * jets + ((1.0 - s) ** 2 * c)[..., None] * p
+    num[0] += (1.0 - s * s) * p
+    den = (1.0 - s * s) * c
+    den[0] += 1.0 + s * s
+    return _jet_mul(num, jet_reciprocal(den)[..., None])
+
+
+def mobius_image_surface(s: ImmersedSurface, param) -> ImmersedSurface:
+    """The surface re-charted through the conformal dilation: its chart
+    composes the base chart's coordinate jets with phi, so the image's
+    geometry comes from the package's one geometry pipeline."""
+    if not s.is_sphere3:
+        raise UnsupportedAmbientError("conformal dilations act on the 3-sphere")
+    if param.magnitude < 1e-15:
+        return s
+
+    def image(u, v):
+        jets = np.stack(np.broadcast_arrays(*s.chart.fn(u, v)), axis=-1)
+        return np.moveaxis(_dilate_jets(param, jets), -1, 0)
+
+    return ImmersedSurface(s.ambient, JetChart(image), s.grid)
+
+
+def conformal_willmore_invariant(s: ImmersedSurface, param) -> float:
+    """Integral of |sigma|^2 - 2 H^2 over the transformed surface.
+
+    Invariant under the conformal group of the 3-sphere up to
+    discretization error.
+    """
+    g = compute_geometry(mobius_image_surface(s, param), want_gauss=False)
+    return float(np.sum((g.sigma_sq - 2.0 * g.mean_curv**2) * g.area_element))
+
+
+def dirichlet_energy_check(s: ImmersedSurface, param) -> tuple[float, float]:
+    """(coordinate Dirichlet energy, twice the image area) — independently.
+
+    The energy integrates the original metric's gradient of the
+    transformed coordinates over the original measure; the comparison
+    value is twice the area of the image surface.  For a conformal map
+    of a two-dimensional immersion the two agree.
+    """
+    image = mobius_image_surface(s, param)
+    base = compute_geometry(s, want_gauss=False)
+    b = image.bundle()
+    psi_u, psi_v = b["u"], b["v"]
+    ginv = base.metric_inv
+    integrand = (
+        ginv[:, 0, 0] * np.einsum("ij,ij->i", psi_u, psi_u)
+        + 2.0 * ginv[:, 0, 1] * np.einsum("ij,ij->i", psi_u, psi_v)
+        + ginv[:, 1, 1] * np.einsum("ij,ij->i", psi_v, psi_v)
+    )
+    energy = float(np.sum(integrand * base.area_element))
+    image_fields = compute_geometry(image, want_gauss=False)
+    return energy, 2.0 * area(image_fields)
+
+
+def willmore_type_inequality_check(s: ImmersedSurface, param) -> tuple[float, float]:
+    """(integral of H^2 + 1 over the image, image area); first >= second."""
+    g = compute_geometry(mobius_image_surface(s, param), want_gauss=False)
+    lhs = float(np.sum((g.mean_curv**2 + 1.0) * g.area_element))
+    return lhs, float(np.sum(g.area_element))

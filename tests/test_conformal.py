@@ -7,10 +7,14 @@ Oracles used here:
 - construct-and-invert for the balancing solver: displace a balanced mass
   distribution by a known dilation and demand recovery of its inverse;
 - the closed-form balancing dilation of an off-center geodesic sphere;
-- for the jet-composed image charts: the inverse dilation returns the base
-  bundle, order 0 reproduces `mobius_apply`, the jet algebra matches
-  the Taylor series of 1/(1 + w), and the image's curvatures satisfy the
-  Gauss equation against Brioschi's formula on the dilated sympy chart.
+- the conformal image of a surface, from `oracles`: its chart composes the
+  base chart's jets with the dilation written on jets, independently of
+  `mobius_apply`.  The inverse dilation returns the base bundle, order 0
+  reproduces `mobius_apply`, the jet reciprocal matches the Taylor series
+  of 1/(1 + w), the image's curvatures satisfy the Gauss equation against
+  Brioschi's formula on the dilated sympy chart, and the image keeps the
+  conformal invariants (Willmore integral, Dirichlet energy equal to
+  twice the image area).
 """
 
 from __future__ import annotations
@@ -29,7 +33,16 @@ from stabspec.errors import (
     UnsupportedAmbientError,
 )
 
-from oracles import gauss_equation_residual, sympy_chart
+from oracles import (
+    area,
+    conformal_willmore_invariant,
+    dirichlet_energy_check,
+    gauss_equation_residual,
+    jet_reciprocal,
+    mobius_image_surface,
+    sympy_chart,
+    willmore_type_inequality_check,
+)
 
 
 def _param(*vals):
@@ -120,7 +133,7 @@ def test_parameter_validation():
 def test_image_surface_requires_sphere_ambient():
     s = ss.build(ss.slice_shape("cosh", 0.0, (8, 8)))
     with pytest.raises(UnsupportedAmbientError):
-        ss.mobius_image_surface(s, _param(0.2, 0, 0, 0))
+        mobius_image_surface(s, _param(0.2, 0, 0, 0))
 
 
 def _sympy_dilation(param, x):
@@ -135,12 +148,12 @@ def _sympy_dilation(param, x):
 def test_image_surface_geometry_is_still_spherical():
     spec, a = ss.clifford_torus((16, 16)), _param(0.3, 0.0, 0.1, 0.0)
     s = ss.build(spec)
-    si = ss.mobius_image_surface(s, a)
+    si = mobius_image_surface(s, a)
     fi = ss.compute_geometry(si)
     chart = _sympy_dilation(a, sympy_chart(spec))
     assert gauss_equation_residual(chart, fi, si.grid) < 1e-10
     assert ss.euler_characteristic(si, fi) == 0
-    assert ss.area(si, fi) < 2 * math.pi**2  # dilations shrink the total area
+    assert area(fi) < 2 * math.pi**2  # dilations shrink the total area
 
 
 def test_jet_reciprocal_matches_the_geometric_series():
@@ -156,7 +169,7 @@ def test_jet_reciprocal_matches_the_geometric_series():
     for sign in (-1.0, 1.0):
         term = charts._jet_mul(term, w)
         series += sign * term
-    np.testing.assert_allclose(charts._jet_reciprocal(x), series, atol=1e-15)
+    np.testing.assert_allclose(jet_reciprocal(x), series, atol=1e-15)
     # and the coefficients of w^2: u^2 + 4uv + 4v^2
     np.testing.assert_array_equal(charts._jet_mul(w, w)[3:6], [1.0, 4.0, 4.0])
 
@@ -169,12 +182,12 @@ def test_jet_reciprocal_matches_the_geometric_series():
 def test_jet_image_round_trip_and_order_zero(spec):
     s = ss.build(spec)
     a = _param(0.3, -0.1, 0.2, 0.25)
-    image = ss.mobius_image_surface(s, a)
+    image = mobius_image_surface(s, a)
     np.testing.assert_allclose(image.bundle()["0"],
                                ss.mobius_apply(a, s.bundle()["0"]),
                                rtol=0, atol=1e-14)
     # an image of an image: the inverse dilation returns the base bundle
-    back = ss.mobius_image_surface(image, ss.MobiusParam(-a.a)).bundle()
+    back = mobius_image_surface(image, ss.MobiusParam(-a.a)).bundle()
     base = s.bundle()
     for key in BUNDLE_KEYS:
         # relative to the largest derivative of the same order
@@ -199,7 +212,7 @@ def test_balance_recovers_a_known_displacement(solve):
     # and ask the solver to undo it: it must return the inverse parameter
     sol = solve(ss.clifford_torus((20, 20)), k=2)
     a0 = _param(0.3, 0.1, -0.2, 0.0)
-    moved = ss.mobius_image_surface(sol.surface, a0)
+    moved = mobius_image_surface(sol.surface, a0)
     recovered = ss.hersch_balance(moved, sol.fields,
                                   np.ones(sol.surface.node_count))
     np.testing.assert_allclose(recovered.a, -a0.a, atol=1e-8)
@@ -255,7 +268,7 @@ def test_willmore_integral_is_conformally_invariant(solve):
     base = float(np.sum((sol.fields.sigma_sq - 2 * sol.fields.mean_curv**2)
                         * sol.fields.area_element))
     assert base == pytest.approx(4 * math.pi**2, rel=1e-12)
-    vals = [ss.conformal_willmore_invariant(sol.surface, _param(*a))
+    vals = [conformal_willmore_invariant(sol.surface, _param(*a))
             for a in [(0, 0, 0, 0), (0.2, 0, 0, 0), (0.0, 0.4, 0, 0),
                       (0.25, -0.2, 0.1, 0.0)]]
     np.testing.assert_allclose(vals, base, rtol=1e-12)
@@ -270,7 +283,7 @@ def test_willmore_invariance_on_a_non_minimal_torus(solve):
                                                    / (4 * r * r * rho2))
     assert base == pytest.approx(pointwise * 4 * math.pi**2 * r
                                  * math.sqrt(rho2), rel=1e-12)
-    moved = ss.conformal_willmore_invariant(sol.surface,
+    moved = conformal_willmore_invariant(sol.surface,
                                             _param(0.3, 0.0, -0.2, 0.1))
     assert moved == pytest.approx(base, rel=1e-12)
 
@@ -278,22 +291,22 @@ def test_willmore_invariance_on_a_non_minimal_torus(solve):
 def test_dirichlet_energy_equals_twice_image_area(solve):
     sol = solve(ss.clifford_torus((20, 20)), k=2)
     for a in [(0, 0, 0, 0), (0.2, 0, 0, 0), (0.3, -0.1, 0.0, 0.2)]:
-        energy, twice_area = ss.dirichlet_energy_check(sol.surface,
+        energy, twice_area = dirichlet_energy_check(sol.surface,
                                                        _param(*a))
         assert energy == pytest.approx(twice_area, rel=1e-12)
     base_area = float(np.sum(sol.fields.area_element))
-    _, twice_moved = ss.dirichlet_energy_check(sol.surface,
+    _, twice_moved = dirichlet_energy_check(sol.surface,
                                                _param(0.3, 0, 0, 0))
     assert twice_moved < 2 * base_area
 
 
 def test_willmore_type_inequality_with_equality_at_identity(solve):
     sol = solve(ss.clifford_torus((20, 20)), k=2)
-    lhs0, rhs0 = ss.willmore_type_inequality_check(sol.surface,
+    lhs0, rhs0 = willmore_type_inequality_check(sol.surface,
                                                    _param(0, 0, 0, 0))
     assert lhs0 == pytest.approx(rhs0, rel=1e-12)
     for a in [(0.2, 0, 0, 0), (0.0, -0.35, 0.1, 0.0)]:
-        lhs, rhs = ss.willmore_type_inequality_check(sol.surface, _param(*a))
+        lhs, rhs = willmore_type_inequality_check(sol.surface, _param(*a))
         assert lhs >= rhs - 1e-12 * abs(lhs)
         # invariant in the continuum; discretely only up to quadrature error
         assert lhs == pytest.approx(lhs0, rel=1e-6)

@@ -26,7 +26,7 @@ from stabspec.charts import (
 from stabspec.errors import DomainError
 from stabspec.grids import sphere_grid, torus_grid
 
-from oracles import ORACLE_DIGITS, sympy_chart
+from oracles import ORACLE_DIGITS, flat, mesh, registered_perturbations, sympy_chart
 
 
 def test_torus_grid_layout():
@@ -35,11 +35,11 @@ def test_torus_grid_layout():
     assert g.node_count == 96
     assert g.du == pytest.approx(2 * math.pi / 8)
     assert g.dv == pytest.approx(2 * math.pi / 12)
-    assert g.flat(2, 3) == 2 * 12 + 3
-    u, v = g.mesh()
+    assert flat(g, 2, 3) == 2 * 12 + 3
+    u, v = mesh(g)
     assert u.shape == (96,)
-    assert u[g.flat(5, 7)] == pytest.approx(g.u[5])
-    assert v[g.flat(5, 7)] == pytest.approx(g.v[7])
+    assert u[flat(g, 5, 7)] == pytest.approx(g.u[5])
+    assert v[flat(g, 5, 7)] == pytest.approx(g.v[7])
     with pytest.raises(DomainError):
         torus_grid(4, 8)
 
@@ -64,7 +64,7 @@ def test_d1_sparse_matches_diff_field():
     # periodic grid of spacing h the centered second-order stencil takes
     # cos(k x + c) to -k sin(k x + c) * sin(k h) / (k h), exactly
     g = torus_grid(16, 16)
-    u, v = g.mesh()
+    u, v = mesh(g)
     field = np.cos(u + 2 * v)
     for axis, k, h in ((0, 1, g.du), (1, 2, g.dv)):
         got = g.d1_sparse(axis) @ field
@@ -73,7 +73,7 @@ def test_d1_sparse_matches_diff_field():
     # along theta of a sphere grid the one-sided end rows, like the central
     # ones, differentiate a quadratic exactly
     g = sphere_grid(12, 8)
-    theta, _ = g.mesh()
+    theta, _ = mesh(g)
     np.testing.assert_allclose(g.d1_sparse(0) @ theta**2, 2 * theta, atol=1e-12)
 
 
@@ -109,7 +109,7 @@ def test_symbolic_chart_derivatives_are_exact():
                                    c * _jet_cos(v), c * _jet_sin(v)))
     g = torus_grid(8, 8)
     b = chart.evaluate(g)
-    u, _ = g.mesh()
+    u, _ = mesh(g)
     np.testing.assert_allclose(b["u"][:, 0], -np.sin(u) / math.sqrt(2),
                                atol=1e-15)
     np.testing.assert_allclose(b["uu"][:, 0], -np.cos(u) / math.sqrt(2),
@@ -129,7 +129,7 @@ def _harmonic_values(l, m, th, ph):
 
 def test_real_spherical_harmonics_are_orthonormal():
     g = sphere_grid(48, 48)
-    th, ph = g.mesh()
+    th, ph = mesh(g)
     weight = np.sin(th) * g.cell_weight
     basis = [(l, m) for l in range(3) for m in range(-l, l + 1)]
     fields = {(l, m): _harmonic_values(l, m, th, ph) for (l, m) in basis}
@@ -149,7 +149,7 @@ def _oracle_nodes(grid):
     # about 20 nodes, the first and last rows among them
     rows = [0, 1, grid.nu // 2, grid.nu - 2, grid.nu - 1]
     cols = [0, 3, 7, 12]
-    return [int(grid.flat(i, j)) for i in rows for j in cols]
+    return [int(flat(grid, i, j)) for i in rows for j in cols]
 
 
 def _assert_matches_oracle(spec, components=slice(None)):
@@ -160,7 +160,7 @@ def _assert_matches_oracle(spec, components=slice(None)):
     surface = ss.build(spec)
     bundle, grid = surface.bundle(), surface.grid
     nodes = _oracle_nodes(grid)
-    uu, vv = grid.mesh()
+    uu, vv = mesh(grid)
     keys = BUNDLE_KEYS
     with mpmath.workdps(ORACLE_DIGITS):
         fn = sp.lambdify((u, v), [derivs[key] for key in keys], "mpmath")
@@ -187,7 +187,7 @@ def test_catalog_bundles_match_a_30_digit_oracle(spec):
     _assert_matches_oracle(spec)
 
 
-@pytest.mark.parametrize("key", ss.registered_perturbations())
+@pytest.mark.parametrize("key", registered_perturbations())
 def test_harmonic_graph_bundles_match_a_30_digit_oracle(key):
     # amplitude 1 over the product ambient, so the t component's bundle
     # entries are the harmonic's own derivatives

@@ -16,7 +16,6 @@ import pytest
 
 import stabspec as ss
 import stabspec.config as cfgmod
-import stabspec.conformal as conformal
 import stabspec.harness as harness
 import stabspec.surfaces as surfaces
 from stabspec.cli import main as cli_main
@@ -622,7 +621,7 @@ def test_cli_refuses_a_non_finite_amplitude_before_any_build(tmp_path, build_log
 def test_only_the_genus_hypothesis_computes_the_gauss_curvature(tmp_path, monkeypatch,
                                                                 argv, calls):
     # Gauss-Bonnet on the first rung is the one reader of the curvature:
-    # count the geometry calls, by either caller, that ask for it
+    # count the geometry calls that ask for it
     log = []
     real = surfaces.compute_geometry
 
@@ -630,8 +629,7 @@ def test_only_the_genus_hypothesis_computes_the_gauss_curvature(tmp_path, monkey
         log.append(want_gauss)
         return real(surface, want_gauss)
 
-    for module in (harness, conformal):
-        monkeypatch.setattr(module, "compute_geometry", logged)
+    monkeypatch.setattr(harness, "compute_geometry", logged)
     assert cli_main(argv + ["--out", str(tmp_path / "r")]) == 0
     assert log and sum(log) == calls
 

