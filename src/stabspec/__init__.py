@@ -21,7 +21,6 @@ from .errors import (
 from .warping import (
     AmbientCurvature,
     WarpingFunction,
-    ambient_ricci,
     builtin_warping,
     condition_strictness,
     convexity_condition,

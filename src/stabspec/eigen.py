@@ -1,6 +1,10 @@
 """Smallest eigenpairs of the symmetric pencil (A, M).
 
-`smallest_eigenpairs` has three paths and picks one from the pencil's data:
+`smallest_eigenpairs(pencil, k)` returns a closed window: the k smallest
+eigenpairs and the rest of the cluster the k-th eigenvalue belongs to, so
+the multiplicity of any eigenvalue up to the k-th is the size of its
+cluster in the window.  It has three paths and picks one from the
+pencil's data:
 
 * reduced: taken whenever `assemble` marked the pencil invariant along v,
   the periodic axis of both grid kinds, at any size.  A is then
@@ -19,21 +23,25 @@
   the window are exact block eigenvectors, and the discrete waves are
   orthogonal, so they are normalized in closed form.
 * sparse: every other pencil, at every size, by shift-invert Lanczos
-  with the shift placed strictly below the bottom of the spectrum
-  (lambda_1 >= -max q because the stiffness part is positive
-  semidefinite), which makes A - shift*M positive definite and the
-  smallest eigenvalues the dominant ones of the transformed problem.
-  A - shift*M is factored once (minimum-degree ordering on A + A^T) and
-  the factor serves every Lanczos run.  A window of k pairs that cuts an
-  eigenvalue cluster can leave the pairs at its edge short of the
-  residual tolerance; the solve is then repeated with a doubled window,
-  up to min(n - 2, 4k), and the first k vectors are kept.  The residual,
-  not the reduced path's cluster rule, triggers the doubling: that rule
-  would run Lanczos twice wherever lambda_k = lambda_(k+1), although the
-  first run's pairs already meet the tolerance.
+  (Ericsson & Ruhe 1980) with the shift sigma placed strictly below the
+  bottom of the spectrum (lambda_1 >= -max q because the stiffness part
+  is positive semidefinite), which makes A - sigma M positive definite.
+  A - sigma M is factored once (minimum-degree ordering on A + A^T) and
+  the factor serves every Lanczos run.  M = D is diagonal, so Lanczos
+  runs in ARPACK's standard mode on the symmetric positive definite
+  D^(1/2) (A - sigma D)^-1 D^(1/2), one factor solve per step and no
+  product with M: its largest eigenvalues nu = 1 / (lambda - sigma) are
+  the smallest lambda, and its orthonormal vectors y give M-orthonormal
+  u = D^(-1/2) y.  The first window holds k + 2 pairs, enough to close a
+  pair at the k-th eigenvalue.  It doubles, up to min(n - 2, 4(k + 2)),
+  while its top value still belongs to the k-th eigenvalue's cluster (the
+  cluster may go on past it) or a pair of the closed window exceeds the
+  residual tolerance.  At the widest window a cluster that reaches its top
+  may be cut.
 * dense: an explicit symmetric reduction, taken only for k >= n - 1,
   which ARPACK cannot handle; as method="dense" it is also the
-  independent cross-check of the other two.
+  independent cross-check of the other two.  All its eigenvalues fix the
+  closed window, and the vectors of that window are computed.
 
 One tail serves the three paths.  Each yields M-orthonormal vectors (exact
 eigenvectors, or Lanczos vectors converged to round-off), and
@@ -69,11 +77,13 @@ CLUSTER_REL_TOL = 1e-6
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Ascending eigenvalues with M-orthonormal vectors and residuals."""
+    """Ascending eigenvalues of a closed window (k asked for, and the rest
+    of the k-th value's cluster: j >= k in all) with M-orthonormal vectors
+    and residuals."""
 
-    eigenvalues: np.ndarray  # (k,)
-    eigenvectors: np.ndarray  # (n, k), columns M-orthonormal
-    residuals: np.ndarray  # (k,) ||A u - lambda M u|| / ||M u||
+    eigenvalues: np.ndarray  # (j,)
+    eigenvectors: np.ndarray  # (n, j), columns M-orthonormal
+    residuals: np.ndarray  # (j,) ||A u - lambda M u|| / ||M u||
     method: str
 
 
@@ -85,10 +95,12 @@ def _scaled(t, d):
 
 
 def _solve_dense(pencil: OperatorPencil, k) -> np.ndarray:
-    """M-orthonormal eigenvectors s y of the k smallest eigenvalues, with y
-    the orthonormal eigenvectors of M^(-1/2) A M^(-1/2) (M is diagonal)."""
+    """M-orthonormal eigenvectors s y of the k smallest eigenvalues and of the
+    rest of the cluster at the k-th, with y the orthonormal eigenvectors of
+    M^(-1/2) A M^(-1/2) (M is diagonal)."""
     sym, s = _scaled(pencil.stiffness_minus_potential.toarray(), pencil.mass_diagonal)
-    _, y = sla.eigh(sym, subset_by_index=[0, k - 1])
+    size, _ = _window(sla.eigvalsh(sym), k)
+    _, y = sla.eigh(sym, subset_by_index=[0, size - 1])
     return s[:, None] * y
 
 
@@ -178,25 +190,21 @@ def _solve_reduced(pencil: OperatorPencil, k) -> np.ndarray:
     return (ys[:, :, None] * waves[:, None, :]).reshape(size, nb * n).T
 
 
-def _solve_sparse(a, m, k, sigma, opinv, v0) -> np.ndarray:
-    """Eigenvectors of the k smallest eigenvalues, ascending, by shift-invert
-    Lanczos with `opinv` applying (A - sigma M)^-1; ncv widens until ARPACK
-    converges."""
+def _solve_sparse(op, k, v0) -> np.ndarray:
+    """Orthonormal eigenvectors of the k largest eigenvalues of the symmetric
+    positive definite operator `op`, by Lanczos in ARPACK's standard mode;
+    ncv widens until ARPACK converges."""
     n = v0.size
     ncv = min(n - 1, max(2 * k + 1, 20))
     while True:
         try:
-            vals, vecs = spla.eigsh(
-                a, k=k, M=m, sigma=sigma, which="LM", v0=v0, OPinv=opinv,
-                ncv=ncv, maxiter=max(1000, 10 * n), tol=0,
-            )
-            break
+            return spla.eigsh(op, k=k, which="LA", v0=v0, ncv=ncv,
+                              maxiter=max(1000, 10 * n), tol=0)[1]
         except spla.ArpackNoConvergence as err:
             if ncv >= min(n - 1, 8 * max(2 * k + 1, 20)):
                 raise NonConvergenceError(
                     f"eigensolver failed to converge (ncv up to {ncv}): {err}") from err
             ncv = min(n - 1, 2 * ncv)
-    return vecs[:, np.argsort(vals)]
 
 
 def smallest_eigenpairs(
@@ -206,7 +214,8 @@ def smallest_eigenpairs(
     seed: int = 0,
     method: str = "auto",
 ) -> Spectrum:
-    """The k smallest eigenpairs of (A, M) with residuals bounded by tol.
+    """The k smallest eigenpairs of (A, M) and the rest of the k-th
+    eigenvalue's cluster, with residuals bounded by tol.
 
     method is "auto" (the path the module docstring describes), "dense" or
     "sparse".
@@ -216,8 +225,7 @@ def smallest_eigenpairs(
     n = pencil.node_count
     if k > n:
         raise DomainError(f"cannot extract {k} eigenpairs from {n} nodes")
-    a = pencil.stiffness_minus_potential
-    m = pencil.mass
+    a, d = pencil.stiffness_minus_potential, pencil.mass_diagonal
     if method not in ("auto", "dense", "sparse"):
         raise DomainError(f"unknown eigensolver method {method!r}")
     if method == "auto":
@@ -228,20 +236,23 @@ def smallest_eigenpairs(
 
     if method == "sparse":
         sigma = -float(np.max(pencil.potential)) - 1.0
-        lu = spla.splu((a - sigma * m).tocsc(), permc_spec="MMD_AT_PLUS_A")
-        opinv = spla.LinearOperator(a.shape, matvec=lu.solve, dtype=float)
+        lu = spla.splu((a - sigma * pencil.mass).tocsc(), permc_spec="MMD_AT_PLUS_A")
+        root = np.sqrt(d)
+        # D^(1/2) (A - sigma D)^-1 D^(1/2): eigenvalues 1 / (lambda - sigma)
+        op = spla.LinearOperator(a.shape, matvec=lambda y: root * lu.solve(root * y),
+                                 dtype=float)
         v0 = np.random.default_rng(seed).standard_normal(n)
-        window, widest = k, min(n - 2, 4 * k)
+        window, widest = min(n - 2, k + 2), min(n - 2, 4 * (k + 2))
         while True:
-            vecs = _solve_sparse(a, m, window, sigma, opinv, v0)[:, :k]
-            vals, vecs, res = _exact_pairs(a, pencil.mass_diagonal, vecs)
-            if float(np.max(res)) <= tol or window == widest:
+            vals, vecs, res = _exact_pairs(a, d, _solve_sparse(op, window, v0) / root[:, None])
+            size, limit = _window(vals, k)
+            if window == widest or (vals[-1] > limit and float(np.max(res[:size])) <= tol):
                 break
             window = min(widest, 2 * window)
+        vals, vecs, res = vals[:size], vecs[:, :size], res[:size]
     else:
-        vecs = (_solve_reduced(pencil, k)[:, :k] if method == "reduced"
-                else _solve_dense(pencil, k))
-        vals, vecs, res = _exact_pairs(a, pencil.mass_diagonal, vecs)
+        vecs = _solve_reduced(pencil, k) if method == "reduced" else _solve_dense(pencil, k)
+        vals, vecs, res = _exact_pairs(a, d, vecs)
     if float(np.max(res)) > tol:
         raise NonConvergenceError(
             f"eigen-residual {np.max(res):.3e} exceeds tolerance {tol:.3e}",
@@ -270,8 +281,10 @@ def cluster_indices(eigenvalues: np.ndarray) -> list[list[int]]:
 def eigenvalue_multiplicity(eigenvalues: np.ndarray, index: int) -> int:
     """Size of the cluster containing the given eigenvalue index.
 
-    The count is a lower bound when the cluster may extend past the
-    computed window.
+    On a window from `smallest_eigenpairs(pencil, k)` the count is exact for
+    every index below k, unless the sparse path reached its widest window
+    with the k-th value's cluster at its top; the count is then a lower
+    bound for that cluster.
     """
     for group in cluster_indices(eigenvalues):
         if index in group:

@@ -56,7 +56,9 @@ __all__ = [
 ]
 
 MIN_REPORT_TOL = 1e-6
-DEFAULT_EIGEN_COUNT = 6
+# reports read lambda_1, lambda_2 and lambda_2's multiplicity; the solver
+# closes the window at the end of lambda_2's cluster
+DEFAULT_EIGEN_COUNT = 2
 
 
 def _square(res) -> tuple[int, int]:
@@ -263,13 +265,10 @@ def _product_hypothesis(surface) -> dict:
 
 
 def _esi_bound(surface, fields) -> float:
-    w = surface.ambient.warping
-    t = surface.bundle()["0"][:, 0]
     n = wp.SPHERE_DIM
-    scalar = wp.ambient_ricci(w, t).scalar
     integrand = (
         n * fields.mean_curv**2
-        + (scalar - 2.0 * fields.ricci_normal) / (n - 1)
+        + (fields.ambient_scalar - 2.0 * fields.ricci_normal) / (n - 1)
         - fields.sigma_sq
         - fields.ricci_normal
     )

@@ -75,8 +75,7 @@ class AmbientTerms:
     christoffel:  (X_a, X_b) -> Gamma(X_a, X_b), all (4, N), or None where
                   it vanishes
     ricci:        unit normal (4, N) -> Ric(nu, nu), (N,)
-    scalar:       ambient scalar curvature R, scalar or (N,); only the
-                  Gauss curvature reads it
+    scalar:       ambient scalar curvature R, scalar or (N,)
     """
 
     sphere_weight: np.ndarray | float
@@ -183,6 +182,8 @@ class GeometryFields:
     gauss_curv:   (N,) Gauss curvature from the Gauss equation, or None when
                   it was not asked for (want_gauss=False)
     ricci_normal: (N,) ambient Ric(normal, normal)
+    ambient_scalar: ambient scalar curvature R, 6 on the 3-sphere, (N,) on
+                  a warped ambient
     """
 
     metric: np.ndarray
@@ -194,6 +195,7 @@ class GeometryFields:
     sigma_sq: np.ndarray
     gauss_curv: np.ndarray | None
     ricci_normal: np.ndarray
+    ambient_scalar: np.ndarray | float
 
 
 def _cross4(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -281,6 +283,7 @@ def compute_geometry(s: ImmersedSurface, want_gauss: bool = True) -> GeometryFie
         sigma_sq=sigma_sq,
         gauss_curv=gauss,
         ricci_normal=ricci,
+        ambient_scalar=amb.scalar,
     )
 
 

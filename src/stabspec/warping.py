@@ -36,7 +36,6 @@ __all__ = [
     "polynomial_warping",
     "BUILTIN_WARPINGS",
     "convexity_condition",
-    "ambient_ricci",
     "ricci_direction",
     "slice_lambda2",
     "slice_eigenvalue_band",
@@ -118,20 +117,14 @@ def convexity_condition(w: WarpingFunction, t):
     return _scalarize(d2h / h + (1.0 - dh**2) / h**2)
 
 
-def ambient_ricci(w: WarpingFunction, t) -> AmbientCurvature:
-    """Ricci curvature of the warped ambient at t, on unit directions.
+def _curvature(h, dh, d2h) -> AmbientCurvature:
+    """Ricci curvature of the warped ambient on unit directions, from the
+    profile values (h, h', h'') at t (scalars or arrays of one shape).
 
     Ric(d/dt, d/dt)      = -n h''/h
     Ric(v, v), v tangent = -(h''/h - (n-1)(1 - h'^2)/h^2)
     scalar               = -n (2 h''/h - (n-1)(1 - h'^2)/h^2)
-
-    Accepts scalar or array t (fields are then arrays of the same shape).
     """
-    return _curvature(*_hs(w, t))
-
-
-def _curvature(h, dh, d2h) -> AmbientCurvature:
-    """`ambient_ricci` from the profile values (h, h', h'') at t."""
     n = SPHERE_DIM
     a = d2h / h
     b = (1.0 - dh**2) / h**2
@@ -144,7 +137,7 @@ def _curvature(h, dh, d2h) -> AmbientCurvature:
 
 def ricci_direction(amb: AmbientCurvature, cos_angle):
     """Ric(v, v) for a unit direction v with <v, d/dt> = cos_angle, from
-    the ambient's Ricci data `amb` at the point (see `ambient_ricci`).
+    the ambient's Ricci data `amb` at the point (see `_curvature`).
 
     Interpolates the two distinguished values quadratically:
     c^2 Ric(dt,dt) + (1 - c^2) Ric(tangential).  Accepts arrays in both

@@ -9,12 +9,13 @@ Condon-Shortley sign of the spherical harmonics.
 
 The helpers at the end serve only the tests, so the package does not
 carry them: grid coordinates and indices, the total area, the list of
-accepted perturbations, the closed-form slice data, and the conformal
-image of a surface.  The image's chart composes the base chart's Taylor
-jets with the dilation written on jets (`_dilate_jets`), independently of
-`conformal.mobius_apply`, which writes it on points; the quantities the
-dilations leave invariant (the Willmore integral, Dirichlet energy equal
-to twice the image area) are computed from it.
+accepted perturbations, the closed-form slice data, the ambient Ricci
+data at given t, and the conformal image of a surface.  The image's chart
+composes the base chart's Taylor jets with the dilation written on jets
+(`_dilate_jets`), independently of `conformal.mobius_apply`, which writes
+it on points; the quantities the dilations leave invariant (the Willmore
+integral, Dirichlet energy equal to twice the image area) are computed
+from it.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from stabspec.catalog import MAX_PERTURBATION_DEGREE
 from stabspec.charts import _MONOMIALS, _PRODUCT, JetChart, _jet_mul
 from stabspec.errors import UnsupportedAmbientError
 from stabspec.surfaces import ImmersedSurface, compute_geometry
-from stabspec.warping import SPHERE_DIM
+from stabspec.warping import SPHERE_DIM, _curvature, _hs
 
 ORACLE_DIGITS = 30
 U, V = sp.symbols("u v", real=True)
@@ -199,6 +200,12 @@ def slice_data(w, t: float) -> SliceData:
     n = SPHERE_DIM
     k = dh / h
     return SliceData(sigma_sq=n * k**2, mean_curv=k, ricci_normal=-n * d2h / h)
+
+
+def ambient_ricci(w, t):
+    """Ricci data of the warped ambient at t (scalar or array), as the
+    package's warped geometry computes it from one profile evaluation."""
+    return _curvature(*_hs(w, t))
 
 
 def jet_reciprocal(x: np.ndarray) -> np.ndarray:

@@ -109,45 +109,70 @@ def test_auto_method_switches_on_problem_size():
     np.testing.assert_allclose(dense.eigenvalues, np.arange(39), atol=1e-12)
 
 
-def test_sparse_window_that_cuts_a_cluster_converges_on_its_first_run(monkeypatch):
-    # the flat torus' four-fold eigenvalue 0 sits at places 6-9, so a window
-    # of six pairs cuts it; its first Lanczos run (eigsh at tol=0) still meets
-    # the residual tolerance, so the window is not widened, and the pairs it
-    # keeps agree with those of a 12-pair window
+def _logged_windows(monkeypatch):
+    """The list that each Lanczos run's window size is appended to."""
     windows = []
     real = eigen._solve_sparse
 
-    def logged(a, m, k, *rest):
+    def logged(op, k, *rest):
         windows.append(k)
-        return real(a, m, k, *rest)
+        return real(op, k, *rest)
 
     monkeypatch.setattr(eigen, "_solve_sparse", logged)
+    return windows
+
+
+def test_sparse_window_that_cuts_a_cluster_is_widened_to_close_it(monkeypatch):
+    # the flat torus' four-fold eigenvalue 0 sits at places 6-9, so the first
+    # window of k + 2 = 8 pairs ends inside it and is doubled; the returned
+    # window holds the whole cluster and agrees with that of a 12-pair window
+    windows = _logged_windows(monkeypatch)
     s = ss.build(ss.flat_torus(0.775594, (64, 64)))
     p = ss.assemble(s, ss.compute_geometry(s, want_gauss=False))
     sp_ = ss.smallest_eigenpairs(p, 6, tol=1e-9, method="sparse")
-    assert windows == [6]
-    assert sp_.method == "sparse" and sp_.eigenvalues.size == 6
+    assert windows == [8, 16]
+    assert sp_.method == "sparse" and sp_.eigenvalues.size == 9
+    assert [len(g) for g in cluster_indices(sp_.eigenvalues)] == [1, 2, 2, 4]
     assert float(np.max(sp_.residuals)) <= 1e-9
     gram = sp_.eigenvectors.T @ (p.mass @ sp_.eigenvectors)
-    np.testing.assert_allclose(gram, np.eye(6), atol=1e-10)
+    np.testing.assert_allclose(gram, np.eye(9), atol=1e-10)
     wide = ss.smallest_eigenpairs(p, 12, tol=1e-9, method="sparse")
-    np.testing.assert_allclose(sp_.eigenvalues, wide.eigenvalues[:6], atol=1e-10)
+    np.testing.assert_allclose(sp_.eigenvalues, wide.eigenvalues[:9], atol=1e-10)
 
 
 def test_sparse_window_doubles_while_a_residual_exceeds_tol(monkeypatch):
-    windows = []
-    real = eigen._solve_sparse
-
-    def logged(a, m, k, *rest):
-        windows.append(k)
-        return real(a, m, k, *rest)
-
-    monkeypatch.setattr(eigen, "_solve_sparse", logged)
+    windows = _logged_windows(monkeypatch)
     p = _pencil(ss.flat_torus(0.6, (16, 16)))
     with pytest.raises(NonConvergenceError) as err:
         ss.smallest_eigenpairs(p, 3, tol=1e-300, method="sparse")
-    assert windows == [3, 6, 12]  # up to 4k, each judged on its first k pairs
-    assert err.value.residuals.shape == (3,)
+    assert windows == [5, 10, 20]  # up to 4(k + 2), each judged on its closed window
+    assert err.value.residuals.shape == (3,)  # lambda_2 = lambda_3 closes it
+
+
+def test_sparse_path_closes_the_clifford_lambda2_cluster(monkeypatch):
+    # k = 2: the window of k + 2 = 4 pairs ends inside the four-fold lambda_2
+    # and is doubled once; the returned window is lambda_1 and that cluster
+    windows = _logged_windows(monkeypatch)
+    p = _pencil(ss.clifford_torus((24, 24)))
+    sparse = ss.smallest_eigenpairs(p, 2, method="sparse")
+    assert windows == [4, 8]
+    assert [len(g) for g in cluster_indices(sparse.eigenvalues)] == [1, 4]
+    assert eigenvalue_multiplicity(sparse.eigenvalues, 1) == 4
+    for method in ("dense", "auto"):
+        other = ss.smallest_eigenpairs(p, 2, method=method)
+        np.testing.assert_allclose(sparse.eigenvalues, other.eigenvalues, rtol=0, atol=1e-10)
+    assert other.method == "reduced"
+
+
+def test_standard_form_lanczos_vectors_are_mass_orthonormal():
+    # Lanczos runs on D^(1/2) (A - sigma D)^-1 D^(1/2), and its orthonormal
+    # vectors y become u = D^(-1/2) y, orthonormal in the mass inner product
+    p = _pencil(ss.graph_over_slice("cosh", 0.3, "Y2,1", 0.05, (24, 24)))
+    sparse = ss.smallest_eigenpairs(p, 2, method="sparse")
+    V = sparse.eigenvectors
+    np.testing.assert_allclose(V.T @ (p.mass @ V), np.eye(V.shape[1]), rtol=0, atol=1e-10)
+    dense = ss.smallest_eigenpairs(p, 2, method="dense")
+    np.testing.assert_allclose(sparse.eigenvalues, dense.eigenvalues, rtol=0, atol=1e-10)
 
 
 INVARIANT = [
@@ -167,7 +192,7 @@ def test_reduced_dense_and_sparse_paths_agree(spec):
     for sp_ in got.values():
         np.testing.assert_allclose(sp_.eigenvalues, got["dense"].eigenvalues, atol=1e-10)
         V = sp_.eigenvectors
-        np.testing.assert_allclose(V.T @ (M @ V), np.eye(6), atol=1e-10)
+        np.testing.assert_allclose(V.T @ (M @ V), np.eye(V.shape[1]), atol=1e-10)
         for i, lam in enumerate(sp_.eigenvalues):
             r = A @ V[:, i] - lam * (M @ V[:, i])
             assert np.linalg.norm(r) / np.linalg.norm(M @ V[:, i]) <= 1e-9
@@ -288,7 +313,7 @@ def test_reduced_vectors_need_no_rayleigh_ritz_pass(spec):
     sp_ = ss.smallest_eigenpairs(p, 6)
     assert sp_.method == "reduced"
     V = sp_.eigenvectors
-    np.testing.assert_allclose(V.T @ (M @ V), np.eye(6), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(V.T @ (M @ V), np.eye(block.shape[1]), rtol=0, atol=1e-12)
     assert float(np.max(sp_.residuals)) <= 1e-9
     for i, lam in enumerate(sp_.eigenvalues):
         r = A @ V[:, i] - lam * (M @ V[:, i])
@@ -297,7 +322,7 @@ def test_reduced_vectors_need_no_rayleigh_ritz_pass(spec):
     np.testing.assert_allclose(sp_.eigenvalues, dense.eigenvalues, rtol=0, atol=1e-10)
     if spec.kind == "flat-torus":
         # the window mixes mode 0 (constant along v) with modes 0 < m < n/2
-        spread = np.ptp(V.reshape(24, 24, 6), axis=1).max(axis=0)
+        spread = np.ptp(V.reshape(24, 24, -1), axis=1).max(axis=0)
         assert np.any(spread < 1e-12) and np.any(spread > 1e-3)
 
 
@@ -321,8 +346,8 @@ def test_reduced_window_holds_the_whole_cluster_it_cuts():
     assert float(np.max(res)) <= 1e-9
     assert [len(g) for g in cluster_indices(vals)] == [1, 2, 2, 4]
     sp_ = ss.smallest_eigenpairs(p, 6, tol=1e-9)
-    assert sp_.method == "reduced" and sp_.eigenvalues.size == 6
-    np.testing.assert_allclose(sp_.eigenvalues, vals[:6], atol=1e-10)
+    assert sp_.method == "reduced" and sp_.eigenvalues.size == 9
+    np.testing.assert_allclose(sp_.eigenvalues, vals, atol=1e-10)
 
 
 def test_exact_pairs_sort_flip_and_judge_each_vector():
@@ -402,9 +427,11 @@ def test_tridiagonal_blocks_match_dense_blocks(monkeypatch, spec):
         block = s[:, None] * (t + np.diag(2.0 * math.cos(2.0 * math.pi * mode / n) * w)) * s
         vals = np.linalg.eigvalsh(0.5 * (block + block.T))[:8]
         dense += list(vals) * (1 if 2 * mode % n == 0 else 2)
-    k = 8
-    sp_, counts = _block_solves(monkeypatch, p, k)
+    # the 8th value is the first of a pair, so the closed window holds 9
+    sp_, counts = _block_solves(monkeypatch, p, 8)
     assert counts["eigh_tridiagonal"] and counts["eigh"] == []
+    k = sp_.eigenvalues.size
+    assert k == 9
     np.testing.assert_allclose(sp_.eigenvalues, np.sort(dense)[:k], rtol=0, atol=1e-10)
     A, M, V = p.stiffness_minus_potential, p.mass, sp_.eigenvectors
     for i, lam in enumerate(sp_.eigenvalues):

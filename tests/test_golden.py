@@ -90,9 +90,9 @@ def test_reports_match_the_golden_files(tmp_path, monkeypatch, name):
     lanczos_windows = []
     real = eigen._solve_sparse
 
-    def logged(a, m, k, *rest):
+    def logged(op, k, *rest):
         lanczos_windows.append(k)
-        return real(a, m, k, *rest)
+        return real(op, k, *rest)
 
     monkeypatch.setattr(eigen, "_solve_sparse", logged)
     assert cli_main(COMMANDS[name] + ["--out", str(tmp_path)]) == 0

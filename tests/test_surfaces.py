@@ -23,7 +23,7 @@ from stabspec.errors import (
     DomainError,
     MeshTooCoarseError,
 )
-from stabspec.grids import sphere_grid, torus_grid
+from stabspec.grids import torus_grid
 from stabspec.surfaces import Sphere3
 
 from oracles import (
