@@ -52,26 +52,24 @@ INVARIANCE_TOL = 1e-13
 class OperatorPencil:
     """Symmetric generalized eigenproblem pair for the stability operator.
 
+    A is `stiffness_minus_potential`; the lumped mass M is diagonal and is
+    stored as its diagonal `mass_diagonal` (the area element at each node).
     `grid` is the parameter grid the pencil was assembled on (node i * nv + j
     at (u[i], v[j])); a pencil built by hand has none.  `invariant_along_v`
     is derived by `assemble` (see the module docstring), and a pencil built
     by hand is not marked; `dataclasses.replace` keeps the mark, so A and M
-    may be replaced only by matrices just as invariant along v.
+    may be replaced only by ones just as invariant along v.
     """
 
     stiffness_minus_potential: sp_sparse.csr_matrix
-    mass: sp_sparse.csr_matrix
+    mass_diagonal: np.ndarray
     potential: np.ndarray
     grid: Grid | None = None
     invariant_along_v: bool = False
 
     @property
     def node_count(self) -> int:
-        return self.mass.shape[0]
-
-    @property
-    def mass_diagonal(self) -> np.ndarray:
-        return np.asarray(self.mass.diagonal())
+        return self.mass_diagonal.size
 
 
 def _stiffness(grid, alpha, beta, potential) -> sp_sparse.csr_matrix:
@@ -130,7 +128,6 @@ def assemble(surface: ImmersedSurface, fields: GeometryFields) -> OperatorPencil
     bad = np.where(~(weights > 0.0))[0]
     if bad.size:
         raise AssemblyError(f"mass is not positive at node {int(bad[0])}")
-    mass = sp_sparse.diags(weights).tocsr()
     potential = q * weights
     a = _stiffness(grid, alpha, beta, potential)
     crossed = float(np.max(np.abs(gamma))) > 1e-14 * float(np.mean(alpha + beta))
@@ -147,8 +144,8 @@ def assemble(surface: ImmersedSurface, fields: GeometryFields) -> OperatorPencil
         raise AssemblyError("assembled operator lost exact symmetry")
     invariant = not crossed and all(
         _constant_along_v(grid, c) for c in (alpha, beta, potential, weights))
-    return OperatorPencil(stiffness_minus_potential=a, mass=mass, potential=q, grid=grid,
-                          invariant_along_v=invariant)
+    return OperatorPencil(stiffness_minus_potential=a, mass_diagonal=weights, potential=q,
+                          grid=grid, invariant_along_v=invariant)
 
 
 def rayleigh(pencil: OperatorPencil, u: np.ndarray) -> float:
@@ -158,7 +155,9 @@ def rayleigh(pencil: OperatorPencil, u: np.ndarray) -> float:
     if u.ndim > 2 or u.shape[:1] != (pencil.node_count,):
         raise DomainError("vector length does not match the pencil")
     u = u.reshape(u.shape[0], -1)
-    denom = float(np.einsum("ik,ik->", u, pencil.mass @ u))
+    # M u in C order for any layout of u: einsum sums in memory order
+    mu = np.multiply(pencil.mass_diagonal[:, None], u, order="C")
+    denom = float(np.einsum("ik,ik->", u, mu))
     if denom <= 0.0:
         raise DomainError("rayleigh quotient needs a nonzero vector")
     return float(np.einsum("ik,ik->", u, pencil.stiffness_minus_potential @ u)) / denom

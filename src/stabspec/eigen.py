@@ -3,8 +3,8 @@
 `smallest_eigenpairs(pencil, k)` returns a closed window: the k smallest
 eigenpairs and the rest of the cluster the k-th eigenvalue belongs to, so
 the multiplicity of any eigenvalue up to the k-th is the size of its
-cluster in the window.  It has three paths and picks one from the
-pencil's data:
+cluster in the window.  It has two paths and picks one from the pencil's
+data alone:
 
 * reduced: taken whenever `assemble` marked the pencil invariant along v,
   the periodic axis of both grid kinds, at any size.  A is then
@@ -37,13 +37,10 @@ pencil's data:
   while its top value still belongs to the k-th eigenvalue's cluster (the
   cluster may go on past it) or a pair of the closed window exceeds the
   residual tolerance.  At the widest window a cluster that reaches its top
-  may be cut.
-* dense: an explicit symmetric reduction, taken only for k >= n - 1,
-  which ARPACK cannot handle; as method="dense" it is also the
-  independent cross-check of the other two.  All its eigenvalues fix the
-  closed window, and the vectors of that window are computed.
+  may be cut.  ARPACK cannot take k >= n - 1, so that request is a
+  DomainError here.
 
-One tail serves the three paths.  Each yields M-orthonormal vectors (exact
+One tail serves both paths.  Each yields M-orthonormal vectors (exact
 eigenvectors, or Lanczos vectors converged to round-off), and
 `_exact_pairs` alone makes them pairs: each eigenvalue is the Rayleigh
 quotient theta of its vector, the value a residual enclosure of
@@ -60,6 +57,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
+import scipy.sparse as sp_sparse
 import scipy.sparse.linalg as spla
 
 from .assembly import OperatorPencil
@@ -84,24 +82,7 @@ class Spectrum:
     eigenvalues: np.ndarray  # (j,)
     eigenvectors: np.ndarray  # (n, j), columns M-orthonormal
     residuals: np.ndarray  # (j,) ||A u - lambda M u|| / ||M u||
-    method: str
-
-
-def _scaled(t, d):
-    """(D^(-1/2) T D^(-1/2), symmetrized, and D^(-1/2)) for the diagonal mass d."""
-    s = 1.0 / np.sqrt(d)
-    sym = s[:, None] * t * s[None, :]
-    return 0.5 * (sym + sym.T), s
-
-
-def _solve_dense(pencil: OperatorPencil, k) -> np.ndarray:
-    """M-orthonormal eigenvectors s y of the k smallest eigenvalues and of the
-    rest of the cluster at the k-th, with y the orthonormal eigenvectors of
-    M^(-1/2) A M^(-1/2) (M is diagonal)."""
-    sym, s = _scaled(pencil.stiffness_minus_potential.toarray(), pencil.mass_diagonal)
-    size, _ = _window(sla.eigvalsh(sym), k)
-    _, y = sla.eigh(sym, subset_by_index=[0, size - 1])
-    return s[:, None] * y
+    method: str  # "reduced" or "sparse"
 
 
 def _exact_pairs(a, d, vecs):
@@ -154,7 +135,9 @@ def _solve_reduced(pencil: OperatorPencil, k) -> np.ndarray:
     eigenvectors, and each wave is scaled to unit norm."""
     t, w, d = _circulant_parts(pencil)
     n, nb = pencil.grid.nv, d.size
-    sym, s = _scaled(t, d)
+    s = 1.0 / np.sqrt(d)
+    sym = s[:, None] * t * s[None, :]
+    sym = 0.5 * (sym + sym.T)  # D^(-1/2) T D^(-1/2), exactly symmetric
     tridiagonal = not np.any(np.triu(t, 2))
     found = []  # (value, mode, cos 0 | sin 1, block eigenvector)
     limit = np.inf
@@ -212,31 +195,22 @@ def smallest_eigenpairs(
     k: int,
     tol: float = 1e-9,
     seed: int = 0,
-    method: str = "auto",
 ) -> Spectrum:
     """The k smallest eigenpairs of (A, M) and the rest of the k-th
-    eigenvalue's cluster, with residuals bounded by tol.
-
-    method is "auto" (the path the module docstring describes), "dense" or
-    "sparse".
-    """
+    eigenvalue's cluster, with residuals bounded by tol, on the path the
+    module docstring describes."""
     if k < 1:
         raise DomainError("need at least one eigenpair")
     n = pencil.node_count
     if k > n:
         raise DomainError(f"cannot extract {k} eigenpairs from {n} nodes")
     a, d = pencil.stiffness_minus_potential, pencil.mass_diagonal
-    if method not in ("auto", "dense", "sparse"):
-        raise DomainError(f"unknown eigensolver method {method!r}")
-    if method == "auto":
-        method = ("reduced" if pencil.invariant_along_v
-                  else "dense" if k >= n - 1 else "sparse")
-    if method == "sparse" and k >= n - 1:
-        raise DomainError("sparse path needs k < node_count - 1")
-
+    method = "reduced" if pencil.invariant_along_v else "sparse"
     if method == "sparse":
+        if k >= n - 1:
+            raise DomainError("sparse path needs k < node_count - 1")
         sigma = -float(np.max(pencil.potential)) - 1.0
-        lu = spla.splu((a - sigma * pencil.mass).tocsc(), permc_spec="MMD_AT_PLUS_A")
+        lu = spla.splu((a - sp_sparse.diags(sigma * d)).tocsc(), permc_spec="MMD_AT_PLUS_A")
         root = np.sqrt(d)
         # D^(1/2) (A - sigma D)^-1 D^(1/2): eigenvalues 1 / (lambda - sigma)
         op = spla.LinearOperator(a.shape, matvec=lambda y: root * lu.solve(root * y),
@@ -251,8 +225,7 @@ def smallest_eigenpairs(
             window = min(widest, 2 * window)
         vals, vecs, res = vals[:size], vecs[:, :size], res[:size]
     else:
-        vecs = _solve_reduced(pencil, k) if method == "reduced" else _solve_dense(pencil, k)
-        vals, vecs, res = _exact_pairs(a, d, vecs)
+        vals, vecs, res = _exact_pairs(a, d, _solve_reduced(pencil, k))
     if float(np.max(res)) > tol:
         raise NonConvergenceError(
             f"eigen-residual {np.max(res):.3e} exceeds tolerance {tol:.3e}",

@@ -5,7 +5,9 @@ tests differentiate it at 30 digits; `intrinsic_gauss_curvature` takes the
 induced metric's derivatives from it for Brioschi's formula, so the Gauss
 curvature the package takes from the Gauss equation is checked against a
 purely intrinsic computation.  sympy's `assoc_legendre` also fixes the
-Condon-Shortley sign of the spherical harmonics.
+Condon-Shortley sign of the spherical harmonics.  `dense_window` solves a
+pencil with a plain dense generalized eigensolver, sharing no code with
+either path of `smallest_eigenpairs`, which it is the reference for.
 
 The helpers at the end serve only the tests, so the package does not
 carry them: grid coordinates and indices, the total area, the list of
@@ -25,10 +27,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg as sla
 import sympy as sp
 
 from stabspec.catalog import MAX_PERTURBATION_DEGREE
 from stabspec.charts import _MONOMIALS, _PRODUCT, JetChart, _jet_mul
+from stabspec.eigen import cluster_indices
 from stabspec.errors import UnsupportedAmbientError
 from stabspec.surfaces import ImmersedSurface, compute_geometry
 from stabspec.warping import SPHERE_DIM, _curvature, _hs
@@ -151,6 +155,16 @@ def gauss_equation_residual(chart, f, grid) -> float:
     extrinsic fields f: zero in exact arithmetic."""
     k = intrinsic_gauss_curvature(chart, grid)
     return float(np.max(np.abs(2.0 * k - 2.0 - 4.0 * f.mean_curv**2 + f.sigma_sq)))
+
+
+def dense_window(pencil, k):
+    """(eigenvalues, M-orthonormal eigenvectors) of the k smallest
+    eigenvalues of (A, M) and the rest of the k-th one's cluster, from one
+    dense generalized eigh of A against M = diag(mass_diagonal)."""
+    vals, vecs = sla.eigh(pencil.stiffness_minus_potential.toarray(),
+                          np.diag(pencil.mass_diagonal))
+    size = next(g for g in cluster_indices(vals) if k - 1 in g)[-1] + 1
+    return vals[:size], vecs[:, :size]
 
 
 # ----------------------------------------------------------------------

@@ -344,8 +344,8 @@ def test_balanced_bound_is_the_quotient_of_dilated_coordinates(solve):
     rep = ss.balanced_bound_report(sol.surface, sol.fields, sol.pencil,
                                    sol.spectrum)
     psi = ss.mobius_apply(rep.param, sol.surface.bundle()["0"])
-    A, M = sol.pencil.stiffness_minus_potential, sol.pencil.mass
-    quotient = np.sum(psi * (A @ psi)) / np.sum(psi * (M @ psi))
+    A, d = sol.pencil.stiffness_minus_potential, sol.pencil.mass_diagonal
+    quotient = np.sum(psi * (A @ psi)) / np.sum(psi * (d[:, None] * psi))
     assert rep.bound == pytest.approx(quotient, rel=1e-14)
     # the bound is the pencil's one block quotient, not a copy of it
     assert rep.bound == ss.rayleigh(sol.pencil, psi)

@@ -1,4 +1,9 @@
-"""Eigensolver guarantees: residuals, orthonormality, and path agreement."""
+"""Eigensolver guarantees: residuals, orthonormality, and path agreement.
+
+A test that needs the sparse path on a pencil invariant along v says so in
+the data, `replace(pencil, invariant_along_v=False)`; both paths are
+checked against the dense oracle `oracles.dense_window`.
+"""
 
 from __future__ import annotations
 
@@ -20,9 +25,11 @@ from stabspec.eigen import (
     cluster_indices,
     eigenvalue_multiplicity,
 )
-from stabspec.errors import NonConvergenceError
+from stabspec.errors import DomainError, NonConvergenceError
 from stabspec.grids import torus_grid
 from stabspec.surfaces import Sphere3
+
+from oracles import dense_window
 
 CATALOG = [
     ss.clifford_torus((16, 16)),
@@ -50,7 +57,7 @@ def test_eigenvalues_match_the_closed_form_catalog(solve):
 def test_residuals_and_orthonormality(solve, spec):
     sol = solve(spec, k=5)
     p, sp_ = sol.pencil, sol.spectrum
-    A, M = p.stiffness_minus_potential, p.mass
+    A, M = p.stiffness_minus_potential, sp_sparse.diags(p.mass_diagonal)
     V = sp_.eigenvectors
     scale = np.max(np.abs(A.data))
     for i, lam in enumerate(sp_.eigenvalues):
@@ -79,11 +86,10 @@ def _pencil(spec):
       for w, y in (("cosh", "Y2,1"), ("product", "Y3,-2")) for n in (16, 32)),
 ], ids=lambda s: f"{s.label}-{s.resolution[0]}")
 def test_dense_and_sparse_paths_agree(spec):
-    p = _pencil(spec)
-    dense = ss.smallest_eigenpairs(p, 6, method="dense")
-    sparse = ss.smallest_eigenpairs(p, 6, method="sparse")
-    assert dense.method == "dense" and sparse.method == "sparse"
-    np.testing.assert_allclose(dense.eigenvalues, sparse.eigenvalues,
+    p = replace(_pencil(spec), invariant_along_v=False)
+    sparse = ss.smallest_eigenpairs(p, 6)
+    assert sparse.method == "sparse"
+    np.testing.assert_allclose(dense_window(p, 6)[0], sparse.eigenvalues,
                                atol=1e-8)
 
 
@@ -91,22 +97,47 @@ def _diagonal_pencil(n):
     """diag(0, 1, ..., n - 1) against the identity mass, with no grid."""
     return ss.OperatorPencil(
         stiffness_minus_potential=sp_sparse.diags(np.arange(n, dtype=float)).tocsr(),
-        mass=sp_sparse.identity(n, format="csr"),
+        mass_diagonal=np.ones(n),
         potential=np.zeros(n),
     )
 
 
-def test_auto_method_switches_on_problem_size():
+def test_path_follows_the_pencil_data():
     # a pencil with no invariant axis takes the sparse path at every size,
-    # one invariant along v the reduced path; only k >= n - 1 goes dense
+    # one invariant along v the reduced path
     graph = lambda n: ss.graph_over_slice("cosh", 0.3, "Y2,1", 0.05, (n, n))
     for n in (12, 48):
         assert ss.smallest_eigenpairs(_pencil(graph(n)), 3).method == "sparse"
         clifford = _pencil(ss.clifford_torus((n, n)))
         assert ss.smallest_eigenpairs(clifford, 3).method == "reduced"
-    dense = ss.smallest_eigenpairs(_diagonal_pencil(40), 39)
-    assert dense.method == "dense"
-    np.testing.assert_allclose(dense.eigenvalues, np.arange(39), atol=1e-12)
+
+
+def test_argument_guards_raise_domain_error():
+    # k = 0, k > n, and k >= n - 1 on the sparse path, which ARPACK cannot
+    # take; the reduced path serves k up to n
+    for k in (0, 41, 40, 39):
+        with pytest.raises(DomainError) as err:
+            ss.smallest_eigenpairs(_diagonal_pencil(40), k)
+        assert err.value.exit_code == 2
+    clifford = _pencil(ss.clifford_torus((8, 8)))
+    assert ss.smallest_eigenpairs(clifford, 63).eigenvalues.size >= 63
+
+
+def test_ncv_widens_until_arpack_gives_up(monkeypatch):
+    # every ARPACK run fails to converge: ncv doubles from 20 up to
+    # 8 * max(2 window + 1, 20) and the failure is a NonConvergenceError
+    tried = []
+
+    def no_convergence(op, k, ncv, **kwargs):
+        tried.append(ncv)
+        raise eigen.spla.ArpackNoConvergence("no convergence", np.empty(0), np.empty((0, 0)))
+
+    monkeypatch.setattr(eigen.spla, "eigsh", no_convergence)
+    p = _pencil(ss.graph_over_slice("cosh", 0.3, "Y2,1", 0.05, (16, 16)))
+    with pytest.raises(NonConvergenceError) as err:
+        ss.smallest_eigenpairs(p, 2)
+    assert tried == [20, 40, 80, 160]
+    assert err.value.exit_code == 3
 
 
 def _logged_windows(monkeypatch):
@@ -128,23 +159,24 @@ def test_sparse_window_that_cuts_a_cluster_is_widened_to_close_it(monkeypatch):
     # window holds the whole cluster and agrees with that of a 12-pair window
     windows = _logged_windows(monkeypatch)
     s = ss.build(ss.flat_torus(0.775594, (64, 64)))
-    p = ss.assemble(s, ss.compute_geometry(s, want_gauss=False))
-    sp_ = ss.smallest_eigenpairs(p, 6, tol=1e-9, method="sparse")
+    p = replace(ss.assemble(s, ss.compute_geometry(s, want_gauss=False)),
+                invariant_along_v=False)
+    sp_ = ss.smallest_eigenpairs(p, 6, tol=1e-9)
     assert windows == [8, 16]
     assert sp_.method == "sparse" and sp_.eigenvalues.size == 9
     assert [len(g) for g in cluster_indices(sp_.eigenvalues)] == [1, 2, 2, 4]
     assert float(np.max(sp_.residuals)) <= 1e-9
-    gram = sp_.eigenvectors.T @ (p.mass @ sp_.eigenvectors)
+    gram = sp_.eigenvectors.T @ (p.mass_diagonal[:, None] * sp_.eigenvectors)
     np.testing.assert_allclose(gram, np.eye(9), atol=1e-10)
-    wide = ss.smallest_eigenpairs(p, 12, tol=1e-9, method="sparse")
+    wide = ss.smallest_eigenpairs(p, 12, tol=1e-9)
     np.testing.assert_allclose(sp_.eigenvalues, wide.eigenvalues[:9], atol=1e-10)
 
 
 def test_sparse_window_doubles_while_a_residual_exceeds_tol(monkeypatch):
     windows = _logged_windows(monkeypatch)
-    p = _pencil(ss.flat_torus(0.6, (16, 16)))
+    p = replace(_pencil(ss.flat_torus(0.6, (16, 16))), invariant_along_v=False)
     with pytest.raises(NonConvergenceError) as err:
-        ss.smallest_eigenpairs(p, 3, tol=1e-300, method="sparse")
+        ss.smallest_eigenpairs(p, 3, tol=1e-300)
     assert windows == [5, 10, 20]  # up to 4(k + 2), each judged on its closed window
     assert err.value.residuals.shape == (3,)  # lambda_2 = lambda_3 closes it
 
@@ -154,25 +186,26 @@ def test_sparse_path_closes_the_clifford_lambda2_cluster(monkeypatch):
     # and is doubled once; the returned window is lambda_1 and that cluster
     windows = _logged_windows(monkeypatch)
     p = _pencil(ss.clifford_torus((24, 24)))
-    sparse = ss.smallest_eigenpairs(p, 2, method="sparse")
+    sparse = ss.smallest_eigenpairs(replace(p, invariant_along_v=False), 2)
     assert windows == [4, 8]
     assert [len(g) for g in cluster_indices(sparse.eigenvalues)] == [1, 4]
     assert eigenvalue_multiplicity(sparse.eigenvalues, 1) == 4
-    for method in ("dense", "auto"):
-        other = ss.smallest_eigenpairs(p, 2, method=method)
-        np.testing.assert_allclose(sparse.eigenvalues, other.eigenvalues, rtol=0, atol=1e-10)
-    assert other.method == "reduced"
+    reduced = ss.smallest_eigenpairs(p, 2)
+    assert reduced.method == "reduced"
+    for other in (dense_window(p, 2)[0], reduced.eigenvalues):
+        np.testing.assert_allclose(sparse.eigenvalues, other, rtol=0, atol=1e-10)
 
 
 def test_standard_form_lanczos_vectors_are_mass_orthonormal():
     # Lanczos runs on D^(1/2) (A - sigma D)^-1 D^(1/2), and its orthonormal
     # vectors y become u = D^(-1/2) y, orthonormal in the mass inner product
     p = _pencil(ss.graph_over_slice("cosh", 0.3, "Y2,1", 0.05, (24, 24)))
-    sparse = ss.smallest_eigenpairs(p, 2, method="sparse")
+    sparse = ss.smallest_eigenpairs(p, 2)
+    assert sparse.method == "sparse"
     V = sparse.eigenvectors
-    np.testing.assert_allclose(V.T @ (p.mass @ V), np.eye(V.shape[1]), rtol=0, atol=1e-10)
-    dense = ss.smallest_eigenpairs(p, 2, method="dense")
-    np.testing.assert_allclose(sparse.eigenvalues, dense.eigenvalues, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(V.T @ (p.mass_diagonal[:, None] * V), np.eye(V.shape[1]),
+                               rtol=0, atol=1e-10)
+    np.testing.assert_allclose(sparse.eigenvalues, dense_window(p, 2)[0], rtol=0, atol=1e-10)
 
 
 INVARIANT = [
@@ -186,18 +219,19 @@ INVARIANT = [
 @pytest.mark.parametrize("spec", INVARIANT, ids=lambda s: s.label)
 def test_reduced_dense_and_sparse_paths_agree(spec):
     p = _pencil(spec)
-    A, M = p.stiffness_minus_potential, p.mass
-    got = {m: ss.smallest_eigenpairs(p, 6, method=m) for m in ("auto", "dense", "sparse")}
-    assert got["auto"].method == "reduced"
-    for sp_ in got.values():
-        np.testing.assert_allclose(sp_.eigenvalues, got["dense"].eigenvalues, atol=1e-10)
+    A, M = p.stiffness_minus_potential, sp_sparse.diags(p.mass_diagonal)
+    got = [ss.smallest_eigenpairs(q, 6) for q in (p, replace(p, invariant_along_v=False))]
+    assert [sp_.method for sp_ in got] == ["reduced", "sparse"]
+    dense, _ = dense_window(p, 6)
+    for sp_ in got:
+        np.testing.assert_allclose(sp_.eigenvalues, dense, atol=1e-10)
         V = sp_.eigenvectors
         np.testing.assert_allclose(V.T @ (M @ V), np.eye(V.shape[1]), atol=1e-10)
         for i, lam in enumerate(sp_.eigenvalues):
             r = A @ V[:, i] - lam * (M @ V[:, i])
             assert np.linalg.norm(r) / np.linalg.norm(M @ V[:, i]) <= 1e-9
         assert (eigenvalue_multiplicity(sp_.eigenvalues, 1)
-                == eigenvalue_multiplicity(got["dense"].eigenvalues, 1))
+                == eigenvalue_multiplicity(dense, 1))
 
 
 @pytest.mark.parametrize("spec", [
@@ -306,7 +340,7 @@ def test_invariance_read_agrees_with_the_kron_rebuild(name):
                          ids=lambda s: s.label)
 def test_reduced_vectors_need_no_rayleigh_ritz_pass(spec):
     p = _pencil(spec)
-    A, M = p.stiffness_minus_potential, p.mass
+    A, M = p.stiffness_minus_potential, sp_sparse.diags(p.mass_diagonal)
     block = _solve_reduced(p, 6)
     np.testing.assert_allclose(block.T @ (M @ block), np.eye(block.shape[1]),
                                rtol=0, atol=1e-12)
@@ -318,8 +352,7 @@ def test_reduced_vectors_need_no_rayleigh_ritz_pass(spec):
     for i, lam in enumerate(sp_.eigenvalues):
         r = A @ V[:, i] - lam * (M @ V[:, i])
         assert np.linalg.norm(r) / np.linalg.norm(M @ V[:, i]) <= 1e-9
-    dense = ss.smallest_eigenpairs(p, 6, method="dense")
-    np.testing.assert_allclose(sp_.eigenvalues, dense.eigenvalues, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(sp_.eigenvalues, dense_window(p, 6)[0], rtol=0, atol=1e-10)
     if spec.kind == "flat-torus":
         # the window mixes mode 0 (constant along v) with modes 0 < m < n/2
         spread = np.ptp(V.reshape(24, 24, -1), axis=1).max(axis=0)
@@ -333,7 +366,7 @@ def test_reduced_window_visits_modes_past_the_first(r):
     p = _pencil(ss.flat_torus(r, (64, 64)))
     reduced = ss.smallest_eigenpairs(p, 12)
     assert reduced.method == "reduced"
-    sparse = ss.smallest_eigenpairs(p, 12, method="sparse")
+    sparse = ss.smallest_eigenpairs(replace(p, invariant_along_v=False), 12)
     np.testing.assert_allclose(reduced.eigenvalues, sparse.eigenvalues, atol=1e-10)
 
 
@@ -433,7 +466,7 @@ def test_tridiagonal_blocks_match_dense_blocks(monkeypatch, spec):
     k = sp_.eigenvalues.size
     assert k == 9
     np.testing.assert_allclose(sp_.eigenvalues, np.sort(dense)[:k], rtol=0, atol=1e-10)
-    A, M, V = p.stiffness_minus_potential, p.mass, sp_.eigenvectors
+    A, M, V = p.stiffness_minus_potential, sp_sparse.diags(p.mass_diagonal), sp_.eigenvectors
     for i, lam in enumerate(sp_.eigenvalues):
         r = A @ V[:, i] - lam * (M @ V[:, i])
         assert np.linalg.norm(r) / np.linalg.norm(M @ V[:, i]) <= 1e-9
@@ -443,12 +476,12 @@ def test_tridiagonal_blocks_match_dense_blocks(monkeypatch, spec):
 def test_determinism_across_runs_and_seeds():
     s = ss.build(ss.flat_torus(0.55, (20, 20)))
     f = ss.compute_geometry(s, want_gauss=False)
-    p = ss.assemble(s, f)
-    a = ss.smallest_eigenpairs(p, 4, seed=0, method="sparse")
-    b = ss.smallest_eigenpairs(p, 4, seed=0, method="sparse")
+    p = replace(ss.assemble(s, f), invariant_along_v=False)
+    a = ss.smallest_eigenpairs(p, 4, seed=0)
+    b = ss.smallest_eigenpairs(p, 4, seed=0)
     np.testing.assert_array_equal(a.eigenvalues, b.eigenvalues)
     np.testing.assert_array_equal(a.eigenvectors, b.eigenvectors)
-    c = ss.smallest_eigenpairs(p, 4, seed=7, method="sparse")
+    c = ss.smallest_eigenpairs(p, 4, seed=7)
     np.testing.assert_allclose(c.eigenvalues, a.eigenvalues, atol=1e-10)
 
 
@@ -457,7 +490,7 @@ def test_minmax_characterization_of_lambda2(solve, rng):
     p, sp_ = sol.pencil, sol.spectrum
     lam2 = sp_.eigenvalues[1]
     f1 = sp_.eigenvectors[:, 0]
-    M = p.mass
+    M = sp_sparse.diags(p.mass_diagonal)
     for _ in range(20):
         u = rng.standard_normal(p.node_count)
         u -= f1 * (f1 @ (M @ u))  # M-orthogonal to the ground state
