@@ -1,7 +1,7 @@
 """Numerical stability spectra of surfaces in the 3-sphere and warped products.
 
 Pipeline: analytic charts over structured grids -> discrete surface
-geometry (metric, second fundamental form, curvatures) -> symmetric
+geometry (inverse metric, area element, curvatures) -> symmetric
 generalized eigenproblem for the stability operator -> eigenvalue bounds
 (theorem checks), conformal balancing certificates, and refinement
 studies with machine-readable reports.

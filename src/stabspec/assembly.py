@@ -120,9 +120,8 @@ def assemble(surface: ImmersedSurface, fields: GeometryFields) -> OperatorPencil
         raise AssemblyError("potential must be a finite per-node vector")
 
     sqrtg = fields.area_element / grid.cell_weight
-    alpha = sqrtg * fields.metric_inv[:, 0, 0]
-    beta = sqrtg * fields.metric_inv[:, 1, 1]
-    gamma = sqrtg * fields.metric_inv[:, 0, 1]
+    inv_uu, inv_uv, inv_vv = fields.metric_inv
+    alpha, beta, gamma = sqrtg * inv_uu, sqrtg * inv_vv, sqrtg * inv_uv
 
     weights = fields.area_element
     bad = np.where(~(weights > 0.0))[0]

@@ -216,7 +216,7 @@ def _require_sphere3(surface) -> dict:
 def _torus_hypothesis(surface) -> dict:
     _require_sphere3(surface)
     # the one reader of the Gauss curvature (Gauss-Bonnet)
-    chi = euler_characteristic(surface, compute_geometry(surface))
+    chi = euler_characteristic(compute_geometry(surface))
     if chi > 0:
         raise HypothesisError(
             f"surface has Euler characteristic {chi}; the bound needs genus >= 1 "
@@ -397,10 +397,6 @@ def balance_bound_scenario(spec: catalog.ShapeSpec, resolution, seed: int = 0) -
         "balance_residual": rep.balance_residual,
         "param_norm": rep.param.magnitude,
         "param": [float(x) for x in rep.param.a],
-        # balancing runs once, from the identity
-        "attempts": [{"start": None, "bound": rep.bound,
-                      "residual": rep.balance_residual,
-                      "param_norm": rep.param.magnitude}],
         "seed": seed,
     }
     return Report(scenario, body,

@@ -3,10 +3,12 @@
 A surface is a chart over a structured grid into one of two ambients: the
 round unit 3-sphere sitting in R^4, or a warped product (interval) x S^2
 with metric dt^2 + h(t)^2 ds^2.  From the chart's derivative bundle this
-module produces nodal fields: induced metric, unit normal, second
-fundamental form, mean curvature, squared norm of the shape operator,
-Gauss curvature, and the ambient Ricci curvature in the normal
-direction.
+module produces the nodal fields that assembly and the checks read: the
+inverse induced metric, the area element, the mean curvature, the squared
+norm of the shape operator, the ambient Ricci curvature in the normal
+direction and the ambient scalar curvature, and on request the Gauss
+curvature.  The induced metric, the unit normal and the second fundamental
+form are intermediates and are not kept.
 
 One body serves both ambients.  Chart values are points of R^4 (the
 position on the 3-sphere, or (t, w) with w on the unit 2-sphere), and
@@ -169,14 +171,10 @@ class ImmersedSurface:
 
 @dataclass
 class GeometryFields:
-    """Nodal geometric data of an immersed surface.
+    """Nodal geometric data of an immersed surface, as the later stages read it.
 
-    metric:       (N, 2, 2) induced first fundamental form
-    metric_inv:   (N, 2, 2)
+    metric_inv:   (3, N) inverse induced metric by rows g^uu, g^uv, g^vv
     area_element: (N,) sqrt(det metric) * du * dv  (nodal quadrature weight)
-    normal:       (N, 4) unit normal; ambient coordinates for the 3-sphere,
-                  (t-component, R^3 sphere-part) for warped ambients
-    shape:        (N, 2, 2) second fundamental form sigma_ab
     mean_curv:    (N,) average of principal curvatures
     sigma_sq:     (N,) squared norm of the second fundamental form
     gauss_curv:   (N,) Gauss curvature from the Gauss equation, or None when
@@ -186,11 +184,8 @@ class GeometryFields:
                   a warped ambient
     """
 
-    metric: np.ndarray
     metric_inv: np.ndarray
     area_element: np.ndarray
-    normal: np.ndarray
-    shape: np.ndarray
     mean_curv: np.ndarray
     sigma_sq: np.ndarray
     gauss_curv: np.ndarray | None
@@ -213,15 +208,6 @@ def _cross4(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
     return d
 
 
-def _sym2x2(a11, a12, a22) -> np.ndarray:
-    out = np.empty((a11.size, 2, 2))
-    out[:, 0, 0] = a11
-    out[:, 0, 1] = a12
-    out[:, 1, 0] = a12
-    out[:, 1, 1] = a22
-    return out
-
-
 def _check_not_degenerate(det: np.ndarray):
     threshold = DEGENERACY_REL_TOL * float(np.mean(det))
     bad = np.where(~(det > threshold))[0]
@@ -231,7 +217,7 @@ def _check_not_degenerate(det: np.ndarray):
 
 
 def compute_geometry(s: ImmersedSurface, want_gauss: bool = True) -> GeometryFields:
-    """All nodal geometric fields of the surface.
+    """The nodal fields of the surface that assembly and the checks read.
 
     The body works on the component rows x[key] = bundle[key].T, (4, N)
     views of the chart's component-major storage.
@@ -246,7 +232,8 @@ def compute_geometry(s: ImmersedSurface, want_gauss: bool = True) -> GeometryFie
     E, F, G = wdot(x["u"], x["u"]), wdot(x["u"], x["v"]), wdot(x["v"], x["v"])
     det = E * G - F * F
     _check_not_degenerate(det)
-    inv_uu, inv_uv, inv_vv = G / det, -F / det, E / det
+    metric_inv = np.stack([G / det, -F / det, E / det])
+    inv_uu, inv_uv, inv_vv = metric_inv
 
     # W nu is Euclidean-orthogonal to radial, X_u and X_v; unit in the W-norm.
     nu = _cross4(amb.radial, x["u"], x["v"])
@@ -274,11 +261,8 @@ def compute_geometry(s: ImmersedSurface, want_gauss: bool = True) -> GeometryFie
         gauss = 0.5 * amb.scalar - ricci + (2.0 * mean * mean - 0.5 * sigma_sq)
 
     return GeometryFields(
-        metric=_sym2x2(E, F, G),
-        metric_inv=_sym2x2(inv_uu, inv_uv, inv_vv),
+        metric_inv=metric_inv,
         area_element=np.sqrt(det) * s.grid.cell_weight,
-        normal=nu.T,
-        shape=_sym2x2(s_uu, s_uv, s_vv),
         mean_curv=mean,
         sigma_sq=sigma_sq,
         gauss_curv=gauss,
@@ -287,15 +271,15 @@ def compute_geometry(s: ImmersedSurface, want_gauss: bool = True) -> GeometryFie
     )
 
 
-def total_curvature(s: ImmersedSurface, f: GeometryFields) -> float:
+def total_curvature(f: GeometryFields) -> float:
     """Integral of the Gauss curvature (equals 2 pi Euler characteristic)."""
     if f.gauss_curv is None:
         raise DomainError("surface has no Gauss curvature field")
     return float(np.sum(f.gauss_curv * f.area_element))
 
 
-def euler_characteristic(s: ImmersedSurface, f: GeometryFields) -> int:
-    x = total_curvature(s, f) / (2.0 * np.pi)
+def euler_characteristic(f: GeometryFields) -> int:
+    x = total_curvature(f) / (2.0 * np.pi)
     chi = round(x)
     if abs(x - chi) > 0.1:
         raise MeshTooCoarseError(

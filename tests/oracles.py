@@ -282,11 +282,11 @@ def dirichlet_energy_check(s: ImmersedSurface, param) -> tuple[float, float]:
     base = compute_geometry(s, want_gauss=False)
     b = image.bundle()
     psi_u, psi_v = b["u"], b["v"]
-    ginv = base.metric_inv
+    ginv_uu, ginv_uv, ginv_vv = base.metric_inv
     integrand = (
-        ginv[:, 0, 0] * np.einsum("ij,ij->i", psi_u, psi_u)
-        + 2.0 * ginv[:, 0, 1] * np.einsum("ij,ij->i", psi_u, psi_v)
-        + ginv[:, 1, 1] * np.einsum("ij,ij->i", psi_v, psi_v)
+        ginv_uu * np.einsum("ij,ij->i", psi_u, psi_u)
+        + 2.0 * ginv_uv * np.einsum("ij,ij->i", psi_u, psi_v)
+        + ginv_vv * np.einsum("ij,ij->i", psi_v, psi_v)
     )
     energy = float(np.sum(integrand * base.area_element))
     image_fields = compute_geometry(image, want_gauss=False)

@@ -166,8 +166,8 @@ def test_criterion_6_geometric_identities():
             res = gauss_equation_residual(sympy_chart(spec), f, s.grid)
             worst["gauss"] = max(worst["gauss"], res)
             checks.append(res <= 1e-4)
-        chi = ss.euler_characteristic(s, f)
-        gb = abs(ss.total_curvature(s, f) - 2 * math.pi * chi)
+        chi = ss.euler_characteristic(f)
+        gb = abs(ss.total_curvature(f) - 2 * math.pi * chi)
         worst["total"] = max(worst["total"], gb)
         checks.append(gb <= 1e-3)
         pinch = float(np.min(f.sigma_sq - 2 * f.mean_curv**2))

@@ -125,7 +125,7 @@ def test_sheared_chart_activates_mixed_coupling_and_converges():
     for n in (16, 32):
         s = ss.ImmersedSurface(Sphere3(), chart, torus_grid(n, n))
         f = ss.compute_geometry(s, want_gauss=False)
-        assert np.max(np.abs(f.metric[:, 0, 1] - 0.5)) < 1e-13
+        assert np.max(np.abs(f.metric_inv[1] + 2.0)) < 1e-13
         p = ss.assemble(s, f)
         sym = (p.stiffness_minus_potential
                - p.stiffness_minus_potential.T).tocoo()
@@ -156,14 +156,14 @@ def test_each_invariance_condition_is_checked():
     assert not ss.OperatorPencil(p.stiffness_minus_potential, p.mass_diagonal, p.potential,
                                  p.grid).invariant_along_v  # built by hand
     node = 37
-    for field, entry in (("area_element", ()), ("metric_inv", (0, 0)),
-                         ("metric_inv", (1, 1)), ("metric_inv", (0, 1)), ("sigma_sq", ())):
+    for field, entry in (("area_element", ()), ("metric_inv", (0,)),
+                         ("metric_inv", (2,)), ("metric_inv", (1,)), ("sigma_sq", ())):
         for size, invariant in ((1e-11, False), (1e-15, True)):
             value = getattr(f, field).copy()
-            if entry == (0, 1):
-                value[node, 0, 1] = value[node, 1, 0] = size * value[node, 0, 0]
+            if entry == (1,):  # the g^uv row
+                value[1, node] = size * value[0, node]
             else:
-                value[(node, *entry)] *= 1.0 + size
+                value[(*entry, node)] *= 1.0 + size
             moved = ss.assemble(s, dataclasses.replace(f, **{field: value}))
             assert moved.invariant_along_v == invariant, (field, entry, size)
             method = ss.smallest_eigenpairs(moved, 4).method
@@ -179,8 +179,8 @@ def _coo_reference(s, f):
     idx = np.arange(s.node_count).reshape(grid.nu, grid.nv)
     faces = []
     for coeff, ratio, axis, periodic in (
-            (sqrtg * f.metric_inv[:, 0, 0], grid.dv / grid.du, 0, grid.periodic_u),
-            (sqrtg * f.metric_inv[:, 1, 1], grid.du / grid.dv, 1, True)):
+            (sqrtg * f.metric_inv[0], grid.dv / grid.du, 0, grid.periodic_u),
+            (sqrtg * f.metric_inv[2], grid.du / grid.dv, 1, True)):
         left, right = idx, np.roll(idx, -1, axis=axis)
         if not periodic:
             left, right = left[:-1], right[:-1]
@@ -191,8 +191,8 @@ def _coo_reference(s, f):
              (np.concatenate([li, ri, li, ri]), np.concatenate([li, ri, ri, li]))),
             shape=(s.node_count,) * 2))
     stiffness = faces[0] + faces[1]
-    gamma = sqrtg * f.metric_inv[:, 0, 1]
-    scale = np.mean(sqrtg * (f.metric_inv[:, 0, 0] + f.metric_inv[:, 1, 1]))
+    gamma = sqrtg * f.metric_inv[1]
+    scale = np.mean(sqrtg * (f.metric_inv[0] + f.metric_inv[2]))
     if np.max(np.abs(gamma)) > 1e-14 * scale:  # a cross term above round-off
         cross = (grid.d1_sparse(0).T @ sp_sparse.diags(gamma * grid.cell_weight)
                  @ grid.d1_sparse(1)).tocsr()

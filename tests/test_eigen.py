@@ -294,7 +294,7 @@ def _one_node_off(field, size):
     f = ss.compute_geometry(s, want_gauss=False)
     value = getattr(f, field).copy()
     if field == "metric_inv":  # an off-diagonal term adds the cross coupling
-        value[0, 0, 1] = value[0, 1, 0] = size * value[0, 0, 0]
+        value[1, 0] = size * value[0, 0]
     else:
         value[0] *= 1.0 + size
     return ss.assemble(s, replace(f, **{field: value}))

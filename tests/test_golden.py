@@ -1,16 +1,23 @@
 """Golden reports: the CLI's JSON and CSV output against recorded reports.
 
 `tests/golden/<name>.json` maps each JSON report file that
-`stabspec <COMMANDS[name]> --out DIR` writes to its contents, as recorded
-before the 3-sphere and warped-product geometry pipelines were merged into
-one; `tests/golden/<name>.csv` is the summary.csv it writes, recorded
-before assembly took over the invariance decision from the eigensolver.
-All commands run at 24x24 or coarser.  The non-zonal Y3,1 graphs of
-the amplitude sweep take the sparse eigen path, every other solve the
-reduced one.  Non-float entries must match exactly; floats must match within
-1e-10 * max(1, |value|), far below the 12 significant digits the reports
-round to, yet above the round-off that a change of summation order leaves.
-A CSV cell is a float when it parses as one.
+`stabspec <COMMANDS[name]> --out DIR` writes to its contents, and
+`tests/golden/<name>.csv` is the summary.csv it writes.  The commands are
+five small ones at 24x24 or coarser, every distinct `stabspec` line of the
+README's `sh` blocks, the `# Run:` line of each `configs/*.cfg` (run from
+the repository root, where their `--config` paths point) and four commands
+on non-zonal surfaces.  The first five were recorded before the 3-sphere
+and warped-product geometry pipelines were merged into one (their CSVs
+before assembly took over the invariance decision from the eigensolver),
+the rest before `GeometryFields` dropped its metric, normal and second
+fundamental form.  The balance-bound files have since lost the body's
+`attempts` list, which repeated `bound`, `balance_residual` and
+`param_norm`.  Exactly the amplitude sweep's non-zonal Y3,1 graphs
+and the `SPARSE` commands take the sparse eigen path, every other solve
+the reduced one.  Non-float entries must match exactly; floats must match
+within 1e-10 * max(1, |value|), far below the 12 significant digits the
+reports round to, yet above the round-off that a change of summation
+order leaves.  A CSV cell is a float when it parses as one.
 """
 
 from __future__ import annotations
@@ -18,13 +25,17 @@ from __future__ import annotations
 import csv
 import json
 import pathlib
+import re
+import shlex
 
 import pytest
+from test_readme import COMMANDS as README_LINES
 
 import stabspec.eigen as eigen
 from stabspec.cli import main as cli_main
 
-GOLDEN = pathlib.Path(__file__).parent / "golden"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+GOLDEN = ROOT / "tests" / "golden"
 REL_TOL = 1e-10
 
 COMMANDS = {
@@ -36,7 +47,24 @@ COMMANDS = {
     "balance_bound": ["balance-bound", "shape=geodesic-sphere", "rho=1.0",
                       "resolution=24"],
     "slice_spectrum": ["slice-spectrum", "warping=cosh", "t0=0.3", "count=6"],
+    "sparse_check_t13": ["check", "t13", "shape=graph-over-slice", "warping=cosh",
+                         "t0=0.3", "perturbation=Y2,1", "amplitude=0.05",
+                         "resolutions=24,48"],
+    "sparse_check_esi": ["check", "esi", "shape=graph-over-slice", "warping=cosh",
+                         "t0=0.3", "perturbation=Y3,-2", "amplitude=0.05",
+                         "resolutions=24,48"],
+    "sparse_check_t11": ["check", "t11", "shape=perturbed-torus", "r=0.7", "eps=0.05",
+                         "wave=3", "resolutions=24,48"],
+    "sparse_balance_bound": ["balance-bound", "shape=perturbed-torus", "r=0.7",
+                             "eps=0.05", "wave=3", "resolution=48"],
 }
+SPARSE = {"sweep_graph_amplitude", "sparse_check_t13", "sparse_check_esi",
+          "sparse_check_t11", "sparse_balance_bound"}
+CONFIG_LINES = [re.search(r"^# Run:\s+(stabspec .*)$", path.read_text(), re.M).group(1)
+                for path in sorted((ROOT / "configs").glob("*.cfg"))]
+COMMANDS.update({re.sub(r"[^a-z0-9]+", "_", " ".join(args).lower()).strip("_"): args
+                 for args in (shlex.split(line)[1:]
+                              for line in dict.fromkeys(README_LINES + CONFIG_LINES))})
 
 
 def _mismatches(got, want, path="") -> list[str]:
@@ -95,9 +123,9 @@ def test_reports_match_the_golden_files(tmp_path, monkeypatch, name):
         return real(op, k, *rest)
 
     monkeypatch.setattr(eigen, "_solve_sparse", logged)
+    monkeypatch.chdir(ROOT)
     assert cli_main(COMMANDS[name] + ["--out", str(tmp_path)]) == 0
-    # the amplitude sweep keeps the sparse eigen path under the guard
-    assert bool(lanczos_windows) == (name == "sweep_graph_amplitude")
+    assert bool(lanczos_windows) == (name in SPARSE)
     got = {p.name: json.loads(p.read_text()) for p in sorted(tmp_path.glob("*.json"))}
     want = json.loads((GOLDEN / f"{name}.json").read_text())
     assert _mismatches(got, want) == []

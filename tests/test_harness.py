@@ -208,7 +208,7 @@ def test_balance_bound_scenario_summary():
     out = ss.balance_bound_scenario(ss.clifford_torus((24, 24)),
                                     resolution=(24, 24)).body
     for key in ("lambda1", "lambda2", "bound", "gap", "balance_residual",
-                "param_norm", "attempts"):
+                "param_norm", "param"):
         assert key in out
     assert out["balance_residual"] <= 1e-9
     assert out["bound"] >= out["lambda2"] - 1e-8

@@ -5,11 +5,18 @@ referenced by name, as a `Name` or an `Attribute`, somewhere in the
 package outside its own definition and `__init__.py` (whose re-exports
 and the `__all__` strings do not count).  Code only the tests call
 belongs beside them, in `tests/oracles.py`.
+
+Likewise every field of a record one stage hands the next
+(`GeometryFields`, `OperatorPencil`) must be read in the package, as an
+attribute of a name that holds such a record: a parameter annotated with
+the record's class, or a name assigned the result of a function annotated
+to return it.  A field only the tests read is not computed for them.
 """
 
 from __future__ import annotations
 
 import ast
+import dataclasses
 from pathlib import Path
 
 import stabspec
@@ -53,3 +60,49 @@ def test_the_guard_names_a_function_with_no_caller():
     modules = _modules()
     modules["extra.py"] = ast.parse("def helper():\n    return 1\n")
     assert unreferenced_functions(modules) == ["extra.py:1 helper"]
+
+
+def _holders(nodes, record: str) -> set[str]:
+    """Names that hold a `record`: parameters annotated with its class and
+    names assigned the result of a function annotated to return it."""
+    def is_record(annotation):
+        return isinstance(annotation, ast.Name) and annotation.id == record
+
+    makers = {node.name for node in nodes
+              if isinstance(node, ast.FunctionDef) and is_record(node.returns)}
+    held = {node.arg for node in nodes if isinstance(node, ast.arg) and is_record(node.annotation)}
+    return held | {target.id for node in nodes
+                   if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call)
+                   and isinstance(node.value.func, ast.Name) and node.value.func.id in makers
+                   for target in node.targets if isinstance(target, ast.Name)}
+
+
+def unread_fields(modules, records: dict[str, list[str]]) -> list[str]:
+    """`Record.field` of each field no holder of the record reads."""
+    nodes = [node for tree in modules.values() for node in ast.walk(tree)]
+    reads = {(node.value.id, node.attr) for node in nodes
+             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+             and isinstance(node.value, ast.Name)}
+    unread = []
+    for record, fields in records.items():
+        holders = _holders(nodes, record)
+        unread += [f"{record}.{field}" for field in fields
+                   if not any((name, field) in reads for name in holders)]
+    return unread
+
+
+def test_every_field_handed_between_stages_is_read_in_the_package():
+    records = {cls.__name__: [f.name for f in dataclasses.fields(cls)]
+               for cls in (stabspec.GeometryFields, stabspec.OperatorPencil)}
+    assert unread_fields(_modules(), records) == []
+
+
+def test_the_guard_names_a_field_no_holder_reads():
+    module = ast.parse(
+        "def make() -> Rec:\n    pass\n"
+        "def use(r: Rec):\n    return r.a\n"
+        "made = make()\n"
+        "b = made.b\n"
+        "c = other.c\n"
+    )
+    assert unread_fields({"m.py": module}, {"Rec": ["a", "b", "c"]}) == ["Rec.c"]
