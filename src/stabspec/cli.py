@@ -171,13 +171,16 @@ def _run(args) -> int:
     unread = sorted(cfg.overrides - cfg.read)
     if unread:
         raise ConfigError(f"{args.command} does not read the key(s) {', '.join(unread)}")
-    fresh = not os.path.isdir(args.out)
+    created, path = [], os.path.abspath(args.out)
+    while not os.path.isdir(path):  # the directories makedirs creates, deepest first
+        created.append(path)
+        path = os.path.dirname(path)
     os.makedirs(args.out, exist_ok=True)  # an unusable --out fails here, before any solve
     try:
         reports = work()
     except (StabspecError, MemoryError):
-        if fresh:  # a refused or failed run leaves no report directory behind
-            os.rmdir(args.out)
+        for path in created:  # a refused or failed run leaves no directory it made
+            os.rmdir(path)
         raise
     for rep in reports:
         _print(rep)

@@ -183,7 +183,7 @@ def _steps(spec, resolutions, seed, bound_fn, hypothesis=None):
             "spacing": max(surface.grid.du, surface.grid.dv),
             "lambda1": float(lam[0]),
             "lambda2": float(lam[1]),
-            "bound": bound_fn(surface, fields),
+            "bound": bound_fn(fields),
             "lambda2_multiplicity": eigenvalue_multiplicity(lam, 1),
         }
 
@@ -244,11 +244,12 @@ def _convexity_hypothesis(surface) -> dict:
     return {"condition_min": cond_min, "condition_argmin": cond_arg}
 
 
-def _slice_mean_bound(surface, fields) -> float:
-    w = surface.ambient.warping
-    t = surface.bundle()["0"][:, 0]
-    values = wp.slice_lambda2(w, t)
+def _area_mean(values, fields) -> float:
     return float(np.sum(values * fields.area_element) / np.sum(fields.area_element))
+
+
+def _slice_mean_bound(fields) -> float:
+    return _area_mean(wp.slice_lambda2_from_ricci(fields.ambient_curvature), fields)
 
 
 def _product_hypothesis(surface) -> dict:
@@ -264,21 +265,17 @@ def _product_hypothesis(surface) -> dict:
     return {}
 
 
-def _esi_bound(surface, fields) -> float:
-    n = wp.SPHERE_DIM
-    integrand = (
-        n * fields.mean_curv**2
-        + (fields.ambient_scalar - 2.0 * fields.ricci_normal) / (n - 1)
-        - fields.sigma_sq
-        - fields.ricci_normal
-    )
-    return float(np.sum(integrand * fields.area_element) / np.sum(fields.area_element))
+def _esi_bound(fields) -> float:
+    n, ric, r = wp.SPHERE_DIM, fields.ricci_normal, fields.ambient_curvature.scalar
+    return _area_mean(n * fields.mean_curv**2 + (r - 2.0 * ric) / (n - 1) - fields.sigma_sq - ric,
+                      fields)
 
 
 # check name -> (theorem id, hypothesis, bound); see the module docstring.
-# t12 is t13 on the product ambient, where every slice value is n = 2.
+# A bound is a function of the geometry fields alone. t12 is t13 on the
+# product ambient, where every slice value is n = 2.
 _CHECKS = {
-    "t11": ("T11", _torus_hypothesis, lambda s, f: -2.0),
+    "t11": ("T11", _torus_hypothesis, lambda f: -2.0),
     "t12": ("T12", _product_hypothesis, _slice_mean_bound),
     "t13": ("T13", _convexity_hypothesis, _slice_mean_bound),
     "esi": ("ESI", _require_warped, _esi_bound),
@@ -322,7 +319,7 @@ def convergence_study(spec: catalog.ShapeSpec, resolutions, seed: int = 0) -> Re
         oracle = float(catalog.exact_jacobi_spectrum(spec, 2)[1])
     except DomainError:
         oracle = None
-    _, steps = _steps(spec, resolutions, seed, lambda s, f: oracle)
+    _, steps = _steps(spec, resolutions, seed, lambda f: oracle)
     orders, lam_hat, err_est = _trend(steps)
     scenario = scenario_slug("converge", spec.label)
     body = {

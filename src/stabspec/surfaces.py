@@ -5,21 +5,21 @@ round unit 3-sphere sitting in R^4, or a warped product (interval) x S^2
 with metric dt^2 + h(t)^2 ds^2.  From the chart's derivative bundle this
 module produces the nodal fields that assembly and the checks read: the
 inverse induced metric, the area element, the mean curvature, the squared
-norm of the shape operator, the ambient Ricci curvature in the normal
-direction and the ambient scalar curvature, and on request the Gauss
-curvature.  The induced metric, the unit normal and the second fundamental
-form are intermediates and are not kept.
+norm of the shape operator, Ric(nu, nu), the ambient's Ricci data, and on
+request the Gauss curvature.  The induced metric, the unit normal and the
+second fundamental form are intermediates and are not kept.
 
 One body serves both ambients.  Chart values are points of R^4 (the
 position on the 3-sphere, or (t, w) with w on the unit 2-sphere), and
 both ambient metrics are diagonal there, W = diag(1, H, H, H) with H = 1
 on the 3-sphere and H = h(t)^2 on the warped product.  An ambient
-supplies only H, the radial direction the normal must also be orthogonal
-to (the position X, or (0, w)), the Christoffel contraction
-Gamma(X_a, X_b) (zero on the 3-sphere), Ric(nu, nu) and its scalar
-curvature R; metric, normal, second fundamental form and curvatures are
+supplies data only: H, the radial direction the normal must also be
+orthogonal to (the position X, or (0, w)), h h' (none on the 3-sphere)
+and its Ricci data (Ric_tt, Ric_tan, R), (2, 2, 6) on the 3-sphere.
+Metric, normal, second fundamental form, Ric(nu, nu) and curvatures are
 computed the same way for both, from the chart's derivatives through
-order 2.
+order 2.  With X_a = (t_a, w_a) and Euclidean dots of the sphere parts,
+sigma_ab = -<nu, X_ab>_W - h h' (t_a <nu, w_b> + t_b <nu, w_a> - nu_t <w_a, w_b>).
 
 Sign conventions.  The second fundamental form is
 sigma(X, Y) = <D_X nu, Y>, so a slice {t} x S^2 with normal +d/dt has
@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -74,17 +73,15 @@ class AmbientTerms:
     sphere_weight: H of the ambient metric W = diag(1, H, H, H) in chart
                   coordinates, scalar or (N,)
     radial:       (4, N) direction the normal is also orthogonal to
-    christoffel:  (X_a, X_b) -> Gamma(X_a, X_b), all (4, N), or None where
-                  it vanishes
-    ricci:        unit normal (4, N) -> Ric(nu, nu), (N,)
-    scalar:       ambient scalar curvature R, scalar or (N,)
+    hdh:          (N,) h h' of the warped metric, or None on the 3-sphere,
+                  where the Christoffel term vanishes
+    curvature:    Ricci data Ric_tt, Ric_tan and R, floats or (N,)
     """
 
     sphere_weight: np.ndarray | float
     radial: np.ndarray
-    christoffel: Callable | None
-    ricci: Callable
-    scalar: np.ndarray | float
+    hdh: np.ndarray | None
+    curvature: wp.AmbientCurvature
 
 
 def _require_unit(x: np.ndarray, message: str) -> None:
@@ -104,7 +101,7 @@ class Sphere3:
     def terms(self, x: dict[str, np.ndarray]) -> AmbientTerms:
         """Terms at the chart rows x[key] = bundle[key].T, each (4, N)."""
         _require_unit(x["0"], "chart values must lie on the unit 3-sphere")
-        return AmbientTerms(1.0, x["0"], None, lambda nu: np.full(nu.shape[1], 2.0), 6.0)
+        return AmbientTerms(1.0, x["0"], None, wp.AmbientCurvature(2.0, 2.0, 6.0))
 
 
 @dataclass(frozen=True)
@@ -117,26 +114,13 @@ class WarpedProduct:
         """Terms at the chart rows x[key] = bundle[key].T, each (4, N).
 
         The profile is evaluated once, and (h, h', h'') feed the
-        Christoffel term, Ric(nu, nu) and R alike.
+        Christoffel term, Ric(nu, nu) and the bounds alike.
         """
         t = x["0"][0]
         _require_unit(x["0"][1:], "sphere part of a warped chart must have unit norm")
         h, dh, d2h = wp._hs(self.warping, t)
-        curv = wp._curvature(h, dh, d2h)
-        minus_hdh, dlog = -h * dh, dh / h
-
-        def christoffel(xa, xb):
-            # Gamma^t = -h h' <w_a, w_b>,  Gamma^w = (h'/h) (t_a w_b + t_b w_a)
-            out = np.empty_like(xa)
-            out[0] = minus_hdh * _sphere_dot(xa, xb)
-            out[1:] = dlog * (xa[0] * xb[1:] + xb[0] * xa[1:])
-            return out
-
-        def ricci(nu):
-            return np.asarray(wp.ricci_direction(curv, nu[0]))
-
         return AmbientTerms(h * h, np.vstack([np.zeros_like(t), x["0"][1:]]),
-                            christoffel, ricci, curv.scalar)
+                            h * dh, wp._curvature(h, dh, d2h))
 
 
 class ImmersedSurface:
@@ -180,8 +164,8 @@ class GeometryFields:
     gauss_curv:   (N,) Gauss curvature from the Gauss equation, or None when
                   it was not asked for (want_gauss=False)
     ricci_normal: (N,) ambient Ric(normal, normal)
-    ambient_scalar: ambient scalar curvature R, 6 on the 3-sphere, (N,) on
-                  a warped ambient
+    ambient_curvature: Ricci data (Ric_tt, Ric_tan, R) of the ambient, the
+                  one ambient fact every bound reads; (2, 2, 6) on the 3-sphere
     """
 
     metric_inv: np.ndarray
@@ -190,7 +174,7 @@ class GeometryFields:
     sigma_sq: np.ndarray
     gauss_curv: np.ndarray | None
     ricci_normal: np.ndarray
-    ambient_scalar: np.ndarray | float
+    ambient_curvature: wp.AmbientCurvature
 
 
 def _cross4(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -241,12 +225,19 @@ def compute_geometry(s: ImmersedSurface, want_gauss: bool = True) -> GeometryFie
     nu /= np.sqrt(wdot(nu, nu))
     if not s.is_sphere3:
         nu *= np.where(nu[0] < 0.0, -1.0, 1.0)
+    # before sigma, while fewer (N,) arrays are live: its temporaries set no peak
+    ricci = wp.ricci_direction(amb.curvature, nu[0])
 
-    def second(key):  # sigma_ab = -<nu, X_ab + Gamma(X_a, X_b)>_W
-        xab = x[key]
-        if amb.christoffel is not None:
-            xab = xab + amb.christoffel(x[key[0]], x[key[1]])
-        return -wdot(nu, xab)
+    # <nu, w_a>, read by the Christoffel term alone
+    nw = None if amb.hdh is None else {key: _sphere_dot(nu, x[key]) for key in "uv"}
+
+    def second(key):  # sigma_ab, see the module docstring
+        sigma = -wdot(nu, x[key])
+        if amb.hdh is not None:
+            a, b = key
+            ww = _sphere_dot(x[a], x[b])
+            sigma -= amb.hdh * (x[a][0] * nw[b] + x[b][0] * nw[a] - nu[0] * ww)
+        return sigma
 
     s_uu, s_uv, s_vv = second("uu"), second("uv"), second("vv")
     # shape operator g^-1 sigma, entry by entry
@@ -254,11 +245,10 @@ def compute_geometry(s: ImmersedSurface, want_gauss: bool = True) -> GeometryFie
     a21, a22 = inv_uv * s_uu + inv_vv * s_uv, inv_uv * s_uv + inv_vv * s_vv
     mean = 0.5 * (a11 + a22)
     sigma_sq = a11 * a11 + 2.0 * a12 * a21 + a22 * a22
-    ricci = amb.ricci(nu)
 
     gauss = None
     if want_gauss:  # Gauss equation: K = R/2 - Ric(nu, nu) + k1 k2
-        gauss = 0.5 * amb.scalar - ricci + (2.0 * mean * mean - 0.5 * sigma_sq)
+        gauss = 0.5 * amb.curvature.scalar - ricci + (2.0 * mean * mean - 0.5 * sigma_sq)
 
     return GeometryFields(
         metric_inv=metric_inv,
@@ -267,7 +257,7 @@ def compute_geometry(s: ImmersedSurface, want_gauss: bool = True) -> GeometryFie
         sigma_sq=sigma_sq,
         gauss_curv=gauss,
         ricci_normal=ricci,
-        ambient_scalar=amb.scalar,
+        ambient_curvature=amb.curvature,
     )
 
 

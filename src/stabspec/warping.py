@@ -15,7 +15,8 @@ The profile combination  h''/h + (1 - h'^2)/h^2  ("convexity condition")
 controls everything: it is positive exactly when the Ricci curvature,
 evaluated on unit directions, is strictly minimized by d/dt, it vanishes
 identically on the constant-curvature profiles (h = t, sin t, sinh t), and
-n times it equals the second eigenvalue of the slice stability operator.
+n times it equals the second eigenvalue of the slice stability operator,
+which in the Ricci data of `_curvature` reads n/(n-1) (Ric_tan - Ric_tt).
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ __all__ = [
     "convexity_condition",
     "ricci_direction",
     "slice_lambda2",
+    "slice_lambda2_from_ricci",
     "slice_eigenvalue_band",
     "slice_spectrum",
     "harmonic_multiplicity",
@@ -159,6 +161,12 @@ def slice_lambda2(w: WarpingFunction, t):
     """
     n = SPHERE_DIM
     return n * convexity_condition(w, t)
+
+
+def slice_lambda2_from_ricci(amb: AmbientCurvature):
+    """n * convexity as n/(n-1) (Ric_tan - Ric_tt), from the Ricci data at t."""
+    n = SPHERE_DIM
+    return n / (n - 1) * (amb.ricci_tangential - amb.ricci_tt)
 
 
 def slice_eigenvalue_band(w: WarpingFunction, t, k: int):

@@ -393,6 +393,17 @@ def test_cli_reports_hypothesis_violation_as_exit_two(tmp_path):
     assert code == 2
 
 
+def test_cli_refused_run_removes_exactly_the_directories_it_made(tmp_path):
+    # the genus hypothesis refuses a sphere after --out was made
+    refused = ["check", "t11", "shape=geodesic-sphere", "rho=1.0", "resolutions=8,12"]
+    assert cli_main([*refused, "--out", str(tmp_path / "r" / "s" / "t")]) == 2
+    assert not (tmp_path / "r").exists()
+    assert tmp_path.is_dir()
+    (tmp_path / "p").mkdir()
+    assert cli_main([*refused, "--out", str(tmp_path / "p" / "q" / "")]) == 2
+    assert (tmp_path / "p").is_dir() and not (tmp_path / "p" / "q").exists()
+
+
 def test_cli_rejects_bad_overrides(tmp_path, build_log):
     assert cli_main(["check", "t11", "shape=clifford-torus", "resolutions",
                      "--out", str(tmp_path / "r")]) == 2

@@ -7,10 +7,11 @@ and the `__all__` strings do not count).  Code only the tests call
 belongs beside them, in `tests/oracles.py`.
 
 Likewise every field of a record one stage hands the next
-(`GeometryFields`, `OperatorPencil`) must be read in the package, as an
-attribute of a name that holds such a record: a parameter annotated with
-the record's class, or a name assigned the result of a function annotated
-to return it.  A field only the tests read is not computed for them.
+(`AmbientTerms`, `GeometryFields`, `OperatorPencil`) must be read in the
+package, as an attribute of a name that holds such a record: a parameter
+annotated with the record's class, or a name assigned the result of a
+function or method annotated to return it.  A field only the tests read
+is not computed for them.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import dataclasses
 from pathlib import Path
 
 import stabspec
+from stabspec.surfaces import AmbientTerms
 
 PACKAGE = Path(stabspec.__file__).parent
 
@@ -64,16 +66,21 @@ def test_the_guard_names_a_function_with_no_caller():
 
 def _holders(nodes, record: str) -> set[str]:
     """Names that hold a `record`: parameters annotated with its class and
-    names assigned the result of a function annotated to return it."""
+    names assigned the result of a function or method annotated to return it
+    (`made = make()` or `made = obj.make()`)."""
     def is_record(annotation):
         return isinstance(annotation, ast.Name) and annotation.id == record
+
+    def maker(func):
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        return name in makers
 
     makers = {node.name for node in nodes
               if isinstance(node, ast.FunctionDef) and is_record(node.returns)}
     held = {node.arg for node in nodes if isinstance(node, ast.arg) and is_record(node.annotation)}
     return held | {target.id for node in nodes
                    if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call)
-                   and isinstance(node.value.func, ast.Name) and node.value.func.id in makers
+                   and maker(node.value.func)
                    for target in node.targets if isinstance(target, ast.Name)}
 
 
@@ -93,7 +100,7 @@ def unread_fields(modules, records: dict[str, list[str]]) -> list[str]:
 
 def test_every_field_handed_between_stages_is_read_in_the_package():
     records = {cls.__name__: [f.name for f in dataclasses.fields(cls)]
-               for cls in (stabspec.GeometryFields, stabspec.OperatorPencil)}
+               for cls in (AmbientTerms, stabspec.GeometryFields, stabspec.OperatorPencil)}
     assert unread_fields(_modules(), records) == []
 
 
@@ -103,6 +110,9 @@ def test_the_guard_names_a_field_no_holder_reads():
         "def use(r: Rec):\n    return r.a\n"
         "made = make()\n"
         "b = made.b\n"
-        "c = other.c\n"
+        "class Maker:\n    def build(self) -> Rec:\n        pass\n"
+        "built = Maker().build()\n"
+        "c = built.c\n"
+        "d = other.d\n"
     )
-    assert unread_fields({"m.py": module}, {"Rec": ["a", "b", "c"]}) == ["Rec.c"]
+    assert unread_fields({"m.py": module}, {"Rec": ["a", "b", "c", "d"]}) == ["Rec.d"]

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -129,32 +130,47 @@ def test_cosh_slice_extrinsic_data_matches_warping_closed_forms():
     assert ss.euler_characteristic(f) == 2
 
 
-@pytest.mark.parametrize("want_gauss", [False, True])
-def test_warped_geometry_evaluates_the_profile_once(want_gauss):
-    # one evaluation of (h, h', h'') feeds the Christoffel term,
-    # Ric(nu, nu) and the scalar curvature of the Gauss equation
-    calls = {}
-
+def _counted_cosh(calls: Counter) -> ss.WarpingFunction:
+    """The cosh profile, counting each evaluation of h, h', h'' by input size."""
     def counted(name, fn):
         def profile(t):
-            calls[name] = calls.get(name, 0) + 1
+            calls[name, np.size(t)] += 1
             return fn(t)
         return profile
 
-    w = ss.WarpingFunction(h=counted("h", np.cosh), dh=counted("dh", np.sinh),
-                           d2h=counted("d2h", np.cosh), interval=(-2.0, 2.0))
+    return ss.WarpingFunction(h=counted("h", np.cosh), dh=counted("dh", np.sinh),
+                              d2h=counted("d2h", np.cosh), interval=(-2.0, 2.0))
+
+
+@pytest.mark.parametrize("want_gauss", [False, True])
+def test_warped_geometry_evaluates_the_profile_once(want_gauss):
+    # one evaluation of (h, h', h'') gives h h' for the Christoffel term and
+    # the Ricci data for Ric(nu, nu) and the scalar curvature of the Gauss equation
+    calls = Counter()
+    w = _counted_cosh(calls)
     base = ss.build(ss.graph_over_slice("cosh", 0.2, "Y2,1", 0.05, (12, 12)))
     s = ss.ImmersedSurface(ss.WarpedProduct(w), base.chart, base.grid)
     s.bundle()
     calls.clear()
     f = ss.compute_geometry(s, want_gauss=want_gauss)
-    assert calls == {"h": 1, "dh": 1, "d2h": 1}
+    assert calls == {(name, s.node_count): 1 for name in ("h", "dh", "d2h")}
     ref = ss.compute_geometry(base, want_gauss=want_gauss)
     np.testing.assert_array_equal(f.ricci_normal, ref.ricci_normal)
     np.testing.assert_array_equal(f.mean_curv, ref.mean_curv)
     np.testing.assert_array_equal(f.sigma_sq, ref.sigma_sq)
     if want_gauss:
         np.testing.assert_array_equal(f.gauss_curv, ref.gauss_curv)
+
+
+def test_a_t13_rung_evaluates_the_profile_once():
+    # the bound reads the Ricci data of the rung's geometry call; the
+    # 512-point scan of the convexity hypothesis is the one other evaluation
+    calls = Counter()
+    spec = ss.graph_over_slice(_counted_cosh(calls), 0.2, "Y2,1", 0.05)
+    nodes = [ss.build(dataclasses.replace(spec, resolution=(r, r))).node_count for r in (8, 12)]
+    calls.clear()
+    assert ss.check_theorem("t13", spec, [8, 12]).verdict is True
+    assert calls == {(name, size): 1 for name in ("h", "dh", "d2h") for size in (512, *nodes)}
 
 
 def test_product_slice_is_totally_geodesic():

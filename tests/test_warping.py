@@ -137,6 +137,16 @@ def test_slice_lambda2_equals_first_band():
                 W.slice_eigenvalue_band(w, t, 1), rel=1e-13, abs=1e-13)
 
 
+def test_slice_value_is_the_ricci_gap():
+    # n * convexity = n/(n-1) (Ric_tan - Ric_tt), the route the t12/t13 bounds take
+    n = W.SPHERE_DIM
+    poly = W.polynomial_warping([1.5, 0.3, 0.4, -0.1], (-1.0, 1.0))
+    for w in [W.builtin_warping(name) for name in NAMED] + [poly]:
+        t = _interior_points(w)
+        np.testing.assert_allclose(W.slice_lambda2_from_ricci(ambient_ricci(w, t)),
+                                   n * W.convexity_condition(w, t), rtol=0, atol=1e-12)
+
+
 def test_slice_band_closed_forms():
     cosh = W.builtin_warping("cosh")
     for k in range(4):
