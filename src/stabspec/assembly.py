@@ -27,9 +27,12 @@ which is the correct cell-centered treatment of the coordinate poles.
 Invariance along v, the periodic axis of both grid kinds.  `assemble`
 marks the pencil invariant along v when no cross term was added and a, b,
 q sqrt(g) du dv and sqrt(g) du dv are each constant along v to
-INVARIANCE_TOL of their largest magnitude.  A is then block-circulant:
-the coupling among the nodes at v index 0 repeats at every v index, and
-each node couples to its two v neighbours by w = -b du/dv < 0.
+INVARIANCE_TOL of their largest magnitude.  On the surfaces of revolution
+the catalog builds, they are exactly constant: the geometry fields are the
+meridian's, repeated along v (see `surfaces.compute_geometry`).  A is then
+block-circulant: the coupling among the nodes at v index 0 repeats at
+every v index, and each node couples to its two v neighbours by
+w = -b du/dv < 0.
 """
 
 from __future__ import annotations

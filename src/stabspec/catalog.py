@@ -17,6 +17,15 @@ have them:
 
 Rotationally perturbed tori and graphs over slices have no closed form;
 they are exercised against inequalities only.
+
+`build` alone decides which surfaces are surfaces of revolution about v:
+the flat and Clifford tori (v turns the (x3, x4) plane), geodesic spheres
+(v turns the (x1, x2) plane), slices and the zonal graphs Y_l,0 (v turns
+the S^2 factor about its axis).  Each of their nodes is an ambient
+isometry image of its meridian node at v = 0, so they are built with
+`revolution=True` and their chart is evaluated on that nu x 1 meridian.
+Perturbed tori, whose radius varies with v, and graphs of Y_l,m with
+m != 0 keep the full grid.
 """
 
 from __future__ import annotations
@@ -175,7 +184,7 @@ def build(spec: ShapeSpec) -> ImmersedSurface:
     if kind in ("clifford-torus", "flat-torus"):
         r = p["r"] if kind == "flat-torus" else math.sqrt(0.5)
         chart = _torus(lambda v: _plus(0.0 * v, r))
-        return ImmersedSurface(Sphere3(), chart, torus_grid(nu, nv))
+        return ImmersedSurface(Sphere3(), chart, torus_grid(nu, nv), revolution=True)
 
     if kind == "perturbed-torus":
         chart = _torus(lambda v: _plus(p["eps"] * _jet_cos(p["wave"] * v), p["r"]))
@@ -188,7 +197,8 @@ def build(spec: ShapeSpec) -> ImmersedSurface:
             return tuple(math.sin(rho) * c for c in _unit_sphere(u, v)) + (
                 _plus(0.0 * u, math.cos(rho)),)
 
-        return ImmersedSurface(Sphere3(), JetChart(sphere), sphere_grid(nu, nv))
+        return ImmersedSurface(Sphere3(), JetChart(sphere), sphere_grid(nu, nv),
+                               revolution=True)
 
     if kind in ("slice", "graph-over-slice"):
         w = p["warping"]
@@ -201,7 +211,8 @@ def build(spec: ShapeSpec) -> ImmersedSurface:
                 t = p["amplitude"] * real_sph_harm(*harmonic, u, v)
             return (_plus(t, p["t0"]),) + _unit_sphere(u, v)
 
-        surface = ImmersedSurface(WarpedProduct(w), JetChart(graph), sphere_grid(nu, nv))
+        surface = ImmersedSurface(WarpedProduct(w), JetChart(graph), sphere_grid(nu, nv),
+                                  revolution=harmonic is None or harmonic[1] == 0)
         # Graphs must stay strictly inside the warping interval.
         w.require_inside(surface.bundle()["0"][:, 0])
         return surface

@@ -133,7 +133,7 @@ def hersch_balance(
         raise DomainError("weight function has zero total mass")
     weights = weights / total
 
-    coords = s.bundle()["0"]
+    coords = s.points()
 
     def center(a):
         return weights @ mobius_apply(MobiusParam(a), coords)
@@ -193,7 +193,7 @@ def balanced_bound_report(
     eigensolver orients it (peak positive), and evaluate the bound."""
     f1 = spectrum.eigenvectors[:, 0]
     m = hersch_balance(s, f, f1)
-    psi = mobius_apply(m, s.bundle()["0"])
+    psi = mobius_apply(m, s.points())
     weights = np.maximum(f1, 0.0) * f.area_element
     residual = float(np.linalg.norm(weights @ psi) / np.sum(weights))
     return BalancedBoundReport(

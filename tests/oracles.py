@@ -10,7 +10,8 @@ pencil with a plain dense generalized eigensolver, sharing no code with
 either path of `smallest_eigenpairs`, which it is the reference for.
 
 The helpers at the end serve only the tests, so the package does not
-carry them: grid coordinates and indices, the total area, the list of
+carry them: grid coordinates and indices, the Kronecker-product build of
+the difference operators, a surface's chart on its full grid, the total area, the list of
 accepted perturbations, the closed-form slice data, the ambient Ricci
 data at given t, and the conformal image of a surface.  The image's chart
 composes the base chart's Taylor jets with the dilation written on jets
@@ -28,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
+import scipy.sparse as sps
 import sympy as sp
 
 from stabspec.catalog import MAX_PERTURBATION_DEGREE
@@ -184,6 +186,31 @@ def flat(grid, i, j):
     return np.asarray(i) * grid.nv + np.asarray(j)
 
 
+def d1_by_kron(g, axis):
+    """The first-derivative operator of `Grid.d1_sparse` built the plain
+    way: the 1-D central bands with the periodic corners or the one-sided
+    end rows assigned entry by entry, then a Kronecker product with the
+    identity of the other axis."""
+    n, h, periodic = (g.nu, g.du, g.periodic_u) if axis == 0 else (g.nv, g.dv, True)
+    c = 0.5 / h
+    D = sps.diags([-c, c], [-1, 1], shape=(n, n)).tolil()
+    if periodic:
+        D[0, n - 1], D[n - 1, 0] = -c, c
+    else:
+        D[0, :3] = np.array([-1.5, 2.0, -0.5]) / h
+        D[n - 1, n - 3:] = np.array([0.5, -2.0, 1.5]) / h
+    if axis == 0:
+        return sps.kron(D, sps.identity(g.nv), format="csr")
+    return sps.kron(sps.identity(g.nu), D, format="csr")
+
+
+def full_grid(s: ImmersedSurface) -> ImmersedSurface:
+    """The surface with its chart evaluated at every node of its grid: the
+    reference for a surface of revolution, whose chart the package
+    evaluates on the meridian alone."""
+    return ImmersedSurface(s.ambient, s.chart, s.grid)
+
+
 def area(f) -> float:
     """Total area: the sum of the nodal area elements."""
     return float(np.sum(f.area_element))
@@ -280,7 +307,7 @@ def dirichlet_energy_check(s: ImmersedSurface, param) -> tuple[float, float]:
     """
     image = mobius_image_surface(s, param)
     base = compute_geometry(s, want_gauss=False)
-    b = image.bundle()
+    b = image.chart.evaluate(image.grid)
     psi_u, psi_v = b["u"], b["v"]
     ginv_uu, ginv_uv, ginv_vv = base.metric_inv
     integrand = (

@@ -222,7 +222,7 @@ def test_criterion_8_balanced_bound(solve):
         f1 = sol.spectrum.eigenvectors[:, 0]
         a = ss.hersch_balance(sol.surface, sol.fields, f1)
         w = np.maximum(f1, 0.0) * sol.fields.area_element
-        y = ss.mobius_apply(a, sol.surface.bundle()["0"])
+        y = ss.mobius_apply(a, sol.surface.points())
         resid = float(np.linalg.norm(w @ y)) / float(w.sum())
         worst_resid = max(worst_resid, resid)
         checks.append(resid <= 1e-9)

@@ -10,6 +10,7 @@ the same closed forms by hand.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from hypothesis import strategies as st
 import stabspec as ss
 from stabspec.errors import ConfigError, DomainError
 
-from oracles import registered_perturbations
+from oracles import full_grid, registered_perturbations
 
 
 # ------------------------------------------------------------ frozen spectra
@@ -131,6 +132,64 @@ def test_build_covers_every_catalog_kind():
         assert s.node_count == 64
         f = ss.compute_geometry(s, want_gauss=False)
         assert np.all(np.isfinite(f.area_element))
+
+
+# surfaces of revolution about v: every node an ambient isometry image of its
+# meridian node, so the chart is evaluated on the meridian alone
+REVOLUTION = [
+    ss.clifford_torus(),
+    ss.flat_torus(0.6),
+    ss.geodesic_sphere(1.0),
+    *(ss.slice_shape(w, t0) for w, t0 in (("product", 0.3), ("sphere", 1.2),
+                                          ("hyperbolic", 1.0), ("euclidean", 1.0),
+                                          ("cosh", 0.3))),
+    ss.graph_over_slice("cosh", 0.3, "Y2,0", 0.05),
+    ss.graph_over_slice("sphere", 1.2, "Y3,0", 0.05),
+]
+
+
+def _per_node(f):
+    """(name, array, error scale) of every per-node field, the ambient's
+    Ricci data among them.  The scale is the largest magnitude, and at least
+    1 for the curvatures, which vanish on minimal and flat surfaces."""
+    fields = {**vars(f), **vars(f.ambient_curvature)}
+    return [(name, a, np.max(np.abs(a)) if name == "area_element"
+             else max(1.0, np.max(np.abs(a))))
+            for name, a in fields.items() if isinstance(a, np.ndarray)]
+
+
+@pytest.mark.parametrize("resolution", [(16, 16), (12, 20)], ids=str)
+@pytest.mark.parametrize("spec", REVOLUTION, ids=lambda s: s.label)
+def test_surfaces_of_revolution_repeat_their_meridian(spec, resolution):
+    s = ss.build(replace(spec, resolution=resolution))
+    nu, nv = resolution
+    assert (s.chart_grid.nu, s.chart_grid.nv) == (nu, 1)
+    assert s.bundle()["0"].shape == (nu, 4)
+    f = ss.compute_geometry(s)
+    oracle = full_grid(s)
+    g = ss.compute_geometry(oracle)
+    # the repeated meridian fields are exactly constant along v
+    for (name, got, _), (_, want, scale) in zip(_per_node(f), _per_node(g)):
+        assert got.shape == want.shape, name
+        assert np.all(got.reshape(-1, nu, nv) == got.reshape(-1, nu, nv)[..., :1]), name
+        assert np.max(np.abs(got - want)) <= 1e-13 * scale, name
+    pencil, full = ss.assemble(s, f), ss.assemble(oracle, g)
+    assert pencil.invariant_along_v and full.invariant_along_v
+    reduced = ss.smallest_eigenpairs(pencil, 4)
+    sparse = ss.smallest_eigenpairs(replace(full, invariant_along_v=False), 4)
+    assert (reduced.method, sparse.method) == ("reduced", "sparse")
+    np.testing.assert_allclose(reduced.eigenvalues, sparse.eigenvalues, rtol=0, atol=1e-8)
+
+
+@pytest.mark.parametrize("spec", [
+    ss.perturbed_torus(0.7, 0.05, 3, (12, 20)),
+    ss.graph_over_slice("cosh", 0.3, "Y2,1", 0.05, (12, 20)),
+    ss.graph_over_slice("product", 0.3, "Y3,-2", 0.05, (12, 20)),
+], ids=lambda s: s.label)
+def test_other_shapes_keep_the_full_grid(spec):
+    s = ss.build(spec)
+    assert s.chart_grid is s.grid
+    assert not ss.assemble(s, ss.compute_geometry(s, want_gauss=False)).invariant_along_v
 
 
 def test_graph_spectrum_has_no_closed_form():

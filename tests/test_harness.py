@@ -18,6 +18,7 @@ import stabspec as ss
 import stabspec.config as cfgmod
 import stabspec.harness as harness
 import stabspec.surfaces as surfaces
+from stabspec.charts import JetChart
 from stabspec.cli import main as cli_main
 from stabspec.errors import (
     ConfigError,
@@ -643,6 +644,38 @@ def test_only_the_genus_hypothesis_computes_the_gauss_curvature(tmp_path, monkey
     monkeypatch.setattr(harness, "compute_geometry", logged)
     assert cli_main(argv + ["--out", str(tmp_path / "r")]) == 0
     assert log and sum(log) == calls
+
+
+_GRAPH = ["shape=graph-over-slice", "warping=cosh", "t0=0.3", "amplitude=0.05"]
+
+
+@pytest.mark.parametrize("argv, grids", [
+    (["check", "t11", "shape=clifford-torus", "resolutions=8,16"], [(8, 1), (16, 1)]),
+    (["check", "t13", "shape=slice", "warping=cosh", "t0=0.3", "resolutions=8,12"],
+     [(8, 1), (12, 1)]),
+    (["check", "t13", *_GRAPH, "perturbation=Y2,0", "resolutions=8,12"], [(8, 1), (12, 1)]),
+    (["check", "t13", *_GRAPH, "perturbation=Y2,1", "resolutions=8,12"], [(8, 8), (12, 12)]),
+    (["converge", "shape=geodesic-sphere", "rho=1.0", "resolutions=8,12"], [(8, 1), (12, 1)]),
+    (["converge", "shape=flat-torus", "r=0.6", "resolutions=8,12"], [(8, 1), (12, 1)]),
+    (["balance-bound", "shape=geodesic-sphere", "rho=1.0", "resolution=16"],
+     [(16, 1), (16, 16)]),
+], ids=["t11-clifford", "t13-slice", "t13-zonal-graph", "t13-graph", "converge-sphere",
+        "converge-flat-torus", "balance-bound"])
+def test_each_surface_evaluates_its_chart_once(tmp_path, monkeypatch, argv, grids):
+    # one evaluation per rung's surface, on the meridian for a surface of
+    # revolution; balancing alone reads one on its full grid as well
+    log = []
+    real = JetChart.evaluate
+
+    def logged(chart, grid):
+        log.append((chart, grid.nu, grid.nv))
+        return real(chart, grid)
+
+    monkeypatch.setattr(JetChart, "evaluate", logged)
+    assert cli_main(argv + ["--out", str(tmp_path / "r")]) == 0
+    assert [(nu, nv) for _, nu, nv in log] == grids
+    charts = [chart for chart, _, _ in log]
+    assert len({id(c) for c in charts}) == (1 if argv[0] == "balance-bound" else len(log))
 
 
 def test_every_error_class_has_an_exit_code():

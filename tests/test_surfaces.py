@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 import stabspec as ss
-from stabspec.charts import JetChart, _jet_cos, _jet_mul, _jet_sin
+from stabspec.charts import JetChart, _jet_cos, _jet_mul, _jet_sin, _plus
 from stabspec.errors import (
     DegenerateChartError,
     DomainError,
@@ -271,6 +271,23 @@ def test_degenerate_chart_is_rejected():
     with pytest.raises(DegenerateChartError) as err:
         ss.compute_geometry(s)
     assert err.value.det < 1e-10
+
+
+def test_a_degenerate_meridian_names_its_grid_node():
+    # X_u vanishes on the u row 3 alone, so the error names grid node (3, 0)
+    # whether the chart was evaluated on the meridian or on the full grid
+    grid = torus_grid(8, 12)
+    c = 1 / math.sqrt(2)
+
+    def chart(u, v):
+        phi = u - _jet_sin(_plus(u, -grid.u[3]))
+        return c * _jet_cos(phi), c * _jet_sin(phi), c * _jet_cos(v), c * _jet_sin(v)
+
+    for revolution in (True, False):
+        s = ss.ImmersedSurface(Sphere3(), JetChart(chart), grid, revolution=revolution)
+        with pytest.raises(DegenerateChartError) as err:
+            ss.compute_geometry(s)
+        assert err.value.node == 3 * grid.nv
 
 
 def test_off_sphere_chart_is_rejected():
