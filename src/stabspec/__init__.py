@@ -28,7 +28,6 @@ from .warping import (
     polynomial_warping,
     ricci_direction,
     slice_eigenvalue_band,
-    slice_lambda2,
     slice_spectrum,
 )
 from .grids import Grid, sphere_grid, torus_grid
@@ -36,8 +35,6 @@ from .charts import JetChart, real_sph_harm
 from .surfaces import (
     GeometryFields,
     ImmersedSurface,
-    Sphere3,
-    WarpedProduct,
     compute_geometry,
     euler_characteristic,
     total_curvature,

@@ -38,7 +38,7 @@ from . import warping as wp
 from .charts import JetChart, _jet_cos, _jet_mul, _jet_sin, _jet_sqrt, _plus, real_sph_harm
 from .errors import DomainError
 from .grids import sphere_grid, torus_grid
-from .surfaces import ImmersedSurface, Sphere3, WarpedProduct
+from .surfaces import ImmersedSurface
 
 __all__ = [
     "ShapeSpec",
@@ -184,11 +184,11 @@ def build(spec: ShapeSpec) -> ImmersedSurface:
     if kind in ("clifford-torus", "flat-torus"):
         r = p["r"] if kind == "flat-torus" else math.sqrt(0.5)
         chart = _torus(lambda v: _plus(0.0 * v, r))
-        return ImmersedSurface(Sphere3(), chart, torus_grid(nu, nv), revolution=True)
+        return ImmersedSurface(chart, torus_grid(nu, nv), revolution=True)
 
     if kind == "perturbed-torus":
         chart = _torus(lambda v: _plus(p["eps"] * _jet_cos(p["wave"] * v), p["r"]))
-        return ImmersedSurface(Sphere3(), chart, torus_grid(nu, nv))
+        return ImmersedSurface(chart, torus_grid(nu, nv))
 
     if kind == "geodesic-sphere":
         rho = p["rho"]
@@ -197,8 +197,7 @@ def build(spec: ShapeSpec) -> ImmersedSurface:
             return tuple(math.sin(rho) * c for c in _unit_sphere(u, v)) + (
                 _plus(0.0 * u, math.cos(rho)),)
 
-        return ImmersedSurface(Sphere3(), JetChart(sphere), sphere_grid(nu, nv),
-                               revolution=True)
+        return ImmersedSurface(JetChart(sphere), sphere_grid(nu, nv), revolution=True)
 
     if kind in ("slice", "graph-over-slice"):
         w = p["warping"]
@@ -211,7 +210,7 @@ def build(spec: ShapeSpec) -> ImmersedSurface:
                 t = p["amplitude"] * real_sph_harm(*harmonic, u, v)
             return (_plus(t, p["t0"]),) + _unit_sphere(u, v)
 
-        surface = ImmersedSurface(WarpedProduct(w), JetChart(graph), sphere_grid(nu, nv),
+        surface = ImmersedSurface(JetChart(graph), sphere_grid(nu, nv), w,
                                   revolution=harmonic is None or harmonic[1] == 0)
         # Graphs must stay strictly inside the warping interval.
         w.require_inside(surface.bundle()["0"][:, 0])

@@ -169,6 +169,8 @@ def _run(args) -> int:
     cfg = _load_cfg(args)
     work = _RUNNERS[args.command](args, cfg)
     unread = sorted(cfg.overrides - cfg.read)
+    if "warping" in unread and "warping_poly" in cfg.read:
+        raise ConfigError("warping_poly overrides warping; give one of them")
     if unread:
         raise ConfigError(f"{args.command} does not read the key(s) {', '.join(unread)}")
     created, path = [], os.path.abspath(args.out)

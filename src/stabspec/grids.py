@@ -53,14 +53,7 @@ class Grid:
         return self.du * self.dv
 
     def d1_sparse(self, axis: int) -> sp.csr_matrix:
-        """Sparse second-order first-derivative operator on flattened fields.
-
-        The CSR arrays come from the 1-D stencil D by index arithmetic, with
-        no Kronecker product: along v, row (i, j) is row j of D with its
-        columns k moved to i * nv + k; along u, it is row i of D with its
-        columns moved to k * nv + j.  The arrays equal those of kron(I, D)
-        along v and kron(D, I) along u entry for entry.
-        """
+        """Sparse second-order first-derivative operator on flattened fields."""
         n, h, periodic = ((self.nu, self.du, self.periodic_u) if axis == 0
                           else (self.nv, self.dv, True))
         c = 0.5 / h
@@ -72,28 +65,9 @@ class Grid:
             cols = np.r_[cols, 0, 1, 2, n - 3, n - 2, n - 1]
             vals = np.r_[vals, np.array([-1.5, 2.0, -0.5, 0.5, -2.0, 1.5]) / h]
         D = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
-        D.sort_indices()
-        nu, nv = self.nu, self.nv
-        lens = np.diff(D.indptr)
-        if axis == 1:  # row (i, j): stencil row j, columns i * nv + k
-            indices = np.arange(0, nu * nv, nv, dtype=np.int32)[:, None] + D.indices
-            data = np.tile(D.data, nu)
-            lens = np.tile(lens, nu)
-        else:  # row (i, j): stencil row i, columns k * nv + j
-            indices, data = [], []
-            for run in np.split(np.arange(n), np.flatnonzero(np.diff(lens)) + 1):
-                # a run of stencil rows of one length, as (row, j, entry) blocks
-                span = slice(D.indptr[run[0]], D.indptr[run[-1] + 1])
-                block = (run.size, 1, lens[run[0]])
-                indices.append((D.indices[span].reshape(block) * nv
-                                + np.arange(nv, dtype=np.int32)[:, None]).ravel())
-                data.append(np.broadcast_to(D.data[span].reshape(block),
-                                            (run.size, nv, block[2])).ravel())
-            indices, data = np.concatenate(indices), np.concatenate(data)
-            lens = np.repeat(lens, nv)
-        indptr = np.zeros(nu * nv + 1, dtype=np.int32)
-        np.cumsum(lens, out=indptr[1:])
-        return sp.csr_matrix((data, indices.ravel(), indptr), shape=(nu * nv,) * 2)
+        if axis == 0:
+            return sp.kron(D, sp.identity(self.nv), format="csr")
+        return sp.kron(sp.identity(self.nu), D, format="csr")
 
 
 def torus_grid(nu: int, nv: int) -> Grid:

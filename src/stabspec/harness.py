@@ -233,7 +233,7 @@ def _require_warped(surface) -> dict:
 
 def _convexity_hypothesis(surface) -> dict:
     _require_warped(surface)
-    w = surface.ambient.warping
+    w = surface.warping
     t = surface.bundle()["0"][:, 0]
     cond_min, cond_arg = wp.condition_strictness(w, (float(np.min(t)), float(np.max(t))))
     if cond_min <= 0.0:
@@ -254,7 +254,7 @@ def _slice_mean_bound(fields) -> float:
 
 def _product_hypothesis(surface) -> dict:
     _require_warped(surface)
-    w = surface.ambient.warping
+    w = surface.warping
     samples = np.linspace(w.interval[0], w.interval[1], 17)
     if (float(np.max(np.abs(w.h(samples) - 1.0))) > 1e-12
             or float(np.max(np.abs(w.dh(samples)))) > 1e-12):
@@ -408,7 +408,7 @@ def slice_spectrum_report(warping, t0: float, count: int = 8) -> Report:
               "multiplicity": wp.harmonic_multiplicity(k)} for k in range(degrees[-1] + 1)]
     values = [bands[k]["eigenvalue"] for k in degrees]
     scenario = scenario_slug("slice-spectrum", w.name, f"t0={t0:.6g}")
-    bound = wp.slice_lambda2(w, t0)
+    bound = wp.slice_eigenvalue_band(w, t0, 1)
     body = {
         "scenario": scenario,
         "warping": w.name,

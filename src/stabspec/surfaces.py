@@ -12,10 +12,12 @@ second fundamental form are intermediates and are not kept.
 One body serves both ambients.  Chart values are points of R^4 (the
 position on the 3-sphere, or (t, w) with w on the unit 2-sphere), and
 both ambient metrics are diagonal there, W = diag(1, H, H, H) with H = 1
-on the 3-sphere and H = h(t)^2 on the warped product.  An ambient
-supplies data only: H, the radial direction the normal must also be
-orthogonal to (the position X, or (0, w)), h h' (none on the 3-sphere)
-and its Ricci data (Ric_tt, Ric_tan, R), (2, 2, 6) on the 3-sphere.
+on the 3-sphere and H = h(t)^2 on the warped product.  A surface's
+ambient is its warping h, or None for the 3-sphere, and with the chart
+values it fixes all the body reads of the ambient: H, the radial
+direction the normal must also be orthogonal to (the position X, or
+(0, w)), h h' (none on the 3-sphere) and the Ricci data
+(Ric_tt, Ric_tan, R), (2, 2, 6) on the 3-sphere.
 Metric, normal, second fundamental form, Ric(nu, nu) and curvatures are
 computed the same way for both, from the chart's derivatives through
 order 2.  With X_a = (t_a, w_a) and Euclidean dots of the sphere parts,
@@ -56,8 +58,6 @@ from .errors import (
 from .grids import Grid
 
 __all__ = [
-    "Sphere3",
-    "WarpedProduct",
     "ImmersedSurface",
     "GeometryFields",
     "compute_geometry",
@@ -67,26 +67,6 @@ __all__ = [
 
 UNIT_NORM_TOL = 1e-12
 DEGENERACY_REL_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class AmbientTerms:
-    """What the geometry body needs to know of the ambient at the nodes.
-
-    Vectors are stored component-major: (4, N), one row per component.
-
-    sphere_weight: H of the ambient metric W = diag(1, H, H, H) in chart
-                  coordinates, scalar or (N,)
-    radial:       (4, N) direction the normal is also orthogonal to
-    hdh:          (N,) h h' of the warped metric, or None on the 3-sphere,
-                  where the Christoffel term vanishes
-    curvature:    Ricci data Ric_tt, Ric_tan and R, floats or (N,)
-    """
-
-    sphere_weight: np.ndarray | float
-    radial: np.ndarray
-    hdh: np.ndarray | None
-    curvature: wp.AmbientCurvature
 
 
 def _require_unit(x: np.ndarray, message: str) -> None:
@@ -99,37 +79,25 @@ def _sphere_dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->j", x[1:], y[1:])
 
 
-@dataclass(frozen=True)
-class Sphere3:
-    """Round unit 3-sphere ambient; Ric(v, v) = 2 on unit directions, R = 6."""
-
-    def terms(self, x: dict[str, np.ndarray]) -> AmbientTerms:
-        """Terms at the chart rows x[key] = bundle[key].T, each (4, N)."""
-        _require_unit(x["0"], "chart values must lie on the unit 3-sphere")
-        return AmbientTerms(1.0, x["0"], None, wp.AmbientCurvature(2.0, 2.0, 6.0))
-
-
-@dataclass(frozen=True)
-class WarpedProduct:
-    """Warped-product ambient I x S^2."""
-
-    warping: wp.WarpingFunction
-
-    def terms(self, x: dict[str, np.ndarray]) -> AmbientTerms:
-        """Terms at the chart rows x[key] = bundle[key].T, each (4, N).
-
-        The profile is evaluated once, and (h, h', h'') feed the
-        Christoffel term, Ric(nu, nu) and the bounds alike.
-        """
-        t = x["0"][0]
-        _require_unit(x["0"][1:], "sphere part of a warped chart must have unit norm")
-        h, dh, d2h = wp._hs(self.warping, t)
-        return AmbientTerms(h * h, np.vstack([np.zeros_like(t), x["0"][1:]]),
-                            h * dh, wp._curvature(h, dh, d2h))
+def _ambient(w: wp.WarpingFunction | None, x0: np.ndarray):
+    """(H, radial, h h', Ricci data) of the ambient at the chart values x0,
+    (4, N): H weights W = diag(1, H, H, H), radial is the direction the
+    normal is also orthogonal to, and h h' is None on the 3-sphere, where
+    the Christoffel term vanishes.  A warped profile is evaluated once, and
+    (h, h', h'') feed the Christoffel term, Ric(nu, nu) and the bounds alike.
+    """
+    if w is None:
+        _require_unit(x0, "chart values must lie on the unit 3-sphere")
+        return 1.0, x0, None, wp.AmbientCurvature(2.0, 2.0, 6.0)
+    _require_unit(x0[1:], "sphere part of a warped chart must have unit norm")
+    h, dh, d2h = wp._hs(w, x0[0])
+    return (h * h, np.vstack([np.zeros_like(x0[0]), x0[1:]]), h * dh,
+            wp._curvature(h, dh, d2h))
 
 
 class ImmersedSurface:
-    """A chart over a structured grid into a supported ambient.
+    """A chart over a structured grid into the unit 3-sphere (`warping`
+    None) or into the warped product I x S^2 with profile `warping`.
 
     A surface of revolution about v (`revolution=True`) has every node
     (i, j) the image of its meridian node (i, 0) under an ambient isometry,
@@ -137,10 +105,11 @@ class ImmersedSurface:
     the nu x 1 grid at v = 0, and `grid` otherwise.
     """
 
-    def __init__(self, ambient, chart, grid: Grid, revolution: bool = False):
-        if not isinstance(ambient, (Sphere3, WarpedProduct)):
-            raise UnsupportedAmbientError(f"unsupported ambient {ambient!r}")
-        self.ambient = ambient
+    def __init__(self, chart, grid: Grid, warping: wp.WarpingFunction | None = None,
+                 revolution: bool = False):
+        if warping is not None and not isinstance(warping, wp.WarpingFunction):
+            raise UnsupportedAmbientError(f"unsupported ambient warping {warping!r}")
+        self.warping = warping
         self.chart = chart
         self.grid = grid
         self.chart_grid = replace(grid, nv=1, v=grid.v[:1]) if revolution else grid
@@ -153,7 +122,7 @@ class ImmersedSurface:
 
     @property
     def is_sphere3(self) -> bool:
-        return isinstance(self.ambient, Sphere3)
+        return self.warping is None
 
     def bundle(self) -> dict[str, np.ndarray]:
         """Chart derivative arrays through order 2 at the nodes of
@@ -254,8 +223,7 @@ def compute_geometry(s: ImmersedSurface, want_gauss: bool = True) -> GeometryFie
     """
     reps = s.node_count // s.chart_grid.node_count  # nv on a meridian, else 1
     x = {key: arr.T for key, arr in s.bundle().items()}
-    amb = s.ambient.terms(x)
-    H = amb.sphere_weight
+    H, radial, hdh, curvature = _ambient(s.warping, x["0"])
 
     def wdot(p, q):  # <p, q>_W = p0 q0 + H (p1 q1 + p2 q2 + p3 q3)
         return p[0] * q[0] + H * _sphere_dot(p, q)
@@ -267,23 +235,23 @@ def compute_geometry(s: ImmersedSurface, want_gauss: bool = True) -> GeometryFie
     inv_uu, inv_uv, inv_vv = metric_inv
 
     # W nu is Euclidean-orthogonal to radial, X_u and X_v; unit in the W-norm.
-    nu = _cross4(amb.radial, x["u"], x["v"])
+    nu = _cross4(radial, x["u"], x["v"])
     nu[1:] /= H
     nu /= np.sqrt(wdot(nu, nu))
     if not s.is_sphere3:
         nu *= np.where(nu[0] < 0.0, -1.0, 1.0)
     # before sigma, while fewer (N,) arrays are live: its temporaries set no peak
-    ricci = wp.ricci_direction(amb.curvature, nu[0])
+    ricci = wp.ricci_direction(curvature, nu[0])
 
     # <nu, w_a>, read by the Christoffel term alone
-    nw = None if amb.hdh is None else {key: _sphere_dot(nu, x[key]) for key in "uv"}
+    nw = None if hdh is None else {key: _sphere_dot(nu, x[key]) for key in "uv"}
 
     def second(key):  # sigma_ab, see the module docstring
         sigma = -wdot(nu, x[key])
-        if amb.hdh is not None:
+        if hdh is not None:
             a, b = key
             ww = _sphere_dot(x[a], x[b])
-            sigma -= amb.hdh * (x[a][0] * nw[b] + x[b][0] * nw[a] - nu[0] * ww)
+            sigma -= hdh * (x[a][0] * nw[b] + x[b][0] * nw[a] - nu[0] * ww)
         return sigma
 
     s_uu, s_uv, s_vv = second("uu"), second("uv"), second("vv")
@@ -295,7 +263,7 @@ def compute_geometry(s: ImmersedSurface, want_gauss: bool = True) -> GeometryFie
 
     gauss = None
     if want_gauss:  # Gauss equation: K = R/2 - Ric(nu, nu) + k1 k2
-        gauss = 0.5 * amb.curvature.scalar - ricci + (2.0 * mean * mean - 0.5 * sigma_sq)
+        gauss = 0.5 * curvature.scalar - ricci + (2.0 * mean * mean - 0.5 * sigma_sq)
 
     fields = GeometryFields(
         metric_inv=metric_inv,
@@ -304,7 +272,7 @@ def compute_geometry(s: ImmersedSurface, want_gauss: bool = True) -> GeometryFie
         sigma_sq=sigma_sq,
         gauss_curv=gauss,
         ricci_normal=ricci,
-        ambient_curvature=amb.curvature,
+        ambient_curvature=curvature,
     )
     return fields if reps == 1 else _along_v(fields, reps)
 

@@ -38,7 +38,6 @@ __all__ = [
     "BUILTIN_WARPINGS",
     "convexity_condition",
     "ricci_direction",
-    "slice_lambda2",
     "slice_lambda2_from_ricci",
     "slice_eigenvalue_band",
     "slice_spectrum",
@@ -150,17 +149,6 @@ def ricci_direction(amb: AmbientCurvature, cos_angle):
         raise DomainError("cos_angle must lie in [-1, 1]")
     c = np.clip(c, -1.0, 1.0)
     return _scalarize(c**2 * amb.ricci_tt + (1.0 - c**2) * amb.ricci_tangential)
-
-
-def slice_lambda2(w: WarpingFunction, t):
-    """Second eigenvalue of the slice stability operator: n * convexity.
-
-    Equals the first-harmonic band of the explicit spectrum (k = 1 in
-    slice_eigenvalue_band); the two code paths are kept separate so they
-    can check each other.
-    """
-    n = SPHERE_DIM
-    return n * convexity_condition(w, t)
 
 
 def slice_lambda2_from_ricci(amb: AmbientCurvature):

@@ -10,10 +10,11 @@ pencil with a plain dense generalized eigensolver, sharing no code with
 either path of `smallest_eigenpairs`, which it is the reference for.
 
 The helpers at the end serve only the tests, so the package does not
-carry them: grid coordinates and indices, the Kronecker-product build of
-the difference operators, a surface's chart on its full grid, the total area, the list of
-accepted perturbations, the closed-form slice data, the ambient Ricci
-data at given t, and the conformal image of a surface.  The image's chart
+carry them: grid coordinates and indices, the item-assignment build of
+the difference operators, a surface's chart on its full grid, the total
+area, the list of accepted perturbations, the closed-form slice data, the
+slice's second eigenvalue as n times the convexity condition, the ambient
+Ricci data at given t, and the conformal image of a surface.  The image's chart
 composes the base chart's Taylor jets with the dilation written on jets
 (`_dilate_jets`), independently of `conformal.mobius_apply`, which writes
 it on points; the quantities the dilations leave invariant (the Willmore
@@ -37,7 +38,7 @@ from stabspec.charts import _MONOMIALS, _PRODUCT, JetChart, _jet_mul
 from stabspec.eigen import cluster_indices
 from stabspec.errors import UnsupportedAmbientError
 from stabspec.surfaces import ImmersedSurface, compute_geometry
-from stabspec.warping import SPHERE_DIM, _curvature, _hs
+from stabspec.warping import SPHERE_DIM, _curvature, _hs, convexity_condition
 
 ORACLE_DIGITS = 30
 U, V = sp.symbols("u v", real=True)
@@ -208,7 +209,7 @@ def full_grid(s: ImmersedSurface) -> ImmersedSurface:
     """The surface with its chart evaluated at every node of its grid: the
     reference for a surface of revolution, whose chart the package
     evaluates on the meridian alone."""
-    return ImmersedSurface(s.ambient, s.chart, s.grid)
+    return ImmersedSurface(s.chart, s.grid, s.warping)
 
 
 def area(f) -> float:
@@ -241,6 +242,13 @@ def slice_data(w, t: float) -> SliceData:
     n = SPHERE_DIM
     k = dh / h
     return SliceData(sigma_sq=n * k**2, mean_curv=k, ricci_normal=-n * d2h / h)
+
+
+def slice_lambda2(w, t):
+    """Second eigenvalue of the slice stability operator, n * convexity:
+    the reference for the band formula `slice_eigenvalue_band(w, t, 1)`,
+    which the package reports."""
+    return SPHERE_DIM * convexity_condition(w, t)
 
 
 def ambient_ricci(w, t):
@@ -284,7 +292,7 @@ def mobius_image_surface(s: ImmersedSurface, param) -> ImmersedSurface:
         jets = np.stack(np.broadcast_arrays(*s.chart.fn(u, v)), axis=-1)
         return np.moveaxis(_dilate_jets(param, jets), -1, 0)
 
-    return ImmersedSurface(s.ambient, JetChart(image), s.grid)
+    return ImmersedSurface(JetChart(image), s.grid)
 
 
 def conformal_willmore_invariant(s: ImmersedSurface, param) -> float:

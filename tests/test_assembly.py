@@ -19,7 +19,6 @@ import stabspec as ss
 from stabspec.charts import JetChart, _jet_cos, _jet_sin
 from stabspec.errors import AssemblyError
 from stabspec.grids import torus_grid
-from stabspec.surfaces import Sphere3
 
 SHAPES = [
     ss.clifford_torus((12, 12)),
@@ -123,7 +122,7 @@ def test_sheared_chart_activates_mixed_coupling_and_converges():
                                    c * _jet_cos(v + u), c * _jet_sin(v + u)))
     errs = []
     for n in (16, 32):
-        s = ss.ImmersedSurface(Sphere3(), chart, torus_grid(n, n))
+        s = ss.ImmersedSurface(chart, torus_grid(n, n))
         f = ss.compute_geometry(s, want_gauss=False)
         assert np.max(np.abs(f.metric_inv[1] + 2.0)) < 1e-13
         p = ss.assemble(s, f)
@@ -205,7 +204,7 @@ def _sheared_torus(nu, nv):
     c = math.sqrt(2) / 2
     chart = JetChart(lambda u, v: (c * _jet_cos(u), c * _jet_sin(u),
                                    c * _jet_cos(v + u), c * _jet_sin(v + u)))
-    return ss.ImmersedSurface(Sphere3(), chart, torus_grid(nu, nv))
+    return ss.ImmersedSurface(chart, torus_grid(nu, nv))
 
 
 @pytest.mark.parametrize("surface, crossed", [

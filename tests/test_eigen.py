@@ -27,7 +27,6 @@ from stabspec.eigen import (
 )
 from stabspec.errors import DomainError, NonConvergenceError
 from stabspec.grids import torus_grid
-from stabspec.surfaces import Sphere3
 
 from oracles import dense_window
 
@@ -304,7 +303,7 @@ def _oracle_pencils():
     c = math.sqrt(2) / 2
     sheared = JetChart(lambda u, v: (c * _jet_cos(u), c * _jet_sin(u),
                                      c * _jet_cos(v + u), c * _jet_sin(v + u)))
-    s = ss.ImmersedSurface(Sphere3(), sheared, torus_grid(16, 16))
+    s = ss.ImmersedSurface(sheared, torus_grid(16, 16))
     specs = [ss.clifford_torus((16, 16)), *INVARIANT,
              ss.perturbed_torus(0.7, 0.05, 3, (24, 24)),
              ss.graph_over_slice("cosh", 0.3, "Y2,1", 1e-9, (24, 24))]

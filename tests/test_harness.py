@@ -452,6 +452,25 @@ def test_cli_refuses_an_override_the_subcommand_does_not_read(tmp_path, build_lo
     assert not (tmp_path / "r").exists()
 
 
+def test_cli_names_the_warping_poly_conflict(tmp_path, capsys):
+    # every warped subcommand reads `warping`, unless `warping_poly` overrides it
+    poly = ["warping_poly=1,0,0.5", "warping_interval=-1,1"]
+    for command in (["slice-spectrum"], ["sweep", "graph-amplitude", "amplitudes=0",
+                                         "resolutions=8,12"]):
+        assert cli_main([*command, "warping=cosh", *poly,
+                         "--out", str(tmp_path / "r")]) == 2
+        err = capsys.readouterr().err
+        assert "warping_poly overrides warping" in err and "does not read" not in err
+    assert not (tmp_path / "r").exists()
+    # a configuration file's `warping` is overridden silently
+    cfg = tmp_path / "cosh.cfg"
+    cfg.write_text("warping=cosh\nt0=0.3\n")
+    assert cli_main(["slice-spectrum", "--config", str(cfg), *poly,
+                     "--out", str(tmp_path / "r")]) == 0
+    assert json.loads(next((tmp_path / "r").glob("*.json")).read_text())["warping"] \
+        == "poly[1,0,0.5]"
+
+
 def test_cli_config_file_may_hold_keys_of_other_subcommands(tmp_path):
     cfg = tmp_path / "shared.cfg"
     cfg.write_text("shape=flat-torus\nr=0.6\namplitudes=0,0.05\nresolution=16\n")

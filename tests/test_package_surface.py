@@ -7,7 +7,7 @@ and the `__all__` strings do not count).  Code only the tests call
 belongs beside them, in `tests/oracles.py`.
 
 Likewise every field of a record one stage hands the next
-(`AmbientTerms`, `GeometryFields`, `OperatorPencil`) must be read in the
+(`GeometryFields`, `OperatorPencil`) must be read in the
 package, as an attribute of a name that holds such a record: a parameter
 annotated with the record's class, or a name assigned the result of a
 function or method annotated to return it.  A field only the tests read
@@ -21,7 +21,6 @@ import dataclasses
 from pathlib import Path
 
 import stabspec
-from stabspec.surfaces import AmbientTerms
 
 PACKAGE = Path(stabspec.__file__).parent
 
@@ -100,7 +99,7 @@ def unread_fields(modules, records: dict[str, list[str]]) -> list[str]:
 
 def test_every_field_handed_between_stages_is_read_in_the_package():
     records = {cls.__name__: [f.name for f in dataclasses.fields(cls)]
-               for cls in (AmbientTerms, stabspec.GeometryFields, stabspec.OperatorPencil)}
+               for cls in (stabspec.GeometryFields, stabspec.OperatorPencil)}
     assert unread_fields(_modules(), records) == []
 
 

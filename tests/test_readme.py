@@ -1,13 +1,16 @@
 """README drift: its Quick start runs and its command lines parse.
 
-The Python block under "Quick start" runs as written, so a public name it
-uses cannot disappear unnoticed.  Every `stabspec ...` line of the
-README's `sh` blocks is parsed by the CLI's own parser, its key=value
-tokens (and those of a `--config` file) must be recognized keys, and its
-subcommand must read every key given on the line; the commands are
-parsed and configured, not run.  The configuration-key table lists exactly
-the recognized keys, its `shape` row exactly the shapes of the config
-table, and the sample configurations load.
+The Python block under "Quick start" runs as written, and every package
+name the Python prose after it cites (the constructor table and the
+warping and closed-form sentences) is an attribute of `stabspec`, so a
+public name the README uses cannot disappear unnoticed.  Every
+`stabspec ...` line of the README's `sh` blocks is parsed by the CLI's
+own parser, its key=value tokens (and those of a `--config` file) must be
+recognized keys, and its subcommand must read every key given on the
+line; the commands are parsed and configured, not run.  The
+configuration-key table lists exactly the recognized keys, its `shape`
+row exactly the shapes of the config table, and the sample configurations
+load.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ import shlex
 
 import pytest
 
+import stabspec
 import stabspec.config as cfgmod
 from stabspec.cli import _RUNNERS, parse_args
 
@@ -39,6 +43,22 @@ def test_quick_start_runs_as_written():
     namespace: dict = {}
     exec(compile(code, "README.md", "exec"), namespace)
     assert namespace["bound"] >= namespace["spectrum"].eigenvalues[1] - 1e-8
+
+
+def _cited_names() -> list[str]:
+    """The backticked calls `name(...)` and snake_case `names` of the
+    Python prose between "Shape constructors" and "## Command line"."""
+    prose = README.split("Shape constructors", 1)[1].split("## Command line", 1)[0]
+    spans = [re.fullmatch(r"([A-Za-z_]\w*)(\(.*\))?", span)
+             for span in re.findall(r"`([^`]+)`", prose)]
+    return [m.group(1) for m in spans if m and (m.group(2) or "_" in m.group(1))]
+
+
+def test_python_prose_cites_package_names():
+    names = _cited_names()
+    assert {"clifford_torus", "perturbed_torus", "builtin_warping", "polynomial_warping",
+            "slice_spectrum", "exact_jacobi_spectrum"} <= set(names)
+    assert [name for name in names if not hasattr(stabspec, name)] == []
 
 
 def test_readme_has_command_lines():

@@ -23,9 +23,9 @@ from stabspec.errors import (
     DegenerateChartError,
     DomainError,
     MeshTooCoarseError,
+    UnsupportedAmbientError,
 )
 from stabspec.grids import torus_grid
-from stabspec.surfaces import Sphere3
 
 from oracles import (
     area,
@@ -149,7 +149,7 @@ def test_warped_geometry_evaluates_the_profile_once(want_gauss):
     calls = Counter()
     w = _counted_cosh(calls)
     base = ss.build(ss.graph_over_slice("cosh", 0.2, "Y2,1", 0.05, (12, 12)))
-    s = ss.ImmersedSurface(ss.WarpedProduct(w), base.chart, base.grid)
+    s = ss.ImmersedSurface(base.chart, base.grid, w)
     s.bundle()
     calls.clear()
     f = ss.compute_geometry(s, want_gauss=want_gauss)
@@ -209,7 +209,7 @@ def test_graph_over_sine_slice_is_the_same_surface_in_the_3_sphere(pert, amp):
         t, *om = warped.chart.fn(u, v)
         return [_jet_mul(_jet_sin(t), c) for c in om] + [_jet_cos(t)]
 
-    sphere = ss.ImmersedSurface(Sphere3(), JetChart(embedded), warped.grid)
+    sphere = ss.ImmersedSurface(JetChart(embedded), warped.grid)
     fw, fs = ss.compute_geometry(warped), ss.compute_geometry(sphere)
 
     def close(a, b, rel):
@@ -267,7 +267,7 @@ def test_degenerate_chart_is_rejected():
     c = 1 / math.sqrt(2)
     chart = JetChart(lambda u, v: (c * _jet_cos(u + v), c * _jet_sin(u + v),
                                    c * _jet_cos(u + v), c * _jet_sin(u + v)))
-    s = ss.ImmersedSurface(Sphere3(), chart, torus_grid(8, 8))
+    s = ss.ImmersedSurface(chart, torus_grid(8, 8))
     with pytest.raises(DegenerateChartError) as err:
         ss.compute_geometry(s)
     assert err.value.det < 1e-10
@@ -284,7 +284,7 @@ def test_a_degenerate_meridian_names_its_grid_node():
         return c * _jet_cos(phi), c * _jet_sin(phi), c * _jet_cos(v), c * _jet_sin(v)
 
     for revolution in (True, False):
-        s = ss.ImmersedSurface(Sphere3(), JetChart(chart), grid, revolution=revolution)
+        s = ss.ImmersedSurface(JetChart(chart), grid, revolution=revolution)
         with pytest.raises(DegenerateChartError) as err:
             ss.compute_geometry(s)
         assert err.value.node == 3 * grid.nv
@@ -293,9 +293,20 @@ def test_a_degenerate_meridian_names_its_grid_node():
 def test_off_sphere_chart_is_rejected():
     # norm sqrt(2), not 1
     chart = JetChart(lambda u, v: (_jet_cos(u), _jet_sin(u), _jet_cos(v), _jet_sin(v)))
-    s = ss.ImmersedSurface(Sphere3(), chart, torus_grid(8, 8))
+    s = ss.ImmersedSurface(chart, torus_grid(8, 8))
     with pytest.raises(DomainError):
         ss.compute_geometry(s)
+
+
+def test_a_warping_that_is_not_a_warping_function_is_refused():
+    # the ambient is the warping or None; a name, a bare profile or a
+    # factory of warpings is none of these
+    base = ss.build(ss.slice_shape("cosh", 0.3, (8, 8)))
+    for warping in ("cosh", np.cosh, ss.builtin_warping, 1.0):
+        with pytest.raises(UnsupportedAmbientError, match="unsupported ambient"):
+            ss.ImmersedSurface(base.chart, base.grid, warping)
+    assert ss.ImmersedSurface(base.chart, base.grid, base.warping).warping is base.warping
+    assert ss.ImmersedSurface(base.chart, base.grid).is_sphere3
 
 
 def test_euler_characteristic_guards_against_bad_totals():
