@@ -24,15 +24,14 @@ On non-periodic (sphere) grids the missing boundary faces implement the
 natural zero-flux closure; polar caps carry no face but keep their mass,
 which is the correct cell-centered treatment of the coordinate poles.
 
-Invariance along v, the periodic axis of both grid kinds.  `assemble`
-marks the pencil invariant along v when no cross term was added and a, b,
-q sqrt(g) du dv and sqrt(g) du dv are each constant along v to
-INVARIANCE_TOL of their largest magnitude.  On the surfaces of revolution
-the catalog builds, they are exactly constant: the geometry fields are the
-meridian's, repeated along v (see `surfaces.compute_geometry`).  A is then
-block-circulant: the coupling among the nodes at v index 0 repeats at
-every v index, and each node couples to its two v neighbours by
-w = -b du/dv < 0.
+Invariance along v, the periodic axis of both grid kinds.  A pencil is
+marked invariant along v when its surface is (`ImmersedSurface.revolution`,
+set by `catalog.build`) and no cross term was added: the reduced eigen
+path models the 5-point stencil alone.  The fields are then the
+meridian's, repeated along v (`surfaces.compute_geometry`), so A is
+exactly block-circulant: the coupling among the nodes at v index 0
+repeats at every v index, and each node couples to its two v neighbours
+by w = -b du/dv < 0.
 """
 
 from __future__ import annotations
@@ -48,8 +47,6 @@ from .surfaces import GeometryFields, ImmersedSurface
 
 __all__ = ["OperatorPencil", "assemble", "rayleigh"]
 
-INVARIANCE_TOL = 1e-13
-
 
 @dataclass(frozen=True)
 class OperatorPencil:
@@ -58,10 +55,10 @@ class OperatorPencil:
     A is `stiffness_minus_potential`; the lumped mass M is diagonal and is
     stored as its diagonal `mass_diagonal` (the area element at each node).
     `grid` is the parameter grid the pencil was assembled on (node i * nv + j
-    at (u[i], v[j])); a pencil built by hand has none.  `invariant_along_v`
-    is derived by `assemble` (see the module docstring), and a pencil built
-    by hand is not marked; `dataclasses.replace` keeps the mark, so A and M
-    may be replaced only by ones just as invariant along v.
+    at (u[i], v[j])); a pencil built by hand has none and is not marked
+    `invariant_along_v` (see the module docstring).  `dataclasses.replace`
+    keeps the mark, so A and M may be replaced only by ones just as
+    invariant along v.
     """
 
     stiffness_minus_potential: sp_sparse.csr_matrix
@@ -108,13 +105,6 @@ def _stiffness(grid, alpha, beta, potential) -> sp_sparse.csr_matrix:
     return s
 
 
-def _constant_along_v(grid, coeff) -> bool:
-    """Whether a per-node coefficient is constant along v, to INVARIANCE_TOL
-    of its largest magnitude."""
-    c = coeff.reshape(grid.nu, grid.nv)
-    return float(np.max(np.abs(c - c[:, :1]))) <= INVARIANCE_TOL * float(np.max(np.abs(c)))
-
-
 def assemble(surface: ImmersedSurface, fields: GeometryFields) -> OperatorPencil:
     """Build the symmetric pencil (A, M) with q = |sigma|^2 + Ric(normal)."""
     grid = surface.grid
@@ -144,10 +134,8 @@ def assemble(surface: ImmersedSurface, fields: GeometryFields) -> OperatorPencil
     asym = abs(a - a.T)
     if asym.nnz and asym.max() > 0.0:
         raise AssemblyError("assembled operator lost exact symmetry")
-    invariant = not crossed and all(
-        _constant_along_v(grid, c) for c in (alpha, beta, potential, weights))
     return OperatorPencil(stiffness_minus_potential=a, mass_diagonal=weights, potential=q,
-                          grid=grid, invariant_along_v=invariant)
+                          grid=grid, invariant_along_v=surface.revolution and not crossed)
 
 
 def rayleigh(pencil: OperatorPencil, u: np.ndarray) -> float:

@@ -20,12 +20,13 @@ they are exercised against inequalities only.
 
 `build` alone decides which surfaces are surfaces of revolution about v:
 the flat and Clifford tori (v turns the (x3, x4) plane), geodesic spheres
-(v turns the (x1, x2) plane), slices and the zonal graphs Y_l,0 (v turns
-the S^2 factor about its axis).  Each of their nodes is an ambient
-isometry image of its meridian node at v = 0, so they are built with
-`revolution=True` and their chart is evaluated on that nu x 1 meridian.
-Perturbed tori, whose radius varies with v, and graphs of Y_l,m with
-m != 0 keep the full grid.
+(v turns the (x1, x2) plane), slices, the zonal graphs Y_l,0 (v turns the
+S^2 factor about its axis), perturbed tori with eps = 0 and graphs of
+amplitude 0.  Each of their nodes is an ambient isometry image of its
+meridian node at v = 0, so they are built with `revolution=True`: their
+chart is evaluated on that nu x 1 meridian, and that mark alone lets the
+eigensolver split their pencil by Fourier modes along v.  Other perturbed
+tori and graphs of Y_l,m with m != 0 keep the full grid.
 """
 
 from __future__ import annotations
@@ -188,7 +189,7 @@ def build(spec: ShapeSpec) -> ImmersedSurface:
 
     if kind == "perturbed-torus":
         chart = _torus(lambda v: _plus(p["eps"] * _jet_cos(p["wave"] * v), p["r"]))
-        return ImmersedSurface(chart, torus_grid(nu, nv))
+        return ImmersedSurface(chart, torus_grid(nu, nv), revolution=p["eps"] == 0)
 
     if kind == "geodesic-sphere":
         rho = p["rho"]
@@ -210,8 +211,8 @@ def build(spec: ShapeSpec) -> ImmersedSurface:
                 t = p["amplitude"] * real_sph_harm(*harmonic, u, v)
             return (_plus(t, p["t0"]),) + _unit_sphere(u, v)
 
-        surface = ImmersedSurface(JetChart(graph), sphere_grid(nu, nv), w,
-                                  revolution=harmonic is None or harmonic[1] == 0)
+        surface = ImmersedSurface(JetChart(graph), sphere_grid(nu, nv), w, revolution=(
+            harmonic is None or harmonic[1] == 0 or p["amplitude"] == 0))
         # Graphs must stay strictly inside the warping interval.
         w.require_inside(surface.bundle()["0"][:, 0])
         return surface

@@ -7,7 +7,8 @@ cluster in the window.  It has two paths and picks one from the pencil's
 data alone:
 
 * reduced: taken whenever `assemble` marked the pencil invariant along v,
-  the periodic axis of both grid kinds, at any size.  A is then
+  the periodic axis of both grid kinds, at any size: the pencil of a
+  surface of revolution about v with no cross term.  A is then
   block-circulant: the coupling T among the nodes at v index 0, repeated
   at every v index, plus the coupling w <= 0 of each node to its two v
   neighbours; T, w and the mass d are sliced from the rows at v index 0.
@@ -130,7 +131,7 @@ def _window(values, k) -> tuple[int, float]:
 def _solve_reduced(pencil: OperatorPencil, k) -> np.ndarray:
     """Eigenvectors of the k smallest eigenvalues and of the rest of the
     cluster at the k-th, ascending; one block per Fourier mode along v,
-    tridiagonal where T is (no wrap along u) and dense otherwise.  They are
+    tridiagonal on sphere grids (no wrap along u) and dense otherwise.  They are
     M-orthonormal: y cos(m theta) and y sin(m theta) are exact block
     eigenvectors, and each wave is scaled to unit norm."""
     t, w, d = _circulant_parts(pencil)
@@ -138,7 +139,7 @@ def _solve_reduced(pencil: OperatorPencil, k) -> np.ndarray:
     s = 1.0 / np.sqrt(d)
     sym = s[:, None] * t * s[None, :]
     sym = 0.5 * (sym + sym.T)  # D^(-1/2) T D^(-1/2), exactly symmetric
-    tridiagonal = not np.any(np.triu(t, 2))
+    tridiagonal = not pencil.grid.periodic_u
     found = []  # (value, mode, cos 0 | sin 1, block eigenvector)
     limit = np.inf
     for mode in range(n // 2 + 1):

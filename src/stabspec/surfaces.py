@@ -102,7 +102,8 @@ class ImmersedSurface:
     A surface of revolution about v (`revolution=True`) has every node
     (i, j) the image of its meridian node (i, 0) under an ambient isometry,
     so its chart is evaluated on the meridian alone: `chart_grid` is then
-    the nu x 1 grid at v = 0, and `grid` otherwise.
+    the nu x 1 grid at v = 0, and `grid` otherwise.  The mark is kept as
+    `revolution`, which `assemble` reads to mark the pencil invariant along v.
     """
 
     def __init__(self, chart, grid: Grid, warping: wp.WarpingFunction | None = None,
@@ -112,6 +113,7 @@ class ImmersedSurface:
         self.warping = warping
         self.chart = chart
         self.grid = grid
+        self.revolution = revolution
         self.chart_grid = replace(grid, nv=1, v=grid.v[:1]) if revolution else grid
         self._bundle: dict[str, np.ndarray] | None = None
         self._points: np.ndarray | None = None

@@ -16,7 +16,6 @@ import scipy.sparse as sp_sparse
 
 import stabspec as ss
 import stabspec.eigen as eigen
-from stabspec.assembly import INVARIANCE_TOL
 from stabspec.charts import JetChart, _jet_cos, _jet_sin
 from stabspec.eigen import (
     _circulant_parts,
@@ -252,6 +251,9 @@ SYMMETRIC = {
     "product-slice": lambda res: ss.slice_shape("product", 0.2, res),
     "sphere-slice": lambda res: ss.slice_shape("sphere", 1.0, res),
     "zonal-graph": lambda res: ss.graph_over_slice("cosh", 0.3, "Y3,0", 0.05, res),
+    # degenerate members of the kinds that keep the full grid
+    "unperturbed-torus": lambda res: ss.perturbed_torus(0.7, 0.0, 3, res),
+    "flat-graph": lambda res: ss.graph_over_slice("cosh", 0.3, "Y2,1", 0.0, res),
 }
 
 
@@ -266,11 +268,12 @@ def test_rotation_invariant_shapes_take_the_reduced_path(name, n):
 
 def _kron_invariance(pencil):
     """The invariance check as the block-circulant pencil rebuilt with a
-    sparse kron: (T, w, d) or None."""
+    sparse kron: (T, w, d), or None unless the pencil equals its rebuild
+    exactly."""
     grid = pencil.grid
     a = pencil.stiffness_minus_potential
     d = pencil.mass_diagonal.reshape(grid.nu, grid.nv)
-    if np.max(np.abs(d - d[:, :1])) > INVARIANCE_TOL * np.max(d):
+    if np.any(d != d[:, :1]):
         return None
     n = grid.nv
     base = np.arange(grid.nu) * n
@@ -281,41 +284,42 @@ def _kron_invariance(pencil):
     ring = sp_sparse.diags([1.0] * 4, [1, -1, n - 1, 1 - n], shape=(n, n))
     ref = (sp_sparse.kron(sp_sparse.csr_matrix(t), sp_sparse.identity(n))
            + sp_sparse.kron(sp_sparse.diags(w), ring))
-    if abs(a - ref).max() > INVARIANCE_TOL * abs(a).max():
+    if abs(a - ref).max() > 0.0:
         return None
     return t, w, d[:, 0]
 
 
-def _one_node_off(field, size):
-    """The 16x16 Clifford torus pencil with one node of one geometry field
-    moved by `size` relative to its scale."""
+def _one_node_off(size):
+    """The 16x16 Clifford torus pencil with an off-diagonal metric term of
+    `size` relative to g^uu at one node."""
     s = ss.build(ss.clifford_torus((16, 16)))
     f = ss.compute_geometry(s, want_gauss=False)
-    value = getattr(f, field).copy()
-    if field == "metric_inv":  # an off-diagonal term adds the cross coupling
-        value[1, 0] = size * value[0, 0]
-    else:
-        value[0] *= 1.0 + size
-    return ss.assemble(s, replace(f, **{field: value}))
+    value = f.metric_inv.copy()
+    value[1, 0] = size * value[0, 0]
+    return ss.assemble(s, replace(f, metric_inv=value))
 
 
-def _oracle_pencils():
+def _sheared(revolution=False):
+    """The 16x16 Clifford torus charted by (u, v + u): a surface of
+    revolution about v with a mixed metric term."""
     c = math.sqrt(2) / 2
     sheared = JetChart(lambda u, v: (c * _jet_cos(u), c * _jet_sin(u),
                                      c * _jet_cos(v + u), c * _jet_sin(v + u)))
-    s = ss.ImmersedSurface(sheared, torus_grid(16, 16))
+    s = ss.ImmersedSurface(sheared, torus_grid(16, 16), revolution=revolution)
+    return ss.assemble(s, ss.compute_geometry(s, want_gauss=False))
+
+
+def _oracle_pencils():
     specs = [ss.clifford_torus((16, 16)), *INVARIANT,
              ss.perturbed_torus(0.7, 0.05, 3, (24, 24)),
              ss.graph_over_slice("cosh", 0.3, "Y2,1", 1e-9, (24, 24))]
     pencils = {spec.label: _pencil(spec) for spec in specs}
     pencils.update({f"{name}-32": _pencil(make((32, 32)))
                     for name, make in SYMMETRIC.items()})
-    pencils["sheared"] = ss.assemble(s, ss.compute_geometry(s, want_gauss=False))
-    # one node's mass, and with it its coefficients, off by 1e-11
-    pencils["mass"] = _one_node_off("area_element", 1e-11)
+    pencils["sheared"] = _sheared()
     # a cross term couples nodes off the stencil, unless it is negligible
-    pencils["stray"] = _one_node_off("metric_inv", 1e-11)
-    pencils["faint-stray"] = _one_node_off("metric_inv", 1e-15)
+    pencils["stray"] = _one_node_off(1e-11)
+    pencils["faint-stray"] = _one_node_off(1e-15)
     return pencils
 
 
@@ -332,6 +336,18 @@ def test_invariance_read_agrees_with_the_kron_rebuild(name):
     if want is not None:
         for x, y in zip(_circulant_parts(p), want):
             np.testing.assert_allclose(x, y, rtol=0, atol=1e-13)
+
+
+def test_a_marked_chart_with_a_cross_term_takes_the_sparse_path():
+    # the reduced path models the 5-point stencil alone, so the mark does
+    # not carry a pencil with a cross term there
+    marked = _sheared(revolution=True)
+    assert not marked.invariant_along_v
+    got = ss.smallest_eigenpairs(marked, 5)
+    assert got.method == "sparse"
+    # its fields are the meridian's, the unmarked build's the full grid's
+    unmarked = ss.smallest_eigenpairs(ORACLE["sheared"], 5)
+    np.testing.assert_allclose(got.eigenvalues, unmarked.eigenvalues, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("spec", [ss.flat_torus(0.6, (24, 24)),

@@ -160,6 +160,22 @@ def test_slice_equality_is_attained_on_the_slice_itself():
     assert rep.body["margin"] <= rep.body["tol_report"]
 
 
+@pytest.mark.parametrize("theorem, warping", [("t13", "cosh"), ("t12", "product")])
+def test_a_quarter_turn_leaves_a_graph_check_unchanged(theorem, warping):
+    # Y2,-1 is Y2,1 turned a quarter turn about the axis, an ambient isometry
+    # that maps the 16/32/64 grids to themselves: both checks, on the sparse
+    # path, agree rung by rung to round-off ("order", a quotient of
+    # differences, amplifies the round-off and is not compared)
+    specs = [ss.graph_over_slice(warping, 0.3, p, 0.05) for p in ("Y2,1", "Y2,-1")]
+    assert not any(ss.build(spec).revolution for spec in specs)
+    a, b = (ss.check_theorem(theorem, spec, [(16, 16), (32, 32), (64, 64)]).body
+            for spec in specs)
+    for x, y in zip(a["results"], b["results"]):
+        assert abs(x["lambda2"] - y["lambda2"]) <= 1e-12
+        assert abs(x["bound"] - y["bound"]) <= 1e-12
+    assert abs(a["lambda2_extrapolated"] - b["lambda2_extrapolated"]) <= 1e-12
+
+
 # ------------------------------------------------------- convergence studies
 
 
@@ -179,6 +195,19 @@ def test_convergence_study_without_an_oracle():
                               resolutions=FAST)
     assert st.body["oracle"] is None
     assert st.body["lambda2_extrapolated"] < -2.0
+
+
+@pytest.mark.parametrize("degenerate, plain", [
+    (ss.perturbed_torus(0.7, 0.0, 3), ss.flat_torus(0.7)),
+    (ss.graph_over_slice("cosh", 0.3, "Y2,1", 0.0), ss.slice_shape("cosh", 0.3)),
+], ids=["unperturbed-torus", "flat-graph"])
+def test_degenerate_members_give_their_surface_of_revolution_rows(degenerate, plain):
+    # eps = 0 and amplitude 0 leave the flat torus and the slice, and the
+    # catalog marks them as surfaces of revolution too: the same rows exactly
+    res = [(16, 16), (32, 32), (64, 64)]
+    a, b = (ss.convergence_study(spec, res).body for spec in (degenerate, plain))
+    assert a["rows"] == b["rows"]
+    assert a["lambda2_extrapolated"] == b["lambda2_extrapolated"]
 
 
 def test_convergence_study_needs_two_resolutions():
