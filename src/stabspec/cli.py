@@ -1,6 +1,7 @@
 """Command-line scenario runner.
 
-Subcommands:
+Subcommands, one row each of the table `_SUBCOMMANDS` that builds the
+parser and dispatches the run:
   slice-spectrum   closed-form slice eigenvalues of a warped ambient
   check            t11 | t12 | t13 | esi on a configured shape
   sweep            flat-torus | graph-amplitude families
@@ -29,42 +30,6 @@ from .errors import ConfigError, StabspecError
 
 EXIT_OK = 0
 EXIT_VIOLATION = 4
-
-
-def _add_common(parser: argparse.ArgumentParser):
-    parser.add_argument("--config", help="key=value configuration file")
-    parser.add_argument("--out", default="reports", help="report directory")
-    parser.add_argument(
-        "params", nargs="*", metavar="key=value",
-        help="configuration overrides, e.g. shape=flat-torus r=0.6",
-    )
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="stabspec",
-        description="Stability-spectrum checks for surfaces in the 3-sphere "
-        "and warped products",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("slice-spectrum", help="closed-form slice eigenvalues")
-    _add_common(p)
-
-    p = sub.add_parser("check", help="run one theorem check")
-    p.add_argument("theorem", choices=list(harness._CHECKS))
-    _add_common(p)
-
-    p = sub.add_parser("sweep", help="run a parameter sweep")
-    p.add_argument("family", choices=["flat-torus", "graph-amplitude"])
-    _add_common(p)
-
-    p = sub.add_parser("converge", help="refinement study")
-    _add_common(p)
-
-    p = sub.add_parser("balance-bound", help="balanced-coordinate bound")
-    _add_common(p)
-    return parser
 
 
 def _load_cfg(args) -> cfgmod.Config:
@@ -156,18 +121,41 @@ def _run_balance_bound(args, cfg):
     return lambda: [harness.balance_bound_scenario(spec, resolution, seed=seed)]
 
 
-_RUNNERS = {
-    "slice-spectrum": _run_slice_spectrum,
-    "check": _run_check,
-    "sweep": _run_sweep,
-    "converge": _run_converge,
-    "balance-bound": _run_balance_bound,
+# subcommand -> (help, its positional argument and that argument's choices,
+# or None, runner); the parser and the dispatch both read this one table.
+_SUBCOMMANDS = {
+    "slice-spectrum": ("closed-form slice eigenvalues", None, _run_slice_spectrum),
+    "check": ("run one theorem check", ("theorem", list(harness._CHECKS)), _run_check),
+    "sweep": ("run a parameter sweep", ("family", ["flat-torus", "graph-amplitude"]),
+              _run_sweep),
+    "converge": ("refinement study", None, _run_converge),
+    "balance-bound": ("balanced-coordinate bound", None, _run_balance_bound),
 }
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="stabspec",
+        description="Stability-spectrum checks for surfaces in the 3-sphere "
+        "and warped products",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, positional, _) in _SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        if positional is not None:
+            p.add_argument(positional[0], choices=positional[1])
+        p.add_argument("--config", help="key=value configuration file")
+        p.add_argument("--out", default="reports", help="report directory")
+        p.add_argument(
+            "params", nargs="*", metavar="key=value",
+            help="configuration overrides, e.g. shape=flat-torus r=0.6",
+        )
+    return parser
 
 
 def _run(args) -> int:
     cfg = _load_cfg(args)
-    work = _RUNNERS[args.command](args, cfg)
+    work = _SUBCOMMANDS[args.command][2](args, cfg)
     unread = sorted(cfg.overrides - cfg.read)
     if "warping" in unread and "warping_poly" in cfg.read:
         raise ConfigError("warping_poly overrides warping; give one of them")

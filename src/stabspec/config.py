@@ -160,12 +160,12 @@ def warping_from_config(cfg) -> wp.WarpingFunction:
         coeffs = get(cfg, "warping_poly", floats)
         try:
             return wp.polynomial_warping(coeffs, interval)
-        except Exception as err:
+        except DomainError as err:
             raise ConfigError(f"bad polynomial warping: {err}") from err
     name = get(cfg, "warping", str, "product")
     try:
         return wp.builtin_warping(name, interval=interval)
-    except Exception as err:
+    except DomainError as err:
         raise ConfigError(f"unknown warping {name!r}: {err}") from err
 
 

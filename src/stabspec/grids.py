@@ -70,25 +70,23 @@ class Grid:
         return sp.kron(sp.identity(self.nu), D, format="csr")
 
 
-def torus_grid(nu: int, nv: int) -> Grid:
+def _grid(nu: int, nv: int, periodic_u: bool) -> Grid:
+    """The nu x nv grid with v at multiples of 2pi / nv; u spans [0, 2pi)
+    at multiples of its spacing on a torus, and (0, pi) at cell centers
+    on a sphere."""
     if nu < 8 or nv < 8:
-        raise DomainError("torus grid needs at least 8 nodes per direction")
-    du = 2.0 * math.pi / nu
+        kind = "torus" if periodic_u else "sphere"
+        raise DomainError(f"{kind} grid needs at least 8 nodes per direction")
+    du = (2.0 if periodic_u else 1.0) * math.pi / nu
     dv = 2.0 * math.pi / nv
-    return Grid(
-        nu=nu, nv=nv, du=du, dv=dv,
-        u=np.arange(nu) * du, v=np.arange(nv) * dv,
-        periodic_u=True,
-    )
+    return Grid(nu=nu, nv=nv, du=du, dv=dv,
+                u=(np.arange(nu) + (0.0 if periodic_u else 0.5)) * du,
+                v=np.arange(nv) * dv, periodic_u=periodic_u)
+
+
+def torus_grid(nu: int, nv: int) -> Grid:
+    return _grid(nu, nv, True)
 
 
 def sphere_grid(ntheta: int, nphi: int) -> Grid:
-    if ntheta < 8 or nphi < 8:
-        raise DomainError("sphere grid needs at least 8 nodes per direction")
-    dth = math.pi / ntheta
-    dph = 2.0 * math.pi / nphi
-    return Grid(
-        nu=ntheta, nv=nphi, du=dth, dv=dph,
-        u=(np.arange(ntheta) + 0.5) * dth, v=np.arange(nphi) * dph,
-        periodic_u=False,
-    )
+    return _grid(ntheta, nphi, False)

@@ -150,19 +150,20 @@ def _ladder(spec: catalog.ShapeSpec, resolutions, seed: int, measure,
             hypothesis=None):
     """Build -> geometry -> assemble -> solve at each resolution in turn.
 
-    `hypothesis(surface)` runs on the first resolution, before its
-    geometry, so a shape that fails it is built once and never solved.
-    Returns (what the hypothesis returned, [measure(surface, fields,
-    pencil, spectrum) per resolution]); no measure reads the Gauss curvature.
+    Each rung's geometry is computed once, with the Gauss curvature on the
+    first rung alone: `hypothesis(surface, fields)` runs there, after its
+    geometry and before its assembly, so a shape that fails it is built
+    once and never solved.  Returns (what the hypothesis returned,
+    [measure(surface, fields, pencil, spectrum) per resolution]).
     """
     found, measured = None, []
     for i, res in enumerate(resolutions):
         surface = catalog.build(replace(spec, resolution=_square(res)))
+        fields = compute_geometry(surface, want_gauss=i == 0)
         if i == 0 and hypothesis is not None:
-            found = hypothesis(surface)
-        fields = compute_geometry(surface, want_gauss=False)
+            found = hypothesis(surface, fields)
         pencil = assemble(surface, fields)
-        spectrum = smallest_eigenpairs(pencil, DEFAULT_EIGEN_COUNT, tol=1e-9, seed=seed)
+        spectrum = smallest_eigenpairs(pencil, DEFAULT_EIGEN_COUNT, seed=seed)
         measured.append(measure(surface, fields, pencil, spectrum))
     return found, measured
 
@@ -207,16 +208,15 @@ def _step_rows(scenario: str, steps, orders) -> list[dict]:
             for s, o in zip(steps, orders)]
 
 
-def _require_sphere3(surface) -> dict:
+def _require_sphere3(surface, fields) -> dict:
     if not surface.is_sphere3:
         raise HypothesisError("the bound applies to surfaces in the 3-sphere")
     return {}
 
 
-def _torus_hypothesis(surface) -> dict:
-    _require_sphere3(surface)
-    # the one reader of the Gauss curvature (Gauss-Bonnet)
-    chi = euler_characteristic(compute_geometry(surface))
+def _torus_hypothesis(surface, fields) -> dict:
+    _require_sphere3(surface, fields)
+    chi = euler_characteristic(fields)  # the one reader of the Gauss curvature
     if chi > 0:
         raise HypothesisError(
             f"surface has Euler characteristic {chi}; the bound needs genus >= 1 "
@@ -225,14 +225,14 @@ def _torus_hypothesis(surface) -> dict:
     return {"euler_characteristic": chi}
 
 
-def _require_warped(surface) -> dict:
+def _require_warped(surface, fields) -> dict:
     if surface.is_sphere3:
         raise HypothesisError("this check applies to hypersurfaces of a warped ambient")
     return {}
 
 
-def _convexity_hypothesis(surface) -> dict:
-    _require_warped(surface)
+def _convexity_hypothesis(surface, fields) -> dict:
+    _require_warped(surface, fields)
     w = surface.warping
     t = surface.bundle()["0"][:, 0]
     cond_min, cond_arg = wp.condition_strictness(w, (float(np.min(t)), float(np.max(t))))
@@ -252,8 +252,8 @@ def _slice_mean_bound(fields) -> float:
     return _area_mean(wp.slice_lambda2_from_ricci(fields.ambient_curvature), fields)
 
 
-def _product_hypothesis(surface) -> dict:
-    _require_warped(surface)
+def _product_hypothesis(surface, fields) -> dict:
+    _require_warped(surface, fields)
     w = surface.warping
     samples = np.linspace(w.interval[0], w.interval[1], 17)
     if (float(np.max(np.abs(w.h(samples) - 1.0))) > 1e-12
@@ -272,7 +272,8 @@ def _esi_bound(fields) -> float:
 
 
 # check name -> (theorem id, hypothesis, bound); see the module docstring.
-# A bound is a function of the geometry fields alone. t12 is t13 on the
+# A hypothesis reads the first rung's surface and fields (see `_ladder`);
+# a bound is a function of the geometry fields alone. t12 is t13 on the
 # product ambient, where every slice value is n = 2.
 _CHECKS = {
     "t11": ("T11", _torus_hypothesis, lambda f: -2.0),

@@ -16,7 +16,7 @@ on the 3-sphere and H = h(t)^2 on the warped product.  A surface's
 ambient is its warping h, or None for the 3-sphere, and with the chart
 values it fixes all the body reads of the ambient: H, the radial
 direction the normal must also be orthogonal to (the position X, or
-(0, w)), h h' (none on the 3-sphere) and the Ricci data
+(0, w)), h h' (0 on the 3-sphere) and the Ricci data
 (Ric_tt, Ric_tan, R), (2, 2, 6) on the 3-sphere.
 Metric, normal, second fundamental form, Ric(nu, nu) and curvatures are
 computed the same way for both, from the chart's derivatives through
@@ -82,13 +82,14 @@ def _sphere_dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 def _ambient(w: wp.WarpingFunction | None, x0: np.ndarray):
     """(H, radial, h h', Ricci data) of the ambient at the chart values x0,
     (4, N): H weights W = diag(1, H, H, H), radial is the direction the
-    normal is also orthogonal to, and h h' is None on the 3-sphere, where
-    the Christoffel term vanishes.  A warped profile is evaluated once, and
-    (h, h', h'') feed the Christoffel term, Ric(nu, nu) and the bounds alike.
+    normal is also orthogonal to, and h h' weights the Christoffel term; it
+    is 0 on the 3-sphere, where that term vanishes.  A warped profile is
+    evaluated once, and (h, h', h'') feed the Christoffel term, Ric(nu, nu)
+    and the bounds alike.
     """
     if w is None:
         _require_unit(x0, "chart values must lie on the unit 3-sphere")
-        return 1.0, x0, None, wp.AmbientCurvature(2.0, 2.0, 6.0)
+        return 1.0, x0, 0.0, wp.AmbientCurvature(2.0, 2.0, 6.0)
     _require_unit(x0[1:], "sphere part of a warped chart must have unit norm")
     h, dh, d2h = wp._hs(w, x0[0])
     return (h * h, np.vstack([np.zeros_like(x0[0]), x0[1:]]), h * dh,
@@ -245,16 +246,12 @@ def compute_geometry(s: ImmersedSurface, want_gauss: bool = True) -> GeometryFie
     # before sigma, while fewer (N,) arrays are live: its temporaries set no peak
     ricci = wp.ricci_direction(curvature, nu[0])
 
-    # <nu, w_a>, read by the Christoffel term alone
-    nw = None if hdh is None else {key: _sphere_dot(nu, x[key]) for key in "uv"}
+    nw = {key: _sphere_dot(nu, x[key]) for key in "uv"}  # <nu, w_a>
 
     def second(key):  # sigma_ab, see the module docstring
-        sigma = -wdot(nu, x[key])
-        if hdh is not None:
-            a, b = key
-            ww = _sphere_dot(x[a], x[b])
-            sigma -= hdh * (x[a][0] * nw[b] + x[b][0] * nw[a] - nu[0] * ww)
-        return sigma
+        a, b = key
+        christoffel = x[a][0] * nw[b] + x[b][0] * nw[a] - nu[0] * _sphere_dot(x[a], x[b])
+        return -wdot(nu, x[key]) - hdh * christoffel
 
     s_uu, s_uv, s_vv = second("uu"), second("uv"), second("vv")
     # shape operator g^-1 sigma, entry by entry

@@ -223,8 +223,10 @@ def test_perturbation_degree_and_order_limits():
 
 
 def test_graph_amplitude_must_stay_inside_interval():
-    with pytest.raises(DomainError):
-        ss.build(ss.graph_over_slice("cosh", 1.9, "Y2,0", 0.5, (12, 12)))
+    # the first reader of the chart refuses it, with the interval's message
+    surface = ss.build(ss.graph_over_slice("cosh", 1.9, "Y2,0", 0.5, (12, 12)))
+    with pytest.raises(DomainError, match=r"t outside the domain \[-2.0, 2.0\]"):
+        ss.compute_geometry(surface)
 
 
 def test_perturbed_torus_radius_validation():

@@ -46,7 +46,7 @@ def test_torus_grid_layout():
     assert u.shape == (96,)
     assert u[flat(g, 5, 7)] == pytest.approx(g.u[5])
     assert v[flat(g, 5, 7)] == pytest.approx(g.v[7])
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="^torus grid needs at least 8"):
         torus_grid(4, 8)
 
 
@@ -63,6 +63,8 @@ def test_sphere_grid_is_cell_centered_in_latitude():
         errs.append(abs(np.sum(np.sin(gn.u)) * gn.du - 2.0))
     assert errs[0] == pytest.approx(2 * math.pi**2 / (24 * 100), rel=1e-2)
     assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.05)
+    with pytest.raises(DomainError, match="^sphere grid needs at least 8"):
+        sphere_grid(16, 4)
 
 
 def test_d1_sparse_matches_diff_field():

@@ -23,7 +23,7 @@ import pytest
 
 import stabspec
 import stabspec.config as cfgmod
-from stabspec.cli import _RUNNERS, parse_args
+from stabspec.cli import _SUBCOMMANDS, parse_args
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 README = (ROOT / "README.md").read_text()
@@ -70,7 +70,7 @@ def test_readme_command_lines_parse(line):
     args = parse_args(shlex.split(line)[1:])
     cfg = cfgmod.load_config_file(ROOT / args.config) if args.config else {}
     cfg = cfgmod.merge_overrides(cfg, args.params)
-    _RUNNERS[args.command](args, cfg)  # reads the configuration, solves nothing
+    _SUBCOMMANDS[args.command][2](args, cfg)  # reads the configuration, solves nothing
     assert cfg.overrides <= cfg.read
 
 
