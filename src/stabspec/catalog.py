@@ -24,8 +24,9 @@ the flat and Clifford tori (v turns the (x3, x4) plane), geodesic spheres
 S^2 factor about its axis), perturbed tori with eps = 0 and graphs of
 amplitude 0.  Each of their nodes is an ambient isometry image of its
 meridian node at v = 0, so they are built with `revolution=True`: their
-chart is evaluated on that nu x 1 meridian, and that mark alone lets the
-eigensolver split their pencil by Fourier modes along v.  Other perturbed
+chart is evaluated on that meridian and the next v column, whose fields
+must agree, and that mark alone lets the eigensolver split their pencil
+by Fourier modes along v.  Other perturbed
 tori and graphs of Y_l,m with m != 0 keep the full grid.
 """
 

@@ -1,25 +1,35 @@
 """Conformal dilations of the 3-sphere and the balancing construction.
 
-A dilation with parameter `a` (|a| < 1) is stereographic conjugation:
-project from the antipode of p = a/|a| onto the equatorial hyperplane
-orthogonal to p, scale by s = (1 - |a|)/(1 + |a|), and project back.
-With c = <x, p> the three steps collapse to
+The dilations of S^3 are the Lorentz group SO+(4, 1) acting projectively
+on the null lines (x, 1), x on the sphere (Ratcliffe, Foundations of
+Hyperbolic Manifolds; Hersch 1970).  The dilation with parameter
+`a` (|a| < 1) is the boost
 
-    phi(x) = (2 s x + (1 - s^2 + (1 - s)^2 c) p) / (1 + s^2 + (1 - s^2) c),
+    L(a) = diag(1, 1, 1, 1, -1) + 2 v v^T / (1 - |a|^2),   v = (a, 1),
 
-whose denominator stays >= 2 min(1, s^2) on the whole sphere, so the
-projection pole needs no special case.  a = 0 is the identity, and
-negating `a` inverts the map, because switching the projection pole
-inverts the Euclidean scale.
+with blocks I + 2 a a^T / (1 - |a|^2), 2 a / (1 - |a|^2) and
+(1 + |a|^2) / (1 - |a|^2), whose action L (x, 1) ~ (phi_a(x), 1) is
 
-The balancing routine moves `a` by damped Newton steps until the
-weighted center of mass of the transformed surface vanishes.  With the
-resulting map, the four ambient coordinates of the transformed immersion
-are (numerically) orthogonal to the chosen weight function, so their
-aggregate Rayleigh quotient upper-bounds the second eigenvalue of the
-original pencil — the certified bound returned here.  The bound needs
-the transformed node positions only, so phi is written here on points
-alone.
+    phi_a(x) = ((1 - |a|^2) x + 2 (1 + <a, x>) a) / (1 + |a|^2 + 2 <a, x>).
+
+Its denominator, |x + a|^2 / (1 - |a|^2) on the sphere, stays
+>= (1 - |a|)/(1 + |a|), so no point needs a special case.  It fixes the
+poles +-a/|a|, L(0) is exactly the identity and L(-a) inverts L(a).  Two
+dilations compose as a 5x5 product P = R L(a'), R a rotation of the sphere
+fixing e5; P's last row is that of L(a'), so a' = P[4, :4] / (1 + P[4, 4]).
+
+The balancing routine composes dilations by damped Newton steps until the
+weighted center of mass of the transformed surface vanishes.  It works in
+the moving frame: following the current points y = phi_a(x) by phi_b moves
+the center by J b + O(|b|^2), with the closed-form moment
+J = 2 (I - sum_i w_i y_i y_i^T) (weights summing to 1), and a step
+composes L(t b) L(a).  R only rotates the center, so a' alone is kept:
+phi_a' balances the weight as P does.  With the resulting map, the
+four ambient coordinates of the transformed immersion are (numerically)
+orthogonal to the chosen weight function, so their aggregate Rayleigh
+quotient upper-bounds the second eigenvalue of the original pencil — the
+certified bound returned here.  The bound needs the transformed node
+positions only, so phi is written here on points alone.
 """
 
 from __future__ import annotations
@@ -47,8 +57,6 @@ BALANCE_MAX_ITER = 50
 # Balancing stops once the weighted center of mass is this small, relative
 # to the total weight.
 BALANCE_TOL = 1e-9
-# Central-difference step of the balancing Jacobian, relative to 1 - |a|.
-JACOBIAN_STEP = 1e-5
 
 
 @dataclass(frozen=True)
@@ -71,30 +79,25 @@ class MobiusParam:
     def magnitude(self) -> float:
         return float(np.linalg.norm(self.a))
 
-    def axis_and_scale(self) -> tuple[np.ndarray, float]:
-        """(p, s): fixed pole p = a/|a| and Euclidean scale (1 - |a|)/(1 + |a|)."""
-        mag = self.magnitude
-        return self.a / mag, (1.0 - mag) / (1.0 + mag)
+
+def _boost(a: np.ndarray) -> np.ndarray:
+    """The 5x5 Lorentz boost L(a), |a| < 1."""
+    v = np.append(a, 1.0)
+    return np.diag([1.0, 1.0, 1.0, 1.0, -1.0]) + (2.0 / (1.0 - a @ a)) * np.outer(v, v)
 
 
 def mobius_apply(param: MobiusParam, x) -> np.ndarray:
     """Apply the conformal dilation to the rows of an (N, 4) array of unit
-    vectors."""
+    vectors: the projective action of L(a) on the rows (x, 1)."""
     rows = np.asarray(x, dtype=float)
     if rows.ndim != 2 or rows.shape[1] != 4:
         raise DomainError("points must be an (N, 4) array")
     norms = np.linalg.norm(rows, axis=1)
     if float(np.max(np.abs(norms - 1.0))) > 1e-8:
         raise DomainError("dilation input points must lie on the unit sphere")
-    if param.magnitude < 1e-15:
-        return rows.copy()
-
-    p, s = param.axis_and_scale()
-    c = rows @ p
-    num = 2.0 * s * rows + ((1.0 - s * s) + (1.0 - s) ** 2 * c)[:, None] * p
-    out = num / ((1.0 + s * s) + (1.0 - s * s) * c)[:, None]
-    out /= np.linalg.norm(out, axis=1)[:, None]
-    return out
+    boost = _boost(param.a)
+    image = rows @ boost[:, :4].T + boost[:, 4]
+    return image[:, :4] / image[:, 4:]
 
 
 def _capped(a: np.ndarray) -> np.ndarray:
@@ -109,11 +112,12 @@ def hersch_balance(
 ) -> MobiusParam:
     """Dilation parameter nulling the f1-weighted center of mass.
 
-    Damped Newton iteration on the center map a -> c(a), the weighted
-    mean of the transformed node positions, from a = 0 (the identity).
-    The Jacobian comes from central differences; each step is halved
-    until |c| decreases, and |a| stays within BALANCE_CAP.  The residual
-    |c| is measured relative to the total weight: the iteration stops at
+    Damped Newton iteration from a = 0 (the identity) in the moving frame:
+    at the points y = phi_a(x) the step b solves 2 (I - sum w y y^T) b = -c
+    by least squares (the moment is singular under a point mass).  The new
+    a is read off L(t b) L(a), with t halved until |c| decreases, and |a|
+    and |b| stay within BALANCE_CAP.  The residual |c| is measured
+    relative to the total weight: the iteration stops at
     ||integral of f1 * (transformed position)|| <= BALANCE_TOL * integral
     of f1.
     """
@@ -134,12 +138,8 @@ def hersch_balance(
     weights = weights / total
 
     coords = s.points()
-
-    def center(a):
-        return weights @ mobius_apply(MobiusParam(a), coords)
-
-    a = np.zeros(4)
-    c = center(a)
+    a, y = np.zeros(4), coords
+    c = weights @ y
     residuals = [float(np.linalg.norm(c))]
     while residuals[-1] > BALANCE_TOL:
         if len(residuals) > BALANCE_MAX_ITER:
@@ -150,15 +150,14 @@ def hersch_balance(
                 "near a point",
                 residuals=residuals,
             )
-        h = JACOBIAN_STEP * (1.0 - float(np.linalg.norm(a)))
-        jac = np.column_stack([
-            (center(a + h * e) - center(a - h * e)) / (2.0 * h) for e in np.eye(4)
-        ])
-        step = np.linalg.lstsq(jac, -c, rcond=None)[0]
+        jac = 2.0 * (np.eye(4) - (weights[:, None] * y).T @ y)
+        step = _capped(np.linalg.lstsq(jac, -c, rcond=None)[0])
         t = 1.0
         while True:
-            trial = _capped(a + t * step)
-            c_trial = center(trial)
+            moved = _boost(t * step) @ _boost(a)
+            trial = _capped(moved[4, :4] / (1.0 + moved[4, 4]))
+            y_trial = mobius_apply(MobiusParam(trial), coords)
+            c_trial = weights @ y_trial
             if np.linalg.norm(c_trial) < (1.0 - 1e-4 * t) * residuals[-1]:
                 break
             t *= 0.5
@@ -169,7 +168,7 @@ def hersch_balance(
                     "concentrating near a point",
                     residuals=residuals,
                 )
-        a, c = trial, c_trial
+        a, y, c = trial, y_trial, c_trial
         residuals.append(float(np.linalg.norm(c)))
     return MobiusParam(a)
 

@@ -29,10 +29,11 @@ principal curvatures h'/h.  On the 3-sphere the normal is oriented so
 that (position, chart_u, chart_v, normal) is a positively oriented frame
 of R^4; on warped ambients it has a non-negative d/dt component.
 
-A surface of revolution about v is evaluated on its meridian, the nu x 1
-grid at v = 0 (`ImmersedSurface.chart_grid`), and the one body runs over
-those nodes; each field is then repeated nv times along v, so the later
-stages read N-node fields either way, exactly constant along v.
+A surface of revolution about v is evaluated on its meridian at v = 0
+and the next v column (the nu x 2 grid `ImmersedSurface.chart_grid`), and
+the one body runs over those nodes.  The two columns' fields must agree,
+which checks the mark; the meridian's are then repeated nv times along v,
+so the later stages read N-node fields either way, exactly constant along v.
 
 Gauss curvature comes from the Gauss equation of a surface in a
 3-dimensional ambient, K = R/2 - Ric(nu, nu) + k1 k2, with
@@ -67,6 +68,11 @@ __all__ = [
 
 UNIT_NORM_TOL = 1e-12
 DEGENERACY_REL_TOL = 1e-10
+# The fields of a surface of revolution's first two v columns may differ
+# by this much, relative to max(1, |field|).  Marked catalog shapes differ
+# by at most 4e-14 at 8 to 1024 nodes per direction; a 24^2 perturbed
+# torus (r 0.7, eps 0.05) marked by mistake differs by 0.31.
+REVOLUTION_TOL = 1e-10
 
 
 def _require_unit(x: np.ndarray, message: str) -> None:
@@ -102,9 +108,10 @@ class ImmersedSurface:
 
     A surface of revolution about v (`revolution=True`) has every node
     (i, j) the image of its meridian node (i, 0) under an ambient isometry,
-    so its chart is evaluated on the meridian alone: `chart_grid` is then
-    the nu x 1 grid at v = 0, and `grid` otherwise.  The mark is kept as
-    `revolution`, which `assemble` reads to mark the pencil invariant along v.
+    so its chart is evaluated on the meridian and one further column, to
+    check the mark: `chart_grid` is then the nu x 2 grid of the first two
+    v columns, and `grid` otherwise.  The mark is kept as `revolution`,
+    which `assemble` reads to mark the pencil invariant along v.
     """
 
     def __init__(self, chart, grid: Grid, warping: wp.WarpingFunction | None = None,
@@ -115,7 +122,7 @@ class ImmersedSurface:
         self.chart = chart
         self.grid = grid
         self.revolution = revolution
-        self.chart_grid = replace(grid, nv=1, v=grid.v[:1]) if revolution else grid
+        self.chart_grid = replace(grid, nv=2, v=grid.v[:2]) if revolution else grid
         self._bundle: dict[str, np.ndarray] | None = None
         self._points: np.ndarray | None = None
 
@@ -141,11 +148,12 @@ class ImmersedSurface:
     def points(self) -> np.ndarray:
         """(N, 4) chart values at every node of `grid`.  Only balancing
         reads a surface of revolution off its meridian; it pays the one
-        full-grid evaluation, once."""
-        if self.chart_grid is self.grid:
+        full-grid evaluation, once, and keeps a copy of the values alone,
+        not the full-grid bundle they are a view of."""
+        if not self.revolution:
             return self.bundle()["0"]
         if self._points is None:
-            self._points = self.chart.evaluate(self.grid)["0"]
+            self._points = self.chart.evaluate(self.grid)["0"].copy()
         return self._points
 
 
@@ -188,19 +196,20 @@ def _cross4(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
     return d
 
 
-def _check_not_degenerate(det: np.ndarray, stride: int):
-    """Refuse a numerically singular metric; chart-grid node i is grid
-    node i * stride."""
+def _check_not_degenerate(det: np.ndarray, nv: int, cols: int):
+    """Refuse a numerically singular metric; chart-grid node c, on `cols`
+    v columns, is grid node (c // cols) * nv + c % cols."""
     threshold = DEGENERACY_REL_TOL * float(np.mean(det))
     bad = np.where(~(det > threshold))[0]
     if bad.size:
         i = int(bad[np.argmin(det[bad])])
-        raise DegenerateChartError(i * stride, float(det[i]), threshold)
+        raise DegenerateChartError((i // cols) * nv + i % cols, float(det[i]), threshold)
 
 
 def _along_v(f: GeometryFields, nv: int) -> GeometryFields:
-    """The fields of a meridian with each value repeated nv times along v:
-    meridian node i becomes grid nodes i * nv to i * nv + nv - 1.  The
+    """The fields of a surface of revolution's first two v columns, checked
+    against each other, and the meridian's repeated nv times along v
+    (meridian node i becomes grid nodes i * nv to i * nv + nv - 1).  The
     per-node arrays, the ambient's Ricci data among them, become rows of
     one block: at 256^2 the copies took 0.3 ms that way and 2.4 ms as
     separate arrays, each paying its own page faults."""
@@ -208,7 +217,14 @@ def _along_v(f: GeometryFields, nv: int) -> GeometryFields:
     values = [*f.metric_inv, f.area_element, f.mean_curv, f.sigma_sq, f.gauss_curv,
               f.ricci_normal, c.ricci_tt, c.ricci_tangential, c.scalar]
     live = [i for i, a in enumerate(values) if isinstance(a, np.ndarray)]
-    block = np.repeat(np.array([values[i] for i in live]), nv, axis=1)
+    pair = np.array([values[i] for i in live]).reshape(len(live), -1, 2)
+    meridian, column = pair[..., 0], pair[..., 1]
+    gap = float(np.max(np.abs(column - meridian) / np.maximum(1.0, np.abs(meridian))))
+    if gap > REVOLUTION_TOL:
+        raise DomainError(
+            f"chart marked as a surface of revolution about v is not one: its first two "
+            f"v columns' fields differ by {gap:.3e} (tolerance {REVOLUTION_TOL:g})")
+    block = np.repeat(meridian, nv, axis=1)
     for i, row in zip(live, block):
         values[i] = row
     return GeometryFields(block[:3], *values[3:8], wp.AmbientCurvature(*values[8:]))
@@ -219,12 +235,12 @@ def compute_geometry(s: ImmersedSurface, want_gauss: bool = True) -> GeometryFie
 
     The body works on the component rows x[key] = bundle[key].T, (4, n)
     views of the chart's component-major storage at the n nodes of
-    `s.chart_grid`.  On a meridian each field is then repeated nv times
-    along v, so every stage after this one reads N-node fields either way;
-    the unit and degeneracy checks lose nothing, since every other node is
-    an isometry image of a meridian node.
+    `s.chart_grid`.  On a surface of revolution the meridian's fields are
+    then checked against the next column's and repeated nv times along v,
+    so every stage after this one reads N-node fields either way; the unit
+    and degeneracy checks lose nothing, since every other node is an
+    isometry image of a meridian node.
     """
-    reps = s.node_count // s.chart_grid.node_count  # nv on a meridian, else 1
     x = {key: arr.T for key, arr in s.bundle().items()}
     H, radial, hdh, curvature = _ambient(s.warping, x["0"])
 
@@ -233,7 +249,7 @@ def compute_geometry(s: ImmersedSurface, want_gauss: bool = True) -> GeometryFie
 
     E, F, G = wdot(x["u"], x["u"]), wdot(x["u"], x["v"]), wdot(x["v"], x["v"])
     det = E * G - F * F
-    _check_not_degenerate(det, reps)
+    _check_not_degenerate(det, s.grid.nv, s.chart_grid.nv)
     metric_inv = np.stack([G / det, -F / det, E / det])
     inv_uu, inv_uv, inv_vv = metric_inv
 
@@ -273,7 +289,7 @@ def compute_geometry(s: ImmersedSurface, want_gauss: bool = True) -> GeometryFie
         ricci_normal=ricci,
         ambient_curvature=curvature,
     )
-    return fields if reps == 1 else _along_v(fields, reps)
+    return _along_v(fields, s.grid.nv) if s.revolution else fields
 
 
 def total_curvature(f: GeometryFields) -> float:

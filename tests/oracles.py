@@ -14,12 +14,14 @@ carry them: grid coordinates and indices, the item-assignment build of
 the difference operators, a surface's chart on its full grid, the total
 area, the list of accepted perturbations, the closed-form slice data, the
 slice's second eigenvalue as n times the convexity condition, the ambient
-Ricci data at given t, and the conformal image of a surface.  The image's chart
-composes the base chart's Taylor jets with the dilation written on jets
-(`_dilate_jets`), independently of `conformal.mobius_apply`, which writes
-it on points; the quantities the dilations leave invariant (the Willmore
-integral, Dirichlet energy equal to twice the image area) are computed
-from it.
+Ricci data at given t, and the conformal image of a surface.  The dilation
+is written here as stereographic conjugation (`axis_and_scale`,
+`stereographic_dilation`), independently of `conformal.mobius_apply`,
+which writes it as the projective action of a Lorentz boost.  The image's
+chart composes the base chart's Taylor jets with that dilation written on
+jets (`_dilate_jets`); the quantities the dilations leave invariant (the
+Willmore integral, Dirichlet energy equal to twice the image area) are
+computed from it.
 """
 
 from __future__ import annotations
@@ -267,10 +269,31 @@ def jet_reciprocal(x: np.ndarray) -> np.ndarray:
     return r
 
 
+def axis_and_scale(param) -> tuple[np.ndarray, float]:
+    """(p, s) of the dilation with parameter a != 0 as stereographic
+    conjugation: project from the antipode of the pole p = a/|a| onto the
+    hyperplane orthogonal to p, scale by s = (1 - |a|)/(1 + |a|), and
+    project back."""
+    mag = param.magnitude
+    return param.a / mag, (1.0 - mag) / (1.0 + mag)
+
+
+def stereographic_dilation(param, x) -> tuple:
+    """The dilation of the point with components x = (x0, x1, x2, x3),
+    numeric arrays or sympy expressions; with c = <x, p> the three steps
+    of the conjugation collapse to
+    (2 s x + (1 - s^2 + (1 - s)^2 c) p) / (1 + s^2 + (1 - s^2) c)."""
+    p, s = axis_and_scale(param)
+    c = sum(float(pi) * xi for pi, xi in zip(p, x))
+    den = (1 + s * s) + (1 - s * s) * c
+    return tuple((2 * s * xi + ((1 - s * s) + (1 - s) ** 2 * c) * float(pi)) / den
+                 for pi, xi in zip(p, x))
+
+
 def _dilate_jets(param, jets: np.ndarray) -> np.ndarray:
-    """The dilation phi of `conformal` applied to position jets of shape
+    """The stereographic dilation applied to position jets of shape
     (coefficients, ..., 4): affine in x up to one reciprocal."""
-    p, s = param.axis_and_scale()
+    p, s = axis_and_scale(param)
     c = jets @ p
     num = 2.0 * s * jets + ((1.0 - s) ** 2 * c)[..., None] * p
     num[0] += (1.0 - s * s) * p

@@ -135,7 +135,8 @@ def test_build_covers_every_catalog_kind():
 
 
 # surfaces of revolution about v: every node an ambient isometry image of its
-# meridian node, so the chart is evaluated on the meridian alone
+# meridian node, so the chart is evaluated on the meridian and, to check
+# the mark, the next v column
 REVOLUTION = [
     ss.clifford_torus(),
     ss.flat_torus(0.6),
@@ -165,8 +166,8 @@ def _per_node(f):
 def test_surfaces_of_revolution_repeat_their_meridian(spec, resolution):
     s = ss.build(replace(spec, resolution=resolution))
     nu, nv = resolution
-    assert (s.chart_grid.nu, s.chart_grid.nv) == (nu, 1)
-    assert s.bundle()["0"].shape == (nu, 4)
+    assert (s.chart_grid.nu, s.chart_grid.nv) == (nu, 2)
+    assert s.bundle()["0"].shape == (2 * nu, 4)
     f = ss.compute_geometry(s)
     oracle = full_grid(s)
     g = ss.compute_geometry(oracle)
@@ -192,6 +193,26 @@ def test_other_shapes_keep_the_full_grid(spec):
     s = ss.build(spec)
     assert s.chart_grid is s.grid
     assert not ss.assemble(s, ss.compute_geometry(s, want_gauss=False)).invariant_along_v
+
+
+@pytest.mark.parametrize("want_gauss", [True, False])
+def test_a_wrong_revolution_mark_is_refused(want_gauss):
+    # a perturbed torus is no surface of revolution: the fields of its first
+    # two v columns differ by 0.31 (K by 0.41), where marked shapes agree
+    # to 4e-14; trusted, the mark would give a wrong reduced spectrum
+    s = ss.build(ss.perturbed_torus(0.7, 0.05, 3, (24, 24)))
+    marked = ss.ImmersedSurface(s.chart, s.grid, revolution=True)
+    with pytest.raises(DomainError, match="is not one") as err:
+        ss.compute_geometry(marked, want_gauss)
+    assert err.value.exit_code == 2
+
+
+def test_points_of_a_surface_of_revolution_hold_the_values_alone():
+    s = ss.build(ss.geodesic_sphere(1.0, (16, 16)))
+    points = s.points()
+    assert points.shape == (256, 4) and points.flags.c_contiguous
+    assert points.base is None  # not a view keeping the full-grid bundle alive
+    assert s.points() is points
 
 
 def test_graph_spectrum_has_no_closed_form():

@@ -1,8 +1,11 @@
 """Conformal dilations, balancing, and the variational bound.
 
 Oracles used here:
+- the dilation as stereographic conjugation, from `oracles`, against the
+  package's projective action of a Lorentz boost;
 - group structure of the dilations (fixed points, inverses, the
-  velocity-addition law for collinear parameters), checked to rounding;
+  velocity-addition law for collinear parameters, two boosts composing to
+  a rotation after one boost), checked to rounding;
 - finite differences for conformality of the differential;
 - construct-and-invert for the balancing solver: displace a balanced mass
   distribution by a known dilation and demand recovery of its inverse;
@@ -25,7 +28,7 @@ import numpy as np
 import pytest
 
 import stabspec as ss
-from stabspec import charts
+from stabspec import charts, conformal, harness
 from stabspec.charts import BUNDLE_KEYS
 from stabspec.errors import (
     DomainError,
@@ -40,6 +43,7 @@ from oracles import (
     gauss_equation_residual,
     jet_reciprocal,
     mobius_image_surface,
+    stereographic_dilation,
     sympy_chart,
     willmore_type_inequality_check,
 )
@@ -118,6 +122,43 @@ def test_differential_is_conformal(rng):
         assert abs(j1 @ j2) <= 1e-6 * n1 * n2
 
 
+@pytest.mark.parametrize("magnitude", [0.1, 0.5, 0.9])
+def test_the_lorentz_action_matches_the_stereographic_oracle(rng, magnitude):
+    # both formulas lose digits where the map stretches most, next to the
+    # repelling pole -a/|a|, by the stretch (1 + |a|)/(1 - |a|): 19 at 0.9
+    worst = 0.0
+    for _ in range(20):
+        d = rng.standard_normal(4)
+        a = ss.MobiusParam(magnitude * d / np.linalg.norm(d))
+        x = _sphere_cloud(rng, 256)
+        want = np.stack(stereographic_dilation(a, x.T), axis=1)
+        worst = max(worst, float(np.max(np.abs(ss.mobius_apply(a, x) - want))))
+    assert worst <= 4e-15 * (1 + magnitude) / (1 - magnitude)
+
+
+def test_two_dilations_compose_to_a_rotation_after_one_dilation(rng):
+    # L(b) L(a) = R L(a') with R a rotation fixing e5 and a' read off the
+    # product's last row, which is all balancing keeps of a composed step.
+    # Round-off grows with the product's entries, L(a)[4, 4] L(b)[4, 4]:
+    # below 1e-13 for |a|, |b| <= 0.7
+    e5 = np.eye(5)[4]
+    x = _sphere_cloud(rng)
+    for _ in range(20):
+        a, b = (ss.MobiusParam(rng.uniform(0, 0.9) * d / np.linalg.norm(d))
+                for d in rng.standard_normal((2, 4)))
+        la, lb = conformal._boost(a.a), conformal._boost(b.a)
+        tol = 1e-14 * la[4, 4] * lb[4, 4]
+        product = lb @ la
+        composed = ss.MobiusParam(product[4, :4] / (1 + product[4, 4]))
+        rotation = product @ conformal._boost(-composed.a)
+        np.testing.assert_allclose(rotation[4], e5, rtol=0, atol=tol)
+        np.testing.assert_allclose(rotation[:, 4], e5, rtol=0, atol=tol)
+        q = rotation[:4, :4]
+        np.testing.assert_allclose(q.T @ q, np.eye(4), rtol=0, atol=tol)
+        np.testing.assert_allclose(ss.mobius_apply(b, ss.mobius_apply(a, x)),
+                                   ss.mobius_apply(composed, x) @ q.T, rtol=0, atol=tol)
+
+
 def test_parameter_validation():
     with pytest.raises(DomainError):
         _param(1.0, 0, 0, 0)
@@ -136,21 +177,12 @@ def test_image_surface_requires_sphere_ambient():
         mobius_image_surface(s, _param(0.2, 0, 0, 0))
 
 
-def _sympy_dilation(param, x):
-    """The conformal dilation of the sympy point x, as `mobius_apply` writes it."""
-    p, s = param.axis_and_scale()
-    c = sum(float(pi) * xi for pi, xi in zip(p, x))
-    den = (1 + s * s) + (1 - s * s) * c
-    return tuple((2 * s * xi + ((1 - s * s) + (1 - s) ** 2 * c) * float(pi)) / den
-                 for pi, xi in zip(p, x))
-
-
 def test_image_surface_geometry_is_still_spherical():
     spec, a = ss.clifford_torus((16, 16)), _param(0.3, 0.0, 0.1, 0.0)
     s = ss.build(spec)
     si = mobius_image_surface(s, a)
     fi = ss.compute_geometry(si)
-    chart = _sympy_dilation(a, sympy_chart(spec))
+    chart = stereographic_dilation(a, sympy_chart(spec))
     assert gauss_equation_residual(chart, fi, si.grid) < 1e-10
     assert ss.euler_characteristic(fi) == 0
     assert area(fi) < 2 * math.pi**2  # dilations shrink the total area
@@ -238,6 +270,23 @@ def test_balance_small_and_near_antipodal_spheres(solve, rho):
     t = math.tan(rho / 2)
     assert a.magnitude == pytest.approx(abs(1 - t) / (1 + t), abs=1e-6)
     np.testing.assert_allclose(np.abs(a.a[:3]), 0.0, atol=1e-9)
+
+
+def test_a_balanced_bound_applies_few_dilations(monkeypatch):
+    # Newton in the moving frame applies one dilation per trial step, and
+    # the bound one more; a finite-difference Jacobian took 30-49 per op
+    calls = []
+    real = conformal.mobius_apply
+
+    def counted(param, x):
+        calls.append(param)
+        return real(param, x)
+
+    monkeypatch.setattr(conformal, "mobius_apply", counted)
+    for rho in (0.5, 0.7, 1.0, 2.0, 2.4):
+        calls.clear()
+        harness.balance_bound_scenario(ss.geodesic_sphere(rho), 48)
+        assert 1 <= len(calls) <= 10, rho
 
 
 def test_balance_rejects_bad_weights(solve):

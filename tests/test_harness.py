@@ -731,20 +731,21 @@ _GRAPH = ["shape=graph-over-slice", "warping=cosh", "t0=0.3", "amplitude=0.05"]
 
 
 @pytest.mark.parametrize("argv, grids", [
-    (["check", "t11", "shape=clifford-torus", "resolutions=8,16"], [(8, 1), (16, 1)]),
+    (["check", "t11", "shape=clifford-torus", "resolutions=8,16"], [(8, 2), (16, 2)]),
     (["check", "t13", "shape=slice", "warping=cosh", "t0=0.3", "resolutions=8,12"],
-     [(8, 1), (12, 1)]),
-    (["check", "t13", *_GRAPH, "perturbation=Y2,0", "resolutions=8,12"], [(8, 1), (12, 1)]),
+     [(8, 2), (12, 2)]),
+    (["check", "t13", *_GRAPH, "perturbation=Y2,0", "resolutions=8,12"], [(8, 2), (12, 2)]),
     (["check", "t13", *_GRAPH, "perturbation=Y2,1", "resolutions=8,12"], [(8, 8), (12, 12)]),
-    (["converge", "shape=geodesic-sphere", "rho=1.0", "resolutions=8,12"], [(8, 1), (12, 1)]),
-    (["converge", "shape=flat-torus", "r=0.6", "resolutions=8,12"], [(8, 1), (12, 1)]),
+    (["converge", "shape=geodesic-sphere", "rho=1.0", "resolutions=8,12"], [(8, 2), (12, 2)]),
+    (["converge", "shape=flat-torus", "r=0.6", "resolutions=8,12"], [(8, 2), (12, 2)]),
     (["balance-bound", "shape=geodesic-sphere", "rho=1.0", "resolution=16"],
-     [(16, 1), (16, 16)]),
+     [(16, 2), (16, 16)]),
 ], ids=["t11-clifford", "t13-slice", "t13-zonal-graph", "t13-graph", "converge-sphere",
         "converge-flat-torus", "balance-bound"])
 def test_each_surface_evaluates_its_chart_once(tmp_path, monkeypatch, argv, grids):
-    # one evaluation per rung's surface, on the meridian for a surface of
-    # revolution; balancing alone reads one on its full grid as well
+    # one evaluation per rung's surface, on the meridian and the next v
+    # column for a surface of revolution; balancing alone reads one on its
+    # full grid as well
     log = []
     real = JetChart.evaluate
 

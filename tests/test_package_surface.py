@@ -12,6 +12,11 @@ package, as an attribute of a name that holds such a record: a parameter
 annotated with the record's class, or a name assigned the result of a
 function or method annotated to return it.  A field only the tests read
 is not computed for them.
+
+And every module-level upper-case constant in the package must be loaded
+somewhere in the package, by name or as a module attribute: a setting
+whose reader was deleted (a finite-difference step left behind by the code
+that took it) is removed with it.
 """
 
 from __future__ import annotations
@@ -115,3 +120,40 @@ def test_the_guard_names_a_field_no_holder_reads():
         "d = other.d\n"
     )
     assert unread_fields({"m.py": module}, {"Rec": ["a", "b", "c", "d"]}) == ["Rec.d"]
+
+
+def unread_constants(modules) -> list[str]:
+    """`module:line NAME` of each module-level upper-case constant that no
+    code in the package loads, by name or as a module attribute."""
+    loads = set()
+    for tree in modules.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loads.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                loads.add(node.attr)
+    unread = []
+    for name, tree in modules.items():
+        for node in tree.body:
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target] if isinstance(node, ast.AnnAssign) else [])
+            for target in targets:
+                for held in ast.walk(target):
+                    if (isinstance(held, ast.Name) and held.id.isupper()
+                            and held.id not in loads):
+                        unread.append(f"{name}:{node.lineno} {held.id}")
+    return unread
+
+
+def test_every_package_constant_is_read_in_the_package():
+    assert unread_constants(_modules()) == []
+
+
+def test_the_guard_names_a_constant_no_code_reads():
+    modules = {
+        "a.py": ast.parse("USED = 1\nSTEP = 1e-5\nSHARED: float = 2.0\n"
+                          "def f():\n    return USED\n"),
+        "b.py": ast.parse("from . import a\nTOL, _CAP = 1e-9, 3\n"
+                          "def g():\n    return a.SHARED * TOL\n"),
+    }
+    assert unread_constants(modules) == ["a.py:2 STEP", "b.py:2 _CAP"]
