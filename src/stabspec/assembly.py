@@ -12,8 +12,12 @@ by finite-volume face conductances for the diagonal terms (two-point
 fluxes with arithmetically averaged coefficients) plus a symmetric
 collocation product D_u^T diag(c w) D_v + transpose for the cross term.
 The face conductances and the potential are written as one 5-point CSR
-matrix, whose rows the grid fixes; a cross term is added to it in one
-piece.
+matrix, whose rows the grid fixes; a cross term C is added to it in one
+piece, as C + C^T, which has no diagonal.  A is therefore exactly
+symmetric for any field values, and nothing checks it at run time: the
+writer sets both couplings of a face from one float, and the (i, j) and
+(j, i) entries of C + C^T are the same IEEE sum (addition commutes).
+`tests/test_assembly.py` and the golden CLI traffic guard it.
 Constants are annihilated exactly: face differences cancel and the
 first-derivative stencils have exactly representable weights summing to
 zero.  Potential and mass use the same nodal quadrature
@@ -126,14 +130,7 @@ def assemble(surface: ImmersedSurface, fields: GeometryFields) -> OperatorPencil
     if crossed:
         cross = (grid.d1_sparse(0).T @ sp_sparse.diags(gamma * grid.cell_weight)
                  @ grid.d1_sparse(1)).tocsr()
-        # cross + cross.T is exactly symmetric (IEEE addition commutes) and
-        # has no diagonal; adding it to A in one piece keeps A exactly
-        # symmetric and leaves the diagonal as written.
-        a = a + (cross + cross.T)
-
-    asym = abs(a - a.T)
-    if asym.nnz and asym.max() > 0.0:
-        raise AssemblyError("assembled operator lost exact symmetry")
+        a = a + (cross + cross.T)  # in one piece: see the module docstring
     return OperatorPencil(stiffness_minus_potential=a, mass_diagonal=weights, potential=q,
                           grid=grid, invariant_along_v=surface.revolution and not crossed)
 

@@ -65,11 +65,6 @@ class ShapeSpec:
     resolution: tuple[int, int] = (64, 64)
     params: dict = field(default_factory=dict)
 
-    def __post_init__(self):
-        nu, nv = self.resolution
-        if nu < 8 or nv < 8:
-            raise DomainError("resolution must be at least 8 in each direction")
-
     @property
     def label(self) -> str:
         if not self.params:

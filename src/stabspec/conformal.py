@@ -29,7 +29,7 @@ four ambient coordinates of the transformed immersion are (numerically)
 orthogonal to the chosen weight function, so their aggregate Rayleigh
 quotient upper-bounds the second eigenvalue of the original pencil — the
 certified bound returned here.  The bound needs the transformed node
-positions only, so phi is written here on points alone.
+positions only, so phi acts on points alone, and balancing returns them.
 """
 
 from __future__ import annotations
@@ -109,8 +109,9 @@ def hersch_balance(
     s: ImmersedSurface,
     f: GeometryFields,
     f1: np.ndarray,
-) -> MobiusParam:
-    """Dilation parameter nulling the f1-weighted center of mass.
+) -> tuple[MobiusParam, np.ndarray, float]:
+    """The dilation nulling the f1-weighted center of mass, as (parameter,
+    dilated (N, 4) positions, residual), all three at the stop.
 
     Damped Newton iteration from a = 0 (the identity) in the moving frame:
     at the points y = phi_a(x) the step b solves 2 (I - sum w y y^T) b = -c
@@ -170,7 +171,7 @@ def hersch_balance(
                 )
         a, y, c = trial, y_trial, c_trial
         residuals.append(float(np.linalg.norm(c)))
-    return MobiusParam(a)
+    return MobiusParam(a), y, residuals[-1]
 
 
 @dataclass(frozen=True)
@@ -189,11 +190,8 @@ def balanced_bound_report(
     spectrum: Spectrum,
 ) -> BalancedBoundReport:
     """Balance from the identity, weighted by the ground state as the
-    eigensolver orients it (peak positive), and evaluate the bound."""
-    f1 = spectrum.eigenvectors[:, 0]
-    m = hersch_balance(s, f, f1)
-    psi = mobius_apply(m, s.points())
-    weights = np.maximum(f1, 0.0) * f.area_element
-    residual = float(np.linalg.norm(weights @ psi) / np.sum(weights))
+    eigensolver orients it (peak positive), and evaluate the bound on the
+    balanced positions."""
+    m, psi, residual = hersch_balance(s, f, spectrum.eigenvectors[:, 0])
     return BalancedBoundReport(
         bound=rayleigh(pencil, psi), param=m, balance_residual=residual)

@@ -124,7 +124,6 @@ class ImmersedSurface:
         self.revolution = revolution
         self.chart_grid = replace(grid, nv=2, v=grid.v[:2]) if revolution else grid
         self._bundle: dict[str, np.ndarray] | None = None
-        self._points: np.ndarray | None = None
 
     @property
     def node_count(self) -> int:
@@ -147,14 +146,12 @@ class ImmersedSurface:
 
     def points(self) -> np.ndarray:
         """(N, 4) chart values at every node of `grid`.  Only balancing
-        reads a surface of revolution off its meridian; it pays the one
-        full-grid evaluation, once, and keeps a copy of the values alone,
-        not the full-grid bundle they are a view of."""
+        reads a surface of revolution off its meridian, once per balance: it
+        pays one full-grid evaluation and gets a C-contiguous copy of the
+        values alone, not a view keeping the full-grid bundle alive."""
         if not self.revolution:
             return self.bundle()["0"]
-        if self._points is None:
-            self._points = self.chart.evaluate(self.grid)["0"].copy()
-        return self._points
+        return self.chart.evaluate(self.grid)["0"].copy()
 
 
 @dataclass

@@ -220,7 +220,7 @@ def test_criterion_8_balanced_bound(solve):
                  ss.perturbed_torus(0.7, 0.05, 3, (32, 32))]:
         sol = solve(spec, k=2)
         f1 = sol.spectrum.eigenvectors[:, 0]
-        a = ss.hersch_balance(sol.surface, sol.fields, f1)
+        a, _, _ = ss.hersch_balance(sol.surface, sol.fields, f1)
         w = np.maximum(f1, 0.0) * sol.fields.area_element
         y = ss.mobius_apply(a, sol.surface.points())
         resid = float(np.linalg.norm(w @ y)) / float(w.sum())

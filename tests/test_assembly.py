@@ -28,6 +28,10 @@ SHAPES = [
     ss.graph_over_slice("cosh", 0.3, "Y2,0", 0.05, (12, 12)),
     ss.perturbed_torus(0.7, 0.05, 3, (12, 12)),
 ]
+# non-zonal graphs, whose off-diagonal metric adds the cross term C + C^T
+CROSSED = [pytest.param(ss.graph_over_slice(w, 0.3, y, 0.05, (n, n)), id=f"{w}-{y}-{n}")
+           for w, y in (("cosh", "Y2,1"), ("cosh", "Y3,-2"), ("product", "Y4,-4"))
+           for n in (12, 24)]
 
 
 def _pencil(spec):
@@ -36,15 +40,18 @@ def _pencil(spec):
     return s, f, ss.assemble(s, f)
 
 
-@pytest.mark.parametrize("spec", SHAPES, ids=lambda s: s.label)
+@pytest.mark.parametrize("spec", SHAPES + CROSSED, ids=lambda s: s.label)
 def test_operator_is_exactly_symmetric(spec):
     _, _, p = _pencil(spec)
+    # the cross term widens the 5-point stencil to 9 points
+    assert (p.stiffness_minus_potential.nnz > 5 * p.node_count) == all(
+        spec is not s for s in SHAPES)
     diff = (p.stiffness_minus_potential
             - p.stiffness_minus_potential.T).tocoo()
     assert diff.nnz == 0 or np.max(np.abs(diff.data)) == 0.0
 
 
-@pytest.mark.parametrize("spec", SHAPES, ids=lambda s: s.label)
+@pytest.mark.parametrize("spec", SHAPES + CROSSED, ids=lambda s: s.label)
 def test_constant_vector_reproduces_potential(spec):
     # stiffness rows sum to zero, so A 1 = -q . (M 1) exactly
     _, _, p = _pencil(spec)

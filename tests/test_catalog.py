@@ -207,12 +207,19 @@ def test_a_wrong_revolution_mark_is_refused(want_gauss):
     assert err.value.exit_code == 2
 
 
+def test_the_grid_owns_the_resolution_floor():
+    # a spec does not restate the floor; building its grid refuses it
+    spec = ss.flat_torus(0.6, (4, 8))
+    with pytest.raises(DomainError, match="^torus grid needs at least 8") as err:
+        ss.build(spec)
+    assert err.value.exit_code == 2
+
+
 def test_points_of_a_surface_of_revolution_hold_the_values_alone():
     s = ss.build(ss.geodesic_sphere(1.0, (16, 16)))
     points = s.points()
     assert points.shape == (256, 4) and points.flags.c_contiguous
     assert points.base is None  # not a view keeping the full-grid bundle alive
-    assert s.points() is points
 
 
 def test_graph_spectrum_has_no_closed_form():

@@ -235,7 +235,7 @@ def test_centered_shapes_balance_at_zero(solve):
                  ss.geodesic_sphere(math.pi / 2, (16, 16))):
         sol = solve(spec, k=2)
         f1 = sol.spectrum.eigenvectors[:, 0]
-        a = ss.hersch_balance(sol.surface, sol.fields, f1)
+        a, _, _ = ss.hersch_balance(sol.surface, sol.fields, f1)
         assert a.magnitude <= 1e-9
 
 
@@ -245,19 +245,22 @@ def test_balance_recovers_a_known_displacement(solve):
     sol = solve(ss.clifford_torus((20, 20)), k=2)
     a0 = _param(0.3, 0.1, -0.2, 0.0)
     moved = mobius_image_surface(sol.surface, a0)
-    recovered = ss.hersch_balance(moved, sol.fields,
-                                  np.ones(sol.surface.node_count))
+    recovered, _, _ = ss.hersch_balance(moved, sol.fields,
+                                        np.ones(sol.surface.node_count))
     np.testing.assert_allclose(recovered.a, -a0.a, atol=1e-8)
 
 
 def test_balance_residual_definition(solve):
     sol = solve(ss.geodesic_sphere(1.0, (16, 16)), k=2)
     f1 = sol.spectrum.eigenvectors[:, 0]
-    a = ss.hersch_balance(sol.surface, sol.fields, f1)
+    a, balanced, returned = ss.hersch_balance(sol.surface, sol.fields, f1)
     w = np.maximum(f1, 0.0) * sol.fields.area_element
     y = ss.mobius_apply(a, sol.surface.points())
     resid = np.linalg.norm(w @ y) / w.sum()
     assert resid <= 1e-9
+    # the frame handed on is the dilation's, measured the same way
+    np.testing.assert_array_equal(balanced, y)
+    assert returned == pytest.approx(resid, rel=0, abs=1e-15)
 
 
 @pytest.mark.parametrize("rho", [0.3, 2.8])
@@ -266,27 +269,45 @@ def test_balance_small_and_near_antipodal_spheres(solve, rho):
     # dilation with |a| = |1 - tan(rho/2)| / (1 + tan(rho/2))
     sol = solve(ss.geodesic_sphere(rho, (48, 48)), k=2)
     f1 = sol.spectrum.eigenvectors[:, 0]
-    a = ss.hersch_balance(sol.surface, sol.fields, np.abs(f1))
+    a, _, _ = ss.hersch_balance(sol.surface, sol.fields, np.abs(f1))
     t = math.tan(rho / 2)
     assert a.magnitude == pytest.approx(abs(1 - t) / (1 + t), abs=1e-6)
     np.testing.assert_allclose(np.abs(a.a[:3]), 0.0, atol=1e-9)
 
 
 def test_a_balanced_bound_applies_few_dilations(monkeypatch):
-    # Newton in the moving frame applies one dilation per trial step, and
-    # the bound one more; a finite-difference Jacobian took 30-49 per op
-    calls = []
-    real = conformal.mobius_apply
+    # Newton in the moving frame applies one dilation per trial step (a
+    # finite-difference Jacobian took 30-49 per op), and the bound is taken
+    # on the frame balancing stopped at: no dilation outside the balancing,
+    # and the chart values are read once per op
+    calls, points, balancing = [], [], []
+    real_apply, real_balance = conformal.mobius_apply, conformal.hersch_balance
+    real_points = ss.ImmersedSurface.points
 
-    def counted(param, x):
-        calls.append(param)
-        return real(param, x)
+    def applied(param, x):
+        calls.append(bool(balancing))
+        return real_apply(param, x)
 
-    monkeypatch.setattr(conformal, "mobius_apply", counted)
+    def balanced(*args):
+        balancing.append(True)
+        try:
+            return real_balance(*args)
+        finally:
+            balancing.pop()
+
+    def read(self):
+        points.append(self)
+        return real_points(self)
+
+    monkeypatch.setattr(conformal, "mobius_apply", applied)
+    monkeypatch.setattr(conformal, "hersch_balance", balanced)
+    monkeypatch.setattr(ss.ImmersedSurface, "points", read)
     for rho in (0.5, 0.7, 1.0, 2.0, 2.4):
         calls.clear()
+        points.clear()
         harness.balance_bound_scenario(ss.geodesic_sphere(rho), 48)
-        assert 1 <= len(calls) <= 10, rho
+        assert 1 <= len(calls) <= 10 and all(calls), rho
+        assert len(points) == 1, rho
 
 
 def test_balance_rejects_bad_weights(solve):

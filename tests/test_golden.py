@@ -18,6 +18,12 @@ the reduced one.  Non-float entries must match exactly; floats must match
 within 1e-10 * max(1, |value|), far below the 12 significant digits the
 reports round to, yet above the round-off that a change of summation
 order leaves.  A CSV cell is a float when it parses as one.
+
+The same traffic guards the pencil's exact symmetry, which `assemble`
+guarantees by construction and does not check at run time: every
+pencil the commands build (both eigen paths, crossed and uncrossed
+stencils, 8x8 to 96x96, both ambients) must have A equal to its
+transpose entry for entry.
 """
 
 from __future__ import annotations
@@ -32,6 +38,7 @@ import pytest
 from test_readme import COMMANDS as README_LINES
 
 import stabspec.eigen as eigen
+import stabspec.harness as harness
 from stabspec.cli import main as cli_main
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -122,10 +129,22 @@ def test_reports_match_the_golden_files(tmp_path, monkeypatch, name):
         lanczos_windows.append(k)
         return real(op, k, *rest)
 
+    asymmetric = []
+    real_assemble = harness.assemble
+
+    def checked(surface, fields):
+        pencil = real_assemble(surface, fields)
+        a = pencil.stiffness_minus_potential
+        asymmetric.append((a != a.T).nnz)
+        return pencil
+
     monkeypatch.setattr(eigen, "_solve_sparse", logged)
+    monkeypatch.setattr(harness, "assemble", checked)
     monkeypatch.chdir(ROOT)
     assert cli_main(COMMANDS[name] + ["--out", str(tmp_path)]) == 0
     assert bool(lanczos_windows) == (name in SPARSE)
+    assert bool(asymmetric) == (not name.startswith("slice_spectrum"))
+    assert not any(asymmetric)
     got = {p.name: json.loads(p.read_text()) for p in sorted(tmp_path.glob("*.json"))}
     want = json.loads((GOLDEN / f"{name}.json").read_text())
     assert _mismatches(got, want) == []

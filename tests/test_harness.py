@@ -468,6 +468,14 @@ def test_cli_refused_run_removes_exactly_the_directories_it_made(tmp_path):
     assert (tmp_path / "p").is_dir() and not (tmp_path / "p" / "q").exists()
 
 
+def test_cli_refuses_a_grid_below_the_floor(tmp_path, capsys):
+    # balance-bound reads one `resolution`, which only the grid checks
+    assert cli_main(["balance-bound", "shape=geodesic-sphere", "rho=1.0", "resolution=4",
+                     "--out", str(tmp_path / "r")]) == 2
+    assert "sphere grid needs at least 8 nodes per direction" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+
+
 def test_cli_rejects_bad_overrides(tmp_path, build_log):
     assert cli_main(["check", "t11", "shape=clifford-torus", "resolutions",
                      "--out", str(tmp_path / "r")]) == 2
