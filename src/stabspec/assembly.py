@@ -29,18 +29,24 @@ natural zero-flux closure; polar caps carry no face but keep their mass,
 which is the correct cell-centered treatment of the coordinate poles.
 
 Invariance along v, the periodic axis of both grid kinds.  A pencil is
-marked invariant along v when its surface is (`ImmersedSurface.revolution`,
-set by `catalog.build`) and no cross term was added: the reduced eigen
-path models the 5-point stencil alone.  The fields are then the
-meridian's, repeated along v (`surfaces.compute_geometry`), so A is
-exactly block-circulant: the coupling among the nodes at v index 0
+invariant along v when its surface is marked a surface of revolution
+(`ImmersedSurface.revolution`, set by `catalog.build`) and no cross term
+was added: the reduced eigen path models the 5-point stencil alone.  The
+fields are then the meridian's, repeated along v
+(`surfaces.compute_geometry`), so `assemble` writes the stencil on the nu
+nodes at v index 0 alone, with the expressions of the full grid: on a
+nu x 1 array a v face averages a value with itself and the roll along v is
+the identity, so each value is bit for bit that of every v column.  A is
+then exactly block-circulant: the coupling T among the nodes at v index 0
 repeats at every v index, and each node couples to its two v neighbours
-by w = -b du/dv < 0.
+by w = -cv < 0.  The pencil keeps the meridian stencil, and the same
+layout code forms its N-node CSR only when A is first read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp_sparse
@@ -59,39 +65,61 @@ class OperatorPencil:
     A is `stiffness_minus_potential`; the lumped mass M is diagonal and is
     stored as its diagonal `mass_diagonal` (the area element at each node).
     `grid` is the parameter grid the pencil was assembled on (node i * nv + j
-    at (u[i], v[j])); a pencil built by hand has none and is not marked
-    `invariant_along_v` (see the module docstring).  `dataclasses.replace`
-    keeps the mark, so A and M may be replaced only by ones just as
-    invariant along v.
+    at (u[i], v[j])); a pencil built by hand has none.  A pencil holds
+    either A as `csr` or, when it is invariant along v, the `meridian`
+    stencil (cu, cv, diag) of the nodes at v index 0, each nu x 1, from
+    which A is formed when first read (see the module docstring).
     """
 
-    stiffness_minus_potential: sp_sparse.csr_matrix
+    csr: sp_sparse.csr_matrix | None
     mass_diagonal: np.ndarray
     potential: np.ndarray
     grid: Grid | None = None
-    invariant_along_v: bool = False
+    meridian: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+
+    def __post_init__(self):
+        if (self.csr is None) == (self.meridian is None):
+            raise DomainError("a pencil holds either A or the meridian stencil A is formed from")
 
     @property
     def node_count(self) -> int:
         return self.mass_diagonal.size
 
+    @property
+    def invariant_along_v(self) -> bool:
+        return self.meridian is not None
 
-def _stiffness(grid, alpha, beta, potential) -> sp_sparse.csr_matrix:
-    """Face-conductance stiffness minus diag(potential) as one 5-point CSR
-    matrix with sorted indices and no stored zeros.  A u face conducts
-    cu = mean alpha * dv/du and a v face cv = mean beta * du/dv; each
-    couples its two nodes by -c, and a node's diagonal is
-    ((cu + cu') + (cv + cv')) - potential.  A sphere grid has no face past
-    its last latitude row: its cu is 0, and the zeros it writes are dropped.
-    """
-    nu, nv = grid.nu, grid.nv
-    a, b = alpha.reshape(nu, nv), beta.reshape(nu, nv)
+    @cached_property
+    def stiffness_minus_potential(self: OperatorPencil) -> sp_sparse.csr_matrix:
+        """A: `csr`, or the CSR written from the meridian on first read."""
+        if self.csr is not None:
+            return self.csr
+        return _layout(self.grid, *self.meridian)
+
+
+def _faces(grid, alpha, beta, potential):
+    """(cu, cv, diag) of the 5-point stencil on the nu x m nodes the fields
+    are given on: the whole grid (m = nv) or its meridian (m = 1).  A u face
+    conducts cu = mean alpha * dv/du and a v face cv = mean beta * du/dv, and
+    a node's diagonal is ((cu + cu') + (cv + cv')) - potential.  A sphere
+    grid has no face past its last latitude row: its cu is 0."""
+    a, b = alpha.reshape(grid.nu, -1), beta.reshape(grid.nu, -1)
     cu = 0.5 * (a + np.roll(a, -1, axis=0)) * (grid.dv / grid.du)
     cv = 0.5 * (b + np.roll(b, -1, axis=1)) * (grid.du / grid.dv)
     if not grid.periodic_u:
         cu[-1] = 0.0
+    diag = (((cu + np.roll(cu, 1, axis=0)) + (cv + np.roll(cv, 1, axis=1)))
+            - potential.reshape(grid.nu, -1))
+    return cu, cv, diag
+
+
+def _layout(grid, cu, cv, diag) -> sp_sparse.csr_matrix:
+    """The stencil as one 5-point CSR matrix with sorted indices and no
+    stored zeros; each face couples its two nodes by -c.  A meridian's
+    nu x 1 values are repeated along v."""
+    nu, nv = grid.nu, grid.nv
+    cu, cv, diag = (np.broadcast_to(x, (nu, nv)) for x in (cu, cv, diag))
     cu_up, cv_left = np.roll(cu, 1, axis=0), np.roll(cv, 1, axis=1)
-    diag = ((cu + cu_up) + (cv + cv_left)) - potential.reshape(nu, nv)
     idx = np.arange(nu * nv, dtype=np.int32).reshape(nu, nv)
     # row (i, j) holds the nodes above, left, itself, right and below, in
     # ascending order except where a neighbour wraps round the grid
@@ -115,24 +143,27 @@ def assemble(surface: ImmersedSurface, fields: GeometryFields) -> OperatorPencil
     q = fields.sigma_sq + fields.ricci_normal
     if not np.all(np.isfinite(q)):
         raise AssemblyError("potential must be a finite per-node vector")
-
-    sqrtg = fields.area_element / grid.cell_weight
-    inv_uu, inv_uv, inv_vv = fields.metric_inv
-    alpha, beta, gamma = sqrtg * inv_uu, sqrtg * inv_vv, sqrtg * inv_uv
-
     weights = fields.area_element
     bad = np.where(~(weights > 0.0))[0]
     if bad.size:
         raise AssemblyError(f"mass is not positive at node {int(bad[0])}")
-    potential = q * weights
-    a = _stiffness(grid, alpha, beta, potential)
+
+    # a surface of revolution's fields repeat its meridian's along v
+    nodes = slice(None, None, grid.nv) if surface.revolution else slice(None)
+    sqrtg = weights[nodes] / grid.cell_weight
+    inv_uu, inv_uv, inv_vv = fields.metric_inv[:, nodes]
+    alpha, beta, gamma = sqrtg * inv_uu, sqrtg * inv_vv, sqrtg * inv_uv
+    faces = _faces(grid, alpha, beta, q[nodes] * weights[nodes])
     crossed = float(np.max(np.abs(gamma))) > 1e-14 * float(np.mean(alpha + beta))
+    if surface.revolution and not crossed:
+        return OperatorPencil(None, weights, q, grid, meridian=faces)
+    a = _layout(grid, *faces)
     if crossed:
+        gamma = np.broadcast_to(gamma.reshape(grid.nu, -1), (grid.nu, grid.nv)).ravel()
         cross = (grid.d1_sparse(0).T @ sp_sparse.diags(gamma * grid.cell_weight)
                  @ grid.d1_sparse(1)).tocsr()
         a = a + (cross + cross.T)  # in one piece: see the module docstring
-    return OperatorPencil(stiffness_minus_potential=a, mass_diagonal=weights, potential=q,
-                          grid=grid, invariant_along_v=surface.revolution and not crossed)
+    return OperatorPencil(a, weights, q, grid)
 
 
 def rayleigh(pencil: OperatorPencil, u: np.ndarray) -> float:

@@ -11,9 +11,10 @@ data alone:
   surface of revolution about v with no cross term.  A is then
   block-circulant: the coupling T among the nodes at v index 0, repeated
   at every v index, plus the coupling w <= 0 of each node to its two v
-  neighbours; T, w and the mass d are sliced from the rows at v index 0.
-  A discrete Fourier transform along v splits the pencil into one block
-  per mode m, B_m = T + 2 cos(2 pi m / n) diag(w).  On sphere grids,
+  neighbours; T, w and the mass d are read from the pencil's meridian
+  stencil, and no N-node matrix is formed.  A discrete Fourier transform
+  along v splits the pencil into one block per mode m,
+  B_m = T + 2 cos(2 pi m / n) diag(w).  On sphere grids,
   which do not wrap along u, T and every block are tridiagonal and solved
   as such; on torus grids T wraps, and the blocks are solved densely.
   Because w <= 0, the blocks grow with m for 0 <= m <= n/2 (Weyl), so
@@ -22,7 +23,12 @@ data alone:
   below the window's top is found, and the window takes in the whole
   cluster at its edge.  The vectors y cos(m theta) and y sin(m theta) of
   the window are exact block eigenvectors, and the discrete waves are
-  orthogonal, so they are normalized in closed form.
+  orthogonal, so they are normalized in closed form.  Each pair is judged
+  on its block: theta = y^T B_m y / y^T D y, and the residual
+  ||(B_m - theta D) y|| / ||D y||, equal the quotient and residual of either
+  N-node wave on (A, M) in exact arithmetic, because the discrete waves
+  are eigenvectors of the circulant.  The N-node vectors are formed last,
+  for the `Spectrum`.
 * sparse: every other pencil, at every size, by shift-invert Lanczos
   (Ericsson & Ruhe 1980) with the shift sigma placed strictly below the
   bottom of the spectrum (lambda_1 >= -max q because the stiffness part
@@ -42,10 +48,11 @@ data alone:
   DomainError here.
 
 One tail serves both paths.  Each yields M-orthonormal vectors (exact
-eigenvectors, or Lanczos vectors converged to round-off), and
-`_exact_pairs` alone makes them pairs: each eigenvalue is the Rayleigh
-quotient theta of its vector, the value a residual enclosure of
-|lambda - theta| (Weinstein) bounds, so no path needs a Rayleigh-Ritz pass.
+block eigenvectors, or Lanczos vectors converged to round-off), and
+`_exact_pairs` alone makes them pairs, on B_m and diag(d) or on (A, M):
+each eigenvalue is the Rayleigh quotient theta of its vector, the value a
+residual enclosure of |lambda - theta| (Weinstein) bounds, so no path
+needs a Rayleigh-Ritz pass.
 
 Results are deterministic: the Lanczos starting vector is drawn from a
 generator seeded by the caller, and reports record that seed.
@@ -109,12 +116,13 @@ def _exact_pairs(a, d, vecs):
 
 
 def _circulant_parts(pencil: OperatorPencil):
-    """(T, w, d) of a pencil invariant along v, from the rows at v index 0:
-    T the coupling among those nodes, w[i] the coupling of node (i, 0) to
-    its v neighbour and d[i] its mass."""
-    n = pencil.grid.nv
-    head = pencil.stiffness_minus_potential[::n]
-    return head[:, ::n].toarray(), head[:, 1::n].diagonal(), pencil.mass_diagonal[::n]
+    """(T, w, d) of a pencil invariant along v, from its meridian stencil:
+    T the coupling among the nodes at v index 0, w[i] the coupling of node
+    (i, 0) to its v neighbour and d[i] its mass."""
+    cu, cv, diag = (x.ravel() for x in pencil.meridian)
+    up = np.zeros((cu.size, cu.size))
+    up[np.arange(cu.size), (np.arange(cu.size) + 1) % cu.size] = cu  # 0 past a sphere grid's end
+    return np.diag(diag) - (up + up.T), -cv, pencil.mass_diagonal[::pencil.grid.nv]
 
 
 def _window(values, k) -> tuple[int, float]:
@@ -128,12 +136,12 @@ def _window(values, k) -> tuple[int, float]:
     return edge[-1] + 1, top + CLUSTER_REL_TOL * (1.0 + abs(top))
 
 
-def _solve_reduced(pencil: OperatorPencil, k) -> np.ndarray:
-    """Eigenvectors of the k smallest eigenvalues and of the rest of the
-    cluster at the k-th, ascending; one block per Fourier mode along v,
-    tridiagonal on sphere grids (no wrap along u) and dense otherwise.  They are
-    M-orthonormal: y cos(m theta) and y sin(m theta) are exact block
-    eigenvectors, and each wave is scaled to unit norm."""
+def _solve_reduced(pencil: OperatorPencil, k):
+    """Pairs of the k smallest eigenvalues and of the rest of the cluster at
+    the k-th, as `_exact_pairs` returns them, each judged on its Fourier
+    block along v (tridiagonal on sphere grids, which do not wrap along u,
+    and dense otherwise).  The vectors are M-orthonormal, each wave scaled
+    to unit norm, and y and its wave each peak positive."""
     t, w, d = _circulant_parts(pencil)
     n, nb = pencil.grid.nv, d.size
     s = 1.0 / np.sqrt(d)
@@ -166,12 +174,21 @@ def _solve_reduced(pencil: OperatorPencil, k) -> np.ndarray:
     size, _ = _window([f[0] for f in found], k)
     window = sorted(found, key=lambda f: f[0])[:size]
     theta = 2.0 * math.pi * np.arange(n) / n
-    # y is D-orthonormal; sum cos^2 = n at m = 0 and m = n/2, else n/2
-    waves = np.array([(np.sin if ph else np.cos)(mode * theta)
-                      / math.sqrt(n if 2 * mode % n == 0 else n / 2)
-                      for _, mode, ph, _ in window])
-    ys = np.array([y for *_, y in window])
-    return (ys[:, :, None] * waves[:, None, :]).reshape(size, nb * n).T
+    pairs = []  # (quotient, residual, y, wave)
+    for mode in sorted({f[1] for f in window}):
+        # a cluster is never cut, so the window holds every phase of its y
+        ys = np.array([y for _, m, ph, y in window if m == mode and ph == 0]).T
+        block = t + np.diag(2.0 * math.cos(2.0 * math.pi * mode / n) * w)
+        vals, ys, res = _exact_pairs(block, d, ys)
+        for ph in (0,) if 2 * mode % n == 0 else (0, 1):
+            # y is D-orthonormal; sum cos^2 = n at m = 0 and m = n/2, else n/2
+            wave = ((np.sin if ph else np.cos)(mode * theta)
+                    / math.sqrt(n if 2 * mode % n == 0 else n / 2))
+            wave *= np.sign(wave[np.argmax(np.abs(wave))])
+            pairs += [(v, r, y, wave) for v, y, r in zip(vals, ys.T, res)]
+    pairs.sort(key=lambda p: p[0])
+    vals, res, ys, waves = (np.array(part) for part in zip(*pairs))
+    return vals, (ys[:, :, None] * waves[:, None, :]).reshape(len(pairs), nb * n).T, res
 
 
 def _solve_sparse(op, k, v0) -> np.ndarray:
@@ -205,9 +222,9 @@ def smallest_eigenpairs(
     n = pencil.node_count
     if k > n:
         raise DomainError(f"cannot extract {k} eigenpairs from {n} nodes")
-    a, d = pencil.stiffness_minus_potential, pencil.mass_diagonal
     method = "reduced" if pencil.invariant_along_v else "sparse"
     if method == "sparse":
+        a, d = pencil.stiffness_minus_potential, pencil.mass_diagonal
         if k >= n - 1:
             raise DomainError("sparse path needs k < node_count - 1")
         sigma = -float(np.max(pencil.potential)) - 1.0
@@ -226,7 +243,7 @@ def smallest_eigenpairs(
             window = min(widest, 2 * window)
         vals, vecs, res = vals[:size], vecs[:, :size], res[:size]
     else:
-        vals, vecs, res = _exact_pairs(a, d, _solve_reduced(pencil, k))
+        vals, vecs, res = _solve_reduced(pencil, k)
     if float(np.max(res)) > tol:
         raise NonConvergenceError(
             f"eigen-residual {np.max(res):.3e} exceeds tolerance {tol:.3e}",

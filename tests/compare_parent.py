@@ -1,0 +1,102 @@
+"""Compare the CLI output of a parent tree with this tree's, value by value.
+
+    python tests/compare_parent.py REV_OR_DIR [NAME ...]
+
+REV_OR_DIR is a git revision, unpacked with `git archive` into a temporary
+directory, or the directory of a tree of this repository.  Each golden
+command (`tests/test_golden.py`), or each NAME given, runs once on each tree
+in a process of its own, with the two trees taking turns to go first.
+Every JSON value, CSV cell, standard error line or exit code that differs
+between the two is printed with the parent's value and this tree's.  The
+exit status is 0 when nothing moved and 1 otherwise.
+"""
+
+from __future__ import annotations
+
+import csv
+import io
+import json
+import os
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+RUN = "import sys; from stabspec.cli import main; sys.exit(main(sys.argv[1:]))"
+
+
+def unpack(ref: str, into: Path) -> Path:
+    """The tree at `ref`: a directory as it is, a git revision unpacked."""
+    if Path(ref).is_dir():
+        return Path(ref)
+    archive = subprocess.run(["git", "archive", ref], cwd=ROOT, check=True,
+                             capture_output=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(into, filter="data")
+    return into
+
+
+def _leaves(value, path: str) -> dict:
+    """{path: value} of every scalar in a parsed JSON document."""
+    if isinstance(value, dict):
+        return {k: v for key in value for k, v in _leaves(value[key], f"{path}.{key}").items()}
+    if isinstance(value, list):
+        return {k: v for i, item in enumerate(value)
+                for k, v in _leaves(item, f"{path}[{i}]").items()}
+    return {path: value}
+
+
+def outputs(tree: Path, args: list[str], out: Path) -> dict:
+    """{where: value} of everything one CLI run on `tree` leaves behind."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), OPENBLAS_NUM_THREADS="1")
+    done = subprocess.run([sys.executable, "-c", RUN, *args, "--out", str(out)],
+                          cwd=tree, env=env, capture_output=True, text=True)
+    found = {"exit code": done.returncode}
+    found.update({f"stderr[{i}]": line for i, line in enumerate(done.stderr.splitlines())})
+    for path in sorted(out.glob("*.json")):
+        found.update(_leaves(json.loads(path.read_text()), path.name))
+    for path in sorted(out.glob("*.csv")):
+        with open(path, newline="") as fh:
+            found.update({f"{path.name}[{i}][{j}]": cell
+                          for i, row in enumerate(csv.reader(fh))
+                          for j, cell in enumerate(row)})
+    return found
+
+
+def moves(parent: dict, change: dict) -> list[str]:
+    """One line per place whose value differs, absent ones included."""
+    missing = "(absent)"
+    return [f"{where}: {parent.get(where, missing)!r} -> {change.get(where, missing)!r}"
+            for where in dict.fromkeys([*parent, *change])
+            if parent.get(where, missing) != change.get(where, missing)]
+
+
+def main(argv: list[str]) -> int:
+    if not argv:
+        print(__doc__, file=sys.stderr)
+        return 2
+    from test_golden import COMMANDS
+
+    names = argv[1:] or list(COMMANDS)
+    moved = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        parent = unpack(argv[0], Path(tmp) / "parent")
+        for turn, name in enumerate(names):
+            got = {}
+            trees = [("parent", parent), ("change", ROOT)]
+            for side, tree in trees if turn % 2 == 0 else trees[::-1]:
+                out = Path(tmp) / "out" / side / name
+                got[side] = outputs(tree, COMMANDS[name], out)
+            lines = moves(got["parent"], got["change"])
+            moved += len(lines)
+            for line in lines:
+                print(f"{name} {line}")
+    print(f"{moved} moved in {len(names)} commands")
+    return 1 if moved else 0
+
+
+if __name__ == "__main__":
+    sys.path.insert(0, str(ROOT / "src"))
+    sys.exit(main(sys.argv[1:]))

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg as sla
@@ -170,6 +170,12 @@ def dense_window(pencil, k):
                           np.diag(pencil.mass_diagonal))
     size = next(g for g in cluster_indices(vals) if k - 1 in g)[-1] + 1
     return vals[:size], vecs[:, :size]
+
+
+def unmarked(pencil):
+    """The pencil with A formed and the meridian dropped: not invariant
+    along v, so it takes the sparse eigen path."""
+    return replace(pencil, csr=pencil.stiffness_minus_potential, meridian=None)
 
 
 # ----------------------------------------------------------------------

@@ -12,7 +12,6 @@ import math
 import time
 
 import numpy as np
-import scipy.sparse as sp_sparse
 
 import stabspec as ss
 from stabspec.eigen import eigenvalue_multiplicity
@@ -24,6 +23,7 @@ from oracles import (
     dirichlet_energy_check,
     gauss_equation_residual,
     sympy_chart,
+    unmarked,
     willmore_type_inequality_check,
 )
 
@@ -260,7 +260,7 @@ def test_criterion_9_solver_guarantees(solve):
     # the data no longer marks it; lambda_6 opens the four-fold cluster at
     # places 6-9, and both windows close it
     paths = [ss.smallest_eigenpairs(q, 6)
-             for q in (p, dataclasses.replace(p, invariant_along_v=False))]
+             for q in (p, unmarked(p))]
     windows = [sp_.eigenvalues.size for sp_ in paths]
     A, d = p.stiffness_minus_potential, p.mass_diagonal
     scale = float(np.max(np.abs(A.data)))
@@ -275,11 +275,9 @@ def test_criterion_9_solver_guarantees(solve):
     path_diff = max(float(np.max(np.abs(sp_.eigenvalues - oracle))) for sp_ in paths)
 
     c = 2.0
-    # the Jacobi pencil with its potential raised by c: (A - c M, M), still
-    # invariant along v
-    shifted = dataclasses.replace(
-        p, stiffness_minus_potential=(A - sp_sparse.diags(c * d)).tocsr(),
-        potential=p.potential + c)
+    # the Jacobi pencil with its potential raised by c: (A - c M, M) up to
+    # round-off, still invariant along v
+    shifted = ss.assemble(s, dataclasses.replace(f, ricci_normal=f.ricci_normal + c))
     sh = ss.smallest_eigenpairs(shifted, 6)
     shift_err = float(np.max(np.abs(sh.eigenvalues
                                     - (paths[0].eigenvalues - c))))

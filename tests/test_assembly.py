@@ -16,7 +16,10 @@ import pytest
 import scipy.sparse as sp_sparse
 
 import stabspec as ss
+import stabspec.assembly as assembly
 from stabspec.charts import JetChart, _jet_cos, _jet_sin
+from stabspec.cli import main as cli_main
+from stabspec.eigen import _circulant_parts
 from stabspec.errors import AssemblyError
 from stabspec.grids import torus_grid
 
@@ -81,12 +84,14 @@ def test_mass_matrix_is_total_area():
 
 def test_shifted_spectrum_identity():
     c = 2.5
-    _, _, p0 = _pencil(ss.clifford_torus((16, 16)))
-    # the Jacobi pencil with its potential raised by c: (A - c M, M)
-    pc = dataclasses.replace(
-        p0, stiffness_minus_potential=(p0.stiffness_minus_potential
-                                       - sp_sparse.diags(c * p0.mass_diagonal)).tocsr(),
-        potential=p0.potential + c)
+    s, f, p0 = _pencil(ss.clifford_torus((16, 16)))
+    # the Jacobi pencil with its potential raised by c: (A - c M, M) up to
+    # round-off, still invariant along v
+    pc = ss.assemble(s, dataclasses.replace(f, ricci_normal=f.ricci_normal + c))
+    assert pc.invariant_along_v
+    np.testing.assert_allclose(
+        (pc.stiffness_minus_potential - p0.stiffness_minus_potential).diagonal(),
+        -c * p0.mass_diagonal, rtol=0, atol=1e-13 * c)
     e0 = ss.smallest_eigenpairs(p0, 5).eigenvalues
     ec = ss.smallest_eigenpairs(pc, 5).eigenvalues
     # raising the potential by c lowers every eigenvalue by c
@@ -112,8 +117,7 @@ def test_permuting_nodes_preserves_the_spectrum(rng):
         (np.ones(p.node_count), (np.arange(p.node_count), perm)),
         shape=(p.node_count, p.node_count))
     shuffled = ss.OperatorPencil(
-        stiffness_minus_potential=(
-            P @ p.stiffness_minus_potential @ P.T).tocsr(),
+        csr=(P @ p.stiffness_minus_potential @ P.T).tocsr(),
         mass_diagonal=p.mass_diagonal[perm],
         potential=np.asarray(p.potential)[perm],
     )
@@ -144,8 +148,9 @@ def test_sheared_chart_activates_mixed_coupling_and_converges():
 
 def test_non_zonal_graph_keeps_exact_symmetry_through_the_poles():
     # the one-sided theta stencil makes the cross term couple phi-neighbours
-    # in the pole rows; summing it as S + (C + C^T) keeps A == A^T exactly
-    spec = ss.graph_over_slice("cosh", 0.275005, "Y3,1", 0.048658, (128, 128))
+    # in the pole rows; summing it as S + (C + C^T) keeps A == A^T exactly,
+    # where (S + C) + C^T leaves 4 entries of this graph's A one ulp apart
+    spec = ss.graph_over_slice("cosh", 0.0, "Y3,1", 0.05, (12, 12))
     _, _, p = _pencil(spec)
     a = p.stiffness_minus_potential
     assert (a != a.T).nnz == 0
@@ -164,6 +169,10 @@ def test_each_invariance_condition_is_checked():
     unmarked = ss.ImmersedSurface(s.chart, s.grid)
     unmarked_fields = ss.compute_geometry(unmarked, want_gauss=False)
     assert not ss.assemble(unmarked, unmarked_fields).invariant_along_v
+    # a pencil holds A or the meridian it is formed from, never both or neither
+    for csr, meridian in ((None, None), (p.stiffness_minus_potential, p.meridian)):
+        with pytest.raises(ss.DomainError):
+            ss.OperatorPencil(csr, p.mass_diagonal, p.potential, p.grid, meridian)
 
 
 def _coo_reference(s, f):
@@ -204,19 +213,33 @@ def _sheared_torus(nu, nv):
     return ss.ImmersedSurface(chart, torus_grid(nu, nv))
 
 
+# marked surfaces of revolution, whose A is formed from the meridian when read
+MARKED = [pytest.param(ss.build(make(res)), False, id=f"{name}-{res[0]}x{res[1]}")
+          for name, make in (("flat-torus", lambda res: ss.flat_torus(0.6, res)),
+                             ("clifford", ss.clifford_torus),
+                             ("sphere", lambda res: ss.geodesic_sphere(1.0, res)),
+                             ("slice", lambda res: ss.slice_shape("cosh", 0.3, res)),
+                             ("zonal-Y30", lambda res: ss.graph_over_slice(
+                                 "cosh", 0.3, "Y3,0", 0.05, res)))
+          for res in ((9, 16), (16, 8), (24, 24))]
+
+
 @pytest.mark.parametrize("surface, crossed", [
     (ss.build(ss.clifford_torus((12, 8))), False),
     (ss.build(ss.perturbed_torus(0.7, 0.05, 3, (8, 12))), False),
     (ss.build(ss.geodesic_sphere(1.0, (9, 16))), False),
     (ss.build(ss.graph_over_slice("cosh", 0.3, "Y2,1", 0.05, (9, 16))), True),
     (_sheared_torus(12, 8), True),
+    *MARKED,
 ], ids=["torus-12x8", "varying-torus-8x12", "sphere-9x16", "crossed-Y21-9x16",
-        "crossed-torus-12x8"])
+        "crossed-torus-12x8", *(case.id for case in MARKED)])
 def test_csr_writer_matches_the_coo_face_sum(surface, crossed):
     # the 5-point CSR writer against the face triplets summed through COO,
     # bit for bit: same rows, same sorted columns, same values, no zeros
     f = ss.compute_geometry(surface, want_gauss=False)
-    got = ss.assemble(surface, f).stiffness_minus_potential
+    pencil = ss.assemble(surface, f)
+    assert pencil.invariant_along_v == (surface.revolution and not crossed)
+    got = pencil.stiffness_minus_potential
     want = _coo_reference(surface, f)
     for part in ("indptr", "indices", "data"):
         np.testing.assert_array_equal(getattr(got, part), getattr(want, part))
@@ -230,6 +253,41 @@ def test_csr_writer_matches_the_coo_face_sum(surface, crossed):
         ends = 5 if surface.grid.periodic_u else 4
         assert set(per_row[:nv]) == set(per_row[-nv:]) == {ends}
         assert set(per_row[nv:-nv]) == {5}
+    if pencil.invariant_along_v:
+        # the CSR formed from the meridian is the one written on the
+        # repeated N-node fields, and the meridian's (T, w, d) are the rows
+        # at v index 0 sliced from it
+        full = ss.assemble(ss.ImmersedSurface(surface.chart, surface.grid), f)
+        for part in ("indptr", "indices", "data"):
+            np.testing.assert_array_equal(getattr(got, part),
+                                          getattr(full.stiffness_minus_potential, part))
+        nv, head = surface.grid.nv, got[::surface.grid.nv]
+        for x, y in zip(_circulant_parts(pencil), (head[:, ::nv].toarray(),
+                                                   head[:, 1::nv].diagonal(),
+                                                   pencil.mass_diagonal[::nv])):
+            np.testing.assert_array_equal(x, y)
+
+
+@pytest.mark.parametrize("args, formed", [
+    (["check", "t13", "shape=slice", "warping=cosh", "t0=0.3", "resolutions=8,12,18"], 0),
+    (["converge", "shape=geodesic-sphere", "rho=1.0", "resolutions=8,12,18"], 0),
+    (["balance-bound", "shape=geodesic-sphere", "rho=1.0", "resolution=24"], 1),
+    (["check", "t13", "shape=graph-over-slice", "warping=cosh", "t0=0.3",
+      "perturbation=Y2,1", "amplitude=0.05", "resolutions=12,24"], 2),
+], ids=["slice-ladder", "sphere-ladder", "sphere-balance", "non-zonal-ladder"])
+def test_the_n_node_csr_is_formed_only_where_it_is_read(tmp_path, monkeypatch, args, formed):
+    # a ladder of invariant pencils forms no N-node CSR; balancing reads A
+    # once per op (its rayleigh), and a non-zonal graph forms one per rung
+    calls = []
+    real = assembly._layout
+
+    def counted(*parts):
+        calls.append(parts)
+        return real(*parts)
+
+    monkeypatch.setattr(assembly, "_layout", counted)
+    assert cli_main(args + ["--out", str(tmp_path)]) == 0
+    assert len(calls) == formed
 
 
 def test_rayleigh_quotient_of_constants_is_mean_potential():

@@ -33,7 +33,9 @@ import json
 import pathlib
 import re
 import shlex
+import shutil
 
+import compare_parent
 import pytest
 from test_readme import COMMANDS as README_LINES
 
@@ -150,3 +152,12 @@ def test_reports_match_the_golden_files(tmp_path, monkeypatch, name):
     assert _mismatches(got, want) == []
     assert _mismatches(_csv_cells(tmp_path / "summary.csv"),
                        _csv_cells(GOLDEN / f"{name}.csv")) == []
+
+
+def test_compare_parent_finds_no_move_against_a_copy_of_this_tree(tmp_path, capsys):
+    # the tree compared with a copy of itself, given as a directory (no git)
+    for part in ("src", "configs"):
+        shutil.copytree(ROOT / part, tmp_path / part,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+    assert compare_parent.main([str(tmp_path), "check_t11", "converge"]) == 0
+    assert capsys.readouterr().out == "0 moved in 2 commands\n"
