@@ -12,10 +12,12 @@ by finite-volume face conductances for the diagonal terms (two-point
 fluxes with arithmetically averaged coefficients) plus a symmetric
 collocation product D_u^T diag(c w) D_v + transpose for the cross term.
 The face conductances and the potential are written as one 5-point CSR
-matrix, whose rows the grid fixes; a cross term C is added to it in one
-piece, as C + C^T, which has no diagonal.  A is therefore exactly
-symmetric for any field values, and nothing checks it at run time: the
-writer sets both couplings of a face from one float, and the (i, j) and
+matrix from (row, col, value) triplets, the diagonal and each face both
+ways; on a grid of at least 3 nodes per axis (the floor is 8) no two share
+an entry, so the CSR is bit for bit the COO sum of the faces.  A cross
+term C is added to it in one piece, as C + C^T, which has no diagonal.  A
+is therefore exactly symmetric for any field values, and nothing checks it
+at run time: both couplings of a face are one float, and the (i, j) and
 (j, i) entries of C + C^T are the same IEEE sum (addition commutes).
 `tests/test_assembly.py` and the golden CLI traffic guard it.
 Constants are annihilated exactly: face differences cancel and the
@@ -115,24 +117,19 @@ def _faces(grid, alpha, beta, potential):
 
 def _layout(grid, cu, cv, diag) -> sp_sparse.csr_matrix:
     """The stencil as one 5-point CSR matrix with sorted indices and no
-    stored zeros; each face couples its two nodes by -c.  A meridian's
-    nu x 1 values are repeated along v."""
+    stored zeros, summed from (row, col, value) triplets: the diagonal, and
+    each u and v face coupling its two nodes by -c both ways.  No two
+    triplets share an entry (see the module docstring).  A meridian's nu x 1
+    values are repeated along v."""
     nu, nv = grid.nu, grid.nv
-    cu, cv, diag = (np.broadcast_to(x, (nu, nv)) for x in (cu, cv, diag))
-    cu_up, cv_left = np.roll(cu, 1, axis=0), np.roll(cv, 1, axis=1)
+    cu, cv, diag = (np.broadcast_to(x, (nu, nv)).ravel() for x in (cu, cv, diag))
     idx = np.arange(nu * nv, dtype=np.int32).reshape(nu, nv)
-    # row (i, j) holds the nodes above, left, itself, right and below, in
-    # ascending order except where a neighbour wraps round the grid
-    cols = np.stack([np.roll(idx, 1, axis=0), np.roll(idx, 1, axis=1), idx,
-                     np.roll(idx, -1, axis=1), np.roll(idx, -1, axis=0)], axis=-1)
-    vals = np.stack([-cu_up, -cv_left, diag, -cv, -cu], axis=-1)
-    for slots in (cols, vals):  # a wrapped neighbour moves to the far end of its row
-        slots[:, 0, 1:4] = np.roll(slots[:, 0, 1:4], -1, axis=-1)
-        slots[:, -1, 1:4] = np.roll(slots[:, -1, 1:4], 1, axis=-1)
-        slots[0] = np.roll(slots[0], -1, axis=-1)
-        slots[-1] = np.roll(slots[-1], 1, axis=-1)
-    indptr = np.arange(0, 5 * nu * nv + 1, 5, dtype=np.int32)
-    s = sp_sparse.csr_matrix((vals.ravel(), cols.ravel(), indptr), shape=(nu * nv,) * 2)
+    below, right = (np.roll(idx, -1, axis=ax).ravel() for ax in (0, 1))
+    idx = idx.ravel()
+    rows = np.concatenate([idx, idx, below, idx, right])
+    cols = np.concatenate([idx, below, idx, right, idx])
+    s = sp_sparse.csr_matrix((np.concatenate([diag, -cu, -cu, -cv, -cv]), (rows, cols)),
+                             shape=(nu * nv,) * 2)
     s.eliminate_zeros()
     return s
 

@@ -23,12 +23,12 @@ data alone:
   below the window's top is found, and the window takes in the whole
   cluster at its edge.  The vectors y cos(m theta) and y sin(m theta) of
   the window are exact block eigenvectors, and the discrete waves are
-  orthogonal, so they are normalized in closed form.  Each pair is judged
-  on its block: theta = y^T B_m y / y^T D y, and the residual
-  ||(B_m - theta D) y|| / ||D y||, equal the quotient and residual of either
-  N-node wave on (A, M) in exact arithmetic, because the discrete waves
-  are eigenvectors of the circulant.  The N-node vectors are formed last,
-  for the `Spectrum`.
+  orthogonal, so they are normalized in closed form.  Each mode's block
+  vectors are judged on B_m as soon as the mode is solved: theta =
+  y^T B_m y / y^T D y and the residual ||(B_m - theta D) y|| / ||D y|| equal
+  the quotient and residual of either N-node wave on (A, M) in exact
+  arithmetic (the discrete waves are eigenvectors of the circulant).  The
+  window is cut from the judged pairs; its N-node vectors are formed last.
 * sparse: every other pencil, at every size, by shift-invert Lanczos
   (Ericsson & Ruhe 1980) with the shift sigma placed strictly below the
   bottom of the spectrum (lambda_1 >= -max q because the stiffness part
@@ -138,20 +138,21 @@ def _window(values, k) -> tuple[int, float]:
 
 def _solve_reduced(pencil: OperatorPencil, k):
     """Pairs of the k smallest eigenvalues and of the rest of the cluster at
-    the k-th, as `_exact_pairs` returns them, each judged on its Fourier
-    block along v (tridiagonal on sphere grids, which do not wrap along u,
-    and dense otherwise).  The vectors are M-orthonormal, each wave scaled
-    to unit norm, and y and its wave each peak positive."""
+    the k-th, as `_exact_pairs` returns them: each mode's block vectors are
+    judged on its Fourier block once the mode is solved, and the window is
+    cut from them.  The vectors are M-orthonormal, each wave scaled to unit
+    norm, and y and its wave each peak positive."""
     t, w, d = _circulant_parts(pencil)
     n, nb = pencil.grid.nv, d.size
     s = 1.0 / np.sqrt(d)
     sym = s[:, None] * t * s[None, :]
     sym = 0.5 * (sym + sym.T)  # D^(-1/2) T D^(-1/2), exactly symmetric
     tridiagonal = not pencil.grid.periodic_u
-    found = []  # (value, mode, cos 0 | sin 1, block eigenvector)
+    found = []  # (quotient, residual, mode, cos 0 | sin 1, y)
     limit = np.inf
     for mode in range(n // 2 + 1):
-        shift = 2.0 * math.cos(2.0 * math.pi * mode / n) * w * s * s
+        c = 2.0 * math.cos(2.0 * math.pi * mode / n)
+        shift = c * w * s * s
         phases = (0,) if 2 * mode % n == 0 else (0, 1)
         # k + 1: a first solve of k values always doubles, since the k-th
         # lies inside its own window; k + 2 where T wraps along u, whose
@@ -170,25 +171,17 @@ def _solve_reduced(pencil: OperatorPencil, k):
             count = min(nb, 2 * count)
         if vals[0] > limit:
             break
-        found += [(v, mode, ph, s * ys[:, i]) for i, v in enumerate(vals) for ph in phases]
+        vals, ys, res = _exact_pairs(t + np.diag(c * w), d, s[:, None] * ys)
+        found += [(v, r, mode, ph, y) for ph in phases for v, r, y in zip(vals, res, ys.T)]
+    found.sort(key=lambda f: f[0])
     size, _ = _window([f[0] for f in found], k)
-    window = sorted(found, key=lambda f: f[0])[:size]
-    theta = 2.0 * math.pi * np.arange(n) / n
-    pairs = []  # (quotient, residual, y, wave)
-    for mode in sorted({f[1] for f in window}):
-        # a cluster is never cut, so the window holds every phase of its y
-        ys = np.array([y for _, m, ph, y in window if m == mode and ph == 0]).T
-        block = t + np.diag(2.0 * math.cos(2.0 * math.pi * mode / n) * w)
-        vals, ys, res = _exact_pairs(block, d, ys)
-        for ph in (0,) if 2 * mode % n == 0 else (0, 1):
-            # y is D-orthonormal; sum cos^2 = n at m = 0 and m = n/2, else n/2
-            wave = ((np.sin if ph else np.cos)(mode * theta)
-                    / math.sqrt(n if 2 * mode % n == 0 else n / 2))
-            wave *= np.sign(wave[np.argmax(np.abs(wave))])
-            pairs += [(v, r, y, wave) for v, y, r in zip(vals, ys.T, res)]
-    pairs.sort(key=lambda p: p[0])
-    vals, res, ys, waves = (np.array(part) for part in zip(*pairs))
-    return vals, (ys[:, :, None] * waves[:, None, :]).reshape(len(pairs), nb * n).T, res
+    vals, res, modes, sines, ys = (np.array(part) for part in zip(*found[:size]))
+    # y is D-orthonormal; sum cos^2 = n at m = 0 and m = n/2, else n/2
+    angles = np.outer(modes, 2.0 * math.pi * np.arange(n) / n)
+    waves = np.where(sines[:, None] == 1, np.sin(angles), np.cos(angles))
+    waves /= np.sqrt(np.where(2 * modes % n == 0, n, n / 2))[:, None]
+    waves *= np.sign(waves[np.arange(size), np.argmax(np.abs(waves), axis=1)])[:, None]
+    return vals, (ys[:, :, None] * waves[:, None, :]).reshape(size, nb * n).T, res
 
 
 def _solve_sparse(op, k, v0) -> np.ndarray:

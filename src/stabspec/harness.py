@@ -61,15 +61,6 @@ MIN_REPORT_TOL = 1e-6
 DEFAULT_EIGEN_COUNT = 2
 
 
-def _square(res) -> tuple[int, int]:
-    if isinstance(res, int):
-        return (res, res)
-    pair = tuple(int(x) for x in res)
-    if len(pair) != 2:
-        raise DomainError(f"resolution must be an integer or a pair, got {res!r}")
-    return pair
-
-
 def richardson_extrapolate(values, spacings) -> tuple[float, float]:
     """(extrapolated value, error estimate) assuming second-order bias.
 
@@ -158,7 +149,7 @@ def _ladder(spec: catalog.ShapeSpec, resolutions, seed: int, measure,
     """
     found, measured = None, []
     for i, res in enumerate(resolutions):
-        surface = catalog.build(replace(spec, resolution=_square(res)))
+        surface = catalog.build(replace(spec, resolution=(res, res)))
         fields = compute_geometry(surface, want_gauss=i == 0)
         if i == 0 and hypothesis is not None:
             found = hypothesis(surface, fields)

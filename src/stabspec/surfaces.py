@@ -208,8 +208,9 @@ def _along_v(f: GeometryFields, nv: int) -> GeometryFields:
     against each other, and the meridian's repeated nv times along v
     (meridian node i becomes grid nodes i * nv to i * nv + nv - 1).  The
     per-node arrays, the ambient's Ricci data among them, become rows of
-    one block: at 256^2 the copies took 0.3 ms that way and 2.4 ms as
-    separate arrays, each paying its own page faults."""
+    one block: five 64/128/256 symmetric CLI ladders took 67 ms in one
+    process that way and 81 ms with one np.repeat per field, though the
+    copies alone cost the same (0.26 and 0.27 ms at 256^2, warm)."""
     c = f.ambient_curvature
     values = [*f.metric_inv, f.area_element, f.mean_curv, f.sigma_sq, f.gauss_curv,
               f.ricci_normal, c.ricci_tt, c.ricci_tangential, c.scalar]

@@ -198,13 +198,13 @@ def slice_spectrum(w: WarpingFunction, t: float, count: int) -> np.ndarray:
     return np.array([slice_eigenvalue_band(w, t, k) for k in harmonic_degrees(count)])
 
 
-def condition_strictness(w: WarpingFunction, t_range=None):
-    """Scan the convexity condition over a t-range.
+def condition_strictness(w: WarpingFunction, t_range):
+    """Scan the convexity condition over the t-range (lo, hi).
 
     Returns (min_value, argmin_t).  Strict positivity of min_value is the
     hypothesis under which the slice-averaged eigenvalue bounds apply.
     """
-    lo, hi = t_range if t_range is not None else w.interval
+    lo, hi = t_range
     ts = np.linspace(lo, hi, 512)
     vals = np.asarray(convexity_condition(w, ts), dtype=float)
     i = int(np.argmin(vals))

@@ -4,9 +4,10 @@
 
 REV_OR_DIR is a git revision, unpacked with `git archive` into a temporary
 directory, or the directory of a tree of this repository.  Each golden
-command (`tests/test_golden.py`), or each NAME given, runs once on each tree
-in a process of its own, with the two trees taking turns to go first.
-Every JSON value, CSV cell, standard error line or exit code that differs
+command (`tests/test_golden.py`) and then each refused run (`REFUSED`), or
+each NAME given, runs once on each tree in a process of its own, with the
+two trees taking turns to go first.  Every JSON value, CSV cell, standard
+error line, exit code or presence of the `--out` directory that differs
 between the two is printed with the parent's value and this tree's.  The
 exit status is 0 when nothing moved and 1 otherwise.
 """
@@ -25,6 +26,24 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 RUN = "import sys; from stabspec.cli import main; sys.exit(main(sys.argv[1:]))"
+
+# runs the CLI refuses, with no --out directory: exit 2 on invalid input, and
+# exit 3 on the fine sphere ladder whose residual check fails (ROADMAP item 5)
+REFUSED = {
+    "refused_coarse_ladder": ["check", "t11", "shape=flat-torus", "r=0.6", "resolutions=4,8"],
+    "refused_unknown_key": ["check", "t11", "shape=flat-torus", "r=0.6", "resolutions=8,12",
+                            "bogus=1"],
+    "refused_sphere_genus": ["check", "t11", "shape=geodesic-sphere", "rho=1.0",
+                             "resolutions=8,12"],
+    "refused_coarse_balance": ["balance-bound", "shape=geodesic-sphere", "rho=1.0",
+                               "resolution=4"],
+    "refused_t0_outside_warping": ["check", "t13", "shape=slice", "warping=cosh", "t0=5",
+                                   "resolutions=8,12"],
+    "refused_t12_warped": ["check", "t12", "shape=slice", "warping=cosh", "t0=0.3",
+                           "resolutions=8,12"],
+    "unconverged_fine_sphere": ["converge", "shape=geodesic-sphere", "rho=0.45",
+                                "resolutions=256,512,1024"],
+}
 
 
 def unpack(ref: str, into: Path) -> Path:
@@ -53,7 +72,7 @@ def outputs(tree: Path, args: list[str], out: Path) -> dict:
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), OPENBLAS_NUM_THREADS="1")
     done = subprocess.run([sys.executable, "-c", RUN, *args, "--out", str(out)],
                           cwd=tree, env=env, capture_output=True, text=True)
-    found = {"exit code": done.returncode}
+    found = {"exit code": done.returncode, "--out exists": out.exists()}
     found.update({f"stderr[{i}]": line for i, line in enumerate(done.stderr.splitlines())})
     for path in sorted(out.glob("*.json")):
         found.update(_leaves(json.loads(path.read_text()), path.name))
@@ -79,7 +98,8 @@ def main(argv: list[str]) -> int:
         return 2
     from test_golden import COMMANDS
 
-    names = argv[1:] or list(COMMANDS)
+    commands = {**COMMANDS, **REFUSED}
+    names = argv[1:] or list(commands)
     moved = 0
     with tempfile.TemporaryDirectory() as tmp:
         parent = unpack(argv[0], Path(tmp) / "parent")
@@ -88,7 +108,7 @@ def main(argv: list[str]) -> int:
             trees = [("parent", parent), ("change", ROOT)]
             for side, tree in trees if turn % 2 == 0 else trees[::-1]:
                 out = Path(tmp) / "out" / side / name
-                got[side] = outputs(tree, COMMANDS[name], out)
+                got[side] = outputs(tree, commands[name], out)
             lines = moves(got["parent"], got["change"])
             moved += len(lines)
             for line in lines:

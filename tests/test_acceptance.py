@@ -69,7 +69,7 @@ def test_criterion_1_minimal_square_torus_spectrum(solve):
 def test_criterion_2_flat_torus_radius_sweep():
     radii = [0.45, 0.5, 0.55, 0.6, 0.65, SQ2INV, 0.75]
     t0 = time.time()
-    reports = ss.sweep_flat_torus(radii, [(48, 48), (96, 96)])
+    reports = ss.sweep_flat_torus(radii, [48, 96])
     elapsed = time.time() - t0
     worst_err = 0.0
     checks = [elapsed < 180.0]
@@ -128,7 +128,7 @@ def test_criterion_4_equatorial_sphere(solve):
 
 
 def test_criterion_5_amplitude_margins():
-    res = [(48, 48), (96, 96)]
+    res = [48, 96]
     reports = ss.sweep_graph_amplitude(
         "cosh", 0.3, "Y2,0", [0.0, 0.02, 0.05, 0.1], res)
     zero, rest = reports[0], reports[1:]

@@ -221,7 +221,7 @@ MARKED = [pytest.param(ss.build(make(res)), False, id=f"{name}-{res[0]}x{res[1]}
                              ("slice", lambda res: ss.slice_shape("cosh", 0.3, res)),
                              ("zonal-Y30", lambda res: ss.graph_over_slice(
                                  "cosh", 0.3, "Y3,0", 0.05, res)))
-          for res in ((9, 16), (16, 8), (24, 24))]
+          for res in ((9, 16), (16, 8), (24, 24), (24, 15), (17, 9))]
 
 
 @pytest.mark.parametrize("surface, crossed", [
@@ -230,9 +230,13 @@ MARKED = [pytest.param(ss.build(make(res)), False, id=f"{name}-{res[0]}x{res[1]}
     (ss.build(ss.geodesic_sphere(1.0, (9, 16))), False),
     (ss.build(ss.graph_over_slice("cosh", 0.3, "Y2,1", 0.05, (9, 16))), True),
     (_sheared_torus(12, 8), True),
+    # odd numbers of v nodes
+    (ss.build(ss.perturbed_torus(0.7, 0.05, 3, (16, 15))), False),
+    (ss.build(ss.graph_over_slice("cosh", 0.3, "Y2,1", 0.05, (15, 9))), True),
     *MARKED,
 ], ids=["torus-12x8", "varying-torus-8x12", "sphere-9x16", "crossed-Y21-9x16",
-        "crossed-torus-12x8", *(case.id for case in MARKED)])
+        "crossed-torus-12x8", "varying-torus-16x15", "crossed-Y21-15x9",
+        *(case.id for case in MARKED)])
 def test_csr_writer_matches_the_coo_face_sum(surface, crossed):
     # the 5-point CSR writer against the face triplets summed through COO,
     # bit for bit: same rows, same sorted columns, same values, no zeros

@@ -210,10 +210,20 @@ INVARIANT = [
     ss.geodesic_sphere(1.0, (32, 24)),
     ss.slice_shape("cosh", 0.3, (24, 24)),
     ss.graph_over_slice("cosh", 0.3, "Y3,0", 0.05, (32, 32)),
+    # odd nv: no m = n/2 mode, and every mode but 0 has two phases
+    ss.geodesic_sphere(1.0, (24, 15)),
+    ss.flat_torus(0.6, (16, 15)),
+    ss.slice_shape("cosh", 0.3, (17, 9)),
 ]
 
 
-@pytest.mark.parametrize("spec", INVARIANT, ids=lambda s: s.label)
+def _case_id(spec):
+    """The spec's label, and its grid where nv is odd."""
+    nu, nv = spec.resolution
+    return f"{spec.label}-{nu}x{nv}" if nv % 2 else spec.label
+
+
+@pytest.mark.parametrize("spec", INVARIANT, ids=_case_id)
 def test_reduced_dense_and_sparse_paths_agree(spec):
     p = _pencil(spec)
     A, M = p.stiffness_minus_potential, sp_sparse.diags(p.mass_diagonal)
@@ -312,7 +322,7 @@ def _oracle_pencils():
     specs = [ss.clifford_torus((16, 16)), *INVARIANT,
              ss.perturbed_torus(0.7, 0.05, 3, (24, 24)),
              ss.graph_over_slice("cosh", 0.3, "Y2,1", 1e-9, (24, 24))]
-    pencils = {spec.label: _pencil(spec) for spec in specs}
+    pencils = {_case_id(spec): _pencil(spec) for spec in specs}
     pencils.update({f"{name}-32": _pencil(make((32, 32)))
                     for name, make in SYMMETRIC.items()})
     pencils["sheared"] = _sheared()

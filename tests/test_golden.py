@@ -159,5 +159,10 @@ def test_compare_parent_finds_no_move_against_a_copy_of_this_tree(tmp_path, caps
     for part in ("src", "configs"):
         shutil.copytree(ROOT / part, tmp_path / part,
                         ignore=shutil.ignore_patterns("__pycache__"))
-    assert compare_parent.main([str(tmp_path), "check_t11", "converge"]) == 0
-    assert capsys.readouterr().out == "0 moved in 2 commands\n"
+    assert compare_parent.main([str(tmp_path), "check_t11", "converge",
+                                "refused_sphere_genus"]) == 0
+    assert capsys.readouterr().out == "0 moved in 3 commands\n"
+    # a refused run is recorded by its exit code, stderr and missing --out
+    got = compare_parent.outputs(ROOT, compare_parent.REFUSED["refused_sphere_genus"],
+                                 tmp_path / "out")
+    assert (got["exit code"], got["--out exists"], len(got)) == (2, False, 3)

@@ -27,7 +27,7 @@ from stabspec.errors import (
     StabspecError,
 )
 
-FAST = [(12, 12), (24, 24)]
+FAST = [12, 24]
 
 
 # ------------------------------------------------------------- extrapolation
@@ -155,7 +155,7 @@ def test_check_dispatch_and_unknown_id():
 
 def test_slice_equality_is_attained_on_the_slice_itself():
     rep = ss.check_theorem("t13", ss.slice_shape("cosh", 0.0),
-                           resolutions=[(16, 16), (32, 32)])
+                           resolutions=[16, 32])
     assert rep.body["equality"]
     assert rep.body["margin"] <= rep.body["tol_report"]
 
@@ -168,8 +168,7 @@ def test_a_quarter_turn_leaves_a_graph_check_unchanged(theorem, warping):
     # differences, amplifies the round-off and is not compared)
     specs = [ss.graph_over_slice(warping, 0.3, p, 0.05) for p in ("Y2,1", "Y2,-1")]
     assert not any(ss.build(spec).revolution for spec in specs)
-    a, b = (ss.check_theorem(theorem, spec, [(16, 16), (32, 32), (64, 64)]).body
-            for spec in specs)
+    a, b = (ss.check_theorem(theorem, spec, [16, 32, 64]).body for spec in specs)
     for x, y in zip(a["results"], b["results"]):
         assert abs(x["lambda2"] - y["lambda2"]) <= 1e-12
         assert abs(x["bound"] - y["bound"]) <= 1e-12
@@ -197,7 +196,7 @@ def test_the_t13_margin_follows_the_selection_rule_in_the_amplitude(perturbation
 
 def test_convergence_study_against_the_closed_form():
     st = ss.convergence_study(ss.flat_torus(0.6),
-                              resolutions=[(12, 12), (24, 24), (48, 48)])
+                              resolutions=[12, 24, 48])
     assert st.body["oracle"] == pytest.approx(-1 / 0.36, rel=1e-12)
     assert st.body["lambda2_extrapolated"] == pytest.approx(st.body["oracle"],
                                                             abs=2e-4)
@@ -220,7 +219,7 @@ def test_convergence_study_without_an_oracle():
 def test_degenerate_members_give_their_surface_of_revolution_rows(degenerate, plain):
     # eps = 0 and amplitude 0 leave the flat torus and the slice, and the
     # catalog marks them as surfaces of revolution too: the same rows exactly
-    res = [(16, 16), (32, 32), (64, 64)]
+    res = [16, 32, 64]
     a, b = (ss.convergence_study(spec, res).body for spec in (degenerate, plain))
     assert a["rows"] == b["rows"]
     assert a["lambda2_extrapolated"] == b["lambda2_extrapolated"]
@@ -228,7 +227,7 @@ def test_degenerate_members_give_their_surface_of_revolution_rows(degenerate, pl
 
 def test_convergence_study_needs_two_resolutions():
     with pytest.raises((ConfigError, ValueError, HypothesisError)):
-        ss.convergence_study(ss.clifford_torus(), resolutions=[(12, 12)])
+        ss.convergence_study(ss.clifford_torus(), resolutions=[12])
 
 
 # -------------------------------------------------------------------- sweeps
@@ -252,7 +251,7 @@ def test_amplitude_sweep_uses_the_slice_at_zero():
 
 def test_balance_bound_scenario_summary():
     out = ss.balance_bound_scenario(ss.clifford_torus((24, 24)),
-                                    resolution=(24, 24)).body
+                                    resolution=24).body
     for key in ("lambda1", "lambda2", "bound", "gap", "balance_residual",
                 "param_norm", "param"):
         assert key in out
@@ -299,7 +298,7 @@ def test_each_resolution_is_built_once(build_log, run, members):
     # the hypothesis is tested on the first resolution's surface, not on a
     # separate probe at the spec's default resolution
     run()
-    assert build_log == FAST * members
+    assert build_log == [(n, n) for n in FAST] * members
 
 
 def test_failed_hypothesis_stops_before_any_solve(tmp_path, monkeypatch,

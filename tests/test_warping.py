@@ -178,12 +178,13 @@ def test_harmonic_multiplicity_on_the_two_sphere():
 
 def test_condition_strictness_locates_minimum():
     w = W.builtin_warping("cosh")
-    value, arg = W.condition_strictness(w)
+    value, arg = W.condition_strictness(w, w.interval)
     assert value == pytest.approx(2.0 / math.cosh(2.0) ** 2, rel=1e-6)
     assert abs(arg) == pytest.approx(2.0, abs=1e-6)
     v2, _ = W.condition_strictness(w, t_range=(-0.5, 0.5))
     assert v2 == pytest.approx(2.0 / math.cosh(0.5) ** 2, rel=1e-6)
-    vneg, _ = W.condition_strictness(W.builtin_warping("sphere"))
+    sphere = W.builtin_warping("sphere")
+    vneg, _ = W.condition_strictness(sphere, sphere.interval)
     assert vneg <= 1e-12
 
 
