@@ -43,6 +43,14 @@ then exactly block-circulant: the coupling T among the nodes at v index 0
 repeats at every v index, and each node couples to its two v neighbours
 by w = -cv < 0.  The pencil keeps the meridian stencil, and the same
 layout code forms its N-node CSR only when A is first read.
+
+Grid maps.  The maps a surface declares (`ImmersedSurface.maps`: mirrors
+and half-turns of the grid, see `grids.NodeMap`) pass to the pencil.  A
+map carries each face to a face and each first-derivative stencil to
+itself or, where it reverses that axis, to its negative; so where the
+fields are invariant, with g^uv taking the map's sign (which
+`compute_geometry` checks), A and M commute with the map up to round-off
+in the fields.
 """
 
 from __future__ import annotations
@@ -54,7 +62,7 @@ import numpy as np
 import scipy.sparse as sp_sparse
 
 from .errors import AssemblyError, DomainError
-from .grids import Grid
+from .grids import Grid, NodeMap
 from .surfaces import GeometryFields, ImmersedSurface
 
 __all__ = ["OperatorPencil", "assemble", "rayleigh"]
@@ -70,7 +78,10 @@ class OperatorPencil:
     at (u[i], v[j])); a pencil built by hand has none.  A pencil holds
     either A as `csr` or, when it is invariant along v, the `meridian`
     stencil (cu, cv, diag) of the nodes at v index 0, each nu x 1, from
-    which A is formed when first read (see the module docstring).
+    which A is formed when first read (see the module docstring).  `maps`
+    are the grid maps (`grids.NodeMap`) the surface declared and its
+    fields passed: A and M commute with each, so the eigensolver may
+    split the pencil by them.
     """
 
     csr: sp_sparse.csr_matrix | None
@@ -78,6 +89,7 @@ class OperatorPencil:
     potential: np.ndarray
     grid: Grid | None = None
     meridian: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+    maps: tuple[NodeMap, ...] = ()
 
     def __post_init__(self):
         if (self.csr is None) == (self.meridian is None):
@@ -160,7 +172,7 @@ def assemble(surface: ImmersedSurface, fields: GeometryFields) -> OperatorPencil
         cross = (grid.d1_sparse(0).T @ sp_sparse.diags(gamma * grid.cell_weight)
                  @ grid.d1_sparse(1)).tocsr()
         a = a + (cross + cross.T)  # in one piece: see the module docstring
-    return OperatorPencil(a, weights, q, grid)
+    return OperatorPencil(a, weights, q, grid, maps=surface.maps)
 
 
 def rayleigh(pencil: OperatorPencil, u: np.ndarray) -> float:

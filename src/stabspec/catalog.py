@@ -28,6 +28,22 @@ chart is evaluated on that meridian and the next v column, whose fields
 must agree, and that mark alone lets the eigensolver split their pencil
 by Fourier modes along v.  Other perturbed
 tori and graphs of Y_l,m with m != 0 keep the full grid.
+
+A graph of Y_l,m with m != 0 and amplitude != 0 declares instead up to two
+commuting involutions of its sphere grid that map it to itself
+(`ImmersedSurface.maps`, each a `grids.NodeMap`), which let the
+eigensolver split its pencil into symmetry blocks.  It declares only maps
+the grid carries:
+* the phi-mirror phi -> c - phi, with c = 0 for the cos type (m > 0), and
+  c = pi (2t + 1) / |m| for the sin type, carried when 2|m| divides
+  nphi (2t + 1) for some t;
+* then the first of these that Y_l,m is even under: the theta-mirror
+  theta -> pi - theta (always carried; even when l + m is even), the
+  half-turn phi -> phi + pi (nphi even; even when m is even), and the
+  antipodal map (theta, phi) -> (pi - theta, phi + pi) (nphi even; even
+  when l is even).
+On a 2^k grid every such graph declares two maps.  `compute_geometry`
+refuses a declared map the fields are not invariant under.
 """
 
 from __future__ import annotations
@@ -39,7 +55,7 @@ from dataclasses import dataclass, field
 from . import warping as wp
 from .charts import JetChart, _jet_cos, _jet_mul, _jet_sin, _jet_sqrt, _plus, real_sph_harm
 from .errors import DomainError
-from .grids import sphere_grid, torus_grid
+from .grids import NodeMap, sphere_grid, torus_grid
 from .surfaces import ImmersedSurface
 
 __all__ = [
@@ -172,6 +188,22 @@ def _torus(radius):
     return JetChart(fn)
 
 
+def _graph_maps(l: int, m: int, nv: int) -> tuple[NodeMap, ...]:
+    """The maps the graph of Y_l,m (m != 0) over an nv-node sphere grid
+    declares (see the module docstring)."""
+    maps = []
+    # Y_l,m(theta, c - phi) = Y_l,m at c = 0 (cos type) or c = pi (2t + 1) / |m| (sin type)
+    odd = [2 * t + 1 for t in range(abs(m)) if nv * (2 * t + 1) % (2 * abs(m)) == 0]
+    if m > 0 or odd:
+        maps.append(NodeMap(flip_v=True, shift=0 if m > 0 else nv * odd[0] // (2 * abs(m))))
+    # under theta -> pi - theta and phi -> phi + pi, Y_l,m takes (-1)^(l + m) and (-1)^m
+    if (l + m) % 2 == 0:
+        maps.append(NodeMap(flip_u=True))
+    elif nv % 2 == 0:  # the half-turn (m even) or else the antipodal map (l even)
+        maps.append(NodeMap(flip_u=m % 2 == 1, shift=nv // 2))
+    return tuple(maps)
+
+
 def build(spec: ShapeSpec) -> ImmersedSurface:
     """Construct the immersed surface for a catalog spec."""
     nu, nv = spec.resolution
@@ -210,8 +242,9 @@ def build(spec: ShapeSpec) -> ImmersedSurface:
         # A graph must stay inside the warping interval: every evaluation of
         # the profile checks that, so the first reader of the chart refuses
         # a graph that leaves it, with a DomainError.
-        return ImmersedSurface(JetChart(graph), sphere_grid(nu, nv), w, revolution=(
-            harmonic is None or harmonic[1] == 0 or p["amplitude"] == 0))
+        revolution = harmonic is None or harmonic[1] == 0 or p["amplitude"] == 0
+        return ImmersedSurface(JetChart(graph), sphere_grid(nu, nv), w, revolution=revolution,
+                               maps=() if revolution else _graph_maps(*harmonic, nv))
 
     raise DomainError(f"unknown shape kind {kind!r}")
 

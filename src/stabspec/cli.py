@@ -21,6 +21,7 @@ ran out of memory; 4 an inequality is violated beyond the report tolerance.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -133,7 +134,11 @@ _SUBCOMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: parsing does not change
+    it, and a caller that runs many commands in one process (a benchmark
+    worker) would otherwise pay about 1 ms per command to rebuild it."""
     parser = argparse.ArgumentParser(
         prog="stabspec",
         description="Stability-spectrum checks for surfaces in the 3-sphere "

@@ -45,11 +45,39 @@ data alone:
   cluster may go on past it) or a pair of the closed window exceeds the
   residual tolerance.  At the widest window a cluster that reaches its top
   may be cut.  ARPACK cannot take k >= n - 1, so that request is a
-  DomainError here.
+  DomainError here.  One function, `_lanczos_window`, runs this window
+  rule on the whole pencil and on every symmetry block below.
+
+  Symmetry blocks.  A pencil with grid maps (`OperatorPencil.maps`, the
+  commuting involutions a Y_l,m graph declares) commutes with the group
+  G they generate, of order 2 or 4, so it splits into one real block per
+  character chi of G (Fassler & Stiefel 1992; Bossavit 1986).  A block
+  lives on the orbits whose stabilizer chi is 1 on; its vector for orbit O
+  with least node r is sum over x in O of chi(g_x) e_x / sqrt(|O|), g_x
+  mapping r to x.  `_fold` forms each block from A's CSR rows at those r
+  by index arithmetic alone: the entry of row r in column y goes to the
+  vector of y's orbit O_y times chi(g_y) sqrt(|O_r| / |O_y|); the block is
+  then symmetrized, and its mass is d at r.  The block of the trivial
+  character, which holds the ground state, is solved first by the window
+  rule for k.  Every other block is first counted at the current window
+  limit L (the value a further eigenvalue would have to stay under to
+  join the window): the negative pivots of a symmetric factor of B - L D
+  with diagonal pivots (Sylvester's law of inertia).  A count of 0 skips the block with no
+  Lanczos run; a count of c runs the window rule for c at sigma, whose
+  window must hold c values below L (it widens until it does, and the
+  widest window short of them is a NonConvergenceError).  A factor that
+  is singular or pivots off the diagonal gives no count, and its block is
+  solved for k.  Should L rise past a block's counted limit (a cluster
+  that spans blocks grows at its top), that block is counted again.  The
+  window is cut from the union of the block pairs, and only its vectors
+  are formed on the N nodes, to be judged on (A, M) by the tail below.
+  Blocks too small for the widest window of k take the unsplit path.
 
 One tail serves both paths.  Each yields M-orthonormal vectors (exact
 block eigenvectors, or Lanczos vectors converged to round-off), and
-`_exact_pairs` alone makes them pairs, on B_m and diag(d) or on (A, M):
+`_exact_pairs` alone makes them pairs, on B_m and diag(d), or on (A, M)
+(symmetry blocks only choose the window; their pairs are judged again on
+(A, M)):
 each eigenvalue is the Rayleigh quotient theta of its vector, the value a
 residual enclosure of |lambda - theta| (Weinstein) bounds, so no path
 needs a Rayleigh-Ritz pass.
@@ -201,6 +229,128 @@ def _solve_sparse(op, k, v0) -> np.ndarray:
             ncv = min(n - 1, 2 * ncv)
 
 
+def _lanczos_window(a, d, sigma, k, v0, tol, need=0, below=np.inf):
+    """Pairs of the closed window of the k smallest eigenvalues of
+    (a, diag(d)), as `_exact_pairs` returns them, by shift-invert Lanczos
+    at sigma from v0 (see the module docstring).  The window doubles while
+    its top value belongs to the k-th value's cluster, a pair of the closed
+    window exceeds tol, or fewer than `need` of its values lie below
+    `below`; a widest window still short of those is a NonConvergenceError.
+    Also returns the top value of the last window: the pencil has no
+    eigenvalue below it that the window lacks."""
+    n = d.size
+    lu = spla.splu(_shifted(a, d, sigma), permc_spec="MMD_AT_PLUS_A")
+    root = np.sqrt(d)
+    # D^(1/2) (A - sigma D)^-1 D^(1/2): eigenvalues 1 / (lambda - sigma)
+    op = spla.LinearOperator(a.shape, matvec=lambda y: root * lu.solve(root * y), dtype=float)
+    window, widest = min(n - 2, k + 2), min(n - 2, 4 * (k + 2))
+    while True:
+        vals, vecs, res = _exact_pairs(a, d, _solve_sparse(op, window, v0) / root[:, None])
+        size, limit = _window(vals, k)
+        held = np.count_nonzero(vals < below) >= need
+        if window == widest or (held and vals[-1] > limit
+                                and float(np.max(res[:size])) <= tol):
+            break
+        window = min(widest, 2 * window)
+    if not held:
+        raise NonConvergenceError(
+            f"a block counts {need} eigenvalues below {below:.6g}; its widest "
+            f"window of {window} holds {np.count_nonzero(vals < below)}")
+    return vals[:size], vecs[:, :size], res[:size], vals[-1]
+
+
+def _fold(pencil: OperatorPencil):
+    """One block (B, d, col, coef) per character chi of the group that the
+    pencil's maps generate, the trivial character first (see the module
+    docstring).  A block vector z is the N-node vector coef * z[col]: node
+    x of an orbit O that chi lives on has coef[x] = chi(g) / sqrt(|O|), g
+    the element mapping x to O's least node, and col[x] the orbit's place
+    in the block; elsewhere coef is 0.  Where A commutes with the maps,
+    B = Q^T A Q for the orthonormal Q of those vectors."""
+    a, n = pencil.stiffness_minus_potential, pencil.node_count
+    images = [np.arange(n)]  # images[g][x]: the image of node x under element g
+    for m in pencil.maps:
+        image = m.image(pencil.grid)
+        images += [image[x] for x in images]
+    images = np.array(images)
+    least, to_least = images.min(axis=0), images.argmin(axis=0)
+    fixed = images == np.arange(n)
+    size = len(images) / np.count_nonzero(fixed, axis=0)  # |group| / |stabilizer|
+    reps = np.flatnonzero(least == np.arange(n))
+    rows = a[reps]
+    owner = np.repeat(reps, np.diff(rows.indptr))
+    scaled = 0.5 * rows.data * np.sqrt(size[owner])  # halved for the symmetrization
+    blocks = []
+    for c in range(len(images)):
+        chi = np.array([(-1.0) ** bin(c & g).count("1") for g in range(len(images))])
+        # chi lives on an orbit unless it is -1 on an element fixing the orbit
+        kept = ~np.any(fixed & (chi < 0)[:, None], axis=0)
+        coef = np.where(kept, chi[to_least] / np.sqrt(size), 0.0)
+        domain = reps[kept[reps]]
+        place = np.zeros(n, dtype=np.int64)
+        place[domain] = np.arange(domain.size)
+        weight = coef[rows.indices] * kept[owner]
+        on = np.flatnonzero(weight)
+        half = sp_sparse.csr_matrix(
+            (scaled[on] * weight[on], (place[owner[on]], place[least[rows.indices[on]]])),
+            shape=(domain.size,) * 2)
+        blocks.append((half + half.T, pencil.mass_diagonal[domain], place[least], coef))
+    return blocks
+
+
+def _shifted(a, d, shift):
+    """a - shift diag(d) in CSC form, for a factor; a is exactly symmetric,
+    so the arrays of its CSR form are those of its CSC form."""
+    c = a - sp_sparse.diags(shift * d, format="csr")
+    return sp_sparse.csc_matrix((c.data, c.indices, c.indptr), shape=c.shape)
+
+
+def _count_below(b, d, limit) -> int | None:
+    """The number of eigenvalues of (b, diag(d)) below limit: the negative
+    pivots of a symmetric factor of b - limit diag(d) with diagonal pivots
+    (Sylvester's law of inertia), or None where that factor is singular or
+    pivots off the diagonal."""
+    try:
+        lu = spla.splu(_shifted(b, d, limit), permc_spec="MMD_AT_PLUS_A",
+                       diag_pivot_thresh=0, options={"SymmetricMode": True})
+    except RuntimeError:  # an exactly singular factor
+        return None
+    if not np.array_equal(lu.perm_r, lu.perm_c):
+        return None
+    return int(np.count_nonzero(lu.U.diagonal() < 0.0))
+
+
+def _solve_blocks(blocks, k, sigma, tol, rng):
+    """The N-node vectors of the window of k, cut from pairs found and
+    judged on the symmetry blocks of `_fold` (see the module docstring)."""
+    b, d = blocks[0][:2]
+    *pairs, top = _lanczos_window(b, d, sigma, k, rng.standard_normal(d.size), tol)
+    found, level = {0: pairs}, {0: top}  # a block has no eigenvalue below its level unfound
+    while True:
+        _, limit = _window(np.concatenate([f[0] for f in found.values()]), k)
+        i = next((i for i in range(len(blocks)) if level.get(i, -np.inf) < limit), None)
+        if i is None:
+            break
+        b, d = blocks[i][:2]
+        count = _count_below(b, d, limit)
+        level[i] = np.inf if count is None else limit
+        if count == 0:
+            continue
+        v0 = rng.standard_normal(d.size)
+        *found[i], top = (
+            _lanczos_window(b, d, sigma, k, v0, tol) if count is None
+            else _lanczos_window(b, d, sigma, count, v0, tol, need=count, below=limit))
+        level[i] = max(level[i], top)
+    owner = [(i, j) for i, f in found.items() for j in range(f[0].size)]
+    values = np.concatenate([f[0] for f in found.values()])
+    size, _ = _window(values, k)
+    vectors = []
+    for i, j in (owner[at] for at in np.argsort(values, kind="stable")[:size]):
+        _, _, col, coef = blocks[i]
+        vectors.append(coef * found[i][1][col, j])
+    return np.column_stack(vectors)
+
+
 def smallest_eigenpairs(
     pencil: OperatorPencil,
     k: int,
@@ -221,20 +371,13 @@ def smallest_eigenpairs(
         if k >= n - 1:
             raise DomainError("sparse path needs k < node_count - 1")
         sigma = -float(np.max(pencil.potential)) - 1.0
-        lu = spla.splu((a - sp_sparse.diags(sigma * d)).tocsc(), permc_spec="MMD_AT_PLUS_A")
-        root = np.sqrt(d)
-        # D^(1/2) (A - sigma D)^-1 D^(1/2): eigenvalues 1 / (lambda - sigma)
-        op = spla.LinearOperator(a.shape, matvec=lambda y: root * lu.solve(root * y),
-                                 dtype=float)
-        v0 = np.random.default_rng(seed).standard_normal(n)
-        window, widest = min(n - 2, k + 2), min(n - 2, 4 * (k + 2))
-        while True:
-            vals, vecs, res = _exact_pairs(a, d, _solve_sparse(op, window, v0) / root[:, None])
-            size, limit = _window(vals, k)
-            if window == widest or (vals[-1] > limit and float(np.max(res[:size])) <= tol):
-                break
-            window = min(widest, 2 * window)
-        vals, vecs, res = vals[:size], vecs[:, :size], res[:size]
+        rng = np.random.default_rng(seed)
+        blocks = _fold(pencil) if pencil.maps else []
+        # every block must hold the widest window of k
+        if blocks and min(block[1].size for block in blocks) >= 4 * (k + 2) + 2:
+            vals, vecs, res = _exact_pairs(a, d, _solve_blocks(blocks, k, sigma, tol, rng))
+        else:
+            vals, vecs, res, _ = _lanczos_window(a, d, sigma, k, rng.standard_normal(n), tol)
     else:
         vals, vecs, res = _solve_reduced(pencil, k)
     if float(np.max(res)) > tol:

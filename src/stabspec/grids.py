@@ -12,6 +12,10 @@ Two grid topologies cover every surface in the catalog:
 The sparse first-derivative operators used by assembly are second order:
 central differences (-1, 0, 1) / 2h, and the one-sided rows
 (-3/2, 2, -1/2) / h and their mirror at the two theta ends of sphere grids.
+
+A `NodeMap` is an involution of a grid's nodes that reverses u, reverses
+v about a node, or turns v by half a period: the mirrors and half-turns a
+catalog surface may be invariant under (see `catalog.build`).
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ import scipy.sparse as sp
 
 from .errors import DomainError
 
-__all__ = ["Grid", "torus_grid", "sphere_grid"]
+__all__ = ["Grid", "NodeMap", "torus_grid", "sphere_grid"]
 
 
 @dataclass(frozen=True)
@@ -68,6 +72,31 @@ class Grid:
         if axis == 0:
             return sp.kron(D, sp.identity(self.nv), format="csr")
         return sp.kron(sp.identity(self.nu), D, format="csr")
+
+
+@dataclass(frozen=True)
+class NodeMap:
+    """The involution (i, j) -> (i', j') of a grid's nodes, with
+    i' = nu - 1 - i if `flip_u` else i, and j' = shift - j (mod nv) if
+    `flip_v` else j + shift (mod nv) with shift 0 or nv / 2.  On a sphere
+    grid flip_u is the mirror theta -> pi - theta, and flip_v the mirror
+    phi -> shift dv - phi."""
+
+    flip_u: bool = False
+    flip_v: bool = False
+    shift: int = 0
+
+    @property
+    def cross_sign(self) -> float:
+        """The factor the map puts on g^uv: -1 where it reverses one axis."""
+        return -1.0 if self.flip_u != self.flip_v else 1.0
+
+    def image(self, grid: Grid) -> np.ndarray:
+        """The flat index of each node's image, in flat node order."""
+        i, j = np.arange(grid.nu), np.arange(grid.nv)
+        i = grid.nu - 1 - i if self.flip_u else i
+        j = (self.shift - j if self.flip_v else j + self.shift) % grid.nv
+        return (i[:, None] * grid.nv + j[None, :]).ravel()
 
 
 def _grid(nu: int, nv: int, periodic_u: bool) -> Grid:

@@ -34,6 +34,10 @@ and the next v column (the nu x 2 grid `ImmersedSurface.chart_grid`), and
 the one body runs over those nodes.  The two columns' fields must agree,
 which checks the mark; the meridian's are then repeated nv times along v,
 so the later stages read N-node fields either way, exactly constant along v.
+A surface may also declare grid maps it is invariant under
+(`ImmersedSurface.maps`, see `grids.NodeMap`): each field at a node's
+image must then equal its value at the node, and g^uv that value times the
+map's `cross_sign`, which checks the declaration.
 
 Gauss curvature comes from the Gauss equation of a surface in a
 3-dimensional ambient, K = R/2 - Ric(nu, nu) + k1 k2, with
@@ -56,7 +60,7 @@ from .errors import (
     MeshTooCoarseError,
     UnsupportedAmbientError,
 )
-from .grids import Grid
+from .grids import Grid, NodeMap
 
 __all__ = [
     "ImmersedSurface",
@@ -68,11 +72,13 @@ __all__ = [
 
 UNIT_NORM_TOL = 1e-12
 DEGENERACY_REL_TOL = 1e-10
-# The fields of a surface of revolution's first two v columns may differ
-# by this much, relative to max(1, |field|).  Marked catalog shapes differ
-# by at most 4e-14 at 8 to 1024 nodes per direction; a 24^2 perturbed
-# torus (r 0.7, eps 0.05) marked by mistake differs by 0.31.
-REVOLUTION_TOL = 1e-10
+# The fields of a surface of revolution's first two v columns, or a
+# surface's fields and their image under a map it declares, may differ by
+# this much, relative to max(1, |field|).  Marked catalog shapes differ
+# by at most 4e-14 at 8 to 1024 nodes per direction, and the catalog's
+# Y_l,m graphs from their images by at most 1.1e-13 at 8 to 512; a 24^2
+# perturbed torus (r 0.7, eps 0.05) marked by mistake differs by 0.31.
+SYMMETRY_TOL = 1e-10
 
 
 def _require_unit(x: np.ndarray, message: str) -> None:
@@ -111,17 +117,21 @@ class ImmersedSurface:
     so its chart is evaluated on the meridian and one further column, to
     check the mark: `chart_grid` is then the nu x 2 grid of the first two
     v columns, and `grid` otherwise.  The mark is kept as `revolution`,
-    which `assemble` reads to mark the pencil invariant along v.
+    which `assemble` reads to mark the pencil invariant along v.  `maps`
+    are commuting involutions of the grid (`grids.NodeMap`) that the
+    surface is invariant under; `compute_geometry` checks them, and
+    `assemble` hands them to the pencil.
     """
 
     def __init__(self, chart, grid: Grid, warping: wp.WarpingFunction | None = None,
-                 revolution: bool = False):
+                 revolution: bool = False, maps: tuple[NodeMap, ...] = ()):
         if warping is not None and not isinstance(warping, wp.WarpingFunction):
             raise UnsupportedAmbientError(f"unsupported ambient warping {warping!r}")
         self.warping = warping
         self.chart = chart
         self.grid = grid
         self.revolution = revolution
+        self.maps = maps
         self.chart_grid = replace(grid, nv=2, v=grid.v[:2]) if revolution else grid
         self._bundle: dict[str, np.ndarray] | None = None
 
@@ -203,6 +213,43 @@ def _check_not_degenerate(det: np.ndarray, nv: int, cols: int):
         raise DegenerateChartError((i // cols) * nv + i % cols, float(det[i]), threshold)
 
 
+def _rows(f: GeometryFields) -> list:
+    """The per-node data of f in one list: the rows g^uu, g^uv, g^vv, the
+    scalar fields and the ambient's Ricci data, each an (N,) array, or a
+    float or None where it does not vary or was not asked for."""
+    c = f.ambient_curvature
+    return [*f.metric_inv, f.area_element, f.mean_curv, f.sigma_sq, f.gauss_curv,
+            f.ricci_normal, c.ricci_tt, c.ricci_tangential, c.scalar]
+
+
+def _require_symmetry(gap: float, what: str):
+    """Refuse a declared symmetry whose fields miss their image by a
+    relative `gap` above SYMMETRY_TOL; `what` names the two."""
+    if gap > SYMMETRY_TOL:
+        raise DomainError(f"{what} differ by {gap:.3e} (tolerance {SYMMETRY_TOL:g})")
+
+
+def _check_maps(f: GeometryFields, grid: Grid, maps: tuple[NodeMap, ...]):
+    """Refuse a declared map whose image of the fields is not the fields.
+    Row by row, each row in cache: 6 ms at 256^2, against 24 ms on one
+    block of all the rows (one BLAS thread, 2 vCPU)."""
+    images = [m.image(grid) for m in maps]
+    gaps = [0.0] * len(maps)
+    for r, row in enumerate(a for a in _rows(f) if isinstance(a, np.ndarray)):
+        scale = np.maximum(1.0, np.abs(row))
+        for i, m in enumerate(maps):
+            miss = row[images[i]]
+            if r == 1:  # g^uv
+                miss *= m.cross_sign
+            miss -= row
+            np.abs(miss, out=miss)
+            miss /= scale
+            gaps[i] = max(gaps[i], float(np.max(miss)))
+    for m, gap in zip(maps, gaps):
+        _require_symmetry(gap, f"chart declared invariant under {m} is not: its fields and "
+                          "their image")
+
+
 def _along_v(f: GeometryFields, nv: int) -> GeometryFields:
     """The fields of a surface of revolution's first two v columns, checked
     against each other, and the meridian's repeated nv times along v
@@ -211,17 +258,13 @@ def _along_v(f: GeometryFields, nv: int) -> GeometryFields:
     one block: five 64/128/256 symmetric CLI ladders took 67 ms in one
     process that way and 81 ms with one np.repeat per field, though the
     copies alone cost the same (0.26 and 0.27 ms at 256^2, warm)."""
-    c = f.ambient_curvature
-    values = [*f.metric_inv, f.area_element, f.mean_curv, f.sigma_sq, f.gauss_curv,
-              f.ricci_normal, c.ricci_tt, c.ricci_tangential, c.scalar]
+    values = _rows(f)
     live = [i for i, a in enumerate(values) if isinstance(a, np.ndarray)]
     pair = np.array([values[i] for i in live]).reshape(len(live), -1, 2)
     meridian, column = pair[..., 0], pair[..., 1]
     gap = float(np.max(np.abs(column - meridian) / np.maximum(1.0, np.abs(meridian))))
-    if gap > REVOLUTION_TOL:
-        raise DomainError(
-            f"chart marked as a surface of revolution about v is not one: its first two "
-            f"v columns' fields differ by {gap:.3e} (tolerance {REVOLUTION_TOL:g})")
+    _require_symmetry(gap, "chart marked as a surface of revolution about v is not one: its "
+                      "first two v columns' fields")
     block = np.repeat(meridian, nv, axis=1)
     for i, row in zip(live, block):
         values[i] = row
@@ -287,7 +330,10 @@ def compute_geometry(s: ImmersedSurface, want_gauss: bool = True) -> GeometryFie
         ricci_normal=ricci,
         ambient_curvature=curvature,
     )
-    return _along_v(fields, s.grid.nv) if s.revolution else fields
+    if s.revolution:
+        return _along_v(fields, s.grid.nv)
+    _check_maps(fields, s.grid, s.maps)
+    return fields
 
 
 def total_curvature(f: GeometryFields) -> float:

@@ -4,12 +4,13 @@
 
 REV_OR_DIR is a git revision, unpacked with `git archive` into a temporary
 directory, or the directory of a tree of this repository.  Each golden
-command (`tests/test_golden.py`) and then each refused run (`REFUSED`), or
-each NAME given, runs once on each tree in a process of its own, with the
-two trees taking turns to go first.  Every JSON value, CSV cell, standard
-error line, exit code or presence of the `--out` directory that differs
-between the two is printed with the parent's value and this tree's.  The
-exit status is 0 when nothing moved and 1 otherwise.
+command (`tests/test_golden.py`), then each refused run (`REFUSED`) and
+each generic-graph ladder (`GENERIC`), or each NAME given, runs once on
+each tree in a process of its own, with the two trees taking turns to go
+first.  Every JSON value, CSV cell, standard error line, exit code or
+presence of the `--out` directory that differs between the two is printed
+with the parent's value and this tree's.  The exit status is 0 when
+nothing moved and 1 otherwise.
 """
 
 from __future__ import annotations
@@ -43,6 +44,21 @@ REFUSED = {
                            "resolutions=8,12"],
     "unconverged_fine_sphere": ["converge", "shape=geodesic-sphere", "rho=0.45",
                                 "resolutions=256,512,1024"],
+}
+
+
+# graphs of Y_l,m with m != 0 on the benchmark's rungs: their pencils are
+# solved as symmetry blocks, on grids no golden command reaches
+GENERIC = {
+    "generic_product_t12": ["check", "t12", "shape=graph-over-slice", "warping=product",
+                            "t0=0.2", "perturbation=Y2,-2", "amplitude=0.05",
+                            "resolutions=16,32,64"],
+    "generic_cosh_t13_y3": ["check", "t13", "shape=graph-over-slice", "warping=cosh",
+                            "t0=0.3", "perturbation=Y3,-2", "amplitude=0.05",
+                            "resolutions=64,128,256"],
+    "generic_cosh_t13_y4": ["check", "t13", "shape=graph-over-slice", "warping=cosh",
+                            "t0=-0.2", "perturbation=Y4,-3", "amplitude=0.04",
+                            "resolutions=64,128,256"],
 }
 
 
@@ -98,7 +114,7 @@ def main(argv: list[str]) -> int:
         return 2
     from test_golden import COMMANDS
 
-    commands = {**COMMANDS, **REFUSED}
+    commands = {**COMMANDS, **REFUSED, **GENERIC}
     names = argv[1:] or list(commands)
     moved = 0
     with tempfile.TemporaryDirectory() as tmp:

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 import stabspec as ss
 from stabspec.errors import ConfigError, DomainError
+from stabspec.grids import NodeMap
 
 from oracles import full_grid, registered_perturbations
 
@@ -193,6 +194,43 @@ def test_other_shapes_keep_the_full_grid(spec):
     s = ss.build(spec)
     assert s.chart_grid is s.grid
     assert not ss.assemble(s, ss.compute_geometry(s, want_gauss=False)).invariant_along_v
+
+
+# (perturbation, grid) -> the maps `build` declares: the phi-mirror where the
+# grid carries it, then the theta-mirror (l + m even), the half-turn (m even)
+# or the antipodal map (l even), whichever comes first and the grid carries
+FLIP_U, HALF_TURN = NodeMap(flip_u=True), NodeMap(shift=8)
+DECLARED = [
+    ("Y3,1", (16, 16), (NodeMap(flip_v=True), FLIP_U)),
+    ("Y3,-2", (16, 16), (NodeMap(flip_v=True, shift=4), HALF_TURN)),
+    ("Y4,-3", (16, 16), (NodeMap(flip_v=True, shift=8), NodeMap(flip_u=True, shift=8))),
+    ("Y2,1", (16, 16), (NodeMap(flip_v=True), NodeMap(flip_u=True, shift=8))),
+    ("Y2,-2", (16, 16), (NodeMap(flip_v=True, shift=4), FLIP_U)),
+    ("Y4,-4", (16, 16), (NodeMap(flip_v=True, shift=2), FLIP_U)),
+    ("Y2,-2", (16, 18), (FLIP_U,)),  # 4 divides no odd multiple of 18
+    ("Y4,-4", (16, 12), (FLIP_U,)),
+    ("Y2,1", (16, 15), (NodeMap(flip_v=True),)),  # odd nv: no antipodal map
+    ("Y3,-2", (16, 15), ()),
+]
+
+
+@pytest.mark.parametrize("pert, resolution, maps", DECLARED,
+                         ids=lambda x: "x".join(map(str, x)) if isinstance(x, tuple) else None)
+def test_graphs_declare_the_maps_their_grid_carries(pert, resolution, maps):
+    s = ss.build(ss.graph_over_slice("cosh", 0.3, pert, 0.05, resolution))
+    assert s.maps == maps
+    f = ss.compute_geometry(s, want_gauss=False)  # checks each map
+    for m in maps:
+        image = m.image(s.grid)
+        assert np.array_equal(np.sort(image), np.arange(s.node_count))
+        assert np.array_equal(image[image], np.arange(s.node_count))  # an involution
+        np.testing.assert_allclose(f.sigma_sq[image], f.sigma_sq, rtol=1e-13)
+        np.testing.assert_allclose(f.metric_inv[1][image], m.cross_sign * f.metric_inv[1],
+                                   rtol=0, atol=1e-13 * np.max(np.abs(f.metric_inv)))
+    # surfaces of revolution and flat graphs declare none
+    for spec in (ss.graph_over_slice("cosh", 0.3, pert, 0.0, resolution),
+                 ss.graph_over_slice("cosh", 0.3, "Y3,0", 0.05, resolution)):
+        assert ss.build(spec).maps == ()
 
 
 @pytest.mark.parametrize("want_gauss", [True, False])

@@ -1,8 +1,9 @@
 """Eigensolver guarantees: residuals, orthonormality, and path agreement.
 
 A test that needs the sparse path on a pencil invariant along v says so in
-the data, `oracles.unmarked(pencil)`; both paths are
-checked against the dense oracle `oracles.dense_window`.
+the data, `oracles.unmarked(pencil)`, and one that needs the unsplit sparse
+path on a pencil with symmetry maps, `replace(pencil, maps=())`; every
+path is checked against the dense oracle `oracles.dense_window`.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from stabspec.eigen import (
     eigenvalue_multiplicity,
 )
 from stabspec.errors import DomainError, NonConvergenceError
-from stabspec.grids import torus_grid
+from stabspec.grids import NodeMap, torus_grid
 
 from oracles import dense_window, unmarked
 
@@ -121,9 +122,8 @@ def test_argument_guards_raise_domain_error():
     assert ss.smallest_eigenpairs(clifford, 63).eigenvalues.size >= 63
 
 
-def test_ncv_widens_until_arpack_gives_up(monkeypatch):
-    # every ARPACK run fails to converge: ncv doubles from 20 up to
-    # 8 * max(2 window + 1, 20) and the failure is a NonConvergenceError
+def _arpack_never_converges(monkeypatch):
+    """The list that each ARPACK run's ncv is appended to; every run fails."""
     tried = []
 
     def no_convergence(op, k, ncv, **kwargs):
@@ -131,10 +131,28 @@ def test_ncv_widens_until_arpack_gives_up(monkeypatch):
         raise eigen.spla.ArpackNoConvergence("no convergence", np.empty(0), np.empty((0, 0)))
 
     monkeypatch.setattr(eigen.spla, "eigsh", no_convergence)
+    return tried
+
+
+def test_ncv_widens_until_arpack_gives_up(monkeypatch):
+    # every ARPACK run fails to converge: ncv doubles from 20 up to
+    # 8 * max(2 window + 1, 20) and the failure is a NonConvergenceError
+    tried = _arpack_never_converges(monkeypatch)
+    p = _pencil(ss.graph_over_slice("cosh", 0.3, "Y2,1", 0.05, (16, 16)))
+    with pytest.raises(NonConvergenceError) as err:
+        ss.smallest_eigenpairs(replace(p, maps=()), 2)
+    assert tried == [20, 40, 80, 160]
+    assert err.value.exit_code == 3
+
+
+def test_ncv_on_a_symmetry_block_stops_below_its_size(monkeypatch):
+    # the same graph split into blocks: its symmetric block has 72 nodes,
+    # so ncv stops at 71
+    tried = _arpack_never_converges(monkeypatch)
     p = _pencil(ss.graph_over_slice("cosh", 0.3, "Y2,1", 0.05, (16, 16)))
     with pytest.raises(NonConvergenceError) as err:
         ss.smallest_eigenpairs(p, 2)
-    assert tried == [20, 40, 80, 160]
+    assert tried == [20, 40, 71]
     assert err.value.exit_code == 3
 
 
@@ -554,3 +572,146 @@ def test_multiplicity_of_clifford_lambda2(solve):
     sol = solve(ss.clifford_torus((24, 24)), k=6)
     vals = sol.spectrum.eigenvalues
     assert eigenvalue_multiplicity(vals, 1) == 4
+
+
+# Graphs of Y_l,m with m != 0 declare grid maps (tests/test_catalog.py), and
+# the sparse path solves their pencil as one block per character of the
+# group the maps generate: four blocks with two maps, two with one.
+SPLIT = [
+    ("Y3,1", (16, 16), 4),  # phi- and theta-mirror
+    ("Y3,-2", (16, 16), 4),  # phi-mirror and half-turn
+    ("Y4,-3", (16, 16), 4),  # phi-mirror and antipodal map
+    ("Y2,1", (24, 24), 4),
+    ("Y2,-2", (16, 16), 4),  # all three maps available; two are declared
+    ("Y4,-4", (24, 24), 4),
+    ("Y2,-2", (16, 18), 2),  # no phi-mirror on these grids
+    ("Y4,-4", (16, 12), 2),
+    ("Y2,1", (16, 15), 2),  # odd nv: no antipodal map
+    ("Y3,-2", (16, 15), 1),  # no map: the unsplit path
+]
+
+
+def _split_id(case):
+    pert, (nu, nv), _ = case
+    return f"{pert}-{nu}x{nv}"
+
+
+def _character(pencil, u):
+    """The sign u takes under each of the pencil's maps."""
+    signs = [float(np.sign(u[m.image(pencil.grid)] @ u)) for m in pencil.maps]
+    for m, sign in zip(pencil.maps, signs):
+        np.testing.assert_allclose(u[m.image(pencil.grid)], sign * u, rtol=0, atol=1e-8)
+    return tuple(signs)
+
+
+@pytest.mark.parametrize("case", SPLIT, ids=_split_id)
+def test_symmetry_blocks_give_the_dense_window(monkeypatch, case):
+    pert, resolution, blocks = case
+    p = _pencil(ss.graph_over_slice("cosh", 0.3, pert, 0.05, resolution))
+    assert 2 ** len(p.maps) == blocks
+    runs = []  # the node count of each Lanczos run's block
+    real = eigen._solve_sparse
+    monkeypatch.setattr(eigen, "_solve_sparse",
+                        lambda op, k, v0: runs.append(v0.size) or real(op, k, v0))
+    for k in (2, 4):
+        runs.clear()
+        sp_ = ss.smallest_eigenpairs(p, k)
+        assert sp_.method == "sparse"
+        dense, _ = dense_window(p, k)
+        assert sp_.eigenvalues.size == dense.size
+        np.testing.assert_allclose(sp_.eigenvalues, dense, rtol=0, atol=1e-10)
+        assert ([len(g) for g in cluster_indices(sp_.eigenvalues)]
+                == [len(g) for g in cluster_indices(dense)])
+        # every pair is judged on the N-node pencil
+        A, d, V = p.stiffness_minus_potential, p.mass_diagonal, sp_.eigenvectors
+        np.testing.assert_allclose(V.T @ (d[:, None] * V), np.eye(V.shape[1]), rtol=0,
+                                   atol=1e-10)
+        for lam, res, x in zip(sp_.eigenvalues, sp_.residuals, V.T):
+            assert abs(lam - x @ (A @ x) / (x @ (d * x))) <= 1e-12 * max(1.0, abs(lam))
+            r = np.linalg.norm(A @ x - lam * d * x) / np.linalg.norm(d * x)
+            assert r == pytest.approx(res, rel=1e-6, abs=1e-15) and r <= 1e-9
+        # the symmetric block holds the ground state and is solved first; a
+        # block whose count is 0 runs no Lanczos, and at k = 2 one is skipped
+        if blocks > 1:
+            assert _character(p, V[:, 0]) == (1.0,) * len(p.maps)
+            assert runs[0] == max(runs) and len(runs) < blocks + (k > 2), runs
+            for x in V.T:
+                _character(p, x)
+        else:
+            assert runs == [p.node_count]
+
+
+def test_a_pair_across_two_blocks_keeps_its_multiplicity():
+    # the graph of Y4,-4 has a lambda_2 pair: its two vectors lie in blocks
+    # of different characters
+    p = _pencil(ss.graph_over_slice("cosh", 0.3, "Y4,-4", 0.05, (24, 24)))
+    sp_ = ss.smallest_eigenpairs(p, 2)
+    assert eigenvalue_multiplicity(sp_.eigenvalues, 1) == 2 == sp_.eigenvalues.size - 1
+    assert eigenvalue_multiplicity(dense_window(p, 2)[0], 1) == 2
+    pair = [_character(p, x) for x in sp_.eigenvectors[:, 1:].T]
+    assert pair[0] != pair[1]
+
+
+def test_each_skipped_block_counts_no_eigenvalue_below_the_window(monkeypatch):
+    # the counts at the window's limit against the dense count of each block
+    p = _pencil(ss.graph_over_slice("product", 0.3, "Y3,1", 0.05, (16, 16)))
+    counted = []
+    real = eigen._count_below
+    monkeypatch.setattr(eigen, "_count_below",
+                        lambda b, d, limit: counted.append((b, d, limit)) or real(b, d, limit))
+    ss.smallest_eigenpairs(p, 2)
+    assert len(counted) == 3
+    for b, d, limit in counted:
+        vals = np.linalg.eigvalsh(b.toarray() / np.sqrt(np.outer(d, d)))
+        assert real(b, d, limit) == np.count_nonzero(vals < limit)
+
+
+def test_a_block_without_a_count_is_solved_whole(monkeypatch):
+    # a singular factor at the limit, or one that pivots off the diagonal,
+    # gives no count: every block is then solved for k values
+    p = _pencil(ss.graph_over_slice("cosh", 0.3, "Y2,1", 0.05, (16, 16)))
+    want = ss.smallest_eigenpairs(p, 2)
+    monkeypatch.setattr(eigen, "_count_below", lambda b, d, limit: None)
+    windows = _logged_windows(monkeypatch)
+    got = ss.smallest_eigenpairs(p, 2)
+    assert windows == [4] * 4
+    np.testing.assert_allclose(got.eigenvalues, want.eigenvalues, rtol=0, atol=1e-12)
+
+
+def test_a_block_short_of_its_count_widens_then_fails(monkeypatch):
+    # a count above what the block holds below the limit: the window widens
+    # to its widest, then the solve is a NonConvergenceError
+    p = _pencil(ss.graph_over_slice("cosh", 0.3, "Y2,1", 0.05, (16, 16)))
+    monkeypatch.setattr(eigen, "_count_below", lambda b, d, limit: 3)
+    windows = _logged_windows(monkeypatch)
+    with pytest.raises(NonConvergenceError, match="counts 3 eigenvalues"):
+        ss.smallest_eigenpairs(p, 2)
+    assert windows == [4, 5, 10, 20]
+
+
+def test_a_wrongly_declared_map_is_refused():
+    # the graph of Y2,1 is odd under the theta-mirror
+    s = ss.build(ss.graph_over_slice("cosh", 0.3, "Y2,1", 0.05, (16, 16)))
+    wrong = ss.ImmersedSurface(s.chart, s.grid, s.warping, maps=(NodeMap(flip_u=True),))
+    with pytest.raises(DomainError, match="declared invariant") as err:
+        ss.compute_geometry(wrong)
+    assert err.value.exit_code == 2
+
+
+def test_a_cluster_across_blocks_recounts_the_blocks_below_its_top(monkeypatch):
+    # the lambda_2 triple of this 64^2 graph lies in three blocks: a second
+    # block's copy raises the window limit past the first count of a skipped
+    # block, which is counted again there; the window is the unsplit one
+    p = _pencil(ss.graph_over_slice("cosh", 0.3, "Y3,-2", 0.05, (64, 64)))
+    counted = []
+    real = eigen._count_below
+    monkeypatch.setattr(eigen, "_count_below",
+                        lambda b, d, limit: counted.append((id(b), limit)) or real(b, d, limit))
+    split = ss.smallest_eigenpairs(p, 2)
+    blocks = [block for block, _ in counted]
+    again = [block for block in set(blocks) if blocks.count(block) > 1]
+    assert again and all(
+        np.all(np.diff([limit for b, limit in counted if b == block]) > 0) for block in again)
+    unsplit = ss.smallest_eigenpairs(replace(p, maps=()), 2)
+    assert eigenvalue_multiplicity(split.eigenvalues, 1) == 3
+    np.testing.assert_allclose(split.eigenvalues, unsplit.eigenvalues, rtol=0, atol=1e-12)

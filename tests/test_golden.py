@@ -147,11 +147,34 @@ def test_reports_match_the_golden_files(tmp_path, monkeypatch, name):
     assert bool(lanczos_windows) == (name in SPARSE)
     assert bool(asymmetric) == (not name.startswith("slice_spectrum"))
     assert not any(asymmetric)
-    got = {p.name: json.loads(p.read_text()) for p in sorted(tmp_path.glob("*.json"))}
+    _assert_golden(tmp_path, name)
+
+
+def _assert_golden(out, name):
+    """The reports in `out` against the golden files of command `name`."""
+    got = {p.name: json.loads(p.read_text()) for p in sorted(out.glob("*.json"))}
     want = json.loads((GOLDEN / f"{name}.json").read_text())
     assert _mismatches(got, want) == []
-    assert _mismatches(_csv_cells(tmp_path / "summary.csv"),
+    assert _mismatches(_csv_cells(out / "summary.csv"),
                        _csv_cells(GOLDEN / f"{name}.csv")) == []
+
+
+def test_one_process_serves_many_commands(tmp_path, monkeypatch, capsys):
+    # the parser is built once per process: two subcommands in turn write
+    # their golden reports, and a usage error after them is refused with the
+    # text a fresh process prints (tests/golden/cli_help.txt)
+    monkeypatch.chdir(ROOT)
+    monkeypatch.setenv("COLUMNS", "80")
+    for name in ("check_t11", "converge"):
+        assert cli_main(COMMANDS[name] + ["--out", str(tmp_path / name)]) == 0
+        _assert_golden(tmp_path / name, name)
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exit_:
+        cli_main(["check", "t99"])
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: stabspec check") and "invalid choice: 't99'" in err
+    assert f"$ stabspec check t99\n{err}exit 2\n" in (GOLDEN / "cli_help.txt").read_text()
 
 
 def test_compare_parent_finds_no_move_against_a_copy_of_this_tree(tmp_path, capsys):
