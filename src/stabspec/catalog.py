@@ -24,10 +24,9 @@ the flat and Clifford tori (v turns the (x3, x4) plane), geodesic spheres
 S^2 factor about its axis), perturbed tori with eps = 0 and graphs of
 amplitude 0.  Each of their nodes is an ambient isometry image of its
 meridian node at v = 0, so they are built with `revolution=True`: their
-chart is evaluated on that meridian and the next v column, whose fields
-must agree, and that mark alone lets the eigensolver split their pencil
-by Fourier modes along v.  Other perturbed
-tori and graphs of Y_l,m with m != 0 keep the full grid.
+chart is evaluated on that meridian and the next v column, and that mark
+alone lets the eigensolver split their pencil by Fourier modes along v.
+Other perturbed tori and graphs of Y_l,m with m != 0 keep the full grid.
 
 A graph of Y_l,m with m != 0 and amplitude != 0 declares instead up to two
 commuting involutions of its sphere grid that map it to itself
@@ -43,7 +42,8 @@ the grid carries:
   antipodal map (theta, phi) -> (pi - theta, phi + pi) (nphi even; even
   when l is even).
 On a 2^k grid every such graph declares two maps.  `compute_geometry`
-refuses a declared map the fields are not invariant under.
+refuses a declared map the fields are not invariant under, and a
+revolution mark as the one map of its two chart columns, their turn.
 """
 
 from __future__ import annotations

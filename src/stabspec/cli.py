@@ -40,18 +40,14 @@ def _load_cfg(args) -> cfgmod.Config:
     return cfgmod.merge_overrides(cfg, args.params)
 
 
-def _fmt(x) -> str:
-    return harness.fmt12(x) if isinstance(x, float) else str(x)
-
-
 def _print(rep: harness.Report) -> None:
     """Verdict, scenario and the body's scalars; then one line per CSV row."""
     status = {True: "[PASS] ", False: "[FAIL] ", None: ""}[rep.verdict]
-    head = " ".join(f"{k}={_fmt(v)}" for k, v in rep.body.items() if isinstance(v, float))
+    head = " ".join(f"{k}={harness.fmt12(v)}" for k, v in rep.body.items() if isinstance(v, float))
     tag = " (equality)" if rep.body.get("equality") else ""
     print(f"{status}{rep.scenario}: {head}{tag}")
     for row in rep.rows:
-        cells = " ".join(f"{col}={_fmt(row[col])}" for col in harness.CSV_COLUMNS[2:]
+        cells = " ".join(f"{col}={harness.fmt12(row[col])}" for col in harness.CSV_COLUMNS[2:]
                          if isinstance(row[col], float))
         print(f"  {row['resolution']}: {cells}")
 

@@ -156,17 +156,12 @@ def warping_from_config(cfg) -> wp.WarpingFunction:
         interval = get(cfg, "warping_interval", floats)  # required with warping_poly
         if len(interval) != 2:
             raise ConfigError("warping_interval must be a comma pair, e.g. -1,1")
-    if "warping_poly" in cfg:
-        coeffs = get(cfg, "warping_poly", floats)
-        try:
-            return wp.polynomial_warping(coeffs, interval)
-        except DomainError as err:
-            raise ConfigError(f"bad polynomial warping: {err}") from err
-    name = get(cfg, "warping", str, "product")
-    try:
-        return wp.builtin_warping(name, interval=interval)
+    try:  # `warping` stays unread when `warping_poly` overrides it
+        if "warping_poly" in cfg:
+            return wp.polynomial_warping(get(cfg, "warping_poly", floats), interval)
+        return wp.builtin_warping(get(cfg, "warping", str, "product"), interval=interval)
     except DomainError as err:
-        raise ConfigError(f"unknown warping {name!r}: {err}") from err
+        raise ConfigError(f"bad warping: {err}") from err
 
 
 def _read(key: str, parse=float, default=None):

@@ -29,15 +29,16 @@ principal curvatures h'/h.  On the 3-sphere the normal is oriented so
 that (position, chart_u, chart_v, normal) is a positively oriented frame
 of R^4; on warped ambients it has a non-negative d/dt component.
 
-A surface of revolution about v is evaluated on its meridian at v = 0
-and the next v column (the nu x 2 grid `ImmersedSurface.chart_grid`), and
-the one body runs over those nodes.  The two columns' fields must agree,
-which checks the mark; the meridian's are then repeated nv times along v,
-so the later stages read N-node fields either way, exactly constant along v.
-A surface may also declare grid maps it is invariant under
+A surface may declare grid maps it is invariant under
 (`ImmersedSurface.maps`, see `grids.NodeMap`): each field at a node's
 image must then equal its value at the node, and g^uv that value times the
-map's `cross_sign`, which checks the declaration.
+map's `cross_sign`, which checks the declaration.  A surface of revolution
+about v is evaluated on its meridian at v = 0 and the next v column (the
+nu x 2 grid `ImmersedSurface.chart_grid`), and the one body runs over
+those nodes.  Its mark is checked as the one map of that grid, the turn by
+one node along v (the half-turn of two columns); the meridian's fields are
+then repeated nv times along v, so the later stages read N-node fields
+either way, exactly constant along v.
 
 Gauss curvature comes from the Gauss equation of a surface in a
 3-dimensional ambient, K = R/2 - Ric(nu, nu) + k1 k2, with
@@ -72,12 +73,12 @@ __all__ = [
 
 UNIT_NORM_TOL = 1e-12
 DEGENERACY_REL_TOL = 1e-10
-# The fields of a surface of revolution's first two v columns, or a
-# surface's fields and their image under a map it declares, may differ by
+# A surface's fields and their image under a map it declares, the turn of
+# a surface of revolution's two chart columns among them, may differ by
 # this much, relative to max(1, |field|).  Marked catalog shapes differ
 # by at most 4e-14 at 8 to 1024 nodes per direction, and the catalog's
 # Y_l,m graphs from their images by at most 1.1e-13 at 8 to 512; a 24^2
-# perturbed torus (r 0.7, eps 0.05) marked by mistake differs by 0.31.
+# perturbed torus (r 0.7, eps 0.05) marked by mistake misses its turn by 0.57.
 SYMMETRY_TOL = 1e-10
 
 
@@ -114,13 +115,13 @@ class ImmersedSurface:
 
     A surface of revolution about v (`revolution=True`) has every node
     (i, j) the image of its meridian node (i, 0) under an ambient isometry,
-    so its chart is evaluated on the meridian and one further column, to
-    check the mark: `chart_grid` is then the nu x 2 grid of the first two
-    v columns, and `grid` otherwise.  The mark is kept as `revolution`,
-    which `assemble` reads to mark the pencil invariant along v.  `maps`
-    are commuting involutions of the grid (`grids.NodeMap`) that the
-    surface is invariant under; `compute_geometry` checks them, and
-    `assemble` hands them to the pencil.
+    so its chart is evaluated on the meridian and one further column:
+    `chart_grid` is then the nu x 2 grid of the first two v columns, and
+    `grid` otherwise.  `compute_geometry` checks the mark as the turn of
+    those two columns, and `assemble` reads it to mark the pencil invariant
+    along v.  `maps` are commuting involutions of the grid
+    (`grids.NodeMap`) that the surface is invariant under;
+    `compute_geometry` checks them, and `assemble` hands them to the pencil.
     """
 
     def __init__(self, chart, grid: Grid, warping: wp.WarpingFunction | None = None,
@@ -222,13 +223,6 @@ def _rows(f: GeometryFields) -> list:
             f.ricci_normal, c.ricci_tt, c.ricci_tangential, c.scalar]
 
 
-def _require_symmetry(gap: float, what: str):
-    """Refuse a declared symmetry whose fields miss their image by a
-    relative `gap` above SYMMETRY_TOL; `what` names the two."""
-    if gap > SYMMETRY_TOL:
-        raise DomainError(f"{what} differ by {gap:.3e} (tolerance {SYMMETRY_TOL:g})")
-
-
 def _check_maps(f: GeometryFields, grid: Grid, maps: tuple[NodeMap, ...]):
     """Refuse a declared map whose image of the fields is not the fields.
     Row by row, each row in cache: 6 ms at 256^2, against 24 ms on one
@@ -246,25 +240,23 @@ def _check_maps(f: GeometryFields, grid: Grid, maps: tuple[NodeMap, ...]):
             miss /= scale
             gaps[i] = max(gaps[i], float(np.max(miss)))
     for m, gap in zip(maps, gaps):
-        _require_symmetry(gap, f"chart declared invariant under {m} is not: its fields and "
-                          "their image")
+        if gap > SYMMETRY_TOL:
+            raise DomainError(f"chart declared invariant under {m}, which is not one of its "
+                              f"symmetries: its fields and their image differ by {gap:.3e} "
+                              f"(tolerance {SYMMETRY_TOL:g})")
 
 
 def _along_v(f: GeometryFields, nv: int) -> GeometryFields:
-    """The fields of a surface of revolution's first two v columns, checked
-    against each other, and the meridian's repeated nv times along v
-    (meridian node i becomes grid nodes i * nv to i * nv + nv - 1).  The
-    per-node arrays, the ambient's Ricci data among them, become rows of
-    one block: five 64/128/256 symmetric CLI ladders took 67 ms in one
-    process that way and 81 ms with one np.repeat per field, though the
-    copies alone cost the same (0.26 and 0.27 ms at 256^2, warm)."""
+    """The N-node fields of a surface of revolution: those of its meridian,
+    the first of its two chart columns, repeated nv times along v (meridian
+    node i becomes grid nodes i * nv to i * nv + nv - 1).  The per-node
+    arrays, the ambient's Ricci data among them, become rows of one block:
+    five 64/128/256 symmetric CLI ladders took 67 ms in one process that
+    way and 81 ms with one np.repeat per field, though the copies alone
+    cost the same (0.26 and 0.27 ms at 256^2, warm)."""
     values = _rows(f)
     live = [i for i, a in enumerate(values) if isinstance(a, np.ndarray)]
-    pair = np.array([values[i] for i in live]).reshape(len(live), -1, 2)
-    meridian, column = pair[..., 0], pair[..., 1]
-    gap = float(np.max(np.abs(column - meridian) / np.maximum(1.0, np.abs(meridian))))
-    _require_symmetry(gap, "chart marked as a surface of revolution about v is not one: its "
-                      "first two v columns' fields")
+    meridian = np.array([values[i][::2] for i in live])  # chart node 2 i is meridian node i
     block = np.repeat(meridian, nv, axis=1)
     for i, row in zip(live, block):
         values[i] = row
@@ -276,11 +268,12 @@ def compute_geometry(s: ImmersedSurface, want_gauss: bool = True) -> GeometryFie
 
     The body works on the component rows x[key] = bundle[key].T, (4, n)
     views of the chart's component-major storage at the n nodes of
-    `s.chart_grid`.  On a surface of revolution the meridian's fields are
-    then checked against the next column's and repeated nv times along v,
-    so every stage after this one reads N-node fields either way; the unit
-    and degeneracy checks lose nothing, since every other node is an
-    isometry image of a meridian node.
+    `s.chart_grid`.  The fields are checked against their image under
+    each declared map, which on a surface of revolution is the turn of its
+    two chart columns; its meridian's fields are then repeated nv times
+    along v, so every stage after this one reads N-node fields either way.
+    The unit and degeneracy checks lose nothing, since every other node is
+    an isometry image of a meridian node.
     """
     x = {key: arr.T for key, arr in s.bundle().items()}
     H, radial, hdh, curvature = _ambient(s.warping, x["0"])
@@ -330,10 +323,8 @@ def compute_geometry(s: ImmersedSurface, want_gauss: bool = True) -> GeometryFie
         ricci_normal=ricci,
         ambient_curvature=curvature,
     )
-    if s.revolution:
-        return _along_v(fields, s.grid.nv)
-    _check_maps(fields, s.grid, s.maps)
-    return fields
+    _check_maps(fields, s.chart_grid, (NodeMap(shift=1),) if s.revolution else s.maps)
+    return _along_v(fields, s.grid.nv) if s.revolution else fields
 
 
 def total_curvature(f: GeometryFields) -> float:

@@ -7,10 +7,11 @@ directory, or the directory of a tree of this repository.  Each golden
 command (`tests/test_golden.py`), then each refused run (`REFUSED`) and
 each generic-graph ladder (`GENERIC`), or each NAME given, runs once on
 each tree in a process of its own, with the two trees taking turns to go
-first.  Every JSON value, CSV cell, standard error line, exit code or
-presence of the `--out` directory that differs between the two is printed
-with the parent's value and this tree's.  The exit status is 0 when
-nothing moved and 1 otherwise.
+first.  Every JSON value, CSV cell, standard output or error line, exit
+code or presence of the `--out` directory that differs between the two is
+printed with the parent's value and this tree's; the run's own `--out`
+path reads OUT in standard output, since each side writes its own.  The
+exit status is 0 when nothing moved and 1 otherwise.
 """
 
 from __future__ import annotations
@@ -42,6 +43,9 @@ REFUSED = {
                                    "resolutions=8,12"],
     "refused_t12_warped": ["check", "t12", "shape=slice", "warping=cosh", "t0=0.3",
                            "resolutions=8,12"],
+    "refused_empty_warping_interval": ["slice-spectrum", "warping=cosh",
+                                       "warping_interval=1,1"],
+    "refused_unknown_warping": ["slice-spectrum", "warping=bogus"],
     "unconverged_fine_sphere": ["converge", "shape=geodesic-sphere", "rho=0.45",
                                 "resolutions=256,512,1024"],
 }
@@ -89,6 +93,8 @@ def outputs(tree: Path, args: list[str], out: Path) -> dict:
     done = subprocess.run([sys.executable, "-c", RUN, *args, "--out", str(out)],
                           cwd=tree, env=env, capture_output=True, text=True)
     found = {"exit code": done.returncode, "--out exists": out.exists()}
+    found.update({f"stdout[{i}]": line.replace(str(out), "OUT")
+                  for i, line in enumerate(done.stdout.splitlines())})
     found.update({f"stderr[{i}]": line for i, line in enumerate(done.stderr.splitlines())})
     for path in sorted(out.glob("*.json")):
         found.update(_leaves(json.loads(path.read_text()), path.name))

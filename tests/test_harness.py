@@ -396,11 +396,16 @@ def test_warping_from_config():
     poly = cfgmod.warping_from_config(
         {"warping_poly": "1,0,0.5", "warping_interval": "-1,1"})
     assert poly.h(0.5) == pytest.approx(1.125)
-    for bad in ({"warping": "nope"},
-                {"warping_poly": "1,0,0.5", "warping_interval": "1,-1"},
-                {"warping_poly": "-1", "warping_interval": "-1,1"},
-                {"warping": "sphere", "warping_interval": "-1,1"}):
-        with pytest.raises(ConfigError):
+    # the warping module's own message, under one prefix
+    for bad, match in (
+            ({"warping": "nope"}, "^bad warping: unknown warping 'nope'; known: product"),
+            ({"warping_poly": "1,0,0.5", "warping_interval": "1,-1"},
+             r"^bad warping: interval must be a finite non-empty range, got \(1.0, -1.0\)$"),
+            ({"warping_poly": "-1", "warping_interval": "-1,1"},
+             r"^bad warping: profile 'poly\[-1\]' is not positive on"),
+            ({"warping": "sphere", "warping_interval": "-1,1"},
+             "^bad warping: profile 'sphere' is not positive on")):
+        with pytest.raises(ConfigError, match=match):
             cfgmod.warping_from_config(bad)
 
 
