@@ -57,7 +57,11 @@ data alone:
   mapping r to x.  `_fold` forms each block from A's CSR rows at those r
   by index arithmetic alone: the entry of row r in column y goes to the
   vector of y's orbit O_y times chi(g_y) sqrt(|O_r| / |O_y|); the block is
-  then symmetrized, and its mass is d at r.  The block of the trivial
+  then symmetrized, its CSR arrays cut to its own nnz, and its mass is d at
+  r.  A block keeps no N-node array: all blocks share one orbit record
+  (each node's least orbit node, the element mapping the node there and the
+  orbit size, in int32/int8 arrays), and `_spread` forms a window vector on
+  the N nodes from it.  The block of the trivial
   character, which holds the ground state, is solved first by the window
   rule for k.  Every other block is first counted at the current window
   limit L (the value a further eigenvalue would have to stay under to
@@ -259,14 +263,22 @@ def _lanczos_window(a, d, sigma, k, v0, tol, need=0, below=np.inf):
     return vals[:size], vecs[:, :size], res[:size], vals[-1]
 
 
+def _character(c: int, order: int) -> np.ndarray:
+    """chi[g] of character c of the group of `order` (2 or 4) that the
+    maps generate, element g the product of the maps whose bits it sets:
+    -1 where g has an odd number of bits in common with c, else 1."""
+    return np.array([(-1.0) ** bin(c & g).count("1") for g in range(order)])
+
+
 def _fold(pencil: OperatorPencil):
-    """One block (B, d, col, coef) per character chi of the group that the
-    pencil's maps generate, the trivial character first (see the module
-    docstring).  A block vector z is the N-node vector coef * z[col]: node
-    x of an orbit O that chi lives on has coef[x] = chi(g) / sqrt(|O|), g
-    the element mapping x to O's least node, and col[x] the orbit's place
-    in the block; elsewhere coef is 0.  Where A commutes with the maps,
-    B = Q^T A Q for the orthonormal Q of those vectors."""
+    """(blocks, orbits): one block (B, d, domain) per character chi of the
+    group that the pencil's maps generate, the trivial character first, with
+    `domain` the least nodes of the orbits chi lives on in block order and d
+    the mass there; and the orbit record (least, element, size) by node that
+    all blocks share (see the module docstring).  Where A commutes with the
+    maps, B = Q^T A Q for the orthonormal Q of the block vectors (`_spread`).
+    B keeps arrays of its own nnz, where a CSR sum keeps buffers for the nnz
+    of both terms."""
     a, n = pencil.stiffness_minus_potential, pencil.node_count
     images = [np.arange(n)]  # images[g][x]: the image of node x under element g
     for m in pencil.maps:
@@ -282,7 +294,7 @@ def _fold(pencil: OperatorPencil):
     scaled = 0.5 * rows.data * np.sqrt(size[owner])  # halved for the symmetrization
     blocks = []
     for c in range(len(images)):
-        chi = np.array([(-1.0) ** bin(c & g).count("1") for g in range(len(images))])
+        chi = _character(c, len(images))
         # chi lives on an orbit unless it is -1 on an element fixing the orbit
         kept = ~np.any(fixed & (chi < 0)[:, None], axis=0)
         coef = np.where(kept, chi[to_least] / np.sqrt(size), 0.0)
@@ -294,8 +306,23 @@ def _fold(pencil: OperatorPencil):
         half = sp_sparse.csr_matrix(
             (scaled[on] * weight[on], (place[owner[on]], place[least[rows.indices[on]]])),
             shape=(domain.size,) * 2)
-        blocks.append((half + half.T, pencil.mass_diagonal[domain], place[least], coef))
-    return blocks
+        b = half + half.T
+        b.data, b.indices = b.data.copy(), b.indices.copy()
+        blocks.append((b, pencil.mass_diagonal[domain], domain.astype(np.int32)))
+    return blocks, (least.astype(np.int32), to_least.astype(np.int8), size.astype(np.int8))
+
+
+def _spread(orbits, chi, domain, z) -> np.ndarray:
+    """The N-node vector of a vector z of the block of character chi, with
+    domain `domain`: coef * z[col], where node x of an orbit O that chi
+    lives on has coef[x] = chi(g) / sqrt(|O|), g the element mapping x to
+    O's least node, and col[x] the orbit's place in the block; elsewhere
+    coef is 0."""
+    least, element, size = orbits
+    place = np.zeros(least.size, dtype=np.int64)
+    place[domain] = np.arange(domain.size)
+    coef = np.where(np.isin(least, domain), chi[element] / np.sqrt(size, dtype=float), 0.0)
+    return coef * z[place[least]]
 
 
 def _shifted(a, d, shift):
@@ -320,7 +347,7 @@ def _count_below(b, d, limit) -> int | None:
     return int(np.count_nonzero(lu.U.diagonal() < 0.0))
 
 
-def _solve_blocks(blocks, k, sigma, tol, rng):
+def _solve_blocks(blocks, orbits, k, sigma, tol, rng):
     """The N-node vectors of the window of k, cut from pairs found and
     judged on the symmetry blocks of `_fold` (see the module docstring)."""
     b, d = blocks[0][:2]
@@ -346,8 +373,8 @@ def _solve_blocks(blocks, k, sigma, tol, rng):
     size, _ = _window(values, k)
     vectors = []
     for i, j in (owner[at] for at in np.argsort(values, kind="stable")[:size]):
-        _, _, col, coef = blocks[i]
-        vectors.append(coef * found[i][1][col, j])
+        vectors.append(_spread(orbits, _character(i, len(blocks)), blocks[i][2],
+                               found[i][1][:, j]))
     return np.column_stack(vectors)
 
 
@@ -372,10 +399,11 @@ def smallest_eigenpairs(
             raise DomainError("sparse path needs k < node_count - 1")
         sigma = -float(np.max(pencil.potential)) - 1.0
         rng = np.random.default_rng(seed)
-        blocks = _fold(pencil) if pencil.maps else []
+        blocks, orbits = _fold(pencil) if pencil.maps else ([], None)
         # every block must hold the widest window of k
         if blocks and min(block[1].size for block in blocks) >= 4 * (k + 2) + 2:
-            vals, vecs, res = _exact_pairs(a, d, _solve_blocks(blocks, k, sigma, tol, rng))
+            vals, vecs, res = _exact_pairs(
+                a, d, _solve_blocks(blocks, orbits, k, sigma, tol, rng))
         else:
             vals, vecs, res, _ = _lanczos_window(a, d, sigma, k, rng.standard_normal(n), tol)
     else:

@@ -224,9 +224,7 @@ def _require_warped(surface, fields) -> dict:
 
 def _convexity_hypothesis(surface, fields) -> dict:
     _require_warped(surface, fields)
-    w = surface.warping
-    t = surface.bundle()["0"][:, 0]
-    cond_min, cond_arg = wp.condition_strictness(w, (float(np.min(t)), float(np.max(t))))
+    cond_min, cond_arg = wp.condition_strictness(surface.warping, fields.t_range)
     if cond_min <= 0.0:
         raise HypothesisError(
             f"strict convexity condition fails at t = {cond_arg:.6g} "

@@ -6,8 +6,12 @@ with metric dt^2 + h(t)^2 ds^2.  From the chart's derivative bundle this
 module produces the nodal fields that assembly and the checks read: the
 inverse induced metric, the area element, the mean curvature, the squared
 norm of the shape operator, Ric(nu, nu), the ambient's Ricci data, and on
-request the Gauss curvature.  The induced metric, the unit normal and the
-second fundamental form are intermediates and are not kept.
+request the Gauss curvature, and on a warped ambient the t range of the
+chart values.  The induced metric, the unit normal, the second fundamental
+form and the chart's bundle itself are intermediates and are not kept: a
+surface evaluates its chart when asked and caches nothing, so
+`compute_geometry` evaluates it once per call and no bundle stays alive
+through assembly and the solve.
 
 One body serves both ambients.  Chart values are points of R^4 (the
 position on the 3-sphere, or (t, w) with w on the unit 2-sphere), and
@@ -134,7 +138,6 @@ class ImmersedSurface:
         self.revolution = revolution
         self.maps = maps
         self.chart_grid = replace(grid, nv=2, v=grid.v[:2]) if revolution else grid
-        self._bundle: dict[str, np.ndarray] | None = None
 
     @property
     def node_count(self) -> int:
@@ -146,22 +149,16 @@ class ImmersedSurface:
 
     def bundle(self) -> dict[str, np.ndarray]:
         """Chart derivative arrays through order 2 at the nodes of
-        `chart_grid`, keyed by `charts.BUNDLE_KEYS`.
-
-        The chart is evaluated once, and every later request is served
-        from that cached bundle.
-        """
-        if self._bundle is None:
-            self._bundle = self.chart.evaluate(self.chart_grid)
-        return self._bundle
+        `chart_grid`, keyed by `charts.BUNDLE_KEYS`, evaluated on every
+        call: nothing is cached, so no bundle outlives its one reader on a
+        rung, `compute_geometry`, which hands on the t range the convexity
+        hypothesis reads."""
+        return self.chart.evaluate(self.chart_grid)
 
     def points(self) -> np.ndarray:
-        """(N, 4) chart values at every node of `grid`.  Only balancing
-        reads a surface of revolution off its meridian, once per balance: it
-        pays one full-grid evaluation and gets a C-contiguous copy of the
-        values alone, not a view keeping the full-grid bundle alive."""
-        if not self.revolution:
-            return self.bundle()["0"]
+        """(N, 4) chart values at every node of `grid`, as a C-contiguous
+        copy of the values alone, not a view keeping the full-grid bundle
+        alive.  Only balancing reads them, once per balance."""
         return self.chart.evaluate(self.grid)["0"].copy()
 
 
@@ -178,6 +175,9 @@ class GeometryFields:
     ricci_normal: (N,) ambient Ric(normal, normal)
     ambient_curvature: Ricci data (Ric_tt, Ric_tan, R) of the ambient, the
                   one ambient fact every bound reads; (2, 2, 6) on the 3-sphere
+    t_range:      (min, max) of the chart's t at the nodes of `chart_grid` on
+                  a warped ambient, the range the convexity hypothesis scans;
+                  None on the 3-sphere
     """
 
     metric_inv: np.ndarray
@@ -187,6 +187,7 @@ class GeometryFields:
     gauss_curv: np.ndarray | None
     ricci_normal: np.ndarray
     ambient_curvature: wp.AmbientCurvature
+    t_range: tuple[float, float] | None
 
 
 def _cross4(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -260,7 +261,8 @@ def _along_v(f: GeometryFields, nv: int) -> GeometryFields:
     block = np.repeat(meridian, nv, axis=1)
     for i, row in zip(live, block):
         values[i] = row
-    return GeometryFields(block[:3], *values[3:8], wp.AmbientCurvature(*values[8:]))
+    return GeometryFields(block[:3], *values[3:8], wp.AmbientCurvature(*values[8:]),
+                          f.t_range)
 
 
 def compute_geometry(s: ImmersedSurface, want_gauss: bool = True) -> GeometryFields:
@@ -322,6 +324,7 @@ def compute_geometry(s: ImmersedSurface, want_gauss: bool = True) -> GeometryFie
         gauss_curv=gauss,
         ricci_normal=ricci,
         ambient_curvature=curvature,
+        t_range=None if s.is_sphere3 else (float(np.min(x["0"][0])), float(np.max(x["0"][0]))),
     )
     _check_maps(fields, s.chart_grid, (NodeMap(shift=1),) if s.revolution else s.maps)
     return _along_v(fields, s.grid.nv) if s.revolution else fields

@@ -10,8 +10,11 @@ each tree in a process of its own, with the two trees taking turns to go
 first.  Every JSON value, CSV cell, standard output or error line, exit
 code or presence of the `--out` directory that differs between the two is
 printed with the parent's value and this tree's; the run's own `--out`
-path reads OUT in standard output, since each side writes its own.  The
-exit status is 0 when nothing moved and 1 otherwise.
+path reads OUT in standard output, since each side writes its own.  Each
+command's peak resident memory on either tree (the child's `ru_maxrss`,
+from `os.wait4`) is printed too, so a change aimed at memory shows its
+effect next to the report diff; it is no move.  The exit status is 0 when
+nothing moved and 1 otherwise.
 """
 
 from __future__ import annotations
@@ -87,15 +90,22 @@ def _leaves(value, path: str) -> dict:
     return {path: value}
 
 
-def outputs(tree: Path, args: list[str], out: Path) -> dict:
-    """{where: value} of everything one CLI run on `tree` leaves behind."""
+def outputs(tree: Path, args: list[str], out: Path) -> tuple[dict, float]:
+    """({where: value} of everything one CLI run on `tree` leaves behind,
+    the run's peak resident memory in MB)."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), OPENBLAS_NUM_THREADS="1")
-    done = subprocess.run([sys.executable, "-c", RUN, *args, "--out", str(out)],
-                          cwd=tree, env=env, capture_output=True, text=True)
-    found = {"exit code": done.returncode, "--out exists": out.exists()}
+    with tempfile.TemporaryFile("w+") as stdout, tempfile.TemporaryFile("w+") as stderr:
+        child = subprocess.Popen([sys.executable, "-c", RUN, *args, "--out", str(out)],
+                                 cwd=tree, env=env, stdout=stdout, stderr=stderr, text=True)
+        _, status, usage = os.wait4(child.pid, 0)  # reaps it with its own rusage
+        child.returncode = os.waitstatus_to_exitcode(status)
+        stdout.seek(0)
+        stderr.seek(0)
+        lines = {"stdout": stdout.read().splitlines(), "stderr": stderr.read().splitlines()}
+    found = {"exit code": child.returncode, "--out exists": out.exists()}
     found.update({f"stdout[{i}]": line.replace(str(out), "OUT")
-                  for i, line in enumerate(done.stdout.splitlines())})
-    found.update({f"stderr[{i}]": line for i, line in enumerate(done.stderr.splitlines())})
+                  for i, line in enumerate(lines["stdout"])})
+    found.update({f"stderr[{i}]": line for i, line in enumerate(lines["stderr"])})
     for path in sorted(out.glob("*.json")):
         found.update(_leaves(json.loads(path.read_text()), path.name))
     for path in sorted(out.glob("*.csv")):
@@ -103,7 +113,7 @@ def outputs(tree: Path, args: list[str], out: Path) -> dict:
             found.update({f"{path.name}[{i}][{j}]": cell
                           for i, row in enumerate(csv.reader(fh))
                           for j, cell in enumerate(row)})
-    return found
+    return found, usage.ru_maxrss / 1024.0  # ru_maxrss is in KiB on Linux
 
 
 def moves(parent: dict, change: dict) -> list[str]:
@@ -114,31 +124,41 @@ def moves(parent: dict, change: dict) -> list[str]:
             if parent.get(where, missing) != change.get(where, missing)]
 
 
+def golden_commands() -> dict:
+    """`test_golden.COMMANDS`, read in a process of its own.  A child's
+    `ru_maxrss` starts at the resident memory of the process that starts
+    it, so this one imports neither numpy nor the package."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, "-c", "import json, test_golden; "
+                           "print(json.dumps(test_golden.COMMANDS))"],
+                          cwd=ROOT / "tests", env=env, capture_output=True, text=True, check=True)
+    return json.loads(done.stdout)
+
+
 def main(argv: list[str]) -> int:
     if not argv:
         print(__doc__, file=sys.stderr)
         return 2
-    from test_golden import COMMANDS
-
-    commands = {**COMMANDS, **REFUSED, **GENERIC}
+    commands = {**golden_commands(), **REFUSED, **GENERIC}
     names = argv[1:] or list(commands)
     moved = 0
     with tempfile.TemporaryDirectory() as tmp:
         parent = unpack(argv[0], Path(tmp) / "parent")
         for turn, name in enumerate(names):
-            got = {}
+            got, peak = {}, {}
             trees = [("parent", parent), ("change", ROOT)]
             for side, tree in trees if turn % 2 == 0 else trees[::-1]:
                 out = Path(tmp) / "out" / side / name
-                got[side] = outputs(tree, commands[name], out)
+                got[side], peak[side] = outputs(tree, commands[name], out)
             lines = moves(got["parent"], got["change"])
             moved += len(lines)
             for line in lines:
                 print(f"{name} {line}")
+            print(f"{name} peak MB: parent {peak['parent']:.1f}, change {peak['change']:.1f} "
+                  f"({peak['change'] / peak['parent'] - 1.0:+.1%})")
     print(f"{moved} moved in {len(names)} commands")
     return 1 if moved else 0
 
 
 if __name__ == "__main__":
-    sys.path.insert(0, str(ROOT / "src"))
     sys.exit(main(sys.argv[1:]))

@@ -236,8 +236,8 @@ def test_graphs_declare_the_maps_their_grid_carries(pert, resolution, maps):
 @pytest.mark.parametrize("want_gauss", [True, False])
 def test_a_wrong_revolution_mark_is_refused(want_gauss):
     # a perturbed torus is no surface of revolution: the fields of its first
-    # two v columns differ by 0.31 (K by 0.41), where marked shapes agree
-    # to 4e-14; trusted, the mark would give a wrong reduced spectrum
+    # two v columns differ by 5.677e-01, where marked shapes agree to 4e-14;
+    # trusted, the mark would give a wrong reduced spectrum
     s = ss.build(ss.perturbed_torus(0.7, 0.05, 3, (24, 24)))
     marked = ss.ImmersedSurface(s.chart, s.grid, revolution=True)
     with pytest.raises(DomainError, match="is not one") as err:
@@ -254,10 +254,16 @@ def test_the_grid_owns_the_resolution_floor():
 
 
 def test_points_of_a_surface_of_revolution_hold_the_values_alone():
-    s = ss.build(ss.geodesic_sphere(1.0, (16, 16)))
-    points = s.points()
-    assert points.shape == (256, 4) and points.flags.c_contiguous
-    assert points.base is None  # not a view keeping the full-grid bundle alive
+    # and those of a full-grid graph: a copy the caller owns either way, since
+    # a view into a kept bundle would let a write to the points corrupt it
+    for spec in (ss.geodesic_sphere(1.0, (16, 16)),
+                 ss.graph_over_slice("cosh", 0.3, "Y2,1", 0.05, (16, 16))):
+        s = ss.build(spec)
+        ss.compute_geometry(s)
+        points = s.points()
+        assert points.shape == (256, 4) and points.flags.c_contiguous
+        assert points.base is None  # not a view keeping the full-grid bundle alive
+        np.testing.assert_array_equal(points, s.chart.evaluate(s.grid)["0"])
 
 
 def test_graph_spectrum_has_no_closed_form():

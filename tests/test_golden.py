@@ -182,10 +182,15 @@ def test_compare_parent_finds_no_move_against_a_copy_of_this_tree(tmp_path, caps
     for part in ("src", "configs"):
         shutil.copytree(ROOT / part, tmp_path / part,
                         ignore=shutil.ignore_patterns("__pycache__"))
-    assert compare_parent.main([str(tmp_path), "check_t11", "converge",
-                                "refused_sphere_genus"]) == 0
-    assert capsys.readouterr().out == "0 moved in 3 commands\n"
+    names = ["check_t11", "converge", "refused_sphere_genus"]
+    assert compare_parent.main([str(tmp_path), *names]) == 0
+    # one peak-memory line per command, which is no move
+    *peaks, last = capsys.readouterr().out.splitlines()
+    assert last == "0 moved in 3 commands"
+    assert [re.fullmatch(r"(\S+) peak MB: parent [\d.]+, change [\d.]+ \([-+][\d.]+%\)",
+                         line)[1] for line in peaks] == names
     # a refused run is recorded by its exit code, stderr and missing --out
-    got = compare_parent.outputs(ROOT, compare_parent.REFUSED["refused_sphere_genus"],
-                                 tmp_path / "out")
+    got, peak = compare_parent.outputs(ROOT, compare_parent.REFUSED["refused_sphere_genus"],
+                                       tmp_path / "out")
     assert (got["exit code"], got["--out exists"], len(got)) == (2, False, 3)
+    assert peak > 10.0  # MB: an interpreter that imported numpy and scipy

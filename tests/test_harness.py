@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import gc
 import json
 import math
 import os
@@ -10,12 +11,14 @@ import pathlib
 import subprocess
 import sys
 import warnings
+import weakref
 
 import numpy as np
 import pytest
 
 import stabspec as ss
 import stabspec.config as cfgmod
+import stabspec.eigen as eigen
 import stabspec.harness as harness
 import stabspec.surfaces as surfaces
 from stabspec.charts import JetChart
@@ -770,6 +773,38 @@ def test_each_surface_evaluates_its_chart_once(tmp_path, monkeypatch, argv, grid
     assert [(nu, nv) for _, nu, nv in log] == grids
     charts = [chart for chart, _, _ in log]
     assert len({id(c) for c in charts}) == (1 if argv[0] == "balance-bound" else len(log))
+
+
+def test_a_rung_holds_only_what_its_later_stages_read(monkeypatch):
+    # the chart's bundle dies with the geometry pass, the t13 hypothesis
+    # included, and the symmetry blocks that live through every factor hold
+    # buffers of their own size and no N-node array
+    calls, arrays = [], []  # weak references to each array and the buffer under it
+    real = JetChart.evaluate
+
+    def logged(chart, grid):
+        bundle = real(chart, grid)
+        calls.append(grid)
+        for a in bundle.values():
+            while a is not None:
+                arrays.append(weakref.ref(a))
+                a = a.base
+        return bundle
+
+    monkeypatch.setattr(JetChart, "evaluate", logged)
+    s = ss.build(ss.graph_over_slice("cosh", 0.3, "Y2,1", 0.05, (32, 32)))
+    fields = ss.compute_geometry(s)
+    harness._CHECKS["t13"][1](s, fields)
+    gc.collect()
+    assert len(calls) == 1 and all(ref() is None for ref in arrays)
+    n = s.node_count
+    blocks, orbits = eigen._fold(ss.assemble(s, fields))
+    assert len(blocks) == 4
+    for b, *arrays in blocks:
+        for a in (b.data, b.indices):
+            assert a.base is None and a.size == b.nnz
+        assert max(b.shape[0], b.indptr.size, *(a.size for a in arrays)) < n
+    assert [(a.size, a.dtype) for a in orbits] == [(n, np.int32), (n, np.int8), (n, np.int8)]
 
 
 def test_every_error_class_has_an_exit_code():
