@@ -43,7 +43,8 @@ the grid carries:
   when l is even).
 On a 2^k grid every such graph declares two maps.  `compute_geometry`
 refuses a declared map the fields are not invariant under, and a
-revolution mark as the one map of its two chart columns, their turn.
+revolution mark as the one map of its two chart columns, their turn; a
+surface refuses a mark declared with maps.
 """
 
 from __future__ import annotations

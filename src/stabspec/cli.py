@@ -83,15 +83,15 @@ def _run_slice_spectrum(args, cfg):
 
 
 def _run_check(args, cfg):
-    resolutions = cfgmod.resolutions_from_config(cfg, [24, 48, 96])
-    spec = cfgmod.shape_from_config(cfg, (resolutions[0], resolutions[0]))
+    resolutions = cfgmod.get(cfg, "resolutions", cfgmod.ints, [24, 48, 96])
+    spec = cfgmod.shape_from_config(cfg)
     seed = _seed(cfg)
     return lambda: [harness.check_theorem(args.theorem, spec, resolutions, seed=seed)]
 
 
 def _run_sweep(args, cfg):
     seed = _seed(cfg)
-    resolutions = cfgmod.resolutions_from_config(cfg, [48, 96])
+    resolutions = cfgmod.get(cfg, "resolutions", cfgmod.ints, [48, 96])
     if args.family == "flat-torus":
         rs = cfgmod.get(cfg, "rs", cfgmod.floats,
                         [0.45, 0.5, 0.55, 0.6, 0.65, 0.7071067811865476, 0.75])
@@ -105,15 +105,15 @@ def _run_sweep(args, cfg):
 
 
 def _run_converge(args, cfg):
-    resolutions = cfgmod.resolutions_from_config(cfg, [32, 64, 128])
-    spec = cfgmod.shape_from_config(cfg, (resolutions[0], resolutions[0]))
+    resolutions = cfgmod.get(cfg, "resolutions", cfgmod.ints, [32, 64, 128])
+    spec = cfgmod.shape_from_config(cfg)
     seed = _seed(cfg)
     return lambda: [harness.convergence_study(spec, resolutions, seed=seed)]
 
 
 def _run_balance_bound(args, cfg):
     resolution = cfgmod.get(cfg, "resolution", int, 96)
-    spec = cfgmod.shape_from_config(cfg, (resolution, resolution))
+    spec = cfgmod.shape_from_config(cfg)
     seed = _seed(cfg)
     return lambda: [harness.balance_bound_scenario(spec, resolution, seed=seed)]
 

@@ -42,7 +42,6 @@ __all__ = [
     "ints",
     "warping_from_config",
     "shape_from_config",
-    "resolutions_from_config",
 ]
 
 # The recognized keys, as listed above and in the README key table.
@@ -169,8 +168,8 @@ def _read(key: str, parse=float, default=None):
     return lambda cfg: get(cfg, key, parse, default)
 
 
-# shape= value -> (catalog constructor, readers of its arguments before the
-# resolution, in order).
+# shape= value -> (catalog constructor, readers of its arguments, in order);
+# the constructor's default resolution stands, since each rung sets its own.
 SHAPES = {
     "clifford-torus": (catalog.clifford_torus, ()),
     "flat-torus": (catalog.flat_torus, (_read("r"),)),
@@ -184,22 +183,14 @@ SHAPES = {
 }
 
 
-def shape_from_config(cfg, resolution=(64, 64)) -> catalog.ShapeSpec:
+def shape_from_config(cfg) -> catalog.ShapeSpec:
     kind = get(cfg, "shape", str)
     if kind not in SHAPES:
         raise ConfigError(f"unknown shape {kind!r}; expected one of {', '.join(SHAPES)}")
     make, readers = SHAPES[kind]
     args = [read(cfg) for read in readers]
     try:
-        return make(*args, resolution)
+        return make(*args)
     except DomainError as err:
         raise ConfigError(f"cannot build shape {kind!r}: {err}") from err
 
-
-def resolutions_from_config(cfg, default) -> list[int]:
-    res = get(cfg, "resolutions", ints, default)
-    if any(n < 8 for n in res):
-        raise ConfigError("resolutions must be at least 8")
-    if any(a >= b for a, b in zip(res, res[1:])):
-        raise ConfigError("resolutions must be strictly increasing")
-    return res

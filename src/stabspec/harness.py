@@ -64,17 +64,11 @@ DEFAULT_EIGEN_COUNT = 2
 def richardson_extrapolate(values, spacings) -> tuple[float, float]:
     """(extrapolated value, error estimate) assuming second-order bias.
 
-    Uses the finest two entries; fewer than two entries give no error
-    estimate and raise DomainError.
+    Uses the finest two entries of a strictly refining ladder, which
+    `_steps` checks before any rung is built.
     """
-    values = [float(v) for v in values]
-    if len(values) < 2:
-        raise DomainError("Richardson extrapolation needs at least two values")
-    h_coarse, h_fine = float(spacings[-2]), float(spacings[-1])
-    ratio = h_coarse / h_fine
-    if ratio <= 1.0:
-        raise DomainError("resolutions must be strictly increasing")
-    fine, coarse = values[-1], values[-2]
+    ratio = float(spacings[-2]) / float(spacings[-1])
+    fine, coarse = float(values[-1]), float(values[-2])
     correction = (fine - coarse) / (ratio**2 - 1.0)
     return fine + correction, abs(correction)
 
@@ -92,9 +86,6 @@ def observed_order(values, spacings):
     r1, r2 = h1 / h2, h2 / h3
     if abs(r1 - r2) > 1e-9 * r1:
         warnings.warn("refinement ratios differ; observed order skipped")
-        return None
-    if r1 <= 1.0:
-        warnings.warn("refinement ratio 1 leaves the convergence order undefined")
         return None
     d1, d2 = v2 - v1, v3 - v2
     if d2 == 0.0 or d1 == 0.0:
@@ -162,11 +153,15 @@ def _ladder(spec: catalog.ShapeSpec, resolutions, seed: int, measure,
 def _steps(spec, resolutions, seed, bound_fn, hypothesis=None):
     """(hypothesis result, the JSON `results` entry of each resolution).
 
-    A verdict needs a discretization-error estimate, so fewer than two
-    resolutions raise DomainError before any of them is built.
+    A verdict needs a discretization-error estimate from a strictly
+    refining ladder, so fewer than two resolutions, or resolutions that do
+    not increase, raise DomainError before any of them is built.  The
+    grid's floor of 8 refuses the coarsest rung, built first.
     """
     if len(resolutions) < 2:
         raise DomainError("a check or study needs at least two resolutions")
+    if any(a >= b for a, b in zip(resolutions, resolutions[1:])):
+        raise DomainError("resolutions must be strictly increasing")
 
     def measure(surface, fields, pencil, spectrum):
         lam = spectrum.eigenvalues

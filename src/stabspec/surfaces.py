@@ -126,12 +126,17 @@ class ImmersedSurface:
     along v.  `maps` are commuting involutions of the grid
     (`grids.NodeMap`) that the surface is invariant under;
     `compute_geometry` checks them, and `assemble` hands them to the pencil.
+    A surface declares one or the other: the two chart columns of a marked
+    surface can check no map but their turn.
     """
 
     def __init__(self, chart, grid: Grid, warping: wp.WarpingFunction | None = None,
                  revolution: bool = False, maps: tuple[NodeMap, ...] = ()):
         if warping is not None and not isinstance(warping, wp.WarpingFunction):
             raise UnsupportedAmbientError(f"unsupported ambient warping {warping!r}")
+        if revolution and maps:
+            raise DomainError("a surface of revolution declares no grid maps: its two "
+                              f"chart columns cannot check {', '.join(map(str, maps))}")
         self.warping = warping
         self.chart = chart
         self.grid = grid

@@ -36,6 +36,10 @@ RUN = "import sys; from stabspec.cli import main; sys.exit(main(sys.argv[1:]))"
 # exit 3 on the fine sphere ladder whose residual check fails (ROADMAP item 5)
 REFUSED = {
     "refused_coarse_ladder": ["check", "t11", "shape=flat-torus", "r=0.6", "resolutions=4,8"],
+    "refused_decreasing_ladder": ["check", "t11", "shape=flat-torus", "r=0.6",
+                                  "resolutions=16,8"],
+    "refused_repeated_rung": ["converge", "shape=geodesic-sphere", "rho=1.0",
+                              "resolutions=16,16,32"],
     "refused_unknown_key": ["check", "t11", "shape=flat-torus", "r=0.6", "resolutions=8,12",
                             "bogus=1"],
     "refused_sphere_genus": ["check", "t11", "shape=geodesic-sphere", "rho=1.0",

@@ -26,7 +26,7 @@ from stabspec.eigen import (
     eigenvalue_multiplicity,
 )
 from stabspec.errors import DomainError, NonConvergenceError
-from stabspec.grids import NodeMap, torus_grid
+from stabspec.grids import NodeMap, sphere_grid, torus_grid
 
 from oracles import dense_window, unmarked
 
@@ -326,13 +326,17 @@ def _one_node_off(size):
     return ss.assemble(s, replace(f, metric_inv=value))
 
 
-def _sheared(revolution=False):
+def _sheared_surface(revolution=False, maps=()):
     """The 16x16 Clifford torus charted by (u, v + u): a surface of
     revolution about v with a mixed metric term."""
     c = math.sqrt(2) / 2
     sheared = JetChart(lambda u, v: (c * _jet_cos(u), c * _jet_sin(u),
                                      c * _jet_cos(v + u), c * _jet_sin(v + u)))
-    s = ss.ImmersedSurface(sheared, torus_grid(16, 16), revolution=revolution)
+    return ss.ImmersedSurface(sheared, torus_grid(16, 16), revolution=revolution, maps=maps)
+
+
+def _sheared(revolution=False):
+    s = _sheared_surface(revolution)
     return ss.assemble(s, ss.compute_geometry(s, want_gauss=False))
 
 
@@ -499,6 +503,25 @@ def test_reduced_path_solves_dense_blocks_on_a_torus_grid(monkeypatch):
     # mode-0 window: k + 2 = 8 settle each block in one solve
     _, counts = _block_solves(monkeypatch, _pencil(ss.flat_torus(0.6, (32, 32))), 6)
     assert counts == {"eigh": [8, 8, 8], "eigh_tridiagonal": []}
+
+
+def test_reduced_path_widens_a_block_whose_window_ends_in_a_cluster(monkeypatch):
+    # an 8 x 12 sphere-grid pencil whose u faces conduct 1e-9: the 8 values
+    # of mode 0 lie within 4e-9, one cluster, so its solve of k + 1 = 3
+    # values doubles to 6 and then takes the whole block; mode 1 lies 0.27
+    # above and is solved once
+    cu = np.full((8, 1), 1e-9)
+    cu[-1] = 0.0  # no face past the last latitude row
+    cv = np.ones((8, 1))
+    p = ss.OperatorPencil(csr=None, mass_diagonal=np.ones(96), potential=np.zeros(96),
+                          grid=sphere_grid(8, 12),
+                          meridian=(cu, cv, (cu + np.roll(cu, 1, axis=0)) + 2.0 * cv))
+    dense, _ = dense_window(p, 2)
+    sp_, counts = _block_solves(monkeypatch, p, 2)
+    assert counts == {"eigh": [], "eigh_tridiagonal": [3, 6, 8, 3]}
+    assert sp_.eigenvalues.size == dense.size == 8
+    np.testing.assert_allclose(sp_.eigenvalues, dense, rtol=0, atol=1e-13)
+    assert float(np.max(sp_.residuals)) <= 1e-9
 
 
 @pytest.mark.parametrize("spec", [ss.slice_shape("cosh", 0.3, (128, 128)),
@@ -684,6 +707,46 @@ def test_a_block_without_a_count_is_solved_whole(monkeypatch):
     np.testing.assert_allclose(got.eigenvalues, want.eigenvalues, rtol=0, atol=1e-12)
 
 
+def test_one_block_without_a_count_is_solved_for_k(monkeypatch):
+    # the first block counted gets no count: it is solved for k values and
+    # never counted again, the others are counted, and the window is the
+    # unsplit one
+    p = _pencil(ss.graph_over_slice("cosh", 0.3, "Y2,1", 0.05, (16, 16)))
+    real_count, real_window = eigen._count_below, eigen._lanczos_window
+    counted, solved = [], []
+
+    def count(b, d, limit):
+        counted.append(id(b))
+        return None if len(counted) == 1 else real_count(b, d, limit)
+
+    def window(b, d, sigma, k, v0, tol, need=0, below=np.inf):
+        solved.append((id(b), k, need))
+        return real_window(b, d, sigma, k, v0, tol, need, below)
+
+    monkeypatch.setattr(eigen, "_count_below", count)
+    monkeypatch.setattr(eigen, "_lanczos_window", window)
+    split = ss.smallest_eigenpairs(p, 2)
+    assert len(set(counted)) == len(counted) == 3
+    assert solved[1] == (counted[0], 2, 0)
+    monkeypatch.undo()
+    unsplit = ss.smallest_eigenpairs(replace(p, maps=()), 2)
+    assert split.eigenvalues.size == unsplit.eigenvalues.size
+    np.testing.assert_allclose(split.eigenvalues, unsplit.eigenvalues, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("matrix, limit", [
+    ([[0.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 2.0]], 1.0),  # an exactly singular factor
+    ([[0.0, 1.0], [1.0, 0.0]], 0.0),  # a zero diagonal: the factor pivots off it
+], ids=["singular", "off-diagonal-pivot"])
+def test_a_block_factor_that_cannot_count_gives_none(matrix, limit):
+    m = np.array(matrix)
+    b, d = sp_sparse.csr_matrix(m), np.ones(m.shape[0])
+    assert eigen._count_below(b, d, limit) is None
+    # a regular shift counts the values below it
+    assert eigen._count_below(b, d, limit + 0.5) == np.count_nonzero(
+        np.linalg.eigvalsh(m) < limit + 0.5)
+
+
 def test_a_block_short_of_its_count_widens_then_fails(monkeypatch):
     # a count above what the block holds below the limit: the window widens
     # to its widest, then the solve is a NonConvergenceError
@@ -701,6 +764,21 @@ def test_a_wrongly_declared_map_is_refused():
     wrong = ss.ImmersedSurface(s.chart, s.grid, s.warping, maps=(NodeMap(flip_u=True),))
     with pytest.raises(DomainError, match="declared invariant") as err:
         ss.compute_geometry(wrong)
+    assert err.value.exit_code == 2
+
+
+def test_a_surface_of_revolution_declares_no_map():
+    # the sheared torus is no mirror image of itself under u -> -u: its g^uv
+    # keeps its sign, and the full-grid check refuses the map ...
+    mirror = (NodeMap(flip_u=True),)
+    with pytest.raises(DomainError, match="declared invariant"):
+        ss.compute_geometry(_sheared_surface(maps=mirror))
+    # ... which a marked surface's two chart columns cannot check, so the
+    # surface refuses the two declarations together, before any pencil has
+    # the map to split by
+    with pytest.raises(DomainError, match="declares no grid maps") as err:
+        marked = _sheared_surface(revolution=True, maps=mirror)
+        ss.assemble(marked, ss.compute_geometry(marked, want_gauss=False))
     assert err.value.exit_code == 2
 
 

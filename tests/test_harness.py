@@ -25,6 +25,7 @@ from stabspec.charts import JetChart
 from stabspec.cli import main as cli_main
 from stabspec.errors import (
     ConfigError,
+    DomainError,
     HypothesisError,
     NonConvergenceError,
     StabspecError,
@@ -321,6 +322,40 @@ def test_failed_hypothesis_stops_before_any_solve(tmp_path, monkeypatch,
     assert build_log == [(12, 12)]
 
 
+@pytest.mark.parametrize("ladder", [[32, 16], [16, 16], [16, 16, 32]],
+                         ids=lambda ladder: ",".join(map(str, ladder)))
+@pytest.mark.parametrize("run", [
+    lambda ladder: ss.check_theorem("t11", ss.flat_torus(0.6), ladder),
+    lambda ladder: ss.convergence_study(ss.geodesic_sphere(1.0), ladder),
+    lambda ladder: ss.sweep_graph_amplitude("cosh", 0.3, "Y2,1", [0.05], ladder),
+], ids=["check", "converge", "sweep-member"])
+def test_a_bad_ladder_is_refused_before_anything_is_built(build_log, run, ladder):
+    # a rung no finer than the one before gives no Richardson error estimate
+    with pytest.raises(DomainError, match="^resolutions must be strictly increasing$") as err:
+        run(ladder)
+    assert err.value.exit_code == 2
+    assert build_log == []
+
+
+@pytest.mark.parametrize("command, message, built", [
+    (["check", "t11", "shape=flat-torus", "r=0.6", "resolutions=32,16"],
+     "resolutions must be strictly increasing", []),
+    (["converge", "shape=geodesic-sphere", "rho=1.0", "resolutions=16,16,32"],
+     "resolutions must be strictly increasing", []),
+    (["sweep", "graph-amplitude", "warping=cosh", "t0=0.3", "perturbation=Y2,1",
+      "amplitudes=0.05", "resolutions=16,16"], "resolutions must be strictly increasing", []),
+    # the coarsest rung is built first, and its grid refuses it
+    (["check", "t11", "shape=flat-torus", "r=0.6", "resolutions=4,8"],
+     "torus grid needs at least 8 nodes per direction", [(4, 4)]),
+], ids=["check", "converge", "sweep", "floor"])
+def test_cli_refuses_a_bad_ladder_before_any_solve(tmp_path, capsys, build_log,
+                                                   command, message, built):
+    assert cli_main([*command, "--out", str(tmp_path / "r")]) == 2
+    assert capsys.readouterr().err == f"invalid input: {message}\n"
+    assert build_log == built
+    assert not (tmp_path / "r").exists()
+
+
 # ----------------------------------------------------------------- reporting
 
 
@@ -386,9 +421,8 @@ def test_shape_from_config_kinds():
         {"shape": "graph-over-slice", "warping": "cosh", "amplitude": "0.05"})
     assert spec.kind == "graph-over-slice"
     assert spec.params["perturbation"] == "Y2,0"  # default mode label
-    spec2 = cfgmod.shape_from_config({"shape": "flat-torus", "r": "0.6"},
-                                     resolution=(24, 24))
-    assert spec2.resolution == (24, 24)
+    # the constructor's default resolution stands: each rung sets its own
+    assert cfgmod.shape_from_config({"shape": "flat-torus", "r": "0.6"}) == ss.flat_torus(0.6)
     with pytest.raises(ConfigError, match=", ".join(cfgmod.SHAPES)):
         cfgmod.shape_from_config({"shape": "dodecahedron"})
 
@@ -427,17 +461,12 @@ def test_an_internal_fault_in_a_warping_constructor_propagates(monkeypatch, name
 
 
 def test_resolution_list_parsing():
-    assert cfgmod.resolutions_from_config({"resolutions": "12,24"},
-                                          [48]) == [12, 24]
-    assert cfgmod.resolutions_from_config({}, [48]) == [48]
+    # the CLI parses the list; the ladder checks its shape, and the grid its
+    # floor (`test_a_bad_ladder_is_refused_before_anything_is_built`)
+    assert cfgmod.get({"resolutions": "12,24"}, "resolutions", cfgmod.ints, [48]) == [12, 24]
+    assert cfgmod.get({}, "resolutions", cfgmod.ints, [48]) == [48]
     with pytest.raises(ConfigError):
-        cfgmod.resolutions_from_config({"resolutions": "24,12"}, [48])
-    with pytest.raises(ConfigError):
-        cfgmod.resolutions_from_config({"resolutions": "4,8"}, [48])
-    with pytest.raises(ConfigError):
-        cfgmod.resolutions_from_config({"resolutions": "12,12"}, [48])
-    with pytest.raises(ConfigError):
-        cfgmod.resolutions_from_config({"resolutions": ","}, [48])
+        cfgmod.get({"resolutions": ","}, "resolutions", cfgmod.ints, [48])
 
 
 # ------------------------------------------------------------------ CLI shell
