@@ -14,7 +14,7 @@ commands):
   r, rho, t0, amplitude, eps, wave, perturbation (e.g. Y2,0)
   warping        product | sphere | hyperbolic | euclidean | cosh
   warping_poly   comma-separated polynomial coefficients (low to high),
-                 overrides `warping`
+                 overrides a file's `warping` (and refuses an override)
   warping_interval  comma pair, e.g. -1,1 (required with warping_poly)
   resolutions    comma list of square grid sizes, at least two, strictly
                  increasing, each >= 8, e.g. 32,64,128
@@ -150,6 +150,8 @@ def get(cfg, key: str, parse, default=None):
 
 
 def warping_from_config(cfg) -> wp.WarpingFunction:
+    if "warping_poly" in cfg and "warping" in getattr(cfg, "overrides", ()):
+        raise ConfigError("warping_poly overrides warping; give one of them")
     interval = None
     if "warping_poly" in cfg or "warping_interval" in cfg:
         interval = get(cfg, "warping_interval", floats)  # required with warping_poly

@@ -41,47 +41,49 @@ data alone:
   the smallest lambda, and its orthonormal vectors y give M-orthonormal
   u = D^(-1/2) y.  The first window holds k + 2 pairs, enough to close a
   pair at the k-th eigenvalue.  It doubles, up to min(n - 2, 4(k + 2)),
-  while its top value still belongs to the k-th eigenvalue's cluster (the
-  cluster may go on past it) or a pair of the closed window exceeds the
-  residual tolerance.  At the widest window a cluster that reaches its top
-  may be cut.  ARPACK cannot take k >= n - 1, so that request is a
-  DomainError here.  One function, `_lanczos_window`, runs this window
-  rule on the whole pencil and on every symmetry block below.
+  while its top value still belongs to the k-th eigenvalue's cluster or a
+  pair of the closed window exceeds the residual tolerance.  ARPACK cannot
+  take k >= n - 1, so that request is a DomainError here.  One function,
+  `_lanczos_window`, runs this window rule, and one driver,
+  `_solve_blocks`, runs it on the blocks below.
 
-  Symmetry blocks.  A pencil with grid maps (`OperatorPencil.maps`, the
-  commuting involutions a Y_l,m graph declares) commutes with the group
-  G they generate, of order 2 or 4, so it splits into one real block per
-  character chi of G (Fassler & Stiefel 1992; Bossavit 1986).  A block
-  lives on the orbits whose stabilizer chi is 1 on; its vector for orbit O
-  with least node r is sum over x in O of chi(g_x) e_x / sqrt(|O|), g_x
-  mapping r to x.  `_fold` forms each block from A's CSR rows at those r
-  by index arithmetic alone: the entry of row r in column y goes to the
-  vector of y's orbit O_y times chi(g_y) sqrt(|O_r| / |O_y|); the block is
-  then symmetrized, its CSR arrays cut to its own nnz, and its mass is d at
-  r.  A block keeps no N-node array: all blocks share one orbit record
-  (each node's least orbit node, the element mapping the node there and the
-  orbit size, in int32/int8 arrays), and `_spread` forms a window vector on
-  the N nodes from it.  The block of the trivial
-  character, which holds the ground state, is solved first by the window
-  rule for k.  Every other block is first counted at the current window
-  limit L (the value a further eigenvalue would have to stay under to
-  join the window): the negative pivots of a symmetric factor of B - L D
-  with diagonal pivots (Sylvester's law of inertia).  A count of 0 skips the block with no
-  Lanczos run; a count of c runs the window rule for c at sigma, whose
-  window must hold c values below L (it widens until it does, and the
-  widest window short of them is a NonConvergenceError).  A factor that
-  is singular or pivots off the diagonal gives no count, and its block is
-  solved for k.  Should L rise past a block's counted limit (a cluster
-  that spans blocks grows at its top), that block is counted again.  The
-  window is cut from the union of the block pairs, and only its vectors
-  are formed on the N nodes, to be judged on (A, M) by the tail below.
-  Blocks too small for the widest window of k take the unsplit path.
+  Symmetry blocks.  Every sparse pencil is solved as blocks.  A pencil
+  with grid maps (`OperatorPencil.maps`, the commuting involutions a Y_l,m
+  graph declares) commutes with the group G they generate, of order 2 or
+  4, so it splits into one real block per character chi of G (Fassler &
+  Stiefel 1992; Bossavit 1986).  A block lives on the orbits whose
+  stabilizer chi is 1 on; its vector for orbit O with least node r is sum
+  over x in O of chi(g_x) e_x / sqrt(|O|), g_x mapping r to x.  `_fold`
+  forms each block from A's CSR rows at those r by index arithmetic alone:
+  the entry of row r in column y goes to the vector of y's orbit O_y times
+  chi(g_y) sqrt(|O_r| / |O_y|); the block is then symmetrized, its CSR
+  arrays cut to its own nnz, and its mass is d at r.  A block keeps no
+  N-node array: all blocks share one orbit record (each node's least orbit
+  node, the element mapping the node there and the orbit size, in
+  int32/int8 arrays), and `_spread` forms a window vector on the N nodes
+  from it.  A pencil with no maps, or with a block too small for the
+  widest window of k, is folded by the trivial group: one block, A bit for
+  bit.  The trivial character's block, which holds the ground state, is
+  solved first by the window rule for k.  Then every block whose level
+  (the top of its last window, or the limit it last counted 0 at) lies
+  below the window limit L (`_window`) is counted at L: the negative
+  pivots of a symmetric factor of B - L D with diagonal pivots
+  (Sylvester's law of inertia).  That counts the trivial block where its
+  widest window ended inside the k-th value's cluster, and a block again
+  where L rises past its level (a cluster that spans blocks grows at its
+  top).  A count of 0 skips the block; a count of c runs the window rule
+  for c, whose window must hold c values below L (the widest window short
+  of them is a NonConvergenceError).  A factor that is singular or pivots
+  off the diagonal gives no count, and its block is solved for k with no
+  bound: only there can a window be cut, where the k-th value's cluster
+  reaches the top of that block's widest window.  The window is cut from
+  the union of the block pairs, and only its vectors are formed on the N
+  nodes, to be judged on (A, M) by the tail below.
 
 One tail serves both paths.  Each yields M-orthonormal vectors (exact
 block eigenvectors, or Lanczos vectors converged to round-off), and
 `_exact_pairs` alone makes them pairs, on B_m and diag(d), or on (A, M)
-(symmetry blocks only choose the window; their pairs are judged again on
-(A, M)):
+(blocks only choose the window; their pairs are judged again on (A, M)):
 each eigenvalue is the Rayleigh quotient theta of its vector, the value a
 residual enclosure of |lambda - theta| (Weinstein) bounds, so no path
 needs a Rayleigh-Ritz pass.
@@ -93,7 +95,7 @@ generator seeded by the caller, and reports record that seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg as sla
@@ -233,15 +235,15 @@ def _solve_sparse(op, k, v0) -> np.ndarray:
             ncv = min(n - 1, 2 * ncv)
 
 
-def _lanczos_window(a, d, sigma, k, v0, tol, need=0, below=np.inf):
+def _lanczos_window(a, d, sigma, k, v0, tol, below=np.inf):
     """Pairs of the closed window of the k smallest eigenvalues of
     (a, diag(d)), as `_exact_pairs` returns them, by shift-invert Lanczos
     at sigma from v0 (see the module docstring).  The window doubles while
     its top value belongs to the k-th value's cluster, a pair of the closed
-    window exceeds tol, or fewer than `need` of its values lie below
-    `below`; a widest window still short of those is a NonConvergenceError.
-    Also returns the top value of the last window: the pencil has no
-    eigenvalue below it that the window lacks."""
+    window exceeds tol, or fewer than k of its values lie below `below`; a
+    widest window still short of those is a NonConvergenceError.  Also
+    returns the top value of the last window: the pencil has no eigenvalue
+    below it that the window lacks."""
     n = d.size
     lu = spla.splu(_shifted(a, d, sigma), permc_spec="MMD_AT_PLUS_A")
     root = np.sqrt(d)
@@ -251,14 +253,14 @@ def _lanczos_window(a, d, sigma, k, v0, tol, need=0, below=np.inf):
     while True:
         vals, vecs, res = _exact_pairs(a, d, _solve_sparse(op, window, v0) / root[:, None])
         size, limit = _window(vals, k)
-        held = np.count_nonzero(vals < below) >= need
+        held = np.count_nonzero(vals < below) >= k
         if window == widest or (held and vals[-1] > limit
                                 and float(np.max(res[:size])) <= tol):
             break
         window = min(widest, 2 * window)
     if not held:
         raise NonConvergenceError(
-            f"a block counts {need} eigenvalues below {below:.6g}; its widest "
+            f"a block counts {k} eigenvalues below {below:.6g}; its widest "
             f"window of {window} holds {np.count_nonzero(vals < below)}")
     return vals[:size], vecs[:, :size], res[:size], vals[-1]
 
@@ -349,7 +351,7 @@ def _count_below(b, d, limit) -> int | None:
 
 def _solve_blocks(blocks, orbits, k, sigma, tol, rng):
     """The N-node vectors of the window of k, cut from pairs found and
-    judged on the symmetry blocks of `_fold` (see the module docstring)."""
+    judged on the blocks of `_fold` (see the module docstring)."""
     b, d = blocks[0][:2]
     *pairs, top = _lanczos_window(b, d, sigma, k, rng.standard_normal(d.size), tol)
     found, level = {0: pairs}, {0: top}  # a block has no eigenvalue below its level unfound
@@ -360,14 +362,12 @@ def _solve_blocks(blocks, orbits, k, sigma, tol, rng):
             break
         b, d = blocks[i][:2]
         count = _count_below(b, d, limit)
-        level[i] = np.inf if count is None else limit
+        level[i] = limit
         if count == 0:
             continue
-        v0 = rng.standard_normal(d.size)
-        *found[i], top = (
-            _lanczos_window(b, d, sigma, k, v0, tol) if count is None
-            else _lanczos_window(b, d, sigma, count, v0, tol, need=count, below=limit))
-        level[i] = max(level[i], top)
+        *found[i], top = _lanczos_window(b, d, sigma, count or k, rng.standard_normal(d.size),
+                                         tol, limit if count else np.inf)
+        level[i] = max(limit, top)
     owner = [(i, j) for i, f in found.items() for j in range(f[0].size)]
     values = np.concatenate([f[0] for f in found.values()])
     size, _ = _window(values, k)
@@ -399,13 +399,11 @@ def smallest_eigenpairs(
             raise DomainError("sparse path needs k < node_count - 1")
         sigma = -float(np.max(pencil.potential)) - 1.0
         rng = np.random.default_rng(seed)
-        blocks, orbits = _fold(pencil) if pencil.maps else ([], None)
-        # every block must hold the widest window of k
-        if blocks and min(block[1].size for block in blocks) >= 4 * (k + 2) + 2:
-            vals, vecs, res = _exact_pairs(
-                a, d, _solve_blocks(blocks, orbits, k, sigma, tol, rng))
-        else:
-            vals, vecs, res, _ = _lanczos_window(a, d, sigma, k, rng.standard_normal(n), tol)
+        blocks, orbits = _fold(pencil)
+        # every block must hold the widest window of k, or A is the one block
+        if pencil.maps and min(block[1].size for block in blocks) < 4 * (k + 2) + 2:
+            blocks, orbits = _fold(replace(pencil, maps=()))
+        vals, vecs, res = _exact_pairs(a, d, _solve_blocks(blocks, orbits, k, sigma, tol, rng))
     else:
         vals, vecs, res = _solve_reduced(pencil, k)
     if float(np.max(res)) > tol:
@@ -437,9 +435,10 @@ def eigenvalue_multiplicity(eigenvalues: np.ndarray, index: int) -> int:
     """Size of the cluster containing the given eigenvalue index.
 
     On a window from `smallest_eigenpairs(pencil, k)` the count is exact for
-    every index below k, unless the sparse path reached its widest window
-    with the k-th value's cluster at its top; the count is then a lower
-    bound for that cluster.
+    every index below k, with one exception on the sparse path: a block
+    whose factor gives no inertia count is solved for k with no bound, and
+    where the k-th value's cluster reaches the top of that block's widest
+    window, the count of that cluster is a lower bound.
     """
     for group in cluster_indices(eigenvalues):
         if index in group:

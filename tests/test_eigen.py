@@ -1,9 +1,10 @@
 """Eigensolver guarantees: residuals, orthonormality, and path agreement.
 
 A test that needs the sparse path on a pencil invariant along v says so in
-the data, `oracles.unmarked(pencil)`, and one that needs the unsplit sparse
-path on a pencil with symmetry maps, `replace(pencil, maps=())`; every
-path is checked against the dense oracle `oracles.dense_window`.
+the data, `oracles.unmarked(pencil)`, and one that needs a pencil with
+symmetry maps solved unsplit, as the one block of the trivial group,
+`replace(pencil, maps=())`; every path is checked against the dense oracle
+`oracles.dense_window`.
 """
 
 from __future__ import annotations
@@ -209,6 +210,23 @@ def test_sparse_path_closes_the_clifford_lambda2_cluster(monkeypatch):
     assert reduced.method == "reduced"
     for other in (dense_window(p, 2)[0], reduced.eigenvalues):
         np.testing.assert_allclose(sparse.eigenvalues, other, rtol=0, atol=1e-10)
+
+
+def test_a_pencil_without_maps_closes_a_cluster_past_its_widest_window(monkeypatch):
+    # k = 2 on a diagonal pencil: lambda_2 is a 20-fold near-degenerate
+    # cluster, and the widest window of k, 4(k + 2) = 16 pairs, ends inside
+    # it; the trivial group's one block is counted at the window's limit and
+    # solved for that count, so the window holds the whole cluster
+    vals = np.concatenate([[0.0], 1.0 + 1e-8 * np.arange(20), np.linspace(2.0, 10.0, 279)])
+    p = ss.OperatorPencil(csr=sp_sparse.csr_matrix(sp_sparse.diags(vals)),
+                          mass_diagonal=np.ones(vals.size), potential=np.zeros(vals.size))
+    windows = _logged_windows(monkeypatch)
+    sp_ = ss.smallest_eigenpairs(p, 2)
+    assert eigenvalue_multiplicity(sp_.eigenvalues, 1) == 20
+    assert sp_.eigenvalues.size == 21
+    assert windows == [4, 8, 16, 23]  # a count of 21, then its first window
+    np.testing.assert_allclose(sp_.eigenvalues, vals[:21], rtol=0, atol=1e-12)
+    assert float(np.max(sp_.residuals)) <= 1e-9
 
 
 def test_standard_form_lanczos_vectors_are_mass_orthonormal():
@@ -616,7 +634,7 @@ SPLIT = [
     ("Y2,-2", (16, 18), 2),  # no phi-mirror on these grids
     ("Y4,-4", (16, 12), 2),
     ("Y2,1", (16, 15), 2),  # odd nv: no antipodal map
-    ("Y3,-2", (16, 15), 1),  # no map: the unsplit path
+    ("Y3,-2", (16, 15), 1),  # no map: the trivial group's one block
 ]
 
 
@@ -719,15 +737,15 @@ def test_one_block_without_a_count_is_solved_for_k(monkeypatch):
         counted.append(id(b))
         return None if len(counted) == 1 else real_count(b, d, limit)
 
-    def window(b, d, sigma, k, v0, tol, need=0, below=np.inf):
-        solved.append((id(b), k, need))
-        return real_window(b, d, sigma, k, v0, tol, need, below)
+    def window(b, d, sigma, k, v0, tol, below=np.inf):
+        solved.append((id(b), k, below))
+        return real_window(b, d, sigma, k, v0, tol, below)
 
     monkeypatch.setattr(eigen, "_count_below", count)
     monkeypatch.setattr(eigen, "_lanczos_window", window)
     split = ss.smallest_eigenpairs(p, 2)
     assert len(set(counted)) == len(counted) == 3
-    assert solved[1] == (counted[0], 2, 0)
+    assert solved[1] == (counted[0], 2, np.inf)
     monkeypatch.undo()
     unsplit = ss.smallest_eigenpairs(replace(p, maps=()), 2)
     assert split.eigenvalues.size == unsplit.eigenvalues.size
