@@ -34,15 +34,16 @@ Invariance along v, the periodic axis of both grid kinds.  A pencil is
 invariant along v when its surface is marked a surface of revolution
 (`ImmersedSurface.revolution`, set by `catalog.build`) and no cross term
 was added: the reduced eigen path models the 5-point stencil alone.  The
-fields are then the meridian's, repeated along v
-(`surfaces.compute_geometry`), so `assemble` writes the stencil on the nu
-nodes at v index 0 alone, with the expressions of the full grid: on a
-nu x 1 array a v face averages a value with itself and the roll along v is
-the identity, so each value is bit for bit that of every v column.  A is
-then exactly block-circulant: the coupling T among the nodes at v index 0
-repeats at every v index, and each node couples to its two v neighbours
-by w = -cv < 0.  The pencil keeps the meridian stencil, and the same
-layout code forms its N-node CSR only when A is first read.
+fields are then the meridian's (`surfaces.compute_geometry`), and
+`assemble` writes the stencil on those nu nodes at v index 0 alone, with
+the expressions of the full grid: on a nu x 1 array a v face averages a
+value with itself and the roll along v is the identity, so each value is
+bit for bit that of every v column.  A is then exactly block-circulant:
+the coupling T among the nodes at v index 0 repeats at every v index, and
+each node couples to its two v neighbours by w = -cv < 0.  The pencil
+keeps the meridian stencil, mass and potential; the same layout code
+forms its N-node CSR, and a repeat along v its N-node mass and potential,
+only when each is first read.
 
 Grid maps.  The maps a surface declares (`ImmersedSurface.maps`: mirrors
 and half-turns of the grid, see `grids.NodeMap`) pass to the pencil.  A
@@ -73,20 +74,23 @@ class OperatorPencil:
     """Symmetric generalized eigenproblem pair for the stability operator.
 
     A is `stiffness_minus_potential`; the lumped mass M is diagonal and is
-    stored as its diagonal `mass_diagonal` (the area element at each node).
-    `grid` is the parameter grid the pencil was assembled on (node i * nv + j
-    at (u[i], v[j])); a pencil built by hand has none.  A pencil holds
-    either A as `csr` or, when it is invariant along v, the `meridian`
-    stencil (cu, cv, diag) of the nodes at v index 0, each nu x 1, from
-    which A is formed when first read (see the module docstring).  `maps`
-    are the grid maps (`grids.NodeMap`) the surface declared and its
-    fields passed: A and M commute with each, so the eigensolver may
-    split the pencil by them.
+    stored as its diagonal `mass` (the area element at each node), with the
+    potential q beside it.  Both are given at the nodes the fields were:
+    every grid node, or a surface of revolution's nu meridian nodes, and
+    `mass_diagonal` and `potential` are their N-node forms, formed when
+    first read.  `grid` is the parameter grid the pencil was assembled on
+    (node i * nv + j at (u[i], v[j])); a pencil built by hand has none.  A
+    pencil holds either A as `csr` or, when it is invariant along v, the
+    `meridian` stencil (cu, cv, diag) of the nodes at v index 0, each
+    nu x 1, from which A is formed when first read (see the module
+    docstring).  `maps` are the grid maps (`grids.NodeMap`) the surface
+    declared and its fields passed: A and M commute with each, so the
+    eigensolver may split the pencil by them.
     """
 
     csr: sp_sparse.csr_matrix | None
-    mass_diagonal: np.ndarray
-    potential: np.ndarray
+    mass: np.ndarray
+    q: np.ndarray
     grid: Grid | None = None
     meridian: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
     maps: tuple[NodeMap, ...] = ()
@@ -96,12 +100,27 @@ class OperatorPencil:
             raise DomainError("a pencil holds either A or the meridian stencil A is formed from")
 
     @property
-    def node_count(self) -> int:
-        return self.mass_diagonal.size
+    def node_count(self: OperatorPencil) -> int:
+        return self.mass.size if self.grid is None else self.grid.node_count
 
     @property
     def invariant_along_v(self) -> bool:
         return self.meridian is not None
+
+    def _on_grid(self: OperatorPencil, values: np.ndarray) -> np.ndarray:
+        """values at every grid node: themselves, or a meridian's repeated
+        along v (meridian node i becomes grid nodes i * nv to i * nv + nv - 1)."""
+        return values if values.size == self.node_count else np.repeat(values, self.grid.nv)
+
+    @cached_property
+    def mass_diagonal(self: OperatorPencil) -> np.ndarray:
+        """The N-node diagonal of M, formed from `mass` on first read."""
+        return self._on_grid(self.mass)
+
+    @cached_property
+    def potential(self: OperatorPencil) -> np.ndarray:
+        """The N-node potential q, formed from `q` on first read."""
+        return self._on_grid(self.q)
 
     @cached_property
     def stiffness_minus_potential(self: OperatorPencil) -> sp_sparse.csr_matrix:
@@ -147,22 +166,22 @@ def _layout(grid, cu, cv, diag) -> sp_sparse.csr_matrix:
 
 
 def assemble(surface: ImmersedSurface, fields: GeometryFields) -> OperatorPencil:
-    """Build the symmetric pencil (A, M) with q = |sigma|^2 + Ric(normal)."""
+    """Build the symmetric pencil (A, M) with q = |sigma|^2 + Ric(normal),
+    on the nodes the fields are given at (a meridian's stand for its
+    latitudes)."""
     grid = surface.grid
     q = fields.sigma_sq + fields.ricci_normal
     if not np.all(np.isfinite(q)):
         raise AssemblyError("potential must be a finite per-node vector")
     weights = fields.area_element
     bad = np.where(~(weights > 0.0))[0]
-    if bad.size:
-        raise AssemblyError(f"mass is not positive at node {int(bad[0])}")
+    if bad.size:  # meridian node i is grid node i * nv
+        raise AssemblyError(f"mass is not positive at node {int(bad[0]) * fields.repeats}")
 
-    # a surface of revolution's fields repeat its meridian's along v
-    nodes = slice(None, None, grid.nv) if surface.revolution else slice(None)
-    sqrtg = weights[nodes] / grid.cell_weight
-    inv_uu, inv_uv, inv_vv = fields.metric_inv[:, nodes]
+    sqrtg = weights / grid.cell_weight
+    inv_uu, inv_uv, inv_vv = fields.metric_inv
     alpha, beta, gamma = sqrtg * inv_uu, sqrtg * inv_vv, sqrtg * inv_uv
-    faces = _faces(grid, alpha, beta, q[nodes] * weights[nodes])
+    faces = _faces(grid, alpha, beta, q * weights)
     crossed = float(np.max(np.abs(gamma))) > 1e-14 * float(np.mean(alpha + beta))
     if surface.revolution and not crossed:
         return OperatorPencil(None, weights, q, grid, meridian=faces)

@@ -132,7 +132,7 @@ def hersch_balance(
         raise DomainError("weight function is identically zero")
     if float(np.min(f1)) < -1e-8 * peak:
         raise DomainError("weight function must be nonnegative")
-    weights = np.maximum(f1, 0.0) * f.area_element
+    weights = np.maximum(f1, 0.0) * f.node_area
     total = float(np.sum(weights))
     if total <= 0.0:
         raise DomainError("weight function has zero total mass")

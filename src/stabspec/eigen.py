@@ -12,23 +12,25 @@ data alone:
   block-circulant: the coupling T among the nodes at v index 0, repeated
   at every v index, plus the coupling w <= 0 of each node to its two v
   neighbours; T, w and the mass d are read from the pencil's meridian
-  stencil, and no N-node matrix is formed.  A discrete Fourier transform
-  along v splits the pencil into one block per mode m,
-  B_m = T + 2 cos(2 pi m / n) diag(w).  On sphere grids,
-  which do not wrap along u, T and every block are tridiagonal and solved
-  as such; on torus grids T wraps, and the blocks are solved densely.
-  Because w <= 0, the blocks grow with m for 0 <= m <= n/2 (Weyl), so
-  modes are visited in order and the loop stops at the first mode whose
-  lowest eigenvalue lies above the window: every eigenvalue
-  below the window's top is found, and the window takes in the whole
-  cluster at its edge.  The vectors y cos(m theta) and y sin(m theta) of
-  the window are exact block eigenvectors, and the discrete waves are
-  orthogonal, so they are normalized in closed form.  Each mode's block
+  stencil and mass, and no N-node array is formed.  A discrete Fourier
+  transform along v splits the pencil into one block per mode m,
+  B_m = T + 2 cos(2 pi m / n) diag(w).  On sphere grids, which do not
+  wrap along u, T and every block are tridiagonal, kept as their
+  diagonals and solved as such; on torus grids T wraps, and T and the
+  blocks are dense.  Because w <= 0, the blocks grow with m for
+  0 <= m <= n/2 (Weyl), so modes are visited in order and the loop stops
+  at the first mode whose lowest eigenvalue lies above the window: every
+  eigenvalue below the window's top is found, and the window takes in the
+  whole cluster at its edge.  The vectors y cos(m theta) and
+  y sin(m theta) of the window are exact block eigenvectors, and the
+  discrete waves are orthogonal, so they are normalized in closed form.  Each mode's block
   vectors are judged on B_m as soon as the mode is solved: theta =
   y^T B_m y / y^T D y and the residual ||(B_m - theta D) y|| / ||D y|| equal
   the quotient and residual of either N-node wave on (A, M) in exact
   arithmetic (the discrete waves are eigenvectors of the circulant).  The
-  window is cut from the judged pairs; its N-node vectors are formed last.
+  window is cut from the judged pairs.  Its vectors are handed on as the
+  meridian factors y and their waves, and the N-node vectors are formed
+  only when a reader asks (`Spectrum.eigenvectors`).
 * sparse: every other pencil, at every size, by shift-invert Lanczos
   (Ericsson & Ruhe 1980) with the shift sigma placed strictly below the
   bottom of the spectrum (lambda_1 >= -max q because the stiffness part
@@ -62,11 +64,12 @@ data alone:
   node, the element mapping the node there and the orbit size, in
   int32/int8 arrays), and `_spread` forms a window vector on the N nodes
   from it.  A pencil with no maps, or with a block too small for the
-  widest window of k, is folded by the trivial group: one block, A bit for
-  bit.  The trivial character's block, which holds the ground state, is
-  solved first by the window rule for k.  Then every block whose level
-  (the top of its last window, or the limit it last counted 0 at) lies
-  below the window limit L (`_window`) is counted at L: the negative
+  widest window of k, is folded by the trivial group: one block, A itself
+  with its own arrays, and no second N-node matrix.  The trivial
+  character's block, which holds the ground state, is solved first by the
+  window rule for k.  Then every block whose level (the top of its last
+  window, or the limit it last counted 0 at) lies below the window limit
+  L (`_window`) is counted at L: the negative
   pivots of a symmetric factor of B - L D with diagonal pivots
   (Sylvester's law of inertia).  That counts the trivial block where its
   widest window ended inside the k-th value's cluster, and a block again
@@ -96,6 +99,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg as sla
@@ -119,12 +123,25 @@ CLUSTER_REL_TOL = 1e-6
 class Spectrum:
     """Ascending eigenvalues of a closed window (k asked for, and the rest
     of the k-th value's cluster: j >= k in all) with M-orthonormal vectors
-    and residuals."""
+    and residuals.  The sparse path hands on the N-node vectors as
+    `factors`; the reduced path hands on each vector's meridian factor y
+    and its wave along v, and `eigenvectors` forms the N-node vectors from
+    them when first read."""
 
     eigenvalues: np.ndarray  # (j,)
-    eigenvectors: np.ndarray  # (n, j), columns M-orthonormal
     residuals: np.ndarray  # (j,) ||A u - lambda M u|| / ||M u||
     method: str  # "reduced" or "sparse"
+    factors: np.ndarray  # (n, j) the vectors, or (nu, j) their meridian factors
+    waves: np.ndarray | None = None  # (j, nv) their waves along v, reduced path only
+
+    @cached_property
+    def eigenvectors(self) -> np.ndarray:
+        """(n, j), columns M-orthonormal: `factors`, or column j the outer
+        product of meridian factor j and wave j, flattened row-major."""
+        if self.waves is None:
+            return self.factors
+        ys, size = self.factors.T, self.eigenvalues.size
+        return (ys[:, :, None] * self.waves[:, None, :]).reshape(size, -1).T
 
 
 def _exact_pairs(a, d, vecs):
@@ -149,14 +166,39 @@ def _exact_pairs(a, d, vecs):
     return vals[order], u.T, res[order]
 
 
+@dataclass(frozen=True)
+class _Tridiagonal:
+    """The symmetric tridiagonal matrix with diagonal `main` and first
+    off-diagonal `off`.  Its product sums each row's two neighbour terms and
+    then adds the diagonal term: the order in which OpenBLAS's dense row
+    product (dgemv, 0.3.31 on an AVX-512 Xeon) sums the three, so that
+    there a product agrees bit for bit with one by the dense form."""
+
+    main: np.ndarray
+    off: np.ndarray
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        y = np.zeros_like(x)
+        y[1:] = self.off * x[:-1]
+        y[:-1] += self.off * x[1:]
+        y += self.main * x
+        return y
+
+
 def _circulant_parts(pencil: OperatorPencil):
-    """(T, w, d) of a pencil invariant along v, from its meridian stencil:
-    T the coupling among the nodes at v index 0, w[i] the coupling of node
-    (i, 0) to its v neighbour and d[i] its mass."""
+    """(T, w, d) of a pencil invariant along v, from its meridian stencil and
+    mass: T the coupling among the nodes at v index 0, w[i] the coupling of
+    node (i, 0) to its v neighbour and d[i] its mass.  On a torus grid, where
+    T wraps along u, T is a dense array; a sphere grid has no face past its
+    last latitude row, and T is kept as its diagonals (`_Tridiagonal`)."""
     cu, cv, diag = (x.ravel() for x in pencil.meridian)
-    up = np.zeros((cu.size, cu.size))
-    up[np.arange(cu.size), (np.arange(cu.size) + 1) % cu.size] = cu  # 0 past a sphere grid's end
-    return np.diag(diag) - (up + up.T), -cv, pencil.mass_diagonal[::pencil.grid.nv]
+    if pencil.grid.periodic_u:
+        up = np.zeros((cu.size, cu.size))
+        up[np.arange(cu.size), (np.arange(cu.size) + 1) % cu.size] = cu
+        t = np.diag(diag) - (up + up.T)
+    else:
+        t = _Tridiagonal(diag, -cu[:-1])
+    return t, -cv, pencil.mass
 
 
 def _window(values, k) -> tuple[int, float]:
@@ -171,17 +213,21 @@ def _window(values, k) -> tuple[int, float]:
 
 
 def _solve_reduced(pencil: OperatorPencil, k):
-    """Pairs of the k smallest eigenvalues and of the rest of the cluster at
-    the k-th, as `_exact_pairs` returns them: each mode's block vectors are
-    judged on its Fourier block once the mode is solved, and the window is
-    cut from them.  The vectors are M-orthonormal, each wave scaled to unit
-    norm, and y and its wave each peak positive."""
+    """The spectrum of the k smallest eigenvalues and of the rest of the
+    cluster at the k-th, its vectors as meridian factors y and waves: each
+    mode's block vectors are judged on its Fourier block once the mode is
+    solved, and the window is cut from them.  The vectors are M-orthonormal,
+    each wave scaled to unit norm, and y and its wave each peak positive."""
     t, w, d = _circulant_parts(pencil)
     n, nb = pencil.grid.nv, d.size
     s = 1.0 / np.sqrt(d)
-    sym = s[:, None] * t * s[None, :]
-    sym = 0.5 * (sym + sym.T)  # D^(-1/2) T D^(-1/2), exactly symmetric
     tridiagonal = not pencil.grid.periodic_u
+    if tridiagonal:  # the two diagonals of the dense form below, bit for bit
+        off = t.off
+        sym = s * t.main * s, 0.5 * ((s[:-1] * off) * s[1:] + (s[1:] * off) * s[:-1])
+    else:
+        sym = s[:, None] * t * s[None, :]
+        sym = 0.5 * (sym + sym.T)  # D^(-1/2) T D^(-1/2), exactly symmetric
     found = []  # (quotient, residual, mode, cos 0 | sin 1, y)
     limit = np.inf
     for mode in range(n // 2 + 1):
@@ -195,7 +241,7 @@ def _solve_reduced(pencil: OperatorPencil, k):
         count = min(nb, k + 1 if tridiagonal else k + 2)
         while True:
             if tridiagonal:
-                vals, ys = sla.eigh_tridiagonal(np.diagonal(sym) + shift, np.diagonal(sym, 1),
+                vals, ys = sla.eigh_tridiagonal(sym[0] + shift, sym[1],
                                                 select="i", select_range=(0, count - 1))
             else:
                 vals, ys = sla.eigh(sym + np.diag(shift), subset_by_index=[0, count - 1])
@@ -205,7 +251,8 @@ def _solve_reduced(pencil: OperatorPencil, k):
             count = min(nb, 2 * count)
         if vals[0] > limit:
             break
-        vals, ys, res = _exact_pairs(t + np.diag(c * w), d, s[:, None] * ys)
+        block = _Tridiagonal(t.main + c * w, t.off) if tridiagonal else t + np.diag(c * w)
+        vals, ys, res = _exact_pairs(block, d, s[:, None] * ys)
         found += [(v, r, mode, ph, y) for ph in phases for v, r, y in zip(vals, res, ys.T)]
     found.sort(key=lambda f: f[0])
     size, _ = _window([f[0] for f in found], k)
@@ -215,7 +262,7 @@ def _solve_reduced(pencil: OperatorPencil, k):
     waves = np.where(sines[:, None] == 1, np.sin(angles), np.cos(angles))
     waves /= np.sqrt(np.where(2 * modes % n == 0, n, n / 2))[:, None]
     waves *= np.sign(waves[np.arange(size), np.argmax(np.abs(waves), axis=1)])[:, None]
-    return vals, (ys[:, :, None] * waves[:, None, :]).reshape(size, nb * n).T, res
+    return Spectrum(vals, res, "reduced", ys.T, waves)
 
 
 def _solve_sparse(op, k, v0) -> np.ndarray:
@@ -282,6 +329,10 @@ def _fold(pencil: OperatorPencil):
     B keeps arrays of its own nnz, where a CSR sum keeps buffers for the nnz
     of both terms."""
     a, n = pencil.stiffness_minus_potential, pencil.node_count
+    if not pencil.maps:  # the trivial group: A itself is the one block
+        nodes = np.arange(n, dtype=np.int32)
+        return ([(a, pencil.mass_diagonal, nodes)],
+                (nodes, np.zeros(n, dtype=np.int8), np.ones(n, dtype=np.int8)))
     images = [np.arange(n)]  # images[g][x]: the image of node x under element g
     for m in pencil.maps:
         image = m.image(pencil.grid)
@@ -392,8 +443,9 @@ def smallest_eigenpairs(
     n = pencil.node_count
     if k > n:
         raise DomainError(f"cannot extract {k} eigenpairs from {n} nodes")
-    method = "reduced" if pencil.invariant_along_v else "sparse"
-    if method == "sparse":
+    if pencil.invariant_along_v:
+        spectrum = _solve_reduced(pencil, k)
+    else:
         a, d = pencil.stiffness_minus_potential, pencil.mass_diagonal
         if k >= n - 1:
             raise DomainError("sparse path needs k < node_count - 1")
@@ -404,14 +456,14 @@ def smallest_eigenpairs(
         if pencil.maps and min(block[1].size for block in blocks) < 4 * (k + 2) + 2:
             blocks, orbits = _fold(replace(pencil, maps=()))
         vals, vecs, res = _exact_pairs(a, d, _solve_blocks(blocks, orbits, k, sigma, tol, rng))
-    else:
-        vals, vecs, res = _solve_reduced(pencil, k)
+        spectrum = Spectrum(vals, res, "sparse", vecs)
+    res = spectrum.residuals
     if float(np.max(res)) > tol:
         raise NonConvergenceError(
             f"eigen-residual {np.max(res):.3e} exceeds tolerance {tol:.3e}",
             residuals=res,
         )
-    return Spectrum(eigenvalues=vals, eigenvectors=vecs, residuals=res, method=method)
+    return spectrum
 
 
 def cluster_indices(eigenvalues: np.ndarray) -> list[list[int]]:

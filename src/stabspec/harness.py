@@ -229,6 +229,9 @@ def _convexity_hypothesis(surface, fields) -> dict:
 
 
 def _area_mean(values, fields) -> float:
+    """The area-weighted mean over the nodes the fields are given at: on a
+    surface of revolution the meridian, each of whose nodes stands for the
+    same nv grid nodes, so the mean is that over the grid."""
     return float(np.sum(values * fields.area_element) / np.sum(fields.area_element))
 
 

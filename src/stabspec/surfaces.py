@@ -40,9 +40,13 @@ map's `cross_sign`, which checks the declaration.  A surface of revolution
 about v is evaluated on its meridian at v = 0 and the next v column (the
 nu x 2 grid `ImmersedSurface.chart_grid`), and the one body runs over
 those nodes.  Its mark is checked as the one map of that grid, the turn by
-one node along v (the half-turn of two columns); the meridian's fields are
-then repeated nv times along v, so the later stages read N-node fields
-either way, exactly constant along v.
+one node along v (the half-turn of two columns).  Its fields are then
+handed on at the nu meridian nodes alone, each standing for the nv nodes
+of its latitude (`GeometryFields.repeats`): assembly, the eigensolver and
+the bounds all work on the meridian, and no stage of a rung forms an
+N-node field.  The one N-node field a later stage reads, the area element
+that balancing weighs the points by, is formed when first read
+(`GeometryFields.node_area`).
 
 Gauss curvature comes from the Gauss equation of a surface in a
 3-dimensional ambient, K = R/2 - Ric(nu, nu) + k1 k2, with
@@ -55,6 +59,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -171,18 +176,25 @@ class ImmersedSurface:
 class GeometryFields:
     """Nodal geometric data of an immersed surface, as the later stages read it.
 
-    metric_inv:   (3, N) inverse induced metric by rows g^uu, g^uv, g^vv
-    area_element: (N,) sqrt(det metric) * du * dv  (nodal quadrature weight)
-    mean_curv:    (N,) average of principal curvatures
-    sigma_sq:     (N,) squared norm of the second fundamental form
-    gauss_curv:   (N,) Gauss curvature from the Gauss equation, or None when
+    The fields are given at n stored nodes: every grid node (n = N), or on
+    a surface of revolution its nu meridian nodes (v index 0), each
+    standing for the `repeats` = nv nodes of its latitude, where every
+    field is constant.
+
+    metric_inv:   (3, n) inverse induced metric by rows g^uu, g^uv, g^vv
+    area_element: (n,) sqrt(det metric) * du * dv  (nodal quadrature weight)
+    mean_curv:    (n,) average of principal curvatures
+    sigma_sq:     (n,) squared norm of the second fundamental form
+    gauss_curv:   (n,) Gauss curvature from the Gauss equation, or None when
                   it was not asked for (want_gauss=False)
-    ricci_normal: (N,) ambient Ric(normal, normal)
+    ricci_normal: (n,) ambient Ric(normal, normal)
     ambient_curvature: Ricci data (Ric_tt, Ric_tan, R) of the ambient, the
                   one ambient fact every bound reads; (2, 2, 6) on the 3-sphere
     t_range:      (min, max) of the chart's t at the nodes of `chart_grid` on
                   a warped ambient, the range the convexity hypothesis scans;
                   None on the 3-sphere
+    repeats:      the grid nodes each stored node stands for: 1, or nv on
+                  a surface of revolution
     """
 
     metric_inv: np.ndarray
@@ -193,6 +205,17 @@ class GeometryFields:
     ricci_normal: np.ndarray
     ambient_curvature: wp.AmbientCurvature
     t_range: tuple[float, float] | None
+    repeats: int = 1
+
+    @cached_property
+    def node_area(self: GeometryFields) -> np.ndarray:
+        """(N,) area element at every grid node, formed when first read:
+        `area_element` itself, or the meridian's repeated along v (meridian
+        node i becomes grid nodes i * nv to i * nv + nv - 1).  Only
+        balancing reads it."""
+        if self.repeats == 1:
+            return self.area_element
+        return np.repeat(self.area_element, self.repeats)
 
 
 def _cross4(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -252,22 +275,13 @@ def _check_maps(f: GeometryFields, grid: Grid, maps: tuple[NodeMap, ...]):
                               f"(tolerance {SYMMETRY_TOL:g})")
 
 
-def _along_v(f: GeometryFields, nv: int) -> GeometryFields:
-    """The N-node fields of a surface of revolution: those of its meridian,
-    the first of its two chart columns, repeated nv times along v (meridian
-    node i becomes grid nodes i * nv to i * nv + nv - 1).  The per-node
-    arrays, the ambient's Ricci data among them, become rows of one block:
-    five 64/128/256 symmetric CLI ladders took 67 ms in one process that
-    way and 81 ms with one np.repeat per field, though the copies alone
-    cost the same (0.26 and 0.27 ms at 256^2, warm)."""
-    values = _rows(f)
-    live = [i for i, a in enumerate(values) if isinstance(a, np.ndarray)]
-    meridian = np.array([values[i][::2] for i in live])  # chart node 2 i is meridian node i
-    block = np.repeat(meridian, nv, axis=1)
-    for i, row in zip(live, block):
-        values[i] = row
-    return GeometryFields(block[:3], *values[3:8], wp.AmbientCurvature(*values[8:]),
-                          f.t_range)
+def _meridian(f: GeometryFields, nv: int) -> GeometryFields:
+    """The fields of a surface of revolution at its meridian, the first of
+    its two chart columns (chart node 2 i is meridian node i), each node
+    standing for the nv nodes of its latitude."""
+    values = [a[::2].copy() if isinstance(a, np.ndarray) else a for a in _rows(f)]
+    return GeometryFields(np.array(values[:3]), *values[3:8],
+                          wp.AmbientCurvature(*values[8:]), f.t_range, nv)
 
 
 def compute_geometry(s: ImmersedSurface, want_gauss: bool = True) -> GeometryFields:
@@ -277,10 +291,10 @@ def compute_geometry(s: ImmersedSurface, want_gauss: bool = True) -> GeometryFie
     views of the chart's component-major storage at the n nodes of
     `s.chart_grid`.  The fields are checked against their image under
     each declared map, which on a surface of revolution is the turn of its
-    two chart columns; its meridian's fields are then repeated nv times
-    along v, so every stage after this one reads N-node fields either way.
-    The unit and degeneracy checks lose nothing, since every other node is
-    an isometry image of a meridian node.
+    two chart columns; its fields are then handed on at its meridian, the
+    first column, with `repeats` nv.  The unit and degeneracy checks lose
+    nothing, since every other node is an isometry image of a meridian
+    node.
     """
     x = {key: arr.T for key, arr in s.bundle().items()}
     H, radial, hdh, curvature = _ambient(s.warping, x["0"])
@@ -332,14 +346,15 @@ def compute_geometry(s: ImmersedSurface, want_gauss: bool = True) -> GeometryFie
         t_range=None if s.is_sphere3 else (float(np.min(x["0"][0])), float(np.max(x["0"][0]))),
     )
     _check_maps(fields, s.chart_grid, (NodeMap(shift=1),) if s.revolution else s.maps)
-    return _along_v(fields, s.grid.nv) if s.revolution else fields
+    return _meridian(fields, s.grid.nv) if s.revolution else fields
 
 
 def total_curvature(f: GeometryFields) -> float:
-    """Integral of the Gauss curvature (equals 2 pi Euler characteristic)."""
+    """Integral of the Gauss curvature (equals 2 pi Euler characteristic),
+    each stored node counted `repeats` times."""
     if f.gauss_curv is None:
         raise DomainError("surface has no Gauss curvature field")
-    return float(np.sum(f.gauss_curv * f.area_element))
+    return float(np.sum(f.gauss_curv * f.area_element)) * f.repeats
 
 
 def euler_characteristic(f: GeometryFields) -> int:

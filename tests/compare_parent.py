@@ -4,11 +4,12 @@
 
 REV_OR_DIR is a git revision, unpacked with `git archive` into a temporary
 directory, or the directory of a tree of this repository.  Each golden
-command (`tests/test_golden.py`), then each refused run (`REFUSED`) and
-each generic-graph ladder (`GENERIC`), or each NAME given, runs once on
-each tree in a process of its own, with the two trees taking turns to go
-first.  Every JSON value, CSV cell, standard output or error line, exit
-code or presence of the `--out` directory that differs between the two is
+command (`tests/test_golden.py`), then each refused run (`REFUSED`), each
+generic-graph ladder (`GENERIC`) and each fine ladder of a surface of
+revolution (`FINE`), or each NAME given, runs once on each tree in a
+process of its own, with the two trees taking turns to go first.  Every
+JSON value, CSV cell, standard output or error line, exit code or
+presence of the `--out` directory that differs between the two is
 printed with the parent's value and this tree's; the run's own `--out`
 path reads OUT in standard output, since each side writes its own.  Each
 command's peak resident memory on either tree (the child's `ru_maxrss`,
@@ -70,6 +71,20 @@ GENERIC = {
     "generic_cosh_t13_y4": ["check", "t13", "shape=graph-over-slice", "warping=cosh",
                             "t0=-0.2", "perturbation=Y4,-3", "amplitude=0.04",
                             "resolutions=64,128,256"],
+}
+
+
+# fine ladders of surfaces of revolution, which stay on their meridian from
+# geometry to report, and balancing, which forms their N-node forms: a
+# change aimed at their memory shows its peak MB here
+FINE = {
+    "fine_cosh_slice_t13": ["check", "t13", "shape=slice", "warping=cosh", "t0=0.3",
+                            "resolutions=256,512,1024"],
+    "fine_clifford_t11": ["check", "t11", "shape=clifford-torus", "resolutions=256,512"],
+    "fine_product_slice_converge": ["converge", "shape=slice", "warping=product", "t0=0.3",
+                                    "resolutions=256,512,1024"],
+    "fine_sphere_balance": ["balance-bound", "shape=geodesic-sphere", "rho=1.0",
+                            "resolution=256"],
 }
 
 
@@ -143,7 +158,7 @@ def main(argv: list[str]) -> int:
     if not argv:
         print(__doc__, file=sys.stderr)
         return 2
-    commands = {**golden_commands(), **REFUSED, **GENERIC}
+    commands = {**golden_commands(), **REFUSED, **GENERIC, **FINE}
     names = argv[1:] or list(commands)
     moved = 0
     with tempfile.TemporaryDirectory() as tmp:

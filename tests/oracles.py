@@ -11,9 +11,11 @@ either path of `smallest_eigenpairs`, which it is the reference for.
 
 The helpers at the end serve only the tests, so the package does not
 carry them: grid coordinates and indices, the item-assignment build of
-the difference operators, a surface's chart on its full grid, the total
-area, the list of accepted perturbations, the closed-form slice data, the
-slice's second eigenvalue as n times the convexity condition, the ambient
+the difference operators, a surface's chart on its full grid, a surface
+of revolution's meridian fields repeated along v (`along_v`, the
+reference for the package's N-node forms), the total area, the list of
+accepted perturbations, the closed-form slice data, the slice's second
+eigenvalue as n times the convexity condition, the ambient
 Ricci data at given t, and the conformal image of a surface.  The dilation
 is written here as stereographic conjugation (`axis_and_scale`,
 `stereographic_dilation`), independently of `conformal.mobius_apply`,
@@ -28,7 +30,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 import scipy.linalg as sla
@@ -159,6 +161,7 @@ def gauss_equation_residual(chart, f, grid) -> float:
     the intrinsic curvature of the sympy `chart` and H, sigma the package's
     extrinsic fields f: zero in exact arithmetic."""
     k = intrinsic_gauss_curvature(chart, grid)
+    f = along_v(f)
     return float(np.max(np.abs(2.0 * k - 2.0 - 4.0 * f.mean_curv**2 + f.sigma_sq)))
 
 
@@ -170,6 +173,14 @@ def dense_window(pencil, k):
                           np.diag(pencil.mass_diagonal))
     size = next(g for g in cluster_indices(vals) if k - 1 in g)[-1] + 1
     return vals[:size], vecs[:, :size]
+
+
+def dense_coupling(t):
+    """The coupling T that `eigen._circulant_parts` returns, as a dense
+    array: a sphere grid's, kept as its diagonals, written out."""
+    if isinstance(t, np.ndarray):
+        return t
+    return np.diag(t.main) + np.diag(t.off, 1) + np.diag(t.off, -1)
 
 
 def unmarked(pencil):
@@ -220,9 +231,28 @@ def full_grid(s: ImmersedSurface) -> ImmersedSurface:
     return ImmersedSurface(s.chart, s.grid, s.warping)
 
 
+def along_v(f):
+    """The fields f at every grid node: those of a surface of revolution,
+    given at its meridian, with each meridian node's values repeated
+    f.repeats = nv times along v (meridian node i becomes grid nodes i * nv
+    to i * nv + nv - 1), one np.repeat per array; fields given at every
+    node as they are."""
+    if f.repeats == 1:
+        return f
+
+    def repeated(record, skip=()):
+        return {x.name: np.repeat(getattr(record, x.name), f.repeats, axis=-1)
+                for x in fields(record)
+                if x.name not in skip and isinstance(getattr(record, x.name), np.ndarray)}
+
+    curvature = replace(f.ambient_curvature, **repeated(f.ambient_curvature))
+    return replace(f, **repeated(f, ("ambient_curvature",)), ambient_curvature=curvature,
+                   repeats=1)
+
+
 def area(f) -> float:
-    """Total area: the sum of the nodal area elements."""
-    return float(np.sum(f.area_element))
+    """Total area: the sum of the nodal area elements over the grid."""
+    return float(np.sum(along_v(f).area_element))
 
 
 def registered_perturbations() -> list[str]:
@@ -330,7 +360,7 @@ def conformal_willmore_invariant(s: ImmersedSurface, param) -> float:
     Invariant under the conformal group of the 3-sphere up to
     discretization error.
     """
-    g = compute_geometry(mobius_image_surface(s, param), want_gauss=False)
+    g = along_v(compute_geometry(mobius_image_surface(s, param), want_gauss=False))
     return float(np.sum((g.sigma_sq - 2.0 * g.mean_curv**2) * g.area_element))
 
 
@@ -343,7 +373,7 @@ def dirichlet_energy_check(s: ImmersedSurface, param) -> tuple[float, float]:
     of a two-dimensional immersion the two agree.
     """
     image = mobius_image_surface(s, param)
-    base = compute_geometry(s, want_gauss=False)
+    base = along_v(compute_geometry(s, want_gauss=False))
     b = image.chart.evaluate(image.grid)
     psi_u, psi_v = b["u"], b["v"]
     ginv_uu, ginv_uv, ginv_vv = base.metric_inv
@@ -359,6 +389,6 @@ def dirichlet_energy_check(s: ImmersedSurface, param) -> tuple[float, float]:
 
 def willmore_type_inequality_check(s: ImmersedSurface, param) -> tuple[float, float]:
     """(integral of H^2 + 1 over the image, image area); first >= second."""
-    g = compute_geometry(mobius_image_surface(s, param), want_gauss=False)
+    g = along_v(compute_geometry(mobius_image_surface(s, param), want_gauss=False))
     lhs = float(np.sum((g.mean_curv**2 + 1.0) * g.area_element))
     return lhs, float(np.sum(g.area_element))

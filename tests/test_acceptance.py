@@ -221,7 +221,7 @@ def test_criterion_8_balanced_bound(solve):
         sol = solve(spec, k=2)
         f1 = sol.spectrum.eigenvectors[:, 0]
         a, _, _ = ss.hersch_balance(sol.surface, sol.fields, f1)
-        w = np.maximum(f1, 0.0) * sol.fields.area_element
+        w = np.maximum(f1, 0.0) * sol.fields.node_area
         y = ss.mobius_apply(a, sol.surface.points())
         resid = float(np.linalg.norm(w @ y)) / float(w.sum())
         worst_resid = max(worst_resid, resid)

@@ -23,6 +23,8 @@ from stabspec.eigen import _circulant_parts
 from stabspec.errors import AssemblyError
 from stabspec.grids import torus_grid
 
+from oracles import along_v, dense_coupling
+
 SHAPES = [
     ss.clifford_torus((12, 12)),
     ss.flat_torus(0.6, (12, 12)),
@@ -101,12 +103,13 @@ def test_shifted_spectrum_identity():
 def test_degenerate_mass_is_rejected():
     s = ss.build(ss.clifford_torus((8, 8)))
     f = ss.compute_geometry(s, want_gauss=False)
+    # the fields are the meridian's: meridian node 5 is grid node 5 * nv
     bad = dataclasses.replace(
-        f, area_element=np.where(np.arange(s.node_count) == 5, 0.0,
+        f, area_element=np.where(np.arange(f.area_element.size) == 5, 0.0,
                                  f.area_element))
     with pytest.raises(AssemblyError) as err:
         ss.assemble(s, bad)
-    assert "5" in str(err.value)
+    assert f"node {5 * s.grid.nv}" in str(err.value)
 
 
 def test_permuting_nodes_preserves_the_spectrum(rng):
@@ -118,8 +121,8 @@ def test_permuting_nodes_preserves_the_spectrum(rng):
         shape=(p.node_count, p.node_count))
     shuffled = ss.OperatorPencil(
         csr=(P @ p.stiffness_minus_potential @ P.T).tocsr(),
-        mass_diagonal=p.mass_diagonal[perm],
-        potential=np.asarray(p.potential)[perm],
+        mass=p.mass_diagonal[perm],
+        q=np.asarray(p.potential)[perm],
     )
     e1 = ss.smallest_eigenpairs(shuffled, 4).eigenvalues
     np.testing.assert_allclose(e1, e0, atol=1e-10)
@@ -244,7 +247,7 @@ def test_csr_writer_matches_the_coo_face_sum(surface, crossed):
     pencil = ss.assemble(surface, f)
     assert pencil.invariant_along_v == (surface.revolution and not crossed)
     got = pencil.stiffness_minus_potential
-    want = _coo_reference(surface, f)
+    want = _coo_reference(surface, along_v(f))
     for part in ("indptr", "indices", "data"):
         np.testing.assert_array_equal(getattr(got, part), getattr(want, part))
     assert got.has_sorted_indices and np.all(got.data != 0.0)
@@ -261,14 +264,17 @@ def test_csr_writer_matches_the_coo_face_sum(surface, crossed):
         # the CSR formed from the meridian is the one written on the
         # repeated N-node fields, and the meridian's (T, w, d) are the rows
         # at v index 0 sliced from it
-        full = ss.assemble(ss.ImmersedSurface(surface.chart, surface.grid), f)
+        full = ss.assemble(ss.ImmersedSurface(surface.chart, surface.grid), along_v(f))
         for part in ("indptr", "indices", "data"):
             np.testing.assert_array_equal(getattr(got, part),
                                           getattr(full.stiffness_minus_potential, part))
         nv, head = surface.grid.nv, got[::surface.grid.nv]
-        for x, y in zip(_circulant_parts(pencil), (head[:, ::nv].toarray(),
-                                                   head[:, 1::nv].diagonal(),
-                                                   pencil.mass_diagonal[::nv])):
+        t, w, d = _circulant_parts(pencil)
+        # a sphere grid's T is kept as its diagonals
+        assert isinstance(t, np.ndarray) == surface.grid.periodic_u
+        for x, y in zip((dense_coupling(t), w, d),
+                        (head[:, ::nv].toarray(), head[:, 1::nv].diagonal(),
+                         pencil.mass_diagonal[::nv])):
             np.testing.assert_array_equal(x, y)
 
 

@@ -21,7 +21,7 @@ import stabspec as ss
 from stabspec.errors import ConfigError, DomainError
 from stabspec.grids import NodeMap
 
-from oracles import full_grid, registered_perturbations
+from oracles import along_v, full_grid, registered_perturbations
 
 
 # ------------------------------------------------------------ frozen spectra
@@ -170,12 +170,15 @@ def test_surfaces_of_revolution_repeat_their_meridian(spec, resolution):
     assert (s.chart_grid.nu, s.chart_grid.nv) == (nu, 2)
     assert s.bundle()["0"].shape == (2 * nu, 4)
     f = ss.compute_geometry(s)
+    # the fields are handed on at the meridian alone, each node standing
+    # for the nv nodes of its latitude
+    assert f.repeats == nv
+    assert all(a.shape[-1] == nu for _, a, _ in _per_node(f))
     oracle = full_grid(s)
     g = ss.compute_geometry(oracle)
-    # the repeated meridian fields are exactly constant along v
-    for (name, got, _), (_, want, scale) in zip(_per_node(f), _per_node(g)):
+    assert g.repeats == 1
+    for (name, got, _), (_, want, scale) in zip(_per_node(along_v(f)), _per_node(g)):
         assert got.shape == want.shape, name
-        assert np.all(got.reshape(-1, nu, nv) == got.reshape(-1, nu, nv)[..., :1]), name
         assert np.max(np.abs(got - want)) <= 1e-13 * scale, name
     # the unmarked full-grid oracle takes the sparse path
     pencil, full = ss.assemble(s, f), ss.assemble(oracle, g)
@@ -183,6 +186,36 @@ def test_surfaces_of_revolution_repeat_their_meridian(spec, resolution):
     reduced, sparse = ss.smallest_eigenpairs(pencil, 4), ss.smallest_eigenpairs(full, 4)
     assert (reduced.method, sparse.method) == ("reduced", "sparse")
     np.testing.assert_allclose(reduced.eigenvalues, sparse.eigenvalues, rtol=0, atol=1e-8)
+
+
+def _bits(a):
+    """The array's float64 bit patterns, in C order."""
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
+
+
+@pytest.mark.parametrize("resolution", [(16, 16), (12, 20)], ids=str)
+@pytest.mark.parametrize("spec", REVOLUTION, ids=lambda s: s.label)
+def test_the_n_node_forms_repeat_the_meridian_bit_for_bit(spec, resolution):
+    # the N-node forms a reader may ask for, against the meridian fields
+    # repeated along v: area and mass are the area element, the potential
+    # is |sigma|^2 + Ric(nu, nu), and vector j is its meridian factor times
+    # its wave along v
+    s = ss.build(replace(spec, resolution=resolution))
+    f = ss.compute_geometry(s, want_gauss=False)
+    pencil = ss.assemble(s, f)
+    spectrum = ss.smallest_eigenpairs(pencil, 4)
+    assert pencil.mass.shape == pencil.q.shape == (resolution[0],)
+    assert spectrum.factors.shape[0] == resolution[0]
+    ref = along_v(f)
+    for got, want in ((f.node_area, ref.area_element),
+                      (pencil.mass_diagonal, ref.area_element),
+                      (pencil.potential, ref.sigma_sq + ref.ricci_normal)):
+        assert got.shape == (s.node_count,)
+        assert np.array_equal(_bits(got), _bits(want))
+    vectors = spectrum.eigenvectors
+    assert vectors.shape == (s.node_count, spectrum.eigenvalues.size)
+    for j, wave in enumerate(spectrum.waves):
+        assert np.array_equal(_bits(vectors[:, j]), _bits(np.kron(spectrum.factors[:, j], wave)))
 
 
 @pytest.mark.parametrize("spec", [

@@ -29,7 +29,7 @@ from stabspec.eigen import (
 from stabspec.errors import DomainError, NonConvergenceError
 from stabspec.grids import NodeMap, sphere_grid, torus_grid
 
-from oracles import dense_window, unmarked
+from oracles import dense_coupling, dense_window, unmarked
 
 CATALOG = [
     ss.clifford_torus((16, 16)),
@@ -97,8 +97,8 @@ def _diagonal_pencil(n):
     """diag(0, 1, ..., n - 1) against the identity mass, with no grid."""
     return ss.OperatorPencil(
         csr=sp_sparse.diags(np.arange(n, dtype=float)).tocsr(),
-        mass_diagonal=np.ones(n),
-        potential=np.zeros(n),
+        mass=np.ones(n),
+        q=np.zeros(n),
     )
 
 
@@ -219,7 +219,7 @@ def test_a_pencil_without_maps_closes_a_cluster_past_its_widest_window(monkeypat
     # solved for that count, so the window holds the whole cluster
     vals = np.concatenate([[0.0], 1.0 + 1e-8 * np.arange(20), np.linspace(2.0, 10.0, 279)])
     p = ss.OperatorPencil(csr=sp_sparse.csr_matrix(sp_sparse.diags(vals)),
-                          mass_diagonal=np.ones(vals.size), potential=np.zeros(vals.size))
+                          mass=np.ones(vals.size), q=np.zeros(vals.size))
     windows = _logged_windows(monkeypatch)
     sp_ = ss.smallest_eigenpairs(p, 2)
     assert eigenvalue_multiplicity(sp_.eigenvalues, 1) == 20
@@ -227,6 +227,22 @@ def test_a_pencil_without_maps_closes_a_cluster_past_its_widest_window(monkeypat
     assert windows == [4, 8, 16, 23]  # a count of 21, then its first window
     np.testing.assert_allclose(sp_.eigenvalues, vals[:21], rtol=0, atol=1e-12)
     assert float(np.max(sp_.residuals)) <= 1e-9
+
+
+def test_the_trivial_group_folds_a_pencil_into_a_itself():
+    # a pencil with no maps is its own one block, with A's own arrays and
+    # no second N-node CSR, and a block vector spreads to itself bit for bit
+    p = _pencil(ss.perturbed_torus(0.7, 0.05, 3, (24, 24)))
+    assert p.maps == ()
+    [(b, d, domain)], orbits = eigen._fold(p)
+    assert b is p.stiffness_minus_potential and d is p.mass_diagonal
+    n = p.node_count
+    least, element, size = orbits
+    assert np.array_equal(domain, np.arange(n)) and np.array_equal(least, np.arange(n))
+    assert not np.any(element) and np.all(size == 1)
+    z = np.random.default_rng(3).standard_normal(n)
+    spread = eigen._spread(orbits, eigen._character(0, 1), domain, z)
+    assert np.array_equal(spread.view(np.uint64), z.view(np.uint64))
 
 
 def test_standard_form_lanczos_vectors_are_mass_orthonormal():
@@ -383,7 +399,10 @@ def test_invariance_read_agrees_with_the_kron_rebuild(name):
     want = _kron_invariance(p)
     assert p.invariant_along_v == (want is not None)
     if want is not None:
-        for x, y in zip(_circulant_parts(p), want):
+        t, w, d = _circulant_parts(p)
+        # a sphere grid's T is kept as its diagonals
+        assert isinstance(t, np.ndarray) == p.grid.periodic_u
+        for x, y in zip((dense_coupling(t), w, d), want):
             np.testing.assert_allclose(x, y, rtol=0, atol=1e-13)
 
 
@@ -449,7 +468,8 @@ def test_reduced_window_visits_modes_past_the_first(r):
 def test_reduced_window_holds_the_whole_cluster_it_cuts():
     # places 6-9 hold the four-fold eigenvalue 0; a window of six cuts it
     p = _pencil(ss.flat_torus(0.775594, (64, 64)))
-    vals, block, res = _solve_reduced(p, 6)
+    reduced = _solve_reduced(p, 6)
+    vals, block, res = reduced.eigenvalues, reduced.eigenvectors, reduced.residuals
     assert block.shape[1] == 9
     assert float(np.max(res)) <= 1e-9
     assert [len(g) for g in cluster_indices(vals)] == [1, 2, 2, 4]
@@ -531,8 +551,7 @@ def test_reduced_path_widens_a_block_whose_window_ends_in_a_cluster(monkeypatch)
     cu = np.full((8, 1), 1e-9)
     cu[-1] = 0.0  # no face past the last latitude row
     cv = np.ones((8, 1))
-    p = ss.OperatorPencil(csr=None, mass_diagonal=np.ones(96), potential=np.zeros(96),
-                          grid=sphere_grid(8, 12),
+    p = ss.OperatorPencil(csr=None, mass=np.ones(8), q=np.zeros(8), grid=sphere_grid(8, 12),
                           meridian=(cu, cv, (cu + np.roll(cu, 1, axis=0)) + 2.0 * cv))
     dense, _ = dense_window(p, 2)
     sp_, counts = _block_solves(monkeypatch, p, 2)
@@ -550,6 +569,8 @@ def test_tridiagonal_blocks_match_dense_blocks(monkeypatch, spec):
     # tridiagonal; the reduced path against a dense eigh of the same blocks
     p = _pencil(spec)
     t, w, d = _circulant_parts(p)
+    assert not isinstance(t, np.ndarray)  # kept as its diagonals
+    t = dense_coupling(t)
     assert not np.any(np.triu(t, 2)) and np.all(np.diagonal(t, 1) != 0.0)
     n = p.grid.nv
     s = 1.0 / np.sqrt(d)

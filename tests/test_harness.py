@@ -10,6 +10,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 import warnings
 import weakref
 
@@ -834,6 +835,26 @@ def test_a_rung_holds_only_what_its_later_stages_read(monkeypatch):
             assert a.base is None and a.size == b.nnz
         assert max(b.shape[0], b.indptr.size, *(a.size for a in arrays)) < n
     assert [(a.size, a.dtype) for a in orbits] == [(n, np.int32), (n, np.int8), (n, np.int8)]
+
+
+# one float64 array on the 262,144 nodes of a 512^2 grid
+N_NODE_ARRAY_BYTES = 512 * 512 * 8
+
+
+def test_a_ladder_on_a_meridian_allocates_no_n_node_array(tmp_path):
+    # a marked, uncrossed surface stays on its meridian from geometry to
+    # report, so the traced peak of a 256, 512 ladder stays below one
+    # N-node array of its finer rung; the chart is compiled beforehand,
+    # whose symbolic work does not grow with the grid
+    args = ["check", "t13", "shape=slice", "warping=cosh", "t0=0.3"]
+    assert cli_main(args + ["resolutions=8,12", "--out", str(tmp_path / "warm")]) == 0
+    tracemalloc.start()
+    try:
+        assert cli_main(args + ["resolutions=256,512", "--out", str(tmp_path / "r")]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < N_NODE_ARRAY_BYTES, f"traced peak {peak / 2**20:.2f} MiB"
 
 
 def test_every_error_class_has_an_exit_code():

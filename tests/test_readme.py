@@ -10,15 +10,18 @@ recognized keys, and its subcommand must read every key given on the
 line; the commands are parsed and configured, not run.  The
 configuration-key table lists exactly the recognized keys, its `shape`
 row exactly the shapes of the config table, and the sample configurations
-load.
+load.  The one-line recipe the numerical notes give for unmarking an
+invariant pencil sends it down the sparse path to the same eigenvalues.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import pathlib
 import re
 import shlex
 
+import numpy as np
 import pytest
 
 import stabspec
@@ -93,3 +96,15 @@ def test_shape_row_lists_the_shape_table():
                          ids=lambda p: p.name)
 def test_sample_configs_load(path):
     assert cfgmod.load_config_file(path)
+
+
+def test_the_unmarking_recipe_sends_an_invariant_pencil_down_the_sparse_path():
+    recipe = re.search(r"unmarks it,\s*`(dataclasses\.replace\(pencil,[^`]*)`", README).group(1)
+    surface = stabspec.build(stabspec.clifford_torus((16, 16)))
+    pencil = stabspec.assemble(surface, stabspec.compute_geometry(surface, want_gauss=False))
+    unmarked = eval(" ".join(recipe.split()), {"dataclasses": dataclasses, "pencil": pencil})
+    assert pencil.invariant_along_v and not unmarked.invariant_along_v
+    reduced = stabspec.smallest_eigenpairs(pencil, 2)
+    sparse = stabspec.smallest_eigenpairs(unmarked, 2)
+    assert (reduced.method, sparse.method) == ("reduced", "sparse")
+    np.testing.assert_allclose(sparse.eigenvalues, reduced.eigenvalues, rtol=0, atol=1e-10)

@@ -28,6 +28,7 @@ from stabspec.errors import (
 from stabspec.grids import torus_grid
 
 from oracles import (
+    along_v,
     area,
     gauss_equation_residual,
     intrinsic_gauss_curvature,
@@ -48,8 +49,9 @@ def test_clifford_torus_geometry_is_exact():
     spec = ss.clifford_torus((24, 24))
     s, f = _build(spec)
     # g = I / 2, so g^uu = g^vv = 2 and g^uv = 0
-    np.testing.assert_allclose(f.metric_inv, np.broadcast_to([[2.0], [0.0], [2.0]],
-                                                             (3, s.node_count)), atol=1e-15)
+    np.testing.assert_allclose(along_v(f).metric_inv,
+                               np.broadcast_to([[2.0], [0.0], [2.0]], (3, s.node_count)),
+                               atol=1e-15)
     np.testing.assert_allclose(f.area_element, 0.5 * s.grid.cell_weight,
                                atol=1e-15)
     np.testing.assert_allclose(f.mean_curv, 0.0, atol=1e-14)
@@ -255,7 +257,7 @@ def test_gauss_curvature_matches_the_intrinsic_oracle(spec):
     s, f = _build(spec)
     warping = spec.params["warping"].name if "warping" in spec.params else None
     k = intrinsic_gauss_curvature(sympy_chart(spec), s.grid, warping)
-    np.testing.assert_allclose(f.gauss_curv, k, rtol=0,
+    np.testing.assert_allclose(along_v(f).gauss_curv, k, rtol=0,
                                atol=1e-11 * max(1.0, float(np.max(np.abs(k)))))
 
 
